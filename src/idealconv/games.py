@@ -229,13 +229,18 @@ def run_game(x: SequenceSpec, handle: IdealHandle, target: GameTarget,
         raise NotAnalyticP(f"{handle.name} carries no submeasure")
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
+    levels = level_cycle(rounds)
+    needed = max(levels, default=0)
+    if needed > len(target.schedule):
+        raise ValueError(f"{rounds} rounds reach radius level {needed}, but "
+                         f"the schedule holds {len(target.schedule)} radii; "
+                         f"at least {needed} radii are needed")
     m = handle.lscsm
     rng = random.Random(("game", kind, seed).__repr__())
     state = GameState(kind=kind)
     moves: list[Move] = []
     certificates: dict[int, Fraction] = {}
     verdict, reason = "undetermined", "no rounds played"
-    levels = level_cycle(rounds)
     escape = escape_extension if kind == "sigma" else escape_extension_pi
     for r in range(rounds):
         moves.append(_adversary_move(state, rng, horizon))

@@ -302,10 +302,12 @@ def decide_membership(handle: IdealHandle, s: ns.NatSet,
 
     # trend estimation, corroborated one octave down: a set lumped into
     # sparse exponential blocks can leave every tail window of one horizon
-    # empty, but then the half-horizon windows catch the previous lump
+    # empty, but then the half-horizon windows catch the previous lump.
+    # Both read one prefix: the half-horizon prefix is its first half.
     def trend_verdict(horizon: int) -> tuple[Optional[Verdict], object]:
         cuts = params.cut_points() if horizon == params.horizon else None
-        est = sm.norm_estimate(m, s, horizon, cuts=cuts, slack=params.slack)
+        est = sm.norm_estimate(m, s, horizon, cuts=cuts, slack=params.slack,
+                               bits=bits[:horizon])
         if est.trend in ("zero", "decreasing") and est.numeric < params.theta:
             return Verdict.IN, est
         if est.trend == "non-decreasing" and est.numeric >= params.theta:
@@ -313,6 +315,7 @@ def decide_membership(handle: IdealHandle, s: ns.NatSet,
         return None, est
 
     try:
+        bits = s.prefix(params.horizon)
         v1, est = trend_verdict(params.horizon)
         v2 = v1
         if params.horizon >= 64:

@@ -480,7 +480,8 @@ def _sample_estimate(handle: IdealHandle, sample: ns.NatSet,
                      params: DecisionParams) -> Optional[Fraction]:
     if handle.lscsm is not None:
         est = sm.norm_estimate(handle.lscsm, sample, params.horizon,
-                               cuts=params.cut_points(), slack=params.slack)
+                               cuts=params.cut_points(), slack=params.slack,
+                               head=True)
         return est.best
     # product ideal: fraction of valuation rows r <= 10 hit inside the horizon
     bits = sample.prefix(min(params.horizon, 1 << 17))

@@ -23,10 +23,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
 def max_count_ratio(counts: np.ndarray, t: int) -> Fraction:
     """Exact max of (counts[n-1] - counts[t-1]) / n over n in (t, N].
 
@@ -99,8 +95,10 @@ class Lscsm:
         """phi of an explicit finite set."""
         raise NotImplementedError
 
-    def tail_value(self, bits: np.ndarray, t: int) -> Fraction:
-        """phi(s ∩ (t, N]) from the full prefix bits of s on [1, N]."""
+    def tail_value(self, bits: np.ndarray,
+                   cuts: Sequence[int]) -> list[Fraction]:
+        """phi(s ∩ (t, N]) for each cut t, in the order given, from the full
+        prefix bits of s on [1, N]; one pass over the prefix serves all cuts."""
         raise NotImplementedError
 
     def tail_correction(self, t: int, horizon: int) -> Fraction:
@@ -175,9 +173,10 @@ class RunningDensity(Lscsm):
                 best = r
         return best
 
-    def tail_value(self, bits: np.ndarray, t: int) -> Fraction:
+    def tail_value(self, bits: np.ndarray,
+                   cuts: Sequence[int]) -> list[Fraction]:
         counts = np.cumsum(bits, dtype=np.int64)
-        return max_count_ratio(counts, t)
+        return [max_count_ratio(counts, t) for t in cuts]
 
     def tail_correction(self, t: int, horizon: int) -> Fraction:
         # a set of tail density d scores at most d * (N - t) / N below N
@@ -208,8 +207,13 @@ class CountingCap(Lscsm):
     def phi_points(self, members: Sequence[int]) -> Fraction:
         return ONE if len(members) >= 1 else ZERO
 
-    def tail_value(self, bits: np.ndarray, t: int) -> Fraction:
-        return ONE if bool(bits[t:].any()) else ZERO
+    def tail_value(self, bits: np.ndarray,
+                   cuts: Sequence[int]) -> list[Fraction]:
+        # a tail is nonempty exactly when the last member lies beyond its cut
+        rev = bits[::-1]
+        j = int(np.argmax(rev))
+        last = bits.shape[0] - j if rev[j] else 0
+        return [ONE if last > t else ZERO for t in cuts]
 
     def _exact_norm_infinite(self, s: ns.NatSet) -> Optional[Fraction]:
         inf = s.is_infinite()
@@ -241,30 +245,39 @@ class WeightedSum(Lscsm):
         return self.scale / a
 
     def phi_points(self, members: Sequence[int]) -> Fraction:
-        total = ZERO
-        chunk: list[int] = []
-        for m in members:
-            chunk.append(m)
-        if not chunk:
+        if len(members) == 0:
             return ZERO
-        total = self.scale * sum_unit_fractions(chunk)
-        return min(self.cap, total)
+        return min(self.cap, self.scale * sum_unit_fractions(members))
 
-    def tail_value(self, bits: np.ndarray, t: int) -> Fraction:
-        idx = np.flatnonzero(bits[t:]) + (t + 1)
-        if idx.size == 0:
-            return ZERO
-        # raw pair accumulation: one normalization at the end, and the cap
-        # can stop the exact summation after any chunk
-        tp, tq = 0, 1
+    def tail_value(self, bits: np.ndarray,
+                   cuts: Sequence[int]) -> list[Fraction]:
+        idx = np.flatnonzero(bits) + 1
         cn, cd = self.cap.numerator, self.cap.denominator
         sn, sd = self.scale.numerator, self.scale.denominator
-        for lo in range(0, idx.size, 4096):
-            p, q = sum_unit_fractions_raw(idx[lo:lo + 4096].tolist())
-            tp, tq = tp * q + p * tq, tq * q
-            if sn * tp * cd >= cn * sd * tq:
-                return self.cap
-        return Fraction(sn * tp, sd * tq)
+        # nested tails, deepest cut first: each segment between two cuts is
+        # added once to the running sum of the tails beyond it.  Inside a
+        # segment the large weights come first, so the cap, once reached,
+        # stops the exact summation and holds for every shallower cut.
+        tp, tq = 0, 1
+        capped = False
+        end = idx.size
+        value: dict[int, Fraction] = {}
+        for t in sorted(set(cuts), reverse=True):
+            start = int(np.searchsorted(idx, t, side="right"))
+            lo = start
+            while lo < end and not capped:
+                p, q = sum_unit_fractions_raw(idx[lo:min(lo + 4096, end)].tolist())
+                tp, tq = tp * q + p * tq, tq * q
+                capped = sn * tp * cd >= cn * sd * tq
+                lo += 4096
+            end = start
+            if capped:
+                value[t] = self.cap
+            else:
+                total = Fraction(tp, tq)
+                tp, tq = total.numerator, total.denominator
+                value[t] = self.scale * total
+        return [value[t] for t in cuts]
 
     def _exact_norm_infinite(self, s: ns.NatSet) -> Optional[Fraction]:
         if not self.harmonic:
@@ -326,28 +339,34 @@ class DensityFamily(Lscsm):
             n += 1
         return best
 
-    def tail_value(self, bits: np.ndarray, t: int) -> Fraction:
+    def tail_value(self, bits: np.ndarray,
+                   cuts: Sequence[int]) -> list[Fraction]:
         horizon = bits.shape[0]
         counts = np.cumsum(bits, dtype=np.int64)
-        def window(lo: int, hi: int) -> int:
-            lo = max(lo, t + 1)
-            hi = min(hi - 1, horizon)
-            if hi < lo:
-                return 0
-            return int(counts[hi - 1]) - (int(counts[lo - 2]) if lo >= 2 else 0)
-        best = ZERO
+        # (first, last position inside the prefix, w_n numerator,
+        # w_n denominator * |D_n|); the last block may be partial
+        blocks = []
         n = 1
         while True:
-            lo, hi = self.partition.block(n)   # the last block may be partial
+            lo, hi = self.partition.block(n)
             if lo > horizon:
                 break
-            cnt = window(lo, hi)
-            if cnt:
-                r = self.weight(n) * Fraction(cnt, hi - lo)
-                if r > best:
-                    best = r
+            w = self.weight(n)
+            blocks.append((lo, min(hi - 1, horizon), w.numerator,
+                           w.denominator * (hi - lo)))
             n += 1
-        return best
+        out = []
+        for t in cuts:
+            bn, bd = 0, 1
+            for lo, last, wn, wd in blocks:
+                lo = max(lo, t + 1)
+                if last < lo:
+                    continue
+                cnt = int(counts[last - 1]) - (int(counts[lo - 2]) if lo >= 2 else 0)
+                if wn * cnt * bd > bn * wd:
+                    bn, bd = wn * cnt, wd
+            out.append(Fraction(bn, bd))
+        return out
 
     def _exact_norm_infinite(self, s: ns.NatSet) -> Optional[Fraction]:
         if isinstance(s, ns.PowersOf) and self.partition.lengths_unbounded:
@@ -411,7 +430,7 @@ def phi(m: Lscsm, s: ns.NatSet, horizon: int) -> Fraction:
     """Exact phi(s ∩ [1, horizon])."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    return m.tail_value(s.prefix(horizon), 0)
+    return m.tail_value(s.prefix(horizon), [0])[0]
 
 
 def default_cuts(horizon: int) -> list[int]:
@@ -449,12 +468,17 @@ def classify_trend(values: Sequence[Fraction], slack: Fraction) -> str:
 
 def norm_estimate(m: Lscsm, s: ns.NatSet, horizon: int,
                   cuts: Optional[Sequence[int]] = None,
-                  slack: Fraction = Fraction(1, 200)) -> NormEstimate:
+                  slack: Fraction = Fraction(1, 200), *,
+                  bits: Optional[np.ndarray] = None,
+                  head: bool = False) -> NormEstimate:
     """Evaluate phi on nested tails and classify the trend.
 
     Row values are phi(s ∩ (t, horizon]) divided by the variant's finite-
     horizon attenuation at that cut, so a set with a genuine limit norm shows
-    a flat trend instead of the mechanical (N - t)/N decay.
+    a flat trend instead of the mechanical (N - t)/N decay.  ``bits`` is the
+    prefix of s on [1, horizon] when the caller already holds it; ``head``
+    adds the whole-prefix row (0, phi, phi) in front, which only ``best``
+    reads.
     """
     if cuts is None:
         cuts = default_cuts(horizon)
@@ -462,14 +486,18 @@ def norm_estimate(m: Lscsm, s: ns.NatSet, horizon: int,
     if any(t < 1 or t >= horizon for t in cuts):
         raise ValueError("cuts must satisfy 1 <= t < horizon")
     exact = m.exact_norm(s)
-    bits = s.prefix(horizon)
+    if bits is None:
+        bits = s.prefix(horizon)
+    elif bits.shape[0] != horizon:
+        raise ValueError("bits must be the prefix on [1, horizon]")
+    raws = m.tail_value(bits, ([0] if head else []) + cuts)
     rows: list[tuple[int, Fraction, Fraction]] = []
-    raw0 = m.tail_value(bits, 0)
-    rows.append((0, raw0, raw0))
-    for t in cuts:
-        raw = m.tail_value(bits, t)
-        rows.append((t, raw, raw / m.tail_correction(t, horizon)))
-    cut_corrected = [c for t, _, c in rows if t > 0]
+    if head:
+        raw0 = raws.pop(0)
+        rows.append((0, raw0, raw0))
+    cut_corrected = [raw / m.tail_correction(t, horizon)
+                     for t, raw in zip(cuts, raws)]
+    rows.extend(zip(cuts, raws, cut_corrected))
     trend = classify_trend(cut_corrected, slack)
     return NormEstimate(exact=exact, numeric=cut_corrected[-1], rows=rows,
                         trend=trend, horizon=horizon)

@@ -28,7 +28,7 @@ import numpy as np
 from . import natset as ns
 from . import submeasure as sm
 from .ideals import DecisionParams, IdealHandle, Verdict, decide_membership
-from .meager import WitnessIntervals
+from .meager import WitnessIntervals, WitnessRefuted
 from .sequences import (AnalysisParams, Alphabet, Point, SequenceSpec,
                         as_point, distance, format_point, gamma_estimate,
                         indicator_set, limit_points_estimate, CLUSTER)
@@ -1084,10 +1084,14 @@ def limit_witness_extraction(x: SequenceSpec, sigma: Optional[SubsequenceMap],
     # replay the certificate: separation, mass, and membership distances
     prev_max = 0
     for k, F, phi_val, eps in blocks:
-        assert F[0] > prev_max and phi_val >= q
+        if not (F[0] > prev_max and phi_val >= q):
+            raise WitnessRefuted(f"extraction block {k} overlaps its "
+                                 f"predecessor or carries mass below {q}")
         prev_max = F[-1]
         for v in F:
-            assert distance(x_eff.point(v), ell) < eps
+            if not distance(x_eff.point(v), ell) < eps:
+                raise WitnessRefuted(f"extraction block {k}: index {v} lies "
+                                     f"outside the radius-{eps} ball")
     return ExtractionCertificate(tau, blocks)
 
 

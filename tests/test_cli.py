@@ -229,3 +229,17 @@ def test_gdi_config_file(tmp_path):
     gamma = read(f"{out}.json")["reports"]["gamma"]
     assert sorted(c["point"] for c in gamma["candidates"]
                   if c["classification"] == "cluster") == ["0", "1"]
+
+
+def test_game_run_refuses_too_few_radii(tmp_path, capsys):
+    # 20 rounds of the level cycle reach level 5; four radii cannot serve it
+    out = tmp_path / "g"
+    assert run(["game", "run", "--seq", "char:evens", "--ideal", "Z",
+                "--ell", "1", "--q", "1/4", "--radii", "4", "--rounds", "20",
+                "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "at least 5 radii" in err["detail"]
+    assert not Path(f"{out}.json").exists()
+    assert run(["game", "run", "--seq", "char:evens", "--ideal", "Z",
+                "--ell", "1", "--q", "1/4", "--radii", "5", "--rounds", "20",
+                "--out", str(out)]) == 0

@@ -1,0 +1,274 @@
+"""Batched tail values against a per-cut reference, and the shared prefix of
+the tail-trend decision route.
+
+``tail_value(bits, cuts)`` evaluates every cut from one pass over one prefix.
+The reference below is the plain per-cut evaluation, one fresh pass per cut;
+both are exact, so they must agree to the last bit.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, strategies as st
+
+from idealconv import natset as ns
+from idealconv import submeasure as sm
+from idealconv.ideals import (DecisionParams, Verdict, builtin,
+                              decide_membership)
+
+F = Fraction
+
+
+# --- the per-cut reference ----------------------------------------------------
+
+def ref_running_density(m, bits, t):
+    counts = np.cumsum(bits, dtype=np.int64)
+    return sm.max_count_ratio(counts, t)
+
+
+def ref_counting_cap(m, bits, t):
+    return F(1) if bool(bits[t:].any()) else F(0)
+
+
+def ref_weighted_sum(m, bits, t):
+    idx = np.flatnonzero(bits[t:]) + (t + 1)
+    if idx.size == 0:
+        return F(0)
+    tp, tq = 0, 1
+    cn, cd = m.cap.numerator, m.cap.denominator
+    sn, sd = m.scale.numerator, m.scale.denominator
+    for lo in range(0, idx.size, 4096):
+        p, q = sm.sum_unit_fractions_raw(idx[lo:lo + 4096].tolist())
+        tp, tq = tp * q + p * tq, tq * q
+        if sn * tp * cd >= cn * sd * tq:
+            return m.cap
+    return F(sn * tp, sd * tq)
+
+
+def ref_density_family(m, bits, t):
+    horizon = bits.shape[0]
+    counts = np.cumsum(bits, dtype=np.int64)
+
+    def window(lo, hi):
+        lo = max(lo, t + 1)
+        hi = min(hi - 1, horizon)
+        if hi < lo:
+            return 0
+        return int(counts[hi - 1]) - (int(counts[lo - 2]) if lo >= 2 else 0)
+
+    best = F(0)
+    n = 1
+    while True:
+        lo, hi = m.partition.block(n)      # the last block may be partial
+        if lo > horizon:
+            break
+        cnt = window(lo, hi)
+        if cnt:
+            r = m.weight(n) * F(cnt, hi - lo)
+            if r > best:
+                best = r
+        n += 1
+    return best
+
+
+def reference(m, bits, cuts):
+    ref = {sm.RunningDensity: ref_running_density,
+           sm.CountingCap: ref_counting_cap,
+           sm.WeightedSum: ref_weighted_sum,
+           sm.DensityFamily: ref_density_family}[type(m)]
+    return [ref(m, bits, t) for t in cuts]
+
+
+# --- bitmaps and cuts -----------------------------------------------------------
+
+SHAPES = ("random", "empty", "full", "single", "below-first-cut", "sparse")
+
+
+@st.composite
+def prefixes(draw, max_horizon=12_000):
+    """(bits, cuts): a prefix on [1, N] and cuts in [0, N), in any order,
+    with repeats allowed."""
+    horizon = draw(st.integers(1, max_horizon))
+    cuts = draw(st.lists(st.integers(0, horizon - 1), min_size=1, max_size=6))
+    shape = draw(st.sampled_from(SHAPES))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    bits = np.zeros(horizon, dtype=bool)
+    if shape == "random":
+        bits = rng.random(horizon) < draw(st.floats(0.0, 1.0))
+    elif shape == "full":
+        bits[:] = True
+    elif shape == "single":
+        bits[draw(st.integers(0, horizon - 1))] = True
+    elif shape == "below-first-cut":
+        first = min([t for t in cuts if t > 0], default=horizon)
+        bits[:first] = rng.random(first) < 0.5
+    elif shape == "sparse":
+        bits[rng.integers(0, horizon, size=draw(st.integers(1, 8)))] = True
+    return bits, cuts
+
+
+GDI = builtin("gdi").lscsm
+HEADED = sm.DensityFamily(
+    partition=ns.partition_from_tag({"kind": "geometric", "ratio": "3/2"}),
+    head_weights=(F(1, 2), F(3), F(1, 3)), tail_weight=F(2))
+SUMMABLE = builtin("summable").lscsm
+SCALED = sm.normalize(sm.WeightedSum(cap=F(3), scale=F(7, 5), harmonic=False))
+
+
+# --- batched equals per-cut -------------------------------------------------------
+
+@given(prefixes())
+def test_running_density_batched_equals_reference(case):
+    bits, cuts = case
+    m = sm.RunningDensity()
+    assert m.tail_value(bits, cuts) == reference(m, bits, cuts)
+
+
+@given(prefixes())
+def test_counting_cap_batched_equals_reference(case):
+    bits, cuts = case
+    m = sm.CountingCap()
+    assert m.tail_value(bits, cuts) == reference(m, bits, cuts)
+
+
+@given(prefixes())
+def test_weighted_sum_batched_equals_reference(case):
+    bits, cuts = case
+    for m in (SUMMABLE, SCALED):
+        assert m.tail_value(bits, cuts) == reference(m, bits, cuts)
+
+
+@given(prefixes(), st.data())
+def test_weighted_sum_cap_reached_exactly_at_a_cut(case, data):
+    # the cap equals the exact tail sum at one cut: that cut sits on the
+    # boundary of the cap test, deeper cuts stay below it
+    bits, cuts = case
+    t = data.draw(st.sampled_from(cuts))
+    scale = data.draw(st.sampled_from([F(1), F(1, 3), F(5, 2)]))
+    total = scale * sm.sum_unit_fractions((np.flatnonzero(bits[t:]) + t + 1).tolist())
+    if total == 0:
+        return
+    m = sm.WeightedSum(cap=total, scale=scale, harmonic=False)
+    got = m.tail_value(bits, cuts)
+    assert got == reference(m, bits, cuts)
+    assert got[cuts.index(t)] == total
+
+
+@given(prefixes())
+def test_density_family_batched_equals_reference(case):
+    bits, cuts = case
+    for m in (GDI, HEADED):
+        assert m.tail_value(bits, cuts) == reference(m, bits, cuts)
+
+
+def test_density_family_partial_last_block():
+    # N = 100 cuts the block [64, 128) short; its length stays 64
+    bits = np.zeros(100, dtype=bool)
+    bits[63:100] = True
+    cuts = [0, 50, 70, 99]
+    assert GDI.tail_value(bits, cuts) == reference(GDI, bits, cuts)
+    assert GDI.tail_value(bits, [0]) == [F(37, 64)]
+
+
+def test_phi_reads_the_single_cut_zero():
+    bits = ns.Progression(3, 4).prefix(500)
+    for m in (sm.RunningDensity(), sm.CountingCap(), SUMMABLE, GDI, HEADED):
+        assert sm.phi(m, ns.Progression(3, 4), 500) == reference(m, bits, [0])[0]
+
+
+def test_norm_estimate_head_row_only_when_asked():
+    s = ns.Progression(2, 2)
+    plain = sm.norm_estimate(sm.RunningDensity(), s, 4096)
+    headed = sm.norm_estimate(sm.RunningDensity(), s, 4096, head=True)
+    assert [t for t, _, _ in plain.rows] == [2048, 3072, 3584]
+    assert headed.rows == [(0, F(1, 2), F(1, 2))] + plain.rows
+    assert (headed.numeric, headed.trend) == (plain.numeric, plain.trend)
+    assert headed.best == max(F(1, 2), plain.best)
+
+
+# --- one prefix per decision ----------------------------------------------------
+
+def separate_prefix_decision(handle, s, params):
+    """The tail-trend route with a freshly built prefix at each horizon."""
+    def trend_verdict(horizon):
+        cuts = params.cut_points() if horizon == params.horizon else None
+        est = sm.norm_estimate(handle.lscsm, s, horizon, cuts=cuts,
+                               slack=params.slack)
+        if est.trend in ("zero", "decreasing") and est.numeric < params.theta:
+            return Verdict.IN, est
+        if est.trend == "non-decreasing" and est.numeric >= params.theta:
+            return Verdict.NOT_IN, est
+        return None, est
+
+    v1, est = trend_verdict(params.horizon)
+    v2 = v1
+    if params.horizon >= 64:
+        v2, _ = trend_verdict(params.horizon // 2)
+    verdict = v1 if v1 is not None and v1 == v2 else Verdict.UNDECIDED
+    return verdict, est.numeric, est.trend
+
+
+HANDLES = [builtin(n) for n in ("fin", "density-zero", "summable", "gdi")]
+
+
+@given(st.integers(6, 13), st.sampled_from(["random", "lumps", "empty", "tail"]),
+       st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+def test_shared_prefix_decision_equals_separate_prefixes(log_n, shape, p, seed):
+    horizon = 1 << log_n
+    rng = np.random.default_rng(seed)
+    bits = np.zeros(horizon + int(rng.integers(0, 64)), dtype=bool)
+    if shape == "random":
+        bits = rng.random(bits.size) < p
+    elif shape == "lumps":
+        # sparse exponential lumps: one horizon's windows can miss them all
+        for k in range(2, log_n + 1, 2):
+            bits[(1 << k) - 1:(1 << k) + (1 << (k - 2))] = True
+    elif shape == "tail":
+        bits[horizon // 2 + int(rng.integers(0, horizon // 2)):] = True
+    s = ns.PrefixBitmap(bits)
+    assert np.array_equal(s.prefix(horizon)[:horizon // 2],
+                          s.prefix(horizon // 2))
+    params = DecisionParams(horizon=horizon)
+    for handle in HANDLES:
+        got = decide_membership(handle, s, params)
+        assert got.reason == "tail-trend"
+        assert (got.verdict, got.estimate, got.trend) \
+            == separate_prefix_decision(handle, s, params)
+
+
+def test_half_prefix_is_a_slice_for_structured_sets():
+    sets = [ns.Progression(3, 7), ns.PowersOf(3), ns.Cofinite([1, 5]),
+            ns.Finite([2, 99, 1000]),
+            ns.Union((ns.Progression(1, 5), ns.PowersOf(2))),
+            ns.Intersection((ns.Progression(2, 2), ns.Complement(ns.PowersOf(2)))),
+            ns.BlockUnion(ns.partition_from_tag({"kind": "pow2"}),
+                          ns.EveryKth(3))]
+    for s in sets:
+        for horizon in (64, 1000, 4097):
+            assert np.array_equal(s.prefix(horizon)[:horizon // 2],
+                                  s.prefix(horizon // 2)), s.to_json()
+
+
+# --- the JSON form of each variant ------------------------------------------------
+
+def test_lscsm_json_round_trip():
+    gdi_spec = {"partition": {"generator": {"kind": "geometric", "ratio": "3/2"},
+                              "iota": [1, 2], "lengths_unbounded": True},
+                "head_weights": ["1/2", "3"], "tail_weight": "2"}
+    variants = [sm.RunningDensity(), sm.CountingCap(), SUMMABLE, SCALED,
+                sm.WeightedSum(cap=F(3), scale=F(2, 7), harmonic=True),
+                GDI, HEADED, builtin("gdi", gdi_spec).lscsm]
+    bits = np.random.default_rng(4).random(3000) < 0.3
+    cuts = [0, 1500, 2250, 2625]
+    for m in variants:
+        body = m.to_json()
+        back = sm.lscsm_from_json(body)
+        assert type(back) is type(m) and back == m
+        if isinstance(m, sm.DensityFamily):
+            # a partition lists only the boundaries it has materialized, so
+            # compare the rebuilt boundaries rather than the listings
+            assert back.partition.boundary_prefix(30) \
+                == m.partition.boundary_prefix(30)
+        else:
+            assert back.to_json() == body
+        assert back.tail_value(bits, cuts) == m.tail_value(bits, cuts)

@@ -1,6 +1,8 @@
 """Maps, preimages, and the constructive builders with their audits."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from idealconv import natset as ns
 from idealconv import submeasure as sm
 from idealconv import zoo
 from idealconv.ideals import builtin
-from idealconv.meager import build_witness
+from idealconv.meager import WitnessRefuted, build_witness
 from idealconv.sequences import AnalysisParams, RadiusSchedule
 from idealconv import transforms as tr
 
@@ -242,6 +244,26 @@ def test_extraction_mass_unavailable():
     with pytest.raises(tr.MassUnavailable):
         tr.limit_witness_extraction(zoo.char_powers2(), None, (F(1),),
                                     F(1, 4), sm.RunningDensity(), params)
+
+
+def test_extraction_replay_refutes_a_bad_certificate(monkeypatch):
+    # the replay is a certificate check: it raises, it is not an assert that
+    # python -O would strip
+    monkeypatch.setattr(tr, "distance", lambda a, b: F(10))
+    params = AnalysisParams(horizon=1 << 12)
+    with pytest.raises(WitnessRefuted):
+        tr.limit_witness_extraction(zoo.char_evens(), None, (F(1),),
+                                    F(1, 4), sm.RunningDensity(), params)
+
+
+def test_no_assert_statements_in_the_library():
+    src = Path(tr.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    if found:     # pytest.fail, not assert: this test also runs under -O
+        pytest.fail(f"assert statements in the library: {found}")
 
 
 # --- seeded maps ---------------------------------------------------------------
