@@ -21,15 +21,11 @@ from .ideals import IdealHandle
 from .meager import _phi_interval
 from .sequences import (Point, RadiusSchedule, SequenceSpec, as_point,
                         format_point, NotAnalyticP)
-from .transforms import ExhaustedA, MemberSupply
+from .transforms import BijectivityOverflow, ExhaustedA, MemberSupply
 
 
 class SupplyExhausted(Exception):
     """The neighborhood ran out of fresh indices below the value horizon."""
-
-
-class BijectivityOverflow(Exception):
-    pass
 
 
 @dataclass

@@ -77,10 +77,6 @@ class BlockPartition:
     def block(self, n: int) -> tuple[int, int]:
         return self.iota(n), self.iota(n + 1)
 
-    def block_length(self, n: int) -> int:
-        lo, hi = self.block(n)
-        return hi - lo
-
     def block_index(self, m: int) -> Optional[int]:
         """Index of the block containing m, or None below the first block."""
         if m < self.iota(1):

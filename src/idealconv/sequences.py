@@ -166,29 +166,22 @@ def indicator_set(x: SequenceSpec, center: Point, eps: Fraction,
     collapse to the cofinite full set, none to the empty set); a prefix
     bitmap otherwise.
     """
-    center = as_point(center, x.dim)
-    eps = Fraction(eps)
-    if x.alphabet is not None:
-        chosen = [i for i, L in enumerate(x.alphabet.letters)
-                  if distance(L, center) < eps]
-        if not chosen:
-            return ns.EMPTY
-        if len(chosen) == len(x.alphabet.letters):
-            return ns.FULL
-        if len(chosen) == 1:
-            return x.alphabet.index_sets[chosen[0]]
-        return ns.Union(tuple(x.alphabet.index_sets[i] for i in chosen))
-    return ns.PrefixBitmap(x.hit_bits(center, eps, horizon))
+    return _ball_index_set(x, center, eps, horizon, inside=True)
 
 
 def complement_indicator_set(x: SequenceSpec, center: Point, eps: Fraction,
                              horizon: int) -> ns.NatSet:
     """Exact complement {n : d(x_n, center) >= eps} (letter unions stay exact)."""
+    return _ball_index_set(x, center, eps, horizon, inside=False)
+
+
+def _ball_index_set(x: SequenceSpec, center: Point, eps: Fraction,
+                    horizon: int, inside: bool) -> ns.NatSet:
     center = as_point(center, x.dim)
     eps = Fraction(eps)
     if x.alphabet is not None:
         chosen = [i for i, L in enumerate(x.alphabet.letters)
-                  if distance(L, center) >= eps]
+                  if (distance(L, center) < eps) == inside]
         if not chosen:
             return ns.EMPTY
         if len(chosen) == len(x.alphabet.letters):
@@ -196,7 +189,8 @@ def complement_indicator_set(x: SequenceSpec, center: Point, eps: Fraction,
         if len(chosen) == 1:
             return x.alphabet.index_sets[chosen[0]]
         return ns.Union(tuple(x.alphabet.index_sets[i] for i in chosen))
-    return ns.PrefixBitmap(~x.hit_bits(center, eps, horizon))
+    bits = x.hit_bits(center, eps, horizon)
+    return ns.PrefixBitmap(bits if inside else ~bits)
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +245,6 @@ class ClusterReport:
     def points(self, classification: str = CLUSTER) -> list[Point]:
         return [c.point for c in self.candidates
                 if c.classification == classification]
-
-    def classification_of(self, p: Point) -> Optional[str]:
-        for c in self.candidates:
-            if c.point == p:
-                return c.classification
-        return None
 
     @property
     def undecided_share(self) -> Fraction:
@@ -430,24 +418,9 @@ def lambda_q_estimate(x: SequenceSpec, handle: IdealHandle, q: Fraction,
                       params: AnalysisParams,
                       extra: Sequence[Point] = ()) -> ClusterReport:
     """The q-level set of the limiting norm: points where it reaches q."""
-    if handle.lscsm is None:
-        raise NotAnalyticP(f"{handle.name} carries no submeasure")
-    q = Fraction(q)
-    if not 0 < q <= 1:
-        raise ValueError("q must lie in (0, 1]")
-    cands = candidate_grid(x, params, extra)
-    records = []
-    for c in cands:
-        try:
-            u = u_frak(x, None, c, handle.lscsm, params)
-        except ns.HorizonExceeded:
-            records.append(CandidateRecord(c, UNDECIDED, []))
-            continue
-        cls = _classify_u(u, q, params.q_margin)
-        radii = [RadiusRecord(eps, cls, est.exact, est.numeric)
-                 for eps, est in u.per_radius]
-        records.append(CandidateRecord(c, cls, radii))
-    return ClusterReport("lambda-q", x.name, handle.name, q, records, params)
+    return _limiting_norm_report(
+        "lambda-q", x, handle, q, params, extra,
+        lambda u, q: _classify_u(u, q, params.q_margin))
 
 
 def _classify_u(u: UFrakResult, q: Fraction, margin: Fraction) -> str:
@@ -469,28 +442,42 @@ def lambda_estimate(x: SequenceSpec, handle: IdealHandle,
     Each candidate's limiting norm is evaluated once and classified against
     every level; membership at any level puts the point in the union.
     """
+    def classify(u: UFrakResult, _q) -> str:
+        per_q = [_classify_u(u, q, params.q_margin)
+                 for q in sorted(params.q_grid)]
+        if CLUSTER in per_q:
+            return CLUSTER
+        if all(v == NOT_CLUSTER for v in per_q):
+            return NOT_CLUSTER
+        return UNDECIDED
+
+    return _limiting_norm_report("lambda", x, handle, None, params, extra,
+                                 classify)
+
+
+def _limiting_norm_report(mode: str, x: SequenceSpec, handle: IdealHandle,
+                          q: Optional[Fraction], params: AnalysisParams,
+                          extra: Sequence[Point], classify) -> ClusterReport:
+    """The candidate loop of the lambda routes: ``classify(u, q)`` turns each
+    candidate's limiting norm into its classification."""
     if handle.lscsm is None:
         raise NotAnalyticP(f"{handle.name} carries no submeasure")
-    cands = candidate_grid(x, params, extra)
+    if q is not None:
+        q = Fraction(q)
+        if not 0 < q <= 1:
+            raise ValueError("q must lie in (0, 1]")
     records = []
-    for c in cands:
+    for c in candidate_grid(x, params, extra):
         try:
             u = u_frak(x, None, c, handle.lscsm, params)
         except ns.HorizonExceeded:
             records.append(CandidateRecord(c, UNDECIDED, []))
             continue
-        per_q = [_classify_u(u, q, params.q_margin)
-                 for q in sorted(params.q_grid)]
-        if CLUSTER in per_q:
-            cls = CLUSTER
-        elif all(v == NOT_CLUSTER for v in per_q):
-            cls = NOT_CLUSTER
-        else:
-            cls = UNDECIDED
+        cls = classify(u, q)
         radii = [RadiusRecord(eps, cls, est.exact, est.numeric)
                  for eps, est in u.per_radius]
         records.append(CandidateRecord(c, cls, radii))
-    return ClusterReport("lambda", x.name, handle.name, None, records, params)
+    return ClusterReport(mode, x.name, handle.name, q, records, params)
 
 
 # ---------------------------------------------------------------------------

@@ -489,50 +489,162 @@ class BuildResult:
 
 
 # ---------------------------------------------------------------------------
+# Shared by the builders: routing, audit, the preserving hypothesis
+# ---------------------------------------------------------------------------
+
+def _draw_run(supply: MemberSupply, length: int, floor: int) -> list[int]:
+    """The next ``length`` members of ``supply``, each above the one before,
+    the first above ``floor``."""
+    out: list[int] = []
+    for _ in range(length):
+        floor = supply.next_after(floor)
+        out.append(floor)
+    return out
+
+
+def _round_robin(x: SequenceSpec, cands: list[Point], schedule: list[Fraction]):
+    """Routing of the preserving builders: slot j draws from the ball around
+    candidate (j - 1) mod L at radius index min(ceil(j / L), K)."""
+    L, K = len(cands), len(schedule)
+    supplies: dict[tuple[int, int], MemberSupply] = {}
+
+    def draw(j: int, length: int, floor: int):
+        key = ((j - 1) % L, min((j + L - 1) // L, K))
+        if key not in supplies:
+            supplies[key] = MemberSupply(x, cands[key[0]], schedule[key[1] - 1])
+        return _draw_run(supplies[key], length, floor), cands[key[0]], key[1]
+    return draw
+
+
+def _toward_ell(x: SequenceSpec, ell: Point, schedule: list[Fraction]):
+    """Routing of the adding builders: slot j draws from the ball around ell
+    at radius index min(ceil(j / 2), K)."""
+    K = len(schedule)
+    supplies: dict[int, MemberSupply] = {}
+
+    def draw(j: int, length: int, floor: int):
+        m_index = min((j + 1) // 2, K)
+        if m_index not in supplies:
+            supplies[m_index] = MemberSupply(x, ell, schedule[m_index - 1])
+        try:
+            return _draw_run(supplies[m_index], length, floor), ell, m_index
+        except ExhaustedA:
+            raise NotALimitPoint(f"{format_point(ell)} has too few close hits")
+    return draw
+
+
+class _SetSupply:
+    """Fresh members of a symbolic set, ascending, restartable by floor."""
+
+    def __init__(self, a: ns.NatSet):
+        self._iter = ns.iter_members(a, 1)
+        self._last = 0
+
+    def draw_many(self, count: int, floor: int) -> list[int]:
+        out: list[int] = []
+        while len(out) < count:
+            try:
+                self._last = next(self._iter)
+            except (StopIteration, ns.HorizonExceeded):
+                raise ExhaustedA(f"source exhausted after {self._last}")
+            if self._last > floor:
+                out.append(self._last)
+        return out
+
+
+def _selected(a: ns.NatSet, selector: ns.BlockSelector):
+    """Routing of the generic builders: every selected block draws the next
+    fresh members of ``a``; an undecided selector stops the build."""
+    if a.is_infinite() is False:
+        raise ExhaustedA("source set is finite")
+    supply = _SetSupply(a)
+
+    def draw(k: int, length: int, floor: int):
+        sel = selector.selects(k)
+        if sel is None:
+            raise ns.HorizonExceeded(f"selector undecided at block {k}")
+        return (supply.draw_many(length, floor), None, None) if sel else None
+    return draw
+
+
+def _audit(t: AnyMap, fills: list[BlockFill], target) -> None:
+    """Exact containment check: the table segment of each fill lies in
+    ``target(fill, top)``, where ``top`` is the segment's largest value.
+
+    Selector tables are gathered as Python ints (their values can pass
+    int64, e.g. powers of 2); permutation tables as int64.
+    """
+    dtype = object if isinstance(t, SubsequenceMap) else np.int64
+    for f in fills:
+        seg = np.asarray(t.table[f.lo - 1: f.hi - 1], dtype=dtype)
+        f.verified = bool(np.all(ns.prefix_gather(target(f, int(seg.max())),
+                                                  seg)))
+        if not f.verified:
+            raise AssertionError(f"audit failed on block {f.block}")
+
+
+def _ball(x: SequenceSpec, schedule: list[Fraction]):
+    """Audit target of the cluster builders: the neighbourhood a fill was
+    routed to."""
+    return lambda f, top: indicator_set(x, f.candidate,
+                                        schedule[f.radius_index - 1], top)
+
+
+def _preserving_candidates(x: SequenceSpec, handle: IdealHandle,
+                           params: AnalysisParams,
+                           candidates: Optional[Sequence]):
+    """The preserving builders' hypothesis (cluster set equal to the limit
+    points at this resolution) and their candidate list."""
+    gamma = gamma_estimate(x, handle, params)
+    limits = limit_points_estimate(x, params)
+    gset, lset = set(gamma.points()), set(limits.points())
+    if gset != lset:
+        raise HypothesisFailed(
+            f"cluster set {sorted(gset)} != limit points {sorted(lset)}")
+    cands = ([as_point(c, x.dim) for c in candidates]
+             if candidates is not None else sorted(gset))
+    return gamma, gset, cands
+
+
+def _no_new_cluster(x_new: SequenceSpec, handle: IdealHandle,
+                    params: AnalysisParams, gamma, gset: set) -> bool:
+    """Reverse inclusion: no candidate outside the original cluster set is a
+    cluster point of the reindexed sequence."""
+    outside = [c.point for c in gamma.candidates if c.point not in gset]
+    if not outside:
+        return True
+    gamma_out = gamma_estimate(x_new, handle, params, candidates=outside)
+    return all(c.classification != CLUSTER for c in gamma_out.candidates)
+
+
+# ---------------------------------------------------------------------------
 # Block-filling subsequence builders
 # ---------------------------------------------------------------------------
 
-def _fill_sigma_table(w: WitnessIntervals, horizon: int, plan) -> tuple[
+def _fill_sigma_table(w: WitnessIntervals, horizon: int, draw) -> tuple[
         list[int], list[BlockFill]]:
-    """Walk positions 1..horizon, filling planned blocks from their supplies.
+    """Fill positions 1..horizon, routing witness blocks through ``draw``.
 
-    ``plan(k)`` returns (supply-next-after callable, candidate, radius_index)
-    for block k, or None to leave the block to the filler.  Non-block and
-    unplanned positions take the smallest value keeping strict monotonicity.
+    ``draw(k, block_len, floor)`` returns (values, candidate, radius_index)
+    for block k, values increasing and above ``floor``, or None to leave the
+    block to the filler.  Every other position takes the smallest value
+    keeping strict monotonicity.
     """
     table: list[int] = []
     fills: list[BlockFill] = []
-    blocks = list(w.blocks_within(horizon))
-    cursor = 0
-    active = None
-    for p in range(1, horizon + 1):
-        while cursor < len(blocks) and blocks[cursor][2] <= p:
-            cursor += 1
+
+    def fill_to(n: int) -> None:
         prev = table[-1] if table else 0
-        spec = None
-        if cursor < len(blocks):
-            k, lo, hi = blocks[cursor]
-            if lo <= p < hi:
-                if active is None or active[0] != k:
-                    active = (k, plan(k))
-                spec = active[1]
-                if spec is not None:
-                    table.append(spec[0](prev))
-                    if p == hi - 1:
-                        fills.append(BlockFill(k, lo, hi, spec[1], spec[2], False))
-                    continue
-        table.append(prev + 1)
+        table.extend(range(prev + 1, prev + 1 + n - len(table)))
+
+    for k, lo, hi in w.blocks_within(horizon):
+        fill_to(lo - 1)
+        spec = draw(k, hi - lo, table[-1] if table else 0)
+        if spec is not None:
+            table.extend(spec[0])
+            fills.append(BlockFill(k, lo, hi, spec[1], spec[2], False))
+    fill_to(horizon)
     return table, fills
-
-
-def _verify_fill(sigma: SubsequenceMap, fill: BlockFill,
-                 target: ns.NatSet) -> bool:
-    seg = (sigma.table[fill.lo - 1: fill.hi - 1]
-           if not isinstance(sigma.table, np.ndarray)
-           else sigma.table[fill.lo - 1: fill.hi - 1])
-    bits = ns.prefix_gather(target, seg if isinstance(seg, np.ndarray)
-                            else np.asarray(seg, dtype=object))
-    return bool(np.all(bits))
 
 
 def generic_subsequence(a: ns.NatSet, w: WitnessIntervals,
@@ -544,39 +656,15 @@ def generic_subsequence(a: ns.NatSet, w: WitnessIntervals,
     between blocks take the smallest integers keeping strict monotonicity,
     so the output is canonical and the audit is a pure recomputation.
     """
-    if a.is_infinite() is False:
-        raise ExhaustedA("source set is finite")
-    members = ns.iter_members(a, 1)
-    state = {"last": 0}
-
-    def next_member(floor: int) -> int:
-        v = state["last"]
-        while v <= floor:
-            try:
-                v = next(members)
-            except (StopIteration, ns.HorizonExceeded):
-                raise ExhaustedA(f"source exhausted after {state['last']}")
-        state["last"] = v
-        return v
-
-    def plan(k: int):
-        sel = selector.selects(k)
-        if sel is None:
-            raise ns.HorizonExceeded(f"selector undecided at block {k}")
-        return (next_member, None, None) if sel else None
-
-    table, fills = _fill_sigma_table(w, horizon, plan)
+    table, fills = _fill_sigma_table(w, horizon, _selected(a, selector))
     sigma = SubsequenceMap(table, NO_TAIL, horizon=horizon)
-    for f in fills:
-        f.verified = _verify_fill(sigma, f, a)
-        if not f.verified:
-            raise AssertionError(f"audit failed on block {f.block}")
+    _audit(sigma, fills, lambda f, top: a)
     return BuildResult(sigma, fills,
                        meta={"kind": "generic-subsequence", "horizon": horizon})
 
 
 def _certified_targets(handle: IdealHandle, w: WitnessIntervals,
-                       x_new: SequenceSpec, schedule, horizon: int,
+                       x_new: SequenceSpec, horizon: int,
                        assignment) -> list[TargetCert]:
     """Per (candidate, radius) certificates for a block-filled map.
 
@@ -616,42 +704,15 @@ def cluster_adding_sigma(x: SequenceSpec, ell, handle: IdealHandle,
     ell = as_point(ell, x.dim)
     horizon = horizon or params.horizon
     schedule = list(params.schedule)
-    K = len(schedule)
-    supplies: dict[int, MemberSupply] = {}
-
-    def supply(m_index: int) -> MemberSupply:
-        if m_index not in supplies:
-            try:
-                supplies[m_index] = MemberSupply(x, ell, schedule[m_index - 1])
-            except ExhaustedA:
-                raise NotALimitPoint(format_point(ell))
-        return supplies[m_index]
-
-    def plan(k: int):
-        m_index = min((k + 1) // 2, K)
-        sup = supply(m_index)
-        def draw(floor: int, _s=sup) -> int:
-            try:
-                return _s.next_after(floor)
-            except ExhaustedA:
-                raise NotALimitPoint(
-                    f"{format_point(ell)} has too few close hits")
-        return (draw, ell, m_index)
-
-    table, fills = _fill_sigma_table(w, horizon, plan)
+    table, fills = _fill_sigma_table(w, horizon, _toward_ell(x, ell, schedule))
     sigma = SubsequenceMap(table, NO_TAIL, horizon=horizon)
-    x_new = apply(sigma, x)
-    top = int(table[-1]) if table and table[-1] < (1 << 60) else 1
-    for f in fills:
-        f.verified = _verify_fill(
-            sigma, f, indicator_set(x, ell, schedule[f.radius_index - 1], top))
-        if not f.verified:
-            raise AssertionError(f"audit failed on block {f.block}")
+    _audit(sigma, fills, _ball(x, schedule))
     # for radius index m the blocks k >= 2m - 1 all use radii <= eps_m
     assignment = [(ell, m, schedule[m - 1], 2 * m - 1, 1)
-                  for m in range(1, K + 1)
+                  for m in range(1, len(schedule) + 1)
                   if any(f.radius_index >= m for f in fills)]
-    targets = _certified_targets(handle, w, x_new, schedule, horizon, assignment)
+    targets = _certified_targets(handle, w, apply(sigma, x), horizon,
+                                 assignment)
     return BuildResult(sigma, fills, targets,
                        meta={"kind": "cluster-adding-sigma",
                              "ell": format_point(ell), "horizon": horizon})
@@ -670,47 +731,20 @@ def cluster_preserving_sigma(x: SequenceSpec, handle: IdealHandle,
     no new cluster candidates at the grid resolution.
     """
     horizon = horizon or params.horizon
-    gamma = gamma_estimate(x, handle, params)
-    limits = limit_points_estimate(x, params)
-    gset, lset = set(gamma.points()), set(limits.points())
-    if gset != lset:
-        raise HypothesisFailed(
-            f"cluster set {sorted(gset)} != limit points {sorted(lset)}")
-    cands = ([as_point(c, x.dim) for c in candidates]
-             if candidates is not None else sorted(gset))
+    gamma, gset, cands = _preserving_candidates(x, handle, params, candidates)
     if not cands:
         return BuildResult(identity_sigma(), [], meta={"kind": "trivial"})
     L = len(cands)
     schedule = list(params.schedule)
-    K = len(schedule)
-    supplies: dict[tuple[int, int], MemberSupply] = {}
-
-    def plan(k: int):
-        c_index = (k - 1) % L
-        m_index = min((k + L - 1) // L, K)
-        key = (c_index, m_index)
-        if key not in supplies:
-            supplies[key] = MemberSupply(x, cands[c_index],
-                                         schedule[m_index - 1])
-        sup = supplies[key]
-        def draw(floor: int, _s=sup) -> int:
-            return _s.next_after(floor)
-        return (draw, cands[c_index], m_index)
-
-    table, fills = _fill_sigma_table(w, horizon, plan)
+    table, fills = _fill_sigma_table(w, horizon,
+                                     _round_robin(x, cands, schedule))
     sigma = SubsequenceMap(table, NO_TAIL, horizon=horizon)
     x_new = apply(sigma, x)
-    top = int(table[-1]) if table else 1
-    for f in fills:
-        f.verified = _verify_fill(
-            sigma, f, indicator_set(x, f.candidate,
-                                    schedule[f.radius_index - 1], top))
-        if not f.verified:
-            raise AssertionError(f"audit failed on block {f.block}")
+    _audit(sigma, fills, _ball(x, schedule))
 
     assignment = []
     for ci, cand in enumerate(cands):
-        for m in range(1, K + 1):
+        for m in range(1, len(schedule) + 1):
             # candidate ci's blocks are k = ci + 1, ci + 1 + L, ...;
             # radii reach index m from block L (m - 1) + 1 onward
             first = ci + 1
@@ -718,17 +752,11 @@ def cluster_preserving_sigma(x: SequenceSpec, handle: IdealHandle,
                 first += L
             if any(f.candidate == cand and f.radius_index >= m for f in fills):
                 assignment.append((cand, m, schedule[m - 1], first, L))
-    targets = _certified_targets(handle, w, x_new, schedule, horizon, assignment)
-
-    # forward inclusion is certified by the targets above; the reverse needs
-    # only that no candidate outside the original cluster set turned cluster
-    outside = [c.point for c in gamma.candidates if c.point not in gset]
-    preserved = True
-    if outside:
-        gamma_out = gamma_estimate(x_new, handle, params, candidates=outside)
-        preserved = all(c.classification != CLUSTER
-                        for c in gamma_out.candidates)
-    return BuildResult(sigma, fills, targets, gamma_preserved=preserved,
+    targets = _certified_targets(handle, w, x_new, horizon, assignment)
+    # forward inclusion is certified by the targets above
+    return BuildResult(sigma, fills, targets,
+                       gamma_preserved=_no_new_cluster(x_new, handle, params,
+                                                       gamma, gset),
                        meta={"kind": "cluster-preserving-sigma",
                              "candidates": [format_point(c) for c in cands],
                              "horizon": horizon})
@@ -738,49 +766,43 @@ def cluster_preserving_sigma(x: SequenceSpec, handle: IdealHandle,
 # Permutation builders: payload blocks plus displaced-value flushes
 # ---------------------------------------------------------------------------
 
-def _fill_pi_table(w: WitnessIntervals, horizon: int, plan, peek) -> tuple[
+def _fill_pi_table(w: WitnessIntervals, horizon: int, draw) -> tuple[
         list[int], list[BlockFill]]:
     """Bijective analogue of the block filler.
 
-    A block is a payload candidate only when the cursor reaches it with no
-    flush backlog; ``peek(payload_index, block_len, frontier)`` must return
-    the drawn values (strictly increasing, all > frontier) or None to skip.
+    A block is a payload candidate only when the cursor reaches its first
+    position with no flush backlog.  ``draw(k, payload_index, block_len,
+    frontier)`` returns (values, candidate, radius_index) for block k, the
+    values strictly increasing and all above ``frontier``, or None to skip.
     After a payload the displaced integers below the new frontier are flushed
-    in order; a payload is accepted only if that flush ends inside the
-    horizon, keeping the final table a permutation of [1, horizon].
+    in ascending order; a payload is accepted only if that flush ends inside
+    the horizon, keeping the final table a permutation of [1, horizon].
     """
     table: list[int] = []
     fills: list[BlockFill] = []
-    frontier = 0            # all values <= frontier are used or pending
-    pending: list[int] = [] # displaced values, ascending
-    payload_index = 0
+    frontier = 0            # values used so far are exactly [1, frontier]
     blocks = iter(w.blocks_within(horizon))
     nxt = next(blocks, None)
     p = 1
     while p <= horizon:
-        if pending:
-            table.append(pending.pop(0))
-            p += 1
-            continue
-        # no backlog: values used so far are exactly [1, frontier]
         while nxt is not None and nxt[2] <= p:
             nxt = next(blocks, None)
         if nxt is not None and nxt[1] == p:
             k, lo, hi = nxt
-            drawn = peek(payload_index + 1, hi - lo, frontier)
-            if drawn is not None:
-                new_frontier = drawn[-1]
-                flush_len = (new_frontier - frontier) - (hi - lo)
-                if hi + flush_len - 1 <= horizon and len(drawn) == hi - lo:
-                    spec = plan(payload_index + 1)
-                    table.extend(drawn)
+            spec = draw(k, len(fills) + 1, hi - lo, frontier)
+            if spec is not None:
+                drawn = spec[0]
+                # test affordability before listing the displaced range:
+                # drawn[-1] can be astronomically large for sparse sources
+                flush_len = (drawn[-1] - frontier) - (hi - lo)
+                if hi + flush_len - 1 <= horizon:
                     used = set(drawn)
-                    pending = [v for v in range(frontier + 1, new_frontier + 1)
-                               if v not in used]
-                    frontier = new_frontier
-                    fills.append(BlockFill(k, lo, hi, spec[0], spec[1], False))
-                    payload_index += 1
-                    p = hi
+                    table.extend(drawn)
+                    table.extend(v for v in range(frontier + 1, drawn[-1])
+                                 if v not in used)
+                    frontier = drawn[-1]
+                    fills.append(BlockFill(k, lo, hi, spec[1], spec[2], False))
+                    p = hi + flush_len
                     continue
         table.append(frontier + 1)
         frontier += 1
@@ -803,85 +825,15 @@ def generic_permutation(a: ns.NatSet, w: WitnessIntervals,
     an affordable flush; with a singleton witness and a co-infinite source
     this degenerates to the familiar neighbour-swap pattern.
     """
-    if a.is_infinite() is False:
-        raise ExhaustedA("source set is finite")
-    supply = _SetSupply(a)
-    table, fills = _fill_pi_table_selected(w, horizon, selector,
-                                           supply.draw_many)
+    draw = _selected(a, selector)
+    table, fills = _fill_pi_table(
+        w, horizon, lambda k, j, length, frontier: draw(k, length, frontier))
     pi = _pi_result(table, horizon)
-    for f in fills:
-        seg = np.asarray(table[f.lo - 1: f.hi - 1], dtype=np.int64)
-        f.verified = bool(np.all(ns.prefix_gather(a, seg)))
-        if not f.verified:
-            raise AssertionError(f"audit failed on block {f.block}")
+    _audit(pi, fills, lambda f, top: a)
     if not fills:
         raise BijectivityOverflow("no selected block could be covered")
     return BuildResult(pi, fills,
                        meta={"kind": "generic-permutation", "horizon": horizon})
-
-
-class _SetSupply:
-    """Fresh members of a symbolic set, ascending, restartable by floor."""
-
-    def __init__(self, a: ns.NatSet):
-        self._a = a
-        self._iter = ns.iter_members(a, 1)
-        self._last = 0
-
-    def draw_many(self, count: int, floor: int) -> list[int]:
-        out: list[int] = []
-        v = self._last
-        while len(out) < count:
-            try:
-                v = next(self._iter)
-            except (StopIteration, ns.HorizonExceeded):
-                raise ExhaustedA(f"source exhausted after {self._last}")
-            if v > floor:
-                out.append(v)
-        self._last = v
-        return out
-
-
-def _fill_pi_table_selected(w: WitnessIntervals, horizon: int,
-                            selector: ns.BlockSelector, draw_many) -> tuple[
-        list[int], list[BlockFill]]:
-    table: list[int] = []
-    fills: list[BlockFill] = []
-    frontier = 0
-    pending: list[int] = []
-    blocks = iter(w.blocks_within(horizon))
-    nxt = next(blocks, None)
-    p = 1
-    while p <= horizon:
-        if pending:
-            table.append(pending.pop(0))
-            p += 1
-            continue
-        while nxt is not None and nxt[2] <= p:
-            nxt = next(blocks, None)
-        if nxt is not None and nxt[1] == p:
-            k, lo, hi = nxt
-            sel = selector.selects(k)
-            if sel is None:
-                raise ns.HorizonExceeded(f"selector undecided at block {k}")
-            if sel:
-                drawn = draw_many(hi - lo, frontier)
-                new_frontier = drawn[-1]
-                flush_len = (new_frontier - frontier) - (hi - lo)
-                if hi + flush_len - 1 <= horizon:
-                    table.extend(drawn)
-                    used = set(drawn)
-                    pending = [v for v in range(frontier + 1, new_frontier + 1)
-                               if v not in used]
-                    frontier = new_frontier
-                    fills.append(BlockFill(k, lo, hi, None, None, False))
-                    p = hi
-                    continue
-                # unaffordable: fall through to identity filling
-        table.append(frontier + 1)
-        frontier += 1
-        p += 1
-    return table, fills
 
 
 def cluster_preserving_pi(x: SequenceSpec, handle: IdealHandle,
@@ -896,67 +848,28 @@ def cluster_preserving_pi(x: SequenceSpec, handle: IdealHandle,
     the rearranged sequence keeps the same cluster set at this resolution.
     """
     horizon = horizon or params.horizon
-    gamma = gamma_estimate(x, handle, params)
-    limits = limit_points_estimate(x, params)
-    gset, lset = set(gamma.points()), set(limits.points())
-    if gset != lset:
-        raise HypothesisFailed(
-            f"cluster set {sorted(gset)} != limit points {sorted(lset)}")
-    cands = ([as_point(c, x.dim) for c in candidates]
-             if candidates is not None else sorted(gset))
+    gamma, gset, cands = _preserving_candidates(x, handle, params, candidates)
     if not cands:
         return BuildResult(PermutationMap(), [], meta={"kind": "trivial"})
-    L = len(cands)
     schedule = list(params.schedule)
-    K = len(schedule)
-    supplies: dict[tuple[int, int], MemberSupply] = {}
-
-    def target_of(j: int) -> tuple[Point, int]:
-        return cands[(j - 1) % L], min((j + L - 1) // L, K)
-
-    def plan(j: int):
-        return target_of(j)
-
-    def peek(j: int, length: int, frontier: int) -> Optional[list[int]]:
-        cand, m_index = target_of(j)
-        key = ((j - 1) % L, m_index)
-        if key not in supplies:
-            supplies[key] = MemberSupply(x, cand, schedule[m_index - 1])
-        sup = supplies[key]
-        out: list[int] = []
-        floor = frontier
-        for _ in range(length):
-            floor = sup.next_after(floor)
-            out.append(floor)
-        return out
-
-    table, fills = _fill_pi_table(w, horizon, plan, peek)
+    route = _round_robin(x, cands, schedule)
+    table, fills = _fill_pi_table(
+        w, horizon, lambda k, j, length, frontier: route(j, length, frontier))
     pi = _pi_result(table, horizon)
-    x_new = apply(pi, x)
-    for f in fills:
-        seg = np.asarray(table[f.lo - 1: f.hi - 1], dtype=np.int64)
-        ind = indicator_set(x, f.candidate, schedule[f.radius_index - 1],
-                            int(seg.max()))
-        f.verified = bool(np.all(ns.prefix_gather(ind, seg)))
-        if not f.verified:
-            raise AssertionError(f"audit failed on payload block {f.block}")
+    _audit(pi, fills, _ball(x, schedule))
     # every candidate needs a payload at every radius level
-    for ci, cand in enumerate(cands):
+    for cand in cands:
         reached = max([f.radius_index for f in fills if f.candidate == cand],
                       default=0)
-        if reached < K:
+        if reached < len(schedule):
             raise ExhaustedA(
                 f"candidate {format_point(cand)} only reached radius index "
-                f"{reached} of {K} inside the horizon")
+                f"{reached} of {len(schedule)} inside the horizon")
     # payload coverage at every radius (enforced above) certifies the
-    # forward inclusion; check no candidate outside the cluster set turned
-    outside = [c.point for c in gamma.candidates if c.point not in gset]
-    preserved = True
-    if outside:
-        gamma_out = gamma_estimate(x_new, handle, params, candidates=outside)
-        preserved = all(c.classification != CLUSTER
-                        for c in gamma_out.candidates)
-    return BuildResult(pi, fills, gamma_preserved=preserved,
+    # forward inclusion
+    return BuildResult(pi, fills,
+                       gamma_preserved=_no_new_cluster(apply(pi, x), handle,
+                                                       params, gamma, gset),
                        meta={"kind": "cluster-preserving-pi",
                              "candidates": [format_point(c) for c in cands],
                              "horizon": horizon})
@@ -969,36 +882,11 @@ def cluster_adding_pi(x: SequenceSpec, ell, handle: IdealHandle,
     ell = as_point(ell, x.dim)
     horizon = horizon or params.horizon
     schedule = list(params.schedule)
-    K = len(schedule)
-    supplies: dict[int, MemberSupply] = {}
-
-    def plan(j: int):
-        return (ell, min((j + 1) // 2, K))
-
-    def peek(j: int, length: int, frontier: int) -> Optional[list[int]]:
-        m_index = min((j + 1) // 2, K)
-        if m_index not in supplies:
-            supplies[m_index] = MemberSupply(x, ell, schedule[m_index - 1])
-        sup = supplies[m_index]
-        out: list[int] = []
-        floor = frontier
-        try:
-            for _ in range(length):
-                floor = sup.next_after(floor)
-                out.append(floor)
-        except ExhaustedA:
-            raise NotALimitPoint(format_point(ell))
-        return out
-
-    table, fills = _fill_pi_table(w, horizon, plan, peek)
+    route = _toward_ell(x, ell, schedule)
+    table, fills = _fill_pi_table(
+        w, horizon, lambda k, j, length, frontier: route(j, length, frontier))
     pi = _pi_result(table, horizon)
-    for f in fills:
-        seg = np.asarray(table[f.lo - 1: f.hi - 1], dtype=np.int64)
-        ind = indicator_set(x, ell, schedule[f.radius_index - 1],
-                            int(seg.max()))
-        f.verified = bool(np.all(ns.prefix_gather(ind, seg)))
-        if not f.verified:
-            raise AssertionError(f"audit failed on payload block {f.block}")
+    _audit(pi, fills, _ball(x, schedule))
     if not fills:
         raise NotALimitPoint(f"no affordable payload for {format_point(ell)}")
     return BuildResult(pi, fills,

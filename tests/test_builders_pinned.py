@@ -1,0 +1,271 @@
+"""The shared block fillers against their former bodies, and pinned outputs
+of the six builders.
+
+The permutation filler once had a second copy for selector-driven builds,
+and the selector filler walked positions one at a time.  Those bodies are
+kept below as references: the single filler of each kind, driven by the
+generic builders' routing, must produce the same tables and fills.  The
+sha256 pins are of ``BuildResult.to_json()`` as the builders returned it
+before the fillers, audits and routing tables were merged.
+"""
+
+import hashlib
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, strategies as st
+
+from idealconv import natset as ns
+from idealconv import transforms as tr
+from idealconv import zoo
+from idealconv.ideals import builtin
+from idealconv.meager import build_witness
+from idealconv.sequences import AnalysisParams, RadiusSchedule
+
+F = Fraction
+
+
+# --- the former bodies ----------------------------------------------------------
+
+class RefSetSupply:
+    """Fresh members of a symbolic set, ascending, restartable by floor."""
+
+    def __init__(self, a):
+        self._iter = ns.iter_members(a, 1)
+        self._last = 0
+
+    def draw_many(self, count, floor):
+        out = []
+        v = self._last
+        while len(out) < count:
+            try:
+                v = next(self._iter)
+            except (StopIteration, ns.HorizonExceeded):
+                raise tr.ExhaustedA(f"source exhausted after {self._last}")
+            if v > floor:
+                out.append(v)
+        self._last = v
+        return out
+
+
+def ref_fill_pi_table_selected(w, horizon, selector, draw_many):
+    table = []
+    fills = []
+    frontier = 0
+    pending = []
+    blocks = iter(w.blocks_within(horizon))
+    nxt = next(blocks, None)
+    p = 1
+    while p <= horizon:
+        if pending:
+            table.append(pending.pop(0))
+            p += 1
+            continue
+        while nxt is not None and nxt[2] <= p:
+            nxt = next(blocks, None)
+        if nxt is not None and nxt[1] == p:
+            k, lo, hi = nxt
+            sel = selector.selects(k)
+            if sel is None:
+                raise ns.HorizonExceeded(f"selector undecided at block {k}")
+            if sel:
+                drawn = draw_many(hi - lo, frontier)
+                new_frontier = drawn[-1]
+                flush_len = (new_frontier - frontier) - (hi - lo)
+                if hi + flush_len - 1 <= horizon:
+                    table.extend(drawn)
+                    used = set(drawn)
+                    pending = [v for v in range(frontier + 1, new_frontier + 1)
+                               if v not in used]
+                    frontier = new_frontier
+                    fills.append(tr.BlockFill(k, lo, hi, None, None, False))
+                    p = hi
+                    continue
+                # unaffordable: fall through to identity filling
+        table.append(frontier + 1)
+        frontier += 1
+        p += 1
+    return table, fills
+
+
+def ref_fill_sigma_table(w, horizon, plan):
+    table = []
+    fills = []
+    blocks = list(w.blocks_within(horizon))
+    cursor = 0
+    active = None
+    for p in range(1, horizon + 1):
+        while cursor < len(blocks) and blocks[cursor][2] <= p:
+            cursor += 1
+        prev = table[-1] if table else 0
+        spec = None
+        if cursor < len(blocks):
+            k, lo, hi = blocks[cursor]
+            if lo <= p < hi:
+                if active is None or active[0] != k:
+                    active = (k, plan(k))
+                spec = active[1]
+                if spec is not None:
+                    table.append(spec[0](prev))
+                    if p == hi - 1:
+                        fills.append(tr.BlockFill(k, lo, hi, spec[1], spec[2],
+                                                  False))
+                    continue
+        table.append(prev + 1)
+    return table, fills
+
+
+def ref_generic_sigma_plan(a, selector):
+    members = ns.iter_members(a, 1)
+    state = {"last": 0}
+
+    def next_member(floor):
+        v = state["last"]
+        while v <= floor:
+            try:
+                v = next(members)
+            except (StopIteration, ns.HorizonExceeded):
+                raise tr.ExhaustedA(f"source exhausted after {state['last']}")
+        state["last"] = v
+        return v
+
+    def plan(k):
+        sel = selector.selects(k)
+        if sel is None:
+            raise ns.HorizonExceeded(f"selector undecided at block {k}")
+        return (next_member, None, None) if sel else None
+    return plan
+
+
+# --- strategies -----------------------------------------------------------------
+
+sources = st.one_of(
+    st.builds(ns.Progression, st.integers(1, 9), st.integers(1, 7)),
+    st.builds(ns.PowersOf, st.integers(2, 4)))
+selectors = st.one_of(st.just(ns.AllBlocks()),
+                      st.builds(ns.EveryKth, st.integers(2, 4)))
+witnesses = st.sampled_from([("fin", F(1, 2)), ("density-zero", F(1, 2)),
+                             ("density-zero", F(1, 4))])
+horizons = st.integers(16, 4096)
+
+
+def spans(fills):
+    return [(f.block, f.lo, f.hi) for f in fills]
+
+
+def fell_through(table, w, horizon, selector, fills):
+    """Selected blocks reached with no flush backlog that stayed uncovered:
+    their payload was unaffordable and identity filling took over."""
+    covered = {f.block for f in fills}
+    out = []
+    for k, lo, hi in w.blocks_within(horizon):
+        if (selector.selects(k) and k not in covered
+                and max(table[:lo - 1], default=0) == lo - 1):
+            out.append(k)
+    return out
+
+
+# --- the permutation filler -----------------------------------------------------
+
+@given(a=sources, selector=selectors, wit=witnesses, horizon=horizons)
+def test_generic_permutation_matches_the_former_selected_filler(
+        a, selector, wit, horizon):
+    w = build_witness(builtin(wit[0]), wit[1], horizon)
+    ref_table, ref_fills = ref_fill_pi_table_selected(
+        w, horizon, selector, RefSetSupply(a).draw_many)
+    if not ref_fills:
+        with pytest.raises(tr.BijectivityOverflow):
+            tr.generic_permutation(a, w, selector, horizon)
+        return
+    res = tr.generic_permutation(a, w, selector, horizon)
+    assert list(res.map.table) == ref_table
+    assert spans(res.blocks) == spans(ref_fills)
+    assert all(f.verified and f.candidate is None and f.radius_index is None
+               for f in res.blocks)
+
+
+@pytest.mark.parametrize("horizon", [24, 100, 300, 1000, 4000])
+@pytest.mark.parametrize("base", [2, 3])
+def test_unaffordable_payloads_fall_through_to_identity(base, horizon):
+    # sparse sources displace ever more values, so late payloads no longer
+    # fit inside the horizon and identity filling takes over
+    w = build_witness(builtin("fin"), F(1, 2), horizon)
+    a, selector = ns.PowersOf(base), ns.AllBlocks()
+    res = tr.generic_permutation(a, w, selector, horizon)
+    ref_table, ref_fills = ref_fill_pi_table_selected(
+        w, horizon, selector, RefSetSupply(a).draw_many)
+    table = list(res.map.table)
+    assert table == ref_table and spans(res.blocks) == spans(ref_fills)
+    skipped = fell_through(table, w, horizon, selector, res.blocks)
+    assert skipped
+    # after the last flush the values used are exactly [1, last drawn]
+    start = table[res.blocks[-1].hi - 2] + 1
+    assert table[start - 1:] == list(range(start, horizon + 1))
+    assert sorted(table) == list(range(1, horizon + 1))
+
+
+def test_flush_lists_the_displaced_values_in_ascending_order():
+    w = build_witness(builtin("fin"), F(1, 2), 64)
+    res = tr.generic_permutation(ns.PowersOf(2), w, ns.AllBlocks(), 64)
+    # payload 2 at 1, flush 1; payload 4 at 3, flush 3; payload 8 at 5, ...
+    assert list(res.map.table[:12]) == [2, 1, 4, 3, 8, 5, 6, 7, 16, 9, 10, 11]
+
+
+# --- the selector filler --------------------------------------------------------
+
+@given(a=sources, selector=selectors, wit=witnesses, horizon=horizons)
+def test_sigma_filler_matches_the_former_positionwise_walk(
+        a, selector, wit, horizon):
+    w = build_witness(builtin(wit[0]), wit[1], horizon)
+    ref_table, ref_fills = ref_fill_sigma_table(
+        w, horizon, ref_generic_sigma_plan(a, selector))
+    table, fills = tr._fill_sigma_table(w, horizon, tr._selected(a, selector))
+    assert table == ref_table
+    assert spans(fills) == spans(ref_fills)
+
+
+# --- pinned builder outputs -------------------------------------------------------
+
+Z = builtin("density-zero")
+SMALL = AnalysisParams(horizon=1 << 10, schedule=RadiusSchedule.dyadic(4),
+                       pitch=F(1, 64))
+
+PINNED = {
+    "generic_subsequence": (
+        lambda: tr.generic_subsequence(
+            ns.PowersOf(2), build_witness(Z, F(1, 2), 1 << 10),
+            ns.EveryKth(2), 1 << 10),
+        "4a9af301c51a76af1c7100bbcd891b846b6506462185eeb6e0515b79764de298"),
+    "generic_permutation": (
+        lambda: tr.generic_permutation(
+            ns.Progression(3, 5), build_witness(Z, F(1, 4), 1 << 10),
+            ns.EveryKth(3), 1 << 10),
+        "bb2bec4f05badfaa8c6932e927b5270a25069dabf37fd7ac61659bd0070c9851"),
+    "cluster_adding_sigma": (
+        lambda: tr.cluster_adding_sigma(
+            zoo.char_powers2(), (F(1),), Z,
+            build_witness(Z, F(1, 2), 1 << 10), SMALL),
+        "e2e3b6e53fb6fce207c79b3081802e8a2d4517a49e760db1c568f977bcea4236"),
+    "cluster_adding_pi": (
+        lambda: tr.cluster_adding_pi(
+            zoo.char_evens(), (F(0),), Z,
+            build_witness(Z, F(1, 4), 1 << 14), SMALL),
+        "b60b9a03a2318094fff14dd5e2078e53264d690f7f83446df6a3f35593e389ee"),
+    "cluster_preserving_sigma": (
+        lambda: tr.cluster_preserving_sigma(
+            zoo.get_sequence("cycle:0,1/2,1"), Z,
+            build_witness(Z, F(1, 4), 1 << 14), SMALL),
+        "59001122db5ec9e038eb5c72bedd3201b4f4a29b8ae2bc022aca5a4aef3b273f"),
+    "cluster_preserving_pi": (
+        lambda: tr.cluster_preserving_pi(
+            zoo.char_evens(), Z, build_witness(Z, F(1, 4), 1 << 14), SMALL),
+        "84de3504bfb7d9201936eaceeb7772b2191ce3cf941d26802d0922504be0d8ec"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_builder_output_is_pinned(name):
+    build, expected = PINNED[name]
+    body = json.dumps(build().to_json(), sort_keys=True)
+    assert hashlib.sha256(body.encode()).hexdigest() == expected
