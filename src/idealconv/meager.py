@@ -22,7 +22,7 @@ import numpy as np
 from . import natset as ns
 from . import submeasure as sm
 from .ideals import (DecisionParams, IdealHandle, NotRepresentable, Verdict,
-                     builtin, decide_membership, nu2)
+                     decide_membership, nu2)
 
 
 class BlockSearchExceeded(Exception):
@@ -36,8 +36,11 @@ class WitnessRefuted(Exception):
 class WitnessIntervals(ns.BlockPartition):
     """Block partition plus the rule and mass that make it a witness."""
 
-    def __init__(self, rule: str, q0: Fraction, **kwargs):
-        super().__init__(**kwargs)
+    def __init__(self, rule: str, q0: Fraction, partition: ns.BlockPartition):
+        # adopt the partition's generator and the boundaries it has so far
+        super().__init__(fn=partition._fn, prefix=partition._iota,
+                         tag=partition.tag,
+                         lengths_unbounded=partition.lengths_unbounded)
         if rule not in ("density-ratio", "phi-block", "row-coverage"):
             raise ValueError(f"unknown witness rule {rule!r}")
         self.rule = rule
@@ -71,16 +74,8 @@ class WitnessIntervals(ns.BlockPartition):
 
     @staticmethod
     def from_json(body: dict) -> "WitnessIntervals":
-        tag = body.get("generator")
-        kwargs: dict = {"lengths_unbounded": body.get("lengths_unbounded", False)}
-        if tag is not None:
-            part = ns.partition_from_tag(tag)
-            kwargs = {"fn": part._fn, "prefix": part._iota, "tag": tag,
-                      "lengths_unbounded": part.lengths_unbounded}
-        else:
-            kwargs["prefix"] = body["iota"]
-        return WitnessIntervals(rule=body["rule"], q0=Fraction(body["q0"]),
-                                **kwargs)
+        return WitnessIntervals(body["rule"], Fraction(body["q0"]),
+                                ns.BlockPartition.from_json(body))
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
@@ -94,15 +89,10 @@ def _phi_interval(m: sm.Lscsm, lo: int, hi: int) -> Fraction:
         return min(m.cap, m.scale * sm.sum_unit_fractions(range(lo, hi)))
     if isinstance(m, sm.DensityFamily):
         best = Fraction(0)
-        n = 1
-        while True:
-            blo, bhi = m.partition.block(n)
-            if blo >= hi:
-                break
+        for n, blo, bhi in m.partition.blocks(hi - 1):
             cnt = max(0, min(hi, bhi) - max(lo, blo))
             if cnt:
                 best = max(best, m.weight(n) * Fraction(cnt, bhi - blo))
-            n += 1
         return best
     if isinstance(m, sm.RunningDensity):
         # sup of count/n over the interval peaks at its right end
@@ -153,10 +143,6 @@ def _phi_search_partition(handle: IdealHandle, q: Fraction) -> ns.BlockPartition
         lengths_unbounded=not isinstance(m, sm.CountingCap))
 
 
-ns.PARTITION_TAG_HOOKS["phi-search"] = lambda tag: _phi_search_partition(
-    builtin(tag["ideal"], gdi_spec=tag.get("params")), Fraction(tag["q"]))
-
-
 def build_witness(handle: IdealHandle, q: Fraction,
                   horizon: int = 1 << 20) -> WitnessIntervals:
     """Construct the witness for a built-in ideal at mass level q.
@@ -168,33 +154,26 @@ def build_witness(handle: IdealHandle, q: Fraction,
     """
     q = Fraction(q)
     if handle.witness_rule == "row-coverage":
+        rule, q = "row-coverage", Fraction(1)
         part = ns.partition_from_tag({"kind": "valuation-cover"})
-        return WitnessIntervals(rule="row-coverage", q0=Fraction(1),
-                                fn=part._fn, tag=part.tag,
-                                lengths_unbounded=True)
-    if handle.lscsm is None:
+    elif handle.lscsm is None:
         raise NotRepresentable(f"{handle.name} has no witness capability")
-    if not 0 < q < 1:
+    elif not 0 < q < 1:
         raise ValueError("q must lie in (0, 1)")
-    if handle.witness_rule == "density-ratio":
-        if q == Fraction(1, 2):
-            part = ns.partition_from_tag({"kind": "pow2"})
-        else:
-            part = ns.partition_from_tag({"kind": "ratio-search", "q": str(q)})
-        w = WitnessIntervals(rule="density-ratio", q0=q, fn=part._fn,
-                             tag=part.tag, lengths_unbounded=True)
-    elif isinstance(handle.lscsm, sm.CountingCap):
-        part = ns.partition_from_tag({"kind": "singletons"})
-        w = WitnessIntervals(rule="phi-block", q0=q, fn=part._fn,
-                             tag=part.tag, lengths_unbounded=False)
+    elif handle.witness_rule == "density-ratio":
+        rule = "density-ratio"
+        part = ns.partition_from_tag({"kind": "pow2"} if q == Fraction(1, 2)
+                                     else {"kind": "ratio-search", "q": str(q)})
     else:
-        part = _phi_search_partition(handle, q)
-        w = WitnessIntervals(rule="phi-block", q0=q, fn=part._fn,
-                             tag=part.tag, lengths_unbounded=part.lengths_unbounded)
+        rule = "phi-block"
+        part = (ns.partition_from_tag({"kind": "singletons"})
+                if isinstance(handle.lscsm, sm.CountingCap)
+                else _phi_search_partition(handle, q))
+    w = WitnessIntervals(rule, q, part)
+    if rule == "row-coverage":
+        return w        # certified by construction, nothing materialized
     # materialize and certify the blocks inside the horizon
     for n, lo, hi in w.blocks_within(horizon):
-        if hi - 1 > horizon:
-            break
         if not w.certify_block(n, handle.lscsm):
             raise WitnessRefuted(f"block {n} = [{lo}, {hi}) fails {w.rule}")
     return w

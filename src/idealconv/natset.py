@@ -13,6 +13,7 @@ variant admits one.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -87,18 +88,29 @@ class BlockPartition:
             n = len(self._iota)
         return bisect_right(self._iota, m)
 
-    def blocks_within(self, horizon: int, start: int = 1) -> Iterator[tuple[int, int, int]]:
-        """Yield (n, lo, hi) for every complete block with hi - 1 <= horizon."""
+    def blocks(self, limit: Optional[int] = None,
+               start: int = 1) -> Iterator[tuple[int, int, int]]:
+        """Yield (n, lo, hi) for blocks n = start, start + 1, ... while
+        lo <= limit (for ever when limit is None).  Block n is materialized
+        before its lo is tested, so the first block past the limit is too;
+        HorizonExceeded from an explicit prefix propagates."""
         n = start
         while True:
-            try:
-                lo, hi = self.block(n)
-            except HorizonExceeded:
-                return
-            if hi - 1 > horizon:
+            lo, hi = self.block(n)
+            if limit is not None and lo > limit:
                 return
             yield n, lo, hi
             n += 1
+
+    def blocks_within(self, horizon: int, start: int = 1) -> Iterator[tuple[int, int, int]]:
+        """Yield (n, lo, hi) for every complete block with hi - 1 <= horizon."""
+        try:
+            for n, lo, hi in self.blocks(horizon, start):
+                if hi - 1 > horizon:
+                    return
+                yield n, lo, hi
+        except HorizonExceeded:
+            return
 
     def max_block_singleton(self) -> bool:
         """True for the degenerate partition whose blocks are all singletons."""
@@ -126,10 +138,6 @@ class BlockPartition:
             return part
         return BlockPartition(prefix=body["iota"],
                               lengths_unbounded=body.get("lengths_unbounded", False))
-
-
-# extension point: other modules may register partition generator kinds
-PARTITION_TAG_HOOKS: dict[str, Callable[[dict], "BlockPartition"]] = {}
 
 
 def partition_from_tag(tag: dict) -> BlockPartition:
@@ -165,9 +173,10 @@ def partition_from_tag(tag: dict) -> BlockPartition:
                 cache.append(int(nxt))
             return cache[n - 1]
         return BlockPartition(fn=fn, tag=tag, lengths_unbounded=True)
-    hook = PARTITION_TAG_HOOKS.get(kind)
-    if hook is not None:
-        return hook(tag)
+    if kind == "phi-search":
+        from . import ideals, meager     # both build on this module
+        handle = ideals.builtin(tag["ideal"], gdi_spec=tag.get("params"))
+        return meager._phi_search_partition(handle, Fraction(tag["q"]))
     raise ValueError(f"unknown partition generator {tag!r}")
 
 
@@ -520,58 +529,31 @@ class BlockUnion(NatSet):
             return False
         return self.selector.selects(k)
 
-    def prefix(self, horizon: int) -> np.ndarray:
-        horizon = _check_horizon(horizon)
-        bits = np.zeros(horizon, dtype=bool)
-        try:
-            first = self.partition.iota(1)
-        except HorizonExceeded:
-            raise HorizonExceeded("partition prefix empty")
-        if first > horizon:
-            return bits
-        n = 1
-        while True:
-            try:
-                lo, hi = self.partition.block(n)
-            except HorizonExceeded as exc:
-                raise HorizonExceeded(
-                    f"partition undecided inside [1, {horizon}]") from exc
-            if lo > horizon:
-                break
+    def _selected_blocks(self, limit: Optional[int]) -> Iterator[tuple[int, int]]:
+        """(lo, hi) of the selected blocks with lo <= limit."""
+        for n, lo, hi in self.partition.blocks(limit):
             sel = self.selector.selects(n)
             if sel is None:
                 raise HorizonExceeded(f"selector undecided at block {n}")
             if sel:
-                bits[lo - 1:min(hi - 1, horizon)] = True
-            n += 1
+                yield lo, hi
+
+    def prefix(self, horizon: int) -> np.ndarray:
+        horizon = _check_horizon(horizon)
+        bits = np.zeros(horizon, dtype=bool)
+        if self.partition.iota(1) > horizon:
+            return bits
+        for lo, hi in self._selected_blocks(horizon):
+            bits[lo - 1:min(hi - 1, horizon)] = True
         return bits
 
     def count_up_to(self, horizon: int) -> int:
         _check_horizon(horizon)
-        total = 0
-        n = 1
-        while True:
-            try:
-                lo, hi = self.partition.block(n)
-            except HorizonExceeded as exc:
-                raise HorizonExceeded("partition undecided") from exc
-            if lo > horizon:
-                break
-            sel = self.selector.selects(n)
-            if sel is None:
-                raise HorizonExceeded(f"selector undecided at block {n}")
-            if sel:
-                total += min(hi - 1, horizon) - lo + 1
-            n += 1
-        return total
+        return sum(min(hi - 1, horizon) - lo + 1
+                   for lo, hi in self._selected_blocks(horizon))
 
     def is_infinite(self) -> Optional[bool]:
-        sel = self.selector.is_infinite()
-        if sel is True:
-            return True
-        if sel is False:
-            return False
-        return None
+        return self.selector.is_infinite()
 
     def is_cofinite(self) -> Optional[bool]:
         if isinstance(self.selector, AllBlocks):
@@ -753,17 +735,11 @@ def _combine_periods(parts: Sequence[NatSet],
         if ep is None:
             return None
         q, t = ep
-        period = period * q // _gcd(period, q)
+        period = period * q // math.gcd(period, q)
         threshold = max(threshold, t)
         if period > period_cap or threshold > threshold_cap:
             return None
     return (period, threshold)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _is_infinite_via_density(s: "NatSet") -> Optional[bool]:
@@ -825,16 +801,9 @@ def iter_members(s: NatSet, start: int = 1) -> Iterator[int]:
         yield from (int(i) for i in idx)
         raise HorizonExceeded(f"bitmap exhausted at {s.horizon}")
     if isinstance(s, BlockUnion):
-        n = 1
-        while True:
-            lo, hi = s.partition.block(n)  # HorizonExceeded propagates
-            sel = s.selector.selects(n)
-            if sel is None:
-                raise HorizonExceeded(f"selector undecided at block {n}")
-            if sel and hi > start:
-                for v in range(max(lo, start), hi):
-                    yield v
-            n += 1
+        for lo, hi in s._selected_blocks(None):
+            yield from range(max(lo, start), hi)
+        return
     # boolean combinations: scan with member(); unknown stops the stream
     n = max(1, start)
     while True:

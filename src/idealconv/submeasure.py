@@ -326,17 +326,12 @@ class DensityFamily(Lscsm):
             return ZERO
         members = sorted(members)
         best = ZERO
-        n = 1
-        while True:
-            lo, hi = self.partition.block(n)
-            if lo > members[-1]:
-                break
+        for n, lo, hi in self.partition.blocks(members[-1]):
             cnt = bisect_left(members, hi) - bisect_left(members, lo)
             if cnt:
                 r = self.weight(n) * Fraction(cnt, hi - lo)
                 if r > best:
                     best = r
-            n += 1
         return best
 
     def tail_value(self, bits: np.ndarray,
@@ -346,15 +341,10 @@ class DensityFamily(Lscsm):
         # (first, last position inside the prefix, w_n numerator,
         # w_n denominator * |D_n|); the last block may be partial
         blocks = []
-        n = 1
-        while True:
-            lo, hi = self.partition.block(n)
-            if lo > horizon:
-                break
+        for n, lo, hi in self.partition.blocks(horizon):
             w = self.weight(n)
             blocks.append((lo, min(hi - 1, horizon), w.numerator,
                            w.denominator * (hi - lo)))
-            n += 1
         out = []
         for t in cuts:
             bn, bd = 0, 1
