@@ -6,7 +6,8 @@ flags override it.  Outputs are deterministic for a fixed config and seed —
 timestamps live only in the sidecar ``<out>.meta.json``.
 
 Exit codes: 0 ok, 1 usage or config error, 2 undecided-dominated report,
-3 preservation hypothesis failed, 4 internal audit failure.
+3 builder hypothesis failed (preserve: cluster set short of the limit
+points; add: ell not a limit point), 4 internal audit failure.
 """
 
 from __future__ import annotations
@@ -126,42 +127,28 @@ def cmd_analyze(cfg: RunConfig) -> int:
     handle = cfg.ideal_handle()
     params = cfg.analysis_params()
     mode = cfg.mode or "all"
-    reports = {}
-    undecided_shares = []
+    cluster = {}
     if mode in ("all", "limits"):
-        reports["limit_points"] = limit_points_estimate(x, params).to_json()
+        cluster["limit_points"] = limit_points_estimate(x, params)
     if mode in ("all", "gamma"):
-        g = gamma_estimate(x, handle, params)
-        reports["gamma"] = g.to_json()
-        undecided_shares.append(g.undecided_share)
-    if mode == "all" and handle.analytic_p:
-        lam = lambda_estimate(x, handle, params)
-        reports["lambda"] = lam.to_json()
-        undecided_shares.append(lam.undecided_share)
-    elif mode == "lambda":
-        lam = lambda_estimate(x, handle, params)
-        reports["lambda"] = lam.to_json()
-        undecided_shares.append(lam.undecided_share)
+        cluster["gamma"] = gamma_estimate(x, handle, params)
+    if mode == "lambda" or (mode == "all" and handle.analytic_p):
+        cluster["lambda"] = lambda_estimate(x, handle, params)
     if mode == "lambda-q":
-        lam = lambda_q_estimate(x, handle, Fraction(cfg.q), params)
-        reports["lambda_q"] = lam.to_json()
-        undecided_shares.append(lam.undecided_share)
+        cluster["lambda_q"] = lambda_q_estimate(x, handle, Fraction(cfg.q),
+                                                params)
+    reports = {key: rep.to_json() for key, rep in cluster.items()}
+    undecided_shares = [rep.undecided_share for key, rep in cluster.items()
+                        if key != "limit_points"]
     if mode == "convergence":
         if cfg.ell is None:
             raise ValueError("convergence mode needs --ell")
         conv = ideal_convergence_check(x, handle, Fraction(cfg.ell), params)
         reports["convergence"] = conv.to_json()
     payload = {"config": cfg.to_json(), "reports": reports}
-    csv_rows = None
-    main_key = ("gamma" if "gamma" in reports else
-                "lambda" if "lambda" in reports else
-                "lambda_q" if "lambda_q" in reports else "limit_points")
-    if main_key in reports:
-        csv_rows = [["candidate", "eps", "exact", "numeric", "class"]]
-        for cand in reports[main_key]["candidates"]:
-            for r in cand["radii"]:
-                csv_rows.append([cand["point"], r["eps"], r["exact"] or "",
-                                 r["numeric"] or "", cand["classification"]])
+    main_key = next((key for key in ("gamma", "lambda", "lambda_q",
+                                     "limit_points") if key in cluster), None)
+    csv_rows = cluster[main_key].csv_rows() if main_key else None
     _emit(cfg.out, payload, csv_rows)
     if undecided_shares and max(undecided_shares) > Fraction(1, 2):
         return EXIT_UNDECIDED
@@ -418,7 +405,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         cfg = _merge_config(args)
         handler = _HANDLERS[cfg.command]
         return handler(cfg)
-    except tr.HypothesisFailed as exc:
+    except (tr.HypothesisFailed, tr.NotALimitPoint) as exc:
         sys.stderr.write(json.dumps({"error": "hypothesis-failed",
                                      "detail": str(exc)}) + "\n")
         return EXIT_HYPOTHESIS

@@ -435,12 +435,15 @@ class PowersOf(NatSet):
             return False
         if self.base == 2:
             return (n & (n - 1)) == 0
-        # candidate exponent from bit lengths, exact check around it
-        k = max(1, (n.bit_length() - 1) // (self.base.bit_length()))
-        for kk in (k, k + 1, k + 2):
-            if self.base ** kk == n:
-                return True
-        return False
+        # divide out base^(2^j) for descending j: powers of the base, and
+        # nothing else, come down to 1 after O(log log n) big divisions
+        powers = [self.base]
+        while powers[-1] ** 2 <= n:
+            powers.append(powers[-1] ** 2)
+        for p in reversed(powers):
+            if n % p == 0:
+                n //= p
+        return n == 1
 
     def powers_up_to(self, horizon: int) -> list[int]:
         out, v = [], self.base

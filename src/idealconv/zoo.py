@@ -16,6 +16,7 @@ Spec strings:
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -94,11 +95,17 @@ def harmonic() -> SequenceSpec:
         return (Fraction(1, n),)
 
     def indicator(center: Point, eps: Fraction, horizon: int) -> np.ndarray:
-        # |1/n - p/q| < e1/e2  <=>  |q - n p| e2 < e1 n q, exactly in int64
-        p, q = center[0].numerator, center[0].denominator
-        e1, e2 = eps.numerator, eps.denominator
-        n = np.arange(1, horizon + 1, dtype=np.int64)
-        return np.abs(q - n * p) * e2 < e1 * n * q
+        # |1/n - c| < eps  <=>  1/(c + eps) < n < 1/(c - eps), where the
+        # upper end applies only when c > eps: one exact integer interval
+        c = center[0]
+        bits = np.zeros(horizon, dtype=bool)
+        if c + eps <= 0:
+            return bits
+        first = min(math.floor(1 / (c + eps)) + 1, horizon + 1)
+        last = horizon if c <= eps else min(math.ceil(1 / (c - eps)) - 1,
+                                            horizon)
+        bits[first - 1:last] = True
+        return bits
 
     def batch(horizon: int) -> np.ndarray:
         return 1.0 / np.arange(1, horizon + 1, dtype=np.float64)

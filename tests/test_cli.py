@@ -243,3 +243,16 @@ def test_game_run_refuses_too_few_radii(tmp_path, capsys):
     assert run(["game", "run", "--seq", "char:evens", "--ideal", "Z",
                 "--ell", "1", "--q", "1/4", "--radii", "5", "--rounds", "20",
                 "--out", str(out)]) == 0
+
+
+def test_add_mode_without_close_hits_exits_3(tmp_path, capsys):
+    # char:evens never comes near 1/3, so the adding builders' hypothesis fails
+    for kind in ("sigma", "pi"):
+        out = tmp_path / kind
+        assert run(["preserve", kind, "--seq", "char:evens", "--ideal", "Z",
+                    "--mode", "add", "--ell", "1/3", "--horizon", "1024",
+                    "--out", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "hypothesis-failed"
+        assert "1/3" in err["detail"]
+        assert not Path(f"{out}.json").exists()

@@ -91,6 +91,17 @@ def test_member_examples():
     assert ns.Complement(ns.Progression(1, 1)).member(5) is False
 
 
+@pytest.mark.parametrize("base", range(2, 11))
+def test_powers_membership_is_exact(base):
+    p = ns.PowersOf(base)
+    for k in range(1, 41):
+        v = base ** k
+        assert p.member(v) is True, (base, k)
+        assert p.member(v + 1) is False, (base, k)
+        assert p.member(v - 1) is False, (base, k)
+    assert p.member(1) is False
+
+
 def test_prefix_examples():
     assert ns.Progression(1, 2).prefix(5).tolist() == [1, 0, 1, 0, 1]
     assert ns.Finite({2, 4}).prefix(4).tolist() == [0, 1, 0, 1]

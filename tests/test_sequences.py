@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from idealconv import natset as ns
 from idealconv import submeasure as sm
@@ -13,7 +14,7 @@ from idealconv.sequences import (AnalysisParams, RadiusSchedule, NotAnalyticP,
                                  complement_indicator_set, gamma_estimate,
                                  ideal_convergence_check, indicator_set,
                                  lambda_estimate, lambda_q_estimate,
-                                 limit_points_estimate, u_frak)
+                                 limit_points_estimate, u_frak, distance)
 
 F = Fraction
 P14 = AnalysisParams(horizon=1 << 14)
@@ -43,6 +44,39 @@ def test_indicator_bitmap_harmonic():
     bits = ind.prefix(10 ** 4)
     # oracle: 1/n < 1/100 exactly when n >= 101
     assert not bits[:100].any() and bits[100:].all()
+
+
+@st.composite
+def harmonic_balls(draw):
+    """Centres with denominators up to 10^30 (some just off a point 1/m),
+    dyadic radii down to 2^-44, small horizons."""
+    q = draw(st.integers(1, 10 ** 30))
+    if draw(st.booleans()):
+        centre = F(draw(st.integers(-q, 2 * q)), q)
+    else:
+        centre = F(1, draw(st.integers(1, 3000))) + F(draw(st.integers(-8, 8)), q)
+    eps = F(draw(st.integers(1, 7)), 2 ** draw(st.integers(0, 44)))
+    return centre, eps, draw(st.integers(1, 3000))
+
+
+@settings(max_examples=200, deadline=None)
+@given(harmonic_balls())
+def test_harmonic_indicator_matches_pointwise_reference(case):
+    centre, eps, horizon = case
+    x = zoo.harmonic()
+    bits = x.hit_bits((centre,), eps, horizon)
+    want = [distance(x.point(n), (centre,)) < eps for n in range(1, horizon + 1)]
+    assert bits.tolist() == want
+
+
+def test_harmonic_indicator_past_int64():
+    # centre 1/(2^31 - 1), radius 2^-40: int64 products once gave 4096 hits
+    x = zoo.harmonic()
+    bits = x.hit_bits((F(1, 2 ** 31 - 1),), F(1, 2 ** 40), 4096)
+    assert not bits.any()
+    # a centre just below 1/4 with a tiny radius holds n = 4 alone
+    bits = x.hit_bits((F(1, 4) - F(1, 10 ** 30),), F(1, 2 ** 44), 4096)
+    assert np.flatnonzero(bits).tolist() == [3]
 
 
 def test_indicator_complement_partition():

@@ -293,3 +293,11 @@ def test_map_json_round_trip():
         back = tr.map_from_json(m.to_json())
         assert [back.value(n) for n in range(1, 20)] \
             == [m.value(n) for n in range(1, 20)]
+
+
+def test_generic_subsequence_over_powers_of_three_passes_its_audit():
+    # 3^10 = 59049 once read as a non-member, failing the audit on block 3
+    w = build_witness(builtin("density-zero"), F(1, 2))
+    res = tr.generic_subsequence(ns.PowersOf(3), w, ns.AllBlocks(), 16)
+    assert 3 ** 10 in list(res.map.table)
+    assert res.blocks and all(b.verified for b in res.blocks)
