@@ -134,8 +134,7 @@ class BlockPartition:
     def from_json(body: dict) -> "BlockPartition":
         tag = body.get("generator")
         if tag is not None:
-            part = partition_from_tag(tag)
-            return part
+            return partition_from_tag(tag)
         return BlockPartition(prefix=body["iota"],
                               lengths_unbounded=body.get("lengths_unbounded", False))
 
@@ -431,7 +430,7 @@ class PowersOf(NatSet):
             raise ValueError("base must be >= 2")
 
     def member(self, n: int) -> Optional[bool]:
-        if n < self.base:
+        if n < self.base or n % self.base:
             return False
         if self.base == 2:
             return (n & (n - 1)) == 0
