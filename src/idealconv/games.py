@@ -18,7 +18,7 @@ from typing import Optional
 
 from . import submeasure as sm
 from .ideals import IdealHandle
-from .meager import _phi_interval
+from .meager import _interval_mass_cmp, _phi_interval
 from .sequences import (Point, RadiusSchedule, SequenceSpec, as_point,
                         format_point, NotAnalyticP)
 from .transforms import BijectivityOverflow, ExhaustedA, MemberSupply
@@ -123,10 +123,8 @@ def _draw_until_mass(state: GameState, supply: MemberSupply, q: Fraction,
         if state.kind == "pi" and floor in state.used:
             continue
         vals.append(floor)
-        n2 = n1 + len(vals) - 1
-        mass = _phi_interval(m, n1, n2 + 1)
-        if mass > q:
-            return vals, mass
+        if _interval_mass_cmp(m, n1, n1 + len(vals), q) > 0:
+            return vals, _phi_interval(m, n1, n1 + len(vals))
 
 
 def escape_extension(state: GameState, x: SequenceSpec, ell, k: int,

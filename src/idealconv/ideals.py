@@ -307,7 +307,7 @@ def decide_membership(handle: IdealHandle, s: ns.NatSet,
     def trend_verdict(horizon: int) -> tuple[Optional[Verdict], object]:
         cuts = params.cut_points() if horizon == params.horizon else None
         est = sm.norm_estimate(m, s, horizon, cuts=cuts, slack=params.slack,
-                               bits=bits[:horizon])
+                               bits=bits[:horizon], exact=exact)
         if est.trend in ("zero", "decreasing") and est.numeric < params.theta:
             return Verdict.IN, est
         if est.trend == "non-decreasing" and est.numeric >= params.theta:

@@ -56,7 +56,7 @@ class WitnessIntervals(ns.BlockPartition):
         if self.rule == "phi-block":
             if lscsm is None:
                 raise ValueError("phi-block certification needs the lscsm")
-            return _phi_interval(lscsm, lo, hi) >= self.q0
+            return _interval_mass_cmp(lscsm, lo, hi, self.q0) >= 0
         # row-coverage: block n contains an integer of 2-adic valuation r
         # for every r <= n
         for r in range(0, n + 1):
@@ -100,15 +100,33 @@ def _phi_interval(m: sm.Lscsm, lo: int, hi: int) -> Fraction:
     raise NotImplementedError(m.name)
 
 
-def _interval_mass_reaches(m: sm.Lscsm, lo: int, hi: int, q: Fraction) -> bool:
-    """phi([lo, hi)) >= q without normalizing huge intermediate fractions."""
-    if isinstance(m, sm.WeightedSum):
-        if m.cap < q:
-            return False
+def _interval_mass_cmp(m: sm.Lscsm, lo: int, hi: int, q: Fraction) -> int:
+    """Sign of phi([lo, hi)) - q, exact.
+
+    A harmonic sum is decided from its fixed-point enclosure and summed
+    exactly only when the enclosure straddles q (or hi is too large for it).
+    """
+    if not isinstance(m, sm.WeightedSum):
+        v = _phi_interval(m, lo, hi)
+        return (v > q) - (v < q)
+    if m.cap < q:
+        return -1
+    # scale * S >= q  <=>  per * S >= need
+    per = m.scale.numerator * q.denominator
+    need = q.numerator * m.scale.denominator
+    sign = None
+    if hi <= sm.INT64_SAFE:
+        a, b = sm.unit_fraction_bounds(lo, hi)
+        target = need << sm.FIXED_BITS
+        if per * a > target:
+            sign = 1
+        elif per * b < target:
+            sign = -1
+    if sign is None:
         p, den = sm.sum_unit_fractions_raw(range(lo, hi))
-        return (m.scale.numerator * p * q.denominator
-                >= q.numerator * m.scale.denominator * den)
-    return _phi_interval(m, lo, hi) >= q
+        sign = (per * p > need * den) - (per * p < need * den)
+    # phi = min(cap, scale * S): a cap equal to q never rises above it
+    return min(sign, 0) if m.cap == q else sign
 
 
 def _phi_search_partition(handle: IdealHandle, q: Fraction) -> ns.BlockPartition:
@@ -123,7 +141,7 @@ def _phi_search_partition(handle: IdealHandle, q: Fraction) -> ns.BlockPartition
             lo = cache[-1]
             # exponential probe then bisect for the least right end with mass q
             hi = lo + 1
-            while not _interval_mass_reaches(m, lo, hi, q):
+            while _interval_mass_cmp(m, lo, hi, q) < 0:
                 hi = 2 * hi - lo
                 if hi - lo > 1 << 40:
                     raise BlockSearchExceeded(
@@ -131,7 +149,7 @@ def _phi_search_partition(handle: IdealHandle, q: Fraction) -> ns.BlockPartition
             a, b = lo + 1, hi
             while a < b:
                 mid = (a + b) // 2
-                if _interval_mass_reaches(m, lo, mid, q):
+                if _interval_mass_cmp(m, lo, mid, q) >= 0:
                     b = mid
                 else:
                     a = mid + 1
@@ -205,26 +223,13 @@ def _never_two_consecutive(s: ns.NatSet, beyond: int = 0) -> bool:
         # sound only when at most one part survives past the bound
         loose = []
         for p in s.parts:
-            bound = _finite_upper_bound(p)
+            bound = ns.finite_upper_bound(p)
             if bound is not None and bound <= beyond:
                 continue
             loose.append(p)
         return (len(loose) <= 1
                 and all(_never_two_consecutive(p, beyond) for p in loose))
     return False
-
-
-def _finite_upper_bound(s: ns.NatSet) -> Optional[int]:
-    if isinstance(s, ns.Finite):
-        return s.members[-1] if s.members else 0
-    if isinstance(s, ns.Union):
-        bounds = [_finite_upper_bound(p) for p in s.parts]
-        return max(bounds) if all(b is not None for b in bounds) else None
-    if isinstance(s, ns.Intersection):
-        bounds = [b for b in (_finite_upper_bound(p) for p in s.parts)
-                  if b is not None]
-        return min(bounds) if bounds else None
-    return None
 
 
 def _min_late_block_length(w: ns.BlockPartition, beyond: int) -> int:
@@ -312,7 +317,7 @@ def fk_holds(w: ns.BlockPartition, s: ns.NatSet, k: int,
 
     if late is False:
         return True
-    bound = _finite_upper_bound(s)
+    bound = ns.finite_upper_bound(s)
     if s.is_infinite() is False and bound is not None and bound <= eff:
         return True
     if _never_two_consecutive(s, eff) and _min_late_block_length(w, eff) >= 2:

@@ -531,14 +531,18 @@ class BlockUnion(NatSet):
             return False
         return self.selector.selects(k)
 
-    def _selected_blocks(self, limit: Optional[int]) -> Iterator[tuple[int, int]]:
-        """(lo, hi) of the selected blocks with lo <= limit."""
+    def _selected_blocks(self, limit: Optional[int],
+                         last: Optional[int] = None) -> Iterator[tuple[int, int]]:
+        """(lo, hi) of the selected blocks with lo <= limit, up to block
+        index ``last``."""
         for n, lo, hi in self.partition.blocks(limit):
             sel = self.selector.selects(n)
             if sel is None:
                 raise HorizonExceeded(f"selector undecided at block {n}")
             if sel:
                 yield lo, hi
+            if last is not None and n >= last:
+                return
 
     def prefix(self, horizon: int) -> np.ndarray:
         horizon = _check_horizon(horizon)
@@ -767,6 +771,20 @@ def exact_density(s: NatSet) -> Optional[Fraction]:
     return Fraction(int(window.sum()), period)
 
 
+def finite_upper_bound(s: NatSet) -> Optional[int]:
+    """A bound no member of s exceeds, read off explicit finite parts."""
+    if isinstance(s, Finite):
+        return s.members[-1] if s.members else 0
+    if isinstance(s, Union):
+        bounds = [finite_upper_bound(p) for p in s.parts]
+        return max(bounds) if all(b is not None for b in bounds) else None
+    if isinstance(s, Intersection):
+        bounds = [b for b in (finite_upper_bound(p) for p in s.parts)
+                  if b is not None]
+        return min(bounds) if bounds else None
+    return None
+
+
 def iter_members(s: NatSet, start: int = 1) -> Iterator[int]:
     """Members of s in increasing order, from ``start`` upward.
 
@@ -803,7 +821,10 @@ def iter_members(s: NatSet, start: int = 1) -> Iterator[int]:
         yield from (int(i) for i in idx)
         raise HorizonExceeded(f"bitmap exhausted at {s.horizon}")
     if isinstance(s, BlockUnion):
-        for lo, hi in s._selected_blocks(None):
+        # a selector with finitely many indices ends the walk at its bound
+        last = (finite_upper_bound(s.selector.indices)
+                if isinstance(s.selector, IndexSet) else None)
+        for lo, hi in s._selected_blocks(None, last):
             yield from range(max(lo, start), hi)
         return
     # boolean combinations: scan with member(); unknown stops the stream

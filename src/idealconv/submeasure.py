@@ -85,6 +85,27 @@ def sum_unit_fractions(values: Sequence[int]) -> Fraction:
     return Fraction(p, q)
 
 
+FIXED_BITS = 56
+INT64_SAFE = 1 << 62        # the largest right end unit_fraction_bounds takes
+
+
+def unit_fraction_bounds(lo: int, hi: int) -> tuple[int, int]:
+    """Integers a <= 2^56 * sum_{lo <= k < hi} 1/k <= b, with no float.
+
+    a sums floor(2^56 / k) in int64 over chunks of 2^16 consecutive k, whose
+    sum stays below 2^56 * H(2^16) < 2^60; b = a + (hi - lo), since each
+    floor drops less than 1.
+    """
+    if lo < 1 or hi > INT64_SAFE:
+        raise ValueError("need 1 <= lo and hi <= 2^62")
+    one = np.int64(1 << FIXED_BITS)
+    a = 0
+    for start in range(lo, hi, 1 << 16):
+        k = np.arange(start, min(start + (1 << 16), hi), dtype=np.int64)
+        a += int((one // k).sum())
+    return a, a + max(0, hi - lo)
+
+
 class Lscsm:
     """A monotone subadditive set function with phi(empty) = 0, finite on
     finite sets, determined by its finite truncations."""
@@ -460,7 +481,7 @@ def norm_estimate(m: Lscsm, s: ns.NatSet, horizon: int,
                   cuts: Optional[Sequence[int]] = None,
                   slack: Fraction = Fraction(1, 200), *,
                   bits: Optional[np.ndarray] = None,
-                  head: bool = False) -> NormEstimate:
+                  head: bool = False, exact=...) -> NormEstimate:
     """Evaluate phi on nested tails and classify the trend.
 
     Row values are phi(s ∩ (t, horizon]) divided by the variant's finite-
@@ -468,14 +489,16 @@ def norm_estimate(m: Lscsm, s: ns.NatSet, horizon: int,
     a flat trend instead of the mechanical (N - t)/N decay.  ``bits`` is the
     prefix of s on [1, horizon] when the caller already holds it; ``head``
     adds the whole-prefix row (0, phi, phi) in front, which only ``best``
-    reads.
+    reads; ``exact`` is ``m.exact_norm(s)`` when the caller already has it
+    (None included).
     """
     if cuts is None:
         cuts = default_cuts(horizon)
     cuts = sorted(set(int(t) for t in cuts))
     if any(t < 1 or t >= horizon for t in cuts):
         raise ValueError("cuts must satisfy 1 <= t < horizon")
-    exact = m.exact_norm(s)
+    if exact is ...:
+        exact = m.exact_norm(s)
     if bits is None:
         bits = s.prefix(horizon)
     elif bits.shape[0] != horizon:

@@ -6,6 +6,7 @@ never trusted to check itself.
 """
 
 import json
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -298,3 +299,19 @@ def test_json_round_trip(s):
 def test_json_is_stable_text():
     s = ns.Union((ns.Progression(2, 2), ns.Finite([1])))
     assert json.loads(s.dumps()) == s.to_json()
+
+
+# --- members of a block union over finitely many blocks ----------------------
+
+def test_iter_members_ends_after_a_finite_selector():
+    part = ns.partition_from_tag({"kind": "geometric", "ratio": "2"})
+    bu = ns.BlockUnion(part, ns.IndexSet(ns.Finite([1, 3, 4, 6])))
+    # blocks 3 = [4, 8), 4 = [8, 16), 6 = [32, 64); members from 10 on
+    got = list(islice(ns.iter_members(bu, 10), 40))
+    assert got == list(range(10, 16)) + list(range(32, 64))
+    empty = ns.BlockUnion(part, ns.IndexSet(ns.Finite([])))
+    assert list(ns.iter_members(empty)) == []
+    # a bound read off an intersection with a finite part ends the walk too
+    capped = ns.BlockUnion(part, ns.IndexSet(
+        ns.Intersection((ns.Progression(2, 2), ns.Finite([2, 5])))))
+    assert list(ns.iter_members(capped)) == [2, 3]

@@ -301,3 +301,16 @@ def test_generic_subsequence_over_powers_of_three_passes_its_audit():
     res = tr.generic_subsequence(ns.PowersOf(3), w, ns.AllBlocks(), 16)
     assert 3 ** 10 in list(res.map.table)
     assert res.blocks and all(b.verified for b in res.blocks)
+
+
+def test_finite_block_union_source_exhausts():
+    # a source over finitely many blocks of a partition runs dry instead of
+    # walking the partition for ever
+    part = ns.partition_from_tag({"kind": "geometric", "ratio": "2"})
+    src = ns.BlockUnion(part, ns.IndexSet(ns.Finite([1, 3, 4, 6])))
+    supply = tr._SetSupply(src)
+    with pytest.raises(tr.ExhaustedA, match="after 63"):
+        supply.draw_many(100, 0)
+    w = build_witness(builtin("density-zero"), F(1, 2))
+    with pytest.raises(tr.ExhaustedA):
+        tr.generic_subsequence(src, w, ns.AllBlocks(), 4096)
