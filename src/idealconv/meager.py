@@ -84,7 +84,7 @@ class WitnessIntervals(ns.BlockPartition):
 def _phi_interval(m: sm.Lscsm, lo: int, hi: int) -> Fraction:
     """phi of the full interval [lo, hi), exact and without materializing it."""
     if isinstance(m, sm.CountingCap):
-        return Fraction(1) if hi > lo else Fraction(0)
+        return sm.ONE if hi > lo else sm.ZERO
     if isinstance(m, sm.WeightedSum):
         return min(m.cap, m.scale * sm.sum_unit_fractions(range(lo, hi)))
     if isinstance(m, sm.DensityFamily):
@@ -108,7 +108,8 @@ def _interval_mass_cmp(m: sm.Lscsm, lo: int, hi: int, q: Fraction) -> int:
     """
     if not isinstance(m, sm.WeightedSum):
         v = _phi_interval(m, lo, hi)
-        return (v > q) - (v < q)
+        d = v.numerator * q.denominator - q.numerator * v.denominator
+        return (d > 0) - (d < 0)
     if m.cap < q:
         return -1
     # scale * S >= q  <=>  per * S >= need
