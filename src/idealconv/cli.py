@@ -37,6 +37,9 @@ EXIT_UNDECIDED = 2
 EXIT_HYPOTHESIS = 3
 EXIT_AUDIT = 4
 
+# the largest horizon a run may ask for: MemberSupply's default scan limit
+MAX_HORIZON = 1 << 24
+
 HEURISTIC_BANNER = ("HEURISTIC: sampled maps estimate frequencies only; "
                     "topological largeness is not a sampling property")
 
@@ -76,6 +79,9 @@ class RunConfig:
             if getattr(self, name) < 0 or (name in ("horizon", "radii")
                                            and getattr(self, name) < 1):
                 raise ValueError(f"{name} must be positive")
+        if self.horizon > MAX_HORIZON:
+            raise ValueError(f"horizon {self.horizon} exceeds the limit of "
+                             f"{MAX_HORIZON}")
         for name in ("pitch", "theta", "q"):
             if Fraction(getattr(self, name)) <= 0:
                 raise ValueError(f"{name} must be positive")

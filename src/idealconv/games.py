@@ -106,14 +106,46 @@ class GameTranscript:
                 "horizon": self.horizon}
 
 
+def _least_escape_length(m: sm.Lscsm, n1: int, q: Fraction,
+                         cap: int) -> Optional[int]:
+    """Least L <= cap with phi([n1, n1 + L)) > q, or None.
+
+    The mass depends only on the positions, never on the values drawn, and
+    grows with L, so galloping up to a passing length and bisecting below it
+    finds the least one.
+    """
+    if cap < 1:
+        return None
+    lo, hi = 1, 1
+    while _interval_mass_cmp(m, n1, n1 + hi, q) <= 0:
+        if hi >= cap:
+            return None
+        lo, hi = hi + 1, min(2 * hi, cap)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _interval_mass_cmp(m, n1, n1 + mid, q) > 0:
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
 def _draw_until_mass(state: GameState, supply: MemberSupply, q: Fraction,
                      m: sm.Lscsm, horizon: int) -> tuple[list[int], Fraction]:
-    """Append fresh neighborhood members until the filled interval's phi
-    mass exceeds q; exact mass of the final interval is returned."""
+    """Fill the next positions with fresh neighborhood members, increasing
+    and above the state's floor, until the filled interval's phi mass
+    exceeds q, and return them with that interval's exact mass.
+
+    The length is fixed before any value is drawn: the least one whose mass
+    exceeds q.  Values lie in (floor, horizon], so at most horizon - floor
+    fit; when no length up to that cap suffices, values are drawn until the
+    supply or the horizon runs out.  Running out raises SupplyExhausted.
+    """
     n1 = state.next_position()
     floor = state.floor()
+    length = _least_escape_length(m, n1, q, horizon - floor)
     vals: list[int] = []
-    while True:
+    while length is None or len(vals) < length:
         try:
             floor = supply.next_after(floor)
         except ExhaustedA:
@@ -123,8 +155,7 @@ def _draw_until_mass(state: GameState, supply: MemberSupply, q: Fraction,
         if state.kind == "pi" and floor in state.used:
             continue
         vals.append(floor)
-        if _interval_mass_cmp(m, n1, n1 + len(vals), q) > 0:
-            return vals, _phi_interval(m, n1, n1 + len(vals))
+    return vals, _phi_interval(m, n1, n1 + length)
 
 
 def escape_extension(state: GameState, x: SequenceSpec, ell, k: int,

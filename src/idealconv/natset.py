@@ -62,17 +62,27 @@ class BlockPartition:
         if self._iota and self._iota[0] < 1:
             raise ValueError("iota(1) must be >= 1")
 
+    def _extend(self, count: int, above: int = 0) -> None:
+        """Materialize boundaries until there are at least ``count`` and the
+        last one exceeds ``above``, one at a time and no further."""
+        iota, fn = self._iota, self._fn
+        n = len(iota)
+        last = iota[-1] if iota else 0
+        while n < count or last <= above:
+            if fn is None:
+                raise HorizonExceeded(f"partition prefix ends at block {n}")
+            n += 1
+            nxt = int(fn(n))
+            if iota and nxt <= last:
+                raise ValueError("generator produced non-increasing boundary")
+            iota.append(nxt)
+            last = nxt
+
     def iota(self, n: int) -> int:
         if n < 1:
             raise ValueError("block indices start at 1")
-        while len(self._iota) < n:
-            if self._fn is None:
-                raise HorizonExceeded(
-                    f"partition prefix ends at block {len(self._iota)}")
-            nxt = int(self._fn(len(self._iota) + 1))
-            if self._iota and nxt <= self._iota[-1]:
-                raise ValueError("generator produced non-increasing boundary")
-            self._iota.append(nxt)
+        if len(self._iota) < n:
+            self._extend(n)
         return self._iota[n - 1]
 
     def block(self, n: int) -> tuple[int, int]:
@@ -111,6 +121,45 @@ class BlockPartition:
                 yield n, lo, hi
         except HorizonExceeded:
             return
+
+    def materialized_past(self, limit: int, count: int = 1) -> bool:
+        """Whether at least ``count`` boundaries are materialized and the
+        last of them exceeds ``limit``."""
+        return len(self._iota) >= count and self._iota[-1] > limit
+
+    def boundaries(self, limit: int, start: int = 1,
+                   within: bool = False) -> np.ndarray:
+        """Boundaries of the blocks the walk ``blocks(limit, start)`` yields,
+        or ``blocks_within(limit, start)`` when ``within``, as one array b:
+        block start + i is [b[i], b[i + 1]), and len(b) - 1 blocks were
+        walked (none when len(b) <= 1).  The array is int64, or holds Python
+        ints when limit reaches 2^62.
+
+        Materializes exactly the boundaries that walk materializes, and an
+        explicit prefix raises HorizonExceeded where blocks() would.  In the
+        blocks() form the last hi, which may lie far past limit, is clipped
+        to limit + 1: no prefix of length limit sees beyond it.
+        """
+        iota = self._iota
+        dtype = np.int64 if limit < 1 << 62 else object
+        if within:
+            # the walk stops at the first block n >= start with hi - 1 > limit,
+            # having materialized that hi; an explicit prefix just ends it
+            try:
+                self._extend(start + 1, limit + 1)
+            except HorizonExceeded:
+                pass
+            stop = min(max(start + 1, bisect_right(iota, limit + 1) + 1),
+                       len(iota) + 1) - 1
+            return np.array(iota[start - 1:stop], dtype=dtype)
+        # the walk stops at the first block n >= start with lo > limit,
+        # having materialized its hi
+        self._extend(start, limit)
+        stop = max(start, bisect_right(iota, limit) + 1)
+        self.iota(stop + 1)
+        out = iota[start - 1:stop]
+        out[-1] = min(out[-1], limit + 1)
+        return np.array(out, dtype=dtype)
 
     def max_block_singleton(self) -> bool:
         """True for the degenerate partition whose blocks are all singletons."""
@@ -187,6 +236,11 @@ class BlockSelector:
     def selects(self, n: int) -> Optional[bool]:
         raise NotImplementedError
 
+    def selects_array(self, n: int) -> np.ndarray:
+        """selects(1..n) as a boolean array; raises HorizonExceeded when any
+        of them is undecided."""
+        raise NotImplementedError
+
     def is_infinite(self) -> Optional[bool]:
         raise NotImplementedError
 
@@ -210,6 +264,9 @@ class AllBlocks(BlockSelector):
     def selects(self, n: int) -> Optional[bool]:
         return True
 
+    def selects_array(self, n: int) -> np.ndarray:
+        return np.ones(n, dtype=bool)
+
     def is_infinite(self) -> Optional[bool]:
         return True
 
@@ -229,6 +286,11 @@ class EveryKth(BlockSelector):
     def selects(self, n: int) -> Optional[bool]:
         return n % self.k == 0
 
+    def selects_array(self, n: int) -> np.ndarray:
+        out = np.zeros(n, dtype=bool)
+        out[self.k - 1::self.k] = True
+        return out
+
     def is_infinite(self) -> Optional[bool]:
         return True
 
@@ -244,6 +306,9 @@ class IndexSet(BlockSelector):
 
     def selects(self, n: int) -> Optional[bool]:
         return self.indices.member(n)
+
+    def selects_array(self, n: int) -> np.ndarray:
+        return self.indices.prefix(n) if n else np.zeros(0, dtype=bool)
 
     def is_infinite(self) -> Optional[bool]:
         return self.indices.is_infinite()
@@ -547,10 +612,22 @@ class BlockUnion(NatSet):
     def prefix(self, horizon: int) -> np.ndarray:
         horizon = _check_horizon(horizon)
         bits = np.zeros(horizon, dtype=bool)
-        if self.partition.iota(1) > horizon:
+        first = self.partition.iota(1)
+        if first > horizon:
             return bits
-        for lo, hi in self._selected_blocks(horizon):
-            bits[lo - 1:min(hi - 1, horizon)] = True
+        known = len(self.partition._iota)
+        b = self.partition.boundaries(horizon)
+        try:
+            chosen = self.selector.selects_array(b.size - 1)
+        except HorizonExceeded:
+            # the walk raises at the first undecided block, having
+            # materialized boundaries only that far: drop the ones added
+            # above (a generator recomputes them on demand) and walk
+            del self.partition._iota[known:]
+            for lo, hi in self._selected_blocks(horizon):
+                bits[lo - 1:min(hi - 1, horizon)] = True
+            return bits
+        bits[first - 1:] = np.repeat(chosen, np.diff(b))
         return bits
 
     def count_up_to(self, horizon: int) -> int:

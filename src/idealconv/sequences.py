@@ -13,6 +13,7 @@ q-level sets, and two-route convergence checking.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -29,6 +30,7 @@ Point = tuple[Fraction, ...]
 CLUSTER = "cluster"
 NOT_CLUSTER = "not-cluster"
 UNDECIDED = "undecided"
+MAX_GRID_POINTS = 1 << 20       # candidate grids larger than this are refused
 
 
 class NotAnalyticP(Exception):
@@ -289,14 +291,15 @@ def candidate_grid(x: SequenceSpec, params: AnalysisParams,
     if x.alphabet is not None:
         out = list(x.alphabet.letters)
     else:
-        box = x.sample_box(params.horizon)
-        axes = []
-        for lo, hi in box:
-            lo = max(lo, -x.bound)
-            hi = min(hi, x.bound)
-            start = (lo / params.pitch).__floor__()
-            stop = (hi / params.pitch).__ceil__()
-            axes.append([params.pitch * k for k in range(start, stop + 1)])
+        spans = [((max(lo, -x.bound) / params.pitch).__floor__(),
+                  (min(hi, x.bound) / params.pitch).__ceil__())
+                 for lo, hi in x.sample_box(params.horizon)]
+        size = math.prod(stop - start + 1 for start, stop in spans)
+        if size > MAX_GRID_POINTS:
+            raise ValueError(f"candidate grid of {size} points exceeds the "
+                             f"limit of {MAX_GRID_POINTS}; raise --pitch")
+        axes = [[params.pitch * k for k in range(start, stop + 1)]
+                for start, stop in spans]
         out = [()]
         for axis in axes:
             out = [p + (v,) for p in out for v in axis]

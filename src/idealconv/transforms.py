@@ -407,7 +407,8 @@ class MemberSupply:
             self._sym = indicator_set(x, self.center, self.eps, 1)
             self._iter = ns.iter_members(self._sym, 1)
         else:
-            self._bits = np.zeros(0, dtype=bool)
+            self._scanned = 0           # hit bits known for [1, _scanned]
+            self._members = np.zeros(0, dtype=np.int64)
             self._pos = 0
 
     def symbolic(self) -> Optional[ns.NatSet]:
@@ -426,16 +427,18 @@ class MemberSupply:
             return v
         pos = max(self._pos, floor)
         while True:
-            if pos >= self._bits.size:
-                new_size = max(1 << 12, 2 * self._bits.size, pos + 1)
+            if pos >= self._scanned:
+                new_size = max(1 << 12, 2 * self._scanned, pos + 1)
                 if new_size > self.scan_limit:
                     raise ExhaustedA(f"supply scan limit {self.scan_limit} hit")
-                self._bits = self.x.hit_bits(self.center, self.eps, new_size)
-            nxt = np.flatnonzero(self._bits[pos:])
-            if nxt.size:
-                self._pos = pos + int(nxt[0]) + 1
+                bits = self.x.hit_bits(self.center, self.eps, new_size)
+                self._scanned = bits.size
+                self._members = np.flatnonzero(bits) + 1
+            i = int(np.searchsorted(self._members, pos, side="right"))
+            if i < self._members.size:
+                self._pos = int(self._members[i])
                 return self._pos
-            pos = self._bits.size
+            pos = self._scanned
 
 
 # ---------------------------------------------------------------------------

@@ -256,3 +256,25 @@ def test_add_mode_without_close_hits_exits_3(tmp_path, capsys):
         assert err["error"] == "hypothesis-failed"
         assert "1/3" in err["detail"]
         assert not Path(f"{out}.json").exists()
+
+
+def test_oversized_candidate_grid_exits_one(tmp_path, capsys):
+    # rationals fill [0, 1]: pitch 2^-21 asks for 2^21 + 1 candidates
+    out = tmp_path / "grid"
+    assert run(["analyze", "--seq", "rationals", "--ideal", "Z",
+                "--horizon", "1024", "--pitch", "1/2097152",
+                "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert "2097153 points" in err["detail"] and "1048576" in err["detail"]
+    assert not Path(f"{out}.json").exists()
+
+
+def test_oversized_horizon_exits_one(tmp_path, capsys):
+    out = tmp_path / "big"
+    assert run(["witness", "build", "--ideal", "Z", "--horizon", "16777217",
+                "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert "horizon 16777217" in err["detail"] and "16777216" in err["detail"]
+    assert not Path(f"{out}.json").exists()
