@@ -192,21 +192,10 @@ def build_witness(handle: IdealHandle, q: Fraction,
     if rule == "row-coverage":
         return w        # certified by construction, nothing materialized
     # materialize and certify the blocks inside the horizon
-    if rule == "density-ratio" or isinstance(handle.lscsm, sm.CountingCap):
-        b = w.boundaries(horizon, within=True)
-        lo, hi = b[:-1], b[1:]
-        if rule == "density-ratio":
-            # (hi - lo) / hi >= q, cross-multiplied; Python ints once the
-            # products could leave int64
-            if (horizon + 1) * max(q.numerator, q.denominator) >= 1 << 63:
-                lo, hi = lo.astype(object), hi.astype(object)
-            ok = (hi - lo) * q.denominator >= q.numerator * hi
-        else:
-            ok = hi > lo        # a non-empty block has counting mass 1 >= q
-        bad = np.flatnonzero(~ok)
-        if bad.size:
-            i = int(bad[0])
-            raise WitnessRefuted(f"block {i + 1} = [{lo[i]}, {hi[i]}) fails {w.rule}")
+    if isinstance(handle.lscsm, sm.CountingCap):
+        # singleton blocks, each of counting mass 1 >= q: materialize them
+        # as the walk below would, without a per-block check
+        w.boundaries(horizon, within=True)
         return w
     for n, lo, hi in w.blocks_within(horizon):
         if not w.certify_block(n, handle.lscsm):
@@ -317,25 +306,20 @@ def fk_holds(w: ns.BlockPartition, s: ns.NatSet, k: int,
 
     eff = _decidable_horizon(s, horizon)
     bits = s.prefix(eff)
+    counts = np.cumsum(bits, dtype=np.int64)
+
+    def contained(lo: int, hi: int) -> bool:
+        total = int(counts[hi - 2]) - (int(counts[lo - 2]) if lo >= 2 else 0)
+        return total == hi - lo
 
     if w.max_block_singleton():
         start = w.iota(k)
         if start <= eff and bool(bits[start - 1:].any()):
             return False
     else:
-        # counts[i] = |s ∩ [1, i]|; block [lo, hi) is contained when it
-        # holds hi - lo members
-        counts = np.concatenate(([0], np.cumsum(bits, dtype=np.int64)))
-        if w.materialized_past(eff + 1, k + 1):
-            # the walk would read known boundaries only: test all at once
-            b = w.boundaries(eff, start=k, within=True)
-            if bool(np.any(counts[b[1:] - 1] - counts[b[:-1] - 1] == np.diff(b))):
+        for n, lo, hi in w.blocks_within(eff, start=k):
+            if contained(lo, hi):
                 return False
-        else:
-            # the walk materializes as it goes and stops at a contained block
-            for n, lo, hi in w.blocks_within(eff, start=k):
-                if counts[hi - 1] - counts[lo - 1] == hi - lo:
-                    return False
 
     if late is False:
         return True

@@ -122,18 +122,11 @@ class BlockPartition:
         except HorizonExceeded:
             return
 
-    def materialized_past(self, limit: int, count: int = 1) -> bool:
-        """Whether at least ``count`` boundaries are materialized and the
-        last of them exceeds ``limit``."""
-        return len(self._iota) >= count and self._iota[-1] > limit
-
-    def boundaries(self, limit: int, start: int = 1,
-                   within: bool = False) -> np.ndarray:
-        """Boundaries of the blocks the walk ``blocks(limit, start)`` yields,
-        or ``blocks_within(limit, start)`` when ``within``, as one array b:
-        block start + i is [b[i], b[i + 1]), and len(b) - 1 blocks were
-        walked (none when len(b) <= 1).  The array is int64, or holds Python
-        ints when limit reaches 2^62.
+    def boundaries(self, limit: int, within: bool = False) -> np.ndarray:
+        """Boundaries of the blocks the walk ``blocks(limit)`` yields, or
+        ``blocks_within(limit)`` when ``within``, as one array b: block
+        i + 1 is [b[i], b[i + 1]), and len(b) - 1 blocks were walked (none
+        when len(b) <= 1).  A boundary past int64 raises OverflowError.
 
         Materializes exactly the boundaries that walk materializes, and an
         explicit prefix raises HorizonExceeded where blocks() would.  In the
@@ -141,25 +134,23 @@ class BlockPartition:
         to limit + 1: no prefix of length limit sees beyond it.
         """
         iota = self._iota
-        dtype = np.int64 if limit < 1 << 62 else object
         if within:
-            # the walk stops at the first block n >= start with hi - 1 > limit,
-            # having materialized that hi; an explicit prefix just ends it
+            # the walk stops at the first block with hi - 1 > limit, having
+            # materialized that hi; an explicit prefix just ends it
             try:
-                self._extend(start + 1, limit + 1)
+                self._extend(2, limit + 1)
             except HorizonExceeded:
                 pass
-            stop = min(max(start + 1, bisect_right(iota, limit + 1) + 1),
-                       len(iota) + 1) - 1
-            return np.array(iota[start - 1:stop], dtype=dtype)
-        # the walk stops at the first block n >= start with lo > limit,
-        # having materialized its hi
-        self._extend(start, limit)
-        stop = max(start, bisect_right(iota, limit) + 1)
+            stop = min(max(1, bisect_right(iota, limit + 1)), len(iota))
+            return np.array(iota[:stop], dtype=np.int64)
+        # the walk stops at the first block with lo > limit, having
+        # materialized its hi
+        self._extend(1, limit)
+        stop = max(1, bisect_right(iota, limit) + 1)
         self.iota(stop + 1)
-        out = iota[start - 1:stop]
+        out = iota[:stop]
         out[-1] = min(out[-1], limit + 1)
-        return np.array(out, dtype=dtype)
+        return np.array(out, dtype=np.int64)
 
     def max_block_singleton(self) -> bool:
         """True for the degenerate partition whose blocks are all singletons."""
@@ -616,11 +607,12 @@ class BlockUnion(NatSet):
         if first > horizon:
             return bits
         known = len(self.partition._iota)
-        b = self.partition.boundaries(horizon)
         try:
+            b = self.partition.boundaries(horizon)
             chosen = self.selector.selects_array(b.size - 1)
         except HorizonExceeded:
-            # the walk raises at the first undecided block, having
+            # the walk raises at the first undecided block or at the end of
+            # an explicit prefix, whichever it meets first, having
             # materialized boundaries only that far: drop the ones added
             # above (a generator recomputes them on demand) and walk
             del self.partition._iota[known:]

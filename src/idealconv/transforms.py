@@ -407,8 +407,7 @@ class MemberSupply:
             self._sym = indicator_set(x, self.center, self.eps, 1)
             self._iter = ns.iter_members(self._sym, 1)
         else:
-            self._scanned = 0           # hit bits known for [1, _scanned]
-            self._members = np.zeros(0, dtype=np.int64)
+            self._bits = np.zeros(0, dtype=bool)
             self._pos = 0
 
     def symbolic(self) -> Optional[ns.NatSet]:
@@ -427,18 +426,18 @@ class MemberSupply:
             return v
         pos = max(self._pos, floor)
         while True:
-            if pos >= self._scanned:
-                new_size = max(1 << 12, 2 * self._scanned, pos + 1)
+            if pos >= self._bits.size:
+                new_size = max(1 << 12, 2 * self._bits.size, pos + 1)
                 if new_size > self.scan_limit:
                     raise ExhaustedA(f"supply scan limit {self.scan_limit} hit")
-                bits = self.x.hit_bits(self.center, self.eps, new_size)
-                self._scanned = bits.size
-                self._members = np.flatnonzero(bits) + 1
-            i = int(np.searchsorted(self._members, pos, side="right"))
-            if i < self._members.size:
-                self._pos = int(self._members[i])
+                self._bits = self.x.hit_bits(self.center, self.eps, new_size)
+            # argmax stops at the first hit, so a call reads only the bits
+            # up to the member it returns (or, finding none, to the end)
+            i = pos + int(np.argmax(self._bits[pos:]))
+            if self._bits[i]:
+                self._pos = i + 1
                 return self._pos
-            pos = self._scanned
+            pos = self._bits.size
 
 
 # ---------------------------------------------------------------------------

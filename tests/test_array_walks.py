@@ -1,13 +1,14 @@
 """The array walks against the per-block and per-value loops they replaced.
 
-``BlockUnion.prefix``, ``build_witness`` and ``fk_holds`` read a partition's
-boundaries as one int64 array; the game escape move fixes its length by
-galloping and bisection before it draws; ``MemberSupply.next_after`` steps
-through the member positions of each bitmap refresh.  The references below
-are the earlier loops, one Python step per block or value.  Each comparison
-checks the result or the exception text, and also which boundaries the call
-materialized: a partition's JSON lists whatever is materialized, so one
-boundary more or fewer would change witness bytes.
+``BlockUnion.prefix`` and the singleton (``fin``) branch of ``build_witness``
+read a partition's boundaries as one int64 array; the game escape move fixes
+its length by galloping and bisection before it draws;
+``MemberSupply.next_after`` finds the next hit with an ``argmax`` that stops
+at it.  The references below are the earlier loops, one Python step per
+block or value.  Each comparison checks the result or the exception text,
+and also which boundaries the call materialized: a partition's JSON lists
+whatever is materialized, so one boundary more or fewer would change witness
+bytes.
 """
 
 import hashlib
@@ -24,10 +25,8 @@ from idealconv.cli import main
 from idealconv.games import GameState, GameTarget, SupplyExhausted, run_game
 from idealconv.ideals import builtin
 from idealconv.meager import (WitnessIntervals, WitnessRefuted,
-                              _contains_late_block_certified,
-                              _decidable_horizon, _min_late_block_length,
-                              _never_two_consecutive, _phi_interval,
-                              _interval_mass_cmp, build_witness, fk_holds)
+                              _interval_mass_cmp, _phi_interval,
+                              build_witness)
 from idealconv.sequences import RadiusSchedule
 from idealconv.transforms import ExhaustedA, MemberSupply
 
@@ -56,36 +55,6 @@ def ref_certify(w: WitnessIntervals, lscsm, horizon: int) -> WitnessIntervals:
         if not w.certify_block(n, lscsm):
             raise WitnessRefuted(f"block {n} = [{lo}, {hi}) fails {w.rule}")
     return w
-
-
-def ref_fk_holds(w, s, k, horizon):
-    late = _contains_late_block_certified(w, s, k)
-    if late is True:
-        return False
-    eff = _decidable_horizon(s, horizon)
-    bits = s.prefix(eff)
-    counts = np.cumsum(bits, dtype=np.int64)
-
-    def contained(lo, hi):
-        total = int(counts[hi - 2]) - (int(counts[lo - 2]) if lo >= 2 else 0)
-        return total == hi - lo
-
-    if w.max_block_singleton():
-        start = w.iota(k)
-        if start <= eff and bool(bits[start - 1:].any()):
-            return False
-    else:
-        for n, lo, hi in w.blocks_within(eff, start=k):
-            if contained(lo, hi):
-                return False
-    if late is False:
-        return True
-    bound = ns.finite_upper_bound(s)
-    if s.is_infinite() is False and bound is not None and bound <= eff:
-        return True
-    if _never_two_consecutive(s, eff) and _min_late_block_length(w, eff) >= 2:
-        return True
-    return None
 
 
 def ref_draw_until_mass(state, supply, q, m, horizon):
@@ -196,17 +165,34 @@ def test_block_union_prefix_matches_walk(tag, selector, horizon, twice):
         assert materialized(new) == materialized(old)
 
 
+@pytest.mark.parametrize("known_bits", [3, 6, 7, 8])
+@pytest.mark.parametrize("horizon", [1000, 5000, 20000])
+def test_block_union_prefix_raises_where_the_walk_does(known_bits, horizon):
+    # the explicit prefix ends at block 8 and the bitmap selector is
+    # undecided from block known_bits + 1 on: the walk meets whichever
+    # comes first, and the array form must raise the same text
+    old, new = fresh(None), fresh(None)
+    selector = ns.IndexSet(ns.PrefixBitmap([True] * known_bits))
+    want = outcome(lambda: ref_prefix(ns.BlockUnion(old, selector), horizon))
+    got = outcome(lambda: ns.BlockUnion(new, selector).prefix(horizon))
+    if want[0] == "ok":
+        assert got[0] == "ok" and got[1].tolist() == want[1].tolist()
+    else:
+        assert got == want
+    assert materialized(new) == materialized(old)
+
+
 @settings(max_examples=150)
-@given(tags, horizons, st.integers(1, 24), st.booleans())
-def test_boundaries_mirror_walks(tag, limit, start, within):
+@given(tags, horizons, st.booleans())
+def test_boundaries_mirror_walks(tag, limit, within):
     old, new = fresh(tag), fresh(tag)
     walk = old.blocks_within if within else old.blocks
-    want = outcome(lambda: list(walk(limit, start)))
-    got = outcome(lambda: new.boundaries(limit, start, within))
+    want = outcome(lambda: list(walk(limit)))
+    got = outcome(lambda: new.boundaries(limit, within))
     if want[0] == "ok":
         b = got[1]
         assert got[0] == "ok" and b.dtype == np.int64
-        assert [(start + i, int(b[i]), int(b[i + 1]))
+        assert [(i + 1, int(b[i]), int(b[i + 1]))
                 for i in range(b.size - 1)] == [
             (n, lo, min(hi, limit + 1)) for n, lo, hi in want[1]]
     else:
@@ -214,27 +200,18 @@ def test_boundaries_mirror_walks(tag, limit, start, within):
     assert materialized(new) == materialized(old)
 
 
-@pytest.mark.parametrize("tag", [{"kind": "pow2"}, {"kind": "valuation-cover"},
-                                 {"kind": "geometric", "ratio": "5"}])
 @pytest.mark.parametrize("within", [False, True])
-def test_boundaries_past_int64_hold_python_ints(tag, within):
-    old, new = fresh(tag), fresh(tag)
-    limit = 1 << 70
-    walk = old.blocks_within if within else old.blocks
-    b = new.boundaries(limit, 1, within)
-    assert b.dtype == object
-    assert list(zip(b[:-1], b[1:])) == [(lo, min(hi, limit + 1))
-                                        for _, lo, hi in walk(limit)]
-    assert materialized(new) == materialized(old)
+def test_boundaries_past_int64_raise(within):
+    with pytest.raises(OverflowError):
+        fresh({"kind": "pow2"}).boundaries(1 << 70, within)
 
 
 # ---------------------------------------------------------------------------
 # Witness certification
 # ---------------------------------------------------------------------------
 
-WITNESS_CASES = [("fin", F(1, 2)), ("fin", F(1, 5)), ("Z", F(1, 2)),
-                 ("Z", F(1, 3)), ("Z", F(2 ** 61 - 1, 2 ** 62)),
-                 ("summable", F(1, 2)), ("gdi", F(1, 3))]
+WITNESS_CASES = [("fin", F(1, 2)), ("fin", F(1, 5)), ("fin", F(9, 10)),
+                 ("Z", F(1, 3)), ("summable", F(1, 2))]
 
 
 @settings(max_examples=60)
@@ -247,54 +224,6 @@ def test_build_witness_matches_per_block_certification(case, horizon):
     ref_certify(again, handle.lscsm, horizon)
     assert materialized(w) == materialized(again)
     assert w.dumps() == again.dumps()
-
-
-@pytest.mark.parametrize("ratio", ["3/2", "5/4"])
-def test_refuted_density_block_names_the_same_block(monkeypatch, ratio):
-    # a geometric partition with ratio below 2 fails the density ratio 1/2
-    tagged = ns.partition_from_tag
-    bad = lambda tag: tagged({"kind": "geometric", "ratio": ratio})
-    want = outcome(lambda: ref_certify(
-        WitnessIntervals("density-ratio", F(1, 2), bad(None)), None, 4096))
-    monkeypatch.setattr(ns, "partition_from_tag", bad)
-    got = outcome(lambda: build_witness(builtin("Z"), F(1, 2), 4096))
-    assert want[0] == "WitnessRefuted" and got == want
-
-
-member_sets = st.one_of(
-    st.builds(ns.Finite, st.lists(st.integers(1, 1 << 14), max_size=8)),
-    st.builds(ns.Cofinite, small_sets),
-    st.builds(ns.Progression, st.integers(1, 9), st.integers(1, 4)),
-    st.builds(ns.PowersOf, st.integers(2, 3)),
-    st.builds(lambda bits: ns.PrefixBitmap(bits),
-              st.lists(st.booleans(), min_size=1, max_size=300)),
-    st.builds(lambda m, a: ns.Union((ns.Finite(m), ns.Progression(a, 2))),
-              small_sets, st.integers(1, 4)),
-)
-
-
-@settings(max_examples=200)
-@given(tags, member_sets, st.integers(1, 20), horizons, st.integers(0, 30))
-def test_fk_holds_matches_block_walk(tag, s, k, horizon, known):
-    old = WitnessIntervals("phi-block", F(1, 2), fresh(tag))
-    new = WitnessIntervals("phi-block", F(1, 2), fresh(tag))
-    for w in (old, new):
-        # boundaries an earlier call left materialized, if any
-        outcome(lambda: w.iota(known) if known else None)
-    want = outcome(lambda: ref_fk_holds(old, s, k, horizon))
-    got = outcome(lambda: fk_holds(new, s, k, horizon))
-    assert got == want
-    assert materialized(new) == materialized(old)
-
-
-def test_fk_holds_sees_a_contained_block_union():
-    w = build_witness(builtin("Z"), F(1, 2), 1 << 12)
-    for k in range(1, 9):
-        s = ns.Union((ns.Finite([2 ** k, 2 ** k + 1]),
-                      ns.BlockUnion(ns.partition_from_tag({"kind": "pow2"}),
-                                    ns.IndexSet(ns.Finite([k + 3])))))
-        assert fk_holds(w, s, k, 1 << 12) is False
-        assert ref_fk_holds(w, s, k, 1 << 12) is False
 
 
 # ---------------------------------------------------------------------------
