@@ -13,6 +13,7 @@ points; add: ell not a limit point), 4 internal audit failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -284,7 +285,10 @@ def cmd_ideals_list(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argparse tree, built on the first call and shared by later ones
+    (parse_args returns a fresh namespace each time)."""
     p = _Parser(prog="idealconv",
                 description="ideal convergence analysis at desk scale")
     p.add_argument("--config", help="JSON config file; flags override it")

@@ -189,13 +189,9 @@ def build_witness(handle: IdealHandle, q: Fraction,
                 if isinstance(handle.lscsm, sm.CountingCap)
                 else _phi_search_partition(handle, q))
     w = WitnessIntervals(rule, q, part)
-    if rule == "row-coverage":
-        return w        # certified by construction, nothing materialized
-    # materialize and certify the blocks inside the horizon
-    if isinstance(handle.lscsm, sm.CountingCap):
-        # singleton blocks, each of counting mass 1 >= q: materialize them
-        # as the walk below would, without a per-block check
-        w.boundaries(horizon, within=True)
+    if rule == "row-coverage" or isinstance(handle.lscsm, sm.CountingCap):
+        # certified by construction: row coverage, or singleton blocks of
+        # counting mass 1 >= q
         return w
     for n, lo, hi in w.blocks_within(horizon):
         if not w.certify_block(n, handle.lscsm):

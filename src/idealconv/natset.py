@@ -41,9 +41,10 @@ def _as_sorted_tuple(values) -> tuple[int, ...]:
 
 class BlockPartition:
     """Strictly increasing boundaries iota(1) < iota(2) < ...; block n is
-    ``[iota(n), iota(n+1))``.  Boundaries come from a generator function or,
-    for deserialized partitions, from an explicit prefix only — queries past
-    an explicit prefix raise :class:`HorizonExceeded`.
+    ``[iota(n), iota(n+1))``.  Boundaries come from a generator function,
+    which the tag names so that JSON can rebuild it, or from an explicit
+    prefix only — queries past an explicit prefix raise
+    :class:`HorizonExceeded`.
     """
 
     def __init__(self, fn: Optional[Callable[[int], int]] = None,
@@ -56,6 +57,8 @@ class BlockPartition:
         self.lengths_unbounded = lengths_unbounded
         if fn is None and len(self._iota) < 2:
             raise ValueError("partition needs a generator or >= 2 boundaries")
+        if fn is not None and tag is None:
+            raise ValueError("a generator partition needs a tag")
         for a, b in zip(self._iota, self._iota[1:]):
             if b <= a:
                 raise ValueError("boundaries must be strictly increasing")
@@ -122,32 +125,18 @@ class BlockPartition:
         except HorizonExceeded:
             return
 
-    def boundaries(self, limit: int, within: bool = False) -> np.ndarray:
-        """Boundaries of the blocks the walk ``blocks(limit)`` yields, or
-        ``blocks_within(limit)`` when ``within``, as one array b: block
-        i + 1 is [b[i], b[i + 1]), and len(b) - 1 blocks were walked (none
-        when len(b) <= 1).  A boundary past int64 raises OverflowError.
-
-        Materializes exactly the boundaries that walk materializes, and an
-        explicit prefix raises HorizonExceeded where blocks() would.  In the
-        blocks() form the last hi, which may lie far past limit, is clipped
-        to limit + 1: no prefix of length limit sees beyond it.
+    def boundaries(self, limit: int) -> np.ndarray:
+        """Boundaries of the blocks ``blocks(limit)`` yields, as one array b:
+        block i + 1 is [b[i], b[i + 1]), and len(b) - 1 blocks were walked
+        (none when len(b) <= 1).  The last hi, which may lie far past limit,
+        is clipped to limit + 1: no prefix of length limit sees beyond it.
+        An explicit prefix raises HorizonExceeded where blocks() would, and a
+        boundary past int64 raises OverflowError.
         """
         iota = self._iota
-        if within:
-            # the walk stops at the first block with hi - 1 > limit, having
-            # materialized that hi; an explicit prefix just ends it
-            try:
-                self._extend(2, limit + 1)
-            except HorizonExceeded:
-                pass
-            stop = min(max(1, bisect_right(iota, limit + 1)), len(iota))
-            return np.array(iota[:stop], dtype=np.int64)
-        # the walk stops at the first block with lo > limit, having
-        # materialized its hi
         self._extend(1, limit)
         stop = max(1, bisect_right(iota, limit) + 1)
-        self.iota(stop + 1)
+        self.iota(stop + 1)     # blocks() reads the block past the limit
         out = iota[:stop]
         out[-1] = min(out[-1], limit + 1)
         return np.array(out, dtype=np.int64)
@@ -161,14 +150,13 @@ class BlockPartition:
         return list(self._iota[:count])
 
     def to_json(self) -> dict:
-        # serialize only boundaries already materialized: extending a search-
-        # backed generator here could run far past any sensible horizon
-        shown = max(2, min(len(self._iota), 24))
-        body: dict = {"iota": self.boundary_prefix(shown)}
+        """The partition's definition: its generator tag, or for an explicit
+        partition its whole boundary list; never what has been materialized."""
         if self.tag is not None:
-            body["generator"] = self.tag
-        body["lengths_unbounded"] = self.lengths_unbounded
-        return body
+            return {"generator": self.tag,
+                    "lengths_unbounded": self.lengths_unbounded}
+        return {"iota": list(self._iota),
+                "lengths_unbounded": self.lengths_unbounded}
 
     @staticmethod
     def from_json(body: dict) -> "BlockPartition":
@@ -606,19 +594,8 @@ class BlockUnion(NatSet):
         first = self.partition.iota(1)
         if first > horizon:
             return bits
-        known = len(self.partition._iota)
-        try:
-            b = self.partition.boundaries(horizon)
-            chosen = self.selector.selects_array(b.size - 1)
-        except HorizonExceeded:
-            # the walk raises at the first undecided block or at the end of
-            # an explicit prefix, whichever it meets first, having
-            # materialized boundaries only that far: drop the ones added
-            # above (a generator recomputes them on demand) and walk
-            del self.partition._iota[known:]
-            for lo, hi in self._selected_blocks(horizon):
-                bits[lo - 1:min(hi - 1, horizon)] = True
-            return bits
+        b = self.partition.boundaries(horizon)
+        chosen = self.selector.selects_array(b.size - 1)
         bits[first - 1:] = np.repeat(chosen, np.diff(b))
         return bits
 

@@ -142,7 +142,13 @@ def rationals() -> SequenceSpec:
         p0, q0 = center[0].numerator, center[0].denominator
         e1, e2 = eps.numerator, eps.denominator
         p, q = num[:horizon], den[:horizon]
-        return np.abs(p * q0 - p0 * q) * e2 < e1 * q * q0
+        # 0 <= p <= q <= q[-1] (denominators never decrease), which bounds
+        # every product below; past int64 compare exactly in Python ints
+        qmax = int(q[-1])
+        if max(qmax * (abs(p0) + q0) * e2, e1 * qmax * q0) >= 1 << 63:
+            p, q = p.astype(object), q.astype(object)
+        hits = np.abs(p * q0 - p0 * q) * e2 < e1 * q * q0
+        return hits.astype(bool, copy=False)
 
     def batch(horizon: int) -> np.ndarray:
         num, den = _rational_enum(1 << max(12, horizon.bit_length()))

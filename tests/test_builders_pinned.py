@@ -6,7 +6,10 @@ and the selector filler walked positions one at a time.  Those bodies are
 kept below as references: the single filler of each kind, driven by the
 generic builders' routing, must produce the same tables and fills.  The
 sha256 pins are of ``BuildResult.to_json()`` as the builders returned it
-before the fillers, audits and routing tables were merged.
+before the fillers, audits and routing tables were merged; the two sigma
+pins were re-taken when a partition's JSON became its generator tag alone
+(each target's certified subset is a block union over a witness partition);
+with partition JSON removed, their outputs hash as before.
 """
 
 import hashlib
@@ -246,7 +249,7 @@ PINNED = {
         lambda: tr.cluster_adding_sigma(
             zoo.char_powers2(), (F(1),), Z,
             build_witness(Z, F(1, 2), 1 << 10), SMALL),
-        "e2e3b6e53fb6fce207c79b3081802e8a2d4517a49e760db1c568f977bcea4236"),
+        "6de6ff6697164d1369e15bba10e1d7228278f3f8194342ac45e5789477fb46a3"),
     "cluster_adding_pi": (
         lambda: tr.cluster_adding_pi(
             zoo.char_evens(), (F(0),), Z,
@@ -256,7 +259,7 @@ PINNED = {
         lambda: tr.cluster_preserving_sigma(
             zoo.get_sequence("cycle:0,1/2,1"), Z,
             build_witness(Z, F(1, 4), 1 << 14), SMALL),
-        "59001122db5ec9e038eb5c72bedd3201b4f4a29b8ae2bc022aca5a4aef3b273f"),
+        "98fad5e1e9f5c7fa2e6ce5ebcd677f2e2bcb5a7f4bb5ca6d1a40859fdf60e56e"),
     "cluster_preserving_pi": (
         lambda: tr.cluster_preserving_pi(
             zoo.char_evens(), Z, build_witness(Z, F(1, 4), 1 << 14), SMALL),

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from idealconv import cli
 from idealconv.cli import RunConfig, main
+from idealconv.meager import WitnessIntervals
 
 
 def run(args):
@@ -77,12 +79,36 @@ def test_analyze_convergence_mode(tmp_path):
     assert read(f"{out}.json")["reports"]["convergence"]["verdict"] == "converges"
 
 
+def test_parser_is_built_once_and_reused(tmp_path):
+    # each command's output through a reused parser equals its output from
+    # a first call, which builds the parser; the witness build sets options
+    # that ideals list leaves at their defaults
+    commands = [["witness", "build", "--ideal", "Z", "--q", "1/3",
+                 "--horizon", "4096", "--seed", "5"],
+                ["ideals", "list"]]
+
+    def output(i, name):
+        out = tmp_path / name
+        assert run(commands[i] + ["--out", str(out)]) == 0
+        return Path(f"{out}.json").read_text()
+
+    first = []
+    for i in range(len(commands)):
+        cli._build_parser.cache_clear()
+        first.append(output(i, f"first{i}"))
+    assert cli._build_parser.cache_info().misses == 1
+    for rep in range(2):
+        for i in range(len(commands)):
+            assert output(i, f"again{rep}{i}") == first[i]
+    assert cli._build_parser.cache_info().misses == 1
+
+
 def test_witness_build_and_verify(tmp_path):
     out = tmp_path / "w"
     assert run(["witness", "build", "--ideal", "Z", "--q", "1/2",
                 "--horizon", "1048576", "--out", str(out)]) == 0
     body = read(f"{out}.json")["witness"]
-    assert body["iota"][:4] == [2, 4, 8, 16]
+    assert WitnessIntervals.from_json(body).boundary_prefix(4) == [2, 4, 8, 16]
     assert body["rule"] == "density-ratio"
     vout = tmp_path / "v"
     assert run(["witness", "verify", "--ideal", "Z",

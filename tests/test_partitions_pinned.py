@@ -3,9 +3,11 @@
 Every walk over the blocks of a partition (block unions, the density family,
 witness construction and reloading) goes through ``BlockPartition.blocks``.
 The sha256 pins below were taken before those walks were merged into it, so
-they fix what the walks return, what they raise, and which boundaries they
-materialize: a partition's JSON lists every boundary materialized so far,
-and each case records that JSON after the call.
+they fix what the walks return and what they raise.  Each case also records
+the partition's JSON after the call.  That JSON is the partition's
+definition (its generator tag, or an explicit prefix in full), so it must
+not depend on what the walk has materialized; the tests at the end check
+that directly.
 """
 
 import hashlib
@@ -97,21 +99,21 @@ def block_union_observations(name):
 
 BLOCK_UNION_PINS = {
     "pow2":
-        "ee5c62f2699dd953b2c5ed4cba0efff8bb429e41d48c7a14edea46a16c587433",
+        "cd1fffded1afe82ff0eecdc30148c0b0b6a38dcdb4c759b5aefbbe48d9997940",
     "singletons":
-        "ab5a0bb0c8fd8d89e59f370fd30cde11766357cb3d9fbb8319d5df40609eef4f",
+        "0f0d1f510f861ac20d0c1fcb128839a959f6d0949e3c71b06b4ef3de88ee1c8b",
     "valuation-cover":
-        "ce844c71d97eebb71db662a6e452445f80e7a2f6ba73dbd77866f237cf806547",
+        "81fbaf870ec8ece8b54f094c7564417fa87790c0b8fe06ea31d45204ba4636c4",
     "geometric-2":
-        "858f7188b4d12396b7e239e82154f8c5c9d95a09a77a7af65f3c537f73b860bd",
+        "e5ba1f9dbde9bc0fc6a664d50da340148df0c8fcf70d552fb1a0f56c3f9fac24",
     "geometric-3/2":
-        "2f4709226075d73ef20a1886548e25cb183038169ecdc07abc7da4d3810aa56b",
+        "a9aac2744919c46b53099319b3b0620a26dabdc32fbe67c8ce532e60626222b8",
     "ratio-search":
-        "1d6a5ba429b4729d4f18177107676c957dcd5c2ff05dbdb225cc63f9a28fb9c9",
+        "4449c3a95a3ed357aada6dbc3ad47a9ed2eed6ec5b490785e70a3b1c8df685eb",
     "phi-search-summable":
-        "4ee321858402545edaf407465183633cf3d671477d324158b26027f81b6594ab",
+        "c7aadc610c6b9b97984bb410d64d7b6817e76954ca4090d93a4a6f10917fa2fd",
     "phi-search-gdi":
-        "e4c0a3ae975b94e406f4c0fd7afb894770c6ac2996853a84b95aa8086201bf21",
+        "60982ca6d373f9337fdfeb1a8116e4bb6fb9e41c91e277defa94722873176427",
     "explicit":
         "9d628105b5c8a6f55897e45afd1632e6a18479634d86f560cacebdef47f8648c",
 }
@@ -145,19 +147,19 @@ def witness_observations(case):
 
 WITNESS_PINS = {
     "fin":
-        "2f02a612a7f8cebba7539e5c5200bc42f2fac6acf26a10c4679fdecad38121d6",
+        "37e646c342a7cf6f63bf5b20e1f74ad7fe628739deb3ef4eaca48ea9c391f80a",
     "density-zero-1/2":
-        "3f5315b4003e8977c7d1bf236ef17202f131351a734419d106ca7ba0192627e7",
+        "43289469bb7eeb8911637dc854b2e12ed7145bfbf302b55ceddf4ea1069e8e91",
     "density-zero-1/3":
-        "e35f1b9b25805c24bdd6630e5315f45912612ac82ff8c64441fe6a1a93504704",
+        "2262886be72487a97f5c81236e2bffec8c534f2e3a8cbc445b1151aa6033dcb1",
     "summable":
-        "a0350e36d18f3646cb4429bfe99346b91602270e6f0347634e8988d0ce8277fa",
+        "529ec491e2d2c6a5e17cbad3089654bd7a1e209d83ccbfce3c965a6196815202",
     "gdi-1/2":
-        "2fea16b8f86de5464e73a5f2215cebe3c24c88431b616f6c54ff97cb07a4cd6c",
+        "2ee2ba41c994d84d4e8d654a2bf387f7ffff6b3a91ad215520041cf6312ac986",
     "gdi-1/4":
-        "51cb93b7d3b86505b1d087c6a0d7582b952507104d8d460155a2c9897f127ca9",
+        "31d162abba0caca85514d7d2bc3fcd4ca3cfe2fa872eb7176444127013d2391c",
     "fin-x-fin":
-        "a0634bb8d92a7f22f2ddeee2ef5897b807a1f4feaa18e0021f1a18cb7402e7fb",
+        "77e73dacc430951ddd89251dd71bdde48af075fbdcb747ba8e5a4d0bc3609719",
 }
 
 
@@ -201,9 +203,9 @@ def density_family_observations(m):
 
 DENSITY_FAMILY_PINS = {
     "gdi":
-        "252070a2bfcc69d38d27fa254b3a9a9d5b379c996bcb7c7ab77b7eb931525b93",
+        "6a325ab2680ffe4ecad8c5f28470007083ee8b7278ff176d76f96978fbf22d43",
     "headed":
-        "1eac4786cc1a96a327d1a8987ad29d4b49e4edde5866dbe7ee746a4c081e191c",
+        "014218cd8ec7a05a58841ffbf80a60c53fc6a231ee3132b21e68d9ebc067bea6",
 }
 
 
@@ -223,16 +225,18 @@ def round_trip_observations():
     loaded = again.to_json()
     blocks = list(again.blocks_within(4096))
     certified = [again.certify_block(n, summable.lscsm) for n, _, _ in blocks]
-    # the same witness without its generator: an explicit boundary prefix
-    explicit = WitnessIntervals.from_json(
-        {k: v for k, v in body.items() if k != "generator"})
+    # the same witness as an explicit boundary prefix: the blocks inside the
+    # horizon and the first block past it
+    explicit_body = {k: v for k, v in body.items() if k != "generator"}
+    explicit_body["iota"] = w.boundary_prefix(len(blocks) + 2)
+    explicit = WitnessIntervals.from_json(explicit_body)
     return [loaded, blocks, certified, again.to_json(),
             list(explicit.blocks_within(4096)), explicit.to_json(),
-            attempt(lambda: explicit.block(len(body["iota"])))]
+            attempt(lambda: explicit.block(len(explicit_body["iota"])))]
 
 
 ROUND_TRIP_PIN = (
-    "8ff9bdf05380f1fbd87e02e2c587174a831faa7944ebc1163cc4fea1601b3cd3")
+    "b2daf0544cb58db4564458e0481f04f33ee9d70ed160e76baf233966382a3c44")
 
 
 def test_summable_witness_round_trip_pinned():
@@ -242,3 +246,31 @@ def test_summable_witness_round_trip_pinned():
     assert list(again.blocks_within(4096)) == list(w.blocks_within(4096))
     assert again.to_json() == w.to_json()
     assert digest(round_trip_observations()) == ROUND_TRIP_PIN
+
+
+# --- partition JSON is the definition, not the materialized boundaries -----------
+
+@pytest.mark.parametrize("name", sorted(PARTITION_TAGS))
+def test_partition_json_ignores_materialization(name):
+    p = ns.partition_from_tag(PARTITION_TAGS[name])
+    body = p.to_json()
+    assert body == {"generator": PARTITION_TAGS[name],
+                    "lengths_unbounded": p.lengths_unbounded}
+    list(p.blocks_within(1 << 16))
+    assert p.to_json() == body
+
+
+def test_explicit_partition_round_trips_in_full():
+    iota = [2 * k * k + 1 for k in range(39)]
+    p = ns.BlockPartition(prefix=iota)
+    back = ns.BlockPartition.from_json(json.loads(json.dumps(p.to_json())))
+    assert back.to_json() == p.to_json()
+    assert back.boundary_prefix(39) == iota
+    assert back.block(30) == (iota[29], iota[30])
+    with pytest.raises(ns.HorizonExceeded):
+        back.block(39)
+
+
+def test_generator_partition_needs_a_tag():
+    with pytest.raises(ValueError, match="tag"):
+        ns.BlockPartition(fn=lambda n: 2 ** n, tag=None)

@@ -1,5 +1,6 @@
 """Cluster structure of the zoo sequences, with brute-force cross-checks."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -77,6 +78,21 @@ def test_harmonic_indicator_past_int64():
     # a centre just below 1/4 with a tiny radius holds n = 4 alone
     bits = x.hit_bits((F(1, 4) - F(1, 10 ** 30),), F(1, 2 ** 44), 4096)
     assert np.flatnonzero(bits).tolist() == [3]
+
+
+def test_rationals_indicator_past_int64():
+    # centres with 57-60-bit denominators overflow int64 products at
+    # horizon 4096; every index must still match the exact distance
+    x = zoo.rationals()
+    rng = random.Random("rationals-int64")
+    points = [x.point(n) for n in range(1, 4097)]
+    for _ in range(40):
+        q0 = rng.randrange(1 << 57, 1 << 60)
+        centre = (F(rng.randrange(0, q0 + 1), q0),)
+        eps = F(1, rng.choice([2, 8, 64, 1024, 2 ** 20]))
+        bits = x.hit_bits(centre, eps, 4096)
+        assert bits.dtype == bool
+        assert bits.tolist() == [distance(p, centre) < eps for p in points]
 
 
 def test_indicator_complement_partition():
