@@ -3,7 +3,7 @@
 Run:  python demos/01_integer_set_algebra.py
 """
 
-from idealconv import (BlockUnion, Cofinite, Complement, EveryKth, Finite,
+from idealconv import (BlockUnion, Cofinite, Complement, Finite,
                        Intersection, PowersOf, PrefixBitmap, Progression,
                        Union, partition_from_tag)
 
@@ -31,7 +31,7 @@ print("bitmap ∋ 9:", short.member(9), " (beyond its horizon: unknown)")
 
 print("\n== block unions over an interval partition ==")
 dyadic = partition_from_tag({"kind": "pow2"})       # blocks [2^n, 2^(n+1))
-half = BlockUnion(dyadic, EveryKth(2))
+half = BlockUnion(dyadic, Progression(2, 2))
 print("every second dyadic block, prefix(32):",
       half.prefix(32).astype(int).tolist())
 print("certified infinite:", half.is_infinite())

@@ -6,8 +6,8 @@ Run:  python demos/03_meagerness_witnesses.py
 
 from fractions import Fraction
 
-from idealconv import (BlockUnion, Cofinite, DecisionParams, EveryKth, Finite,
-                       PowersOf, build_witness, builtin, decide_membership,
+from idealconv import (BlockUnion, Cofinite, DecisionParams, Finite, PowersOf,
+                       Progression, build_witness, builtin, decide_membership,
                        fk_holds, verify_witness)
 
 Z = builtin("density-zero")
@@ -16,7 +16,7 @@ print("density witness boundaries:", w.boundary_prefix(8))
 print("rule:", w.rule, " certified block mass:", w.q0)
 
 print("\nany set holding infinitely many blocks is out of the ideal:")
-covered = BlockUnion(w, EveryKth(2))
+covered = BlockUnion(w, Progression(2, 2))
 dec = decide_membership(Z, covered, DecisionParams(horizon=1 << 20))
 print("  every-2nd-block union:", dec.verdict.value, "| basis:", dec.reason)
 

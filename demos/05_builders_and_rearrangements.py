@@ -6,12 +6,12 @@ Run:  python demos/05_builders_and_rearrangements.py
 
 from fractions import Fraction
 
-from idealconv import (AllBlocks, AnalysisParams, PowersOf, Progression,
-                       RadiusSchedule, build_witness, builtin,
-                       cluster_adding_sigma, cluster_preserving_pi,
-                       cluster_preserving_sigma, generic_permutation,
-                       generic_subsequence, limit_witness_extraction,
-                       preimage, zoo)
+from idealconv import (AnalysisParams, PowersOf, Progression, RadiusSchedule,
+                       build_witness, builtin, cluster_adding_sigma,
+                       cluster_preserving_pi, cluster_preserving_sigma,
+                       generic_permutation, generic_subsequence,
+                       limit_witness_extraction, preimage, zoo)
+from idealconv.natset import FULL
 from idealconv.submeasure import RunningDensity
 from idealconv.transforms import HypothesisFailed
 
@@ -20,13 +20,13 @@ fin = builtin("fin")
 
 print("== generic block covering ==")
 w = build_witness(Z, Fraction(1, 2), 1 << 12)
-res = generic_subsequence(PowersOf(2), w, AllBlocks(), 1 << 12)
+res = generic_subsequence(PowersOf(2), w, FULL, 1 << 12)
 print("blocks covered by a powers-of-two source:", res.covered_blocks())
 print("map values at 1..6:", [res.map.value(n) for n in range(1, 7)])
 
 print("\n== the neighbour swap falls out of the singleton witness ==")
 wf = build_witness(fin, Fraction(1, 2), 512)
-pi = generic_permutation(Progression(2, 2), wf, AllBlocks(), 64)
+pi = generic_permutation(Progression(2, 2), wf, FULL, 64)
 print("pi(1..8) =", [pi.map.value(n) for n in range(1, 9)])
 
 print("\n== adding a cluster point ==")

@@ -373,18 +373,18 @@ class WitnessReport:
         }
 
 
-def _random_infinite_selector(rng: random.Random) -> ns.BlockSelector:
+def _random_infinite_selector(rng: random.Random) -> ns.NatSet:
     k = rng.choice([1, 2, 3, 5])
     style = rng.randrange(3)
-    if style == 0:
-        return ns.EveryKth(k)
     base = ns.Progression(k, k)
+    if style == 0:
+        return base
     if style == 1:
         adds = ns.Finite(sorted(rng.sample(range(1, 64), rng.randrange(1, 4))))
-        return ns.IndexSet(ns.Union((base, adds)))
+        return ns.Union((base, adds))
     removed = ns.Finite(sorted(rng.sample(range(k, 64 * k, k),
                                           rng.randrange(1, 4))))
-    return ns.IndexSet(ns.Intersection((base, ns.Complement(removed))))
+    return ns.Intersection((base, ns.Complement(removed)))
 
 
 def _member_samples(handle: IdealHandle, rng: random.Random,

@@ -208,95 +208,6 @@ def partition_from_tag(tag: dict) -> BlockPartition:
 
 
 # ---------------------------------------------------------------------------
-# Block selectors
-# ---------------------------------------------------------------------------
-
-class BlockSelector:
-    def selects(self, n: int) -> Optional[bool]:
-        raise NotImplementedError
-
-    def selects_array(self, n: int) -> np.ndarray:
-        """selects(1..n) as a boolean array; raises HorizonExceeded when any
-        of them is undecided."""
-        raise NotImplementedError
-
-    def is_infinite(self) -> Optional[bool]:
-        raise NotImplementedError
-
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
-    @staticmethod
-    def from_json(body: dict) -> "BlockSelector":
-        kind = body["kind"]
-        if kind == "all":
-            return AllBlocks()
-        if kind == "every-kth":
-            return EveryKth(body["k"])
-        if kind == "index-set":
-            return IndexSet(from_json(body["set"]))
-        raise ValueError(f"unknown selector {kind!r}")
-
-
-@dataclass(frozen=True)
-class AllBlocks(BlockSelector):
-    def selects(self, n: int) -> Optional[bool]:
-        return True
-
-    def selects_array(self, n: int) -> np.ndarray:
-        return np.ones(n, dtype=bool)
-
-    def is_infinite(self) -> Optional[bool]:
-        return True
-
-    def to_json(self) -> dict:
-        return {"kind": "all"}
-
-
-@dataclass(frozen=True)
-class EveryKth(BlockSelector):
-    """Selects block indices k, 2k, 3k, ..."""
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-
-    def selects(self, n: int) -> Optional[bool]:
-        return n % self.k == 0
-
-    def selects_array(self, n: int) -> np.ndarray:
-        out = np.zeros(n, dtype=bool)
-        out[self.k - 1::self.k] = True
-        return out
-
-    def is_infinite(self) -> Optional[bool]:
-        return True
-
-    def to_json(self) -> dict:
-        return {"kind": "every-kth", "k": self.k}
-
-
-@dataclass(frozen=True)
-class IndexSet(BlockSelector):
-    """Block indices drawn from an arbitrary symbolic set; infinite-ness is
-    whatever the underlying set can certify (tri-state)."""
-    indices: "NatSet"
-
-    def selects(self, n: int) -> Optional[bool]:
-        return self.indices.member(n)
-
-    def selects_array(self, n: int) -> np.ndarray:
-        return self.indices.prefix(n) if n else np.zeros(0, dtype=bool)
-
-    def is_infinite(self) -> Optional[bool]:
-        return self.indices.is_infinite()
-
-    def to_json(self) -> dict:
-        return {"kind": "index-set", "set": self.indices.to_json()}
-
-
-# ---------------------------------------------------------------------------
 # NatSet variants
 # ---------------------------------------------------------------------------
 
@@ -562,9 +473,10 @@ class PrefixBitmap(NatSet):
 
 @dataclass(frozen=True)
 class BlockUnion(NatSet):
-    """Union of the selected blocks of an interval partition."""
+    """Union of the blocks of an interval partition whose indices lie in
+    ``selector``, itself a set of block indices."""
     partition: BlockPartition = field(compare=False)
-    selector: BlockSelector
+    selector: NatSet
 
     def member(self, n: int) -> Optional[bool]:
         try:
@@ -573,14 +485,14 @@ class BlockUnion(NatSet):
             return None
         if k is None:
             return False
-        return self.selector.selects(k)
+        return self.selector.member(k)
 
     def _selected_blocks(self, limit: Optional[int],
                          last: Optional[int] = None) -> Iterator[tuple[int, int]]:
         """(lo, hi) of the selected blocks with lo <= limit, up to block
         index ``last``."""
         for n, lo, hi in self.partition.blocks(limit):
-            sel = self.selector.selects(n)
+            sel = self.selector.member(n)
             if sel is None:
                 raise HorizonExceeded(f"selector undecided at block {n}")
             if sel:
@@ -595,7 +507,7 @@ class BlockUnion(NatSet):
         if first > horizon:
             return bits
         b = self.partition.boundaries(horizon)
-        chosen = self.selector.selects_array(b.size - 1)
+        chosen = self.selector.prefix(b.size - 1)
         bits[first - 1:] = np.repeat(chosen, np.diff(b))
         return bits
 
@@ -608,18 +520,13 @@ class BlockUnion(NatSet):
         return self.selector.is_infinite()
 
     def is_cofinite(self) -> Optional[bool]:
-        if isinstance(self.selector, AllBlocks):
-            return True
-        if isinstance(self.selector, EveryKth):
-            return self.selector.k == 1
-        if isinstance(self.selector, IndexSet):
-            return self.selector.indices.is_cofinite()
-        return None
+        return self.selector.is_cofinite()
 
     def to_json(self) -> dict:
         return {"kind": "block-union",
                 "partition": self.partition.to_json(),
-                "selector": self.selector.to_json()}
+                "selector": {"kind": "index-set",
+                             "set": self.selector.to_json()}}
 
 
 def _combo_depth(parts: Sequence[NatSet]) -> int:
@@ -868,9 +775,7 @@ def iter_members(s: NatSet, start: int = 1) -> Iterator[int]:
         raise HorizonExceeded(f"bitmap exhausted at {s.horizon}")
     if isinstance(s, BlockUnion):
         # a selector with finitely many indices ends the walk at its bound
-        last = (finite_upper_bound(s.selector.indices)
-                if isinstance(s.selector, IndexSet) else None)
-        for lo, hi in s._selected_blocks(None, last):
+        for lo, hi in s._selected_blocks(None, finite_upper_bound(s.selector)):
             yield from range(max(lo, start), hi)
         return
     # boolean combinations: scan with member(); unknown stops the stream
@@ -924,7 +829,7 @@ def from_json(body: dict) -> NatSet:
         return PrefixBitmap([c == "1" for c in body["bits"]])
     if kind == "block-union":
         return BlockUnion(BlockPartition.from_json(body["partition"]),
-                          BlockSelector.from_json(body["selector"]))
+                          _selector_from_json(body["selector"]))
     if kind == "union":
         return Union(tuple(from_json(p) for p in body["parts"]))
     if kind == "intersection":
@@ -932,6 +837,19 @@ def from_json(body: dict) -> NatSet:
     if kind == "complement":
         return Complement(from_json(body["part"]))
     raise ValueError(f"unknown set kind {kind!r}")
+
+
+def _selector_from_json(body: dict) -> NatSet:
+    """The block indices a block union selects.  Only ``index-set`` is
+    written; ``all`` and ``every-kth`` are older forms that still load."""
+    kind = body["kind"]
+    if kind == "index-set":
+        return from_json(body["set"])
+    if kind == "all":
+        return FULL
+    if kind == "every-kth":
+        return Progression(body["k"], body["k"])
+    raise ValueError(f"unknown selector {kind!r}")
 
 
 def loads(text: str) -> NatSet:

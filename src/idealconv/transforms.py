@@ -82,19 +82,15 @@ class SubsequenceMap:
 
     def __init__(self, table: Sequence[int] = (), tail: TailRule = IDENTITY_TAIL,
                  horizon: Optional[int] = None):
-        self.table = table if isinstance(table, np.ndarray) else list(table)
+        self.table = list(table)
         self.tail = tail
         self.horizon = horizon
         m = len(self.table)
-        if isinstance(self.table, np.ndarray):
-            if m and (int(self.table[0]) < 1 or np.any(np.diff(self.table) <= 0)):
+        last = 0
+        for v in self.table:
+            if v <= last:
                 raise ValueError("table must be strictly increasing and >= 1")
-        else:
-            last = 0
-            for v in self.table:
-                if v <= last:
-                    raise ValueError("table must be strictly increasing and >= 1")
-                last = v
+            last = v
         if m and tail.kind == "identity-shift":
             if m + 1 + tail.param <= int(self.table[-1]):
                 raise ValueError("identity-shift tail clashes with the table")
@@ -126,8 +122,6 @@ class SubsequenceMap:
         m = len(self.table)
         if m >= count:
             head = self.table[:count]
-            if isinstance(head, np.ndarray):
-                return head
             if head and head[-1] < (1 << 62):
                 return np.asarray(head, dtype=np.int64)
             return list(head)
@@ -135,7 +129,7 @@ class SubsequenceMap:
             raise ns.HorizonExceeded(f"map valid up to {self.horizon}")
         if self.tail.kind == "none":
             raise ns.HorizonExceeded(f"map table ends at {m}")
-        if not isinstance(self.table, np.ndarray) and m and self.table[-1] >= (1 << 62):
+        if m and self.table[-1] >= (1 << 62):
             return [self.value(n) for n in range(1, count + 1)]
         head = np.asarray(self.table, dtype=np.int64)
         tail_n = np.arange(m + 1, count + 1, dtype=np.int64)
@@ -179,7 +173,7 @@ class PermutationMap:
         if rule is not None and rule != "odd-even-swap":
             raise ValueError(f"unknown permutation rule {rule!r}")
         self.rule = rule
-        self.table = table if isinstance(table, np.ndarray) else list(table)
+        self.table = list(table)
         self.horizon = horizon
         if rule is None and len(self.table):
             arr = np.asarray(self.table, dtype=np.int64)
@@ -360,22 +354,16 @@ def apply(t: AnyMap, x: SequenceSpec, horizon: Optional[int] = None) -> Sequence
     indicator = None
     batch = None
     if alphabet is None:
-        if x.alphabet is not None:
-            # symbolic membership survives arbitrary (even huge) values
-            def indicator(center: Point, eps: Fraction, N: int,
-                          _t=t, _x=x) -> np.ndarray:
-                sym = indicator_set(_x, center, eps, 1)
-                values = _t.values_up_to(N)
-                if not isinstance(values, np.ndarray):
-                    values = np.asarray(values, dtype=object)
-                return ns.prefix_gather(sym, values)
-        else:
-            def indicator(center: Point, eps: Fraction, N: int,
-                          _t=t, _x=x) -> np.ndarray:
-                values = _t.values_up_to(N)
-                top = int(values.max() if isinstance(values, np.ndarray)
-                          else values[-1])
-                return _x.hit_bits(center, eps, top)[values - 1]
+        # an alphabet ball is symbolic and ignores the horizon, so its
+        # membership survives arbitrary (even huge) values; any other ball is
+        # a bitmap up to the largest value
+        def indicator(center: Point, eps: Fraction, N: int,
+                      _t=t, _x=x) -> np.ndarray:
+            values = _t.values_up_to(N)
+            if not isinstance(values, np.ndarray):
+                values = np.asarray(values, dtype=object)
+            return ns.prefix_gather(
+                indicator_set(_x, center, eps, int(values.max())), values)
         if x.batch_fn is not None:
             def batch(N: int, _t=t, _x=x) -> np.ndarray:
                 values = _t.values_up_to(N)
@@ -400,18 +388,14 @@ class MemberSupply:
         self.center = as_point(center, x.dim)
         self.eps = Fraction(eps)
         self.scan_limit = scan_limit
-        self._sym = None
         self._iter: Optional[Iterator[int]] = None
         self._last = 0
         if x.alphabet is not None:
-            self._sym = indicator_set(x, self.center, self.eps, 1)
-            self._iter = ns.iter_members(self._sym, 1)
+            self._iter = ns.iter_members(
+                indicator_set(x, self.center, self.eps, 1), 1)
         else:
             self._bits = np.zeros(0, dtype=bool)
             self._pos = 0
-
-    def symbolic(self) -> Optional[ns.NatSet]:
-        return self._sym
 
     def next_after(self, floor: int) -> int:
         """Least member strictly greater than floor (monotone floors only)."""
@@ -554,15 +538,16 @@ class _SetSupply:
         return out
 
 
-def _selected(a: ns.NatSet, selector: ns.BlockSelector):
-    """Routing of the generic builders: every selected block draws the next
-    fresh members of ``a``; an undecided selector stops the build."""
+def _selected(a: ns.NatSet, selector: ns.NatSet):
+    """Routing of the generic builders: every block whose index lies in
+    ``selector`` draws the next fresh members of ``a``; an undecided selector
+    stops the build."""
     if a.is_infinite() is False:
         raise ExhaustedA("source set is finite")
     supply = _SetSupply(a)
 
     def draw(k: int, length: int, floor: int):
-        sel = selector.selects(k)
+        sel = selector.member(k)
         if sel is None:
             raise ns.HorizonExceeded(f"selector undecided at block {k}")
         return (supply.draw_many(length, floor), None, None) if sel else None
@@ -650,7 +635,7 @@ def _fill_sigma_table(w: WitnessIntervals, horizon: int, draw) -> tuple[
 
 
 def generic_subsequence(a: ns.NatSet, w: WitnessIntervals,
-                        selector: ns.BlockSelector, horizon: int) -> BuildResult:
+                        selector: ns.NatSet, horizon: int) -> BuildResult:
     """A strictly increasing map whose preimage of ``a`` contains every
     selected witness block inside the horizon.
 
@@ -678,8 +663,7 @@ def _certified_targets(handle: IdealHandle, w: WitnessIntervals,
     """
     certs: list[TargetCert] = []
     for cand, m_index, eps, first_k, step_k in assignment:
-        sel = ns.IndexSet(ns.Progression(first_k, step_k))
-        subset = ns.BlockUnion(w, sel)
+        subset = ns.BlockUnion(w, ns.Progression(first_k, step_k))
         ind_bits = indicator_set(x_new, cand, eps, horizon)
         combined = ns.Union((subset, ind_bits)) if not isinstance(
             ind_bits, (ns.Cofinite,)) else ind_bits
@@ -820,7 +804,7 @@ def _pi_result(table: list[int], horizon: int) -> PermutationMap:
 
 
 def generic_permutation(a: ns.NatSet, w: WitnessIntervals,
-                        selector: ns.BlockSelector, horizon: int) -> BuildResult:
+                        selector: ns.NatSet, horizon: int) -> BuildResult:
     """A permutation whose preimage of ``a`` contains the covered blocks.
 
     Covered blocks are the selected ones reachable with no flush backlog and

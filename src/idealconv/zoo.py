@@ -53,9 +53,9 @@ def char_powers2() -> SequenceSpec:
 
 def char_blocks(k: int) -> SequenceSpec:
     part = ns.partition_from_tag({"kind": "pow2"})
-    ones = ns.BlockUnion(part, ns.EveryKth(k))
+    ones = ns.BlockUnion(part, ns.Progression(k, k))
     zeros = ns.Union((
-        ns.BlockUnion(part, ns.IndexSet(ns.Complement(ns.Progression(k, k)))),
+        ns.BlockUnion(part, ns.Complement(ns.Progression(k, k))),
         ns.Finite([1]),          # below the first block boundary
     )) if k > 1 else ns.Finite([1])
     return _char_sequence(f"charblocks:{k}", ones, zeros)

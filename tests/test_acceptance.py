@@ -174,7 +174,7 @@ def test_criterion_5_f_sigma_separation():
 def test_criterion_6_generic_subsequence_exact_audit():
     Z = builtin("density-zero")
     w = build_witness(Z, F(1, 2), 1 << 16)
-    res = tr.generic_subsequence(ns.PowersOf(2), w, ns.AllBlocks(), 1 << 16)
+    res = tr.generic_subsequence(ns.PowersOf(2), w, ns.FULL, 1 << 16)
     blocks = list(w.blocks_within(1 << 16))
     assert [f.block for f in res.blocks] == [n for n, _, _ in blocks]
     assert all(f.verified for f in res.blocks)

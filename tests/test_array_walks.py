@@ -41,7 +41,7 @@ def ref_prefix(u: ns.BlockUnion, horizon: int) -> np.ndarray:
     if u.partition.iota(1) > horizon:
         return bits
     for n, lo, hi in u.partition.blocks(horizon):
-        sel = u.selector.selects(n)
+        sel = u.selector.member(n)
         if sel is None:
             raise ns.HorizonExceeded(f"selector undecided at block {n}")
         if sel:
@@ -142,15 +142,13 @@ tags = st.sampled_from(TAGS)
 horizons = st.integers(1, 1 << 14)
 small_sets = st.lists(st.integers(1, 80), max_size=6)
 selectors = st.one_of(
-    st.just(ns.AllBlocks()),
-    st.builds(ns.EveryKth, st.integers(1, 5)),
-    st.builds(lambda m: ns.IndexSet(ns.Finite(m)), small_sets),
-    st.builds(lambda m: ns.IndexSet(ns.Cofinite(m)), small_sets),
-    st.builds(lambda a, b: ns.IndexSet(ns.Progression(a, b)),
-              st.integers(1, 6), st.integers(1, 6)),
+    st.just(ns.FULL),
+    st.builds(lambda k: ns.Progression(k, k), st.integers(1, 5)),
+    st.builds(ns.Finite, small_sets),
+    st.builds(ns.Cofinite, small_sets),
+    st.builds(ns.Progression, st.integers(1, 6), st.integers(1, 6)),
     # undecided past the bitmap: the walk raises only if it gets there
-    st.builds(lambda bits: ns.IndexSet(ns.PrefixBitmap(bits)),
-              st.lists(st.booleans(), min_size=1, max_size=40)),
+    st.builds(ns.PrefixBitmap, st.lists(st.booleans(), min_size=1, max_size=40)),
 )
 
 
@@ -171,7 +169,7 @@ def test_block_union_prefix_raises_where_the_walk_does(known_bits, horizon):
     # undecided from block known_bits + 1 on: the walk meets whichever
     # comes first, and the array form must raise too
     old, new = fresh(None), fresh(None)
-    selector = ns.IndexSet(ns.PrefixBitmap([True] * known_bits))
+    selector = ns.PrefixBitmap([True] * known_bits)
     want = outcome(lambda: ref_prefix(ns.BlockUnion(old, selector), horizon))
     got = outcome(lambda: ns.BlockUnion(new, selector).prefix(horizon))
     same_bits(got, want)

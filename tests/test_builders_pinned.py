@@ -69,7 +69,7 @@ def ref_fill_pi_table_selected(w, horizon, selector, draw_many):
             nxt = next(blocks, None)
         if nxt is not None and nxt[1] == p:
             k, lo, hi = nxt
-            sel = selector.selects(k)
+            sel = selector.member(k)
             if sel is None:
                 raise ns.HorizonExceeded(f"selector undecided at block {k}")
             if sel:
@@ -134,7 +134,7 @@ def ref_generic_sigma_plan(a, selector):
         return v
 
     def plan(k):
-        sel = selector.selects(k)
+        sel = selector.member(k)
         if sel is None:
             raise ns.HorizonExceeded(f"selector undecided at block {k}")
         return (next_member, None, None) if sel else None
@@ -146,8 +146,9 @@ def ref_generic_sigma_plan(a, selector):
 sources = st.one_of(
     st.builds(ns.Progression, st.integers(1, 9), st.integers(1, 7)),
     st.builds(ns.PowersOf, st.integers(2, 4)))
-selectors = st.one_of(st.just(ns.AllBlocks()),
-                      st.builds(ns.EveryKth, st.integers(2, 4)))
+selectors = st.one_of(st.just(ns.FULL),
+                      st.builds(lambda k: ns.Progression(k, k),
+                                st.integers(2, 4)))
 witnesses = st.sampled_from([("fin", F(1, 2)), ("density-zero", F(1, 2)),
                              ("density-zero", F(1, 4))])
 horizons = st.integers(16, 4096)
@@ -163,7 +164,7 @@ def fell_through(table, w, horizon, selector, fills):
     covered = {f.block for f in fills}
     out = []
     for k, lo, hi in w.blocks_within(horizon):
-        if (selector.selects(k) and k not in covered
+        if (selector.member(k) and k not in covered
                 and max(table[:lo - 1], default=0) == lo - 1):
             out.append(k)
     return out
@@ -194,7 +195,7 @@ def test_unaffordable_payloads_fall_through_to_identity(base, horizon):
     # sparse sources displace ever more values, so late payloads no longer
     # fit inside the horizon and identity filling takes over
     w = build_witness(builtin("fin"), F(1, 2), horizon)
-    a, selector = ns.PowersOf(base), ns.AllBlocks()
+    a, selector = ns.PowersOf(base), ns.FULL
     res = tr.generic_permutation(a, w, selector, horizon)
     ref_table, ref_fills = ref_fill_pi_table_selected(
         w, horizon, selector, RefSetSupply(a).draw_many)
@@ -210,7 +211,7 @@ def test_unaffordable_payloads_fall_through_to_identity(base, horizon):
 
 def test_flush_lists_the_displaced_values_in_ascending_order():
     w = build_witness(builtin("fin"), F(1, 2), 64)
-    res = tr.generic_permutation(ns.PowersOf(2), w, ns.AllBlocks(), 64)
+    res = tr.generic_permutation(ns.PowersOf(2), w, ns.FULL, 64)
     # payload 2 at 1, flush 1; payload 4 at 3, flush 3; payload 8 at 5, ...
     assert list(res.map.table[:12]) == [2, 1, 4, 3, 8, 5, 6, 7, 16, 9, 10, 11]
 
@@ -238,12 +239,12 @@ PINNED = {
     "generic_subsequence": (
         lambda: tr.generic_subsequence(
             ns.PowersOf(2), build_witness(Z, F(1, 2), 1 << 10),
-            ns.EveryKth(2), 1 << 10),
+            ns.Progression(2, 2), 1 << 10),
         "4a9af301c51a76af1c7100bbcd891b846b6506462185eeb6e0515b79764de298"),
     "generic_permutation": (
         lambda: tr.generic_permutation(
             ns.Progression(3, 5), build_witness(Z, F(1, 4), 1 << 10),
-            ns.EveryKth(3), 1 << 10),
+            ns.Progression(3, 3), 1 << 10),
         "bb2bec4f05badfaa8c6932e927b5270a25069dabf37fd7ac61659bd0070c9851"),
     "cluster_adding_sigma": (
         lambda: tr.cluster_adding_sigma(

@@ -167,14 +167,14 @@ def test_exh_consistency_exact_vs_numeric():
 def test_witness_lower_bound_route():
     Z = builtin("density-zero")
     w = Z.witness()        # default mass level
-    bu = ns.BlockUnion(w, ns.EveryKth(2))
+    bu = ns.BlockUnion(w, ns.Progression(2, 2))
     assert witness_lower_bound(Z, bu) == w.q0
     noisy = ns.Union((bu, ns.Finite([1, 2, 3])))
     assert witness_lower_bound(Z, noisy) == w.q0
     dec = decide_membership(Z, noisy, PARAMS)
     assert dec.verdict is Verdict.NOT_IN and dec.reason == "witness-blocks"
     # a finite selection of blocks is not a certificate
-    fin_bu = ns.BlockUnion(w, ns.IndexSet(ns.Finite([1, 4])))
+    fin_bu = ns.BlockUnion(w, ns.Finite([1, 4]))
     assert witness_lower_bound(Z, fin_bu) is None
 
 
@@ -210,8 +210,8 @@ def test_decisions_never_contradict_brute_density():
         if pick == 3:
             return ns.PowersOf(rng.choice([2, 3, 5, 7]))
         if pick == 4:
-            return ns.BlockUnion(part, rng.choice(
-                [ns.AllBlocks(), ns.EveryKth(rng.randrange(1, 5))]))
+            k = rng.randrange(1, 5)
+            return ns.BlockUnion(part, rng.choice([ns.FULL, ns.Progression(k, k)]))
         if pick == 5:
             return ns.Union(tuple(random_set(depth + 1)
                                   for _ in range(rng.randrange(2, 4))))
@@ -237,7 +237,7 @@ def test_lumpy_intersection_not_falsely_in():
     # this horizon, yet the set has positive upper density
     Z = builtin("density-zero")
     part = ns.partition_from_tag({"kind": "pow2"})
-    s = ns.Intersection((ns.BlockUnion(part, ns.EveryKth(2)),
+    s = ns.Intersection((ns.BlockUnion(part, ns.Progression(2, 2)),
                          ns.Progression(26, 4)))
     dec = decide_membership(Z, s, DecisionParams(horizon=1 << 16))
     assert dec.verdict is not Verdict.IN

@@ -22,7 +22,7 @@ def test_density_zero_witness_is_dyadic():
     assert w.rule == "density-ratio" and w.q0 == F(1, 2)
     # oracle: any union of infinitely many dyadic blocks has upper density
     # >= 1/2 at the block right ends; check one concrete union at 2^20
-    bu = ns.BlockUnion(w, ns.EveryKth(2))
+    bu = ns.BlockUnion(w, ns.Progression(2, 2))
     bits = bu.prefix(1 << 20)
     counts = np.cumsum(bits)
     ratios = [counts[(1 << k) - 2] / ((1 << k) - 1) for k in range(3, 21)]
@@ -112,7 +112,7 @@ def test_fk_cofinite_always_fails():
 
 def test_fk_block_union_example():
     w = z_witness()
-    s = ns.BlockUnion(w, ns.EveryKth(2))
+    s = ns.BlockUnion(w, ns.Progression(2, 2))
     # oracle: the selected blocks are 2, 4, 6, ...; block 4 >= 3 is contained
     assert fk_holds(w, s, 3, 1 << 16) is False
 
@@ -173,8 +173,8 @@ def test_fk_fuzz_against_block_scan():
         if pick == 3:
             return ns.PowersOf(rng.choice([2, 3, 5, 7]))
         if pick == 4:
-            return ns.BlockUnion(part, rng.choice(
-                [ns.AllBlocks(), ns.EveryKth(rng.randrange(1, 5))]))
+            k = rng.randrange(1, 5)
+            return ns.BlockUnion(part, rng.choice([ns.FULL, ns.Progression(k, k)]))
         if pick == 5:
             return ns.Union(tuple(random_set(depth + 1)
                                   for _ in range(rng.randrange(2, 4))))

@@ -5,6 +5,7 @@ compares membership pointwise, so the symbolic prefix/count machinery is
 never trusted to check itself.
 """
 
+import hashlib
 import json
 from itertools import islice
 
@@ -209,7 +210,7 @@ def pow2_partition():
 
 def test_block_union_all_covers_blocks():
     part = pow2_partition()
-    bu = ns.BlockUnion(part, ns.AllBlocks())
+    bu = ns.BlockUnion(part, ns.FULL)
     bits = bu.prefix(64)
     for n in range(1, 6):
         lo, hi = part.block(n)
@@ -220,7 +221,7 @@ def test_block_union_all_covers_blocks():
 
 def test_block_union_every_kth():
     part = pow2_partition()
-    bu = ns.BlockUnion(part, ns.EveryKth(2))
+    bu = ns.BlockUnion(part, ns.Progression(2, 2))
     # selected blocks are 2, 4, ...: [4,8) and [16,32)
     ref = set(range(4, 8)) | set(range(16, 32)) | set(range(64, 128))
     bits = bu.prefix(128)
@@ -229,7 +230,7 @@ def test_block_union_every_kth():
 
 def test_block_union_index_set_tristate():
     part = pow2_partition()
-    bu = ns.BlockUnion(part, ns.IndexSet(ns.PrefixBitmap([1, 0, 1])))
+    bu = ns.BlockUnion(part, ns.PrefixBitmap([1, 0, 1]))
     assert bu.member(2) is True        # block 1 selected
     assert bu.member(70) is None       # block 6: selector bitmap too short
     assert bu.is_infinite() is None
@@ -237,9 +238,9 @@ def test_block_union_index_set_tristate():
 
 def test_block_union_infinite_selector_flags():
     part = pow2_partition()
-    assert ns.BlockUnion(part, ns.AllBlocks()).is_infinite() is True
-    assert ns.BlockUnion(part, ns.EveryKth(3)).is_infinite() is True
-    fin_sel = ns.IndexSet(ns.Finite([2, 5]))
+    assert ns.BlockUnion(part, ns.FULL).is_infinite() is True
+    assert ns.BlockUnion(part, ns.Progression(3, 3)).is_infinite() is True
+    fin_sel = ns.Finite([2, 5])
     assert ns.BlockUnion(part, fin_sel).is_infinite() is False
 
 
@@ -251,11 +252,11 @@ def test_counting_closed_forms_at_large_horizon():
     assert ns.Cofinite([10, 20]).count_up_to(H) == H - 2
     assert ns.Finite([1, H - 1]).count_up_to(H) == 2
     part = pow2_partition()
-    bu = ns.BlockUnion(part, ns.EveryKth(2))
+    bu = ns.BlockUnion(part, ns.Progression(2, 2))
     # full selected blocks below 2^32 plus the single point starting block 32
     want = sum(2 ** n for n in range(2, 32, 2)) + 1
     assert bu.count_up_to(H) == want
-    assert ns.BlockUnion(part, ns.AllBlocks()).member(H - 7) is True
+    assert ns.BlockUnion(part, ns.FULL).member(H - 7) is True
 
 
 def test_partition_rejects_bad_boundaries():
@@ -283,8 +284,8 @@ ROUND_TRIP_CASES = [
     ns.Union((ns.Progression(1, 2), ns.Finite([4]))),
     ns.Intersection((ns.Cofinite([9]), ns.Progression(3, 3))),
     ns.Complement(ns.PowersOf(2)),
-    ns.BlockUnion(pow2_partition(), ns.EveryKth(2)),
-    ns.BlockUnion(pow2_partition(), ns.IndexSet(ns.Progression(1, 3))),
+    ns.BlockUnion(pow2_partition(), ns.Progression(2, 2)),
+    ns.BlockUnion(pow2_partition(), ns.Progression(1, 3)),
 ]
 
 
@@ -301,17 +302,56 @@ def test_json_is_stable_text():
     assert json.loads(s.dumps()) == s.to_json()
 
 
+# Block-union selectors in the three forms the library has written.  A
+# selector is a set of block indices; each pin is the sha256 of the packed
+# prefix(1000) bits these bodies gave when each form had its own class.
+GEOMETRIC_3_2 = {"generator": {"kind": "geometric", "ratio": "3/2"},
+                 "lengths_unbounded": True}
+INDEX_UNION = ns.Union((ns.Progression(2, 5), ns.Finite([1, 3])))
+SELECTOR_FORMS = {
+    "all": ({"kind": "all"}, ns.FULL,
+            "760dc37e235bb6a777fc7f5bdd749aa3aa7bcc7592fab9fb51635a8fe6808aa3"),
+    "every-kth": ({"kind": "every-kth", "k": 3}, ns.Progression(3, 3),
+                  "b70e2a82d9957e4e549bddef6075841e81886e74e548a0e16691c1fb9eecffa2"),
+    "index-set": ({"kind": "index-set", "set": INDEX_UNION.to_json()},
+                  INDEX_UNION,
+                  "66cb631b65c42a32ce17a4f6c45465963eb4157c362e19c86c34556bed4665ac"),
+}
+
+
+@pytest.mark.parametrize("form", sorted(SELECTOR_FORMS))
+def test_block_union_selector_forms_load_as_index_sets(form):
+    body, want, pin = SELECTOR_FORMS[form]
+    bu = ns.from_json({"kind": "block-union", "partition": GEOMETRIC_3_2,
+                       "selector": body})
+    assert bu.selector == want
+    bits = np.packbits(bu.prefix(1000)).tobytes().hex()
+    assert hashlib.sha256(bits.encode()).hexdigest() == pin
+    # only the index-set form is written, and it reads back the same set
+    out = bu.to_json()
+    assert out["selector"] == {"kind": "index-set", "set": want.to_json()}
+    back = ns.loads(bu.dumps())
+    assert back.selector == want and back.dumps() == bu.dumps()
+
+
+def test_unknown_block_union_selector_is_refused():
+    body = {"kind": "block-union", "partition": GEOMETRIC_3_2,
+            "selector": {"kind": "every-other"}}
+    with pytest.raises(ValueError, match="every-other"):
+        ns.from_json(body)
+
+
 # --- members of a block union over finitely many blocks ----------------------
 
 def test_iter_members_ends_after_a_finite_selector():
     part = ns.partition_from_tag({"kind": "geometric", "ratio": "2"})
-    bu = ns.BlockUnion(part, ns.IndexSet(ns.Finite([1, 3, 4, 6])))
+    bu = ns.BlockUnion(part, ns.Finite([1, 3, 4, 6]))
     # blocks 3 = [4, 8), 4 = [8, 16), 6 = [32, 64); members from 10 on
     got = list(islice(ns.iter_members(bu, 10), 40))
     assert got == list(range(10, 16)) + list(range(32, 64))
-    empty = ns.BlockUnion(part, ns.IndexSet(ns.Finite([])))
+    empty = ns.BlockUnion(part, ns.Finite([]))
     assert list(ns.iter_members(empty)) == []
     # a bound read off an intersection with a finite part ends the walk too
-    capped = ns.BlockUnion(part, ns.IndexSet(
-        ns.Intersection((ns.Progression(2, 2), ns.Finite([2, 5])))))
+    capped = ns.BlockUnion(
+        part, ns.Intersection((ns.Progression(2, 2), ns.Finite([2, 5]))))
     assert list(ns.iter_members(capped)) == [2, 3]

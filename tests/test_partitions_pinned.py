@@ -62,11 +62,11 @@ def fresh_partition(name):
 
 
 SELECTORS = {
-    "all": ns.AllBlocks(),
-    "every-2": ns.EveryKth(2),
-    "index-finite": ns.IndexSet(ns.Finite([1, 3, 4, 6])),
+    "all": ns.FULL,
+    "every-2": ns.Progression(2, 2),
+    "index-finite": ns.Finite([1, 3, 4, 6]),
     # undecided from block 6 on
-    "index-bitmap": ns.IndexSet(ns.PrefixBitmap([1, 0, 1, 1, 0])),
+    "index-bitmap": ns.PrefixBitmap([1, 0, 1, 1, 0]),
 }
 
 HORIZONS = (1, 2, 7, 19, 40, 64, 1000)

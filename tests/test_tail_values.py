@@ -242,7 +242,7 @@ def test_half_prefix_is_a_slice_for_structured_sets():
             ns.Union((ns.Progression(1, 5), ns.PowersOf(2))),
             ns.Intersection((ns.Progression(2, 2), ns.Complement(ns.PowersOf(2)))),
             ns.BlockUnion(ns.partition_from_tag({"kind": "pow2"}),
-                          ns.EveryKth(3))]
+                          ns.Progression(3, 3))]
     for s in sets:
         for horizon in (64, 1000, 4097):
             assert np.array_equal(s.prefix(horizon)[:horizon // 2],

@@ -92,7 +92,7 @@ def test_preimage_matches_pointwise():
 def test_generic_subsequence_even_source():
     fin = builtin("fin")
     w = build_witness(fin, F(1, 2), 2048)
-    res = tr.generic_subsequence(ns.Progression(2, 2), w, ns.AllBlocks(), 2048)
+    res = tr.generic_subsequence(ns.Progression(2, 2), w, ns.FULL, 2048)
     assert [res.map.value(n) for n in (1, 2, 3)] == [2, 4, 6]
     assert all(f.verified for f in res.blocks)
     pre = tr.preimage(res.map, ns.Progression(2, 2), 2048)
@@ -103,13 +103,13 @@ def test_generic_subsequence_finite_source_rejected():
     fin = builtin("fin")
     w = build_witness(fin, F(1, 2), 256)
     with pytest.raises(tr.ExhaustedA):
-        tr.generic_subsequence(ns.Finite([2, 4, 6]), w, ns.AllBlocks(), 256)
+        tr.generic_subsequence(ns.Finite([2, 4, 6]), w, ns.FULL, 256)
 
 
 def test_generic_subsequence_powers_blocks_covered():
     Z = builtin("density-zero")
     w = build_witness(Z, F(1, 2), 1 << 12)
-    res = tr.generic_subsequence(ns.PowersOf(2), w, ns.EveryKth(2), 1 << 12)
+    res = tr.generic_subsequence(ns.PowersOf(2), w, ns.Progression(2, 2), 1 << 12)
     covered = res.covered_blocks()
     assert covered == [2, 4, 6, 8, 10]
     # audit again from scratch: every selected block position maps into the set
@@ -182,7 +182,7 @@ def test_cluster_preserving_sigma_hypothesis_failed():
 def test_generic_permutation_swap_pattern():
     fin = builtin("fin")
     w = build_witness(fin, F(1, 2), 512)
-    res = tr.generic_permutation(ns.Progression(2, 2), w, ns.AllBlocks(), 64)
+    res = tr.generic_permutation(ns.Progression(2, 2), w, ns.FULL, 64)
     assert [res.map.value(n) for n in range(1, 9)] == [2, 1, 4, 3, 6, 5, 8, 7]
     assert all(f.verified for f in res.blocks)
 
@@ -298,7 +298,7 @@ def test_map_json_round_trip():
 def test_generic_subsequence_over_powers_of_three_passes_its_audit():
     # 3^10 = 59049 once read as a non-member, failing the audit on block 3
     w = build_witness(builtin("density-zero"), F(1, 2))
-    res = tr.generic_subsequence(ns.PowersOf(3), w, ns.AllBlocks(), 16)
+    res = tr.generic_subsequence(ns.PowersOf(3), w, ns.FULL, 16)
     assert 3 ** 10 in list(res.map.table)
     assert res.blocks and all(b.verified for b in res.blocks)
 
@@ -307,10 +307,10 @@ def test_finite_block_union_source_exhausts():
     # a source over finitely many blocks of a partition runs dry instead of
     # walking the partition for ever
     part = ns.partition_from_tag({"kind": "geometric", "ratio": "2"})
-    src = ns.BlockUnion(part, ns.IndexSet(ns.Finite([1, 3, 4, 6])))
+    src = ns.BlockUnion(part, ns.Finite([1, 3, 4, 6]))
     supply = tr._SetSupply(src)
     with pytest.raises(tr.ExhaustedA, match="after 63"):
         supply.draw_many(100, 0)
     w = build_witness(builtin("density-zero"), F(1, 2))
     with pytest.raises(tr.ExhaustedA):
-        tr.generic_subsequence(src, w, ns.AllBlocks(), 4096)
+        tr.generic_subsequence(src, w, ns.FULL, 4096)
