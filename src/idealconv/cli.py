@@ -106,13 +106,20 @@ class RunConfig:
             q_grid=tuple(Fraction(v) for v in self.q_grid))
 
     def ideal_handle(self):
+        if self.ideal is None:
+            raise ValueError(f"{self.command} needs --ideal")
         spec = None
         if self.gdi_file:
             spec = json.loads(Path(self.gdi_file).read_text())
         return builtin(self.ideal, gdi_spec=spec)
 
 
-def _emit(out: Optional[str], payload: dict, csv_rows=None) -> None:
+def _emit(out: Optional[str], payload: dict, csv_rows=None,
+          routes: Optional[dict] = None) -> None:
+    """Write PREFIX.json (and PREFIX.csv), or print the JSON without --out.
+    The sidecar PREFIX.meta.json holds the run statistics that stay out of
+    the primary outputs: the time, and ``routes``, the count of each
+    report's decisions per deciding route."""
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if out is None:
         sys.stdout.write(text)
@@ -124,6 +131,8 @@ def _emit(out: Optional[str], payload: dict, csv_rows=None) -> None:
         lines = [",".join(row) for row in csv_rows]
         Path(str(base) + ".csv").write_text("\n".join(lines) + "\n")
     meta = {"written_at_unix": time.time()}
+    if routes:
+        meta["routes"] = routes
     Path(str(base) + ".meta.json").write_text(
         json.dumps(meta, sort_keys=True) + "\n")
 
@@ -145,6 +154,8 @@ def cmd_analyze(cfg: RunConfig) -> int:
         cluster["lambda_q"] = lambda_q_estimate(x, handle, Fraction(cfg.q),
                                                 params)
     reports = {key: rep.to_json() for key, rep in cluster.items()}
+    routes = {key: counts for key, rep in cluster.items()
+              if (counts := rep.route_counts())}
     undecided_shares = [rep.undecided_share for key, rep in cluster.items()
                         if key != "limit_points"]
     if mode == "convergence":
@@ -152,11 +163,12 @@ def cmd_analyze(cfg: RunConfig) -> int:
             raise ValueError("convergence mode needs --ell")
         conv = ideal_convergence_check(x, handle, Fraction(cfg.ell), params)
         reports["convergence"] = conv.to_json()
+        routes["convergence"] = conv.routes
     payload = {"config": cfg.to_json(), "reports": reports}
     main_key = next((key for key in ("gamma", "lambda", "lambda_q",
                                      "limit_points") if key in cluster), None)
     csv_rows = cluster[main_key].csv_rows() if main_key else None
-    _emit(cfg.out, payload, csv_rows)
+    _emit(cfg.out, payload, csv_rows, routes)
     if undecided_shares and max(undecided_shares) > Fraction(1, 2):
         return EXIT_UNDECIDED
     return EXIT_OK

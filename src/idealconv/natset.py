@@ -53,6 +53,9 @@ class BlockPartition:
                  lengths_unbounded: bool = False):
         self._fn = fn
         self._iota: list[int] = [int(v) for v in prefix]
+        # int64 copy of the first _mirrored boundaries, for boundaries()
+        self._mirror = np.empty(0, dtype=np.int64)
+        self._mirrored = 0
         self.tag = tag
         self.lengths_unbounded = lengths_unbounded
         if fn is None and len(self._iota) < 2:
@@ -137,9 +140,20 @@ class BlockPartition:
         self._extend(1, limit)
         stop = max(1, bisect_right(iota, limit) + 1)
         self.iota(stop + 1)     # blocks() reads the block past the limit
-        out = iota[:stop]
-        out[-1] = min(out[-1], limit + 1)
-        return np.array(out, dtype=np.int64)
+        # the boundaries before the last are <= limit; only they are
+        # mirrored, so a last boundary past int64 is clipped, not converted
+        head = stop - 1
+        if self._mirrored < head:
+            if self._mirror.size < head:
+                grown = np.empty(max(head, 2 * self._mirror.size), np.int64)
+                grown[:self._mirrored] = self._mirror[:self._mirrored]
+                self._mirror = grown
+            self._mirror[self._mirrored:head] = iota[self._mirrored:head]
+            self._mirrored = head
+        out = np.empty(stop, dtype=np.int64)
+        out[:head] = self._mirror[:head]
+        out[head] = min(iota[head], limit + 1)
+        return out
 
     def max_block_singleton(self) -> bool:
         """True for the degenerate partition whose blocks are all singletons."""
@@ -657,6 +671,9 @@ class Complement(NatSet):
     def prefix(self, horizon: int) -> np.ndarray:
         return ~self.part.prefix(horizon)
 
+    def count_up_to(self, horizon: int) -> int:
+        return _check_horizon(horizon) - self.part.count_up_to(horizon)
+
     def is_infinite(self) -> Optional[bool]:
         cof = self.part.is_cofinite()
         if cof is True:
@@ -719,9 +736,21 @@ def exact_density(s: NatSet) -> Optional[Fraction]:
     if ep is None:
         return None
     period, threshold = ep
-    window = s.prefix(threshold + 2 * period)[threshold + period - 1:
-                                              threshold + 2 * period - 1]
-    return Fraction(int(window.sum()), period)
+    # one period window (hi - period, hi], past the threshold
+    hi = threshold + 2 * period - 1
+    if _counts_in_closed_form(s):
+        hits = s.count_up_to(hi) - s.count_up_to(hi - period)
+    else:
+        hits = int(s.prefix(hi)[hi - period:].sum())
+    return Fraction(hits, period)
+
+
+def _counts_in_closed_form(s: NatSet) -> bool:
+    """Whether count_up_to reads no prefix: a closed-form leaf, possibly
+    under complements."""
+    while isinstance(s, Complement):
+        s = s.part
+    return isinstance(s, (Finite, Cofinite, Progression, PowersOf))
 
 
 def finite_upper_bound(s: NatSet) -> Optional[int]:

@@ -2,9 +2,10 @@
 
 A sequence is a total generator n -> point with rational coordinates inside
 [-B, B]^d under the sup metric.  Sequences over a finite alphabet carry the
-symbolic index set of each letter, which makes every neighborhood indicator
-an exact set and every classification certified; everything else falls back
-to prefix bitmaps and the three-valued decision machinery.
+symbolic index set of each letter, and a sequence with a ``ball_fn`` gives
+each neighborhood's index set in closed form; either makes every
+neighborhood indicator an exact set.  Everything else falls back to prefix
+bitmaps and the three-valued decision machinery.
 
 Classifications computed here: ordinary limit points, cluster points modulo
 an ideal, the limiting-norm functional of shrinking neighborhoods, its
@@ -14,6 +15,7 @@ q-level sets, and two-route convergence checking.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -113,9 +115,11 @@ class Alphabet:
 class SequenceSpec:
     """Generator-backed sequence with optional symbolic structure.
 
-    ``indicator_fn(center, eps, horizon)`` returns exact membership bits of
-    {n : d(x_n, center) < eps}; when absent, points are evaluated one by one
-    in exact rational arithmetic.
+    ``ball_fn(center, eps)`` returns the exact index set {n : d(x_n, center)
+    < eps} as a symbolic set; ``indicator_fn(center, eps, horizon)`` returns
+    its membership bits on [1, horizon], for sequences whose balls have no
+    closed form.  With neither, points are evaluated one by one in exact
+    rational arithmetic.
     """
 
     dim: int
@@ -125,6 +129,7 @@ class SequenceSpec:
     indicator_fn: Optional[Callable[[Point, Fraction, int], np.ndarray]] = None
     batch_fn: Optional[Callable[[int], np.ndarray]] = None
     name: str = "sequence"
+    ball_fn: Optional[Callable[[Point, Fraction], ns.NatSet]] = None
 
     def point(self, n: int) -> Point:
         if n < 1:
@@ -133,10 +138,10 @@ class SequenceSpec:
         return p if isinstance(p, tuple) else (Fraction(p),)
 
     def hit_bits(self, center: Point, eps: Fraction, horizon: int) -> np.ndarray:
+        if self.alphabet is not None or self.ball_fn is not None:
+            return indicator_set(self, center, eps, horizon).prefix(horizon)
         if self.indicator_fn is not None:
             return np.asarray(self.indicator_fn(center, eps, horizon), dtype=bool)
-        if self.alphabet is not None:
-            return indicator_set(self, center, eps, horizon).prefix(horizon)
         bits = np.empty(horizon, dtype=bool)
         for n in range(1, horizon + 1):
             bits[n - 1] = distance(self.point(n), center) < eps
@@ -165,8 +170,8 @@ def indicator_set(x: SequenceSpec, center: Point, eps: Fraction,
     """The index set {n : d(x_n, center) < eps} as a symbolic set.
 
     Exact letter unions for alphabet sequences (all letters inside the ball
-    collapse to the cofinite full set, none to the empty set); a prefix
-    bitmap otherwise.
+    collapse to the cofinite full set, none to the empty set), the
+    sequence's own ``ball_fn`` set, or a prefix bitmap otherwise.
     """
     return _ball_index_set(x, center, eps, horizon, inside=True)
 
@@ -191,6 +196,9 @@ def _ball_index_set(x: SequenceSpec, center: Point, eps: Fraction,
         if len(chosen) == 1:
             return x.alphabet.index_sets[chosen[0]]
         return ns.Union(tuple(x.alphabet.index_sets[i] for i in chosen))
+    if x.ball_fn is not None:
+        ball = x.ball_fn(center, eps)
+        return ball if inside else ns.Complement(ball)
     bits = x.hit_bits(center, eps, horizon)
     return ns.PrefixBitmap(bits if inside else ~bits)
 
@@ -225,7 +233,14 @@ class RadiusRecord:
     verdict: str
     exact: Optional[Fraction] = None
     numeric: Optional[Fraction] = None
-    reason: str = ""
+    reason: str = ""               # the route that decided it, if any
+
+
+def count_routes(reasons) -> dict[str, int]:
+    """How many decisions each route took; the fin-x-fin row profile's
+    reasons carry their counts, so they are pooled as ``row-profile``."""
+    return dict(Counter("row-profile" if r.startswith("rows-at-horizon")
+                        else r for r in reasons if r))
 
 
 @dataclass
@@ -247,6 +262,9 @@ class ClusterReport:
     def points(self, classification: str = CLUSTER) -> list[Point]:
         return [c.point for c in self.candidates
                 if c.classification == classification]
+
+    def route_counts(self) -> dict[str, int]:
+        return count_routes(r.reason for c in self.candidates for r in c.radii)
 
     @property
     def undecided_share(self) -> Fraction:
@@ -477,7 +495,9 @@ def _limiting_norm_report(mode: str, x: SequenceSpec, handle: IdealHandle,
             records.append(CandidateRecord(c, UNDECIDED, []))
             continue
         cls = classify(u, q)
-        radii = [RadiusRecord(eps, cls, est.exact, est.numeric)
+        radii = [RadiusRecord(eps, cls, est.exact, est.numeric,
+                              "exact-norm" if est.exact is not None
+                              else "tail-trend")
                  for eps, est in u.per_radius]
         records.append(CandidateRecord(c, cls, radii))
     return ClusterReport(mode, x.name, handle.name, q, records, params)
@@ -495,6 +515,8 @@ class ConvergenceReport:
     agree: bool
     ell: Point
     ideal: str
+    # route counts of each leg's decisions; run statistics, not report
+    routes: dict[str, dict[str, int]] = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {"verdict": self.verdict, "primary": self.primary,
@@ -514,9 +536,12 @@ def ideal_convergence_check(x: SequenceSpec, handle: IdealHandle, ell,
     ell = as_point(ell, x.dim)
     dparams = params.decision()
     prim_verdicts = []
+    prim_reasons = []
     for eps in params.schedule:
         comp = complement_indicator_set(x, ell, eps, params.horizon)
-        prim_verdicts.append(decide_membership(handle, comp, dparams).verdict)
+        dec = decide_membership(handle, comp, dparams)
+        prim_verdicts.append(dec.verdict)
+        prim_reasons.append(dec.reason)
     if all(v is Verdict.IN for v in prim_verdicts):
         primary = "converges"
     elif any(v is Verdict.NOT_IN for v in prim_verdicts):
@@ -546,4 +571,7 @@ def ideal_convergence_check(x: SequenceSpec, handle: IdealHandle, ell,
 
     agree = primary == cross
     verdict = primary if agree and primary != "undecided" else "undecided"
-    return ConvergenceReport(verdict, primary, cross, agree, ell, handle.name)
+    routes = {"primary": count_routes(prim_reasons),
+              "cross": gamma.route_counts()}
+    return ConvergenceReport(verdict, primary, cross, agree, ell, handle.name,
+                             routes)

@@ -94,25 +94,25 @@ def harmonic() -> SequenceSpec:
     def point(n: int) -> Point:
         return (Fraction(1, n),)
 
-    def indicator(center: Point, eps: Fraction, horizon: int) -> np.ndarray:
+    def ball(center: Point, eps: Fraction) -> ns.NatSet:
         # |1/n - c| < eps  <=>  1/(c + eps) < n < 1/(c - eps), where the
-        # upper end applies only when c > eps: one exact integer interval
+        # upper end applies only when c > eps: a tail or a finite interval
         c = center[0]
-        bits = np.zeros(horizon, dtype=bool)
         if c + eps <= 0:
-            return bits
-        first = min(math.floor(1 / (c + eps)) + 1, horizon + 1)
-        last = horizon if c <= eps else min(math.ceil(1 / (c - eps)) - 1,
-                                            horizon)
-        bits[first - 1:last] = True
-        return bits
+            return ns.EMPTY
+        tail = ns.Progression(math.floor(1 / (c + eps)) + 1, 1)
+        if c <= eps:
+            return tail
+        stop = math.ceil(1 / (c - eps))        # the least n past the interval
+        if stop <= tail.first:
+            return ns.EMPTY
+        return ns.Intersection((tail, ns.Complement(ns.Progression(stop, 1))))
 
     def batch(horizon: int) -> np.ndarray:
         return 1.0 / np.arange(1, horizon + 1, dtype=np.float64)
 
     return SequenceSpec(dim=1, bound=Fraction(1), point_fn=point,
-                        indicator_fn=indicator, batch_fn=batch,
-                        name="harmonic")
+                        ball_fn=ball, batch_fn=batch, name="harmonic")
 
 
 @lru_cache(maxsize=4)

@@ -190,6 +190,33 @@ def test_boundaries_mirror_walks(tag, limit):
         assert got[0] == want[0]
 
 
+def ref_boundaries(p: ns.BlockPartition, limit: int) -> list[int]:
+    """The boundaries a walk to ``limit`` reads, built as a list: each
+    walked block's lo, then the last hi clipped to limit + 1."""
+    walk = list(p.blocks(limit))
+    if not walk:
+        return [min(p.iota(1), limit + 1)]
+    return [lo for _, lo, _ in walk] + [min(walk[-1][2], limit + 1)]
+
+
+@settings(max_examples=150)
+@given(tags, st.lists(horizons, min_size=1, max_size=6))
+def test_boundaries_equal_a_list_reference_across_calls(tag, limits):
+    # one partition answers every limit in turn, so its int64 mirror grows,
+    # is reused for shorter limits and survives the explicit prefix's raise
+    p = fresh(tag)
+    for limit in limits + [1 << 13, 9000]:
+        want = outcome(lambda: ref_boundaries(fresh(tag), limit))
+        got = outcome(lambda: p.boundaries(limit))
+        if want[0] != "ok":
+            assert got[0] == want[0]
+            continue
+        assert got[0] == "ok" and got[1].dtype == np.int64
+        assert got[1].tolist() == want[1]
+        got[1][:] = -1          # the caller owns the returned array
+        assert p.boundaries(limit).tolist() == want[1]
+
+
 def test_boundaries_past_int64_raise():
     with pytest.raises(OverflowError):
         fresh({"kind": "pow2"}).boundaries(1 << 70)

@@ -79,6 +79,37 @@ def test_analyze_convergence_mode(tmp_path):
     assert read(f"{out}.json")["reports"]["convergence"]["verdict"] == "converges"
 
 
+def test_meta_counts_the_deciding_routes(tmp_path):
+    args = ["analyze", "--seq", "harmonic", "--ideal", "summable",
+            "--horizon", "4096", "--radii", "4", "--pitch", "1/16"]
+    assert run(args + ["--out", str(tmp_path / "a")]) == 0
+    # 17 candidates x 4 radii, every ball decided by its exact norm
+    assert read(tmp_path / "a.meta.json")["routes"] == {
+        "gamma": {"exact-norm": 68}, "lambda": {"exact-norm": 68}}
+    # the counts stay out of the primary outputs, which rerun byte for byte
+    assert run(args + ["--out", str(tmp_path / "b")]) == 0
+    for suffix in (".json", ".csv"):
+        text = (tmp_path / f"a{suffix}").read_text()
+        assert "exact-norm" not in text
+        assert text == (tmp_path / f"b{suffix}").read_text()
+    # rationals balls are bitmaps: both convergence legs estimate by trend
+    assert run(["analyze", "--seq", "rationals", "--ideal", "Z",
+                "--mode", "convergence", "--ell", "1/2", "--horizon", "4096",
+                "--radii", "4", "--pitch", "1/16",
+                "--out", str(tmp_path / "c")]) == 0
+    routes = read(tmp_path / "c.meta.json")["routes"]["convergence"]
+    assert set(routes) == {"primary", "cross"}
+    assert routes["primary"] == {"tail-trend": 4}
+    assert routes["cross"]["tail-trend"] == 17 * 4
+
+
+def test_missing_ideal_exits_one(capsys):
+    assert run(["analyze", "--seq", "harmonic", "--mode", "convergence",
+                "--ell", "0"]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "config", "detail": "analyze needs --ideal"}
+
+
 def test_parser_is_built_once_and_reused(tmp_path):
     # each command's output through a reused parser equals its output from
     # a first call, which builds the parser; the witness build sets options
