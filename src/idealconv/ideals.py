@@ -111,64 +111,35 @@ def _finxfin_structural(s: ns.NatSet, depth: int = 0) -> Optional[Verdict]:
         return None
     if s.is_infinite() is False:
         return Verdict.IN
-    if isinstance(s, ns.Cofinite):
-        return Verdict.NOT_IN
-    if isinstance(s, ns.Progression):
-        # all members share one valuation row iff nu2(first) < nu2(step);
-        # otherwise the progression spreads over every late row
-        return Verdict.IN if nu2(s.first) < nu2(s.step) else Verdict.NOT_IN
+    form = ns.periodic_form(s)
+    if form is not None:
+        # the class r + kP keeps the valuation of r when nu2(r) < nu2(P) and
+        # meets every later row when r (0 too) is a multiple of P's 2-part
+        low = form.period & -form.period
+        spread = any((r + form.offset) % low == 0 for r in form.residues())
+        return Verdict.NOT_IN if spread else Verdict.IN
     if isinstance(s, ns.PowersOf):
         # at most one member per valuation row
         return Verdict.IN
-    if isinstance(s, ns.BlockUnion):
-        sel = s.selector.is_infinite()
-        if sel is False:
-            return Verdict.IN
-        if sel is True and s.partition.lengths_unbounded:
-            # blocks of unbounded length meet every valuation row cofinally
-            return Verdict.NOT_IN
-        return None
+    if (isinstance(s, ns.BlockUnion) and s.partition.lengths_unbounded
+            and s.selector.is_infinite() is True):
+        # blocks of unbounded length meet every valuation row cofinally
+        return Verdict.NOT_IN
     if isinstance(s, ns.Union):
         sub = [_finxfin_structural(p, depth + 1) for p in s.parts]
         if any(v is Verdict.NOT_IN for v in sub):
             return Verdict.NOT_IN
         if all(v is Verdict.IN for v in sub):
             return Verdict.IN
-        return None
-    if isinstance(s, ns.Intersection):
-        sub = [_finxfin_structural(p, depth + 1) for p in s.parts]
-        if any(v is Verdict.IN for v in sub):
-            return Verdict.IN
-        return None
-    if isinstance(s, ns.Complement):
-        inner = s.part
-        if isinstance(inner, ns.Finite):
-            return Verdict.NOT_IN
-        if inner.is_cofinite() is True:
-            return Verdict.IN
-        if isinstance(inner, ns.PowersOf):
-            # stripping one point per row leaves every row infinite
-            return Verdict.NOT_IN
-        if isinstance(inner, ns.Progression):
-            return _finxfin_structural(_complement_of_progression(inner),
-                                       depth + 1)
-        return None
+    if isinstance(s, ns.Intersection) and any(
+            _finxfin_structural(p, depth + 1) is Verdict.IN for p in s.parts):
+        return Verdict.IN
+    if isinstance(s, ns.Complement) and (s.part.is_infinite() is False
+                                         or isinstance(s.part, ns.PowersOf)):
+        # stripping a finite set, or one point per row, leaves every row
+        # infinite
+        return Verdict.NOT_IN
     return None
-
-
-def _complement_of_progression(p: ns.Progression) -> ns.NatSet:
-    """Rewrite N minus a progression as a union of progressions and a head."""
-    parts: list[ns.NatSet] = []
-    head = [m for m in range(1, p.first) if (p.first - m) % p.step == 0]
-    if head:
-        parts.append(ns.Finite(head))
-    for r in range(1, p.step + 1):
-        if (r - p.first) % p.step == 0:
-            continue
-        parts.append(ns.Progression(r, p.step))
-    if not parts:
-        return ns.EMPTY
-    return ns.Union(parts) if len(parts) > 1 else parts[0]
 
 
 def _finxfin_row_profile(s: ns.NatSet, horizon: int) -> dict[int, int]:

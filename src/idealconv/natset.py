@@ -6,17 +6,24 @@ partition, explicit prefix bitmaps) plus union / intersection / complement
 trees of bounded depth.  Membership is a total three-valued predicate:
 ``True``, ``False``, or ``None`` when the set's own knowledge runs out
 (a bitmap above its horizon, an undecidable block selector).  Prefix
-evaluation is exact and vectorized; counting uses closed forms where the
-variant admits one.
+evaluation is exact and vectorized.  A tree whose leaves are all finite,
+cofinite or progressions has an eventually periodic normal form
+(:class:`Periodic`: segments sharing one period, each with a residue
+bitmask), built on first use unless its masks would pass ``PERIODIC_BITS``;
+it answers density, infiniteness, member walks and the Fin x Fin row rule.
+Mixed trees keep their structural rules.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, reduce
+from itertools import count
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -247,15 +254,15 @@ class NatSet:
         return int(self.prefix(horizon).sum())
 
     def is_infinite(self) -> Optional[bool]:
-        return None
+        form = periodic_form(self)      # None unless every leaf is periodic
+        return None if form is None else form.masks[-1] != 0
 
     def is_cofinite(self) -> Optional[bool]:
         return None
 
-    # recognition hook used by exact density computations: (period, threshold)
-    # such that beyond threshold, membership is periodic with that period
-    def eventually_periodic(self) -> Optional[tuple[int, int]]:
-        return None
+    @cached_property
+    def _periodic(self) -> Optional["Periodic"]:
+        return _build_periodic(self)
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -308,9 +315,6 @@ class Finite(NatSet):
     def is_cofinite(self) -> Optional[bool]:
         return False
 
-    def eventually_periodic(self) -> Optional[tuple[int, int]]:
-        return (1, (self.members[-1] + 1) if self.members else 1)
-
     def to_json(self) -> dict:
         return {"kind": "finite", "members": list(self.members)}
 
@@ -342,9 +346,6 @@ class Cofinite(NatSet):
 
     def is_cofinite(self) -> Optional[bool]:
         return True
-
-    def eventually_periodic(self) -> Optional[tuple[int, int]]:
-        return (1, (self.excluded[-1] + 1) if self.excluded else 1)
 
     def to_json(self) -> dict:
         return {"kind": "cofinite", "excluded": list(self.excluded)}
@@ -381,9 +382,6 @@ class Progression(NatSet):
 
     def is_cofinite(self) -> Optional[bool]:
         return self.step == 1
-
-    def eventually_periodic(self) -> Optional[tuple[int, int]]:
-        return (self.step, self.first)
 
     def to_json(self) -> dict:
         return {"kind": "progression", "first": self.first, "step": self.step}
@@ -584,15 +582,12 @@ class Union(NatSet):
             return True
         if all(v is False for v in vals):
             return False
-        return _is_infinite_via_density(self)
+        return super().is_infinite()
 
     def is_cofinite(self) -> Optional[bool]:
         if any(p.is_cofinite() is True for p in self.parts):
             return True
         return None
-
-    def eventually_periodic(self) -> Optional[tuple[int, int]]:
-        return _combine_periods(self.parts)
 
     def to_json(self) -> dict:
         return {"kind": "union", "parts": [p.to_json() for p in self.parts]}
@@ -637,7 +632,7 @@ class Intersection(NatSet):
         loose = [i for i, c in enumerate(cof) if c is not True]
         if len(loose) == 1 and vals[loose[0]] is True:
             return True
-        return _is_infinite_via_density(self)
+        return super().is_infinite()
 
     def is_cofinite(self) -> Optional[bool]:
         cof = [p.is_cofinite() for p in self.parts]
@@ -646,9 +641,6 @@ class Intersection(NatSet):
         if any(c is False for c in cof):
             return False
         return None
-
-    def eventually_periodic(self) -> Optional[tuple[int, int]]:
-        return _combine_periods(self.parts)
 
     def to_json(self) -> dict:
         return {"kind": "intersection",
@@ -671,20 +663,13 @@ class Complement(NatSet):
     def prefix(self, horizon: int) -> np.ndarray:
         return ~self.part.prefix(horizon)
 
-    def count_up_to(self, horizon: int) -> int:
-        return _check_horizon(horizon) - self.part.count_up_to(horizon)
-
     def is_infinite(self) -> Optional[bool]:
         cof = self.part.is_cofinite()
-        if cof is True:
-            return False
-        if cof is False:
-            return True       # not cofinite means the complement is infinite
+        if cof is not None:
+            return not cof    # finite exactly when the part is cofinite
         if self.part.is_infinite() is False:
             return True
-        if self.is_cofinite() is True:
-            return True
-        return _is_infinite_via_density(self)
+        return super().is_infinite()
 
     def is_cofinite(self) -> Optional[bool]:
         fin = self.part.is_infinite()
@@ -695,35 +680,111 @@ class Complement(NatSet):
             return False
         return None
 
-    def eventually_periodic(self) -> Optional[tuple[int, int]]:
-        return self.part.eventually_periodic()
-
     def to_json(self) -> dict:
         return {"kind": "complement", "part": self.part.to_json()}
 
 
-def _combine_periods(parts: Sequence[NatSet],
-                     period_cap: int = 1 << 16,
-                     threshold_cap: int = 1 << 22) -> Optional[tuple[int, int]]:
-    period, threshold = 1, 1
-    for p in parts:
-        ep = p.eventually_periodic()
-        if ep is None:
-            return None
-        q, t = ep
-        period = period * q // math.gcd(period, q)
-        threshold = max(threshold, t)
-        if period > period_cap or threshold > threshold_cap:
-            return None
-    return (period, threshold)
+# ---------------------------------------------------------------------------
+# Eventually periodic normal form of Finite / Cofinite / Progression trees
+# ---------------------------------------------------------------------------
+
+PERIODIC_BITS = 1 << 22     # cap on segments x period of a built mask set
 
 
-def _is_infinite_via_density(s: "NatSet") -> Optional[bool]:
-    """Eventually periodic sets are infinite iff their period window is hit."""
-    d = exact_density(s)
-    if d is None:
+def _widen(mask: int, p: int, period: int, offset: int) -> int:
+    """A mask mod p (bit j for residue j + offset) as a mask mod period."""
+    mask = ((mask << offset) | (mask >> (p - offset))) & ((1 << p) - 1)
+    return mask * (((1 << period) - 1) // ((1 << p) - 1))
+
+
+@dataclass(frozen=True)
+class Periodic:
+    """Segments [starts[i], starts[i + 1]), the last one unbounded, sharing
+    one period: n in segment i is a member iff bit (n - offset) % period of
+    masks[i] is set.  starts[0] == 1, no segment is empty, neighbours differ
+    (the last mask is the tail); a nonzero offset comes from a progression."""
+    starts: tuple[int, ...]
+    period: int
+    masks: tuple[int, ...]
+    offset: int = 0
+
+    def residues(self, i: int = -1) -> list[int]:
+        """Residues set in segment i's mask (the tail's by default), sorted."""
+        mask = self.masks[i]
+        raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+        return np.flatnonzero(np.unpackbits(np.frombuffer(raw, np.uint8),
+                                            bitorder="little")).tolist()
+
+    def walk(self, start: int = 1) -> Iterator[int]:
+        """Members from ``start`` upward; ends when the tail mask is empty."""
+        period, starts, residues = self.period, self.starts, {}
+        for i in range(max(0, bisect_right(starts, start) - 1), len(starts)):
+            lo = max(start, starts[i])
+            hi = starts[i + 1] if i + 1 < len(starts) else None
+            if self.masks[i] not in residues:
+                residues[self.masks[i]] = self.residues(i)
+            # the residues as offsets from lo, so each window starts at lo
+            offsets = sorted((r + self.offset - lo) % period
+                             for r in residues[self.masks[i]])
+            if len(offsets) == 1:       # one residue: a progression
+                yield from (count(lo + offsets[0], period) if hi is None
+                            else range(lo + offsets[0], hi, period))
+                continue
+            for base in (count(lo, period) if hi is None
+                         else range(lo, hi, period)) if offsets else ():
+                for off in offsets:
+                    if hi is None or base + off < hi:
+                        yield base + off
+
+
+def _normal(starts: Sequence[int], period: int, masks: Sequence) -> Periodic:
+    """Drop empty segments and merge equal neighbours."""
+    out_s, out_m = [], []
+    for i, (lo, m) in enumerate(zip(starts, masks)):
+        if ((i + 1 == len(starts) or starts[i + 1] > lo)
+                and (not out_m or out_m[-1] != m)):
+            out_s.append(lo)
+            out_m.append(m)
+    return Periodic(tuple(out_s), period, tuple(out_m))
+
+
+def _build_periodic(s: NatSet) -> Optional[Periodic]:
+    if isinstance(s, Finite):
+        starts = [1] + [v for m in s.members for v in (m, m + 1)]
+        return _normal(starts, 1, [0] + [1, 0] * len(s.members))
+    if isinstance(s, Progression):
+        starts, masks = ((1,), (1,)) if s.first == 1 else ((1, s.first), (0, 1))
+        return Periodic(starts, s.step, masks, s.first % s.step)
+    if isinstance(s, (Cofinite, Complement)):
+        form = periodic_form(s.part if isinstance(s, Complement)
+                             else Finite(s.excluded))
+        if form is None or len(form.starts) * form.period > PERIODIC_BITS:
+            return None
+        full = (1 << form.period) - 1
+        return Periodic(form.starts, form.period,
+                        tuple(m ^ full for m in form.masks), form.offset)
+    if not isinstance(s, (Union, Intersection)):
         return None
-    return d > 0
+    forms = [periodic_form(p) for p in s.parts]
+    if None in forms:
+        return None
+    # the parts' masks, widened to one period, meet on the merged segments
+    period = math.lcm(*(f.period for f in forms))
+    starts = sorted(set().union(*(f.starts for f in forms)))
+    if len(starts) * period > PERIODIC_BITS:
+        return None
+    wide = [[_widen(m, f.period, period, f.offset) for m in f.masks]
+            for f in forms]
+    op = operator.or_ if isinstance(s, Union) else operator.and_
+    masks = [reduce(op, (w[bisect_right(f.starts, lo) - 1]
+                         for f, w in zip(forms, wide))) for lo in starts]
+    return _normal(starts, period, masks)
+
+
+def periodic_form(s: NatSet) -> Optional[Periodic]:
+    """The normal form of a tree of Finite, Cofinite and Progression leaves
+    (else None, as past PERIODIC_BITS), built once per set, on first use."""
+    return s._periodic
 
 
 # ---------------------------------------------------------------------------
@@ -731,26 +792,10 @@ def _is_infinite_via_density(s: "NatSet") -> Optional[bool]:
 # ---------------------------------------------------------------------------
 
 def exact_density(s: NatSet) -> Optional[Fraction]:
-    """Natural density when the set is recognizably eventually periodic."""
-    ep = s.eventually_periodic()
-    if ep is None:
-        return None
-    period, threshold = ep
-    # one period window (hi - period, hi], past the threshold
-    hi = threshold + 2 * period - 1
-    if _counts_in_closed_form(s):
-        hits = s.count_up_to(hi) - s.count_up_to(hi - period)
-    else:
-        hits = int(s.prefix(hi)[hi - period:].sum())
-    return Fraction(hits, period)
-
-
-def _counts_in_closed_form(s: NatSet) -> bool:
-    """Whether count_up_to reads no prefix: a closed-form leaf, possibly
-    under complements."""
-    while isinstance(s, Complement):
-        s = s.part
-    return isinstance(s, (Finite, Cofinite, Progression, PowersOf))
+    """Natural density of a periodic form: its tail's share of residues."""
+    form = periodic_form(s)
+    return None if form is None else Fraction(form.masks[-1].bit_count(),
+                                              form.period)
 
 
 def finite_upper_bound(s: NatSet) -> Optional[int]:
@@ -770,27 +815,14 @@ def finite_upper_bound(s: NatSet) -> Optional[int]:
 def iter_members(s: NatSet, start: int = 1) -> Iterator[int]:
     """Members of s in increasing order, from ``start`` upward.
 
-    Closed forms are used where the variant has one; bitmap-backed sets yield
-    until their horizon and then raise HorizonExceeded, since what lies beyond
-    is unknown rather than empty.
+    Periodic forms and closed forms are walked directly; bitmap-backed sets
+    yield until their horizon and then raise HorizonExceeded, since what lies
+    beyond is unknown rather than empty.
     """
-    if isinstance(s, Finite):
-        i = bisect_left(s.members, start)
-        yield from s.members[i:]
+    form = periodic_form(s)
+    if form is not None:
+        yield from form.walk(start)
         return
-    if isinstance(s, Cofinite):
-        n = max(1, start)
-        while True:
-            if s.member(n):
-                yield n
-            n += 1
-    if isinstance(s, Progression):
-        v = s.first
-        if start > v:
-            v += ((start - s.first + s.step - 1) // s.step) * s.step
-        while True:
-            yield v
-            v += s.step
     if isinstance(s, PowersOf):
         v = s.base
         while v < start:
@@ -807,7 +839,7 @@ def iter_members(s: NatSet, start: int = 1) -> Iterator[int]:
         for lo, hi in s._selected_blocks(None, finite_upper_bound(s.selector)):
             yield from range(max(lo, start), hi)
         return
-    # boolean combinations: scan with member(); unknown stops the stream
+    # mixed boolean combinations: scan with member(); unknown stops the stream
     n = max(1, start)
     while True:
         m = s.member(n)

@@ -237,11 +237,8 @@ class CountingCap(Lscsm):
         return [ONE if last > t else ZERO for t in cuts]
 
     def _exact_norm_infinite(self, s: ns.NatSet) -> Optional[Fraction]:
-        inf = s.is_infinite()
-        if inf is True:
+        if s.is_infinite() is True:
             return ONE
-        if inf is False:
-            return ZERO
         return super()._exact_norm_infinite(s)
 
     def to_json(self) -> dict:
@@ -253,8 +250,8 @@ class WeightedSum(Lscsm):
     """phi(A) = min(cap, sum of w_a over A).
 
     ``harmonic`` marks the built-in weight family w_a = scale / a, whose
-    total diverges; that flag unlocks the closed-form norms (progressions
-    and cofinite sets saturate the cap, geometric sets vanish).
+    total diverges; that flag unlocks the closed-form norms (sets of
+    positive density saturate the cap, geometric sets vanish).
     """
 
     cap: Fraction = ONE
@@ -303,8 +300,6 @@ class WeightedSum(Lscsm):
     def _exact_norm_infinite(self, s: ns.NatSet) -> Optional[Fraction]:
         if not self.harmonic:
             return super()._exact_norm_infinite(s)
-        if isinstance(s, (ns.Progression, ns.Cofinite)):
-            return self.cap
         if isinstance(s, ns.PowersOf):
             return ZERO
         if isinstance(s, ns.Complement):

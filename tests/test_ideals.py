@@ -71,6 +71,10 @@ def test_finxfin_examples():
     assert decide_membership(fxf, ns.Finite([5, 10]), PARAMS).verdict is Verdict.IN
     comp = ns.Complement(ns.Progression(1, 2))   # the evens, rewritten
     assert decide_membership(fxf, comp, PARAMS).verdict is Verdict.NOT_IN
+    # the complement of a finite set that is not a Finite instance
+    comp = ns.Complement(ns.Intersection((ns.PowersOf(3), ns.Finite([3, 9]))))
+    d = decide_membership(fxf, comp, PARAMS)
+    assert (d.verdict, d.reason) == (Verdict.NOT_IN, "row-rule")
     bits = ns.PrefixBitmap([1, 0, 1])
     assert decide_membership(fxf, bits, PARAMS).verdict is Verdict.UNDECIDED
 

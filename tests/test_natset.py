@@ -7,6 +7,8 @@ never trusted to check itself.
 
 import hashlib
 import json
+from bisect import bisect_right
+from fractions import Fraction
 from itertools import islice
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from idealconv import natset as ns
+from idealconv.ideals import Verdict, builtin, decide_membership, nu2
 
 N_REF = 512
 
@@ -65,24 +68,36 @@ def build(spec):
     raise ValueError(kind)
 
 
-leaf_specs = st.one_of(
+periodic_leaf_specs = st.one_of(
     st.tuples(st.just("finite"),
               st.lists(st.integers(1, N_REF), max_size=8)),
     st.tuples(st.just("cofinite"),
               st.lists(st.integers(1, N_REF), max_size=8)),
     st.tuples(st.just("progression"), st.integers(1, 30), st.integers(1, 12)),
+)
+
+leaf_specs = st.one_of(
+    periodic_leaf_specs,
     st.tuples(st.just("powers"), st.integers(2, 7)),
 )
 
-set_specs = st.recursive(
-    leaf_specs,
-    lambda inner: st.one_of(
-        st.tuples(st.just("union"), st.lists(inner, min_size=1, max_size=3)),
-        st.tuples(st.just("intersection"),
-                  st.lists(inner, min_size=1, max_size=3)),
-        st.tuples(st.just("complement"), inner),
-    ),
-    max_leaves=6)
+
+def trees(leaves):
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.tuples(st.just("union"),
+                      st.lists(inner, min_size=1, max_size=3)),
+            st.tuples(st.just("intersection"),
+                      st.lists(inner, min_size=1, max_size=3)),
+            st.tuples(st.just("complement"), inner),
+        ),
+        max_leaves=6)
+
+
+set_specs = trees(leaf_specs)
+# the set_specs trees without powers leaves: every one has a periodic form
+periodic_specs = trees(periodic_leaf_specs)
 
 
 # --- contract examples ------------------------------------------------------
@@ -355,3 +370,88 @@ def test_iter_members_ends_after_a_finite_selector():
     capped = ns.BlockUnion(
         part, ns.Intersection((ns.Progression(2, 2), ns.Finite([2, 5]))))
     assert list(ns.iter_members(capped)) == [2, 3]
+
+
+# --- the periodic normal form against the reference --------------------------
+
+def periodic_case(spec):
+    """The built set, its form, and the window [last start, + period)."""
+    s = build(spec)
+    form = ns.periodic_form(s)
+    assert form is not None
+    lo = form.starts[-1]
+    return s, form, lo, lo + form.period
+
+
+def form_member(form, n):
+    mask = form.masks[bisect_right(form.starts, n) - 1]
+    return bool(mask >> ((n - form.offset) % form.period) & 1)
+
+
+@given(periodic_specs)
+def test_periodic_form_membership_matches_reference(spec):
+    s, form, lo, hi = periodic_case(spec)
+    # the normal form: no empty segment, and neighbours differ
+    assert form.starts[0] == 1
+    assert all(a < b for a, b in zip(form.starts, form.starts[1:]))
+    assert all(a != b for a, b in zip(form.masks, form.masks[1:]))
+    ref = ref_set(spec, max(N_REF, hi))
+    for n in list(range(1, N_REF + 1)) + list(range(lo, hi)):
+        assert form_member(form, n) == (n in ref), n
+
+
+@given(periodic_specs)
+def test_exact_density_counts_one_period_past_the_last_start(spec):
+    s, form, lo, hi = periodic_case(spec)
+    window = {n for n in ref_set(spec, hi - 1) if n >= lo}
+    assert ns.exact_density(s) == Fraction(len(window), form.period)
+
+
+@given(periodic_specs)
+def test_infinite_and_cofinite_agree_with_the_tail_mask(spec):
+    s, form, lo, hi = periodic_case(spec)
+    tail = form.masks[-1]
+    if s.is_infinite() is not None:
+        assert s.is_infinite() == (tail != 0)
+    if s.is_cofinite() is not None:
+        assert s.is_cofinite() == (tail == (1 << form.period) - 1)
+
+
+@given(periodic_specs)
+def test_iter_members_walks_the_periodic_form(spec):
+    s, form, lo, hi = periodic_case(spec)
+    got = list(islice(ns.iter_members(s), 64))
+    # a walk that stops short of 64 members has passed the last start
+    top = got[-1] if len(got) == 64 else max(N_REF, hi)
+    assert got == sorted(ref_set(spec, top))[:64]
+
+
+@given(periodic_specs)
+def test_finxfin_verdict_follows_each_tail_residue_class(spec):
+    # the residue class of n past the last start is Progression(n, period),
+    # in Fin x Fin iff nu2(n) < nu2(period)
+    s, form, lo, hi = periodic_case(spec)
+    window = [n for n in ref_set(spec, hi - 1) if n >= lo]
+    want = all(nu2(n) < nu2(form.period) for n in window)
+    got = decide_membership(builtin("fin-x-fin"), s).verdict
+    assert got is (Verdict.IN if want else Verdict.NOT_IN)
+
+
+def test_periodic_form_size_cap():
+    # a progression's form holds one bit, whatever its first and step
+    far = ns.Progression(5, 1 << 40)
+    assert ns.exact_density(far) == Fraction(1, 1 << 40)
+    assert list(islice(ns.iter_members(far), 3)) == [5 + k * (1 << 40)
+                                                     for k in range(3)]
+    fxf = builtin("fin-x-fin")
+    assert decide_membership(fxf, far).verdict is Verdict.IN
+    late = ns.Progression((1 << 40) - 1, 1 << 40)
+    assert ns.exact_density(late) == Fraction(1, 1 << 40)
+    assert decide_membership(fxf, late).verdict is Verdict.IN
+    # complements and combinations would build masks of segments x period
+    # bits, past PERIODIC_BITS here: they get no form, and no density
+    assert ns.periodic_form(ns.Complement(far)) is None
+    both = ns.Union((ns.Progression(1, (1 << 21) + 1),
+                     ns.Progression(1, (1 << 21) + 3)))
+    assert ns.periodic_form(both) is None and ns.exact_density(both) is None
+    assert both.is_infinite() is True

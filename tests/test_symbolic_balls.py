@@ -157,13 +157,17 @@ def test_exact_density_counts_far_thresholds_in_closed_form():
     assert got == ["1", "0", "1/3", "0"]
 
 
-def test_alphabet_with_a_far_letter_boundary_analyzes():
+@pytest.mark.parametrize("step, ideal", [(1, "Z"), (2, "fin-x-fin")],
+                         ids=["Z-step-1", "fin-x-fin-step-2"])
+def test_alphabet_with_a_far_letter_boundary_analyzes(step, ideal):
+    # fin-x-fin reads the row rule off the letters' periodic forms, never
+    # listing the integers below the boundary
     spec = "alphabet:" + json.dumps({"letters": ["0", "1"], "sets": [
         {"kind": "complement", "part": {"kind": "progression",
-                                         "first": 1 << 40, "step": 1}},
-        {"kind": "progression", "first": 1 << 40, "step": 1}]})
+                                         "first": 1 << 40, "step": step}},
+        {"kind": "progression", "first": 1 << 40, "step": step}]})
     got = run_limited(f"""
-        code, body = cli(["analyze", "--seq", {spec!r}, "--ideal", "Z",
+        code, body = cli(["analyze", "--seq", {spec!r}, "--ideal", {ideal!r},
                           "--mode", "gamma"])
         print(json.dumps([code, [[c["point"], c["classification"]] for c
                                  in body["reports"]["gamma"]["candidates"]]]))
@@ -182,3 +186,13 @@ def test_harmonic_ball_with_a_tail_from_2_to_the_40_analyzes():
         print(json.dumps([code, body["reports"]["convergence"]["verdict"]]))
     """)
     assert got == [0, "diverges"]
+
+
+def test_iter_members_of_a_finite_union_ends():
+    # the union is {3, 4, 5}; a member() scan would look for more for ever
+    got = run_limited("""
+        s = ns.Union((ns.Finite([3, 5]), ns.Intersection(
+            (ns.Progression(2, 2), ns.Finite([4, 7])))))
+        print(json.dumps(list(ns.iter_members(s))))
+    """)
+    assert got == [3, 4, 5]
