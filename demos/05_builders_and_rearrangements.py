@@ -32,7 +32,7 @@ print("pi(1..8) =", [pi.map.value(n) for n in range(1, 9)])
 print("\n== adding a cluster point ==")
 params = AnalysisParams(horizon=1 << 12)
 add = cluster_adding_sigma(zoo.char_powers2(), (Fraction(1),), Z, w, params)
-pre = preimage(add.map, PowersOf(2), 1 << 12)
+pre = preimage(add.map, PowersOf(2))
 print("blocks routed into the powers:", len(add.blocks),
       "| certified targets:", {t.verdict for t in add.targets})
 print("preimage now holds whole dyadic blocks -> density cluster at 1")

@@ -18,7 +18,8 @@ Quick start::
 from . import natset, submeasure, ideals, meager, sequences, transforms, games, zoo
 from .natset import (BlockPartition, BlockUnion, Cofinite, Complement,
                      Finite, HorizonExceeded, Intersection, NatSet, PowersOf,
-                     PrefixBitmap, Progression, Union, partition_from_tag)
+                     PrefixBitmap, Progression, Tested, Union,
+                     partition_from_tag)
 from .submeasure import (CountingCap, DensityFamily, Lscsm, NormEstimate,
                          RunningDensity, WeightedSum, norm_estimate, phi)
 from .ideals import (Decision, DecisionParams, IdealHandle, Verdict, builtin,

@@ -15,6 +15,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from . import natset as ns
 from . import submeasure as sm
 
@@ -66,6 +68,15 @@ def nu2(n: int) -> int:
     if n < 1:
         raise ValueError("positive integers only")
     return (n & -n).bit_length() - 1
+
+
+def valuation_rows(s: ns.NatSet, horizon: int) -> dict[int, int]:
+    """How many members of s in [1, horizon] lie in each valuation row
+    {n : nu2(n) = r}, keyed by r (rows without members are left out)."""
+    members = np.flatnonzero(s.prefix(horizon)) + 1
+    # n & -n is 2^nu2(n), whose binary exponent frexp reads off as nu2 + 1
+    counts = np.bincount(np.frexp(members & -members)[1] - 1)
+    return {r: c for r, c in enumerate(counts.tolist()) if c}
 
 
 # ---------------------------------------------------------------------------
@@ -142,16 +153,6 @@ def _finxfin_structural(s: ns.NatSet, depth: int = 0) -> Optional[Verdict]:
     return None
 
 
-def _finxfin_row_profile(s: ns.NatSet, horizon: int) -> dict[int, int]:
-    bits = s.prefix(horizon)
-    import numpy as np
-    members = np.flatnonzero(bits) + 1
-    rows: dict[int, int] = {}
-    for m in members.tolist():
-        rows[nu2(m)] = rows.get(nu2(m), 0) + 1
-    return rows
-
-
 def _finxfin_decide(s: ns.NatSet, params: DecisionParams) -> Decision:
     v = _finxfin_structural(s)
     if v is Verdict.IN:
@@ -160,7 +161,7 @@ def _finxfin_decide(s: ns.NatSet, params: DecisionParams) -> Decision:
         return Decision(Verdict.NOT_IN, exact=Fraction(1), reason="row-rule")
     try:
         horizon = min(params.horizon, 1 << 17)
-        rows = _finxfin_row_profile(s, horizon)
+        rows = valuation_rows(s, horizon)
     except ns.HorizonExceeded:
         rows = {}
     busy = sum(1 for c in rows.values() if c >= 8)

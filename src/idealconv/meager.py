@@ -22,7 +22,7 @@ import numpy as np
 from . import natset as ns
 from . import submeasure as sm
 from .ideals import (DecisionParams, IdealHandle, NotRepresentable, Verdict,
-                     decide_membership, nu2)
+                     decide_membership, valuation_rows)
 
 
 class BlockSearchExceeded(Exception):
@@ -470,8 +470,5 @@ def _sample_estimate(handle: IdealHandle, sample: ns.NatSet,
                                head=True)
         return est.best
     # product ideal: fraction of valuation rows r <= 10 hit inside the horizon
-    bits = sample.prefix(min(params.horizon, 1 << 17))
-    hit = set()
-    for m in (np.flatnonzero(bits) + 1).tolist():
-        hit.add(nu2(m))
+    hit = valuation_rows(sample, min(params.horizon, 1 << 17))
     return Fraction(len([r for r in range(11) if r in hit]), 11)

@@ -2,15 +2,16 @@
 
 Every set is built from a closed family of variants (finite, cofinite,
 arithmetic progression, powers of a base, block unions over an interval
-partition, explicit prefix bitmaps) plus union / intersection / complement
-trees of bounded depth.  Membership is a total three-valued predicate:
-``True``, ``False``, or ``None`` when the set's own knowledge runs out
-(a bitmap above its horizon, an undecidable block selector).  Prefix
-evaluation is exact and vectorized.  A tree whose leaves are all finite,
-cofinite or progressions has an eventually periodic normal form
-(:class:`Periodic`: segments sharing one period, each with a residue
-bitmask), built on first use unless its masks would pass ``PERIODIC_BITS``;
-it answers density, infiniteness, member walks and the Fin x Fin row rule.
+partition, explicit prefix bitmaps, sets known only through an exact test)
+plus union / intersection / complement trees of bounded depth.  Membership
+is a total three-valued predicate: ``True``, ``False``, or ``None`` when the
+set's own knowledge runs out (a bitmap above its horizon, a test past the
+end of a finite map, an undecidable block selector).  Prefix evaluation is
+exact and vectorized.  A tree whose leaves are all finite, cofinite or
+progressions has an eventually periodic normal form (:class:`Periodic`:
+segments sharing one period, each with a residue bitmask), built on first
+use unless its masks would pass ``PERIODIC_BITS``; it answers density,
+infiniteness, cofiniteness, member walks and the Fin x Fin row rule.
 Mixed trees keep their structural rules.
 """
 
@@ -258,7 +259,8 @@ class NatSet:
         return None if form is None else form.masks[-1] != 0
 
     def is_cofinite(self) -> Optional[bool]:
-        return None
+        form = periodic_form(self)
+        return None if form is None else form.masks[-1] == (1 << form.period) - 1
 
     @cached_property
     def _periodic(self) -> Optional["Periodic"]:
@@ -467,9 +469,6 @@ class PrefixBitmap(NatSet):
                 f"bitmap horizon {self.horizon} < requested {horizon}")
         return self.bits[:horizon].copy()
 
-    def count_up_to(self, horizon: int) -> int:
-        return int(self.prefix(horizon).sum())
-
     def to_json(self) -> dict:
         return {"kind": "prefix-bitmap",
                 "bits": "".join("1" if b else "0" for b in self.bits)}
@@ -481,6 +480,25 @@ class PrefixBitmap(NatSet):
 
     def __hash__(self):
         return hash(self.bits.tobytes())
+
+
+@dataclass(frozen=True, eq=False)
+class Tested(NatSet):
+    """A set known only through an exact test: ``bits(N)`` returns a fresh
+    prefix on [1, N] and ``test(n)`` one membership (None if unknown).
+    Either raises HorizonExceeded where the test runs out (a map past its
+    table), and ``member`` then answers None."""
+    bits: Callable[[int], np.ndarray]
+    test: Callable[[int], Optional[bool]]
+
+    def member(self, n: int) -> Optional[bool]:
+        try:
+            return self.test(n)
+        except HorizonExceeded:
+            return None
+
+    def prefix(self, horizon: int) -> np.ndarray:
+        return self.bits(_check_horizon(horizon))
 
 
 @dataclass(frozen=True)
@@ -587,7 +605,7 @@ class Union(NatSet):
     def is_cofinite(self) -> Optional[bool]:
         if any(p.is_cofinite() is True for p in self.parts):
             return True
-        return None
+        return super().is_cofinite()
 
     def to_json(self) -> dict:
         return {"kind": "union", "parts": [p.to_json() for p in self.parts]}
@@ -640,7 +658,7 @@ class Intersection(NatSet):
             return True
         if any(c is False for c in cof):
             return False
-        return None
+        return super().is_cofinite()
 
     def to_json(self) -> dict:
         return {"kind": "intersection",
@@ -678,7 +696,7 @@ class Complement(NatSet):
         if self.part.is_cofinite() is True and fin is True:
             # complement of a genuinely cofinite set is finite
             return False
-        return None
+        return super().is_cofinite()
 
     def to_json(self) -> dict:
         return {"kind": "complement", "part": self.part.to_json()}

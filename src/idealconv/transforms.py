@@ -247,8 +247,9 @@ def odd_even_swap() -> PermutationMap:
 # apply and preimage
 # ---------------------------------------------------------------------------
 
-def preimage(t: AnyMap, s: ns.NatSet, horizon: int) -> ns.NatSet:
-    """The index set {n : t(n) in s}, symbolic where the map's form allows."""
+def preimage(t: AnyMap, s: ns.NatSet) -> ns.NatSet:
+    """The index set {n : t(n) in s}: symbolic where the map's form allows,
+    else tested lazily through the map's values (None past its table)."""
     if isinstance(t, SubsequenceMap):
         aff = t.affine()
         if aff == (0, 1):
@@ -264,8 +265,8 @@ def preimage(t: AnyMap, s: ns.NatSet, horizon: int) -> ns.NatSet:
             sym = _swap_preimage(s)
             if sym is not None:
                 return sym
-    values = t.values_up_to(horizon)
-    return ns.PrefixBitmap(ns.prefix_gather(s, values))
+    return ns.Tested(lambda N: ns.prefix_gather(s, t.values_up_to(N)),
+                     lambda n: s.member(t(n)))
 
 
 def _affine_preimage(aff: tuple[int, int], s: ns.NatSet) -> Optional[ns.NatSet]:
@@ -330,49 +331,32 @@ def _swap_preimage(s: ns.NatSet) -> Optional[ns.NatSet]:
     return None
 
 
-def apply(t: AnyMap, x: SequenceSpec, horizon: Optional[int] = None) -> SequenceSpec:
-    """The reindexed sequence; alphabet structure survives symbolic preimage,
-    anything else becomes generator/bitmap backed."""
-    symbolic_ok = (isinstance(t, SubsequenceMap) and t.affine() is not None) or \
-                  (isinstance(t, PermutationMap) and t.rule == "odd-even-swap") or \
-                  (isinstance(t, PermutationMap) and t.rule is None and not len(t.table))
+def apply(t: AnyMap, x: SequenceSpec) -> SequenceSpec:
+    """The reindexed sequence; alphabet structure survives a symbolic
+    preimage of every letter, else each ball is the preimage of x's ball."""
     alphabet = None
-    if x.alphabet is not None and symbolic_ok:
-        sets = []
-        for s in x.alphabet.index_sets:
-            p = preimage(t, s, horizon or 1)
-            if isinstance(p, ns.PrefixBitmap):
-                sets = None
-                break
-            sets.append(p)
-        if sets is not None:
+    if x.alphabet is not None:
+        sets = [preimage(t, s) for s in x.alphabet.index_sets]
+        if not any(isinstance(p, ns.Tested) for p in sets):
             alphabet = Alphabet(letters=list(x.alphabet.letters), index_sets=sets)
 
     def point(n: int) -> Point:
         return x.point(t.value(n))
 
-    indicator = None
+    ball = None
     batch = None
     if alphabet is None:
-        # an alphabet ball is symbolic and ignores the horizon, so its
-        # membership survives arbitrary (even huge) values; any other ball is
-        # a bitmap up to the largest value
-        def indicator(center: Point, eps: Fraction, N: int,
-                      _t=t, _x=x) -> np.ndarray:
-            values = _t.values_up_to(N)
-            if not isinstance(values, np.ndarray):
-                values = np.asarray(values, dtype=object)
-            return ns.prefix_gather(
-                indicator_set(_x, center, eps, int(values.max())), values)
+        def ball(center: Point, eps: Fraction) -> ns.NatSet:
+            return preimage(t, indicator_set(x, center, eps))
         if x.batch_fn is not None:
-            def batch(N: int, _t=t, _x=x) -> np.ndarray:
-                values = _t.values_up_to(N)
-                return np.asarray(_x.batch_fn(int(values.max())))[values - 1]
+            def batch(N: int) -> np.ndarray:
+                values = t.values_up_to(N)
+                return np.asarray(x.batch_fn(int(values.max())))[values - 1]
 
     kind = "sigma" if isinstance(t, SubsequenceMap) else "pi"
     return SequenceSpec(dim=x.dim, bound=x.bound, point_fn=point,
-                        alphabet=alphabet, indicator_fn=indicator,
-                        batch_fn=batch, name=f"{kind}({x.name})")
+                        alphabet=alphabet, ball_fn=ball, batch_fn=batch,
+                        name=f"{kind}({x.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +376,7 @@ class MemberSupply:
         self._last = 0
         if x.alphabet is not None:
             self._iter = ns.iter_members(
-                indicator_set(x, self.center, self.eps, 1), 1)
+                indicator_set(x, self.center, self.eps), 1)
         else:
             self._bits = np.zeros(0, dtype=bool)
             self._pos = 0
@@ -555,17 +539,14 @@ def _selected(a: ns.NatSet, selector: ns.NatSet):
 
 
 def _audit(t: AnyMap, fills: list[BlockFill], target) -> None:
-    """Exact containment check: the table segment of each fill lies in
-    ``target(fill, top)``, where ``top`` is the segment's largest value.
-
-    Selector tables are gathered as Python ints (their values can pass
-    int64, e.g. powers of 2); permutation tables as int64.
+    """Exact containment check: each fill's table segment lies in
+    ``target(fill)``.  Selector tables are gathered as Python ints (their
+    values can pass int64, e.g. powers of 2); permutation tables as int64.
     """
     dtype = object if isinstance(t, SubsequenceMap) else np.int64
     for f in fills:
         seg = np.asarray(t.table[f.lo - 1: f.hi - 1], dtype=dtype)
-        f.verified = bool(np.all(ns.prefix_gather(target(f, int(seg.max())),
-                                                  seg)))
+        f.verified = bool(np.all(ns.prefix_gather(target(f), seg)))
         if not f.verified:
             raise AssertionError(f"audit failed on block {f.block}")
 
@@ -573,8 +554,8 @@ def _audit(t: AnyMap, fills: list[BlockFill], target) -> None:
 def _ball(x: SequenceSpec, schedule: list[Fraction]):
     """Audit target of the cluster builders: the neighbourhood a fill was
     routed to."""
-    return lambda f, top: indicator_set(x, f.candidate,
-                                        schedule[f.radius_index - 1], top)
+    return lambda f: indicator_set(x, f.candidate,
+                                   schedule[f.radius_index - 1])
 
 
 def _preserving_candidates(x: SequenceSpec, handle: IdealHandle,
@@ -645,7 +626,7 @@ def generic_subsequence(a: ns.NatSet, w: WitnessIntervals,
     """
     table, fills = _fill_sigma_table(w, horizon, _selected(a, selector))
     sigma = SubsequenceMap(table, NO_TAIL, horizon=horizon)
-    _audit(sigma, fills, lambda f, top: a)
+    _audit(sigma, fills, lambda f: a)
     return BuildResult(sigma, fills,
                        meta={"kind": "generic-subsequence", "horizon": horizon})
 
@@ -664,7 +645,7 @@ def _certified_targets(handle: IdealHandle, w: WitnessIntervals,
     certs: list[TargetCert] = []
     for cand, m_index, eps, first_k, step_k in assignment:
         subset = ns.BlockUnion(w, ns.Progression(first_k, step_k))
-        ind_bits = indicator_set(x_new, cand, eps, horizon)
+        ind_bits = indicator_set(x_new, cand, eps)
         combined = ns.Union((subset, ind_bits)) if not isinstance(
             ind_bits, (ns.Cofinite,)) else ind_bits
         dec = decide_membership(handle, combined,
@@ -815,7 +796,7 @@ def generic_permutation(a: ns.NatSet, w: WitnessIntervals,
     table, fills = _fill_pi_table(
         w, horizon, lambda k, j, length, frontier: draw(k, length, frontier))
     pi = _pi_result(table, horizon)
-    _audit(pi, fills, lambda f, top: a)
+    _audit(pi, fills, lambda f: a)
     if not fills:
         raise BijectivityOverflow("no selected block could be covered")
     return BuildResult(pi, fills,

@@ -137,26 +137,31 @@ def rationals() -> SequenceSpec:
         num, den = _rational_enum(1 << max(12, n.bit_length()))
         return (Fraction(int(num[n - 1]), int(den[n - 1])),)
 
-    def indicator(center: Point, eps: Fraction, horizon: int) -> np.ndarray:
-        num, den = _rational_enum(1 << max(12, horizon.bit_length()))
+    def ball(center: Point, eps: Fraction) -> ns.NatSet:
         p0, q0 = center[0].numerator, center[0].denominator
         e1, e2 = eps.numerator, eps.denominator
-        p, q = num[:horizon], den[:horizon]
-        # 0 <= p <= q <= q[-1] (denominators never decrease), which bounds
-        # every product below; past int64 compare exactly in Python ints
-        qmax = int(q[-1])
-        if max(qmax * (abs(p0) + q0) * e2, e1 * qmax * q0) >= 1 << 63:
-            p, q = p.astype(object), q.astype(object)
-        hits = np.abs(p * q0 - p0 * q) * e2 < e1 * q * q0
-        return hits.astype(bool, copy=False)
+
+        def inside(p, q):       # |p/q - p0/q0| < e1/e2, in integers
+            return abs(p * q0 - p0 * q) * e2 < e1 * q * q0
+
+        def bits(horizon: int) -> np.ndarray:
+            num, den = _rational_enum(1 << max(12, horizon.bit_length()))
+            p, q = num[:horizon], den[:horizon]
+            # 0 <= p <= q <= q[-1] (denominators never decrease), which
+            # bounds every product; past int64 compare in Python ints
+            qmax = int(q[-1])
+            if max(qmax * (abs(p0) + q0) * e2, e1 * qmax * q0) >= 1 << 63:
+                p, q = p.astype(object), q.astype(object)
+            return inside(p, q).astype(bool, copy=False)
+
+        return ns.Tested(bits, lambda n: inside(*point(n)[0].as_integer_ratio()))
 
     def batch(horizon: int) -> np.ndarray:
         num, den = _rational_enum(1 << max(12, horizon.bit_length()))
         return num[:horizon] / den[:horizon]
 
     return SequenceSpec(dim=1, bound=Fraction(1), point_fn=point,
-                        indicator_fn=indicator, batch_fn=batch,
-                        name="rationals")
+                        ball_fn=ball, batch_fn=batch, name="rationals")
 
 
 def alphabet_from_json(body: dict) -> SequenceSpec:

@@ -217,7 +217,7 @@ def test_criterion_7_preservation_both_directions():
     w2 = build_witness(Z, F(1, 2), 1 << 16)
     add = tr.cluster_adding_sigma(zoo.char_powers2(), (F(1),), Z, w2,
                                   AnalysisParams(horizon=1 << 12))
-    pre = tr.preimage(add.map, ns.PowersOf(2), 1 << 12)
+    pre = tr.preimage(add.map, ns.PowersOf(2))
     counts = np.cumsum(pre.prefix(1 << 12))
     peak = max(F(int(counts[(1 << k) - 2]), (1 << k) - 1) for k in range(2, 13))
     assert peak >= F(1, 4)

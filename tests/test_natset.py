@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from idealconv import natset as ns
-from idealconv.ideals import Verdict, builtin, decide_membership, nu2
+from idealconv.ideals import (Verdict, builtin, decide_membership, nu2,
+                              valuation_rows)
 
 N_REF = 512
 
@@ -409,12 +410,22 @@ def test_exact_density_counts_one_period_past_the_last_start(spec):
 
 @given(periodic_specs)
 def test_infinite_and_cofinite_agree_with_the_tail_mask(spec):
+    # a periodic form always answers: neither is ever None
     s, form, lo, hi = periodic_case(spec)
     tail = form.masks[-1]
-    if s.is_infinite() is not None:
-        assert s.is_infinite() == (tail != 0)
-    if s.is_cofinite() is not None:
-        assert s.is_cofinite() == (tail == (1 << form.period) - 1)
+    assert s.is_infinite() is (tail != 0)
+    assert s.is_cofinite() is (tail == (1 << form.period) - 1)
+
+
+def test_is_cofinite_reads_the_periodic_tail():
+    # no part is cofinite, but together they cover every residue mod 2
+    halves = ns.Union((ns.Progression(1, 2), ns.Progression(2, 2)))
+    assert halves.is_cofinite() is True
+    assert ns.Complement(halves).is_cofinite() is False
+    assert ns.Intersection((halves, ns.Cofinite([4]))).is_cofinite() is True
+    # the evens without 2: infinite and coinfinite
+    odds_and_two = ns.Union((ns.Progression(1, 2), ns.Finite([2])))
+    assert ns.Complement(odds_and_two).is_cofinite() is False
 
 
 @given(periodic_specs)
@@ -435,6 +446,14 @@ def test_finxfin_verdict_follows_each_tail_residue_class(spec):
     want = all(nu2(n) < nu2(form.period) for n in window)
     got = decide_membership(builtin("fin-x-fin"), s).verdict
     assert got is (Verdict.IN if want else Verdict.NOT_IN)
+
+
+@given(set_specs)
+def test_valuation_rows_count_members_by_nu2(spec):
+    want: dict[int, int] = {}
+    for n in ref_set(spec):
+        want[nu2(n)] = want.get(nu2(n), 0) + 1
+    assert valuation_rows(build(spec), N_REF) == want
 
 
 def test_periodic_form_size_cap():

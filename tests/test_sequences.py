@@ -31,17 +31,17 @@ def pts(report, classification="cluster"):
 
 def test_indicator_alphabet_exact():
     x = zoo.char_evens()
-    ind = indicator_set(x, (F(1),), F(1, 4), 100)
+    ind = indicator_set(x, (F(1),), F(1, 4))
     assert ind == ns.Progression(2, 2)
-    both = indicator_set(x, (F(1, 2),), F(1), 100)
+    both = indicator_set(x, (F(1, 2),), F(1))
     assert isinstance(both, ns.Cofinite)
-    none = indicator_set(x, (F(10),), F(1, 4), 100)
+    none = indicator_set(x, (F(10),), F(1, 4))
     assert isinstance(none, ns.Finite) and not none.members
 
 
 def test_indicator_bitmap_harmonic():
     x = zoo.harmonic()
-    ind = indicator_set(x, (F(0),), F(1, 100), 10 ** 4)
+    ind = indicator_set(x, (F(0),), F(1, 100))
     bits = ind.prefix(10 ** 4)
     # oracle: 1/n < 1/100 exactly when n >= 101
     assert not bits[:100].any() and bits[100:].all()
@@ -98,14 +98,24 @@ def test_rationals_indicator_past_int64():
 def test_indicator_complement_partition():
     x = zoo.char_powers2()
     for eps in (F(1, 4), F(1, 2)):
-        ind = indicator_set(x, (F(1),), eps, 256)
-        comp = complement_indicator_set(x, (F(1),), eps, 256)
+        ind = indicator_set(x, (F(1),), eps)
+        comp = complement_indicator_set(x, (F(1),), eps)
         assert np.array_equal(comp.prefix(256), ~ind.prefix(256))
+
+
+def test_a_sequence_needs_an_alphabet_or_a_ball():
+    from idealconv.sequences import SequenceSpec
+    with pytest.raises(ValueError):
+        SequenceSpec(dim=1, bound=F(1), point_fn=lambda n: (F(1, n),))
+    # indicator_fn is no constructor field
+    with pytest.raises(TypeError):
+        SequenceSpec(dim=1, bound=F(1), point_fn=lambda n: (F(1, n),),
+                     indicator_fn=lambda c, eps, horizon: None)
 
 
 def test_rationals_indicator_is_exact():
     x = zoo.rationals()
-    ind = indicator_set(x, (F(1, 2),), F(1, 64), 4096)
+    ind = indicator_set(x, (F(1, 2),), F(1, 64))
     bits = ind.prefix(4096)
     # oracle: recompute with exact fractions pointwise
     for n in (1, 2, 3, 10, 100, 500, 2047):
@@ -280,7 +290,7 @@ def test_two_dimensional_alphabet():
     Z = builtin("density-zero")
     g = gamma_estimate(x, Z, P14)
     assert sorted(g.points()) == [(F(0), F(0)), (F(1), F(1, 2))]
-    ind = indicator_set(x, (F(1), F(1, 2)), F(1, 4), 64)
+    ind = indicator_set(x, (F(1), F(1, 2)), F(1, 4))
     assert ind == ns.Progression(2, 2)
     c = ideal_convergence_check(x, Z, (F(0), F(0)), P14)
     assert c.verdict == "diverges"

@@ -3,9 +3,11 @@
 ``harmonic`` answers every ball {n : |1/n - c| < eps} as a closed-form set
 (empty, a tail, or a tail minus a later tail), so every ideal with a
 submeasure decides it by its exact norm.  The balls are checked against the
-per-point exact distance and against the bitmap indicator they replaced;
-the densities of sets whose periodic part starts far out are computed
-without a prefix that long, which a 4 GiB address-space limit enforces.
+per-point exact distance and against the bitmap indicator they replaced.
+``rationals`` answers each ball as a set known through its exact integer
+test, checked against the same distance.  The densities of sets whose
+periodic part starts far out are computed without a prefix that long, which
+a 4 GiB address-space limit enforces.
 """
 
 import json
@@ -80,8 +82,8 @@ def test_harmonic_ball_matches_pointwise_distance(case):
     c, eps = case
     x = zoo.harmonic()
     want = [distance(x.point(n), (c,)) < eps for n in range(1, N + 1)]
-    ball = indicator_set(x, (c,), eps, N)
-    comp = complement_indicator_set(x, (c,), eps, N)
+    ball = indicator_set(x, (c,), eps)
+    comp = complement_indicator_set(x, (c,), eps)
     assert ball.prefix(N).tolist() == want
     assert comp.prefix(N).tolist() == [not w for w in want]
     assert [ball.member(n) for n in range(1, N + 1)] == want
@@ -100,6 +102,34 @@ def test_harmonic_hit_bits_equal_the_bitmap_indicator(case, horizon):
     bits = zoo.harmonic().hit_bits((c,), eps, horizon)
     assert bits.dtype == bool
     assert bits.tolist() == ref_indicator((c,), eps, horizon).tolist()
+
+
+@st.composite
+def rational_balls(draw):
+    """A centre and a radius with denominators up to 2^60 (their products
+    pass int64), the centre near a point of the enumeration or anywhere,
+    and a horizon."""
+    q = draw(st.integers(1, 1 << 60))
+    e2 = draw(st.integers(1, 1 << 60))
+    eps = F(draw(st.integers(1, e2)), e2)
+    if draw(st.booleans()):
+        c = zoo.rationals().point(draw(st.integers(1, 2000)))[0]
+        c += F(draw(st.integers(-4, 4)), q)
+    else:
+        c = F(draw(st.integers(-q, 2 * q)), q)
+    return c, eps, draw(st.integers(1, 1500))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_balls())
+def test_rationals_ball_matches_pointwise_distance(case):
+    c, eps, horizon = case
+    x = zoo.rationals()
+    want = [distance(x.point(n), (c,)) < eps for n in range(1, horizon + 1)]
+    ball = indicator_set(x, (c,), eps)
+    assert isinstance(ball, ns.Tested)
+    assert ball.prefix(horizon).tolist() == want
+    assert [ball.member(n) for n in range(1, horizon + 1)] == want
 
 
 @pytest.mark.parametrize("ideal", ["fin", "Z", "summable", "gdi"])

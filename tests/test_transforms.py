@@ -12,7 +12,9 @@ from idealconv import submeasure as sm
 from idealconv import zoo
 from idealconv.ideals import builtin
 from idealconv.meager import WitnessRefuted, build_witness
-from idealconv.sequences import AnalysisParams, RadiusSchedule
+from idealconv.sequences import (AnalysisParams, RadiusSchedule,
+                                 gamma_estimate, indicator_set,
+                                 limit_points_estimate)
 from idealconv import transforms as tr
 
 F = Fraction
@@ -66,27 +68,73 @@ def test_apply_preserves_alphabet_symbolically():
 
 
 def test_preimage_examples():
-    assert isinstance(tr.preimage(sigma_2n(), ns.Progression(2, 2), 100),
+    assert isinstance(tr.preimage(sigma_2n(), ns.Progression(2, 2)),
                       ns.Progression)
-    assert tr.preimage(sigma_2n(), ns.Progression(2, 2), 100).step == 1
-    odds_pre = tr.preimage(sigma_2n(), ns.Progression(1, 2), 100)
+    assert tr.preimage(sigma_2n(), ns.Progression(2, 2)).step == 1
+    odds_pre = tr.preimage(sigma_2n(), ns.Progression(1, 2))
     assert isinstance(odds_pre, ns.Finite) and not odds_pre.members
     s = ns.PowersOf(3)
-    assert tr.preimage(tr.identity_sigma(), s, 100) is s
+    assert tr.preimage(tr.identity_sigma(), s) is s
 
 
 def test_preimage_matches_pointwise():
+    # symbolic preimages, and lazily tested ones where the set has no
+    # closed-form preimage under the map (powers, the rationals ball)
     maps = [sigma_2n(), tr.SubsequenceMap([3, 4, 10, 11], tr.TailRule("arith", 5)),
+            tr.SubsequenceMap((), tr.TailRule("identity-shift", 2)),
             tr.odd_even_swap(), tr.random_sigma(3, length=200),
             tr.random_pi(3, window=8, length=200)]
     sets = [ns.Progression(2, 3), ns.Finite([4, 10, 44]), ns.PowersOf(2),
             ns.Cofinite([6, 8]),
-            ns.Union((ns.Progression(1, 4), ns.Finite([2])))]
+            ns.Union((ns.Progression(1, 4), ns.Finite([2]))),
+            ns.Union((ns.Progression(5, 7), ns.PowersOf(3))),
+            indicator_set(zoo.rationals(), (F(1, 3),), F(1, 10))]
     for t in maps:
         for s in sets:
-            pre = tr.preimage(t, s, 150)
-            for n in (1, 2, 7, 50, 149):
-                assert pre.member(n) == s.member(t.value(n)), (t, s.to_json())
+            pre = tr.preimage(t, s)
+            want = [s.member(t.value(n)) for n in range(1, 150)]
+            assert [pre.member(n) for n in range(1, 150)] == want, (t, s)
+            assert pre.prefix(149).tolist() == want, (t, s)
+
+
+def test_lazy_preimage_ends_with_its_table():
+    t = tr.random_sigma(3, length=100)
+    pre = tr.preimage(t, ns.PowersOf(2))
+    assert pre.member(100) is not None
+    assert pre.member(101) is None
+    assert pre.prefix(100).size == 100
+    with pytest.raises(ns.HorizonExceeded):
+        pre.prefix(101)
+    # a set that does not know a value passes None on
+    shift = tr.SubsequenceMap((), tr.TailRule("identity-shift", 2))
+    short = tr.preimage(shift, ns.PrefixBitmap([1, 0, 1, 1, 0]))
+    assert [short.member(n) for n in (1, 3, 4)] == [True, False, None]
+
+
+def test_a_map_that_ends_before_the_horizon_leaves_radii_undecided():
+    y = tr.apply(tr.random_sigma(3, length=100), zoo.rationals())
+    params = AnalysisParams(horizon=256, schedule=RadiusSchedule.dyadic(4),
+                            pitch=F(1, 16))
+    cands = [(F(0),), (F(1, 2),), (F(1),)]
+    gamma = gamma_estimate(y, builtin("density-zero"), params,
+                           candidates=cands)
+    limits = limit_points_estimate(y, params, candidates=cands)
+    for report in (gamma, limits):
+        assert [c.classification for c in report.candidates] == [
+            "undecided"] * 3
+        assert all(r.verdict == "undecided"
+                   for c in report.candidates for r in c.radii)
+    assert gamma.route_counts() == {"horizon-exceeded": 12}
+
+
+def test_harmonic_under_an_affine_map_keeps_symbolic_balls():
+    y = tr.apply(sigma_2n(), zoo.harmonic())
+    params = AnalysisParams(horizon=1 << 12, schedule=RadiusSchedule.dyadic(4),
+                            pitch=F(1, 16))
+    gamma = gamma_estimate(y, builtin("summable"), params)
+    # the values 1/(2n) span [0, 1/2]: 9 candidates of 4 radii each
+    assert gamma.route_counts() == {"exact-norm": 36}
+    assert (F(0),) in gamma.points()
 
 
 def test_generic_subsequence_even_source():
@@ -95,7 +143,7 @@ def test_generic_subsequence_even_source():
     res = tr.generic_subsequence(ns.Progression(2, 2), w, ns.FULL, 2048)
     assert [res.map.value(n) for n in (1, 2, 3)] == [2, 4, 6]
     assert all(f.verified for f in res.blocks)
-    pre = tr.preimage(res.map, ns.Progression(2, 2), 2048)
+    pre = tr.preimage(res.map, ns.Progression(2, 2))
     assert pre.prefix(2048).all()
 
 
@@ -127,7 +175,7 @@ def test_cluster_adding_sigma_powers():
     assert all(f.verified for f in res.blocks)
     assert all(t.verdict == "not-in" for t in res.targets)
     # the preimage of the ones now holds whole dyadic blocks: density >= 1/2
-    pre_bits = tr.preimage(res.map, ns.PowersOf(2), 1 << 12).prefix(1 << 12)
+    pre_bits = tr.preimage(res.map, ns.PowersOf(2)).prefix(1 << 12)
     counts = np.cumsum(pre_bits)
     peak = max(F(int(counts[(1 << k) - 2]), (1 << k) - 1) for k in range(2, 13))
     assert peak >= F(1, 2)
