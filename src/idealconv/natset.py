@@ -11,8 +11,11 @@ exact and vectorized.  A tree whose leaves are all finite, cofinite or
 progressions has an eventually periodic normal form (:class:`Periodic`:
 segments sharing one period, each with a residue bitmask), built on first
 use unless its masks would pass ``PERIODIC_BITS``; it answers density,
-infiniteness, cofiniteness, member walks and the Fin x Fin row rule.
-Mixed trees keep their structural rules.
+infiniteness, cofiniteness, member walks, gathers at scattered values and
+the Fin x Fin row rule.  Mixed trees keep their structural rules.  A tested
+set may carry a certified natural density (the ``rationals`` balls do);
+``natural_density`` reads it, a periodic form's, or one minus either's
+under a complement.
 """
 
 from __future__ import annotations
@@ -166,6 +169,14 @@ class BlockPartition:
     def max_block_singleton(self) -> bool:
         """True for the degenerate partition whose blocks are all singletons."""
         return bool(self.tag) and self.tag.get("kind") == "singletons"
+
+    def blocks_proportional(self) -> bool:
+        """Whether liminf (hi - lo) / hi > 0 over the blocks, read off the
+        generator tag; an explicit partition declares nothing (False)."""
+        tag = self.tag or {}
+        kind = tag.get("kind")
+        return (kind in ("pow2", "valuation-cover", "ratio-search")
+                or kind == "geometric" and Fraction(tag["ratio"]) > 1)
 
     def boundary_prefix(self, count: int) -> list[int]:
         self.iota(count)
@@ -487,9 +498,16 @@ class Tested(NatSet):
     """A set known only through an exact test: ``bits(N)`` returns a fresh
     prefix on [1, N] and ``test(n)`` one membership (None if unknown).
     Either raises HorizonExceeded where the test runs out (a map past its
-    table), and ``member`` then answers None."""
+    table), and ``member`` then answers None.  ``density``, when given, is
+    a certified natural density 0 < d < 1, so the set is infinite and not
+    cofinite; nothing else about the set is known."""
     bits: Callable[[int], np.ndarray]
     test: Callable[[int], Optional[bool]]
+    density: Optional[Fraction] = None
+
+    def __post_init__(self):
+        if self.density is not None and not 0 < self.density < 1:
+            raise ValueError("a tested set's density must lie in (0, 1)")
 
     def member(self, n: int) -> Optional[bool]:
         try:
@@ -499,6 +517,12 @@ class Tested(NatSet):
 
     def prefix(self, horizon: int) -> np.ndarray:
         return self.bits(_check_horizon(horizon))
+
+    def is_infinite(self) -> Optional[bool]:
+        return None if self.density is None else True
+
+    def is_cofinite(self) -> Optional[bool]:
+        return None if self.density is None else False
 
 
 @dataclass(frozen=True)
@@ -726,6 +750,11 @@ class Periodic:
     masks: tuple[int, ...]
     offset: int = 0
 
+    def member(self, n: int) -> bool:
+        """One bisect over the starts and one bit test: no residue list."""
+        mask = self.masks[bisect_right(self.starts, n) - 1]
+        return bool(mask >> ((n - self.offset) % self.period) & 1)
+
     def residues(self, i: int = -1) -> list[int]:
         """Residues set in segment i's mask (the tail's by default), sorted."""
         mask = self.masks[i]
@@ -816,6 +845,18 @@ def exact_density(s: NatSet) -> Optional[Fraction]:
                                               form.period)
 
 
+def natural_density(s: NatSet) -> Optional[Fraction]:
+    """Certified natural density: a periodic form's, a tested set's own,
+    or one minus that of the set a complement takes (else None)."""
+    if isinstance(s, Tested):
+        return s.density
+    d = exact_density(s)
+    if d is None and isinstance(s, Complement):
+        inner = natural_density(s.part)
+        d = None if inner is None else 1 - inner
+    return d
+
+
 def finite_upper_bound(s: NatSet) -> Optional[int]:
     """A bound no member of s exceeds, read off explicit finite parts."""
     if isinstance(s, Finite):
@@ -872,18 +913,21 @@ def prefix_gather(s: NatSet, values) -> np.ndarray:
     """Membership bits of ``s`` at the given positive integers.
 
     Vectorized through a single prefix when the values fit in int64 and are
-    not too spread out; falls back to per-element member() otherwise (needed
-    for maps whose values are huge integers).  Raises HorizonExceeded when
-    any queried membership is unknown.
+    not too spread out; otherwise (maps whose values are huge integers) each
+    value is answered alone, from the periodic form where the set has one,
+    else by member().  Raises HorizonExceeded when any queried membership
+    is unknown.
     """
     if isinstance(values, np.ndarray) and values.dtype != object:
         top = int(values.max())
         if top <= max(1 << 24, 4 * values.size):
             bits = s.prefix(top)
             return bits[values.astype(np.int64) - 1]
+    form = periodic_form(s)
+    test = s.member if form is None else form.member
     out = np.empty(len(values), dtype=bool)
     for i, v in enumerate(values):
-        m = s.member(int(v))
+        m = test(int(v))
         if m is None:
             raise HorizonExceeded(f"membership undecided at {v}")
         out[i] = m

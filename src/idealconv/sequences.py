@@ -146,21 +146,24 @@ class SequenceSpec:
         return indicator_set(self, center, eps).prefix(horizon)
 
     def sample_box(self, horizon: int) -> list[tuple[Fraction, Fraction]]:
-        """Per-coordinate value range, for candidate grids."""
+        """Per-coordinate value range, for candidate grids: over the terms
+        up to the horizon (2048 without a batch), or up to where a
+        reindexing map's table ends."""
         if self.alphabet is not None:
             cols = list(zip(*self.alphabet.letters))
             return [(min(c), max(c)) for c in cols]
         if self.batch_fn is not None:
-            vals = np.atleast_2d(self.batch_fn(horizon))
-            if vals.shape[0] == horizon:
-                vals = vals.T
+            vals = np.asarray(self.batch_fn(horizon)).reshape(-1, self.dim)
             return [(Fraction(float(c.min())).limit_denominator(1 << 30),
                      Fraction(float(c.max())).limit_denominator(1 << 30))
-                    for c in vals]
-        probe = min(horizon, 2048)
-        pts = [self.point(n) for n in range(1, probe + 1)]
-        cols = list(zip(*pts))
-        return [(min(c), max(c)) for c in cols]
+                    for c in vals.T]
+        pts = []
+        for n in range(1, min(horizon, 2048) + 1):
+            try:
+                pts.append(self.point(n))
+            except ns.HorizonExceeded:
+                break
+        return [(min(c), max(c)) for c in zip(*pts)]
 
 
 def indicator_set(x: SequenceSpec, center: Point, eps: Fraction) -> ns.NatSet:
@@ -403,7 +406,7 @@ def gamma_estimate(x: SequenceSpec, handle: IdealHandle, params: AnalysisParams,
 class UFrakResult:
     per_radius: list[tuple[Fraction, sm.NormEstimate]]
     exact: Optional[Fraction]
-    numeric: Fraction
+    numeric: Optional[Fraction]          # None where exact is set
 
     def value(self) -> Fraction:
         return self.exact if self.exact is not None else self.numeric
@@ -416,6 +419,8 @@ def u_frak(x: SequenceSpec, sigma, ell, m: sm.Lscsm,
     ``sigma`` (None = identity) reindexes the sequence first.  The reported
     value is the estimate at the smallest radius; the per-radius sequence is
     the convergence diagnostic (non-increasing when everything is exact).
+    A radius whose exact norm is known reads no prefix and no tail value:
+    its estimate has no numeric value, rows or trend.
     """
     if sigma is not None:
         from . import transforms
@@ -424,7 +429,11 @@ def u_frak(x: SequenceSpec, sigma, ell, m: sm.Lscsm,
     per: list[tuple[Fraction, sm.NormEstimate]] = []
     for eps in params.schedule:
         ind = indicator_set(x, ell, eps)
-        per.append((eps, sm.norm_estimate(m, ind, params.horizon)))
+        exact = m.exact_norm(ind)
+        est = (sm.norm_estimate(m, ind, params.horizon, exact=None)
+               if exact is None else
+               sm.NormEstimate(exact, None, [], None, params.horizon))
+        per.append((eps, est))
     last = per[-1][1]
     return UFrakResult(per, last.exact, last.numeric)
 

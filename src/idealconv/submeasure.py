@@ -204,7 +204,7 @@ class RunningDensity(Lscsm):
         return Fraction(horizon - t, horizon)
 
     def _exact_norm_infinite(self, s: ns.NatSet) -> Optional[Fraction]:
-        d = ns.exact_density(s)
+        d = ns.natural_density(s)
         if d is not None:
             return d
         if isinstance(s, ns.PowersOf):
@@ -306,7 +306,7 @@ class WeightedSum(Lscsm):
             inner = self.exact_norm(s.part)
             if inner == 0:
                 return self.cap
-        d = ns.exact_density(s)
+        d = ns.natural_density(s)
         if d is not None and d > 0:
             return self.cap
         return super()._exact_norm_infinite(s)
@@ -377,10 +377,14 @@ class DensityFamily(Lscsm):
     def _exact_norm_infinite(self, s: ns.NatSet) -> Optional[Fraction]:
         if isinstance(s, ns.PowersOf) and self.partition.lengths_unbounded:
             return ZERO
-        d = ns.exact_density(s)
-        if d is not None and self.partition.lengths_unbounded:
-            # block averages of an eventually periodic set converge to its
-            # density once block lengths grow without bound
+        # block averages of an eventually periodic set converge to its
+        # density once block lengths grow without bound; those of a set with
+        # a natural density d do once liminf (hi - lo) / hi = c > 0, since
+        # the count in [lo, hi) is d (hi - lo) + o(hi) and hi <= (hi - lo) / c
+        d = ns.exact_density(s) if self.partition.lengths_unbounded else None
+        if d is None and self.partition.blocks_proportional():
+            d = ns.natural_density(s)
+        if d is not None:
             return self.tail_weight * d
         if isinstance(s, ns.Complement):
             inner = self.exact_norm(s.part)
@@ -448,9 +452,11 @@ class NormEstimate:
     """Finite-horizon reading of the limit norm of a set under one lscsm."""
 
     exact: Optional[Fraction]
-    numeric: Fraction                     # corrected value at the deepest cut
+    # corrected value at the deepest cut; None, like the trend, with no rows
+    # when the exact norm was known and no tail was read
+    numeric: Optional[Fraction]
     rows: list[tuple[int, Fraction, Fraction]]   # (cut, raw, corrected)
-    trend: str                            # zero | decreasing | non-decreasing | mixed
+    trend: Optional[str]                  # zero | decreasing | non-decreasing | mixed
     horizon: int
 
     @property

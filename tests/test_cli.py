@@ -92,15 +92,16 @@ def test_meta_counts_the_deciding_routes(tmp_path):
         text = (tmp_path / f"a{suffix}").read_text()
         assert "exact-norm" not in text
         assert text == (tmp_path / f"b{suffix}").read_text()
-    # rationals balls are bitmaps: both convergence legs estimate by trend
+    # rationals balls carry their Farey-interval densities: both
+    # convergence legs are decided by exact norms
     assert run(["analyze", "--seq", "rationals", "--ideal", "Z",
                 "--mode", "convergence", "--ell", "1/2", "--horizon", "4096",
                 "--radii", "4", "--pitch", "1/16",
                 "--out", str(tmp_path / "c")]) == 0
     routes = read(tmp_path / "c.meta.json")["routes"]["convergence"]
     assert set(routes) == {"primary", "cross"}
-    assert routes["primary"] == {"tail-trend": 4}
-    assert routes["cross"]["tail-trend"] == 17 * 4
+    assert routes["primary"] == {"exact-norm": 4}
+    assert routes["cross"] == {"exact-norm": 17 * 4}
 
 
 def test_missing_ideal_exits_one(capsys):

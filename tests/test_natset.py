@@ -7,7 +7,6 @@ never trusted to check itself.
 
 import hashlib
 import json
-from bisect import bisect_right
 from fractions import Fraction
 from itertools import islice
 
@@ -384,11 +383,6 @@ def periodic_case(spec):
     return s, form, lo, lo + form.period
 
 
-def form_member(form, n):
-    mask = form.masks[bisect_right(form.starts, n) - 1]
-    return bool(mask >> ((n - form.offset) % form.period) & 1)
-
-
 @given(periodic_specs)
 def test_periodic_form_membership_matches_reference(spec):
     s, form, lo, hi = periodic_case(spec)
@@ -398,7 +392,24 @@ def test_periodic_form_membership_matches_reference(spec):
     assert all(a != b for a, b in zip(form.masks, form.masks[1:]))
     ref = ref_set(spec, max(N_REF, hi))
     for n in list(range(1, N_REF + 1)) + list(range(lo, hi)):
-        assert form_member(form, n) == (n in ref), n
+        assert form.member(n) == (n in ref), n
+
+
+def no_member(self, n):
+    raise AssertionError("member() walked the tree")
+
+
+@given(periodic_specs, st.lists(st.integers(1, 1 << 70), min_size=1,
+                                max_size=20))
+def test_prefix_gather_at_far_values_reads_the_periodic_form(spec, values):
+    s = build(spec)
+    want = [s.member(v) for v in values]
+    with pytest.MonkeyPatch.context() as mp:
+        for cls in (ns.Finite, ns.Cofinite, ns.Progression, ns.Union,
+                    ns.Intersection, ns.Complement):
+            mp.setattr(cls, "member", no_member)
+        got = ns.prefix_gather(s, np.array(values, dtype=object))
+    assert got.tolist() == want
 
 
 @given(periodic_specs)

@@ -173,7 +173,7 @@ def test_u_frak_examples():
     u = u_frak(zoo.char_evens(), None, (F(1),), rd, P14)
     assert u.value() == F(1, 2) and u.exact == F(1, 2)
     u0 = u_frak(zoo.harmonic(), None, (F(0),), rd, P14)
-    assert u0.numeric == 1             # the whole tail sits in every ball
+    assert u0.exact == 1               # the whole tail sits in every ball
     from idealconv.transforms import SubsequenceMap, TailRule
     evens_sel = SubsequenceMap((), TailRule("arith", 2))
     u2 = u_frak(zoo.char_evens(), evens_sel, (F(0),), rd, P14)

@@ -4,10 +4,12 @@
 (empty, a tail, or a tail minus a later tail), so every ideal with a
 submeasure decides it by its exact norm.  The balls are checked against the
 per-point exact distance and against the bitmap indicator they replaced.
-``rationals`` answers each ball as a set known through its exact integer
-test, checked against the same distance.  The densities of sets whose
-periodic part starts far out are computed without a prefix that long, which
-a 4 GiB address-space limit enforces.
+``rationals`` answers each ball as a closed form when it is empty or covers
+(0, 1), and otherwise as a set known through its exact integer test that
+carries the certified density of its Farey interval; both are checked
+against the same distance, and the density against prefix counts.  The
+densities of sets whose periodic part starts far out are computed without a
+prefix that long, which a 4 GiB address-space limit enforces.
 """
 
 import json
@@ -25,11 +27,14 @@ from hypothesis import given, settings, strategies as st
 
 import idealconv
 from idealconv import natset as ns
+from idealconv import submeasure as sm
+from idealconv import transforms as tr
 from idealconv import zoo
 from idealconv.ideals import builtin
-from idealconv.sequences import (AnalysisParams, candidate_grid,
-                                 complement_indicator_set, distance,
-                                 gamma_estimate, indicator_set)
+from idealconv.sequences import (AnalysisParams, RadiusSchedule, SequenceSpec,
+                                 candidate_grid, complement_indicator_set,
+                                 distance, gamma_estimate, indicator_set,
+                                 u_frak)
 
 F = Fraction
 N = 512
@@ -127,7 +132,15 @@ def test_rationals_ball_matches_pointwise_distance(case):
     x = zoo.rationals()
     want = [distance(x.point(n), (c,)) < eps for n in range(1, horizon + 1)]
     ball = indicator_set(x, (c,), eps)
-    assert isinstance(ball, ns.Tested)
+    # empty, all but the ends 0/1 and 1/1 that the ball misses, or a Farey
+    # interval with its density
+    lo, hi = max(c - eps, 0), min(c + eps, 1)
+    if lo >= hi:
+        assert ball == ns.EMPTY
+    elif hi - lo == 1:
+        assert isinstance(ball, ns.Cofinite) and set(ball.excluded) <= {1, 2}
+    else:
+        assert isinstance(ball, ns.Tested) and ball.density == hi - lo
     assert ball.prefix(horizon).tolist() == want
     assert [ball.member(n) for n in range(1, horizon + 1)] == want
 
@@ -145,6 +158,95 @@ def test_every_harmonic_ball_is_decided_by_its_exact_norm(ideal):
             tail = abs(c) < r.eps or c == r.eps
             assert r.verdict == ("not-in" if tail else "in"), (c, r.eps)
     assert report.points() == [(F(0),), (F(1, 1024),)]
+
+
+@pytest.mark.parametrize("ideal", ["fin", "Z", "summable", "gdi"])
+def test_every_rationals_ball_is_decided_by_its_exact_norm(ideal):
+    # every point of [0, 1] is a cluster point of the enumeration: each ball
+    # around it holds a positive share of the indices
+    x = zoo.rationals()
+    params = AnalysisParams()
+    report = gamma_estimate(x, builtin(ideal), params)
+    assert len(report.candidates) == len(candidate_grid(x, params)) == 1025
+    assert report.route_counts() == {"exact-norm": 1025 * len(params.schedule)}
+    assert all(c.classification == "cluster" for c in report.candidates)
+
+
+def test_rationals_prefix_counts_approach_the_farey_density():
+    # a sanity check of the theorem at 2^20, not its proof
+    x = zoo.rationals()
+    rng = np.random.default_rng(20)
+    horizon = 1 << 20
+    for _ in range(50):
+        c = F(int(rng.integers(0, (1 << 16) + 1)), 1 << 16)
+        eps = F(int(rng.integers(1 << 10, 1 << 15)), 1 << 16)
+        ball = indicator_set(x, (c,), eps)
+        assert isinstance(ball, ns.Tested), (c, eps)
+        got = F(int(ball.prefix(horizon).sum()), horizon)
+        assert abs(got - ball.density) <= ball.density / 100, (c, eps)
+
+
+def farey_leaf():
+    return indicator_set(zoo.rationals(), (F(1, 3),), F(1, 8))
+
+
+def test_density_family_takes_a_natural_density_only_on_proportional_blocks():
+    leaf = farey_leaf()                 # the interval (5/24, 11/24)
+    geometric = ns.partition_from_tag({"kind": "geometric", "ratio": "3/2"})
+    fam = sm.DensityFamily(partition=geometric, tail_weight=F(1, 2))
+    assert fam.exact_norm(leaf) == F(1, 2) * F(1, 4)
+    assert fam.exact_norm(ns.Complement(leaf)) == F(1, 2) * F(3, 4)
+    # an explicit prefix declares nothing about its block lengths, even
+    # when it says they are unbounded
+    explicit = ns.BlockPartition(prefix=[1, 2, 4, 8, 16, 32],
+                                 lengths_unbounded=True)
+    assert sm.DensityFamily(partition=explicit).exact_norm(leaf) is None
+    # bounded block lengths: the singletons
+    singletons = ns.partition_from_tag({"kind": "singletons"})
+    assert sm.DensityFamily(partition=singletons).exact_norm(leaf) is None
+
+
+def test_the_other_exact_norms_read_the_farey_density():
+    leaf = farey_leaf()
+    assert (leaf.is_infinite(), leaf.is_cofinite()) == (True, False)
+    assert ns.natural_density(ns.Complement(leaf)) == F(3, 4)
+    assert sm.RunningDensity().exact_norm(leaf) == F(1, 4)
+    assert sm.RunningDensity().exact_norm(ns.Complement(leaf)) == F(3, 4)
+    assert sm.CountingCap().exact_norm(leaf) == 1
+    summable = builtin("summable").lscsm
+    assert summable.exact_norm(ns.Complement(leaf)) == 1
+    with pytest.raises(ValueError):
+        ns.Tested(leaf.bits, leaf.test, density=F(1))
+
+
+@pytest.mark.parametrize("t", [tr.random_sigma(3, length=100),
+                               tr.SubsequenceMap((), tr.TailRule("arith", 2))],
+                         ids=["table", "affine"])
+def test_a_preimage_of_a_farey_leaf_carries_no_density(t):
+    pre = tr.preimage(t, farey_leaf())
+    assert isinstance(pre, ns.Tested) and pre.density is None
+    assert ns.natural_density(pre) is None
+    assert (pre.is_infinite(), pre.is_cofinite()) == (None, None)
+    for ideal in ("fin", "Z", "summable", "gdi"):
+        assert builtin(ideal).lscsm.exact_norm(pre) is None
+
+
+def test_u_frak_reads_no_prefix_behind_an_exact_norm():
+    def unread(horizon):
+        raise AssertionError(f"prefix of length {horizon} read")
+
+    x = SequenceSpec(dim=1, bound=F(1), point_fn=lambda n: (F(0),),
+                     ball_fn=lambda c, eps: ns.Tested(unread, lambda n: True,
+                                                      density=F(1, 3)),
+                     name="probe")
+    params = AnalysisParams(horizon=1 << 12, schedule=RadiusSchedule.dyadic(3),
+                            pitch=F(1, 8))
+    for m, want in ((sm.RunningDensity(), F(1, 3)),
+                    (builtin("summable").lscsm, F(1))):
+        u = u_frak(x, None, (F(0),), m, params)
+        assert (u.exact, u.numeric, u.value()) == (want, None, want)
+        assert all((est.exact, est.numeric, est.rows) == (want, None, [])
+                   for _, est in u.per_radius)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ from idealconv import zoo
 from idealconv.ideals import builtin
 from idealconv.meager import WitnessRefuted, build_witness
 from idealconv.sequences import (AnalysisParams, RadiusSchedule,
-                                 gamma_estimate, indicator_set,
-                                 limit_points_estimate)
+                                 candidate_grid, gamma_estimate,
+                                 indicator_set, limit_points_estimate)
 from idealconv import transforms as tr
 
 F = Fraction
@@ -125,6 +125,26 @@ def test_a_map_that_ends_before_the_horizon_leaves_radii_undecided():
         assert all(r.verdict == "undecided"
                    for c in report.candidates for r in c.radii)
     assert gamma.route_counts() == {"horizon-exceeded": 12}
+
+
+@pytest.mark.parametrize("x", [zoo.rationals(), zoo.char_powers2()],
+                         ids=["batch", "points"])
+def test_a_map_that_ends_before_the_horizon_gives_a_grid_of_its_values(x):
+    # rationals reindexed reads its values in one batch; char:powers2 loses
+    # its alphabet (powers of two have no symbolic preimage) and is probed
+    # point by point
+    y = tr.apply(tr.random_sigma(3, length=100), x)
+    params = AnalysisParams(horizon=256, schedule=RadiusSchedule.dyadic(4),
+                            pitch=F(1, 16))
+    values = [y.point(n)[0] for n in range(1, 101)]
+    want = [(F(k, 16),) for k in range((16 * min(values)).__floor__(),
+                                       (16 * max(values)).__ceil__() + 1)]
+    assert candidate_grid(y, params) == want
+    gamma = gamma_estimate(y, builtin("density-zero"), params)
+    limits = limit_points_estimate(y, params)
+    for report in (gamma, limits):
+        assert [c.point for c in report.candidates] == want
+        assert all(c.classification == "undecided" for c in report.candidates)
 
 
 def test_harmonic_under_an_affine_map_keeps_symbolic_balls():
