@@ -11,11 +11,10 @@ exact and vectorized.  A tree whose leaves are all finite, cofinite or
 progressions has an eventually periodic normal form (:class:`Periodic`:
 segments sharing one period, each with a residue bitmask), built on first
 use unless its masks would pass ``PERIODIC_BITS``; it answers density,
-infiniteness, cofiniteness, member walks, gathers at scattered values and
-the Fin x Fin row rule.  Mixed trees keep their structural rules.  A tested
-set may carry a certified natural density (the ``rationals`` balls do);
-``natural_density`` reads it, a periodic form's, or one minus either's
-under a complement.
+infiniteness, cofiniteness, member walks and the Fin x Fin row rule.
+Mixed trees keep their structural rules.  A tested set may carry a
+certified natural density (the ``rationals`` balls do); ``natural_density``
+reads it, a periodic form's, or one minus either's under a complement.
 """
 
 from __future__ import annotations
@@ -913,21 +912,18 @@ def prefix_gather(s: NatSet, values) -> np.ndarray:
     """Membership bits of ``s`` at the given positive integers.
 
     Vectorized through a single prefix when the values fit in int64 and are
-    not too spread out; otherwise (maps whose values are huge integers) each
-    value is answered alone, from the periodic form where the set has one,
-    else by member().  Raises HorizonExceeded when any queried membership
-    is unknown.
+    not too spread out; falls back to per-element member() otherwise (needed
+    for maps whose values are huge integers).  Raises HorizonExceeded when
+    any queried membership is unknown.
     """
     if isinstance(values, np.ndarray) and values.dtype != object:
         top = int(values.max())
         if top <= max(1 << 24, 4 * values.size):
             bits = s.prefix(top)
             return bits[values.astype(np.int64) - 1]
-    form = periodic_form(s)
-    test = s.member if form is None else form.member
     out = np.empty(len(values), dtype=bool)
     for i, v in enumerate(values):
-        m = test(int(v))
+        m = s.member(int(v))
         if m is None:
             raise HorizonExceeded(f"membership undecided at {v}")
         out[i] = m

@@ -147,16 +147,20 @@ class SequenceSpec:
 
     def sample_box(self, horizon: int) -> list[tuple[Fraction, Fraction]]:
         """Per-coordinate value range, for candidate grids: over the terms
-        up to the horizon (2048 without a batch), or up to where a
-        reindexing map's table ends."""
+        up to the horizon, or (without a batch, or where a reindexing map's
+        table ends first) over the first 2048 terms the map has."""
         if self.alphabet is not None:
             cols = list(zip(*self.alphabet.letters))
             return [(min(c), max(c)) for c in cols]
         if self.batch_fn is not None:
-            vals = np.asarray(self.batch_fn(horizon)).reshape(-1, self.dim)
-            return [(Fraction(float(c.min())).limit_denominator(1 << 30),
-                     Fraction(float(c.max())).limit_denominator(1 << 30))
-                    for c in vals.T]
+            try:
+                vals = np.asarray(self.batch_fn(horizon)).reshape(-1, self.dim)
+            except ns.HorizonExceeded:
+                vals = None
+            if vals is not None:
+                return [(Fraction(float(c.min())).limit_denominator(1 << 30),
+                         Fraction(float(c.max())).limit_denominator(1 << 30))
+                        for c in vals.T]
         pts = []
         for n in range(1, min(horizon, 2048) + 1):
             try:
@@ -407,6 +411,8 @@ class UFrakResult:
     per_radius: list[tuple[Fraction, sm.NormEstimate]]
     exact: Optional[Fraction]
     numeric: Optional[Fraction]          # None where exact is set
+    # exact is taken for the limiting norm, not only an upper bound on it
+    settled: bool = False
 
     def value(self) -> Fraction:
         return self.exact if self.exact is not None else self.numeric
@@ -435,7 +441,28 @@ def u_frak(x: SequenceSpec, sigma, ell, m: sm.Lscsm,
                sm.NormEstimate(exact, None, [], None, params.horizon))
         per.append((eps, est))
     last = per[-1][1]
-    return UFrakResult(per, last.exact, last.numeric)
+    return UFrakResult(per, last.exact, last.numeric,
+                       _settled(x, ell, per))
+
+
+def _settled(x: SequenceSpec, ell: Point,
+             per: list[tuple[Fraction, sm.NormEstimate]]) -> bool:
+    """Whether the exact norm at the smallest radius is the limiting norm.
+
+    Norms do not increase as the radius shrinks, so that norm bounds the
+    limit from above.  It is the limit when no smaller radius changes the
+    ball: an alphabet ball that holds only letters equal to the center.
+    Otherwise it is read as the limit once the two smallest radii give the
+    same exact norm; a norm that keeps shrinking (a rationals ball under Z,
+    the length of its interval) is not settled.
+    """
+    eps, last = per[-1]
+    if last.exact is None:
+        return False
+    if x.alphabet is not None:
+        return all(distance(L, ell) == 0 for L in x.alphabet.letters
+                   if distance(L, ell) < eps)
+    return len(per) >= 2 and per[-2][1].exact == last.exact
 
 
 def lambda_q_estimate(x: SequenceSpec, handle: IdealHandle, q: Fraction,
@@ -449,7 +476,9 @@ def lambda_q_estimate(x: SequenceSpec, handle: IdealHandle, q: Fraction,
 
 def _classify_u(u: UFrakResult, q: Fraction, margin: Fraction) -> str:
     if u.exact is not None:
-        return CLUSTER if u.exact >= q else NOT_CLUSTER
+        if u.exact < q:
+            return NOT_CLUSTER
+        return CLUSTER if u.settled else UNDECIDED
     # the margin band cannot extend past the normalized ceiling of 1
     if u.numeric >= min(q + margin, Fraction(1)):
         return CLUSTER

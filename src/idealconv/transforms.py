@@ -350,13 +350,7 @@ def apply(t: AnyMap, x: SequenceSpec) -> SequenceSpec:
             return preimage(t, indicator_set(x, center, eps))
         if x.batch_fn is not None:
             def batch(N: int) -> np.ndarray:
-                """The first N terms, or all a finite table gives."""
-                try:
-                    values = t.values_up_to(N)
-                except ns.HorizonExceeded:
-                    if not len(t):
-                        raise
-                    values = t.values_up_to(len(t))
+                values = t.values_up_to(N)
                 return np.asarray(x.batch_fn(int(values.max())))[values - 1]
 
     kind = "sigma" if isinstance(t, SubsequenceMap) else "pi"

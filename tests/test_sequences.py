@@ -189,6 +189,24 @@ def test_u_frak_nonincreasing_along_radii():
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
+def test_a_lambda_cluster_needs_a_settled_exact_norm():
+    # letters 3/16 and 1/4 alternate.  At the smallest radius 1/16 the ball
+    # around a letter holds that letter alone, so its norm 1/2 is the limit
+    # although the radius before (1/8) held both letters; the ball around
+    # 7/32 still holds both, and its norm 1 only bounds the limit, 0
+    x = zoo.cycle([F(3, 16), F(1, 4)])
+    params = AnalysisParams(horizon=1 << 12, schedule=RadiusSchedule.dyadic(4),
+                            pitch=F(1, 32))
+    Z = builtin("density-zero")
+    u = u_frak(x, None, (F(1, 4),), Z.lscsm, params)
+    assert [est.exact for _, est in u.per_radius][-2:] == [1, F(1, 2)]
+    assert u.settled
+    report = lambda_q_estimate(x, Z, F(1, 2), params, extra=[(F(7, 32),)])
+    got = sorted((c.point[0], c.classification) for c in report.candidates)
+    assert got == [(F(3, 16), "cluster"), (F(7, 32), "undecided"),
+                   (F(1, 4), "cluster")]
+
+
 # --- q-level sets ------------------------------------------------------------
 
 def test_lambda_q_examples():

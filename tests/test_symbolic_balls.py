@@ -34,7 +34,7 @@ from idealconv.ideals import builtin
 from idealconv.sequences import (AnalysisParams, RadiusSchedule, SequenceSpec,
                                  candidate_grid, complement_indicator_set,
                                  distance, gamma_estimate, indicator_set,
-                                 u_frak)
+                                 lambda_estimate, u_frak)
 
 F = Fraction
 N = 512
@@ -247,6 +247,31 @@ def test_u_frak_reads_no_prefix_behind_an_exact_norm():
         assert (u.exact, u.numeric, u.value()) == (want, None, want)
         assert all((est.exact, est.numeric, est.rows) == (want, None, [])
                    for _, est in u.per_radius)
+
+
+@pytest.mark.parametrize("ideal, want", [
+    ("Z", {"undecided": 15, "not-cluster": 2}),
+    ("gdi", {"undecided": 15, "not-cluster": 2}),
+    ("summable", {"cluster": 17}),
+    ("fin", {"cluster": 17})])
+def test_only_a_settled_exact_norm_certifies_a_lambda_cluster(ideal, want):
+    # under Z and gdi a ball's norm is its interval's length (times the tail
+    # weight), which halves with the radius: the limiting norm is 0, so the
+    # exact norm at the smallest radius, an upper bound, certifies no
+    # cluster; it rules a point out once it falls below every level (the
+    # ends 0 and 1, whose balls are half as long).  Under summable and fin
+    # every ball has the full norm, which has stopped changing.
+    params = AnalysisParams(horizon=4096, schedule=RadiusSchedule.dyadic(4),
+                            pitch=F(1, 16))
+    report = lambda_estimate(zoo.rationals(), builtin(ideal), params)
+    got = {}
+    for c in report.candidates:
+        got[c.classification] = got.get(c.classification, 0) + 1
+    assert got == want
+    assert report.route_counts() == {"exact-norm": 17 * 4}
+    ruled_out = [c.point for c in report.candidates
+                 if c.classification == "not-cluster"]
+    assert ruled_out == ([(F(0),), (F(1),)] if "not-cluster" in want else [])
 
 
 # ---------------------------------------------------------------------------
