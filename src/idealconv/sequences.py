@@ -412,7 +412,7 @@ class UFrakResult:
     exact: Optional[Fraction]
     numeric: Optional[Fraction]          # None where exact is set
     # exact is taken for the limiting norm, not only an upper bound on it
-    settled: bool = False
+    settled: bool
 
     def value(self) -> Fraction:
         return self.exact if self.exact is not None else self.numeric
