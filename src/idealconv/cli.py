@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import games as gm
+from . import natset as ns
 from . import transforms as tr
 from . import zoo
 from .ideals import UnknownIdeal, builtin, builtin_names
@@ -38,8 +39,8 @@ EXIT_UNDECIDED = 2
 EXIT_HYPOTHESIS = 3
 EXIT_AUDIT = 4
 
-# the largest horizon a run may ask for: MemberSupply's default scan limit
-MAX_HORIZON = 1 << 24
+# the largest horizon a run may ask for: the farthest a member walk scans
+MAX_HORIZON = ns.SCAN_LIMIT
 
 HEURISTIC_BANNER = ("HEURISTIC: sampled maps estimate frequencies only; "
                     "topological largeness is not a sampling property")

@@ -43,13 +43,6 @@ class Decision:
 class DecisionParams:
     horizon: int = 1 << 20
     theta: Fraction = Fraction(1, 100)
-    slack: Fraction = Fraction(1, 200)
-    cuts: Optional[tuple[int, ...]] = None
-
-    def cut_points(self) -> list[int]:
-        if self.cuts is not None:
-            return list(self.cuts)
-        return sm.default_cuts(self.horizon)
 
 
 DEFAULT_PARAMS = DecisionParams()
@@ -277,9 +270,7 @@ def decide_membership(handle: IdealHandle, s: ns.NatSet,
     # empty, but then the half-horizon windows catch the previous lump.
     # Both read one prefix: the half-horizon prefix is its first half.
     def trend_verdict(horizon: int) -> tuple[Optional[Verdict], object]:
-        cuts = params.cut_points() if horizon == params.horizon else None
-        est = sm.norm_estimate(m, s, horizon, cuts=cuts, slack=params.slack,
-                               bits=bits[:horizon], exact=exact)
+        est = sm.norm_estimate(m, s, horizon, bits=bits[:horizon], exact=exact)
         if est.trend in ("zero", "decreasing") and est.numeric < params.theta:
             return Verdict.IN, est
         if est.trend == "non-decreasing" and est.numeric >= params.theta:

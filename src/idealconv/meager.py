@@ -465,9 +465,7 @@ def verify_witness(handle: IdealHandle, w: WitnessIntervals, trials: int,
 def _sample_estimate(handle: IdealHandle, sample: ns.NatSet,
                      params: DecisionParams) -> Optional[Fraction]:
     if handle.lscsm is not None:
-        est = sm.norm_estimate(handle.lscsm, sample, params.horizon,
-                               cuts=params.cut_points(), slack=params.slack,
-                               head=True)
+        est = sm.norm_estimate(handle.lscsm, sample, params.horizon, head=True)
         return est.best
     # product ideal: fraction of valuation rows r <= 10 hit inside the horizon
     hit = valuation_rows(sample, min(params.horizon, 1 << 17))

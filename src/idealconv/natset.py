@@ -870,13 +870,21 @@ def finite_upper_bound(s: NatSet) -> Optional[int]:
     return None
 
 
+SCAN_LIMIT = 1 << 24        # the farthest any member walk reads a prefix
+
+
 def iter_members(s: NatSet, start: int = 1) -> Iterator[int]:
     """Members of s in increasing order, from ``start`` upward.
 
-    Periodic forms and closed forms are walked directly; bitmap-backed sets
-    yield until their horizon and then raise HorizonExceeded, since what lies
-    beyond is unknown rather than empty.
+    Periodic forms, powers and block unions are walked directly, so they
+    reach members past any scan.  Any other set is read in prefix windows,
+    the first ending at max(start, 4096) and each later one twice as far,
+    and the walk raises HorizonExceeded past ``SCAN_LIMIT``, since what lies
+    beyond is unknown rather than empty.  Where a window's prefix is
+    undecided (a bitmap's horizon, the end of a map's table), member() steps
+    through it instead, and the walk raises at the first unknown index.
     """
+    start = max(1, start)
     form = periodic_form(s)
     if form is not None:
         yield from form.walk(start)
@@ -888,24 +896,29 @@ def iter_members(s: NatSet, start: int = 1) -> Iterator[int]:
         while True:
             yield v
             v *= s.base
-    if isinstance(s, PrefixBitmap):
-        idx = np.flatnonzero(s.bits[start - 1:]) + start
-        yield from (int(i) for i in idx)
-        raise HorizonExceeded(f"bitmap exhausted at {s.horizon}")
     if isinstance(s, BlockUnion):
         # a selector with finitely many indices ends the walk at its bound
         for lo, hi in s._selected_blocks(None, finite_upper_bound(s.selector)):
             yield from range(max(lo, start), hi)
         return
-    # mixed boolean combinations: scan with member(); unknown stops the stream
-    n = max(1, start)
-    while True:
-        m = s.member(n)
-        if m is None:
-            raise HorizonExceeded(f"membership undecided at {n}")
-        if m:
-            yield n
-        n += 1
+    lo, hi = start, max(start, 4096)
+    while lo <= SCAN_LIMIT:
+        hi = min(hi, SCAN_LIMIT)
+        try:
+            bits = s.prefix(hi)
+        except HorizonExceeded:
+            bits = None
+        if bits is None:
+            for n in range(lo, hi + 1):
+                m = s.member(n)
+                if m is None:
+                    raise HorizonExceeded(f"membership undecided at {n}")
+                if m:
+                    yield n
+        else:
+            yield from (int(i) for i in np.flatnonzero(bits[lo - 1:]) + lo)
+        lo, hi = hi + 1, 2 * hi
+    raise HorizonExceeded(f"no member scan reads past {SCAN_LIMIT}")
 
 
 def prefix_gather(s: NatSet, values) -> np.ndarray:

@@ -34,6 +34,8 @@ CLUSTER = "cluster"
 NOT_CLUSTER = "not-cluster"
 UNDECIDED = "undecided"
 MAX_GRID_POINTS = 1 << 20       # candidate grids larger than this are refused
+# an estimated limiting norm must clear a level q by this much either way
+Q_MARGIN = Fraction(1, 100)
 
 
 class NotAnalyticP(Exception):
@@ -216,7 +218,6 @@ class AnalysisParams:
     hit_min: int = 16
     theta: Fraction = Fraction(1, 100)
     q_grid: tuple[Fraction, ...] = (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2))
-    q_margin: Fraction = Fraction(1, 100)
 
     def __post_init__(self):
         if self.horizon < 2:
@@ -471,18 +472,18 @@ def lambda_q_estimate(x: SequenceSpec, handle: IdealHandle, q: Fraction,
     """The q-level set of the limiting norm: points where it reaches q."""
     return _limiting_norm_report(
         "lambda-q", x, handle, q, params, extra,
-        lambda u, q: _classify_u(u, q, params.q_margin))
+        lambda u, q: _classify_u(u, q))
 
 
-def _classify_u(u: UFrakResult, q: Fraction, margin: Fraction) -> str:
+def _classify_u(u: UFrakResult, q: Fraction) -> str:
     if u.exact is not None:
         if u.exact < q:
             return NOT_CLUSTER
         return CLUSTER if u.settled else UNDECIDED
     # the margin band cannot extend past the normalized ceiling of 1
-    if u.numeric >= min(q + margin, Fraction(1)):
+    if u.numeric >= min(q + Q_MARGIN, Fraction(1)):
         return CLUSTER
-    if u.numeric <= q - margin:
+    if u.numeric <= q - Q_MARGIN:
         return NOT_CLUSTER
     return UNDECIDED
 
@@ -496,8 +497,7 @@ def lambda_estimate(x: SequenceSpec, handle: IdealHandle,
     every level; membership at any level puts the point in the union.
     """
     def classify(u: UFrakResult, _q) -> str:
-        per_q = [_classify_u(u, q, params.q_margin)
-                 for q in sorted(params.q_grid)]
+        per_q = [_classify_u(u, q) for q in sorted(params.q_grid)]
         if CLUSTER in per_q:
             return CLUSTER
         if all(v == NOT_CLUSTER for v in per_q):

@@ -174,9 +174,6 @@ class Lscsm:
         """Norm of all of N (1 after normalization)."""
         return ONE
 
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class RunningDensity(Lscsm):
@@ -215,9 +212,6 @@ class RunningDensity(Lscsm):
                 return ONE
         return super()._exact_norm_infinite(s)
 
-    def to_json(self) -> dict:
-        return {"kind": "running-density"}
-
 
 @dataclass(frozen=True)
 class CountingCap(Lscsm):
@@ -240,9 +234,6 @@ class CountingCap(Lscsm):
         if s.is_infinite() is True:
             return ONE
         return super()._exact_norm_infinite(s)
-
-    def to_json(self) -> dict:
-        return {"kind": "counting-cap"}
 
 
 @dataclass(frozen=True)
@@ -313,10 +304,6 @@ class WeightedSum(Lscsm):
 
     def full_norm(self) -> Fraction:
         return self.cap
-
-    def to_json(self) -> dict:
-        return {"kind": "weighted-sum", "cap": str(self.cap),
-                "scale": str(self.scale), "harmonic": self.harmonic}
 
 
 @dataclass(frozen=True)
@@ -395,12 +382,6 @@ class DensityFamily(Lscsm):
     def full_norm(self) -> Fraction:
         return max(self.tail_weight, max(self.head_weights, default=ZERO))
 
-    def to_json(self) -> dict:
-        return {"kind": "density-family",
-                "partition": self.partition.to_json(),
-                "head_weights": [str(w) for w in self.head_weights],
-                "tail_weight": str(self.tail_weight)}
-
 
 def normalize(m: Lscsm) -> Lscsm:
     """Scale so the norm of N equals 1 (the running convention downstream)."""
@@ -416,22 +397,6 @@ def normalize(m: Lscsm) -> Lscsm:
     raise ValueError(f"cannot normalize {m.name} with full norm {full}")
 
 
-def lscsm_from_json(body: dict) -> Lscsm:
-    kind = body["kind"]
-    if kind == "running-density":
-        return RunningDensity()
-    if kind == "counting-cap":
-        return CountingCap()
-    if kind == "weighted-sum":
-        return WeightedSum(cap=Fraction(body["cap"]), scale=Fraction(body["scale"]),
-                           harmonic=body["harmonic"])
-    if kind == "density-family":
-        return DensityFamily(partition=ns.BlockPartition.from_json(body["partition"]),
-                             head_weights=tuple(Fraction(w) for w in body["head_weights"]),
-                             tail_weight=Fraction(body["tail_weight"]))
-    raise ValueError(f"unknown lscsm kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # Prefix evaluation and tail-trend estimation
 # ---------------------------------------------------------------------------
@@ -445,6 +410,10 @@ def phi(m: Lscsm, s: ns.NatSet, horizon: int) -> Fraction:
 
 def default_cuts(horizon: int) -> list[int]:
     return [horizon // 2, (3 * horizon) // 4, (7 * horizon) // 8]
+
+
+# a tail window may dip this much below the one before and still read flat
+TREND_SLACK = Fraction(1, 200)
 
 
 @dataclass
@@ -478,12 +447,11 @@ def classify_trend(values: Sequence[Fraction], slack: Fraction) -> str:
     return "mixed"
 
 
-def norm_estimate(m: Lscsm, s: ns.NatSet, horizon: int,
-                  cuts: Optional[Sequence[int]] = None,
-                  slack: Fraction = Fraction(1, 200), *,
+def norm_estimate(m: Lscsm, s: ns.NatSet, horizon: int, *,
                   bits: Optional[np.ndarray] = None,
                   head: bool = False, exact=...) -> NormEstimate:
-    """Evaluate phi on nested tails and classify the trend.
+    """Evaluate phi on the nested tails past ``default_cuts(horizon)`` and
+    classify the trend.
 
     Row values are phi(s ∩ (t, horizon]) divided by the variant's finite-
     horizon attenuation at that cut, so a set with a genuine limit norm shows
@@ -493,11 +461,9 @@ def norm_estimate(m: Lscsm, s: ns.NatSet, horizon: int,
     reads; ``exact`` is ``m.exact_norm(s)`` when the caller already has it
     (None included).
     """
-    if cuts is None:
-        cuts = default_cuts(horizon)
-    cuts = sorted(set(int(t) for t in cuts))
-    if any(t < 1 or t >= horizon for t in cuts):
-        raise ValueError("cuts must satisfy 1 <= t < horizon")
+    if horizon < 2:
+        raise ValueError("a tail estimate needs horizon >= 2")
+    cuts = sorted(set(default_cuts(horizon)))
     if exact is ...:
         exact = m.exact_norm(s)
     if bits is None:
@@ -512,6 +478,6 @@ def norm_estimate(m: Lscsm, s: ns.NatSet, horizon: int,
     cut_corrected = [raw / m.tail_correction(t, horizon)
                      for t, raw in zip(cuts, raws)]
     rows.extend(zip(cuts, raws, cut_corrected))
-    trend = classify_trend(cut_corrected, slack)
+    trend = classify_trend(cut_corrected, TREND_SLACK)
     return NormEstimate(exact=exact, numeric=cut_corrected[-1], rows=rows,
                         trend=trend, horizon=horizon)

@@ -364,48 +364,26 @@ def apply(t: AnyMap, x: SequenceSpec) -> SequenceSpec:
 # ---------------------------------------------------------------------------
 
 class MemberSupply:
-    """Stream of indices n with x_n inside a fixed ball, in increasing order."""
+    """Stream of indices n with x_n inside a fixed ball, in increasing order:
+    one walk over the ball's index set, started at the first floor asked."""
 
-    def __init__(self, x: SequenceSpec, center: Point, eps: Fraction,
-                 scan_limit: int = 1 << 24):
-        self.x = x
-        self.center = as_point(center, x.dim)
-        self.eps = Fraction(eps)
-        self.scan_limit = scan_limit
+    def __init__(self, x: SequenceSpec, center: Point, eps: Fraction):
+        self._ball = indicator_set(x, center, eps)
         self._iter: Optional[Iterator[int]] = None
         self._last = 0
-        if x.alphabet is not None:
-            self._iter = ns.iter_members(
-                indicator_set(x, self.center, self.eps), 1)
-        else:
-            self._bits = np.zeros(0, dtype=bool)
-            self._pos = 0
 
     def next_after(self, floor: int) -> int:
         """Least member strictly greater than floor (monotone floors only)."""
-        if self._iter is not None:
-            v = self._last
-            while v <= floor:
-                try:
-                    v = next(self._iter)
-                except (StopIteration, ns.HorizonExceeded):
-                    raise ExhaustedA(f"supply exhausted after {self._last}")
-            self._last = v
-            return v
-        pos = max(self._pos, floor)
-        while True:
-            if pos >= self._bits.size:
-                new_size = max(1 << 12, 2 * self._bits.size, pos + 1)
-                if new_size > self.scan_limit:
-                    raise ExhaustedA(f"supply scan limit {self.scan_limit} hit")
-                self._bits = self.x.hit_bits(self.center, self.eps, new_size)
-            # argmax stops at the first hit, so a call reads only the bits
-            # up to the member it returns (or, finding none, to the end)
-            i = pos + int(np.argmax(self._bits[pos:]))
-            if self._bits[i]:
-                self._pos = i + 1
-                return self._pos
-            pos = self._bits.size
+        if self._iter is None:
+            self._iter = ns.iter_members(self._ball, floor + 1)
+        v = self._last
+        while v <= floor:
+            try:
+                v = next(self._iter)
+            except (StopIteration, ns.HorizonExceeded):
+                raise ExhaustedA(f"supply exhausted after {self._last}")
+        self._last = v
+        return v
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
-"""The array walks against the per-block and per-value loops they replaced.
+"""The array walks against per-block and per-point references.
 
 ``BlockUnion.prefix`` reads a partition's boundaries as one int64 array; the
 game escape move fixes its length by galloping and bisection before it
-draws; ``MemberSupply.next_after`` finds the next hit with an ``argmax`` that
-stops at it.  The references below are the earlier loops, one Python step
-per block or value.  Block unions and boundaries are compared by result, or
-by the type of the exception raised (the array form reads the whole
-partition before the selector, so it may name another cause than the walk);
-escape moves and member supplies by result or exception text.
+draws; ``MemberSupply.next_after`` walks the ball's index set with
+``natset.iter_members``.  The references below are plain loops, one Python
+step per block or value; a supply's reference tests each index n with the
+exact ``distance(x.point(n), c) < eps`` up to 2^16.  Block unions and
+boundaries are compared by result, or by the type of the exception raised
+(the array form reads the whole partition before the selector, so it may
+name another cause than the walk); escape moves and member supplies by
+result or exception text.
 """
 
 import hashlib
@@ -17,17 +19,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idealconv import games
+from idealconv import games, zoo
 from idealconv import natset as ns
-from idealconv import transforms, zoo
+from idealconv import submeasure as sm
 from idealconv.cli import main
 from idealconv.games import GameState, GameTarget, SupplyExhausted, run_game
 from idealconv.ideals import builtin
 from idealconv.meager import (WitnessIntervals, WitnessRefuted,
                               _interval_mass_cmp, _phi_interval,
                               build_witness)
-from idealconv.sequences import RadiusSchedule
-from idealconv.transforms import ExhaustedA, MemberSupply
+from idealconv.sequences import (AnalysisParams, RadiusSchedule, as_point,
+                                 distance, indicator_set)
+from idealconv.transforms import (NO_TAIL, ExhaustedA, MemberSupply,
+                                  SubsequenceMap, apply,
+                                  limit_witness_extraction)
 
 F = Fraction
 
@@ -74,27 +79,21 @@ def ref_draw_until_mass(state, supply, q, m, horizon):
             return vals, _phi_interval(m, n1, n1 + len(vals))
 
 
-_next_after = MemberSupply.next_after
+REF_LIMIT = 1 << 16
 
 
-def ref_next_after(self, floor):
-    """The bitmap path as a flatnonzero over the unscanned suffix."""
-    if self._iter is not None:
-        return _next_after(self, floor)
-    if not hasattr(self, "_ref_bits"):
-        self._ref_bits, self._ref_pos = np.zeros(0, dtype=bool), 0
-    pos = max(self._ref_pos, floor)
-    while True:
-        if pos >= self._ref_bits.size:
-            new_size = max(1 << 12, 2 * self._ref_bits.size, pos + 1)
-            if new_size > self.scan_limit:
-                raise ExhaustedA(f"supply scan limit {self.scan_limit} hit")
-            self._ref_bits = self.x.hit_bits(self.center, self.eps, new_size)
-        nxt = np.flatnonzero(self._ref_bits[pos:])
-        if nxt.size:
-            self._ref_pos = pos + int(nxt[0]) + 1
-            return self._ref_pos
-        pos = self._ref_bits.size
+class RefSupply:
+    """The per-point reference supply: the least n > floor, up to REF_LIMIT,
+    with d(x_n, c) < eps, each index tested exactly on its own."""
+
+    def __init__(self, x, center, eps):
+        self.x, self.center, self.eps = x, as_point(center, x.dim), F(eps)
+
+    def next_after(self, floor):
+        for n in range(floor + 1, REF_LIMIT + 1):
+            if distance(self.x.point(n), self.center) < self.eps:
+                return n
+        raise ExhaustedA(f"no member in ({floor}, {REF_LIMIT}]")
 
 
 def outcome(call):
@@ -248,7 +247,7 @@ def test_build_witness_matches_per_block_certification(case, horizon):
 
 def reference_game(monkeypatch):
     monkeypatch.setattr(games, "_draw_until_mass", ref_draw_until_mass)
-    monkeypatch.setattr(transforms.MemberSupply, "next_after", ref_next_after)
+    monkeypatch.setattr(games, "MemberSupply", RefSupply)
 
 
 GAME_SEQS = [("harmonic", F(0)), ("rationals", F(1, 2))]
@@ -291,20 +290,14 @@ def test_escape_length_matches_linear_scan(ideal, kind, seq, gaps, q, level,
     if kind == "pi":
         vals = vals[::-1]
 
-    def draw(fn):
+    def draw(fn, supply):
         state = GameState(kind)
         state.extend(vals)
-        supply = MemberSupply(x, (seq[1],), eps)
-        return outcome(lambda: fn(state, supply, q, m, horizon))
+        return outcome(lambda: fn(state, supply(x, (seq[1],), eps), q, m,
+                                  horizon))
 
-    got = draw(games._draw_until_mass)
-    supply_new = MemberSupply.next_after
-    try:
-        MemberSupply.next_after = ref_next_after
-        want = draw(ref_draw_until_mass)
-    finally:
-        MemberSupply.next_after = supply_new
-    assert got == want
+    assert draw(games._draw_until_mass, MemberSupply) == \
+        draw(ref_draw_until_mass, RefSupply)
 
 
 @pytest.mark.parametrize("ideal", ["Z", "gdi", "summable", "fin"])
@@ -333,19 +326,69 @@ def test_escape_length_capped_at_the_horizon(ideal, kind):
        st.sampled_from([F(0), F(1, 2), F(1, 3)]),
        st.integers(1, 8),
        st.lists(st.integers(0, 3000), min_size=1, max_size=40))
-def test_next_after_matches_flatnonzero(seq, center, level, steps):
+def test_next_after_matches_per_point_reference(seq, center, level, steps):
+    # where the reference finds a member the supply returns it; where it
+    # finds none up to 2^16, a finite ball has ended and the supply raises,
+    # or the supply's member lies past 2^16 and is one
     x = zoo.get_sequence(seq)
     eps = RadiusSchedule.dyadic(8).radii[level - 1]
-    new = MemberSupply(x, (center,), eps, scan_limit=1 << 14)
-    old = MemberSupply(x, (center,), eps, scan_limit=1 << 14)
+    supply, ref = MemberSupply(x, (center,), eps), RefSupply(x, (center,), eps)
+    finite = indicator_set(x, (center,), eps).is_infinite() is False
     floor = 0
     for step in steps:
         floor += step
-        got = outcome(lambda: new.next_after(floor))
-        assert got == outcome(lambda: ref_next_after(old, floor))
+        got = outcome(lambda: supply.next_after(floor))
+        want = outcome(lambda: ref.next_after(floor))
+        if want[0] == "ok":
+            assert got == want
+        elif finite:
+            assert got[0] == "ExhaustedA"
+        else:
+            assert got[0] == "ok" and got[1] > REF_LIMIT
+            assert distance(x.point(got[1]), (center,)) < eps
         if got[0] != "ok":
             break
         floor = max(floor, got[1])
+
+
+def test_finite_closed_form_ball_ends_without_a_scan(monkeypatch):
+    # |1/n - 1/2| < 1/8 holds for n = 2 only: its periodic form ends there,
+    # and no prefix is read on the way to ExhaustedA
+    x = zoo.get_sequence("harmonic")
+    supply = MemberSupply(x, (F(1, 2),), F(1, 8))
+
+    def no_prefix(self, horizon):
+        raise AssertionError(f"prefix({horizon}) read")
+    for cls in (ns.Intersection, ns.Progression, ns.Complement):
+        monkeypatch.setattr(cls, "prefix", no_prefix)
+    assert supply.next_after(0) == 2
+    with pytest.raises(ExhaustedA):
+        supply.next_after(2)
+
+
+# a harmonic subsequence whose map's table ends at position 500
+SHORT_SIGMA = SubsequenceMap(range(2, 1002, 2), NO_TAIL, horizon=500)
+
+
+def test_supply_past_a_map_table_steps_to_its_end():
+    # x_n = 1/(2n): the radius-1/4 ball around 0 is {3, 4, ...}; the first
+    # prefix window (4096) passes the table, so member() walks up to it
+    x = apply(SHORT_SIGMA, zoo.get_sequence("harmonic"))
+    supply = MemberSupply(x, (F(0),), F(1, 4))
+    assert supply.next_after(0) == 3
+    assert supply.next_after(499) == 500
+    with pytest.raises(ExhaustedA):
+        supply.next_after(500)
+
+
+def test_extraction_through_a_finite_map():
+    params = AnalysisParams(horizon=500, schedule=RadiusSchedule.dyadic(3))
+    cert = limit_witness_extraction(zoo.get_sequence("harmonic"), SHORT_SIGMA,
+                                    (F(0),), F(1, 4), sm.RunningDensity(),
+                                    params)
+    assert [(k, members) for k, members, _, _ in cert.blocks] == \
+        [(1, [2]), (2, [3]), (3, [5, 6])]
+    assert cert.norm_lower_bound() == F(1, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,13 @@ never trusted to check itself.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +24,7 @@ from idealconv.ideals import (Verdict, builtin, decide_membership, nu2,
                               valuation_rows)
 
 N_REF = 512
+SRC = Path(ns.__file__).resolve().parents[1]     # the tree under test
 
 
 # --- reference evaluation ---------------------------------------------------
@@ -370,6 +376,53 @@ def test_iter_members_ends_after_a_finite_selector():
     capped = ns.BlockUnion(
         part, ns.Intersection((ns.Progression(2, 2), ns.Finite([2, 5]))))
     assert list(ns.iter_members(capped)) == [2, 3]
+
+
+# --- the bounded prefix scan of every other set ---------------------------------
+
+def walk_until_raise(s, start=1):
+    """Every member the walk yields, then the HorizonExceeded it must end in."""
+    got = []
+    with pytest.raises(ns.HorizonExceeded):
+        for v in ns.iter_members(s, start):
+            got.append(v)
+    return got
+
+
+@pytest.mark.parametrize("horizon", [5, 4095, 4096, 4097, 8193, 20000])
+@pytest.mark.parametrize("start", [1, 3, 4096, 9000])
+def test_bitmap_walk_yields_to_its_horizon_then_raises(horizon, start):
+    bits = np.random.default_rng(horizon).random(horizon) < 0.3
+    want = [n for n in range(start, horizon + 1) if bits[n - 1]]
+    assert walk_until_raise(ns.PrefixBitmap(bits), start) == want
+    # a mixed tree over the bitmap walks the same windows
+    mixed = ns.Union((ns.PrefixBitmap(bits), ns.PowersOf(3)))
+    want = sorted(set(want) | {3 ** k for k in range(1, 10)
+                               if start <= 3 ** k <= horizon})
+    assert walk_until_raise(mixed, start) == want
+    # where member() knows every index of an undecided window, the walk
+    # goes on past it
+    covered = ns.Union((ns.PrefixBitmap(bits), ns.Cofinite([2])))
+    assert list(islice(ns.iter_members(covered, start), 9000)) == \
+        [n for n in range(start, start + 9001) if n != 2][:9000]
+
+
+def test_member_walk_of_a_set_with_no_closed_form_ends():
+    # powers of 2 that are odd and >= 3: empty, but no periodic form says so;
+    # the scan stops at SCAN_LIMIT (a member() loop ran for ever)
+    code = textwrap.dedent("""
+        from idealconv import natset as ns
+        s = ns.Intersection((ns.PowersOf(2), ns.Progression(3, 2)))
+        try:
+            next(ns.iter_members(s))
+        except ns.HorizonExceeded as exc:
+            print(exc)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert str(ns.SCAN_LIMIT) in proc.stdout
 
 
 # --- the periodic normal form against the reference --------------------------
