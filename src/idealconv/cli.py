@@ -115,13 +115,65 @@ class RunConfig:
         return builtin(self.ideal, gdi_spec=spec)
 
 
+_quote = json.encoder.encode_basestring_ascii
+_JSON_WORDS = {None: "null", True: "true", False: "false",
+               "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def json_text(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
+
+    The stdlib writes an indented document in Python one item at a time
+    (its C encoder takes no indent); here a list of ints, such as a map's
+    table, is joined in one ``str.join``.  ``pad`` is the newline and
+    indent that close the value.
+    """
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None or obj is True or obj is False:
+        return _JSON_WORDS[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _JSON_WORDS.get(text, text)
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == {int}:
+            items = map(str, obj)
+        else:
+            items = (json_text(v, inner) for v in obj)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (_quote(_json_key(k)) + ": " + json_text(v, inner)
+                 for k, v in sorted(obj.items()))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} "
+                    f"is not JSON serializable")
+
+
+def _json_key(key) -> str:
+    """A dict key as the stdlib writes it: strings as they are, and the
+    scalars int, float, bool and None as their JSON text."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json_text(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {type(key).__name__}")
+
+
 def _emit(out: Optional[str], payload: dict, csv_rows=None,
           routes: Optional[dict] = None) -> None:
     """Write PREFIX.json (and PREFIX.csv), or print the JSON without --out.
     The sidecar PREFIX.meta.json holds the run statistics that stay out of
     the primary outputs: the time, and ``routes``, the count of each
     report's decisions per deciding route."""
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json_text(payload) + "\n"
     if out is None:
         sys.stdout.write(text)
         return

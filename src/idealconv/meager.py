@@ -88,11 +88,14 @@ def _phi_interval(m: sm.Lscsm, lo: int, hi: int) -> Fraction:
     if isinstance(m, sm.WeightedSum):
         return min(m.cap, m.scale * sm.sum_unit_fractions(range(lo, hi)))
     if isinstance(m, sm.DensityFamily):
+        # only the blocks that meet [lo, hi) count: from lo's block onward
         best = Fraction(0)
-        for n, blo, bhi in m.partition.blocks(hi - 1):
-            cnt = max(0, min(hi, bhi) - max(lo, blo))
-            if cnt:
-                best = max(best, m.weight(n) * Fraction(cnt, bhi - blo))
+        if hi <= lo:
+            return best
+        start = m.partition.block_index(lo) or 1
+        for n, blo, bhi in m.partition.blocks(hi - 1, start):
+            cnt = min(hi, bhi) - max(lo, blo)
+            best = max(best, m.weight(n) * Fraction(cnt, bhi - blo))
         return best
     if isinstance(m, sm.RunningDensity):
         # sup of count/n over the interval peaks at its right end

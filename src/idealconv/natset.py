@@ -730,6 +730,7 @@ class Complement(NatSet):
 # ---------------------------------------------------------------------------
 
 PERIODIC_BITS = 1 << 22     # cap on segments x period of a built mask set
+LISTED_RESIDUES = 1 << 12   # residues a walk lists; denser masks are chunked
 
 
 def _widen(mask: int, p: int, period: int, offset: int) -> int:
@@ -762,25 +763,56 @@ class Periodic:
                                             bitorder="little")).tolist()
 
     def walk(self, start: int = 1) -> Iterator[int]:
-        """Members from ``start`` upward; ends when the tail mask is empty."""
+        """Members from ``start`` upward; ends when the tail mask is empty.
+        A mask of at most ``LISTED_RESIDUES`` residues is listed once; a
+        denser one is unpacked a chunk at a time, so the walk's memory does
+        not grow with the period."""
         period, starts, residues = self.period, self.starts, {}
         for i in range(max(0, bisect_right(starts, start) - 1), len(starts)):
+            mask = self.masks[i]
             lo = max(start, starts[i])
             hi = starts[i + 1] if i + 1 < len(starts) else None
-            if self.masks[i] not in residues:
-                residues[self.masks[i]] = self.residues(i)
+            if not mask:
+                continue
+            if period == 1:             # a run of consecutive members
+                yield from count(lo) if hi is None else range(lo, hi)
+                continue
+            if mask.bit_count() > LISTED_RESIDUES:
+                yield from _dense_walk(mask, period, self.offset, lo, hi)
+                continue
+            if mask not in residues:
+                residues[mask] = self.residues(i)
             # the residues as offsets from lo, so each window starts at lo
             offsets = sorted((r + self.offset - lo) % period
-                             for r in residues[self.masks[i]])
+                             for r in residues[mask])
             if len(offsets) == 1:       # one residue: a progression
                 yield from (count(lo + offsets[0], period) if hi is None
                             else range(lo + offsets[0], hi, period))
                 continue
             for base in (count(lo, period) if hi is None
-                         else range(lo, hi, period)) if offsets else ():
+                         else range(lo, hi, period)):
                 for off in offsets:
                     if hi is None or base + off < hi:
                         yield base + off
+
+
+def _dense_walk(mask: int, period: int, offset: int, lo: int,
+                hi: Optional[int]) -> Iterator[int]:
+    """The n in [lo, hi) (unbounded when hi is None) whose bit
+    (n - offset) % period of ``mask`` is set, one period window at a time,
+    unpacking 4096 bytes of the mask at a time."""
+    raw = np.frombuffer(mask.to_bytes((period + 7) // 8, "little"), np.uint8)
+    first = (lo - offset) % period
+    base = lo - first           # the n of bit 0 in lo's window
+    while hi is None or base < hi:
+        for at in range(first >> 3, raw.size, 4096):
+            bits = np.flatnonzero(np.unpackbits(raw[at:at + 4096],
+                                                bitorder="little")) + 8 * at
+            for b in bits[bits >= first].tolist():
+                if hi is not None and base + b >= hi:
+                    return
+                yield base + b
+        base, first = base + period, 0
 
 
 def _normal(starts: Sequence[int], period: int, masks: Sequence) -> Periodic:
@@ -924,19 +956,26 @@ def iter_members(s: NatSet, start: int = 1) -> Iterator[int]:
 def prefix_gather(s: NatSet, values) -> np.ndarray:
     """Membership bits of ``s`` at the given positive integers.
 
-    Vectorized through a single prefix when the values fit in int64 and are
-    not too spread out; falls back to per-element member() otherwise (needed
-    for maps whose values are huge integers).  Raises HorizonExceeded when
-    any queried membership is unknown.
+    Gathered from a single prefix when the values (int64 or Python ints)
+    are not too large or spread out; a set with a periodic form answers the
+    rest from its masks, and any other set per element through member()
+    (maps can reach huge integers).  Raises HorizonExceeded when any
+    queried membership is unknown.
     """
-    if isinstance(values, np.ndarray) and values.dtype != object:
+    if isinstance(values, np.ndarray) and values.size:
         top = int(values.max())
-        if top <= max(1 << 24, 4 * values.size):
-            bits = s.prefix(top)
-            return bits[values.astype(np.int64) - 1]
+        if top <= max(SCAN_LIMIT, 4 * values.size):
+            try:
+                bits = s.prefix(top)
+            except HorizonExceeded:
+                bits = None     # member() may still decide every value
+            if bits is not None:
+                return bits[values.astype(np.int64) - 1]
+    form = periodic_form(s)
+    test = s.member if form is None else form.member
     out = np.empty(len(values), dtype=bool)
     for i, v in enumerate(values):
-        m = s.member(int(v))
+        m = test(int(v))
         if m is None:
             raise HorizonExceeded(f"membership undecided at {v}")
         out[i] = m

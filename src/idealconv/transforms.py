@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 from typing import Iterator, Optional, Sequence, Union as TUnion
 
@@ -385,6 +386,21 @@ class MemberSupply:
         self._last = v
         return v
 
+    def run(self, length: int, floor: int) -> list[int]:
+        """The next ``length`` members: the first is ``next_after(floor)``,
+        the rest follow it in the walk and are taken in one slice."""
+        if length < 1:
+            return []
+        out = [self.next_after(floor)]
+        try:
+            out += islice(self._iter, length - 1)
+        except ns.HorizonExceeded:
+            pass                # out keeps the members drawn before it
+        self._last = out[-1]
+        if len(out) < length:
+            raise ExhaustedA(f"supply exhausted after {self._last}")
+        return out
+
 
 # ---------------------------------------------------------------------------
 # Audit records
@@ -440,16 +456,6 @@ class BuildResult:
 # Shared by the builders: routing, audit, the preserving hypothesis
 # ---------------------------------------------------------------------------
 
-def _draw_run(supply: MemberSupply, length: int, floor: int) -> list[int]:
-    """The next ``length`` members of ``supply``, each above the one before,
-    the first above ``floor``."""
-    out: list[int] = []
-    for _ in range(length):
-        floor = supply.next_after(floor)
-        out.append(floor)
-    return out
-
-
 def _round_robin(x: SequenceSpec, cands: list[Point], schedule: list[Fraction]):
     """Routing of the preserving builders: slot j draws from the ball around
     candidate (j - 1) mod L at radius index min(ceil(j / L), K)."""
@@ -460,7 +466,7 @@ def _round_robin(x: SequenceSpec, cands: list[Point], schedule: list[Fraction]):
         key = ((j - 1) % L, min((j + L - 1) // L, K))
         if key not in supplies:
             supplies[key] = MemberSupply(x, cands[key[0]], schedule[key[1] - 1])
-        return _draw_run(supplies[key], length, floor), cands[key[0]], key[1]
+        return supplies[key].run(length, floor), cands[key[0]], key[1]
     return draw
 
 
@@ -475,7 +481,7 @@ def _toward_ell(x: SequenceSpec, ell: Point, schedule: list[Fraction]):
         if m_index not in supplies:
             supplies[m_index] = MemberSupply(x, ell, schedule[m_index - 1])
         try:
-            return _draw_run(supplies[m_index], length, floor), ell, m_index
+            return supplies[m_index].run(length, floor), ell, m_index
         except ExhaustedA:
             raise NotALimitPoint(f"{format_point(ell)} has too few close hits")
     return draw
@@ -937,18 +943,21 @@ def random_sigma(seed: int, gap_law: str = "geometric:1/2",
     """Reproducible random strictly increasing map (table of given length)."""
     rng = random.Random(("sigma", seed, gap_law, length).__repr__())
     kind, _, param = gap_law.partition(":")
+    if kind == "geometric":
+        p = float(Fraction(param or "1/2"))
+    elif kind == "uniform":
+        top = int(param or 4)
+    else:
+        raise ValueError(f"unknown gap law {gap_law!r}")
     table = []
     v = 0
     for _ in range(length):
         if kind == "geometric":
-            p = float(Fraction(param or "1/2"))
             gap = 1
             while rng.random() > p:
                 gap += 1
-        elif kind == "uniform":
-            gap = rng.randint(1, int(param or 4))
         else:
-            raise ValueError(f"unknown gap law {gap_law!r}")
+            gap = rng.randint(1, top)
         v += gap
         table.append(v)
     return SubsequenceMap(table, NO_TAIL, horizon=length)

@@ -132,9 +132,16 @@ def _rational_enum(count: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(nums)[:count], np.concatenate(dens)[:count]
 
 
+def _rationals_through(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cached enumeration holding the first n rationals: the least
+    power of 2 (at least 4096) not below n, so a power-of-2 horizon builds
+    no more than it reads."""
+    return _rational_enum(1 << max(12, (n - 1).bit_length()))
+
+
 def rationals() -> SequenceSpec:
     def point(n: int) -> Point:
-        num, den = _rational_enum(1 << max(12, n.bit_length()))
+        num, den = _rationals_through(n)
         return (Fraction(int(num[n - 1]), int(den[n - 1])),)
 
     def ball(center: Point, eps: Fraction) -> ns.NatSet:
@@ -167,7 +174,7 @@ def rationals() -> SequenceSpec:
             return abs(p * q0 - p0 * q) * e2 < e1 * q * q0
 
         def bits(horizon: int) -> np.ndarray:
-            num, den = _rational_enum(1 << max(12, horizon.bit_length()))
+            num, den = _rationals_through(horizon)
             p, q = num[:horizon], den[:horizon]
             # 0 <= p <= q <= q[-1] (denominators never decrease), which
             # bounds every product; past int64 compare in Python ints
@@ -180,7 +187,7 @@ def rationals() -> SequenceSpec:
                          density=hi - lo)
 
     def batch(horizon: int) -> np.ndarray:
-        num, den = _rational_enum(1 << max(12, horizon.bit_length()))
+        num, den = _rationals_through(horizon)
         return num[:horizon] / den[:horizon]
 
     return SequenceSpec(dim=1, bound=Fraction(1), point_fn=point,
