@@ -774,9 +774,6 @@ class Periodic:
             hi = starts[i + 1] if i + 1 < len(starts) else None
             if not mask:
                 continue
-            if period == 1:             # a run of consecutive members
-                yield from count(lo) if hi is None else range(lo, hi)
-                continue
             if mask.bit_count() > LISTED_RESIDUES:
                 yield from _dense_walk(mask, period, self.offset, lo, hi)
                 continue
@@ -903,6 +900,7 @@ def finite_upper_bound(s: NatSet) -> Optional[int]:
 
 
 SCAN_LIMIT = 1 << 24        # the farthest any member walk reads a prefix
+GATHER_SPREAD = 256          # prefix bits a gather of Python ints reads per value
 
 
 def iter_members(s: NatSet, start: int = 1) -> Iterator[int]:
@@ -956,26 +954,27 @@ def iter_members(s: NatSet, start: int = 1) -> Iterator[int]:
 def prefix_gather(s: NatSet, values) -> np.ndarray:
     """Membership bits of ``s`` at the given positive integers.
 
-    Gathered from a single prefix when the values (int64 or Python ints)
-    are not too large or spread out; a set with a periodic form answers the
-    rest from its masks, and any other set per element through member()
-    (maps can reach huge integers).  Raises HorizonExceeded when any
-    queried membership is unknown.
+    Gathered from a single prefix when the values are not too large or
+    spread out; per element through member() otherwise (maps can reach huge
+    integers).  An int64 array (a permutation's values, dense) may read a
+    prefix up to ``SCAN_LIMIT``; an object array (a subsequence's values,
+    which can be sparse) at most ``GATHER_SPREAD`` bits per value.  Raises
+    HorizonExceeded when any queried membership is unknown.
     """
     if isinstance(values, np.ndarray) and values.size:
-        top = int(values.max())
-        if top <= max(SCAN_LIMIT, 4 * values.size):
+        top, size = int(values.max()), values.size
+        if (top <= min(SCAN_LIMIT, GATHER_SPREAD * size)
+                if values.dtype == object
+                else top <= max(SCAN_LIMIT, 4 * size)):
             try:
                 bits = s.prefix(top)
             except HorizonExceeded:
                 bits = None     # member() may still decide every value
             if bits is not None:
                 return bits[values.astype(np.int64) - 1]
-    form = periodic_form(s)
-    test = s.member if form is None else form.member
     out = np.empty(len(values), dtype=bool)
     for i, v in enumerate(values):
-        m = test(int(v))
+        m = s.member(int(v))
         if m is None:
             raise HorizonExceeded(f"membership undecided at {v}")
         out[i] = m

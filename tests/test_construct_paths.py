@@ -221,8 +221,8 @@ gather_sets = st.recursive(
        st.lists(st.integers(1, 6000), min_size=1, max_size=40)
        | st.lists(st.integers(1 << 25, 1 << 80), min_size=1, max_size=40))
 def test_object_gather_equals_member(s, values):
-    # near values take one prefix, far ones the periodic form's masks or
-    # member(); both must read as member() does, failing where it fails
+    # near values take one prefix, far ones member(); both must read as
+    # member() does, failing where it fails
     got = outcome(lambda: ns.prefix_gather(s, np.array(values, dtype=object))
                   .tolist())
     want = outcome(lambda: ref_gather(s, values))
@@ -231,7 +231,7 @@ def test_object_gather_equals_member(s, values):
 
 def test_audit_gather_of_a_subsequence_table_equals_member():
     # a sigma table is gathered as Python ints, one prefix of the ball per
-    # fill; a table whose values pass the prefix bound takes the masks
+    # fill; a table whose values pass the prefix bound takes member()
     x, handle = zoo.get_sequence("cycle:0,1/2,1"), builtin("Z")
     params = AnalysisParams(horizon=4096, schedule=RadiusSchedule.dyadic(4))
     w = build_witness(handle, F(1, 2), 4096)
@@ -246,6 +246,26 @@ def test_audit_gather_of_a_subsequence_table_equals_member():
                 .tolist() == ref_gather(ball, values)
     tr._audit(result.map, result.blocks, tr._ball(x, schedule))
     assert all(f.verified for f in result.blocks)
+
+
+def test_object_gather_reads_no_prefix_past_its_spread():
+    # a short object segment far out is tested per value, a dense one (or
+    # an int64 one, a permutation's) reads one prefix
+    asked = []
+
+    def bits(n):
+        asked.append(n)
+        return np.arange(1, n + 1) % 3 == 0
+
+    s = ns.Tested(bits, lambda n: n % 3 == 0)
+    far = [ns.GATHER_SPREAD * 4 + k for k in range(3)]
+    dense = list(range(1, 2 * ns.GATHER_SPREAD + 1, 2))
+    assert ns.prefix_gather(s, np.array(far, dtype=object)).tolist() == \
+        [v % 3 == 0 for v in far] and asked == []
+    assert ns.prefix_gather(s, np.array(dense, dtype=object)).tolist() == \
+        [v % 3 == 0 for v in dense] and asked == [max(dense)]
+    assert ns.prefix_gather(s, np.array(far, dtype=np.int64)).tolist() == \
+        [v % 3 == 0 for v in far] and asked[-1] == max(far)
 
 
 # --- member walks -------------------------------------------------------------------
