@@ -29,7 +29,7 @@ from . import zoo
 from .ideals import UnknownIdeal, builtin, builtin_names
 from .meager import WitnessIntervals, WitnessRefuted, build_witness, verify_witness
 from .sequences import (AnalysisParams, NotAnalyticP, RadiusSchedule,
-                        as_point, format_point, gamma_estimate,
+                        as_point, candidate_grid, format_point, gamma_estimate,
                         ideal_convergence_check, lambda_estimate,
                         lambda_q_estimate, limit_points_estimate)
 
@@ -84,6 +84,10 @@ class RunConfig:
         if self.horizon > MAX_HORIZON:
             raise ValueError(f"horizon {self.horizon} exceeds the limit of "
                              f"{MAX_HORIZON}")
+        # each sampled map is a table of length entries, its horizon >= 2
+        if self.command == "sample" and not 2 <= self.length <= MAX_HORIZON:
+            raise ValueError(f"length {self.length} must lie in "
+                             f"[2, {MAX_HORIZON}]")
         for name in ("pitch", "theta", "q"):
             if Fraction(getattr(self, name)) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -300,9 +304,10 @@ def cmd_sample(cfg: RunConfig) -> int:
     x = zoo.get_sequence(cfg.seq)
     handle = cfg.ideal_handle()
     params = cfg.analysis_params()
-    base = gamma_estimate(x, handle, params)
+    # only cluster points are printed, so no report keeps radius records
+    grid = candidate_grid(x, params)
+    base = gamma_estimate(x, handle, params, candidates=grid, records=False)
     base_set = set(base.points())
-    grid = [c.point for c in base.candidates]
     preserved = 0
     rows = []
     for i in range(cfg.maps):
@@ -317,7 +322,8 @@ def cmd_sample(cfg: RunConfig) -> int:
             schedule=params.schedule, pitch=params.pitch,
             hit_min=max(2, params.hit_min // 4), theta=params.theta,
             q_grid=params.q_grid)
-        g = gamma_estimate(y, handle, sub_params, candidates=grid)
+        g = gamma_estimate(y, handle, sub_params, candidates=grid,
+                           records=False)
         same = set(g.points()) == base_set
         preserved += same
         rows.append({"seed": seed_i, "preserved": same,

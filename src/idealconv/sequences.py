@@ -377,30 +377,44 @@ def limit_points_estimate(x: SequenceSpec, params: AnalysisParams,
 
 def gamma_estimate(x: SequenceSpec, handle: IdealHandle, params: AnalysisParams,
                    extra: Sequence[Point] = (),
-                   candidates: Optional[Sequence[Point]] = None) -> ClusterReport:
-    """Cluster points modulo the ideal: every neighborhood's index set NotIn."""
+                   candidates: Optional[Sequence[Point]] = None,
+                   records: bool = True) -> ClusterReport:
+    """Cluster points modulo the ideal: every neighborhood's index set NotIn.
+
+    With ``records=False`` only the cluster points are found: each
+    candidate's radii are decided from the smallest up, the walk stops at
+    the first verdict other than NotIn, and the report holds the cluster
+    candidates alone, without radius records.  Its ``points()`` equal the
+    full report's, and no candidate carries a label that was not decided.
+    """
     cands = (list(candidates) if candidates is not None
              else candidate_grid(x, params, extra))
     dparams = params.decision()
-    records = []
+    # the smallest ball is the likeliest to be In or undecided
+    schedule = params.schedule.radii if records else params.schedule.radii[::-1]
+    out = []
     for c in cands:
         radii: list[RadiusRecord] = []
         verdicts: list[Verdict] = []
-        for eps in params.schedule:
-            ind = indicator_set(x, c, eps)
-            dec = decide_membership(handle, ind, dparams)
+        for eps in schedule:
+            dec = decide_membership(handle, indicator_set(x, c, eps), dparams)
             verdicts.append(dec.verdict)
-            radii.append(RadiusRecord(eps, dec.verdict.value,
-                                      exact=dec.exact, numeric=dec.estimate,
-                                      reason=dec.reason))
+            if records:
+                radii.append(RadiusRecord(eps, dec.verdict.value,
+                                          exact=dec.exact,
+                                          numeric=dec.estimate,
+                                          reason=dec.reason))
+            elif dec.verdict is not Verdict.NOT_IN:
+                break
         if any(v is Verdict.IN for v in verdicts):
             cls = NOT_CLUSTER
         elif all(v is Verdict.NOT_IN for v in verdicts):
             cls = CLUSTER
         else:
             cls = UNDECIDED
-        records.append(CandidateRecord(c, cls, radii))
-    return ClusterReport("gamma", x.name, handle.name, None, records, params)
+        if records or cls == CLUSTER:
+            out.append(CandidateRecord(c, cls, radii))
+    return ClusterReport("gamma", x.name, handle.name, None, out, params)
 
 
 # ---------------------------------------------------------------------------

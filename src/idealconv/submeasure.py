@@ -29,9 +29,12 @@ def max_count_ratio(counts: np.ndarray, t: int) -> Fraction:
     ``counts`` is the cumulative membership count on [1, N].  A float argmax
     proposes a candidate; integer cross-multiplication certifies it, looping
     while any position beats the current best (each round strictly improves
-    the exact value, so termination is immediate in practice).
+    the exact value, so termination is immediate in practice).  Lengths
+    past 2^31 are refused: there the int64 cross-products could overflow.
     """
     n_total = counts.shape[0]
+    if n_total > (1 << 31):
+        raise ValueError(f"counts of length {n_total} exceed 2^31")
     if t >= n_total:
         raise ValueError("cut must lie below the horizon")
     base = int(counts[t - 1]) if t > 0 else 0
@@ -39,22 +42,14 @@ def max_count_ratio(counts: np.ndarray, t: int) -> Fraction:
     den = np.arange(t + 1, n_total + 1, dtype=np.int64)
     if int(num[-1]) == 0:
         return ZERO
-    if n_total <= (1 << 31):
-        best = int(np.argmax(num / den))
-        bn, bd = int(num[best]), int(den[best])
-        while True:
-            better = np.flatnonzero(num * bd > bn * den)
-            if better.size == 0:
-                return Fraction(bn, bd)
-            j = int(better[np.argmax(num[better] / den[better])])
-            bn, bd = int(num[j]), int(den[j])
-    # arbitrary-precision fallback, chunked scan
-    bn, bd = 0, 1
-    for i in range(num.shape[0]):
-        c, n = int(num[i]), int(den[i])
-        if c * bd > bn * n:
-            bn, bd = c, n
-    return Fraction(bn, bd)
+    best = int(np.argmax(num / den))
+    bn, bd = int(num[best]), int(den[best])
+    while True:
+        better = np.flatnonzero(num * bd > bn * den)
+        if better.size == 0:
+            return Fraction(bn, bd)
+        j = int(better[np.argmax(num[better] / den[better])])
+        bn, bd = int(num[j]), int(den[j])
 
 
 def sum_unit_fractions_raw(values: Sequence[int]) -> tuple[int, int]:

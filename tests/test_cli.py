@@ -1,5 +1,6 @@
 """Command surface: exit codes, schemas, overrides, reproducibility."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -196,6 +197,45 @@ def test_sample_is_labeled_heuristic(tmp_path):
     body = read(f"{out}.json")
     assert body["heuristic"] is True and "HEURISTIC" in body["banner"]
     assert body["preserved_fraction"].endswith("/5")
+
+
+SAMPLE_SHAPE = ["--maps", "3", "--length", "512", "--horizon", "4096",
+                "--radii", "4", "--pitch", "1/16"]
+
+
+# digests of the reports written when every candidate was decided at every
+# radius; stopping at a candidate's first radius not decided NotIn keeps them
+@pytest.mark.parametrize("args, digest", [
+    (["--seq", "harmonic", "--ideal", "Z", "--seed", "839", "--kind", "sigma"],
+     "1ca9e17394b00901d01af901387bdaaff7b001ceb52b2e55d74c21fff7a03a47"),
+    (["--seq", "rationals", "--ideal", "gdi", "--seed", "107",
+      "--kind", "sigma"],
+     "fa1089f70ae131506897da48dbe1621ab18e18aaa655412998b3e3b662df6e7d"),
+    (["--seq", "rationals", "--ideal", "Z", "--seed", "11", "--kind", "pi"],
+     "04e32831022c15081d65bf473b59a716160d76bed6341288ee4c136ae123289e"),
+])
+def test_sample_output_bytes_are_pinned(tmp_path, args, digest):
+    out = tmp_path / "s"
+    assert run(["sample", *args, *SAMPLE_SHAPE, "--out", str(out)]) == 0
+    got = hashlib.sha256(Path(f"{out}.json").read_bytes()).hexdigest()
+    assert got == digest
+
+
+@pytest.mark.parametrize("length", [0, 1, cli.MAX_HORIZON + 1])
+def test_sample_length_out_of_range_exits_one(tmp_path, capsys, monkeypatch,
+                                              length):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the length was checked")
+
+    monkeypatch.setattr(cli.zoo, "get_sequence", refuse)
+    monkeypatch.setattr(cli.tr, "random_sigma", refuse)
+    out = tmp_path / "len"
+    assert run(["sample", "--seq", "harmonic", "--ideal", "Z",
+                "--length", str(length), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert f"length {length}" in err["detail"]
+    assert not Path(f"{out}.json").exists()
 
 
 def test_analyze_product_ideal_skips_level_sets(tmp_path):

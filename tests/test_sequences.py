@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from idealconv import natset as ns
 from idealconv import submeasure as sm
+from idealconv import transforms as tr
 from idealconv import zoo
 from idealconv.ideals import builtin
 from idealconv.sequences import (AnalysisParams, RadiusSchedule, NotAnalyticP,
-                                 complement_indicator_set, gamma_estimate,
+                                 candidate_grid, complement_indicator_set,
+                                 gamma_estimate,
                                  ideal_convergence_check, indicator_set,
                                  lambda_estimate, lambda_q_estimate,
                                  limit_points_estimate, u_frak, distance)
@@ -164,6 +166,65 @@ def test_gamma_summable():
     summ = builtin("summable")
     assert pts(gamma_estimate(zoo.char_evens(), summ, P14)) == [0, 1]
     assert pts(gamma_estimate(zoo.char_powers2(), summ, P14)) == [0]
+
+
+GAMMA_SEQS = ["harmonic", "rationals", "char:evens", "char:powers2",
+              "cycle:0,1/2,1"]
+GAMMA_IDEALS = ["fin", "Z", "summable", "gdi", "fin-x-fin"]
+
+
+def _map_params(params, length):
+    """The parameters ``sample`` decides a reindexed sequence with."""
+    return AnalysisParams(horizon=min(length, params.horizon),
+                          schedule=params.schedule, pitch=params.pitch,
+                          hit_min=max(2, params.hit_min // 4),
+                          theta=params.theta)
+
+
+@pytest.mark.parametrize("i, seq, ideal", [
+    (i, seq, ideal) for i, (seq, ideal) in enumerate(
+        (s, d) for s in GAMMA_SEQS for d in GAMMA_IDEALS)])
+def test_gamma_without_records_finds_the_same_cluster_points(i, seq, ideal):
+    radii = 3 + i % 3
+    params = AnalysisParams(horizon=1 << (9 + i % 4),
+                            schedule=RadiusSchedule.dyadic(radii),
+                            pitch=F(1, 1 << radii))
+    handle = builtin(ideal)
+    x = zoo.get_sequence(seq)
+    full = gamma_estimate(x, handle, params)
+    fast = gamma_estimate(x, handle, params, records=False)
+    assert fast.points() == full.points()
+    assert all(c.classification == "cluster" and not c.radii
+               for c in fast.candidates)
+    grid = [c.point for c in full.candidates]
+    sub = _map_params(params, 256)
+    for t in (tr.random_sigma(i, length=256),
+              tr.random_pi(i, window=16, length=256)):
+        y = tr.apply(t, x)
+        assert (gamma_estimate(y, handle, sub, candidates=grid,
+                               records=False).points()
+                == gamma_estimate(y, handle, sub, candidates=grid).points())
+
+
+def test_gamma_without_records_stops_at_the_first_radius_not_notin(
+        monkeypatch):
+    from idealconv import sequences
+    calls = []
+    decide = sequences.decide_membership
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return decide(*args, **kwargs)
+
+    monkeypatch.setattr(sequences, "decide_membership", counted)
+    params = AnalysisParams(horizon=1 << 12,
+                            schedule=RadiusSchedule.dyadic(4), pitch=F(1, 16))
+    x = zoo.rationals()
+    grid = candidate_grid(x, params)
+    y = tr.apply(tr.random_sigma(107, length=512), x)
+    gamma_estimate(y, builtin("gdi"), _map_params(params, 512),
+                   candidates=grid, records=False)
+    assert 0 < len(calls) < len(grid) * len(params.schedule)
 
 
 # --- the limiting norm -------------------------------------------------------

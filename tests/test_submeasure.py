@@ -200,6 +200,13 @@ def test_max_count_ratio_exactness():
         assert got == want
 
 
+def test_max_count_ratio_refuses_lengths_past_2_31():
+    # a zero-stride view: 2^31 + 1 entries that occupy 8 bytes
+    counts = np.broadcast_to(np.int64(0), (2 ** 31 + 1,))
+    with pytest.raises(ValueError, match="exceed 2"):
+        sm.max_count_ratio(counts, 1)
+
+
 def test_sum_unit_fractions_matches_direct():
     vals = [3, 7, 7, 10, 31]
     assert sm.sum_unit_fractions(vals) == sum(F(1, v) for v in vals)
