@@ -196,7 +196,7 @@ def _emit(out: Optional[str], payload: dict, csv_rows=None,
 
 def cmd_analyze(cfg: RunConfig) -> int:
     cfg.validate()
-    x = zoo.get_sequence(cfg.seq)
+    x = zoo.get_sequence(cfg.seq, cfg.horizon)
     handle = cfg.ideal_handle()
     params = cfg.analysis_params()
     mode = cfg.mode or "all"
@@ -256,7 +256,7 @@ def cmd_witness_verify(cfg: RunConfig) -> int:
 
 def cmd_preserve(cfg: RunConfig) -> int:
     cfg.validate()
-    x = zoo.get_sequence(cfg.seq)
+    x = zoo.get_sequence(cfg.seq, cfg.horizon)
     handle = cfg.ideal_handle()
     params = cfg.analysis_params()
     w = build_witness(handle, Fraction(cfg.q), cfg.horizon)
@@ -287,7 +287,7 @@ def cmd_game(cfg: RunConfig) -> int:
     cfg.validate()
     if cfg.ell is None:
         raise ValueError("game run needs --ell")
-    x = zoo.get_sequence(cfg.seq)
+    x = zoo.get_sequence(cfg.seq, cfg.horizon)
     handle = cfg.ideal_handle()
     target = gm.GameTarget(ell=as_point(Fraction(cfg.ell), x.dim),
                            q=Fraction(cfg.q),
@@ -301,7 +301,7 @@ def cmd_game(cfg: RunConfig) -> int:
 
 def cmd_sample(cfg: RunConfig) -> int:
     cfg.validate()
-    x = zoo.get_sequence(cfg.seq)
+    x = zoo.get_sequence(cfg.seq, cfg.horizon)
     handle = cfg.ideal_handle()
     params = cfg.analysis_params()
     # only cluster points are printed, so no report keeps radius records

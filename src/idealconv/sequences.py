@@ -16,6 +16,7 @@ q-level sets, and two-route convergence checking.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -91,21 +92,77 @@ class RadiusSchedule:
 
 @dataclass
 class Alphabet:
-    """Finitely many letter values whose index sets partition N."""
+    """Finitely many letter values whose index sets partition N.
+
+    A set of letters is named by its bitmask over letter positions (bit i
+    for letter i); ``union`` keeps one index set per mask, so a ball's
+    periodic form and prefix are built once per letter subset however many
+    centers and radii give that ball.  The index sets are not to change
+    once a ball has been built.
+    """
 
     letters: list[Point]
     index_sets: list[ns.NatSet]
+    _unions: dict[int, ns.NatSet] = field(default_factory=dict, init=False,
+                                          repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.letters) != len(self.index_sets) or not self.letters:
             raise ValueError("letters and index sets must align")
 
+    def union(self, mask: int) -> ns.NatSet:
+        """The index set of the letters in ``mask``: EMPTY, FULL, a letter's
+        own set, or a Union of the letters' sets, one object per mask."""
+        s = self._unions.get(mask)
+        if s is None:
+            chosen = [t for i, t in enumerate(self.index_sets) if mask >> i & 1]
+            if not chosen:
+                s = ns.EMPTY
+            elif len(chosen) == len(self.index_sets):
+                s = ns.FULL
+            elif len(chosen) == 1:
+                s = chosen[0]
+            else:
+                s = ns.Union(tuple(chosen))
+            self._unions[mask] = s
+        return s
+
     def validate_partition(self, horizon: int) -> None:
-        total = np.zeros(horizon, dtype=np.int64)
-        for s in self.index_sets:
-            total += s.prefix(horizon)
-        if not bool(np.all(total == 1)):
-            raise ValueError("index sets do not partition [1, horizon]")
+        """Refuse index sets that do not partition N, naming the first index
+        no letter covers or more than one covers.
+
+        Past the last segment start of the letters' periodic forms every
+        letter repeats with the lcm of their periods, so where each letter
+        has a form, the window through one such period decides all of N
+        (read when it ends within ``PERIODIC_BITS``).  Otherwise the check
+        reads [1, horizon], or the longest window [1, horizon / 2^j] every
+        letter decides.
+        """
+        sets = self.index_sets
+        forms = [ns.periodic_form(s) for s in sets]
+        if None not in forms:
+            end = (max(f.starts[-1] for f in forms)
+                   + math.lcm(*(f.period for f in forms)) - 1)
+            if end <= ns.PERIODIC_BITS:
+                horizon = end
+        while horizon >= 1:
+            # the count at an index never exceeds the number of letters
+            total = np.zeros(horizon, np.min_scalar_type(len(sets)))
+            try:
+                for s in sets:
+                    total += s.prefix(horizon)
+                break
+            except ns.HorizonExceeded:
+                horizon //= 2
+        else:
+            return
+        bad = np.flatnonzero(total != 1)
+        if bad.size:
+            covers = int(total[bad[0]])
+            raise ValueError(
+                f"letter index sets do not partition N: index {bad[0] + 1} "
+                + ("is not covered" if covers == 0
+                   else f"is covered by {covers} letters"))
 
     def letter_index(self, n: int) -> int:
         for i, s in enumerate(self.index_sets):
@@ -193,17 +250,68 @@ def _ball_index_set(x: SequenceSpec, center: Point, eps: Fraction,
     center = as_point(center, x.dim)
     eps = Fraction(eps)
     if x.alphabet is not None:
-        chosen = [i for i, L in enumerate(x.alphabet.letters)
-                  if (distance(L, center) < eps) == inside]
-        if not chosen:
-            return ns.EMPTY
-        if len(chosen) == len(x.alphabet.letters):
-            return ns.FULL
-        if len(chosen) == 1:
-            return x.alphabet.index_sets[chosen[0]]
-        return ns.Union(tuple(x.alphabet.index_sets[i] for i in chosen))
+        return Balls(x, center).set(eps, inside)
     ball = x.ball_fn(center, eps)
     return ball if inside else ns.Complement(ball)
+
+
+class Balls:
+    """The balls of a sequence around one center, radius by radius.
+
+    For an alphabet sequence the letter distances are taken once: a radius
+    only picks the letters nearer than it, and ``key`` names them (or the
+    letters outside) as a mask for ``Alphabet.union``.  A sequence without
+    an alphabet has no key, and its balls come from ``indicator_set``.
+    """
+
+    def __init__(self, x: SequenceSpec, center: Point):
+        self.x = x
+        self.center = center = as_point(center, x.dim)
+        self.dists: Optional[list[Fraction]] = None
+        if x.alphabet is not None:
+            self.dists = [distance(L, center) for L in x.alphabet.letters]
+            order = sorted(range(len(self.dists)), key=self.dists.__getitem__)
+            # the k nearest letters are masks[k]: the ball of radius eps
+            # holds the letters of the distances below eps, a prefix of order
+            self._near = [self.dists[i] for i in order]
+            self._masks = [0]
+            for i in order:
+                self._masks.append(self._masks[-1] | 1 << i)
+
+    def key(self, eps: Fraction, inside: bool = True) -> Optional[int]:
+        if self.dists is None:
+            return None
+        near = self._masks[bisect_left(self._near, eps)]
+        return near if inside else self._masks[-1] ^ near
+
+    def set(self, eps: Fraction, inside: bool = True) -> ns.NatSet:
+        key = self.key(eps, inside)
+        if key is None:
+            ball = indicator_set if inside else complement_indicator_set
+            return ball(self.x, self.center, eps)
+        return self.x.alphabet.union(key)
+
+
+def _per_subset(fn: Callable[[ns.NatSet], object]):
+    """``fn`` of a ball's index set, called once per letter subset.
+
+    The returned ``call(balls, eps, inside=True)`` keeps its results by
+    letter mask for as long as it lives: one analysis leg, inside the call
+    that fixes the sequence, the handle and the decision parameters.  Balls
+    without a key (no alphabet) are passed to ``fn`` every time.
+    """
+    memo: dict[int, object] = {}
+
+    def call(balls: Balls, eps: Fraction, inside: bool = True):
+        key = balls.key(eps, inside)
+        if key is None:
+            return fn(balls.set(eps, inside))
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = fn(balls.x.alphabet.union(key))
+        return out
+
+    return call
 
 
 # ---------------------------------------------------------------------------
@@ -346,23 +454,25 @@ def limit_points_estimate(x: SequenceSpec, params: AnalysisParams,
     cands = (list(candidates) if candidates is not None
              else candidate_grid(x, params, extra))
     half = params.horizon // 2
+
+    def hit_verdict(ind: ns.NatSet) -> str:
+        inf = ind.is_infinite()
+        if inf is not None:
+            return CLUSTER if inf else NOT_CLUSTER
+        try:
+            hits = int(ind.prefix(params.horizon)[half:].sum())
+        except ns.HorizonExceeded:
+            return UNDECIDED
+        return CLUSTER if hits >= params.hit_min else NOT_CLUSTER
+
+    verdict_of = _per_subset(hit_verdict)
     records = []
     for c in cands:
+        balls = Balls(x, c)
         radii: list[RadiusRecord] = []
         verdicts: list[str] = []
         for eps in params.schedule:
-            ind = indicator_set(x, c, eps)
-            inf = ind.is_infinite()
-            if inf is True:
-                v = CLUSTER
-            elif inf is False:
-                v = NOT_CLUSTER
-            else:
-                try:
-                    hits = int(ind.prefix(params.horizon)[half:].sum())
-                    v = CLUSTER if hits >= params.hit_min else NOT_CLUSTER
-                except ns.HorizonExceeded:
-                    v = UNDECIDED
+            v = verdict_of(balls, eps)
             verdicts.append(v)
             radii.append(RadiusRecord(eps, v))
         if any(v == NOT_CLUSTER for v in verdicts):
@@ -390,14 +500,16 @@ def gamma_estimate(x: SequenceSpec, handle: IdealHandle, params: AnalysisParams,
     cands = (list(candidates) if candidates is not None
              else candidate_grid(x, params, extra))
     dparams = params.decision()
+    decide = _per_subset(lambda s: decide_membership(handle, s, dparams))
     # the smallest ball is the likeliest to be In or undecided
     schedule = params.schedule.radii if records else params.schedule.radii[::-1]
     out = []
     for c in cands:
+        balls = Balls(x, c)
         radii: list[RadiusRecord] = []
         verdicts: list[Verdict] = []
         for eps in schedule:
-            dec = decide_membership(handle, indicator_set(x, c, eps), dparams)
+            dec = decide(balls, eps)
             verdicts.append(dec.verdict)
             if records:
                 radii.append(RadiusRecord(eps, dec.verdict.value,
@@ -446,21 +558,21 @@ def u_frak(x: SequenceSpec, sigma, ell, m: sm.Lscsm,
     if sigma is not None:
         from . import transforms
         x = transforms.apply(sigma, x)
-    ell = as_point(ell, x.dim)
-    per: list[tuple[Fraction, sm.NormEstimate]] = []
-    for eps in params.schedule:
-        ind = indicator_set(x, ell, eps)
+
+    def estimate(ind: ns.NatSet) -> sm.NormEstimate:
         exact = m.exact_norm(ind)
-        est = (sm.norm_estimate(m, ind, params.horizon, exact=None)
-               if exact is None else
-               sm.NormEstimate(exact, None, [], None, params.horizon))
-        per.append((eps, est))
+        if exact is not None:
+            return sm.NormEstimate(exact, None, [], None, params.horizon)
+        return sm.norm_estimate(m, ind, params.horizon, exact=None)
+
+    estimate_of = _per_subset(estimate)
+    balls = Balls(x, ell)
+    per = [(eps, estimate_of(balls, eps)) for eps in params.schedule]
     last = per[-1][1]
-    return UFrakResult(per, last.exact, last.numeric,
-                       _settled(x, ell, per))
+    return UFrakResult(per, last.exact, last.numeric, _settled(balls, per))
 
 
-def _settled(x: SequenceSpec, ell: Point,
+def _settled(balls: Balls,
              per: list[tuple[Fraction, sm.NormEstimate]]) -> bool:
     """Whether the exact norm at the smallest radius is the limiting norm.
 
@@ -474,9 +586,8 @@ def _settled(x: SequenceSpec, ell: Point,
     eps, last = per[-1]
     if last.exact is None:
         return False
-    if x.alphabet is not None:
-        return all(distance(L, ell) == 0 for L in x.alphabet.letters
-                   if distance(L, ell) < eps)
+    if balls.dists is not None:
+        return all(d == 0 for d in balls.dists if d < eps)
     return len(per) >= 2 and per[-2][1].exact == last.exact
 
 
@@ -581,11 +692,14 @@ def ideal_convergence_check(x: SequenceSpec, handle: IdealHandle, ell,
     """
     ell = as_point(ell, x.dim)
     dparams = params.decision()
+    # the cross leg's gamma_estimate keeps its own memo: the legs share
+    # no decision
+    decide = _per_subset(lambda s: decide_membership(handle, s, dparams))
+    balls = Balls(x, ell)
     prim_verdicts = []
     prim_reasons = []
     for eps in params.schedule:
-        comp = complement_indicator_set(x, ell, eps)
-        dec = decide_membership(handle, comp, dparams)
+        dec = decide(balls, eps, inside=False)
         prim_verdicts.append(dec.verdict)
         prim_reasons.append(dec.reason)
     if all(v is Verdict.IN for v in prim_verdicts):

@@ -194,7 +194,10 @@ def rationals() -> SequenceSpec:
                         ball_fn=ball, batch_fn=batch, name="rationals")
 
 
-def alphabet_from_json(body: dict) -> SequenceSpec:
+def alphabet_from_json(body: dict, horizon: int = 1 << 16) -> SequenceSpec:
+    """Letters and their index sets from a JSON body.  The sets must
+    partition N, which is checked here, before any analysis: for all of N
+    where every letter has a periodic form, else over [1, horizon]."""
     letters = []
     for entry in body["letters"]:
         if isinstance(entry, list):
@@ -206,6 +209,7 @@ def alphabet_from_json(body: dict) -> SequenceSpec:
         raise ValueError("letters must share one dimension")
     sets = [ns.from_json(s) for s in body["sets"]]
     alpha = Alphabet(letters=letters, index_sets=sets)
+    alpha.validate_partition(horizon)
     bound = Fraction(body.get("bound", "1"))
 
     def point(n: int) -> Point:
@@ -215,8 +219,10 @@ def alphabet_from_json(body: dict) -> SequenceSpec:
                         alphabet=alpha, name=body.get("name", "alphabet"))
 
 
-def get_sequence(spec: str) -> SequenceSpec:
-    """Resolve a zoo spec string to a sequence."""
+def get_sequence(spec: str, horizon: int = 1 << 16) -> SequenceSpec:
+    """Resolve a zoo spec string to a sequence.  The zoo's own alphabets
+    partition N by construction; an ``alphabet:<json>`` one is checked up
+    to ``horizon`` where its letters have no periodic form."""
     spec = spec.strip()
     if spec == "char:evens":
         return char_evens()
@@ -235,7 +241,7 @@ def get_sequence(spec: str) -> SequenceSpec:
     if spec == "rationals":
         return rationals()
     if spec.startswith("alphabet:"):
-        return alphabet_from_json(json.loads(spec.split(":", 1)[1]))
+        return alphabet_from_json(json.loads(spec.split(":", 1)[1]), horizon)
     raise ValueError(f"unknown sequence spec {spec!r}")
 
 

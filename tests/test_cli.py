@@ -376,3 +376,50 @@ def test_oversized_horizon_exits_one(tmp_path, capsys):
     assert err["error"] == "config"
     assert "horizon 16777217" in err["detail"] and "16777216" in err["detail"]
     assert not Path(f"{out}.json").exists()
+
+
+# two letters on the even indices: index 1 has no value, index 2 has two
+OVERLAPPING = ('alphabet:{"letters":["0","1"],"sets":['
+               '{"kind":"progression","first":2,"step":2},'
+               '{"kind":"progression","first":2,"step":2}]}')
+
+
+def test_alphabet_that_does_not_partition_is_refused(tmp_path, capsys,
+                                                     monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("analysis started before the partition check")
+
+    monkeypatch.setattr(cli, "ideal_convergence_check", refuse)
+    out = tmp_path / "bad"
+    assert run(["analyze", "--seq", OVERLAPPING, "--ideal", "Z",
+                "--mode", "convergence", "--ell", "1/2", "--radii", "2",
+                "--pitch", "1/4", "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert "index 1 is not covered" in err["detail"]
+    assert not Path(f"{out}.json").exists()
+
+
+@pytest.mark.parametrize("sets, detail", [
+    # periodic letters: decided for all of N, however far the fault sits
+    ([{"kind": "progression", "first": 1, "step": 2},
+      {"kind": "union", "parts": [
+          {"kind": "progression", "first": 2, "step": 2},
+          {"kind": "finite", "members": [100001]}]}],
+     "index 100001 is covered by 2 letters"),
+    # a powers leaf has no periodic form: read over [1, horizon]
+    ([{"kind": "intersection", "parts": [
+        {"kind": "progression", "first": 1, "step": 2},
+        {"kind": "complement", "part": {"kind": "powers", "base": 3}}]},
+      {"kind": "progression", "first": 2, "step": 2}],
+     "index 3 is not covered"),
+])
+def test_partition_check_names_the_first_bad_index(capsys, sets, detail):
+    spec = "alphabet:" + json.dumps({"letters": ["0", "1"], "sets": sets})
+    for command in (["analyze", "--mode", "gamma"],
+                    ["game", "run", "--ell", "0"],
+                    ["preserve", "sigma", "--mode", "add", "--ell", "0"]):
+        assert run([*command, "--seq", spec, "--ideal", "Z",
+                    "--horizon", "1024"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and detail in err["detail"]
