@@ -17,7 +17,7 @@ import functools
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -195,7 +195,6 @@ def _emit(out: Optional[str], payload: dict, csv_rows=None,
 
 
 def cmd_analyze(cfg: RunConfig) -> int:
-    cfg.validate()
     x = zoo.get_sequence(cfg.seq, cfg.horizon)
     handle = cfg.ideal_handle()
     params = cfg.analysis_params()
@@ -232,7 +231,6 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
 
 def cmd_witness_build(cfg: RunConfig) -> int:
-    cfg.validate()
     handle = cfg.ideal_handle()
     w = build_witness(handle, Fraction(cfg.q), cfg.horizon)
     payload = {"config": cfg.to_json(), "witness": w.to_json()}
@@ -241,7 +239,6 @@ def cmd_witness_build(cfg: RunConfig) -> int:
 
 
 def cmd_witness_verify(cfg: RunConfig) -> int:
-    cfg.validate()
     handle = cfg.ideal_handle()
     if cfg.witness_file:
         w = WitnessIntervals.from_json(
@@ -255,7 +252,6 @@ def cmd_witness_verify(cfg: RunConfig) -> int:
 
 
 def cmd_preserve(cfg: RunConfig) -> int:
-    cfg.validate()
     x = zoo.get_sequence(cfg.seq, cfg.horizon)
     handle = cfg.ideal_handle()
     params = cfg.analysis_params()
@@ -284,7 +280,6 @@ def cmd_preserve(cfg: RunConfig) -> int:
 
 
 def cmd_game(cfg: RunConfig) -> int:
-    cfg.validate()
     if cfg.ell is None:
         raise ValueError("game run needs --ell")
     x = zoo.get_sequence(cfg.seq, cfg.horizon)
@@ -300,7 +295,6 @@ def cmd_game(cfg: RunConfig) -> int:
 
 
 def cmd_sample(cfg: RunConfig) -> int:
-    cfg.validate()
     x = zoo.get_sequence(cfg.seq, cfg.horizon)
     handle = cfg.ideal_handle()
     params = cfg.analysis_params()
@@ -425,30 +419,43 @@ def _build_parser() -> _Parser:
     return p
 
 
+# the commands that take a subcommand: its argparse dest, and its choices
+_SUBCOMMANDS = {"witness": ("witness_command", "build or verify"),
+                "game": ("game_command", "run"),
+                "preserve": ("preserve_kind", "sigma or pi"),
+                "ideals": ("ideals_command", "list")}
+
+# the values a config file may give a RunConfig field, by its annotation;
+# type() rather than isinstance, so a JSON true is no int
+_FILE_TYPES = {
+    "int": lambda v: type(v) is int,
+    "str": lambda v: type(v) is str,
+    "Optional[str]": lambda v: v is None or type(v) is str,
+    "list[str]": lambda v: type(v) is list and all(type(x) is str for x in v),
+}
+
+
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     file_values = {}
     if getattr(args, "config", None):
         file_values = json.loads(Path(args.config).read_text())
+        if type(file_values) is not dict:
+            raise ValueError("a config file must hold a JSON object")
     command = args.command
-    if command == "witness":
-        command = f"witness-{args.witness_command}"
-    elif command == "game":
-        command = "game-run"
-    elif command == "preserve":
-        file_values.setdefault("kind", args.preserve_kind)
-        if args.preserve_kind:
-            file_values["kind"] = args.preserve_kind
-    elif command == "ideals":
-        command = "ideals-list"
+    if command == "preserve":
+        file_values["kind"] = args.preserve_kind
+    elif command in _SUBCOMMANDS:
+        command += "-" + getattr(args, _SUBCOMMANDS[command][0])
     cfg = RunConfig(command=command)
+    types = {f.name: f.type for f in fields(RunConfig) if f.name != "command"}
     for key, value in file_values.items():
-        if key != "command" and hasattr(cfg, key):
+        if key in types:
+            if not _FILE_TYPES[types[key]](value):
+                raise ValueError(f"config value {key} = {value!r} is not "
+                                 f"of type {types[key]}")
             setattr(cfg, key, value)
     for key, value in vars(args).items():
-        if key in ("config", "command", "witness_command", "game_command",
-                   "preserve_kind", "ideals_command"):
-            continue
-        if value is not None and hasattr(cfg, key):
+        if value is not None and key in types:
             setattr(cfg, key, value)
     return cfg
 
@@ -470,22 +477,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.command is None:
         parser.print_help()
         return EXIT_USAGE
-    if args.command == "witness" and not getattr(args, "witness_command", None):
-        sys.stderr.write("witness needs a subcommand: build or verify\n")
-        return EXIT_USAGE
-    if args.command == "game" and not getattr(args, "game_command", None):
-        sys.stderr.write("game needs a subcommand: run\n")
-        return EXIT_USAGE
-    if args.command == "preserve" and not getattr(args, "preserve_kind", None):
-        sys.stderr.write("preserve needs a subcommand: sigma or pi\n")
-        return EXIT_USAGE
-    if args.command == "ideals" and not getattr(args, "ideals_command", None):
-        sys.stderr.write("ideals needs a subcommand: list\n")
+    sub = _SUBCOMMANDS.get(args.command)
+    if sub and not getattr(args, sub[0], None):
+        sys.stderr.write(f"{args.command} needs a subcommand: {sub[1]}\n")
         return EXIT_USAGE
     try:
         cfg = _merge_config(args)
-        handler = _HANDLERS[cfg.command]
-        return handler(cfg)
+        cfg.validate()
+        return _HANDLERS[cfg.command](cfg)
     except (tr.HypothesisFailed, tr.NotALimitPoint) as exc:
         sys.stderr.write(json.dumps({"error": "hypothesis-failed",
                                      "detail": str(exc)}) + "\n")

@@ -18,7 +18,6 @@ from typing import Optional
 
 from . import submeasure as sm
 from .ideals import IdealHandle
-from .meager import _interval_mass_cmp, _phi_interval
 from .sequences import (Point, RadiusSchedule, SequenceSpec, as_point,
                         format_point, NotAnalyticP)
 from .transforms import BijectivityOverflow, ExhaustedA, MemberSupply
@@ -106,30 +105,6 @@ class GameTranscript:
                 "horizon": self.horizon}
 
 
-def _least_escape_length(m: sm.Lscsm, n1: int, q: Fraction,
-                         cap: int) -> Optional[int]:
-    """Least L <= cap with phi([n1, n1 + L)) > q, or None.
-
-    The mass depends only on the positions, never on the values drawn, and
-    grows with L, so galloping up to a passing length and bisecting below it
-    finds the least one.
-    """
-    if cap < 1:
-        return None
-    lo, hi = 1, 1
-    while _interval_mass_cmp(m, n1, n1 + hi, q) <= 0:
-        if hi >= cap:
-            return None
-        lo, hi = hi + 1, min(2 * hi, cap)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _interval_mass_cmp(m, n1, n1 + mid, q) > 0:
-            hi = mid
-        else:
-            lo = mid + 1
-    return hi
-
-
 def _draw_until_mass(state: GameState, supply: MemberSupply, q: Fraction,
                      m: sm.Lscsm, horizon: int) -> tuple[list[int], Fraction]:
     """Fill the next positions with fresh neighborhood members, increasing
@@ -143,7 +118,8 @@ def _draw_until_mass(state: GameState, supply: MemberSupply, q: Fraction,
     """
     n1 = state.next_position()
     floor = state.floor()
-    length = _least_escape_length(m, n1, q, horizon - floor)
+    length = sm.least_length(
+        lambda L: m.interval_mass_cmp(n1, n1 + L, q) > 0, horizon - floor)
     vals: list[int] = []
     while length is None or len(vals) < length:
         try:
@@ -155,7 +131,18 @@ def _draw_until_mass(state: GameState, supply: MemberSupply, q: Fraction,
         if state.kind == "pi" and floor in state.used:
             continue
         vals.append(floor)
-    return vals, _phi_interval(m, n1, n1 + length)
+    return vals, m.interval_mass(n1, n1 + length)
+
+
+def _escape(state: GameState, x: SequenceSpec, ell, k: int, q: Fraction,
+            m: sm.Lscsm, horizon: int, schedule: RadiusSchedule) -> Move:
+    supply = MemberSupply(x, as_point(ell, x.dim), schedule.radii[k - 1])
+    start = state.next_position()
+    vals, mass = _draw_until_mass(state, supply, q, m, horizon)
+    if state.kind == "pi" and len(state.used) + len(vals) > horizon:
+        raise BijectivityOverflow("displaced values exceed the horizon")
+    state.extend(vals)
+    return Move("strategy", k, start, vals, mass)
 
 
 def escape_extension(state: GameState, x: SequenceSpec, ell, k: int,
@@ -169,12 +156,7 @@ def escape_extension(state: GameState, x: SequenceSpec, ell, k: int,
     """
     if state.kind != "sigma":
         raise ValueError("state is not a selector prefix")
-    ell = as_point(ell, x.dim)
-    supply = MemberSupply(x, ell, schedule.radii[k - 1])
-    start = state.next_position()
-    vals, mass = _draw_until_mass(state, supply, q, m, horizon)
-    state.extend(vals)
-    return Move("strategy", k, start, vals, mass)
+    return _escape(state, x, ell, k, q, m, horizon, schedule)
 
 
 def escape_extension_pi(state: GameState, x: SequenceSpec, ell, k: int,
@@ -188,14 +170,7 @@ def escape_extension_pi(state: GameState, x: SequenceSpec, ell, k: int,
     """
     if state.kind != "pi":
         raise ValueError("state is not a rearrangement prefix")
-    ell = as_point(ell, x.dim)
-    supply = MemberSupply(x, ell, schedule.radii[k - 1])
-    start = state.next_position()
-    vals, mass = _draw_until_mass(state, supply, q, m, horizon)
-    if len(state.used) + len(vals) > horizon:
-        raise BijectivityOverflow("displaced values exceed the horizon")
-    state.extend(vals)
-    return Move("strategy", k, start, vals, mass)
+    return _escape(state, x, ell, k, q, m, horizon, schedule)
 
 
 def _adversary_move(state: GameState, rng: random.Random,
@@ -249,11 +224,16 @@ def run_game(x: SequenceSpec, handle: IdealHandle, target: GameTarget,
     Win: every radius level reached has a certified escape (exact phi mass
     above q).  A strategy starved of fresh neighborhood members below the
     horizon loses with the reason recorded.  Zero rounds is undetermined.
+    A q at or above the norm of N, which no escape can exceed, is refused.
     """
     if handle.lscsm is None:
         raise NotAnalyticP(f"{handle.name} carries no submeasure")
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
+    full = handle.lscsm.full_norm()
+    if target.q >= full:
+        # no interval's phi mass exceeds the norm of N, so no escape exists
+        raise ValueError(f"q must lie below {full}, the norm of N")
     levels = level_cycle(rounds)
     needed = max(levels, default=0)
     if needed > len(target.schedule):

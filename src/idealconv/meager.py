@@ -56,7 +56,7 @@ class WitnessIntervals(ns.BlockPartition):
         if self.rule == "phi-block":
             if lscsm is None:
                 raise ValueError("phi-block certification needs the lscsm")
-            return _interval_mass_cmp(lscsm, lo, hi, self.q0) >= 0
+            return lscsm.interval_mass_cmp(lo, hi, self.q0) >= 0
         # row-coverage: block n contains an integer of 2-adic valuation r
         # for every r <= n
         for r in range(0, n + 1):
@@ -81,58 +81,6 @@ class WitnessIntervals(ns.BlockPartition):
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-def _phi_interval(m: sm.Lscsm, lo: int, hi: int) -> Fraction:
-    """phi of the full interval [lo, hi), exact and without materializing it."""
-    if isinstance(m, sm.CountingCap):
-        return sm.ONE if hi > lo else sm.ZERO
-    if isinstance(m, sm.WeightedSum):
-        return min(m.cap, m.scale * sm.sum_unit_fractions(range(lo, hi)))
-    if isinstance(m, sm.DensityFamily):
-        # only the blocks that meet [lo, hi) count: from lo's block onward
-        best = Fraction(0)
-        if hi <= lo:
-            return best
-        start = m.partition.block_index(lo) or 1
-        for n, blo, bhi in m.partition.blocks(hi - 1, start):
-            cnt = min(hi, bhi) - max(lo, blo)
-            best = max(best, m.weight(n) * Fraction(cnt, bhi - blo))
-        return best
-    if isinstance(m, sm.RunningDensity):
-        # sup of count/n over the interval peaks at its right end
-        return Fraction(hi - lo, hi - 1) if hi - 1 >= lo else Fraction(0)
-    raise NotImplementedError(m.name)
-
-
-def _interval_mass_cmp(m: sm.Lscsm, lo: int, hi: int, q: Fraction) -> int:
-    """Sign of phi([lo, hi)) - q, exact.
-
-    A harmonic sum is decided from its fixed-point enclosure and summed
-    exactly only when the enclosure straddles q (or hi is too large for it).
-    """
-    if not isinstance(m, sm.WeightedSum):
-        v = _phi_interval(m, lo, hi)
-        d = v.numerator * q.denominator - q.numerator * v.denominator
-        return (d > 0) - (d < 0)
-    if m.cap < q:
-        return -1
-    # scale * S >= q  <=>  per * S >= need
-    per = m.scale.numerator * q.denominator
-    need = q.numerator * m.scale.denominator
-    sign = None
-    if hi <= sm.INT64_SAFE:
-        a, b = sm.unit_fraction_bounds(lo, hi)
-        target = need << sm.FIXED_BITS
-        if per * a > target:
-            sign = 1
-        elif per * b < target:
-            sign = -1
-    if sign is None:
-        p, den = sm.sum_unit_fractions_raw(range(lo, hi))
-        sign = (per * p > need * den) - (per * p < need * den)
-    # phi = min(cap, scale * S): a cap equal to q never rises above it
-    return min(sign, 0) if m.cap == q else sign
-
-
 def _phi_search_partition(handle: IdealHandle, q: Fraction) -> ns.BlockPartition:
     m = handle.lscsm
     tag = {"kind": "phi-search", "ideal": handle.name, "q": str(q)}
@@ -143,21 +91,13 @@ def _phi_search_partition(handle: IdealHandle, q: Fraction) -> ns.BlockPartition
     def fn(n: int) -> int:
         while len(cache) < n:
             lo = cache[-1]
-            # exponential probe then bisect for the least right end with mass q
-            hi = lo + 1
-            while _interval_mass_cmp(m, lo, hi, q) < 0:
-                hi = 2 * hi - lo
-                if hi - lo > 1 << 40:
-                    raise BlockSearchExceeded(
-                        f"no block of mass {q} starting at {lo}")
-            a, b = lo + 1, hi
-            while a < b:
-                mid = (a + b) // 2
-                if _interval_mass_cmp(m, lo, mid, q) >= 0:
-                    b = mid
-                else:
-                    a = mid + 1
-            cache.append(a)
+            # the least right end giving the block mass at least q
+            length = sm.least_length(
+                lambda L: m.interval_mass_cmp(lo, lo + L, q) >= 0, 1 << 40)
+            if length is None:
+                raise BlockSearchExceeded(
+                    f"no block of mass {q} starting at {lo}")
+            cache.append(lo + length)
         return cache[n - 1]
 
     return ns.BlockPartition(

@@ -332,6 +332,9 @@ class AnalysisParams:
             raise ValueError("horizon must be >= 2")
         if self.pitch > self.schedule.smallest:
             raise ValueError("grid pitch must not exceed the smallest radius")
+        # the rule lambda_q_estimate applies to its q, level by level
+        if not self.q_grid or not all(0 < q <= 1 for q in self.q_grid):
+            raise ValueError("q_grid must be a non-empty list of q in (0, 1]")
 
     def decision(self) -> DecisionParams:
         return DecisionParams(horizon=self.horizon, theta=self.theta)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -101,6 +101,29 @@ def unit_fraction_bounds(lo: int, hi: int) -> tuple[int, int]:
     return a, a + max(0, hi - lo)
 
 
+def least_length(holds: Callable[[int], bool], cap: int) -> Optional[int]:
+    """Least L in [1, cap] with holds(L), or None when no L up to cap holds.
+
+    holds must be monotone (once true, true for every longer length), as an
+    interval's phi mass is monotone in its right end.  The length gallops 1, 2, 4,
+    ... up to a passing probe, then bisects above the last failing one.
+    """
+    if cap < 1:
+        return None
+    lo, hi = 1, 1
+    while not holds(hi):
+        if hi >= cap:
+            return None
+        lo, hi = hi + 1, min(2 * hi, cap)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
 class Lscsm:
     """A monotone subadditive set function with phi(empty) = 0, finite on
     finite sets, determined by its finite truncations."""
@@ -116,6 +139,15 @@ class Lscsm:
         """phi(s ∩ (t, N]) for each cut t, in the order given, from the full
         prefix bits of s on [1, N]; one pass over the prefix serves all cuts."""
         raise NotImplementedError
+
+    def interval_mass(self, lo: int, hi: int) -> Fraction:
+        """phi of the interval [lo, hi), exact, without materializing it."""
+        raise NotImplementedError(self.name)
+
+    def interval_mass_cmp(self, lo: int, hi: int, q: Fraction) -> int:
+        """Sign of phi([lo, hi)) - q, exact."""
+        v = self.interval_mass(lo, hi)
+        return (v > q) - (v < q)
 
     def tail_correction(self, t: int, horizon: int) -> Fraction:
         """Finite-horizon attenuation of a tail value for this variant.
@@ -191,6 +223,10 @@ class RunningDensity(Lscsm):
         counts = np.cumsum(bits, dtype=np.int64)
         return [max_count_ratio(counts, t) for t in cuts]
 
+    def interval_mass(self, lo: int, hi: int) -> Fraction:
+        # sup of count/n over the interval peaks at its right end
+        return Fraction(hi - lo, hi - 1) if hi - 1 >= lo else ZERO
+
     def tail_correction(self, t: int, horizon: int) -> Fraction:
         # a set of tail density d scores at most d * (N - t) / N below N
         return Fraction(horizon - t, horizon)
@@ -224,6 +260,9 @@ class CountingCap(Lscsm):
         j = int(np.argmax(rev))
         last = bits.shape[0] - j if rev[j] else 0
         return [ONE if last > t else ZERO for t in cuts]
+
+    def interval_mass(self, lo: int, hi: int) -> Fraction:
+        return ONE if hi > lo else ZERO
 
     def _exact_norm_infinite(self, s: ns.NatSet) -> Optional[Fraction]:
         if s.is_infinite() is True:
@@ -282,6 +321,32 @@ class WeightedSum(Lscsm):
                 tp, tq = total.numerator, total.denominator
                 value[t] = self.scale * total
         return [value[t] for t in cuts]
+
+    def interval_mass(self, lo: int, hi: int) -> Fraction:
+        return min(self.cap, self.scale * sum_unit_fractions(range(lo, hi)))
+
+    def interval_mass_cmp(self, lo: int, hi: int, q: Fraction) -> int:
+        """Sign of phi([lo, hi)) - q, exact: decided from the fixed-point
+        enclosure of the harmonic sum, which is summed exactly only when the
+        enclosure straddles q (or hi is too large for it)."""
+        if self.cap < q:
+            return -1
+        # scale * S >= q  <=>  per * S >= need
+        per = self.scale.numerator * q.denominator
+        need = q.numerator * self.scale.denominator
+        sign = None
+        if hi <= INT64_SAFE:
+            a, b = unit_fraction_bounds(lo, hi)
+            target = need << FIXED_BITS
+            if per * a > target:
+                sign = 1
+            elif per * b < target:
+                sign = -1
+        if sign is None:
+            p, den = sum_unit_fractions_raw(range(lo, hi))
+            sign = (per * p > need * den) - (per * p < need * den)
+        # phi = min(cap, scale * S): a cap equal to q never rises above it
+        return min(sign, 0) if self.cap == q else sign
 
     def _exact_norm_infinite(self, s: ns.NatSet) -> Optional[Fraction]:
         if not self.harmonic:
@@ -355,6 +420,17 @@ class DensityFamily(Lscsm):
                     bn, bd = wn * cnt, wd
             out.append(Fraction(bn, bd))
         return out
+
+    def interval_mass(self, lo: int, hi: int) -> Fraction:
+        # only the blocks that meet [lo, hi) count: from lo's block onward
+        best = ZERO
+        if hi <= lo:
+            return best
+        start = self.partition.block_index(lo) or 1
+        for n, blo, bhi in self.partition.blocks(hi - 1, start):
+            cnt = min(hi, bhi) - max(lo, blo)
+            best = max(best, self.weight(n) * Fraction(cnt, bhi - blo))
+        return best
 
     def _exact_norm_infinite(self, s: ns.NatSet) -> Optional[Fraction]:
         if isinstance(s, ns.PowersOf) and self.partition.lengths_unbounded:

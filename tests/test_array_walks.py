@@ -25,9 +25,7 @@ from idealconv import submeasure as sm
 from idealconv.cli import main
 from idealconv.games import GameState, GameTarget, SupplyExhausted, run_game
 from idealconv.ideals import builtin
-from idealconv.meager import (WitnessIntervals, WitnessRefuted,
-                              _interval_mass_cmp, _phi_interval,
-                              build_witness)
+from idealconv.meager import WitnessIntervals, WitnessRefuted, build_witness
 from idealconv.sequences import (AnalysisParams, RadiusSchedule, as_point,
                                  distance, indicator_set)
 from idealconv.transforms import (NO_TAIL, ExhaustedA, MemberSupply,
@@ -75,8 +73,8 @@ def ref_draw_until_mass(state, supply, q, m, horizon):
         if state.kind == "pi" and floor in state.used:
             continue
         vals.append(floor)
-        if _interval_mass_cmp(m, n1, n1 + len(vals), q) > 0:
-            return vals, _phi_interval(m, n1, n1 + len(vals))
+        if m.interval_mass_cmp(n1, n1 + len(vals), q) > 0:
+            return vals, m.interval_mass(n1, n1 + len(vals))
 
 
 REF_LIMIT = 1 << 16

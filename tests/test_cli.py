@@ -273,6 +273,50 @@ def test_config_file_with_flag_override(tmp_path):
     assert body["config"]["horizon"] == 8192           # file value survives
 
 
+@pytest.mark.parametrize("field, value", [
+    ("horizon", "4096"), ("radii", True), ("q", 0.5), ("seq", 7),
+    ("q_grid", "1/2"), ("q_grid", [0.5]), ("q_grid", None)])
+def test_config_file_value_of_wrong_type_exits_one(tmp_path, capsys, field,
+                                                    value):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({field: value}))
+    out = tmp_path / "o"
+    assert run(["--config", str(cfg_file), "analyze", "--seq", "char:evens",
+                "--ideal", "Z", "--mode", "gamma", "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and f"config value {field} " in err["detail"]
+    assert not Path(f"{out}.json").exists()
+
+
+def test_config_file_not_an_object_exits_one(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text("[4096]")
+    assert run(["--config", str(cfg_file), "ideals", "list"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "JSON object" in err["detail"]
+
+
+@pytest.mark.parametrize("grid", [[], ["0", "1/2"], ["1/2", "3/2"], ["-1/4"]])
+def test_q_grid_outside_unit_interval_exits_one(tmp_path, capsys, grid):
+    # a level q = 0 would count a point of limiting norm 0 as a cluster point
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"q_grid": grid}))
+    out = tmp_path / "o"
+    assert run(["--config", str(cfg_file), "analyze", "--seq", "char:powers2",
+                "--ideal", "Z", "--mode", "lambda", "--horizon", "1024",
+                "--radii", "3", "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "q_grid" in err["detail"]
+    assert not Path(f"{out}.json").exists()
+    cfg_file.write_text(json.dumps({"q_grid": ["1/8", "1"]}))
+    assert run(["--config", str(cfg_file), "analyze", "--seq", "char:powers2",
+                "--ideal", "Z", "--mode", "lambda", "--horizon", "1024",
+                "--radii", "3", "--out", str(out)]) == 0
+    lam = read(f"{out}.json")["reports"]["lambda"]
+    assert {c["point"]: c["classification"] for c in lam["candidates"]}["1"] \
+        == "not-cluster"
+
+
 def test_undecided_dominated_exits_two(tmp_path):
     # index bitmaps end far below the horizon: nothing can be decided
     spec = json.dumps({
@@ -341,6 +385,22 @@ def test_game_run_refuses_too_few_radii(tmp_path, capsys):
     assert run(["game", "run", "--seq", "char:evens", "--ideal", "Z",
                 "--ell", "1", "--q", "1/4", "--radii", "5", "--rounds", "20",
                 "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("q", ["1", "3/2"])
+def test_game_run_refuses_q_no_escape_exceeds(tmp_path, capsys, monkeypatch, q):
+    # every built-in submeasure is normalized: no interval's mass exceeds 1
+    def refuse(*args, **kwargs):
+        raise AssertionError("a move was played before q was checked")
+
+    monkeypatch.setattr(cli.gm, "_adversary_move", refuse)
+    out = tmp_path / "g"
+    assert run(["game", "run", "--seq", "char:evens", "--ideal", "Z",
+                "--ell", "1", "--q", q, "--rounds", "1",
+                "--horizon", "16777216", "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "q must lie below 1" in err["detail"]
+    assert not Path(f"{out}.json").exists()
 
 
 def test_add_mode_without_close_hits_exits_3(tmp_path, capsys):

@@ -3,7 +3,8 @@ they replaced.
 
 - ``cli.json_text`` against ``json.dumps(..., sort_keys=True, indent=2)``.
 - ``MemberSupply.run`` against one ``next_after`` per member.
-- the block-local ``meager._phi_interval`` against the walk from block 1.
+- the block-local ``DensityFamily.interval_mass`` against the walk from
+  block 1.
 - ``natset.prefix_gather`` (the audit's gather) against one ``member()``
   per value, for object-dtype tables and for values past the prefix bound.
 - ``Periodic.walk`` over a dense mask with a large period, in small memory.
@@ -27,7 +28,7 @@ from idealconv import transforms as tr
 from idealconv import zoo
 from idealconv.cli import json_text
 from idealconv.ideals import builtin
-from idealconv.meager import _phi_interval, build_witness
+from idealconv.meager import build_witness
 from idealconv.sequences import AnalysisParams, RadiusSchedule, indicator_set
 
 F = Fraction
@@ -179,7 +180,7 @@ GDI_SPECS = {
 def test_block_local_phi_interval_equals_full_walk(name, lo, length):
     m = builtin("gdi", gdi_spec=GDI_SPECS[name]).lscsm
     hi = lo + length
-    got = outcome(lambda: _phi_interval(m, lo, hi))
+    got = outcome(lambda: m.interval_mass(lo, hi))
     want = outcome(lambda: ref_phi_interval(m, lo, hi))
     if length == 0:
         # an empty interval has mass 0 without reading any block

@@ -1,9 +1,9 @@
 """Fixed-point enclosures of harmonic interval sums, and the decisions they make.
 
 ``unit_fraction_bounds(lo, hi)`` brackets 2^56 times the harmonic sum over
-[lo, hi) with integer floors only; ``_interval_mass_cmp`` decides the sign of
-phi([lo, hi)) - q from that bracket and sums exactly only when the bracket
-straddles q.  The exact bisection the phi-search partition used before, and
+[lo, hi) with integer floors only; ``WeightedSum.interval_mass_cmp`` decides
+the sign of phi([lo, hi)) - q from that bracket and sums exactly only when
+the bracket straddles q.  The exact bisection the phi-search partition used before, and
 game transcripts taken with it, are kept below as the reference.
 """
 
@@ -18,7 +18,7 @@ from idealconv import submeasure as sm
 from idealconv import zoo
 from idealconv.games import GameTarget, run_game
 from idealconv.ideals import builtin
-from idealconv.meager import _interval_mass_cmp, _phi_search_partition
+from idealconv.meager import _phi_search_partition
 from idealconv.sequences import RadiusSchedule
 
 F = Fraction
@@ -84,7 +84,7 @@ def interval_and_q(draw):
 @given(interval_and_q())
 def test_mass_cmp_equals_exact_sign(case):
     m, lo, hi, q = case
-    assert _interval_mass_cmp(m, lo, hi, q) == exact_sign(m, lo, hi, q)
+    assert m.interval_mass_cmp(lo, hi, q) == exact_sign(m, lo, hi, q)
 
 
 def test_mass_cmp_straddles_at_the_exact_sum():
@@ -94,9 +94,9 @@ def test_mass_cmp_straddles_at_the_exact_sum():
     for lo, hi in ((2, 3), (3, 7), (1000, 1700), ((1 << 40) + 1, (1 << 40) + 90)):
         exact = m.scale * sm.sum_unit_fractions(range(lo, hi))
         tiny = F(1, exact.denominator)
-        assert _interval_mass_cmp(m, lo, hi, exact) == 0
-        assert _interval_mass_cmp(m, lo, hi, exact + tiny) == -1
-        assert _interval_mass_cmp(m, lo, hi, exact - tiny) == 1
+        assert m.interval_mass_cmp(lo, hi, exact) == 0
+        assert m.interval_mass_cmp(lo, hi, exact + tiny) == -1
+        assert m.interval_mass_cmp(lo, hi, exact - tiny) == 1
 
 
 def test_mass_cmp_past_int64():
@@ -104,7 +104,7 @@ def test_mass_cmp_past_int64():
     lo = (1 << 62) - 3
     for hi in (lo + 1, lo + 2, lo + 8):
         for q in (F(1), F(2), F(4), F(7, 2)):
-            assert _interval_mass_cmp(m, lo, hi, q) == exact_sign(m, lo, hi, q)
+            assert m.interval_mass_cmp(lo, hi, q) == exact_sign(m, lo, hi, q)
 
 
 # --- the phi-search partition against the exact bisection ---------------------

@@ -21,7 +21,7 @@ import pytest
 from idealconv import natset as ns
 from idealconv import submeasure as sm
 from idealconv.ideals import builtin
-from idealconv.meager import WitnessIntervals, _phi_interval, build_witness
+from idealconv.meager import WitnessIntervals, build_witness
 
 F = Fraction
 
@@ -196,7 +196,7 @@ def density_family_observations(m):
                         m.tail_value(bits, cuts)])
     for lo, hi in ((1, 1), (1, 2), (1, 10), (3, 17), (100, 357), (513, 514),
                    (2, 5000)):
-        out.append(["interval", lo, hi, _phi_interval(m, lo, hi)])
+        out.append(["interval", lo, hi, m.interval_mass(lo, hi)])
     out.append(m.partition.to_json())
     return out
 

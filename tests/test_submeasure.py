@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from idealconv import natset as ns
 from idealconv import submeasure as sm
+from idealconv.ideals import builtin
 
 F = Fraction
 
@@ -221,3 +222,42 @@ def test_trend_classification():
         == "decreasing"
     assert sm.classify_trend([F(1, 10), F(4, 10), F(1, 12)], F(1, 200)) \
         == "mixed"
+
+
+# --- the least interval reaching q ---------------------------------------------
+
+SEARCH_MEASURES = {name: builtin(name).lscsm
+                   for name in ("fin", "Z", "summable", "gdi")}
+
+
+def scan_least_length(holds, cap):
+    """The least L in [1, cap] with holds(L), one length at a time."""
+    return next((L for L in range(1, cap + 1) if holds(L)), None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(SEARCH_MEASURES)), st.booleans(),
+       st.integers(1, 64) | st.integers(1, 1 << 30),
+       st.fractions(F(1, 64), F(1), max_denominator=64),
+       st.integers(0, 400))
+@example("Z", False, 1, F(1), 5)            # the whole interval [1, hi)
+@example("summable", True, 1, F(1), 400)    # the cap equals q: never above
+@example("fin", True, 7, F(1), 3)           # mass 1 never exceeds q = 1
+def test_least_length_equals_linear_scan(name, strict, lo, q, cap):
+    m = SEARCH_MEASURES[name]
+    probed = []
+
+    def holds(L):
+        probed.append(L)
+        sign = m.interval_mass_cmp(lo, lo + L, q)
+        return sign > 0 if strict else sign >= 0
+
+    want = scan_least_length(holds, cap)
+    probed.clear()
+    assert sm.least_length(holds, cap) == want
+    assert all(1 <= L <= cap for L in probed)
+    assert sm.least_length(holds, 0) is None
+    if want is not None:
+        # a cap equal to the answer finds it; one below leaves it past the cap
+        assert sm.least_length(holds, want) == want
+        assert sm.least_length(holds, want - 1) is None
