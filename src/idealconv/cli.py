@@ -17,7 +17,7 @@ import functools
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -93,8 +93,10 @@ class RunConfig:
                 raise ValueError(f"{name} must be positive")
 
     def to_json(self) -> dict:
-        body = asdict(self)
-        body.pop("out", None)      # output location is not analysis config
+        # output location is not analysis config
+        body = {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "out"}
+        body["q_grid"] = list(self.q_grid)
         return body
 
     @staticmethod
@@ -449,11 +451,12 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=command)
     types = {f.name: f.type for f in fields(RunConfig) if f.name != "command"}
     for key, value in file_values.items():
-        if key in types:
-            if not _FILE_TYPES[types[key]](value):
-                raise ValueError(f"config value {key} = {value!r} is not "
-                                 f"of type {types[key]}")
-            setattr(cfg, key, value)
+        if key not in types:
+            raise ValueError(f"config key {key!r} names no setting")
+        if not _FILE_TYPES[types[key]](value):
+            raise ValueError(f"config value {key} = {value!r} is not "
+                             f"of type {types[key]}")
+        setattr(cfg, key, value)
     for key, value in vars(args).items():
         if value is not None and key in types:
             setattr(cfg, key, value)

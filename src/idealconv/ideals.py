@@ -15,10 +15,11 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
+from ._lazy import lazy_numpy
 from . import natset as ns
 from . import submeasure as sm
+
+np = lazy_numpy()
 
 
 class Verdict(Enum):

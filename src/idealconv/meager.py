@@ -17,12 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
+from ._lazy import lazy_numpy
 from . import natset as ns
 from . import submeasure as sm
 from .ideals import (DecisionParams, IdealHandle, NotRepresentable, Verdict,
                      decide_membership, valuation_rows)
+
+np = lazy_numpy()
 
 
 class BlockSearchExceeded(Exception):

@@ -29,7 +29,9 @@ from functools import cached_property, reduce
 from itertools import count
 from typing import Callable, Iterator, Optional, Sequence
 
-import numpy as np
+from ._lazy import lazy_numpy
+
+np = lazy_numpy()
 
 MAX_DEPTH = 32
 
@@ -63,8 +65,9 @@ class BlockPartition:
                  lengths_unbounded: bool = False):
         self._fn = fn
         self._iota: list[int] = [int(v) for v in prefix]
-        # int64 copy of the first _mirrored boundaries, for boundaries()
-        self._mirror = np.empty(0, dtype=np.int64)
+        # int64 copy of the first _mirrored boundaries, made by the first
+        # boundaries() call (a partition that is only walked needs no numpy)
+        self._mirror = None
         self._mirrored = 0
         self.tag = tag
         self.lengths_unbounded = lengths_unbounded
@@ -153,6 +156,8 @@ class BlockPartition:
         # the boundaries before the last are <= limit; only they are
         # mirrored, so a last boundary past int64 is clipped, not converted
         head = stop - 1
+        if self._mirror is None:
+            self._mirror = np.empty(0, dtype=np.int64)
         if self._mirrored < head:
             if self._mirror.size < head:
                 grown = np.empty(max(head, 2 * self._mirror.size), np.int64)

@@ -22,12 +22,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
+from ._lazy import lazy_numpy
 from . import natset as ns
 from . import submeasure as sm
 from .ideals import (DecisionParams, IdealHandle, Verdict,
                      decide_membership)
+
+np = lazy_numpy()
 
 Point = tuple[Fraction, ...]
 

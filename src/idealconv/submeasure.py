@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
+from ._lazy import lazy_numpy
 from . import natset as ns
+
+np = lazy_numpy()
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

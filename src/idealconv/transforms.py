@@ -24,8 +24,7 @@ from itertools import islice
 from math import gcd
 from typing import Iterator, Optional, Sequence, Union as TUnion
 
-import numpy as np
-
+from ._lazy import lazy_numpy
 from . import natset as ns
 from . import submeasure as sm
 from .ideals import DecisionParams, IdealHandle, Verdict, decide_membership
@@ -33,6 +32,8 @@ from .meager import WitnessIntervals, WitnessRefuted
 from .sequences import (AnalysisParams, Alphabet, Point, SequenceSpec,
                         as_point, distance, format_point, gamma_estimate,
                         indicator_set, limit_points_estimate, CLUSTER)
+
+np = lazy_numpy()
 
 
 class ExhaustedA(Exception):

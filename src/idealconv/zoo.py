@@ -20,10 +20,11 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
+from ._lazy import lazy_numpy
 from . import natset as ns
 from .sequences import Alphabet, Point, SequenceSpec, as_point
+
+np = lazy_numpy()
 
 
 def _char_sequence(name: str, one_on: ns.NatSet, zero_on: ns.NatSet) -> SequenceSpec:

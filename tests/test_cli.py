@@ -288,6 +288,19 @@ def test_config_file_value_of_wrong_type_exits_one(tmp_path, capsys, field,
     assert not Path(f"{out}.json").exists()
 
 
+@pytest.mark.parametrize("key", ["horizn", "command"])
+def test_config_file_unknown_key_exits_one(tmp_path, capsys, key):
+    # a misspelt key used to be dropped, so the run went on at the default
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({key: 64, "radii": 2}))
+    out = tmp_path / "o"
+    assert run(["--config", str(cfg_file), "analyze", "--seq", "char:evens",
+                "--ideal", "Z", "--mode", "limits", "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and repr(key) in err["detail"]
+    assert not Path(f"{out}.json").exists()
+
+
 def test_config_file_not_an_object_exits_one(tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text("[4096]")
