@@ -27,7 +27,8 @@ from . import natset as ns
 from . import transforms as tr
 from . import zoo
 from .ideals import UnknownIdeal, builtin, builtin_names
-from .meager import WitnessIntervals, WitnessRefuted, build_witness, verify_witness
+from .meager import (WitnessIntervals, WitnessRefuted, build_witness,
+                     certify_witness, verify_witness)
 from .sequences import (AnalysisParams, NotAnalyticP, RadiusSchedule,
                         as_point, candidate_grid, format_point, gamma_estimate,
                         ideal_convergence_check, lambda_estimate,
@@ -245,6 +246,7 @@ def cmd_witness_verify(cfg: RunConfig) -> int:
     if cfg.witness_file:
         w = WitnessIntervals.from_json(
             json.loads(Path(cfg.witness_file).read_text())["witness"])
+        certify_witness(handle, w, cfg.horizon)
     else:
         w = build_witness(handle, Fraction(cfg.q), cfg.horizon)
     report = verify_witness(handle, w, cfg.trials, cfg.horizon, cfg.seed)

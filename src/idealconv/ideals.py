@@ -119,14 +119,21 @@ def _finxfin_structural(s: ns.NatSet, depth: int = 0) -> Optional[Verdict]:
     form = ns.periodic_form(s)
     if form is not None:
         # the class r + kP keeps the valuation of r when nu2(r) < nu2(P) and
-        # meets every later row when r (0 too) is a multiple of P's 2-part
+        # meets every later row when r + offset (0 too) is a multiple of P's
+        # 2-part: OR the tail mask's halves down to that 2-part, not the period
         low = form.period & -form.period
-        spread = any((r + form.offset) % low == 0 for r in form.residues())
+        mask, width = form.masks[-1], low
+        while width < mask.bit_length():
+            width *= 2
+        while width > low:
+            width //= 2
+            mask = (mask & ((1 << width) - 1)) | (mask >> width)
+        spread = mask >> (-form.offset % low) & 1
         return Verdict.NOT_IN if spread else Verdict.IN
     if isinstance(s, ns.PowersOf):
         # at most one member per valuation row
         return Verdict.IN
-    if (isinstance(s, ns.BlockUnion) and s.partition.lengths_unbounded
+    if (isinstance(s, ns.BlockUnion) and s.partition.guarantees.lengths_unbounded
             and s.selector.is_infinite() is True):
         # blocks of unbounded length meet every valuation row cofinally
         return Verdict.NOT_IN
@@ -167,50 +174,26 @@ def _finxfin_decide(s: ns.NatSet, params: DecisionParams) -> Decision:
 # Witness containment: a certified positive lower bound on the norm
 # ---------------------------------------------------------------------------
 
-def _partition_ratio_bound(part: ns.BlockPartition) -> Optional[Fraction]:
-    """Certified lower bound on (hi - lo) / hi over every block of part."""
-    rule = getattr(part, "rule", None)
-    q0 = getattr(part, "q0", None)
-    if rule == "density-ratio" and q0 is not None:
-        return q0
-    tag = part.tag or {}
-    kind = tag.get("kind")
-    if kind == "pow2":
-        return Fraction(1, 2)
-    if kind == "ratio-search":
-        return Fraction(tag["q"])
-    if kind == "geometric":
-        ratio = Fraction(tag["ratio"])
-        if ratio.denominator == 1 and ratio >= 2:
-            return 1 - 1 / ratio
-    return None
-
-
 def _witness_rule_bound(handle: IdealHandle,
                         part: ns.BlockPartition) -> Optional[Fraction]:
-    """Certified norm bound for sets holding infinitely many blocks of part.
+    """Certified norm bound for sets holding infinitely many blocks of part,
+    read off the partition's block guarantees.
 
     A per-block density ratio bounds the upper density outright, and for the
     harmonic weight family it also bounds the tail sums (an interval's unit-
     fraction sum is at least its length over its right end).  Mass blocks of
-    the ideal's own search witness bound its norm directly.
+    a phi search bound the norm of the ideal that searched them: the same
+    name with the same construction parameters.
     """
-    ratio = _partition_ratio_bound(part)
-    if ratio is not None:
-        if isinstance(handle.lscsm, sm.RunningDensity):
-            return ratio
-        if isinstance(handle.lscsm, sm.WeightedSum) and handle.lscsm.harmonic:
-            return min(handle.lscsm.cap, handle.lscsm.scale * ratio)
-        if isinstance(handle.lscsm, sm.CountingCap):
-            return Fraction(1)
-    rule = getattr(part, "rule", None)
-    q0 = getattr(part, "q0", None)
-    if rule == "phi-block" and q0 is not None:
-        if isinstance(handle.lscsm, sm.CountingCap):
-            return q0
-        tag = part.tag or {}
-        if tag.get("kind") == "phi-search" and tag.get("ideal") == handle.name:
-            return q0
+    g = part.guarantees
+    m = handle.lscsm
+    if g.ratio is not None:
+        if isinstance(m, sm.RunningDensity):
+            return g.ratio
+        if isinstance(m, sm.WeightedSum) and m.harmonic:
+            return min(m.cap, m.scale * g.ratio)
+    if g.mass is not None and g.mass_ideal == (handle.name, handle.params_json):
+        return g.mass
     return None
 
 

@@ -41,7 +41,7 @@ class WitnessIntervals(ns.BlockPartition):
         # adopt the partition's generator and the boundaries it has so far
         super().__init__(fn=partition._fn, prefix=partition._iota,
                          tag=partition.tag,
-                         lengths_unbounded=partition.lengths_unbounded)
+                         lengths_unbounded=partition.guarantees.lengths_unbounded)
         if rule not in ("density-ratio", "phi-block", "row-coverage"):
             raise ValueError(f"unknown witness rule {rule!r}")
         self.rule = rule
@@ -101,9 +101,7 @@ def _phi_search_partition(handle: IdealHandle, q: Fraction) -> ns.BlockPartition
             cache.append(lo + length)
         return cache[n - 1]
 
-    return ns.BlockPartition(
-        fn=fn, tag=tag,
-        lengths_unbounded=not isinstance(m, sm.CountingCap))
+    return ns.BlockPartition(fn=fn, tag=tag)
 
 
 def build_witness(handle: IdealHandle, q: Fraction,
@@ -133,14 +131,30 @@ def build_witness(handle: IdealHandle, q: Fraction,
                 if isinstance(handle.lscsm, sm.CountingCap)
                 else _phi_search_partition(handle, q))
     w = WitnessIntervals(rule, q, part)
-    if rule == "row-coverage" or isinstance(handle.lscsm, sm.CountingCap):
-        # certified by construction: row coverage, or singleton blocks of
-        # counting mass 1 >= q
-        return w
-    for n, lo, hi in w.blocks_within(horizon):
-        if not w.certify_block(n, handle.lscsm):
-            raise WitnessRefuted(f"block {n} = [{lo}, {hi}) fails {w.rule}")
+    certify_witness(handle, w, horizon)
     return w
+
+
+def certify_witness(handle: IdealHandle, w: WitnessIntervals,
+                    horizon: int) -> None:
+    """Check the witness's rule exactly on every block inside the horizon;
+    WitnessRefuted names the first that fails.  Singleton blocks all have
+    counting mass 1, so under a counting cap block 1 stands for the rest.
+
+    blocks() reads the block past the horizon, as a block union's prefix
+    does, so a boundary list that stops before it is a ValueError.
+    """
+    alike = (w.rule == "phi-block" and w.guarantees.singletons
+             and isinstance(handle.lscsm, sm.CountingCap))
+    try:
+        for n, lo, hi in w.blocks(horizon):
+            if hi - 1 <= horizon and not w.certify_block(n, handle.lscsm):
+                raise WitnessRefuted(f"block {n} = [{lo}, {hi}) fails {w.rule}")
+            if alike:
+                return
+    except ns.HorizonExceeded as exc:
+        raise ValueError(f"the witness boundary list stops before the block "
+                         f"past horizon {horizon} ({exc})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -178,32 +192,6 @@ def _never_two_consecutive(s: ns.NatSet, beyond: int = 0) -> bool:
     return False
 
 
-def _min_late_block_length(w: ns.BlockPartition, beyond: int) -> int:
-    """Certified lower bound on the length of blocks starting past ``beyond``."""
-    tag = w.tag or {}
-    kind = tag.get("kind")
-    if kind in ("pow2", "valuation-cover"):
-        return 2 if beyond >= 1 else 1
-    if kind == "geometric" and Fraction(tag["ratio"]) >= 2:
-        return max(1, beyond)
-    if kind == "ratio-search":
-        q = Fraction(tag["q"])
-        # block length >= lo * q/(1-q); certified >= 2 once lo is large enough
-        if Fraction(beyond) * q / (1 - q) >= 2:
-            return 2
-    if kind == "phi-search":
-        q = Fraction(tag["q"])
-        # a singleton block {a} needs phi({a}) >= q, impossible late:
-        # harmonic weights give phi({a}) = scale/a; the default geometric
-        # density family gives phi({a}) <= 2/a
-        if tag["ideal"] == "summable" and Fraction(beyond) * q >= 2:
-            return 2
-        if tag["ideal"] == "gdi" and "params" not in tag \
-                and Fraction(beyond) * q >= 4:
-            return 2
-    return 1
-
-
 def _contains_late_block_certified(w: ns.BlockPartition, s: ns.NatSet,
                                    k: int) -> Optional[bool]:
     """Does s contain some block of index >= k, beyond any horizon?"""
@@ -218,7 +206,7 @@ def _contains_late_block_certified(w: ns.BlockPartition, s: ns.NatSet,
     if isinstance(s, ns.Union):
         if any(_contains_late_block_certified(w, p, k) for p in s.parts):
             return True
-    if w.max_block_singleton():
+    if w.guarantees.singletons:
         inf = s.is_infinite()
         if inf is True:
             return True
@@ -252,7 +240,7 @@ def fk_holds(w: ns.BlockPartition, s: ns.NatSet, k: int,
         total = int(counts[hi - 2]) - (int(counts[lo - 2]) if lo >= 2 else 0)
         return total == hi - lo
 
-    if w.max_block_singleton():
+    if w.guarantees.singletons:
         start = w.iota(k)
         if start <= eff and bool(bits[start - 1:].any()):
             return False
@@ -266,7 +254,9 @@ def fk_holds(w: ns.BlockPartition, s: ns.NatSet, k: int,
     bound = ns.finite_upper_bound(s)
     if s.is_infinite() is False and bound is not None and bound <= eff:
         return True
-    if _never_two_consecutive(s, eff) and _min_late_block_length(w, eff) >= 2:
+    pairs_from = w.guarantees.pairs_from
+    if (pairs_from is not None and eff >= pairs_from
+            and _never_two_consecutive(s, eff)):
         # remaining blocks inside the horizon were checked above; later ones
         # are intervals of length >= 2 and s never holds two neighbours
         return True

@@ -56,7 +56,9 @@ class BlockPartition:
     ``[iota(n), iota(n+1))``.  Boundaries come from a generator function,
     which the tag names so that JSON can rebuild it, or from an explicit
     prefix only — queries past an explicit prefix raise
-    :class:`HorizonExceeded`.
+    :class:`HorizonExceeded`.  ``guarantees`` is the generator kind's row of
+    :func:`block_guarantees`; an explicit partition declares only
+    ``lengths_unbounded``.
     """
 
     def __init__(self, fn: Optional[Callable[[int], int]] = None,
@@ -70,7 +72,6 @@ class BlockPartition:
         self._mirror = None
         self._mirrored = 0
         self.tag = tag
-        self.lengths_unbounded = lengths_unbounded
         if fn is None and len(self._iota) < 2:
             raise ValueError("partition needs a generator or >= 2 boundaries")
         if fn is not None and tag is None:
@@ -80,6 +81,10 @@ class BlockPartition:
                 raise ValueError("boundaries must be strictly increasing")
         if self._iota and self._iota[0] < 1:
             raise ValueError("iota(1) must be >= 1")
+        # what every block provably satisfies, built once
+        self.guarantees = (
+            block_guarantees(tag) if tag is not None
+            else BlockGuarantees(lengths_unbounded=lengths_unbounded))
 
     def _extend(self, count: int, above: int = 0) -> None:
         """Materialize boundaries until there are at least ``count`` and the
@@ -170,18 +175,6 @@ class BlockPartition:
         out[head] = min(iota[head], limit + 1)
         return out
 
-    def max_block_singleton(self) -> bool:
-        """True for the degenerate partition whose blocks are all singletons."""
-        return bool(self.tag) and self.tag.get("kind") == "singletons"
-
-    def blocks_proportional(self) -> bool:
-        """Whether liminf (hi - lo) / hi > 0 over the blocks, read off the
-        generator tag; an explicit partition declares nothing (False)."""
-        tag = self.tag or {}
-        kind = tag.get("kind")
-        return (kind in ("pow2", "valuation-cover", "ratio-search")
-                or kind == "geometric" and Fraction(tag["ratio"]) > 1)
-
     def boundary_prefix(self, count: int) -> list[int]:
         self.iota(count)
         return list(self._iota[:count])
@@ -189,11 +182,10 @@ class BlockPartition:
     def to_json(self) -> dict:
         """The partition's definition: its generator tag, or for an explicit
         partition its whole boundary list; never what has been materialized."""
+        unbounded = self.guarantees.lengths_unbounded
         if self.tag is not None:
-            return {"generator": self.tag,
-                    "lengths_unbounded": self.lengths_unbounded}
-        return {"iota": list(self._iota),
-                "lengths_unbounded": self.lengths_unbounded}
+            return {"generator": self.tag, "lengths_unbounded": unbounded}
+        return {"iota": list(self._iota), "lengths_unbounded": unbounded}
 
     @staticmethod
     def from_json(body: dict) -> "BlockPartition":
@@ -204,17 +196,70 @@ class BlockPartition:
                               lengths_unbounded=body.get("lengths_unbounded", False))
 
 
+@dataclass(frozen=True)
+class BlockGuarantees:
+    """What the blocks [lo, hi) of one partition kind provably satisfy.
+
+    ratio: (hi - lo) / hi >= ratio on every block.  proportional: liminf
+    (hi - lo) / hi > 0.  pairs_from: every block with lo > b holds at least
+    two integers once b >= pairs_from.  singletons: every block is one
+    integer.  mass: every block has phi mass >= mass under the ideal
+    ``mass_ideal`` = (name, construction params) whose search built it.
+    """
+    ratio: Optional[Fraction] = None
+    proportional: bool = False
+    pairs_from: Optional[Fraction] = None
+    singletons: bool = False
+    lengths_unbounded: bool = False
+    mass: Optional[Fraction] = None
+    mass_ideal: Optional[tuple] = None
+
+
+def block_guarantees(tag: dict) -> BlockGuarantees:
+    """The guarantees of the partitions a generator tag builds."""
+    kind = tag.get("kind")
+    if kind in ("pow2", "valuation-cover"):
+        return BlockGuarantees(ratio=Fraction(1, 2) if kind == "pow2" else None,
+                               proportional=True, pairs_from=Fraction(1),
+                               lengths_unbounded=True)
+    if kind == "singletons":
+        return BlockGuarantees(singletons=True)
+    if kind == "geometric":
+        # a ratio r >= 2 makes every block at least as long as its lo
+        r = Fraction(tag["ratio"])
+        return BlockGuarantees(
+            ratio=1 - 1 / r if r.denominator == 1 and r >= 2 else None,
+            proportional=r > 1, pairs_from=Fraction(2) if r >= 2 else None,
+            lengths_unbounded=r > 1)
+    if kind == "ratio-search":
+        # a block's length is at least lo * q / (1 - q)
+        q = Fraction(tag["q"])
+        return BlockGuarantees(ratio=q, proportional=True,
+                               pairs_from=2 * (1 - q) / q,
+                               lengths_unbounded=True)
+    if kind == "phi-search":
+        # a singleton block {a} needs phi({a}) >= q, impossible late:
+        # harmonic weights give phi({a}) = scale/a; the default geometric
+        # density family gives phi({a}) <= 2/a
+        q, ideal, params = Fraction(tag["q"]), tag["ideal"], tag.get("params")
+        late = (2 if ideal == "summable"
+                else 4 if ideal == "gdi" and params is None else None)
+        return BlockGuarantees(pairs_from=None if late is None else late / q,
+                               lengths_unbounded=ideal != "fin",
+                               mass=q, mass_ideal=(ideal, params))
+    raise ValueError(f"unknown partition generator {tag!r}")
+
+
 def partition_from_tag(tag: dict) -> BlockPartition:
     """Rebuild a partition from its generator tag (lossless round trip)."""
     kind = tag.get("kind")
     if kind == "pow2":
-        return BlockPartition(fn=lambda n: 2 ** n, tag=tag, lengths_unbounded=True)
+        return BlockPartition(fn=lambda n: 2 ** n, tag=tag)
     if kind == "singletons":
-        return BlockPartition(fn=lambda n: n, tag=tag, lengths_unbounded=False)
+        return BlockPartition(fn=lambda n: n, tag=tag)
     if kind == "valuation-cover":
         # iota(n) = 2^(n+1) - 3: block n has length 2^(n+1)
-        return BlockPartition(fn=lambda n: 2 ** (n + 1) - 3, tag=tag,
-                              lengths_unbounded=True)
+        return BlockPartition(fn=lambda n: 2 ** (n + 1) - 3, tag=tag)
     if kind == "geometric":
         ratio = Fraction(tag["ratio"])
         def fn(n: int, r=ratio) -> int:
@@ -222,7 +267,7 @@ def partition_from_tag(tag: dict) -> BlockPartition:
             for _ in range(n - 1):
                 v = max(v + 1, int(v * r))
             return v
-        return BlockPartition(fn=fn, tag=tag, lengths_unbounded=ratio > 1)
+        return BlockPartition(fn=fn, tag=tag)
     if kind == "ratio-search":
         # least next boundary with (iota' - iota) / iota' >= q
         q = Fraction(tag["q"])
@@ -236,7 +281,7 @@ def partition_from_tag(tag: dict) -> BlockPartition:
                 nxt = max(v + 1, -((-v * grow.numerator) // grow.denominator))
                 cache.append(int(nxt))
             return cache[n - 1]
-        return BlockPartition(fn=fn, tag=tag, lengths_unbounded=True)
+        return BlockPartition(fn=fn, tag=tag)
     if kind == "phi-search":
         from . import ideals, meager     # both build on this module
         handle = ideals.builtin(tag["ideal"], gdi_spec=tag.get("params"))
@@ -760,8 +805,8 @@ class Periodic:
         mask = self.masks[bisect_right(self.starts, n) - 1]
         return bool(mask >> ((n - self.offset) % self.period) & 1)
 
-    def residues(self, i: int = -1) -> list[int]:
-        """Residues set in segment i's mask (the tail's by default), sorted."""
+    def residues(self, i: int) -> list[int]:
+        """Residues set in segment i's mask, sorted."""
         mask = self.masks[i]
         raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
         return np.flatnonzero(np.unpackbits(np.frombuffer(raw, np.uint8),

@@ -434,14 +434,15 @@ class DensityFamily(Lscsm):
         return best
 
     def _exact_norm_infinite(self, s: ns.NatSet) -> Optional[Fraction]:
-        if isinstance(s, ns.PowersOf) and self.partition.lengths_unbounded:
+        g = self.partition.guarantees
+        if isinstance(s, ns.PowersOf) and g.lengths_unbounded:
             return ZERO
         # block averages of an eventually periodic set converge to its
         # density once block lengths grow without bound; those of a set with
         # a natural density d do once liminf (hi - lo) / hi = c > 0, since
         # the count in [lo, hi) is d (hi - lo) + o(hi) and hi <= (hi - lo) / c
-        d = ns.exact_density(s) if self.partition.lengths_unbounded else None
-        if d is None and self.partition.blocks_proportional():
+        d = ns.exact_density(s) if g.lengths_unbounded else None
+        if d is None and g.proportional:
             d = ns.natural_density(s)
         if d is not None:
             return self.tail_weight * d

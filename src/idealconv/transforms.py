@@ -353,6 +353,10 @@ def apply(t: AnyMap, x: SequenceSpec) -> SequenceSpec:
         if x.batch_fn is not None:
             def batch(N: int) -> np.ndarray:
                 values = t.values_up_to(N)
+                # a list holds a value past 2^62, and any value past
+                # SCAN_LIMIT would ask x's batch for that many terms
+                if isinstance(values, list) or values.max() > ns.SCAN_LIMIT:
+                    raise ns.HorizonExceeded(f"map values pass {ns.SCAN_LIMIT}")
                 return np.asarray(x.batch_fn(int(values.max())))[values - 1]
 
     kind = "sigma" if isinstance(t, SubsequenceMap) else "pi"

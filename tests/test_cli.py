@@ -152,6 +152,38 @@ def test_witness_build_and_verify(tmp_path):
     assert rep["cofinite_all_fail"] is True
 
 
+def test_witness_verify_certifies_a_loaded_file(tmp_path, capsys):
+    # pow2 blocks have density ratio 1/2, so a declared q0 of 9/10 is refuted
+    # before any set is sampled
+    wfile = tmp_path / "over.json"
+    wfile.write_text(json.dumps({"witness": {
+        "generator": {"kind": "pow2"}, "lengths_unbounded": True,
+        "rule": "density-ratio", "q0": "9/10"}}))
+    out = tmp_path / "v"
+    assert run(["witness", "verify", "--ideal", "Z", "--witness", str(wfile),
+                "--horizon", "4096", "--trials", "3", "--seed", "1",
+                "--out", str(out)]) == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "audit-failure" and "block 1" in err["detail"]
+    assert not Path(f"{out}.json").exists()
+
+
+def test_witness_verify_refuses_a_boundary_list_short_of_the_horizon(
+        tmp_path, capsys):
+    # block 16 = [2^16, 2^17) straddles the horizon, and the block past it
+    # needs a boundary the list does not have
+    wfile = tmp_path / "short.json"
+    wfile.write_text(json.dumps({"witness": {
+        "iota": [2 ** k for k in range(1, 18)], "lengths_unbounded": True,
+        "rule": "density-ratio", "q0": "1/2"}}))
+    assert run(["witness", "verify", "--ideal", "Z", "--witness", str(wfile),
+                "--horizon", "65536", "--trials", "3", "--seed", "1",
+                "--out", str(tmp_path / "v")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert "stops before the block past horizon 65536" in err["detail"]
+
+
 def test_preserve_sigma_and_exit_codes(tmp_path):
     out = tmp_path / "p"
     assert run(["preserve", "sigma", "--seq", "char:evens",

@@ -182,6 +182,26 @@ def test_witness_lower_bound_route():
     assert witness_lower_bound(Z, fin_bu) is None
 
 
+def test_phi_search_mass_needs_the_same_ideal_parameters():
+    from idealconv.meager import build_witness
+    w = build_witness(builtin("gdi"), F(1, 2), 1 << 14)
+    bu = ns.BlockUnion(w, ns.FULL)
+    assert witness_lower_bound(builtin("gdi"), bu) == F(1, 2)
+    # the same blocks under a gdi whose normalized tail weight is 1/4 have
+    # mass 1/8 each, so no set's norm passes 1/4
+    other = builtin("gdi", gdi_spec={
+        "partition": {"generator": {"kind": "geometric", "ratio": "2"},
+                      "lengths_unbounded": True},
+        "head_weights": ["4"], "tail_weight": "1"})
+    assert witness_lower_bound(other, bu) is None
+    dec = decide_membership(other, bu, DecisionParams(horizon=1 << 14))
+    assert dec.reason != "witness-blocks"
+    # a plain phi-search partition certifies the mass of the witness it equals
+    plain = ns.partition_from_tag(w.tag)
+    assert witness_lower_bound(builtin("gdi"), ns.BlockUnion(plain, ns.FULL)) \
+        == F(1, 2)
+
+
 def test_undecided_on_blind_bitmaps():
     Z = builtin("density-zero")
     # an isolated late element: nothing safe to say at this horizon

@@ -255,7 +255,7 @@ def test_partition_json_ignores_materialization(name):
     p = ns.partition_from_tag(PARTITION_TAGS[name])
     body = p.to_json()
     assert body == {"generator": PARTITION_TAGS[name],
-                    "lengths_unbounded": p.lengths_unbounded}
+                    "lengths_unbounded": p.guarantees.lengths_unbounded}
     list(p.blocks_within(1 << 16))
     assert p.to_json() == body
 
@@ -274,3 +274,47 @@ def test_explicit_partition_round_trips_in_full():
 def test_generator_partition_needs_a_tag():
     with pytest.raises(ValueError, match="tag"):
         ns.BlockPartition(fn=lambda n: 2 ** n, tag=None)
+
+
+# --- what each partition kind guarantees ------------------------------------------
+
+G = ns.BlockGuarantees
+GUARANTEES = {
+    "pow2": G(ratio=F(1, 2), proportional=True, pairs_from=1,
+              lengths_unbounded=True),
+    "valuation-cover": G(proportional=True, pairs_from=1,
+                         lengths_unbounded=True),
+    "singletons": G(singletons=True),
+    "geometric-2": G(ratio=F(1, 2), proportional=True, pairs_from=2,
+                     lengths_unbounded=True),
+    "geometric-3/2": G(proportional=True, lengths_unbounded=True),
+    "ratio-search": G(ratio=F(1, 3), proportional=True, pairs_from=4,
+                      lengths_unbounded=True),
+    "phi-search-summable": G(pairs_from=4, lengths_unbounded=True,
+                             mass=F(1, 2), mass_ideal=("summable", None)),
+    "phi-search-gdi": G(pairs_from=16, lengths_unbounded=True, mass=F(1, 4),
+                        mass_ideal=("gdi", None)),
+    "explicit": G(),
+    "density-ratio-1/2": G(ratio=F(1, 2), proportional=True, pairs_from=1,
+                           lengths_unbounded=True),
+    "density-ratio-1/3": G(ratio=F(1, 3), proportional=True, pairs_from=4,
+                           lengths_unbounded=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARANTEES))
+def test_partition_guarantees_table(name):
+    if name.startswith("density-ratio-"):
+        p = build_witness(builtin("Z"), F(name.rpartition("-")[2]), 1 << 10)
+    else:
+        p = fresh_partition(name)
+    g = p.guarantees
+    assert g == GUARANTEES[name]
+    # and the blocks inside 2^12 keep what the row promises
+    mass = None if g.mass is None else builtin(
+        g.mass_ideal[0], gdi_spec=g.mass_ideal[1]).lscsm
+    for n, lo, hi in p.blocks_within(1 << 12):
+        assert g.ratio is None or F(hi - lo, hi) >= g.ratio
+        assert g.pairs_from is None or lo - 1 < g.pairs_from or hi - lo >= 2
+        assert not g.singletons or hi - lo == 1
+        assert mass is None or mass.interval_mass_cmp(lo, hi, g.mass) >= 0

@@ -48,9 +48,14 @@ def test_certified_commands_never_load_numpy():
         codes = [cli(["ideals", "list"]),
                  cli(["analyze", "--seq", "char:evens", "--ideal", "Z",
                       "--mode", "gamma"])]
+        # fin-x-fin reads the row rule off the periodic form's tail mask
+        codes += [cli(["analyze", "--seq", seq, "--ideal", "fin-x-fin",
+                       "--mode", "gamma"])
+                  for seq in ("char:evens", "char:odds", "const:1/2",
+                              "cycle:0,1/2,1")]
         print(json.dumps({"codes": codes, "numpy": numpy_loaded()}))
     """)
-    assert got == {"codes": [0, 0], "numpy": []}
+    assert got == {"codes": [0] * 6, "numpy": []}
 
 
 def test_a_bitmap_command_loads_numpy_in_the_same_process():

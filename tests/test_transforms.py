@@ -147,6 +147,23 @@ def test_a_map_that_ends_before_the_horizon_gives_a_grid_of_its_values(x):
         assert all(c.classification == "undecided" for c in report.candidates)
 
 
+def test_a_map_with_values_past_the_scan_limit_gives_a_grid_of_its_points():
+    # powers of 2 routed into the witness blocks pass 2^62 within 256 terms;
+    # a batch would read harmonic that far, so the box comes from the points
+    w = builtin("density-zero").witness()
+    sigma = tr.generic_subsequence(ns.PowersOf(2), w, ns.FULL, 256).map
+    assert sigma.table[-1] > 1 << 62
+    y = tr.apply(sigma, zoo.harmonic())
+    with pytest.raises(ns.HorizonExceeded):
+        y.batch_fn(256)
+    params = AnalysisParams(horizon=256, schedule=RadiusSchedule.dyadic(4),
+                            pitch=F(1, 16))
+    values = [y.point(n)[0] for n in range(1, 257)]
+    want = [(F(k, 16),) for k in range((16 * min(values)).__floor__(),
+                                       (16 * max(values)).__ceil__() + 1)]
+    assert candidate_grid(y, params) == want
+
+
 def test_harmonic_under_an_affine_map_keeps_symbolic_balls():
     y = tr.apply(sigma_2n(), zoo.harmonic())
     params = AnalysisParams(horizon=1 << 12, schedule=RadiusSchedule.dyadic(4),
