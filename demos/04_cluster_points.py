@@ -36,9 +36,9 @@ show("quarter-level set of char:powers2",
      lambda_q_estimate(x, Z, Fraction(1, 4), params))
 
 print("\nthe limiting norm behind the level sets:")
-u = u_frak(y, None, (Fraction(1),), RunningDensity(), params)
+u = u_frak(y, (Fraction(1),), RunningDensity(), params)
 print("  u(evens indicator at 1) =", u.value(), "(exact:", u.exact, ")")
-u0 = u_frak(x, None, (Fraction(1),), RunningDensity(), params)
+u0 = u_frak(x, (Fraction(1),), RunningDensity(), params)
 print("  u(powers indicator at 1) =", u0.value())
 
 print("\ntwo-route convergence checks:")

@@ -112,26 +112,26 @@ def _draw_until_mass(state: GameState, supply: MemberSupply, q: Fraction,
     exceeds q, and return them with that interval's exact mass.
 
     The length is fixed before any value is drawn: the least one whose mass
-    exceeds q.  Values lie in (floor, horizon], so at most horizon - floor
-    fit; when no length up to that cap suffices, values are drawn until the
-    supply or the horizon runs out.  Running out raises SupplyExhausted.
+    exceeds q.  The values come from one walk of the supply, which stops at
+    the first member past the horizon.  They lie in (floor, horizon], so at
+    most horizon - floor fit; when no length up to that cap suffices, the
+    walk goes on until the supply or the horizon runs out.  Running out
+    raises SupplyExhausted.
     """
     n1 = state.next_position()
     floor = state.floor()
     length = sm.least_length(
         lambda L: m.interval_mass_cmp(n1, n1 + L, q) > 0, horizon - floor)
     vals: list[int] = []
-    while length is None or len(vals) < length:
-        try:
-            floor = supply.next_after(floor)
-        except ExhaustedA:
-            raise SupplyExhausted(f"no fresh member above {state.floor()}")
-        if floor > horizon:
-            raise SupplyExhausted(f"next member {floor} exceeds horizon {horizon}")
-        if state.kind == "pi" and floor in state.used:
-            continue
-        vals.append(floor)
-    return vals, m.interval_mass(n1, n1 + length)
+    try:
+        for v in supply.walk(floor):
+            if v > horizon:
+                raise SupplyExhausted(f"next member {v} exceeds horizon {horizon}")
+            vals.append(v)
+            if len(vals) == length:
+                return vals, m.interval_mass(n1, n1 + length)
+    except ExhaustedA:
+        raise SupplyExhausted(f"no fresh member above {state.floor()}")
 
 
 def _escape(state: GameState, x: SequenceSpec, ell, k: int, q: Fraction,
@@ -224,7 +224,7 @@ def run_game(x: SequenceSpec, handle: IdealHandle, target: GameTarget,
     Win: every radius level reached has a certified escape (exact phi mass
     above q).  A strategy starved of fresh neighborhood members below the
     horizon loses with the reason recorded.  Zero rounds is undetermined.
-    A q at or above the norm of N, which no escape can exceed, is refused.
+    A q at or above phi(N), which no escape can exceed, is refused.
     """
     if handle.lscsm is None:
         raise NotAnalyticP(f"{handle.name} carries no submeasure")
@@ -232,7 +232,7 @@ def run_game(x: SequenceSpec, handle: IdealHandle, target: GameTarget,
         raise ValueError("rounds must be >= 0")
     full = handle.lscsm.full_norm()
     if target.q >= full:
-        # no interval's phi mass exceeds the norm of N, so no escape exists
+        # no interval's phi mass exceeds phi(N), so no escape exists
         raise ValueError(f"q must lie below {full}, the norm of N")
     levels = level_cycle(rounds)
     needed = max(levels, default=0)

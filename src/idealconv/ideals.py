@@ -10,7 +10,7 @@ witness-containment certificate, or an explicit tail trend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
@@ -83,24 +83,11 @@ class IdealHandle:
     lscsm: Optional[sm.Lscsm] = None
     special_rule: Optional[str] = None          # "fin-x-fin"
     witness_rule: str = "phi-block"             # density-ratio | phi-block | row-coverage
-    default_q: Fraction = Fraction(1, 2)
     params_json: Optional[dict] = None          # construction body, for round trips
-    _witness: Optional[object] = field(default=None, repr=False, compare=False)
 
     @property
     def analytic_p(self) -> bool:
         return self.lscsm is not None
-
-    def witness(self, q: Optional[Fraction] = None, horizon: int = 1 << 20):
-        """The meagerness witness for this ideal (built once per q)."""
-        from . import meager
-        if q is None and self._witness is not None:
-            return self._witness
-        w = meager.build_witness(self, q if q is not None else self.default_q,
-                                 horizon)
-        if q is None:
-            self._witness = w
-        return w
 
     def decide(self, s: ns.NatSet,
                params: DecisionParams = DEFAULT_PARAMS) -> Decision:

@@ -293,28 +293,6 @@ class Balls:
         return self.x.alphabet.union(key)
 
 
-def _per_subset(fn: Callable[[ns.NatSet], object]):
-    """``fn`` of a ball's index set, called once per letter subset.
-
-    The returned ``call(balls, eps, inside=True)`` keeps its results by
-    letter mask for as long as it lives: one analysis leg, inside the call
-    that fixes the sequence, the handle and the decision parameters.  Balls
-    without a key (no alphabet) are passed to ``fn`` every time.
-    """
-    memo: dict[int, object] = {}
-
-    def call(balls: Balls, eps: Fraction, inside: bool = True):
-        key = balls.key(eps, inside)
-        if key is None:
-            return fn(balls.set(eps, inside))
-        out = memo.get(key)
-        if out is None:
-            out = memo[key] = fn(balls.x.alphabet.union(key))
-        return out
-
-    return call
-
-
 # ---------------------------------------------------------------------------
 # Analysis parameters and reports
 # ---------------------------------------------------------------------------
@@ -443,6 +421,61 @@ def candidate_grid(x: SequenceSpec, params: AnalysisParams,
 
 
 # ---------------------------------------------------------------------------
+# The candidate walk and the fold of its readings
+# ---------------------------------------------------------------------------
+
+def _walk(x: SequenceSpec, cands: Sequence[Point],
+          read: Callable[[ns.NatSet], object], radii: Sequence[Fraction],
+          inside: bool = True):
+    """Each candidate with its ``Balls`` and its readings, lazily.
+
+    A candidate's readings are the pairs (eps, ``read(ball)``) over the
+    radii, where ``ball`` is the index set of the radius-eps ball (of its
+    complement with ``inside`` false).  A ball of letters is read once per
+    letter subset for the whole walk, which is one analysis leg: the call
+    that fixes the sequence, the handle and the parameters.  Balls without
+    a key (no alphabet) are read every time.
+    """
+    memo: dict[int, object] = {}
+
+    def readings(balls: Balls):
+        for eps in radii:
+            key = balls.key(eps, inside)
+            if key is None:
+                yield eps, read(balls.set(eps, inside))
+                continue
+            if key not in memo:
+                memo[key] = read(x.alphabet.union(key))
+            yield eps, memo[key]
+
+    for c in cands:
+        balls = Balls(x, c)
+        yield c, balls, readings(balls)
+
+
+def _fold(verdicts, keep, drop) -> str:
+    """A candidate's class from its radius verdicts, in three values:
+    NOT_CLUSTER once one verdict is ``drop``, CLUSTER when every one is
+    ``keep``, else UNDECIDED."""
+    seen = set(verdicts)
+    if drop in seen:
+        return NOT_CLUSTER
+    return CLUSTER if seen == {keep} else UNDECIDED
+
+
+def _radius_records(x: SequenceSpec, cands: Sequence[Point], read, record,
+                    params: AnalysisParams, keep, drop) -> list[CandidateRecord]:
+    """Every candidate with a ``record(eps, reading)`` per radius, classified
+    by the fold of the records' verdicts."""
+    out = []
+    for c, _, readings in _walk(x, cands, read, params.schedule):
+        radii = [record(eps, r) for eps, r in readings]
+        out.append(CandidateRecord(
+            c, _fold((r.verdict for r in radii), keep, drop), radii))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Limit points and ideal cluster points
 # ---------------------------------------------------------------------------
 
@@ -469,23 +502,8 @@ def limit_points_estimate(x: SequenceSpec, params: AnalysisParams,
             return UNDECIDED
         return CLUSTER if hits >= params.hit_min else NOT_CLUSTER
 
-    verdict_of = _per_subset(hit_verdict)
-    records = []
-    for c in cands:
-        balls = Balls(x, c)
-        radii: list[RadiusRecord] = []
-        verdicts: list[str] = []
-        for eps in params.schedule:
-            v = verdict_of(balls, eps)
-            verdicts.append(v)
-            radii.append(RadiusRecord(eps, v))
-        if any(v == NOT_CLUSTER for v in verdicts):
-            cls = NOT_CLUSTER
-        elif all(v == CLUSTER for v in verdicts):
-            cls = CLUSTER
-        else:
-            cls = UNDECIDED
-        records.append(CandidateRecord(c, cls, radii))
+    records = _radius_records(x, cands, hit_verdict, RadiusRecord, params,
+                              CLUSTER, NOT_CLUSTER)
     return ClusterReport("limit-points", x.name, None, None, records, params)
 
 
@@ -504,32 +522,22 @@ def gamma_estimate(x: SequenceSpec, handle: IdealHandle, params: AnalysisParams,
     cands = (list(candidates) if candidates is not None
              else candidate_grid(x, params, extra))
     dparams = params.decision()
-    decide = _per_subset(lambda s: decide_membership(handle, s, dparams))
-    # the smallest ball is the likeliest to be In or undecided
-    schedule = params.schedule.radii if records else params.schedule.radii[::-1]
-    out = []
-    for c in cands:
-        balls = Balls(x, c)
-        radii: list[RadiusRecord] = []
-        verdicts: list[Verdict] = []
-        for eps in schedule:
-            dec = decide(balls, eps)
-            verdicts.append(dec.verdict)
-            if records:
-                radii.append(RadiusRecord(eps, dec.verdict.value,
-                                          exact=dec.exact,
-                                          numeric=dec.estimate,
-                                          reason=dec.reason))
-            elif dec.verdict is not Verdict.NOT_IN:
-                break
-        if any(v is Verdict.IN for v in verdicts):
-            cls = NOT_CLUSTER
-        elif all(v is Verdict.NOT_IN for v in verdicts):
-            cls = CLUSTER
-        else:
-            cls = UNDECIDED
-        if records or cls == CLUSTER:
-            out.append(CandidateRecord(c, cls, radii))
+
+    def decide(ind: ns.NatSet):
+        return decide_membership(handle, ind, dparams)
+
+    if records:
+        out = _radius_records(
+            x, cands, decide,
+            lambda eps, d: RadiusRecord(eps, d.verdict.value, d.exact,
+                                        d.estimate, d.reason),
+            params, Verdict.NOT_IN.value, Verdict.IN.value)
+    else:
+        # the smallest ball is the likeliest to be In or undecided
+        out = [CandidateRecord(c, CLUSTER, [])
+               for c, _, readings in _walk(x, cands, decide,
+                                           params.schedule.radii[::-1])
+               if all(d.verdict is Verdict.NOT_IN for _, d in readings)]
     return ClusterReport("gamma", x.name, handle.name, None, out, params)
 
 
@@ -549,59 +557,50 @@ class UFrakResult:
         return self.exact if self.exact is not None else self.numeric
 
 
-def u_frak(x: SequenceSpec, sigma, ell, m: sm.Lscsm,
-           params: AnalysisParams) -> UFrakResult:
-    """Limit of the tail norms of shrinking neighborhood indicators.
-
-    ``sigma`` (None = identity) reindexes the sequence first.  The reported
-    value is the estimate at the smallest radius; the per-radius sequence is
-    the convergence diagnostic (non-increasing when everything is exact).
-    A radius whose exact norm is known reads no prefix and no tail value:
-    its estimate has no numeric value, rows or trend.
-    """
-    if sigma is not None:
-        from . import transforms
-        x = transforms.apply(sigma, x)
-
+def _norm_reader(m: sm.Lscsm, horizon: int):
+    """A ball's norm: exact where known (no prefix, no tail value, so no
+    numeric value, rows or trend), else estimated from its tail."""
     def estimate(ind: ns.NatSet) -> sm.NormEstimate:
         exact = m.exact_norm(ind)
         if exact is not None:
-            return sm.NormEstimate(exact, None, [], None, params.horizon)
-        return sm.norm_estimate(m, ind, params.horizon, exact=None)
-
-    estimate_of = _per_subset(estimate)
-    balls = Balls(x, ell)
-    per = [(eps, estimate_of(balls, eps)) for eps in params.schedule]
-    last = per[-1][1]
-    return UFrakResult(per, last.exact, last.numeric, _settled(balls, per))
+            return sm.NormEstimate(exact, None, [], None, horizon)
+        return sm.norm_estimate(m, ind, horizon, exact=None)
+    return estimate
 
 
-def _settled(balls: Balls,
-             per: list[tuple[Fraction, sm.NormEstimate]]) -> bool:
-    """Whether the exact norm at the smallest radius is the limiting norm.
+def _limiting_norm(balls: Balls,
+                   per: list[tuple[Fraction, sm.NormEstimate]]) -> UFrakResult:
+    """The limiting norm read off one candidate's per-radius norms.
 
-    Norms do not increase as the radius shrinks, so that norm bounds the
-    limit from above.  It is the limit when no smaller radius changes the
-    ball: an alphabet ball that holds only letters equal to the center.
-    Otherwise it is read as the limit once the two smallest radii give the
-    same exact norm; a norm that keeps shrinking (a rationals ball under Z,
-    the length of its interval) is not settled.
+    The value is the estimate at the smallest radius.  An exact norm there
+    bounds the limit from above, since norms do not increase as the radius
+    shrinks; it is settled (taken for the limit) when no smaller radius
+    changes the ball: an alphabet ball that holds only letters equal to the
+    center.  Otherwise it is read as the limit once the two smallest radii
+    give the same exact norm; a norm that keeps shrinking (a rationals ball
+    under Z, the length of its interval) is not settled.
     """
     eps, last = per[-1]
     if last.exact is None:
-        return False
-    if balls.dists is not None:
-        return all(d == 0 for d in balls.dists if d < eps)
-    return len(per) >= 2 and per[-2][1].exact == last.exact
+        settled = False
+    elif balls.dists is not None:
+        settled = all(d == 0 for d in balls.dists if d < eps)
+    else:
+        settled = len(per) >= 2 and per[-2][1].exact == last.exact
+    return UFrakResult(per, last.exact, last.numeric, settled)
 
 
-def lambda_q_estimate(x: SequenceSpec, handle: IdealHandle, q: Fraction,
-                      params: AnalysisParams,
-                      extra: Sequence[Point] = ()) -> ClusterReport:
-    """The q-level set of the limiting norm: points where it reaches q."""
-    return _limiting_norm_report(
-        "lambda-q", x, handle, q, params, extra,
-        lambda u, q: _classify_u(u, q))
+def u_frak(x: SequenceSpec, ell, m: sm.Lscsm,
+           params: AnalysisParams) -> UFrakResult:
+    """Limit of the tail norms of shrinking neighborhood indicators of ell.
+
+    The per-radius sequence is the convergence diagnostic (non-increasing
+    when everything is exact).  A reindexed sequence is analysed through
+    ``transforms.apply`` first.
+    """
+    [(_, balls, readings)] = _walk(x, [ell], _norm_reader(m, params.horizon),
+                                   params.schedule)
+    return _limiting_norm(balls, list(readings))
 
 
 def _classify_u(u: UFrakResult, q: Fraction) -> str:
@@ -617,45 +616,47 @@ def _classify_u(u: UFrakResult, q: Fraction) -> str:
     return UNDECIDED
 
 
+def lambda_q_estimate(x: SequenceSpec, handle: IdealHandle, q: Fraction,
+                      params: AnalysisParams,
+                      extra: Sequence[Point] = ()) -> ClusterReport:
+    """The q-level set of the limiting norm: points where it reaches q."""
+    return _level_set_report("lambda-q", x, handle, q, params, extra)
+
+
 def lambda_estimate(x: SequenceSpec, handle: IdealHandle,
                     params: AnalysisParams,
                     extra: Sequence[Point] = ()) -> ClusterReport:
-    """Union of the q-level sets over the configured q grid.
+    """Union of the q-level sets over the configured q grid."""
+    return _level_set_report("lambda", x, handle, None, params, extra)
 
-    Each candidate's limiting norm is evaluated once and classified against
-    every level; membership at any level puts the point in the union.
+
+def _level_set_report(mode: str, x: SequenceSpec, handle: IdealHandle,
+                      q: Optional[Fraction], params: AnalysisParams,
+                      extra: Sequence[Point]) -> ClusterReport:
+    """The candidates whose limiting norm reaches q, each norm read once.
+
+    With q None the report is the union of the level sets over
+    ``params.q_grid``.  A candidate's class does not rise as the level
+    does (in, undecided, out), so the union is the level set at the least
+    q of the grid.
     """
-    def classify(u: UFrakResult, _q) -> str:
-        per_q = [_classify_u(u, q) for q in sorted(params.q_grid)]
-        if CLUSTER in per_q:
-            return CLUSTER
-        if all(v == NOT_CLUSTER for v in per_q):
-            return NOT_CLUSTER
-        return UNDECIDED
-
-    return _limiting_norm_report("lambda", x, handle, None, params, extra,
-                                 classify)
-
-
-def _limiting_norm_report(mode: str, x: SequenceSpec, handle: IdealHandle,
-                          q: Optional[Fraction], params: AnalysisParams,
-                          extra: Sequence[Point], classify) -> ClusterReport:
-    """The candidate loop of the lambda routes: ``classify(u, q)`` turns each
-    candidate's limiting norm into its classification."""
     if handle.lscsm is None:
         raise NotAnalyticP(f"{handle.name} carries no submeasure")
     if q is not None:
         q = Fraction(q)
         if not 0 < q <= 1:
             raise ValueError("q must lie in (0, 1]")
+    level = min(params.q_grid) if q is None else q
     records = []
-    for c in candidate_grid(x, params, extra):
+    for c, balls, readings in _walk(x, candidate_grid(x, params, extra),
+                                    _norm_reader(handle.lscsm, params.horizon),
+                                    params.schedule):
         try:
-            u = u_frak(x, None, c, handle.lscsm, params)
+            u = _limiting_norm(balls, list(readings))
         except ns.HorizonExceeded:
             records.append(CandidateRecord(c, UNDECIDED, []))
             continue
-        cls = classify(u, q)
+        cls = _classify_u(u, level)
         radii = [RadiusRecord(eps, cls, est.exact, est.numeric,
                               "exact-norm" if est.exact is not None
                               else "tail-trend")
@@ -696,22 +697,15 @@ def ideal_convergence_check(x: SequenceSpec, handle: IdealHandle, ell,
     """
     ell = as_point(ell, x.dim)
     dparams = params.decision()
-    # the cross leg's gamma_estimate keeps its own memo: the legs share
+    # the cross leg's gamma_estimate walks with its own memo: the legs share
     # no decision
-    decide = _per_subset(lambda s: decide_membership(handle, s, dparams))
-    balls = Balls(x, ell)
-    prim_verdicts = []
-    prim_reasons = []
-    for eps in params.schedule:
-        dec = decide(balls, eps, inside=False)
-        prim_verdicts.append(dec.verdict)
-        prim_reasons.append(dec.reason)
-    if all(v is Verdict.IN for v in prim_verdicts):
-        primary = "converges"
-    elif any(v is Verdict.NOT_IN for v in prim_verdicts):
-        primary = "diverges"
-    else:
-        primary = "undecided"
+    [(_, _, readings)] = _walk(
+        x, [ell], lambda s: decide_membership(handle, s, dparams),
+        params.schedule, inside=False)
+    decs = [d for _, d in readings]
+    primary = {CLUSTER: "converges", NOT_CLUSTER: "diverges"}.get(
+        _fold((d.verdict for d in decs), Verdict.IN, Verdict.NOT_IN),
+        "undecided")
 
     gamma = gamma_estimate(x, handle, params, extra=[ell])
     tol = params.schedule.smallest
@@ -735,7 +729,7 @@ def ideal_convergence_check(x: SequenceSpec, handle: IdealHandle, ell,
 
     agree = primary == cross
     verdict = primary if agree and primary != "undecided" else "undecided"
-    routes = {"primary": count_routes(prim_reasons),
+    routes = {"primary": count_routes(d.reason for d in decs),
               "cross": gamma.route_counts()}
     return ConvergenceReport(verdict, primary, cross, agree, ell, handle.name,
                              routes)

@@ -166,6 +166,11 @@ class Lscsm:
         return self._exact_norm_infinite(s)
 
     def _exact_norm_infinite(self, s: ns.NatSet) -> Optional[Fraction]:
+        # N minus finitely many points, or minus a null set, has the limit
+        # norm of N: phi is monotone and subadditive
+        if isinstance(s, ns.Cofinite) or (isinstance(s, ns.Complement)
+                                          and self.exact_norm(s.part) == 0):
+            return self.norm_of_n()
         if isinstance(s, ns.Union):
             return self._norm_of_union(s.parts)
         if isinstance(s, ns.Intersection):
@@ -182,8 +187,8 @@ class Lscsm:
         if len(positive) == 1:
             # a zero-norm union partner never moves the norm
             return positive[0]
-        if all(v == self.full_norm() for v in positive):
-            return self.full_norm()
+        if all(v == self.norm_of_n() for v in positive):
+            return self.norm_of_n()
         return None
 
     def _norm_of_intersection(self, parts) -> Optional[Fraction]:
@@ -195,11 +200,17 @@ class Lscsm:
         if len(loose) == 1:
             return self.exact_norm(loose[0])
         if not loose:
-            return self.full_norm()
+            return self.norm_of_n()
         return None
 
     def full_norm(self) -> Fraction:
-        """Norm of all of N (1 after normalization)."""
+        """phi(N), the largest value phi takes: the scale ``normalize``
+        divides by (1 after normalization)."""
+        return self.norm_of_n()
+
+    def norm_of_n(self) -> Fraction:
+        """The limit norm of N, lim_t phi(N minus [1, t]), which
+        ``exact_norm`` gives every cofinite set."""
         return ONE
 
 
@@ -238,10 +249,6 @@ class RunningDensity(Lscsm):
             return d
         if isinstance(s, ns.PowersOf):
             return ZERO
-        if isinstance(s, ns.Complement):
-            inner = self.exact_norm(s.part)
-            if inner == 0:
-                return ONE
         return super()._exact_norm_infinite(s)
 
 
@@ -354,16 +361,12 @@ class WeightedSum(Lscsm):
             return super()._exact_norm_infinite(s)
         if isinstance(s, ns.PowersOf):
             return ZERO
-        if isinstance(s, ns.Complement):
-            inner = self.exact_norm(s.part)
-            if inner == 0:
-                return self.cap
         d = ns.natural_density(s)
         if d is not None and d > 0:
             return self.cap
         return super()._exact_norm_infinite(s)
 
-    def full_norm(self) -> Fraction:
+    def norm_of_n(self) -> Fraction:
         return self.cap
 
 
@@ -446,18 +449,18 @@ class DensityFamily(Lscsm):
             d = ns.natural_density(s)
         if d is not None:
             return self.tail_weight * d
-        if isinstance(s, ns.Complement):
-            inner = self.exact_norm(s.part)
-            if inner == 0:
-                return self.tail_weight
         return super()._exact_norm_infinite(s)
 
     def full_norm(self) -> Fraction:
         return max(self.tail_weight, max(self.head_weights, default=ZERO))
 
+    def norm_of_n(self) -> Fraction:
+        return self.tail_weight
+
 
 def normalize(m: Lscsm) -> Lscsm:
-    """Scale so the norm of N equals 1 (the running convention downstream)."""
+    """Scale so phi(N), ``full_norm()``, equals 1 (the running convention
+    downstream)."""
     full = m.full_norm()
     if full == ONE:
         return m

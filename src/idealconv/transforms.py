@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from math import gcd
 from typing import Iterator, Optional, Sequence, Union as TUnion
 
@@ -120,7 +120,8 @@ class SubsequenceMap:
     __call__ = value
 
     def values_up_to(self, count: int):
-        """Values at positions 1..count; int64 array unless entries overflow."""
+        """Values at positions 1..count: an int64 array while they stay
+        below 2^62, else a list of Python ints."""
         m = len(self.table)
         if m >= count:
             head = self.table[:count]
@@ -131,7 +132,8 @@ class SubsequenceMap:
             raise ns.HorizonExceeded(f"map valid up to {self.horizon}")
         if self.tail.kind == "none":
             raise ns.HorizonExceeded(f"map table ends at {m}")
-        if m and self.table[-1] >= (1 << 62):
+        # the values increase, so the last one bounds them all
+        if self.value(count) >= (1 << 62):
             return [self.value(n) for n in range(1, count + 1)]
         head = np.asarray(self.table, dtype=np.int64)
         tail_n = np.arange(m + 1, count + 1, dtype=np.int64)
@@ -378,18 +380,25 @@ class MemberSupply:
         self._iter: Optional[Iterator[int]] = None
         self._last = 0
 
-    def next_after(self, floor: int) -> int:
-        """Least member strictly greater than floor (monotone floors only)."""
+    def walk(self, floor: int) -> Iterator[int]:
+        """The members strictly greater than floor, increasing (monotone
+        floors only); running out raises ExhaustedA."""
         if self._iter is None:
             self._iter = ns.iter_members(self._ball, floor + 1)
-        v = self._last
-        while v <= floor:
-            try:
-                v = next(self._iter)
-            except (StopIteration, ns.HorizonExceeded):
-                raise ExhaustedA(f"supply exhausted after {self._last}")
-        self._last = v
-        return v
+        members = (self._iter if self._last <= floor
+                   else chain((self._last,), self._iter))
+        try:
+            for v in members:
+                if v > floor:
+                    self._last = v
+                    yield v
+        except ns.HorizonExceeded:
+            pass
+        raise ExhaustedA(f"supply exhausted after {self._last}")
+
+    def next_after(self, floor: int) -> int:
+        """Least member strictly greater than floor (monotone floors only)."""
+        return next(self.walk(floor))
 
     def run(self, length: int, floor: int) -> list[int]:
         """The next ``length`` members: the first is ``next_after(floor)``,
@@ -908,17 +917,14 @@ def limit_witness_extraction(x: SequenceSpec, sigma: Optional[SubsequenceMap],
     blocks: list[tuple[int, list[int], Fraction, Fraction]] = []
     floor = 0
     for k, eps in enumerate(params.schedule, start=1):
-        sup = MemberSupply(x_eff, ell, eps)
         greedy = _GreedyMass(m, q)
         try:
-            v = sup.next_after(floor)
-            while not greedy.add(v):
+            for v in MemberSupply(x_eff, ell, eps).walk(floor):
                 if v > horizon:
                     raise MassUnavailable(k)
-                v = sup.next_after(v)
+                if greedy.add(v):
+                    break
         except ExhaustedA:
-            raise MassUnavailable(k)
-        if v > horizon:
             raise MassUnavailable(k)
         phi_val = m.phi_points(greedy.members)
         blocks.append((k, greedy.members, phi_val, eps))

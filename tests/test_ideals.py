@@ -10,6 +10,7 @@ from idealconv import submeasure as sm
 from idealconv.ideals import (DecisionParams, Verdict, builtin,
                               decide_membership, nu2, witness_lower_bound,
                               UnknownIdeal)
+from idealconv.meager import build_witness
 
 F = Fraction
 PARAMS = DecisionParams(horizon=1 << 17)
@@ -170,7 +171,7 @@ def test_exh_consistency_exact_vs_numeric():
 
 def test_witness_lower_bound_route():
     Z = builtin("density-zero")
-    w = Z.witness()        # default mass level
+    w = build_witness(Z, F(1, 2), 1 << 20)
     bu = ns.BlockUnion(w, ns.Progression(2, 2))
     assert witness_lower_bound(Z, bu) == w.q0
     noisy = ns.Union((bu, ns.Finite([1, 2, 3])))
@@ -183,7 +184,6 @@ def test_witness_lower_bound_route():
 
 
 def test_phi_search_mass_needs_the_same_ideal_parameters():
-    from idealconv.meager import build_witness
     w = build_witness(builtin("gdi"), F(1, 2), 1 << 14)
     bu = ns.BlockUnion(w, ns.FULL)
     assert witness_lower_bound(builtin("gdi"), bu) == F(1, 2)

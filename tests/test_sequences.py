@@ -231,13 +231,13 @@ def test_gamma_without_records_stops_at_the_first_radius_not_notin(
 
 def test_u_frak_examples():
     rd = sm.RunningDensity()
-    u = u_frak(zoo.char_evens(), None, (F(1),), rd, P14)
+    u = u_frak(zoo.char_evens(), (F(1),), rd, P14)
     assert u.value() == F(1, 2) and u.exact == F(1, 2)
-    u0 = u_frak(zoo.harmonic(), None, (F(0),), rd, P14)
+    u0 = u_frak(zoo.harmonic(), (F(0),), rd, P14)
     assert u0.exact == 1               # the whole tail sits in every ball
     from idealconv.transforms import SubsequenceMap, TailRule
     evens_sel = SubsequenceMap((), TailRule("arith", 2))
-    u2 = u_frak(zoo.char_evens(), evens_sel, (F(0),), rd, P14)
+    u2 = u_frak(tr.apply(evens_sel, zoo.char_evens()), (F(0),), rd, P14)
     assert u2.value() == 0             # the selected subsequence is constant 1
 
 
@@ -245,7 +245,7 @@ def test_u_frak_nonincreasing_along_radii():
     rd = sm.RunningDensity()
     for x, ell in ((zoo.char_evens(), F(1)), (zoo.char_powers2(), F(0)),
                    (zoo.char_blocks(2), F(1))):
-        u = u_frak(x, None, (ell,), rd, P14)
+        u = u_frak(x, (ell,), rd, P14)
         vals = [est.value() for _, est in u.per_radius]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
@@ -259,7 +259,7 @@ def test_a_lambda_cluster_needs_a_settled_exact_norm():
     params = AnalysisParams(horizon=1 << 12, schedule=RadiusSchedule.dyadic(4),
                             pitch=F(1, 32))
     Z = builtin("density-zero")
-    u = u_frak(x, None, (F(1, 4),), Z.lscsm, params)
+    u = u_frak(x, (F(1, 4),), Z.lscsm, params)
     assert [est.exact for _, est in u.per_radius][-2:] == [1, F(1, 2)]
     assert u.settled
     report = lambda_q_estimate(x, Z, F(1, 2), params, extra=[(F(7, 32),)])

@@ -261,3 +261,30 @@ def test_least_length_equals_linear_scan(name, strict, lo, q, cap):
         # a cap equal to the answer finds it; one below leaves it past the cap
         assert sm.least_length(holds, want) == want
         assert sm.least_length(holds, want - 1) is None
+
+
+# --- the limit norm of N ---------------------------------------------------------
+
+HEAD_HEAVY_GDI = {"partition": {"iota": [1 << k for k in range(18)],
+                                "lengths_unbounded": False},
+                  "head_weights": ["4"], "tail_weight": "1"}
+
+
+def test_head_heavy_gdi_gives_cofinite_sets_the_tail_weight():
+    # normalised by its largest weight, the head weight is 1 and the tail
+    # weight 1/4: late blocks alone carry the limit norm of N
+    m = builtin("gdi", HEAD_HEAVY_GDI).lscsm
+    assert (m.full_norm(), m.norm_of_n()) == (1, F(1, 4))
+    for s in (ns.Intersection((ns.Cofinite([1]), ns.Cofinite([2]))),
+              ns.Cofinite([1]), ns.FULL,
+              ns.Union((ns.Cofinite([1]), ns.Finite([1]))),
+              ns.Complement(ns.Finite([1, 2]))):
+        assert m.exact_norm(s) == F(1, 4), s.to_json()
+
+
+@pytest.mark.parametrize("name", ["fin", "Z", "summable", "gdi"])
+def test_builtin_ideals_have_the_norm_of_n_as_their_scale(name):
+    m = builtin(name).lscsm
+    assert m.norm_of_n() == m.full_norm() == 1
+    assert m.exact_norm(ns.Intersection((ns.Cofinite([1]),
+                                         ns.Cofinite([2])))) == 1

@@ -243,7 +243,7 @@ def test_u_frak_reads_no_prefix_behind_an_exact_norm():
                             pitch=F(1, 8))
     for m, want in ((sm.RunningDensity(), F(1, 3)),
                     (builtin("summable").lscsm, F(1))):
-        u = u_frak(x, None, (F(0),), m, params)
+        u = u_frak(x, (F(0),), m, params)
         assert (u.exact, u.numeric, u.value()) == (want, None, want)
         assert all((est.exact, est.numeric, est.rows) == (want, None, [])
                    for _, est in u.per_radius)

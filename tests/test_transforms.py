@@ -150,7 +150,7 @@ def test_a_map_that_ends_before_the_horizon_gives_a_grid_of_its_values(x):
 def test_a_map_with_values_past_the_scan_limit_gives_a_grid_of_its_points():
     # powers of 2 routed into the witness blocks pass 2^62 within 256 terms;
     # a batch would read harmonic that far, so the box comes from the points
-    w = builtin("density-zero").witness()
+    w = build_witness(builtin("density-zero"), F(1, 2), 1 << 20)
     sigma = tr.generic_subsequence(ns.PowersOf(2), w, ns.FULL, 256).map
     assert sigma.table[-1] > 1 << 62
     y = tr.apply(sigma, zoo.harmonic())
@@ -399,3 +399,14 @@ def test_finite_block_union_source_exhausts():
     w = build_witness(builtin("density-zero"), F(1, 2))
     with pytest.raises(tr.ExhaustedA):
         tr.generic_subsequence(src, w, ns.FULL, 4096)
+
+
+def test_arith_tail_past_int64_matches_the_per_point_map():
+    # values pass 2^62 near position 4096: the array of values switches to
+    # Python ints there instead of wrapping in int64
+    t = tr.SubsequenceMap([3], tr.TailRule("arith", 1 << 50))
+    n = 20000
+    want = [t.value(k) for k in range(1, n + 1)]
+    assert [int(v) for v in t.values_up_to(n)] == want
+    s = ns.Progression(1, 3)
+    assert tr.preimage(t, s).prefix(n).tolist() == [s.member(v) for v in want]
