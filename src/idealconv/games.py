@@ -233,7 +233,7 @@ def run_game(x: SequenceSpec, handle: IdealHandle, target: GameTarget,
     full = handle.lscsm.full_norm()
     if target.q >= full:
         # no interval's phi mass exceeds phi(N), so no escape exists
-        raise ValueError(f"q must lie below {full}, the norm of N")
+        raise ValueError(f"q must lie below {full}, phi(N)")
     levels = level_cycle(rounds)
     needed = max(levels, default=0)
     if needed > len(target.schedule):

@@ -401,19 +401,10 @@ class MemberSupply:
         return next(self.walk(floor))
 
     def run(self, length: int, floor: int) -> list[int]:
-        """The next ``length`` members: the first is ``next_after(floor)``,
-        the rest follow it in the walk and are taken in one slice."""
+        """The next ``length`` members above floor, taken in one walk."""
         if length < 1:
             return []
-        out = [self.next_after(floor)]
-        try:
-            out += islice(self._iter, length - 1)
-        except ns.HorizonExceeded:
-            pass                # out keeps the members drawn before it
-        self._last = out[-1]
-        if len(out) < length:
-            raise ExhaustedA(f"supply exhausted after {self._last}")
-        return out
+        return list(islice(self.walk(floor), length))
 
 
 # ---------------------------------------------------------------------------
