@@ -112,26 +112,25 @@ def _draw_until_mass(state: GameState, supply: MemberSupply, q: Fraction,
     exceeds q, and return them with that interval's exact mass.
 
     The length is fixed before any value is drawn: the least one whose mass
-    exceeds q.  The values come from one walk of the supply, which stops at
-    the first member past the horizon.  They lie in (floor, horizon], so at
-    most horizon - floor fit; when no length up to that cap suffices, the
-    walk goes on until the supply or the horizon runs out.  Running out
-    raises SupplyExhausted.
+    exceeds q, from the submeasure's own inverse of its interval mass
+    (``Lscsm.mass_length``).  The values lie in (floor, horizon], so at most
+    horizon - floor fit, and that caps the length; with no length up to the
+    cap, the draw asks for one value more than fit.  The values come in one
+    batched take of the supply (``MemberSupply.run``), which ends after the
+    first member past the horizon.  A member past the horizon, or a supply
+    that runs out, raises SupplyExhausted.
     """
     n1 = state.next_position()
     floor = state.floor()
-    length = sm.least_length(
-        lambda L: m.interval_mass_cmp(n1, n1 + L, q) > 0, horizon - floor)
-    vals: list[int] = []
+    length = m.mass_length(n1, q, horizon - floor, strict=True)
     try:
-        for v in supply.walk(floor):
-            if v > horizon:
-                raise SupplyExhausted(f"next member {v} exceeds horizon {horizon}")
-            vals.append(v)
-            if len(vals) == length:
-                return vals, m.interval_mass(n1, n1 + length)
+        vals = supply.run(length or max(0, horizon - floor) + 1, floor,
+                          horizon)
     except ExhaustedA:
-        raise SupplyExhausted(f"no fresh member above {state.floor()}")
+        raise SupplyExhausted(f"no fresh member above {floor}")
+    if vals[-1] > horizon:
+        raise SupplyExhausted(f"next member {vals[-1]} exceeds horizon {horizon}")
+    return vals, m.interval_mass(n1, n1 + length)
 
 
 def _escape(state: GameState, x: SequenceSpec, ell, k: int, q: Fraction,

@@ -93,8 +93,7 @@ def _phi_search_partition(handle: IdealHandle, q: Fraction) -> ns.BlockPartition
         while len(cache) < n:
             lo = cache[-1]
             # the least right end giving the block mass at least q
-            length = sm.least_length(
-                lambda L: m.interval_mass_cmp(lo, lo + L, q) >= 0, 1 << 40)
+            length = m.mass_length(lo, q, 1 << 40)
             if length is None:
                 raise BlockSearchExceeded(
                     f"no block of mass {q} starting at {lo}")

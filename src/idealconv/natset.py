@@ -26,7 +26,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import count
+from itertools import islice
 from typing import Callable, Iterator, Optional, Sequence
 
 from ._lazy import lazy_numpy
@@ -780,7 +780,7 @@ class Complement(NatSet):
 # ---------------------------------------------------------------------------
 
 PERIODIC_BITS = 1 << 22     # cap on segments x period of a built mask set
-LISTED_RESIDUES = 1 << 12   # residues a walk lists; denser masks are chunked
+LISTED_RESIDUES = 1 << 12   # residues a take lists; denser masks are chunked
 
 
 def _widen(mask: int, p: int, period: int, offset: int) -> int:
@@ -812,35 +812,58 @@ class Periodic:
         return np.flatnonzero(np.unpackbits(np.frombuffer(raw, np.uint8),
                                             bitorder="little")).tolist()
 
-    def walk(self, start: int = 1) -> Iterator[int]:
-        """Members from ``start`` upward; ends when the tail mask is empty.
-        A mask of at most ``LISTED_RESIDUES`` residues is listed once; a
-        denser one is unpacked a chunk at a time, so the walk's memory does
-        not grow with the period."""
+    def take(self, start: int, want: int, stop: Optional[int]) -> list[int]:
+        """The first ``want`` members from ``start`` on, ending after the
+        first past ``stop`` (if any): per segment, one range per residue over
+        just enough periods, interleaved by slice assignment.  A mask of at
+        most ``LISTED_RESIDUES`` residues is listed; a denser one is read a
+        chunk at a time, so memory does not grow with the period."""
+        out: list[int] = []
         period, starts, residues = self.period, self.starts, {}
         for i in range(max(0, bisect_right(starts, start) - 1), len(starts)):
-            mask = self.masks[i]
-            lo = max(start, starts[i])
+            need = want - len(out)
+            if need <= 0 or (out and stop is not None and out[-1] > stop):
+                break
+            mask, lo = self.masks[i], max(start, starts[i])
             hi = starts[i + 1] if i + 1 < len(starts) else None
             if not mask:
                 continue
             if mask.bit_count() > LISTED_RESIDUES:
-                yield from _dense_walk(mask, period, self.offset, lo, hi)
+                _take_walk(_dense_walk(mask, period, self.offset, lo, hi),
+                           need, stop, out)
                 continue
             if mask not in residues:
                 residues[mask] = self.residues(i)
-            # the residues as offsets from lo, so each window starts at lo
             offsets = sorted((r + self.offset - lo) % period
                              for r in residues[mask])
-            if len(offsets) == 1:       # one residue: a progression
-                yield from (count(lo + offsets[0], period) if hi is None
-                            else range(lo + offsets[0], hi, period))
-                continue
-            for base in (count(lo, period) if hi is None
-                         else range(lo, hi, period)):
-                for off in offsets:
-                    if hi is None or base + off < hi:
-                        yield base + off
+            # each period from lo holds every residue once
+            rows = -(-need // len(offsets))
+            if hi is not None:
+                rows = min(rows, -(-(hi - lo) // period))
+            run = [0] * (rows * len(offsets))
+            for j, off in enumerate(offsets):
+                run[j::len(offsets)] = range(lo + off, lo + off + rows * period,
+                                             period)
+            if hi is not None:
+                run = run[:bisect_left(run, hi)]
+            if stop is not None:
+                need = min(need, bisect_right(run, stop) + 1)
+            out += run[:need]
+        return out
+
+
+def _take_walk(walk: Iterator[int], want: int, stop: Optional[int],
+               out: list[int]) -> list[int]:
+    """Append to ``out`` up to ``want`` of the walk's members, ending after
+    the first past ``stop`` or where the walk raises HorizonExceeded."""
+    try:
+        for v in islice(walk, max(0, want)):
+            out.append(v)
+            if stop is not None and v > stop:
+                break
+    except HorizonExceeded:
+        pass
+    return out
 
 
 def _dense_walk(mask: int, period: int, offset: int, lo: int,
@@ -967,8 +990,15 @@ def iter_members(s: NatSet, start: int = 1) -> Iterator[int]:
     start = max(1, start)
     form = periodic_form(s)
     if form is not None:
-        yield from form.walk(start)
-        return
+        # batches of Periodic.take, 16 members and twice as many each time
+        # up to 4096; a short batch ends the set
+        want = 16
+        while True:
+            batch = form.take(start, want, None)
+            yield from batch
+            if len(batch) < want:
+                return
+            start, want = batch[-1] + 1, min(2 * want, 1 << 12)
     if isinstance(s, PowersOf):
         v = s.base
         while v < start:
@@ -999,6 +1029,21 @@ def iter_members(s: NatSet, start: int = 1) -> Iterator[int]:
             yield from (int(i) for i in np.flatnonzero(bits[lo - 1:]) + lo)
         lo, hi = hi + 1, 2 * hi
     raise HorizonExceeded(f"no member scan reads past {SCAN_LIMIT}")
+
+
+def take_members(s: NatSet, start: int, want: int,
+                 stop: Optional[int] = None) -> list[int]:
+    """The first ``want`` members of s from ``start`` upward, in one list
+    that ends early after the first member past ``stop`` (if given).
+
+    A periodic form's members are built by range arithmetic per segment
+    (``Periodic.take``), every other set's taken from ``iter_members``; the
+    list is short only where that walk ends or raises HorizonExceeded.
+    """
+    form = periodic_form(s)
+    if form is not None:
+        return form.take(max(1, start), want, stop)
+    return _take_walk(iter_members(s, start), want, stop, [])
 
 
 def prefix_gather(s: NatSet, values) -> np.ndarray:

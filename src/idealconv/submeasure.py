@@ -13,7 +13,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from math import ceil, floor
+from typing import Optional, Sequence
 
 from ._lazy import lazy_numpy
 from . import natset as ns
@@ -102,29 +103,6 @@ def unit_fraction_bounds(lo: int, hi: int) -> tuple[int, int]:
     return a, a + max(0, hi - lo)
 
 
-def least_length(holds: Callable[[int], bool], cap: int) -> Optional[int]:
-    """Least L in [1, cap] with holds(L), or None when no L up to cap holds.
-
-    holds must be monotone (once true, true for every longer length), as an
-    interval's phi mass is monotone in its right end.  The length gallops 1, 2, 4,
-    ... up to a passing probe, then bisects above the last failing one.
-    """
-    if cap < 1:
-        return None
-    lo, hi = 1, 1
-    while not holds(hi):
-        if hi >= cap:
-            return None
-        lo, hi = hi + 1, min(2 * hi, cap)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return hi
-
-
 class Lscsm:
     """A monotone subadditive set function with phi(empty) = 0, finite on
     finite sets, determined by its finite truncations."""
@@ -149,6 +127,12 @@ class Lscsm:
         """Sign of phi([lo, hi)) - q, exact."""
         v = self.interval_mass(lo, hi)
         return (v > q) - (v < q)
+
+    def mass_length(self, lo: int, q: Fraction, cap: int,
+                    strict: bool = False) -> Optional[int]:
+        """The least L in [1, cap] with phi([lo, lo + L)) >= q (> q when
+        strict), or None: the exact inverse of the interval mass."""
+        raise NotImplementedError(self.name)
 
     def tail_correction(self, t: int, horizon: int) -> Fraction:
         """Finite-horizon attenuation of a tail value for this variant.
@@ -239,6 +223,17 @@ class RunningDensity(Lscsm):
         # sup of count/n over the interval peaks at its right end
         return Fraction(hi - lo, hi - 1) if hi - 1 >= lo else ZERO
 
+    def mass_length(self, lo: int, q: Fraction, cap: int,
+                    strict: bool = False) -> Optional[int]:
+        # L / (lo + L - 1) >= q, q = a / b  <=>  L (b - a) >= a (lo - 1)
+        a, b = q.numerator, q.denominator
+        need, gain = a * (lo - 1), b - a
+        if gain > 0:
+            length = max(1, need // gain + 1 if strict else -(-need // gain))
+        else:   # q >= 1: only [1, 1 + L), of mass 1, reaches q = 1
+            length = 1 if gain == need == 0 and not strict else cap + 1
+        return length if length <= cap else None
+
     def tail_correction(self, t: int, horizon: int) -> Fraction:
         # a set of tail density d scores at most d * (N - t) / N below N
         return Fraction(horizon - t, horizon)
@@ -271,6 +266,10 @@ class CountingCap(Lscsm):
 
     def interval_mass(self, lo: int, hi: int) -> Fraction:
         return ONE if hi > lo else ZERO
+
+    def mass_length(self, lo: int, q: Fraction, cap: int,
+                    strict: bool = False) -> Optional[int]:
+        return 1 if cap >= 1 and (ONE > q if strict else ONE >= q) else None
 
     def _exact_norm_infinite(self, s: ns.NatSet) -> Optional[Fraction]:
         if s.is_infinite() is True:
@@ -356,6 +355,42 @@ class WeightedSum(Lscsm):
         # phi = min(cap, scale * S): a cap equal to q never rises above it
         return min(sign, 0) if self.cap == q else sign
 
+    def mass_length(self, lo: int, q: Fraction, cap: int,
+                    strict: bool = False) -> Optional[int]:
+        # A(L), the sum of floor(2^56 / k) over [lo, lo + L) as one int64
+        # cumulative sum per chunk, and A(L) + L enclose 2^56 times the
+        # harmonic sum: a length whose A(L) meets the target holds, one whose
+        # A(L) + L misses it fails, and interval_mass_cmp settles the one or
+        # two between (while L * (lo + L) is far below 2^56)
+        if cap < 1 or q > self.cap or (strict and q == self.cap):
+            return None
+        if q <= 0:
+            return 1
+        # scale * S >= q  <=>  2^56 S >= need / per
+        per = self.scale.numerator * q.denominator
+        need = q.numerator * self.scale.denominator << FIXED_BITS
+        edge = need // per + 1                      # A + L >= edge: may hold
+        sure = edge if strict else -(-need // per)  # A >= sure: holds
+        if edge > INT64_SAFE:
+            return None     # 2^56 S < 2^62 on every range below 2^62
+        first = last = None
+        done, total, size = 0, 0, 1 << 8
+        while last is None and done < cap:
+            k = np.arange(lo + done, lo + min(cap, done + size), dtype=np.int64)
+            sums = np.cumsum((1 << FIXED_BITS) // k) + total  # A(done + 1), ...
+            i = int(np.searchsorted(sums + (k - (lo - 1)), edge))
+            j = int(np.searchsorted(sums, sure))
+            first = first or (done + i + 1 if i < k.size else None)
+            last = done + j + 1 if j < k.size else None
+            done, total, size = done + k.size, int(sums[-1]), min(2 * size, 1 << 20)
+        if first is None:
+            return None
+        for length in range(first, last or cap + 1):
+            sign = self.interval_mass_cmp(lo, lo + length, q)
+            if sign > 0 or (sign == 0 and not strict):
+                return length
+        return last
+
     def _exact_norm_infinite(self, s: ns.NatSet) -> Optional[Fraction]:
         if not self.harmonic:
             return super()._exact_norm_infinite(s)
@@ -435,6 +470,26 @@ class DensityFamily(Lscsm):
             cnt = min(hi, bhi) - max(lo, blo)
             best = max(best, self.weight(n) * Fraction(cnt, bhi - blo))
         return best
+
+    def mass_length(self, lo: int, q: Fraction, cap: int,
+                    strict: bool = False) -> Optional[int]:
+        # block n's share of [lo, lo + L) gains one member per length from
+        # s = max(lo, blo): it reaches q at c = ceil(q |D_n| / w_n) members
+        # (floor + 1 when strict) if the block holds c from s
+        if cap < 1 or q < 0 or (q == 0 and not strict):
+            return 1 if cap >= 1 else None
+        best = cap + 1
+        start = self.partition.block_index(lo) or 1
+        for n, blo, bhi in self.partition.blocks(lo + cap - 1, start):
+            s, w = max(lo, blo), self.weight(n)
+            if s - lo >= best:
+                break
+            if w > 0:
+                c = q * (bhi - blo) / w
+                c = max(1, floor(c) + 1 if strict else ceil(c))
+                if c <= bhi - s:
+                    best = min(best, s + c - lo)
+        return best if best <= cap else None
 
     def _exact_norm_infinite(self, s: ns.NatSet) -> Optional[Fraction]:
         g = self.partition.guarantees

@@ -20,7 +20,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, islice
 from math import gcd
 from typing import Iterator, Optional, Sequence, Union as TUnion
 
@@ -373,25 +372,20 @@ def apply(t: AnyMap, x: SequenceSpec) -> SequenceSpec:
 
 class MemberSupply:
     """Stream of indices n with x_n inside a fixed ball, in increasing order:
-    one walk over the ball's index set, started at the first floor asked."""
+    each call resumes the ball's member walk above its floor, or at the last
+    member drawn when the floor falls below it."""
 
     def __init__(self, x: SequenceSpec, center: Point, eps: Fraction):
         self._ball = indicator_set(x, center, eps)
-        self._iter: Optional[Iterator[int]] = None
         self._last = 0
 
     def walk(self, floor: int) -> Iterator[int]:
-        """The members strictly greater than floor, increasing (monotone
-        floors only); running out raises ExhaustedA."""
-        if self._iter is None:
-            self._iter = ns.iter_members(self._ball, floor + 1)
-        members = (self._iter if self._last <= floor
-                   else chain((self._last,), self._iter))
+        """The members strictly greater than floor, increasing, one by one
+        (monotone floors only); running out raises ExhaustedA."""
         try:
-            for v in members:
-                if v > floor:
-                    self._last = v
-                    yield v
+            for v in ns.iter_members(self._ball, max(floor + 1, self._last)):
+                self._last = v
+                yield v
         except ns.HorizonExceeded:
             pass
         raise ExhaustedA(f"supply exhausted after {self._last}")
@@ -400,11 +394,19 @@ class MemberSupply:
         """Least member strictly greater than floor (monotone floors only)."""
         return next(self.walk(floor))
 
-    def run(self, length: int, floor: int) -> list[int]:
-        """The next ``length`` members above floor, taken in one walk."""
-        if length < 1:
-            return []
-        return list(islice(self.walk(floor), length))
+    def run(self, length: int, floor: int,
+            stop: Optional[int] = None) -> list[int]:
+        """The next ``length`` members above floor in one batched take,
+        ending early after the first member past ``stop``; a walk that ends
+        first raises ExhaustedA."""
+        vals = ns.take_members(self._ball, max(floor + 1, self._last),
+                               length, stop)
+        if vals:
+            self._last = vals[-1]
+        if len(vals) < length and (stop is None or not vals
+                                   or vals[-1] <= stop):
+            raise ExhaustedA(f"supply exhausted after {self._last}")
+        return vals
 
 
 # ---------------------------------------------------------------------------
@@ -496,18 +498,15 @@ class _SetSupply:
     """Fresh members of a symbolic set, ascending, restartable by floor."""
 
     def __init__(self, a: ns.NatSet):
-        self._iter = ns.iter_members(a, 1)
+        self._set = a
         self._last = 0
 
     def draw_many(self, count: int, floor: int) -> list[int]:
-        out: list[int] = []
-        while len(out) < count:
-            try:
-                self._last = next(self._iter)
-            except (StopIteration, ns.HorizonExceeded):
-                raise ExhaustedA(f"source exhausted after {self._last}")
-            if self._last > floor:
-                out.append(self._last)
+        out = ns.take_members(self._set, max(self._last, floor) + 1, count)
+        if out:
+            self._last = out[-1]
+        if len(out) < count:
+            raise ExhaustedA(f"source exhausted after {self._last}")
         return out
 
 

@@ -1,9 +1,10 @@
 """The array walks against per-block and per-point references.
 
 ``BlockUnion.prefix`` reads a partition's boundaries as one int64 array; the
-game escape move fixes its length by galloping and bisection before it
-draws; ``MemberSupply.next_after`` walks the ball's index set with
-``natset.iter_members``.  The references below are plain loops, one Python
+game escape move fixes its length with the submeasure's inverse of its
+interval mass (``Lscsm.mass_length``) and takes its values in one batched
+take (``MemberSupply.run``); ``MemberSupply.next_after`` walks the ball's
+index set with ``natset.iter_members``.  The references below are plain loops, one Python
 step per block or value; a supply's reference tests each index n with the
 exact ``distance(x.point(n), c) < eps`` up to 2^16.  Block unions and
 boundaries are compared by result, or by the type of the exception raised
@@ -317,6 +318,30 @@ def test_escape_length_capped_at_the_horizon(ideal, kind):
     for horizon in range(vals[-1] - 2, vals[-1] + 3):
         assert draw(games._draw_until_mass, horizon) == \
             draw(ref_draw_until_mass, horizon)
+
+
+@pytest.mark.parametrize("seq", ["const:1", "harmonic", "char:evens"])
+@pytest.mark.parametrize("kind", ["sigma", "pi"])
+def test_escape_edges_match_linear_scan(seq, kind):
+    # a floor already past the horizon leaves no length: the first member
+    # drawn is past the horizon.  Counting mass 1 never exceeds q = 1, so no
+    # length exists and the draw walks on to the horizon.
+    x = zoo.get_sequence(seq)
+    eps = RadiusSchedule.dyadic(4).radii[1]
+
+    def draw(fn, prefix, ideal, q, horizon):
+        state = GameState(kind)
+        state.extend(prefix)
+        return outcome(lambda: fn(state, MemberSupply(x, (F(1),), eps), q,
+                                  builtin(ideal).lscsm, horizon))
+
+    for prefix, ideal, q, horizon in [([700], "Z", F(1, 3), 500),
+                                      ([30, 700], "summable", F(1, 4), 600),
+                                      ([4], "fin", F(1), 300),
+                                      ([], "fin", F(1), 40)]:
+        got = draw(games._draw_until_mass, prefix, ideal, q, horizon)
+        assert got == draw(ref_draw_until_mass, prefix, ideal, q, horizon)
+        assert got[0] == "SupplyExhausted"
 
 
 @settings(max_examples=80)

@@ -7,7 +7,8 @@ they replaced.
   block 1.
 - ``natset.prefix_gather`` (the audit's gather) against one ``member()``
   per value, for object-dtype tables and for values past the prefix bound.
-- ``Periodic.walk`` over a dense mask with a large period, in small memory.
+- ``iter_members`` (batches of ``Periodic.take``) over a dense mask with a
+  large period, in small memory.
 - the ``rationals`` enumeration, sized to the horizon it serves.
 - ``random_sigma`` tables, pinned by sha256 before the gap law was parsed
   once per map instead of once per draw.

@@ -17,11 +17,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from idealconv import natset as ns
+from idealconv import zoo
 from idealconv.ideals import (Verdict, builtin, decide_membership, nu2,
                               valuation_rows)
+from idealconv.sequences import indicator_set
 
 N_REF = 512
 SRC = Path(ns.__file__).resolve().parents[1]     # the tree under test
@@ -530,3 +532,108 @@ def test_periodic_form_size_cap():
                      ns.Progression(1, (1 << 21) + 3)))
     assert ns.periodic_form(both) is None and ns.exact_density(both) is None
     assert both.is_infinite() is True
+
+
+# --- batched takes against the member walk -----------------------------------
+
+def ref_take(s, start, want, stop):
+    """``want`` members of the walk from ``start``, cut after the first past
+    ``stop``; a walk that raises HorizonExceeded ends the list there."""
+    out = []
+    try:
+        for v in islice(ns.iter_members(s, start), want):
+            out.append(v)
+            if stop is not None and v > stop:
+                break
+    except ns.HorizonExceeded:
+        pass
+    return out
+
+
+take_starts = st.integers(1, 700) | st.integers(1, 1 << 40)
+take_wants = st.integers(0, 90)
+stops = st.none() | st.integers(0, 800)
+
+
+@settings(max_examples=200)
+@given(periodic_specs, take_starts, take_wants, stops)
+# segments shorter than the period: [1, 3) holds every residue mod 4, and
+# [7, 8) every residue mod 5, but each ends inside its first period
+@example(("union", [("progression", 3, 4), ("finite", [1, 2])]), 1, 10, None)
+@example(("union", [("progression", 3, 5), ("finite", [7])]), 2, 10, 9)
+def test_take_members_equals_the_walk_on_periodic_forms(spec, start, want,
+                                                        stop):
+    # multi-residue masks, finite forms and far starts alike
+    s = build(spec)
+    assert ns.take_members(s, start, want, stop) == \
+        ref_take(s, start, want, stop)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 20000), st.sampled_from([4099, 6000, 8192]),
+       st.lists(st.integers(1, 30000), max_size=4), st.integers(1, 30000),
+       st.integers(0, 9000), st.none() | st.integers(0, 40000))
+def test_take_members_of_a_dense_mask(first, step, extra, start, want, stop):
+    # more than LISTED_RESIDUES residues: members come from the chunked walk
+    s = ns.Union((ns.Complement(ns.Progression(first, step)),
+                  ns.Finite(extra)))
+    assert ns.periodic_form(s).masks[-1].bit_count() > ns.LISTED_RESIDUES
+    assert ns.take_members(s, start, want, stop) == \
+        ref_take(s, start, want, stop)
+
+
+TAKE_SETS = {
+    "powers2": ns.PowersOf(2),
+    "powers7": ns.PowersOf(7),
+    "finite": ns.Finite([3, 8, 9, 40]),
+    "block-union": ns.BlockUnion(
+        ns.partition_from_tag({"kind": "geometric", "ratio": "3/2"}),
+        ns.Progression(2, 3)),
+    "finite-block-union": ns.BlockUnion(
+        ns.partition_from_tag({"kind": "geometric", "ratio": "2"}),
+        ns.Finite([1, 3, 4, 6])),
+    "bitmap": ns.PrefixBitmap(np.arange(1, 301) % 7 < 3),
+    "mixed": ns.Union((ns.PowersOf(3), ns.Progression(5, 11))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAKE_SETS))
+@given(st.integers(1, 400), st.integers(0, 80), stops)
+def test_take_members_equals_the_walk_on_other_sets(name, start, want, stop):
+    s = TAKE_SETS[name]
+    assert ns.take_members(s, start, want, stop) == \
+        ref_take(s, start, want, stop)
+
+
+def test_take_members_of_powers_passes_2_62():
+    # 64 powers of 2 reach 2^64: no int64 bound may end the take
+    got = ns.take_members(ns.PowersOf(2), 1, 64)
+    assert got == [1 << k for k in range(1, 65)]
+    assert ns.take_members(ns.PowersOf(2), 1 << 62, 3, 1 << 63) == \
+        [1 << 62, 1 << 63, 1 << 64]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(2, 5)]),
+       st.integers(1, 6), st.integers(1, 5000), st.integers(0, 60), stops)
+def test_take_members_of_rationals_balls(center, level, start, want, stop):
+    # the rationals' balls are Tested sets, read in prefix windows
+    ball = indicator_set(zoo.get_sequence("rationals"), (center,),
+                         Fraction(1, 1 << level))
+    assert isinstance(ball, ns.Tested)
+    assert ns.take_members(ball, start, want, stop) == \
+        ref_take(ball, start, want, stop)
+
+
+def test_take_members_of_an_empty_set_with_no_closed_form_ends():
+    # the odd powers of 2 from 3: the take ends, empty, at SCAN_LIMIT
+    code = textwrap.dedent("""
+        from idealconv import natset as ns
+        s = ns.Intersection((ns.PowersOf(2), ns.Progression(3, 2)))
+        print(ns.take_members(s, 1, 5, 100), ns.take_members(s, 9, 5))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["[]", "[]"]

@@ -226,8 +226,18 @@ def test_trend_classification():
 
 # --- the least interval reaching q ---------------------------------------------
 
+# a head weight of 4 over an explicit partition that ends at 2^17
+HEAD_HEAVY_GDI = {"partition": {"iota": [1 << k for k in range(18)],
+                                "lengths_unbounded": False},
+                  "head_weights": ["4"], "tail_weight": "1"}
 SEARCH_MEASURES = {name: builtin(name).lscsm
                    for name in ("fin", "Z", "summable", "gdi")}
+SEARCH_MEASURES["head-heavy-gdi"] = builtin("gdi", HEAD_HEAVY_GDI).lscsm
+SEARCH_MEASURES["unnormalized-sum"] = sm.WeightedSum(cap=F(1, 2),
+                                                     scale=F(3, 2))
+# an exact sum over the millions of terms of a straddled enclosure never
+# finishes, so weighted-sum lengths are searched up to 2^24 only
+SUM_CAP = 1 << 24
 
 
 def scan_least_length(holds, cap):
@@ -235,40 +245,59 @@ def scan_least_length(holds, cap):
     return next((L for L in range(1, cap + 1) if holds(L)), None)
 
 
-@settings(max_examples=200, deadline=None)
+def outcome(call):
+    """The call's result, or HorizonExceeded where a partition ends."""
+    try:
+        return ("ok", call())
+    except ns.HorizonExceeded:
+        return ("HorizonExceeded", None)
+
+
+@settings(max_examples=300, deadline=None)
 @given(st.sampled_from(sorted(SEARCH_MEASURES)), st.booleans(),
        st.integers(1, 64) | st.integers(1, 1 << 30),
-       st.fractions(F(1, 64), F(1), max_denominator=64),
-       st.integers(0, 400))
+       st.fractions(F(1, 64), F(1), max_denominator=64)
+       | st.fractions(F(1), F(3), max_denominator=8),
+       st.integers(0, 400) | st.just(1 << 40))
 @example("Z", False, 1, F(1), 5)            # the whole interval [1, hi)
 @example("summable", True, 1, F(1), 400)    # the cap equals q: never above
 @example("fin", True, 7, F(1), 3)           # mass 1 never exceeds q = 1
-def test_least_length_equals_linear_scan(name, strict, lo, q, cap):
+@example("Z", False, 1, F(1), 1 << 40)      # q = 1 from 1: at once
+@example("Z", True, 1, F(1), 1 << 40)       # q = 1 is never exceeded
+@example("Z", False, 9, F(1), 1 << 40)      # nor reached past 1
+@example("Z", False, 2, F(3, 2), 400)       # q > 1: never
+# masses equal to q, 1/3 = phi([3, 4)) and 5/6 = phi([2, 4)): the
+# fixed-point enclosure straddles q and interval_mass_cmp settles it
+@example("summable", False, 3, F(1, 3), 400)
+@example("summable", True, 3, F(1, 3), 400)
+@example("summable", False, 2, F(5, 6), 1 << 40)
+@example("unnormalized-sum", False, 3, F(1, 2), 400)
+def test_mass_length_equals_linear_scan(name, strict, lo, q, cap):
     m = SEARCH_MEASURES[name]
-    probed = []
+    if isinstance(m, sm.WeightedSum):
+        cap = min(cap, SUM_CAP)
 
     def holds(L):
-        probed.append(L)
         sign = m.interval_mass_cmp(lo, lo + L, q)
         return sign > 0 if strict else sign >= 0
 
-    want = scan_least_length(holds, cap)
-    probed.clear()
-    assert sm.least_length(holds, cap) == want
-    assert all(1 <= L <= cap for L in probed)
-    assert sm.least_length(holds, 0) is None
-    if want is not None:
-        # a cap equal to the answer finds it; one below leaves it past the cap
-        assert sm.least_length(holds, want) == want
-        assert sm.least_length(holds, want - 1) is None
+    got = outcome(lambda: m.mass_length(lo, q, cap, strict))
+    if cap <= 400:
+        assert got == outcome(lambda: scan_least_length(holds, cap))
+        return
+    # past 400 lengths the scan is too long: a monotone holds() has its
+    # least true length where it turns true, or none up to the cap
+    length = got[1]
+    if got[0] != "ok":
+        assert outcome(lambda: holds(cap))[0] == got[0]
+    elif length is None:
+        assert not holds(cap)
+    else:
+        assert 1 <= length <= cap and holds(length)
+        assert length == 1 or not holds(length - 1)
 
 
 # --- the limit norm of N ---------------------------------------------------------
-
-HEAD_HEAVY_GDI = {"partition": {"iota": [1 << k for k in range(18)],
-                                "lengths_unbounded": False},
-                  "head_weights": ["4"], "tail_weight": "1"}
-
 
 def test_head_heavy_gdi_gives_cofinite_sets_the_tail_weight():
     # normalised by its largest weight, the head weight is 1 and the tail
