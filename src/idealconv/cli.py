@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -48,6 +49,12 @@ HEURISTIC_BANNER = ("HEURISTIC: sampled maps estimate frequencies only; "
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value such as -1/3 is a negative fraction, not an option flag
+        self._negative_number_matcher = re.compile(
+            r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 

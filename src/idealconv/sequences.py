@@ -237,23 +237,13 @@ def indicator_set(x: SequenceSpec, center: Point, eps: Fraction) -> ns.NatSet:
     collapse to the cofinite full set, none to the empty set), else the
     sequence's own ``ball_fn`` set.
     """
-    return _ball_index_set(x, center, eps, inside=True)
+    return Balls(x, center).set(Fraction(eps))
 
 
 def complement_indicator_set(x: SequenceSpec, center: Point,
                              eps: Fraction) -> ns.NatSet:
     """Exact complement {n : d(x_n, center) >= eps} (letter unions stay exact)."""
-    return _ball_index_set(x, center, eps, inside=False)
-
-
-def _ball_index_set(x: SequenceSpec, center: Point, eps: Fraction,
-                    inside: bool) -> ns.NatSet:
-    center = as_point(center, x.dim)
-    eps = Fraction(eps)
-    if x.alphabet is not None:
-        return Balls(x, center).set(eps, inside)
-    ball = x.ball_fn(center, eps)
-    return ball if inside else ns.Complement(ball)
+    return Balls(x, center).set(Fraction(eps), inside=False)
 
 
 class Balls:
@@ -262,7 +252,8 @@ class Balls:
     For an alphabet sequence the letter distances are taken once: a radius
     only picks the letters nearer than it, and ``key`` names them (or the
     letters outside) as a mask for ``Alphabet.union``.  A sequence without
-    an alphabet has no key, and its balls come from ``indicator_set``.
+    an alphabet has no key, and its balls come from ``ball_fn`` at the
+    center converted here.
     """
 
     def __init__(self, x: SequenceSpec, center: Point):
@@ -288,8 +279,8 @@ class Balls:
     def set(self, eps: Fraction, inside: bool = True) -> ns.NatSet:
         key = self.key(eps, inside)
         if key is None:
-            ball = indicator_set if inside else complement_indicator_set
-            return ball(self.x, self.center, eps)
+            ball = self.x.ball_fn(self.center, eps)
+            return ball if inside else ns.Complement(ball)
         return self.x.alphabet.union(key)
 
 

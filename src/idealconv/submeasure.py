@@ -570,10 +570,17 @@ class NormEstimate:
 def classify_trend(values: Sequence[Fraction], slack: Fraction) -> str:
     if all(v == 0 for v in values):
         return "zero"
-    if 2 * values[-1] <= values[0]:
+    # every comparison is a cross-product of numerators and denominators
+    ratios = [(v.numerator, v.denominator) for v in values]
+    (fn, fd), (ln, ld) = ratios[0], ratios[-1]
+    if 2 * ln * fd <= fn * ld:
         return "decreasing"
-    # sampling noise in a tail window scales with the value itself
-    if all(b >= a - max(slack, a / 8) for a, b in zip(values, values[1:])):
+    # sampling noise in a tail window scales with the value itself:
+    # b >= a - max(slack, a/8)  <=>  8b >= 7a  or  b + slack >= a
+    sn, sd = slack.numerator, slack.denominator
+    if all(8 * bn * ad >= 7 * an * bd
+           or (bn * sd + sn * bd) * ad >= an * bd * sd
+           for (an, ad), (bn, bd) in zip(ratios, ratios[1:])):
         return "non-decreasing"
     return "mixed"
 

@@ -16,7 +16,6 @@ Spec strings:
 from __future__ import annotations
 
 import json
-import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -97,14 +96,17 @@ def harmonic() -> SequenceSpec:
 
     def ball(center: Point, eps: Fraction) -> ns.NatSet:
         # |1/n - c| < eps  <=>  1/(c + eps) < n < 1/(c - eps), where the
-        # upper end applies only when c > eps: a tail or a finite interval
-        c = center[0]
-        if c + eps <= 0:
+        # upper end applies only when c > eps: a tail or a finite interval.
+        # With c = p/q and eps = e/d, c -+ eps = (p d -+ e q)/(q d)
+        p, q = center[0].numerator, center[0].denominator
+        e, d = eps.numerator, eps.denominator
+        up, low, den = p * d + e * q, p * d - e * q, q * d
+        if up <= 0:
             return ns.EMPTY
-        tail = ns.Progression(math.floor(1 / (c + eps)) + 1, 1)
-        if c <= eps:
+        tail = ns.Progression(den // up + 1, 1)
+        if low <= 0:
             return tail
-        stop = math.ceil(1 / (c - eps))        # the least n past the interval
+        stop = -(-den // low)                  # the least n past the interval
         if stop <= tail.first:
             return ns.EMPTY
         return ns.Intersection((tail, ns.Complement(ns.Progression(stop, 1))))
@@ -161,22 +163,23 @@ def rationals() -> SequenceSpec:
         them in the ball, and a partial block adds at most Q = O(sqrt N)
         indices, so the count up to N is d N + o(N).
         """
-        c = center[0]
-        lo, hi = max(c - eps, 0), min(c + eps, 1)
+        p0, q0 = center[0].numerator, center[0].denominator
+        e1, e2 = eps.numerator, eps.denominator
+        # (a, b) = (c - eps, c + eps) times den = q0 e2, clipped to [0, den]
+        a, b, den = p0 * e2 - e1 * q0, p0 * e2 + e1 * q0, q0 * e2
+        lo, hi = max(a, 0), min(b, den)
         if lo >= hi:
             return ns.EMPTY
-        if hi - lo == 1:
-            return ns.Cofinite(([1] if c - eps == 0 else [])
-                               + ([2] if c + eps == 1 else []))
-        p0, q0 = c.numerator, c.denominator
-        e1, e2 = eps.numerator, eps.denominator
+        if hi - lo == den:
+            return ns.Cofinite(([1] if a == 0 else [])
+                               + ([2] if b == den else []))
 
         def inside(p, q):       # |p/q - p0/q0| < e1/e2, in integers
             return abs(p * q0 - p0 * q) * e2 < e1 * q * q0
 
         def bits(horizon: int) -> np.ndarray:
-            num, den = _rationals_through(horizon)
-            p, q = num[:horizon], den[:horizon]
+            nums, dens = _rationals_through(horizon)
+            p, q = nums[:horizon], dens[:horizon]
             # 0 <= p <= q <= q[-1] (denominators never decrease), which
             # bounds every product; past int64 compare in Python ints
             qmax = int(q[-1])
@@ -185,7 +188,7 @@ def rationals() -> SequenceSpec:
             return inside(p, q).astype(bool, copy=False)
 
         return ns.Tested(bits, lambda n: inside(*point(n)[0].as_integer_ratio()),
-                         density=hi - lo)
+                         density=Fraction(hi - lo, den))
 
     def batch(horizon: int) -> np.ndarray:
         num, den = _rationals_through(horizon)

@@ -80,6 +80,19 @@ def test_analyze_convergence_mode(tmp_path):
     assert read(f"{out}.json")["reports"]["convergence"]["verdict"] == "converges"
 
 
+def test_negative_fraction_after_a_flag_is_a_value(tmp_path):
+    # argparse reads -1 and -.5 after a flag as values, and now -1/3 too
+    argv = ["analyze", "--seq", "harmonic", "--ideal", "Z",
+            "--mode", "convergence", "--horizon", "4096", "--radii", "4",
+            "--pitch", "1/16"]
+    spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+    assert run([*argv, "--ell", "-1/3", "--out", str(spaced)]) == 0
+    assert run([*argv, "--ell=-1/3", "--out", str(joined)]) == 0
+    body = Path(f"{spaced}.json").read_bytes()
+    assert body == Path(f"{joined}.json").read_bytes()
+    assert json.loads(body)["config"]["ell"] == "-1/3"
+
+
 def test_meta_counts_the_deciding_routes(tmp_path):
     args = ["analyze", "--seq", "harmonic", "--ideal", "summable",
             "--horizon", "4096", "--radii", "4", "--pitch", "1/16"]

@@ -224,6 +224,44 @@ def test_trend_classification():
         == "mixed"
 
 
+def fraction_trend(values, slack):
+    """The trend test as it read in Fraction arithmetic, for reference."""
+    if all(v == 0 for v in values):
+        return "zero"
+    if 2 * values[-1] <= values[0]:
+        return "decreasing"
+    if all(b >= a - max(slack, a / 8) for a, b in zip(values, values[1:])):
+        return "non-decreasing"
+    return "mixed"
+
+
+@st.composite
+def trends(draw):
+    """Three non-negative values and a slack, with ties drawn on purpose:
+    all zero, 2 last == first, b == a - slack and 8 b == 7 a."""
+    value = st.fractions(min_value=0, max_value=4, max_denominator=1 << 40)
+    slack = draw(st.fractions(min_value=F(1, 1 << 20), max_value=1,
+                              max_denominator=1 << 20))
+    a, b, c = (draw(value) for _ in range(3))
+    tie = draw(st.sampled_from(["none", "zero", "half", "slack", "eighth"]))
+    if tie == "zero":
+        a = b = c = F(0)
+    elif tie == "half":
+        c = a / 2
+    elif tie == "slack":
+        b = max(a - slack, F(0))
+    elif tie == "eighth":
+        b = a * 7 / 8
+    return [a, b, c], slack
+
+
+@settings(max_examples=500, deadline=None)
+@given(trends())
+def test_integer_trend_test_equals_the_fraction_one(case):
+    values, slack = case
+    assert sm.classify_trend(values, slack) == fraction_trend(values, slack)
+
+
 # --- the least interval reaching q ---------------------------------------------
 
 # a head weight of 4 over an explicit partition that ends at 2^17

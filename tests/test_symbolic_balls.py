@@ -31,8 +31,9 @@ from idealconv import submeasure as sm
 from idealconv import transforms as tr
 from idealconv import zoo
 from idealconv.ideals import builtin
-from idealconv.sequences import (AnalysisParams, RadiusSchedule, SequenceSpec,
-                                 candidate_grid, complement_indicator_set,
+from idealconv.sequences import (AnalysisParams, Balls, RadiusSchedule,
+                                 SequenceSpec, candidate_grid,
+                                 complement_indicator_set,
                                  distance, gamma_estimate, indicator_set,
                                  lambda_estimate, u_frak)
 
@@ -143,6 +144,54 @@ def test_rationals_ball_matches_pointwise_distance(case):
         assert isinstance(ball, ns.Tested) and ball.density == hi - lo
     assert ball.prefix(horizon).tolist() == want
     assert [ball.member(n) for n in range(1, horizon + 1)] == want
+
+
+def same_set(a, b):
+    """Equal sets, where a ``Tested`` leaf (equal only to itself, and built
+    anew by every call) is known by its density and its tests."""
+    if isinstance(a, ns.Complement) and isinstance(b, ns.Complement):
+        return same_set(a.part, b.part)
+    if isinstance(a, ns.Tested) and isinstance(b, ns.Tested):
+        return a.density == b.density
+    return a == b
+
+
+# both sequences over both shapes of ball: closed forms, Farey intervals,
+# denominators up to 2^60, negative centres, c = +-eps and the gaps between
+# consecutive unit fractions
+POINT_BALLS = st.one_of(balls(), rational_balls().map(lambda case: case[:2]))
+
+
+def assert_walk_ball_is_the_public_ball(x, c, eps, horizon):
+    """``Balls(x, c).set`` (the analysis walk's ball, read from ``ball_fn``
+    at the centre ``Balls`` converted once) against ``indicator_set`` and
+    ``complement_indicator_set``, and both against the per-point distance."""
+    want = [distance(x.point(n), (c,)) < eps for n in range(1, horizon + 1)]
+    walk = Balls(x, (c,))
+    for inside, public in ((True, indicator_set),
+                           (False, complement_indicator_set)):
+        expect = want if inside else [not w for w in want]
+        walked, ball = walk.set(eps, inside), public(x, (c,), eps)
+        assert same_set(walked, ball)
+        assert walked.prefix(horizon).tolist() == expect
+        assert ball.prefix(horizon).tolist() == expect
+        assert [walked.member(n) for n in range(1, horizon + 1)] == expect
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([zoo.harmonic, zoo.rationals]), POINT_BALLS)
+def test_walk_ball_equals_the_public_ball(sequence, case):
+    c, eps = case
+    assert_walk_ball_is_the_public_ball(sequence(), c, eps, N)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 1 << 16), POINT_BALLS)
+def test_walk_ball_of_a_reindexed_sequence_equals_the_public_ball(seed, case):
+    c, eps = case
+    # the map's table covers the first N indices
+    x = tr.apply(tr.random_sigma(seed, length=N), zoo.harmonic())
+    assert_walk_ball_is_the_public_ball(x, c, eps, N)
 
 
 @pytest.mark.parametrize("ideal", ["fin", "Z", "summable", "gdi"])
