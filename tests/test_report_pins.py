@@ -186,17 +186,6 @@ SHAPE = ["--horizon", "4096", "--radii", "4", "--pitch", "1/16"]
      "16484d16df9a41dfed615375853460019adc9a1cff68aa8b26db05e66ea1f504",
      "bce9bb9c5b9c3de80fe72fdd4b689e7686d1d2af51d6add1b2216c7ba600e3cc",
      None),
-    # centres past 2^20 and 2^52, where the ball's cross-products are
-    # largest
-    ("harmonic", "Z", ["--mode", "convergence", "--ell", "1/1048833"], 0,
-     "1e7439f5ae68b38e5e6fd1483d8f3d9abf2c5f1156d28b20f1e7d42114c6b521",
-     None,
-     {"convergence": {"cross": {"exact-norm": 72}, "primary": {"exact-norm": 4}}}),
-    ("harmonic", "Z", ["--mode", "convergence",
-                       "--ell", "2/4503599627372953"], 0,
-     "9cb12711519db3a5f3d6d37d2728bba1c7827f2380e4d70925c1f50a328f1039",
-     None,
-     {"convergence": {"cross": {"exact-norm": 72}, "primary": {"exact-norm": 4}}}),
     ("rationals", "Z", ["--mode", "all"], 2,
      "a5ab5174e53b827f17171b0e21adc9fe95db952d47f420c4d43c5f1af4780158",
      "2db92fbc560338c7132009f5f1cc158edcc5fd84e44dc8c93bc089c00be5c5bf",
@@ -245,17 +234,6 @@ SHAPE = ["--horizon", "4096", "--radii", "4", "--pitch", "1/16"]
      "836a50a3b76405e1c44dbb8874b5883d5a246a79c451f9a559fab9aedca109aa",
      "b01b4c01eea05ff0585686d0dc8176a7004cb33ed6c3deea731aca7e0dbf419c",
      None),
-    # centres past 2^20 and 2^57: the Farey interval's ends and its ball
-    # test pass int64
-    ("rationals", "gdi", ["--mode", "convergence", "--ell", "1/1049601"], 0,
-     "36f869a0d9c6bfc9fdcebc4f698cfd57a3231ce3853b7f396350fcb0c3be3b97",
-     None,
-     {"convergence": {"cross": {"exact-norm": 72}, "primary": {"exact-norm": 4}}}),
-    ("rationals", "gdi", ["--mode", "convergence",
-                          "--ell", "1/144115188075858873"], 0,
-     "e059ef5c763226704e10ee1f5f33acf406066136a20f94a900273a89b5fcff0c",
-     None,
-     {"convergence": {"cross": {"exact-norm": 72}, "primary": {"exact-norm": 4}}}),
     ("cycle:0,1/2,1", "Z", ["--mode", "all"], 0,
      "173c42451b0c7994c706e8244c7ba4edab2938c88f870a0c7ee0367b09e85096",
      "b64a0f477383503503be69df4fd3c1dde71c32e780bcbceec7ffd1b3d61592f7",
@@ -304,6 +282,28 @@ SHAPE = ["--horizon", "4096", "--radii", "4", "--pitch", "1/16"]
      "5e6d91c16ba32d517dc43cab4952de288500d8ea31e84d3e811804cabae1a145",
      "c5c639f9da0383153bb176c81fb7f636132bbcd5dd0462fc3993d194f3117496",
      None),
+    # harmonic centres past 2^20 and 2^52, where the ball's cross-products
+    # are largest
+    ("harmonic", "Z", ["--mode", "convergence", "--ell", "1/1048833"], 0,
+     "1e7439f5ae68b38e5e6fd1483d8f3d9abf2c5f1156d28b20f1e7d42114c6b521",
+     None,
+     {"convergence": {"cross": {"exact-norm": 72}, "primary": {"exact-norm": 4}}}),
+    ("harmonic", "Z", ["--mode", "convergence",
+                       "--ell", "2/4503599627372953"], 0,
+     "9cb12711519db3a5f3d6d37d2728bba1c7827f2380e4d70925c1f50a328f1039",
+     None,
+     {"convergence": {"cross": {"exact-norm": 72}, "primary": {"exact-norm": 4}}}),
+    # rationals centres past 2^20 and 2^57: the Farey interval's ends and
+    # its ball test pass int64
+    ("rationals", "gdi", ["--mode", "convergence", "--ell", "1/1049601"], 0,
+     "36f869a0d9c6bfc9fdcebc4f698cfd57a3231ce3853b7f396350fcb0c3be3b97",
+     None,
+     {"convergence": {"cross": {"exact-norm": 72}, "primary": {"exact-norm": 4}}}),
+    ("rationals", "gdi", ["--mode", "convergence",
+                          "--ell", "1/144115188075858873"], 0,
+     "e059ef5c763226704e10ee1f5f33acf406066136a20f94a900273a89b5fcff0c",
+     None,
+     {"convergence": {"cross": {"exact-norm": 72}, "primary": {"exact-norm": 4}}}),
 ])
 def test_analyze_report_pinned(tmp_path, seq, ideal, mode, code, json_digest,
                                csv_digest, routes):
