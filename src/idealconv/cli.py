@@ -27,7 +27,7 @@ from . import games as gm
 from . import natset as ns
 from . import transforms as tr
 from . import zoo
-from .ideals import UnknownIdeal, builtin, builtin_names
+from .ideals import DecisionParams, UnknownIdeal, builtin, builtin_names
 from .meager import (WitnessIntervals, WitnessRefuted, build_witness,
                      certify_witness, verify_witness)
 from .sequences import (AnalysisParams, NotAnalyticP, RadiusSchedule,
@@ -256,7 +256,8 @@ def cmd_witness_verify(cfg: RunConfig) -> int:
         certify_witness(handle, w, cfg.horizon)
     else:
         w = build_witness(handle, Fraction(cfg.q), cfg.horizon)
-    report = verify_witness(handle, w, cfg.trials, cfg.horizon, cfg.seed)
+    report = verify_witness(handle, w, cfg.trials, cfg.horizon, cfg.seed,
+                            DecisionParams(cfg.horizon, Fraction(cfg.theta)))
     payload = {"config": cfg.to_json(), "report": report.to_json()}
     _emit(cfg.out, payload)
     return EXIT_OK

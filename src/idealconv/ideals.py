@@ -89,10 +89,6 @@ class IdealHandle:
     def analytic_p(self) -> bool:
         return self.lscsm is not None
 
-    def decide(self, s: ns.NatSet,
-               params: DecisionParams = DEFAULT_PARAMS) -> Decision:
-        return decide_membership(self, s, params)
-
 
 # ---------------------------------------------------------------------------
 # Fin x Fin: row rules on structured variants
@@ -209,11 +205,10 @@ def witness_lower_bound(handle: IdealHandle, s: ns.NatSet) -> Optional[Fraction]
 def decide_membership(handle: IdealHandle, s: ns.NatSet,
                       params: DecisionParams = DEFAULT_PARAMS,
                       _depth: int = 0) -> Decision:
-    """Three-valued membership of s in the ideal.
-
-    In requires a certified zero norm or a vanishing tail trend; NotIn a
-    certified positive norm, witness containment, or a persistent tail;
-    anything else stays Undecided.
+    """Three-valued membership of s in the ideal, from the first route that
+    answers: the exact norm, witness blocks, the structure of a union or
+    intersection, then ``sm.tail_verdict`` (a vanishing or persistent tail);
+    a set no route decides stays Undecided.
     """
     if handle.special_rule == "fin-x-fin":
         return _finxfin_decide(s, params)
@@ -236,32 +231,13 @@ def decide_membership(handle: IdealHandle, s: ns.NatSet,
         if structural is not None:
             return structural
 
-    # trend estimation, corroborated one octave down: a set lumped into
-    # sparse exponential blocks can leave every tail window of one horizon
-    # empty, but then the half-horizon windows catch the previous lump.
-    # Both read one prefix: the half-horizon prefix is its first half.
-    def trend_verdict(horizon: int) -> tuple[Optional[Verdict], object]:
-        est = sm.norm_estimate(m, s, horizon, bits=bits[:horizon], exact=exact)
-        if est.trend in ("zero", "decreasing") and est.numeric < params.theta:
-            return Verdict.IN, est
-        if est.trend == "non-decreasing" and est.numeric >= params.theta:
-            return Verdict.NOT_IN, est
-        return None, est
-
     try:
-        bits = s.prefix(params.horizon)
-        v1, est = trend_verdict(params.horizon)
-        v2 = v1
-        if params.horizon >= 64:
-            v2, _ = trend_verdict(params.horizon // 2)
+        vanishes, est = sm.tail_verdict(m, s, params.horizon, params.theta)
     except ns.HorizonExceeded:
         return Decision(Verdict.UNDECIDED, reason="horizon-exceeded")
-
-    if v1 is not None and v1 == v2:
-        return Decision(v1, estimate=est.numeric, reason="tail-trend",
-                        trend=est.trend)
-    return Decision(Verdict.UNDECIDED, estimate=est.numeric,
-                    reason="tail-trend", trend=est.trend)
+    return Decision(Verdict.UNDECIDED if vanishes is None
+                    else Verdict.IN if vanishes else Verdict.NOT_IN,
+                    estimate=est.numeric, reason="tail-trend", trend=est.trend)
 
 
 def _structural_decision(handle: IdealHandle, s: ns.NatSet,

@@ -554,7 +554,7 @@ def _norm_reader(m: sm.Lscsm, horizon: int):
     def estimate(ind: ns.NatSet) -> sm.NormEstimate:
         exact = m.exact_norm(ind)
         if exact is not None:
-            return sm.NormEstimate(exact, None, [], None, horizon)
+            return sm.NormEstimate(exact, None, [], None)
         return sm.norm_estimate(m, ind, horizon, exact=None)
     return estimate
 

@@ -557,7 +557,6 @@ class NormEstimate:
     numeric: Optional[Fraction]
     rows: list[tuple[int, Fraction, Fraction]]   # (cut, raw, corrected)
     trend: Optional[str]                  # zero | decreasing | non-decreasing | mixed
-    horizon: int
 
     @property
     def best(self) -> Fraction:
@@ -613,9 +612,33 @@ def norm_estimate(m: Lscsm, s: ns.NatSet, horizon: int, *,
     if head:
         raw0 = raws.pop(0)
         rows.append((0, raw0, raw0))
-    cut_corrected = [raw / m.tail_correction(t, horizon)
-                     for t, raw in zip(cuts, raws)]
+    cut_corrected = [raw if (c := m.tail_correction(t, horizon)) == 1
+                     else raw / c for t, raw in zip(cuts, raws)]
     rows.extend(zip(cuts, raws, cut_corrected))
     trend = classify_trend(cut_corrected, TREND_SLACK)
     return NormEstimate(exact=exact, numeric=cut_corrected[-1], rows=rows,
-                        trend=trend, horizon=horizon)
+                        trend=trend)
+
+
+def tail_verdict(m: Lscsm, s: ns.NatSet, horizon: int, theta: Fraction
+                 ) -> tuple[Optional[bool], NormEstimate]:
+    """True when the tail of s vanishes under m (a zero or decreasing trend
+    below ``theta``), False when it persists (non-decreasing at ``theta`` or
+    above), else None, with the estimate at ``horizon`` (``exact`` None).
+    A verdict stands only if the half horizon (the prefix's first half)
+    agrees, which catches sparse lumps that miss one horizon's tail windows.
+    """
+    bits = s.prefix(horizon)
+
+    def read(h: int) -> tuple[Optional[bool], NormEstimate]:
+        est = norm_estimate(m, s, h, bits=bits[:h], exact=None)
+        if est.trend in ("zero", "decreasing") and est.numeric < theta:
+            return True, est
+        if est.trend == "non-decreasing" and est.numeric >= theta:
+            return False, est
+        return None, est
+
+    verdict, est = read(horizon)
+    if verdict is not None and horizon >= 64:
+        verdict = verdict if read(horizon // 2)[0] == verdict else None
+    return verdict, est

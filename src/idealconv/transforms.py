@@ -621,7 +621,7 @@ def generic_subsequence(a: ns.NatSet, w: WitnessIntervals,
 
 def _certified_targets(handle: IdealHandle, w: WitnessIntervals,
                        x_new: SequenceSpec, horizon: int,
-                       assignment) -> list[TargetCert]:
+                       params: AnalysisParams, assignment) -> list[TargetCert]:
     """Per (candidate, radius) certificates for a block-filled map.
 
     ``assignment(candidate, radius_index)`` names the arithmetic family of
@@ -637,7 +637,7 @@ def _certified_targets(handle: IdealHandle, w: WitnessIntervals,
         combined = ns.Union((subset, ind_bits)) if not isinstance(
             ind_bits, (ns.Cofinite,)) else ind_bits
         dec = decide_membership(handle, combined,
-                                DecisionParams(horizon=horizon))
+                                DecisionParams(horizon, params.theta))
         certs.append(TargetCert(cand, eps, subset.to_json(), dec.verdict.value))
         if dec.verdict is not Verdict.NOT_IN:
             raise AssertionError(
@@ -667,7 +667,7 @@ def cluster_adding_sigma(x: SequenceSpec, ell, handle: IdealHandle,
                   for m in range(1, len(schedule) + 1)
                   if any(f.radius_index >= m for f in fills)]
     targets = _certified_targets(handle, w, apply(sigma, x), horizon,
-                                 assignment)
+                                 params, assignment)
     return BuildResult(sigma, fills, targets,
                        meta={"kind": "cluster-adding-sigma",
                              "ell": format_point(ell), "horizon": horizon})
@@ -707,7 +707,7 @@ def cluster_preserving_sigma(x: SequenceSpec, handle: IdealHandle,
                 first += L
             if any(f.candidate == cand and f.radius_index >= m for f in fills):
                 assignment.append((cand, m, schedule[m - 1], first, L))
-    targets = _certified_targets(handle, w, x_new, horizon, assignment)
+    targets = _certified_targets(handle, w, x_new, horizon, params, assignment)
     # forward inclusion is certified by the targets above
     return BuildResult(sigma, fills, targets,
                        gamma_preserved=_no_new_cluster(x_new, handle, params,

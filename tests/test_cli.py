@@ -2,11 +2,12 @@
 
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from idealconv import cli
+from idealconv import cli, meager
 from idealconv.cli import RunConfig, main
 from idealconv.meager import WitnessIntervals
 
@@ -163,6 +164,21 @@ def test_witness_build_and_verify(tmp_path):
     rep = read(f"{vout}.json")["report"]
     assert all(s["verdict"] != "in" for s in rep["samples"])
     assert rep["cofinite_all_fail"] is True
+
+
+def test_witness_verify_decides_at_the_given_theta(tmp_path, monkeypatch):
+    thetas = []
+    decide = meager.decide_membership
+
+    def spy(handle, s, params, *args):
+        thetas.append(params.theta)
+        return decide(handle, s, params, *args)
+
+    monkeypatch.setattr(meager, "decide_membership", spy)
+    assert run(["witness", "verify", "--ideal", "Z", "--q", "1/2",
+                "--horizon", "4096", "--trials", "3", "--seed", "1",
+                "--theta", "1/7", "--out", str(tmp_path / "v")]) == 0
+    assert thetas and set(thetas) == {Fraction(1, 7)}
 
 
 def test_witness_verify_certifies_a_loaded_file(tmp_path, capsys):

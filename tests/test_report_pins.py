@@ -333,6 +333,27 @@ def test_sample_of_rationals_sigma_maps_pinned(tmp_path):
         "03ded7433b79c6028fa8d762ce3704197192a2391b185266e8e59bb42b32128e"
 
 
+# --- witness verify reports ----------------------------------------------------
+
+@pytest.mark.parametrize("ideal, json_digest", [
+    ("fin", "e081fe7063043cccba7ce2baf54c6d56ba87e94808beec3a2cf6f04742aee484"),
+    ("Z", "bf424246af30ce65c3af11ef1464dd41f664ee8d90a13dda8f9be87889488872"),
+    ("summable",
+     "b3c8e11a63de42a9e25e8241e323661688db92ad20a14b280738c72152265b03"),
+    ("gdi", "25134e2167c452674a533771e36eea6e689cf37d55dfaa61e2645a79112b9714"),
+    ("fin-x-fin",
+     "0b4a92dac57d11dcd8fc87f6067560a7d8fa7d516ddf5bc0fec45233941cfda1"),
+])
+def test_witness_verify_report_pinned(tmp_path, ideal, json_digest):
+    # each sample's estimate is the best tail row of norm_estimate(head=True)
+    out = tmp_path / "verify"
+    assert main(["witness", "verify", "--ideal", ideal, "--q", "1/2",
+                 "--horizon", "4096", "--trials", "12", "--seed", "3",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(Path(f"{out}.json").read_bytes()).hexdigest() == \
+        json_digest
+
+
 # --- one norm read per letter subset ------------------------------------------
 
 def _count_norm_reads(monkeypatch):

@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 
 from idealconv import natset as ns
 from idealconv import submeasure as sm
+from idealconv import zoo
 from idealconv.ideals import (DecisionParams, Verdict, builtin,
                               decide_membership)
 
@@ -207,6 +208,7 @@ def separate_prefix_decision(handle, s, params):
 
 
 HANDLES = [builtin(n) for n in ("fin", "density-zero", "summable", "gdi")]
+VERDICTS = {True: Verdict.IN, False: Verdict.NOT_IN, None: Verdict.UNDECIDED}
 
 
 @given(st.integers(6, 13), st.sampled_from(["random", "lumps", "empty", "tail"]),
@@ -228,10 +230,12 @@ def test_shared_prefix_decision_equals_separate_prefixes(log_n, shape, p, seed):
                           s.prefix(horizon // 2))
     params = DecisionParams(horizon=horizon)
     for handle in HANDLES:
+        expected = separate_prefix_decision(handle, s, params)
         got = decide_membership(handle, s, params)
         assert got.reason == "tail-trend"
-        assert (got.verdict, got.estimate, got.trend) \
-            == separate_prefix_decision(handle, s, params)
+        assert (got.verdict, got.estimate, got.trend) == expected
+        vanishes, est = sm.tail_verdict(handle.lscsm, s, horizon, params.theta)
+        assert (VERDICTS[vanishes], est.numeric, est.trend) == expected
 
 
 def test_half_prefix_is_a_slice_for_structured_sets():
@@ -246,3 +250,32 @@ def test_half_prefix_is_a_slice_for_structured_sets():
             assert np.array_equal(s.prefix(horizon)[:horizon // 2],
                                   s.prefix(horizon // 2)), s.to_json()
 
+
+# --- the half horizon only corroborates a verdict -----------------------------
+
+def test_half_horizon_is_read_only_under_a_verdict(monkeypatch):
+    horizons: list[int] = []      # the horizon of each tail estimate read
+    estimate = sm.norm_estimate
+
+    def counted(m, s, horizon, **kwargs):
+        horizons.append(horizon)
+        return estimate(m, s, horizon, **kwargs)
+
+    monkeypatch.setattr(sm, "norm_estimate", counted)
+    # neither letter set of charblocks:2 gets a tail verdict under gdi at
+    # 2^16; letter 0, a union, reads its block-union part's tail and its own
+    letters = zoo.get_sequence("charblocks:2", 1 << 16).alphabet.index_sets
+    params = DecisionParams(horizon=1 << 16)
+    for s, reads in zip(letters, ([65536, 65536], [65536])):
+        del horizons[:]
+        got = decide_membership(builtin("gdi"), s, params)
+        assert (got.verdict, got.reason) == (Verdict.UNDECIDED, "tail-trend")
+        assert horizons == reads
+    # a full prefix then an empty tail vanishes at 8192, but not at 4096,
+    # so the verdict needs both horizons and does not stand
+    del horizons[:]
+    s = ns.PrefixBitmap([True] * 5000 + [False] * 3192)
+    got = decide_membership(builtin("density-zero"), s,
+                            DecisionParams(horizon=8192))
+    assert (got.verdict, got.trend) == (Verdict.UNDECIDED, "decreasing")
+    assert horizons == [8192, 4096]

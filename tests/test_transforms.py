@@ -256,6 +256,23 @@ def test_cluster_preserving_sigma_evens():
     assert all(t.verdict == "not-in" for t in res.targets)
 
 
+def test_sigma_targets_are_decided_at_the_given_theta(monkeypatch):
+    thetas = []
+    decide = tr.decide_membership
+
+    def spy(handle, s, params, *args):
+        thetas.append(params.theta)
+        return decide(handle, s, params, *args)
+
+    monkeypatch.setattr(tr, "decide_membership", spy)
+    Z = builtin("density-zero")
+    w = build_witness(Z, F(1, 2), 1 << 12)
+    params = AnalysisParams(horizon=1 << 12, theta=F(1, 7))
+    tr.cluster_adding_sigma(zoo.char_evens(), (F(0),), Z, w, params)
+    tr.cluster_preserving_sigma(zoo.char_evens(), Z, w, params)
+    assert thetas and set(thetas) == {F(1, 7)}
+
+
 def test_cluster_preserving_sigma_hypothesis_failed():
     Z = builtin("density-zero")
     w = build_witness(Z, F(1, 4), 1 << 20)
