@@ -1,9 +1,10 @@
-"""Deferred import of numpy.
+"""Deferred imports: numpy, and the idealconv modules a command runs.
 
 A certified answer (an exact norm, a periodic form) reads no bitmap, so a
 command that only certifies need not pay numpy's import.  The modules that
 use numpy bind ``np = lazy_numpy()``: numpy then loads on the first
-attribute read, such as the first ``np.empty`` of a prefix.
+attribute read, such as the first ``np.empty`` of a prefix.  The package and
+the CLI import the other modules on first use through ``load``.
 """
 
 from __future__ import annotations
@@ -31,3 +32,11 @@ def lazy_numpy() -> ModuleType:
     sys.modules["numpy"] = module
     spec.loader.exec_module(module)
     return module
+
+
+def load(name: str) -> ModuleType:
+    """The module ``name``, imported as an import statement imports it, so
+    ``python -X importtime`` lists it (``importlib.import_module`` does not
+    pass through the timed path)."""
+    __import__(name)
+    return sys.modules[name]

@@ -23,17 +23,39 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from . import games as gm
 from . import natset as ns
-from . import transforms as tr
-from . import zoo
+from ._lazy import load
 from .ideals import DecisionParams, UnknownIdeal, builtin, builtin_names
-from .meager import (WitnessIntervals, WitnessRefuted, build_witness,
-                     certify_witness, verify_witness)
-from .sequences import (AnalysisParams, NotAnalyticP, RadiusSchedule,
-                        as_point, candidate_grid, format_point, gamma_estimate,
-                        ideal_convergence_check, lambda_estimate,
-                        lambda_q_estimate, limit_points_estimate)
+
+# the names the commands take from modules that only some of them run: this
+# module's global -> (defining module, attribute; None for the module).
+# ``main`` binds those of the modules a command runs before dispatching it;
+# ``__getattr__`` binds one on its first read, so ``cli.<name>`` may be
+# replaced before a command runs
+_LAZY = {
+    "gm": ("games", None),
+    "tr": ("transforms", None),
+    "zoo": ("zoo", None),
+    **{name: ("meager", name) for name in (
+        "WitnessIntervals", "build_witness", "certify_witness",
+        "verify_witness")},
+    **{name: ("sequences", name) for name in (
+        "AnalysisParams", "RadiusSchedule", "as_point", "candidate_grid",
+        "format_point", "gamma_estimate", "ideal_convergence_check",
+        "lambda_estimate", "lambda_q_estimate", "limit_points_estimate")},
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module, attr = _LAZY[name]
+    value = load(f"{__package__}.{module}")
+    if attr is not None:
+        value = getattr(value, attr)
+    globals()[name] = value
+    return value
+
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -473,15 +495,29 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+# each command's handler, and the modules it runs
 _HANDLERS = {
-    "analyze": cmd_analyze,
-    "witness-build": cmd_witness_build,
-    "witness-verify": cmd_witness_verify,
-    "preserve": cmd_preserve,
-    "game-run": cmd_game,
-    "sample": cmd_sample,
-    "ideals-list": cmd_ideals_list,
+    "analyze": (cmd_analyze, ("sequences", "zoo")),
+    "witness-build": (cmd_witness_build, ("meager",)),
+    "witness-verify": (cmd_witness_verify, ("meager",)),
+    "preserve": (cmd_preserve, ("meager", "transforms", "sequences", "zoo")),
+    "game-run": (cmd_game, ("games", "sequences", "zoo")),
+    "sample": (cmd_sample, ("transforms", "sequences", "zoo")),
+    "ideals-list": (cmd_ideals_list, ()),
 }
+
+
+def _loaded(*names: str) -> tuple[type, ...]:
+    """The exception classes ``module.Class`` of the modules loaded so far.
+    A class is raised only once its module is loaded, so main maps every
+    exception to its exit code without importing a module for it."""
+    found = []
+    for name in names:
+        module, _, cls = name.rpartition(".")
+        mod = sys.modules.get(f"{__package__}.{module}")
+        if mod is not None:
+            found.append(getattr(mod, cls))
+    return tuple(found)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -497,17 +533,23 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cfg = _merge_config(args)
         cfg.validate()
-        return _HANDLERS[cfg.command](cfg)
-    except (tr.HypothesisFailed, tr.NotALimitPoint) as exc:
+        handler, modules = _HANDLERS[cfg.command]
+        this = sys.modules[__name__]
+        for name, (module, _) in _LAZY.items():
+            if module in modules:
+                getattr(this, name)     # binds the name unless it is bound
+        return handler(cfg)
+    except _loaded("transforms.HypothesisFailed",
+                   "transforms.NotALimitPoint") as exc:
         sys.stderr.write(json.dumps({"error": "hypothesis-failed",
                                      "detail": str(exc)}) + "\n")
         return EXIT_HYPOTHESIS
-    except (WitnessRefuted, AssertionError) as exc:
+    except (*_loaded("meager.WitnessRefuted"), AssertionError) as exc:
         sys.stderr.write(json.dumps({"error": "audit-failure",
                                      "detail": str(exc)}) + "\n")
         return EXIT_AUDIT
-    except (UnknownIdeal, NotAnalyticP, ValueError, KeyError, OSError,
-            json.JSONDecodeError) as exc:
+    except (UnknownIdeal, *_loaded("sequences.NotAnalyticP"), ValueError,
+            KeyError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(json.dumps({"error": "config",
                                      "detail": str(exc)}) + "\n")
         return EXIT_USAGE

@@ -397,9 +397,14 @@ def verify_witness(handle: IdealHandle, w: WitnessIntervals, trials: int,
 
 def _sample_estimate(handle: IdealHandle, sample: ns.NatSet,
                      params: DecisionParams) -> Optional[Fraction]:
-    if handle.lscsm is not None:
-        est = sm.norm_estimate(handle.lscsm, sample, params.horizon, head=True)
-        return est.best
+    m = handle.lscsm
+    if m is not None:
+        h = params.horizon
+        # phi is monotone: with every tail correction 1, the estimate's best
+        # row is the whole prefix's
+        if all(m.tail_correction(t, h) == 1 for t in sm.default_cuts(h)):
+            return sm.phi(m, sample, h)
+        return sm.norm_estimate(m, sample, h, head=True, exact=None).best
     # product ideal: fraction of valuation rows r <= 10 hit inside the horizon
     hit = valuation_rows(sample, min(params.horizon, 1 << 17))
     return Fraction(len([r for r in range(11) if r in hit]), 11)

@@ -305,15 +305,21 @@ class WeightedSum(Lscsm):
         cn, cd = self.cap.numerator, self.cap.denominator
         sn, sd = self.scale.numerator, self.scale.denominator
         # nested tails, deepest cut first: each segment between two cuts is
-        # added once to the running sum of the tails beyond it.  Inside a
-        # segment the large weights come first, so the cap, once reached,
-        # stops the exact summation and holds for every shallower cut.
+        # added once to the running sum of the tails beyond it.  A tail whose
+        # fixed-point lower bound (the sum of floor(2^56 / k) over it) reaches
+        # the cap is capped with no exact sum; inside a segment the large
+        # weights come first, so the cap, once reached, stops the exact
+        # summation.  Either way it holds for every shallower cut.
         tp, tq = 0, 1
+        low, cap_low = 0, cn * sd << FIXED_BITS
         capped = False
         end = idx.size
         value: dict[int, Fraction] = {}
         for t in sorted(set(cuts), reverse=True):
             start = int(np.searchsorted(idx, t, side="right"))
+            if not capped:
+                low += int(((1 << FIXED_BITS) // idx[start:end]).sum())
+                capped = sn * low * cd >= cap_low
             lo = start
             while lo < end and not capped:
                 p, q = sum_unit_fractions_raw(idx[lo:min(lo + 4096, end)].tolist())

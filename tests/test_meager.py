@@ -1,12 +1,15 @@
 """Witness construction, the separating cutoff sets, and randomized checks."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from idealconv import meager
 from idealconv import natset as ns
-from idealconv.ideals import Verdict, builtin, nu2
+from idealconv import submeasure as sm
+from idealconv.ideals import DecisionParams, Verdict, builtin, nu2
 from idealconv.meager import (WitnessIntervals, build_witness, fk_holds,
                               verify_witness)
 
@@ -231,6 +234,36 @@ def test_verify_witness_estimates_track_mass():
     w = build_witness(Z, F(1, 2), 1 << 16)
     report = verify_witness(Z, w, trials=40, horizon=1 << 16, seed=4)
     assert report.min_estimate >= F(45, 100)
+
+
+# normalised by its largest weight: head weight 1, tail weight 1/4
+HEAD_HEAVY_GDI = {"partition": {"iota": [1 << k for k in range(18)],
+                                "lengths_unbounded": False},
+                  "head_weights": ["4"], "tail_weight": "1"}
+ESTIMATE_IDEALS = {name: builtin(name) for name in ("fin", "Z", "summable",
+                                                    "gdi")}
+ESTIMATE_IDEALS["head-heavy-gdi"] = builtin("gdi", HEAD_HEAVY_GDI)
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATE_IDEALS))
+def test_sample_estimate_is_the_best_estimate_row(name):
+    handle, horizon = ESTIMATE_IDEALS[name], 4096
+    params = DecisionParams(horizon=horizon)
+    w = build_witness(builtin("Z"), F(1, 2), horizon)
+    rng = random.Random(11)
+    samples = [ns.Union((ns.BlockUnion(w, meager._random_infinite_selector(rng)),
+                         ns.Finite(sorted(rng.sample(range(1, horizon),
+                                                     rng.randrange(1, 16))))))
+               for _ in range(12)]
+    gen = np.random.default_rng(11)
+    for p in (0.0, 0.002, 0.05, 0.5, 1.0):
+        samples.append(ns.PrefixBitmap(gen.random(horizon) < p))
+    head_only = gen.random(horizon) < 0.3
+    head_only[horizon // 2:] = False
+    samples.append(ns.PrefixBitmap(head_only))
+    for s in samples:
+        want = sm.norm_estimate(handle.lscsm, s, horizon, head=True).best
+        assert meager._sample_estimate(handle, s, params) == want
 
 
 def test_block_certification_exact():

@@ -1,4 +1,5 @@
-"""Start-up cost: numpy loads on the first bitmap read, not at import.
+"""Start-up cost: numpy loads on the first bitmap read, not at import, and
+each command imports only the idealconv modules it runs.
 
 Each test runs in a fresh interpreter, since the suite's own process has
 numpy imported long before.
@@ -20,6 +21,12 @@ PRELUDE = textwrap.dedent("""
 
     def numpy_loaded():
         return sorted(m for m in sys.modules if m.startswith("numpy."))
+
+    def loaded():
+        # the modules only some commands run; the rest (_lazy, natset,
+        # submeasure, ideals, cli) load with ``import idealconv.cli``
+        return [m for m in ("sequences", "zoo", "meager", "transforms",
+                            "games") if "idealconv." + m in sys.modules]
 
     def cli(argv):
         from idealconv import cli
@@ -90,3 +97,79 @@ def test_import_fails_at_once_without_numpy():
             print(json.dumps({"raised": None}))
     """)
     assert got == {"raised": "ModuleNotFoundError", "partial": False}
+
+
+def test_setup_and_ideals_list_load_no_command_module():
+    got = run_fresh("""
+        import idealconv.cli
+        from idealconv.ideals import builtin, builtin_names
+        handles = [builtin(n) for n in builtin_names()]
+        setup = loaded()
+        code = cli(["ideals", "list"])
+        print(json.dumps({"setup": setup, "code": code, "list": loaded()}))
+    """)
+    assert got == {"setup": [], "code": 0, "list": []}
+
+
+def test_analyze_loads_no_construction_module():
+    got = run_fresh("""
+        codes = [cli(["analyze", "--seq", "char:evens", "--ideal", "Z",
+                      "--mode", "gamma"]),
+                 cli(["analyze", "--seq", "harmonic", "--ideal", "gdi",
+                      "--horizon", "4096", "--radii", "4",
+                      "--pitch", "1/16"])]
+        print(json.dumps({"codes": codes, "loaded": loaded()}))
+    """)
+    assert got == {"codes": [0, 0], "loaded": ["sequences", "zoo"]}
+
+
+def test_witness_build_loads_only_meager():
+    got = run_fresh("""
+        code = cli(["witness", "build", "--ideal", "Z"])
+        print(json.dumps({"code": code, "loaded": loaded()}))
+    """)
+    assert got == {"code": 0, "loaded": ["meager"]}
+
+
+def test_every_export_is_its_defining_modules_object():
+    got = run_fresh("""
+        import importlib
+        import idealconv
+        wrong = [name for name, module in idealconv._MODULE_OF.items()
+                 if getattr(idealconv, name) is not getattr(
+                     importlib.import_module("idealconv." + module), name)]
+        wrong += [name for name in idealconv._EXPORTS
+                  if getattr(idealconv, name)
+                  is not sys.modules["idealconv." + name]]
+        listed = set(dir(idealconv))
+        missing = sorted(set(idealconv.__all__) - listed)
+        print(json.dumps({"wrong": wrong, "missing": missing,
+                          "count": len(idealconv.__all__)}))
+    """)
+    assert got == {"wrong": [], "missing": [], "count": 82}
+
+
+def test_cli_seams_resolve_in_a_fresh_process():
+    # a test may replace these before a command runs, and the command then
+    # uses the replacement
+    got = run_fresh("""
+        from idealconv import cli as c
+        seams = [c.zoo is sys.modules["idealconv.zoo"],
+                 c.tr is sys.modules["idealconv.transforms"],
+                 c.gm is sys.modules["idealconv.games"],
+                 c.ideal_convergence_check
+                 is sys.modules["idealconv.sequences"].ideal_convergence_check]
+
+        def refuse(*args, **kwargs):
+            raise ValueError("replaced")
+
+        c.ideal_convergence_check = refuse
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli(["analyze", "--seq", "char:evens", "--ideal", "Z",
+                        "--mode", "convergence", "--ell", "0"])
+        print(json.dumps({"seams": seams, "code": code,
+                          "err": json.loads(err.getvalue())}))
+    """)
+    assert got == {"seams": [True] * 4, "code": 1,
+                   "err": {"error": "config", "detail": "replaced"}}

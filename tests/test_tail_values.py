@@ -46,6 +46,12 @@ def ref_weighted_sum(m, bits, t):
     return F(sn * tp, sd * tq)
 
 
+def ref_capped_sum(m, bits, t):
+    """min(cap, scale * the exact unit-fraction sum of the tail past t)."""
+    tail = (np.flatnonzero(bits[t:]) + t + 1).tolist()
+    return min(m.cap, m.scale * sm.sum_unit_fractions(tail))
+
+
 def ref_density_family(m, bits, t):
     horizon = bits.shape[0]
     counts = np.cumsum(bits, dtype=np.int64)
@@ -114,6 +120,7 @@ HEADED = sm.DensityFamily(
     head_weights=(F(1, 2), F(3), F(1, 3)), tail_weight=F(2))
 SUMMABLE = builtin("summable").lscsm
 SCALED = sm.normalize(sm.WeightedSum(cap=F(3), scale=F(7, 5), harmonic=False))
+WIDE = sm.WeightedSum(cap=F(3, 2), scale=F(2, 7), harmonic=False)
 
 
 # --- batched equals per-cut -------------------------------------------------------
@@ -134,9 +141,13 @@ def test_counting_cap_batched_equals_reference(case):
 
 @given(prefixes())
 def test_weighted_sum_batched_equals_reference(case):
+    # a row whose fixed-point lower bound reaches the cap skips the exact
+    # sum; every row still equals min(cap, scale * its exact sum)
     bits, cuts = case
-    for m in (SUMMABLE, SCALED):
-        assert m.tail_value(bits, cuts) == reference(m, bits, cuts)
+    for m in (SUMMABLE, SCALED, WIDE):
+        got = m.tail_value(bits, cuts)
+        assert got == reference(m, bits, cuts)
+        assert got == [ref_capped_sum(m, bits, t) for t in cuts]
 
 
 @given(prefixes(), st.data())
@@ -153,6 +164,25 @@ def test_weighted_sum_cap_reached_exactly_at_a_cut(case, data):
     got = m.tail_value(bits, cuts)
     assert got == reference(m, bits, cuts)
     assert got[cuts.index(t)] == total
+
+
+def test_weighted_sum_reaches_the_cap_past_its_fixed_point_bound():
+    # 1/2 + 1/3 + 1/6 is exactly 1, but the floors of 2^56 / k sum to
+    # 2^56 - 1: the bound falls short of the cap, the exact sum reaches it
+    bits = np.zeros(8, dtype=bool)
+    bits[[1, 2, 5]] = True
+    one = 1 << sm.FIXED_BITS
+    assert sum(one // k for k in (2, 3, 6)) == one - 1
+    cuts = [0, 1, 2, 5]
+    for m in (sm.WeightedSum(), sm.WeightedSum(cap=F(3, 2), scale=F(3, 2))):
+        got = m.tail_value(bits, cuts)
+        assert got == [ref_capped_sum(m, bits, t) for t in cuts]
+        assert got[:2] == [m.cap, m.cap]
+    # the ceilings sum to 2^56 + 1: a cap that far above the sum is not
+    # reached, so the bound must round down
+    assert sum(-(-one // k) for k in (2, 3, 6)) == one + 1
+    m = sm.WeightedSum(cap=F(one + 1, one))
+    assert m.tail_value(bits, cuts) == [1, 1, F(1, 2), F(1, 6)]
 
 
 @given(prefixes())
