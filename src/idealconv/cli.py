@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 import time
@@ -119,8 +120,19 @@ class RunConfig:
             raise ValueError(f"length {self.length} must lie in "
                              f"[2, {MAX_HORIZON}]")
         for name in ("pitch", "theta", "q"):
-            if Fraction(getattr(self, name)) <= 0:
+            if self.number(name) <= 0:
                 raise ValueError(f"{name} must be positive")
+
+    def number(self, name: str):
+        """The numeric setting ``name`` as exact rationals: a Fraction, or a
+        tuple of them for a list such as q_grid.  Each is parsed on its
+        first read and kept on this config, which serves one command."""
+        parsed = self.__dict__.setdefault("_parsed", {})
+        if name not in parsed:
+            text = getattr(self, name)
+            parsed[name] = (tuple(map(Fraction, text)) if type(text) is list
+                            else Fraction(text))
+        return parsed[name]
 
     def to_json(self) -> dict:
         # output location is not analysis config
@@ -137,10 +149,10 @@ class RunConfig:
         return AnalysisParams(
             horizon=self.horizon,
             schedule=RadiusSchedule.dyadic(self.radii),
-            pitch=Fraction(self.pitch),
+            pitch=self.number("pitch"),
             hit_min=self.hit_min,
-            theta=Fraction(self.theta),
-            q_grid=tuple(Fraction(v) for v in self.q_grid))
+            theta=self.number("theta"),
+            q_grid=self.number("q_grid"))
 
     def ideal_handle(self):
         if self.ideal is None:
@@ -156,40 +168,59 @@ _JSON_WORDS = {None: "null", True: "true", False: "false",
                "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _JSON_WORDS.get(text, text)
+
+
+# the text of a JSON scalar, by its exact type
+_SCALARS = {str: _quote, int: int.__repr__, float: _float_text,
+            bool: _JSON_WORDS.__getitem__, type(None): _JSON_WORDS.__getitem__}
+_EXACT = frozenset((*_SCALARS, list, tuple, dict))
+# a subclass is written as the first of these it is an instance of
+_BASES = (str, int, float, list, tuple, dict)
+
+
 def json_text(obj, pad: str = "\n") -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
 
     The stdlib writes an indented document in Python one item at a time
-    (its C encoder takes no indent); here a list of ints, such as a map's
-    table, is joined in one ``str.join``.  ``pad`` is the newline and
-    indent that close the value.
+    (its C encoder takes no indent); here each value is dispatched on its
+    exact type, a scalar item is written without a call back into this
+    function, and a list of one scalar type, such as a map's table, is
+    joined in one ``str.join``.  ``pad`` is the newline and indent that
+    close the value.
     """
-    if isinstance(obj, str):
-        return _quote(obj)
-    if obj is None or obj is True or obj is False:
-        return _JSON_WORDS[obj]
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        text = float.__repr__(obj)
-        return _JSON_WORDS.get(text, text)
+    kind = type(obj)
+    if kind not in _EXACT:
+        kind = next((b for b in _BASES if isinstance(obj, b)), None)
+        if kind is None:
+            raise TypeError(f"Object of type {type(obj).__name__} "
+                            f"is not JSON serializable")
+    scalar = _SCALARS.get(kind)
+    if scalar is not None:
+        return scalar(obj)
+    if not obj:
+        return "{}" if kind is dict else "[]"
     inner = pad + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if set(map(type, obj)) == {int}:
-            items = map(str, obj)
-        else:
-            items = (json_text(v, inner) for v in obj)
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = (_quote(_json_key(k)) + ": " + json_text(v, inner)
-                 for k, v in sorted(obj.items()))
+    if kind is dict:
+        # the keys of a dict are distinct, so sorting them alone gives the
+        # order of the stdlib's sorted items
+        items = []
+        for key in sorted(obj):
+            value = obj[key]
+            scalar = _SCALARS.get(type(value))
+            items.append(_quote(key if type(key) is str else _json_key(key))
+                         + ": " + (json_text(value, inner) if scalar is None
+                                   else scalar(value)))
         return "{" + inner + ("," + inner).join(items) + pad + "}"
-    raise TypeError(f"Object of type {type(obj).__name__} "
-                    f"is not JSON serializable")
+    kinds = set(map(type, obj))
+    scalar = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+    if scalar is not None:
+        items = map(scalar, obj)
+    else:
+        items = [json_text(v, inner) for v in obj]
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
 
 
 def _json_key(key) -> str:
@@ -203,6 +234,19 @@ def _json_key(key) -> str:
                     f"not {type(key).__name__}")
 
 
+def _write(path: str, text: str) -> None:
+    """Create or truncate the file ``path`` and write ``text`` as ASCII
+    bytes: one open, the writes, one close.  A new file gets the mode
+    ``open()`` gives it, 0o666 less the umask."""
+    data = memoryview(text.encode("ascii"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
+
+
 def _emit(out: Optional[str], payload: dict, csv_rows=None,
           routes: Optional[dict] = None) -> None:
     """Write PREFIX.json (and PREFIX.csv), or print the JSON without --out.
@@ -213,17 +257,18 @@ def _emit(out: Optional[str], payload: dict, csv_rows=None,
     if out is None:
         sys.stdout.write(text)
         return
-    base = Path(out)
-    base.parent.mkdir(parents=True, exist_ok=True)
-    Path(str(base) + ".json").write_text(text)
+    base = str(Path(out))
+    parent = os.path.dirname(base)
+    if parent and not os.path.isdir(parent):
+        os.makedirs(parent, exist_ok=True)
+    _write(base + ".json", text)
     if csv_rows is not None:
-        lines = [",".join(row) for row in csv_rows]
-        Path(str(base) + ".csv").write_text("\n".join(lines) + "\n")
+        _write(base + ".csv", "\n".join([",".join(row) for row in csv_rows])
+               + "\n")
     meta = {"written_at_unix": time.time()}
     if routes:
         meta["routes"] = routes
-    Path(str(base) + ".meta.json").write_text(
-        json.dumps(meta, sort_keys=True) + "\n")
+    _write(base + ".meta.json", json.dumps(meta, sort_keys=True) + "\n")
 
 
 def cmd_analyze(cfg: RunConfig) -> int:
@@ -239,7 +284,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
     if mode == "lambda" or (mode == "all" and handle.analytic_p):
         cluster["lambda"] = lambda_estimate(x, handle, params)
     if mode == "lambda-q":
-        cluster["lambda_q"] = lambda_q_estimate(x, handle, Fraction(cfg.q),
+        cluster["lambda_q"] = lambda_q_estimate(x, handle, cfg.number("q"),
                                                 params)
     reports = {key: rep.to_json() for key, rep in cluster.items()}
     routes = {key: counts for key, rep in cluster.items()
@@ -249,7 +294,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
     if mode == "convergence":
         if cfg.ell is None:
             raise ValueError("convergence mode needs --ell")
-        conv = ideal_convergence_check(x, handle, Fraction(cfg.ell), params)
+        conv = ideal_convergence_check(x, handle, cfg.number("ell"), params)
         reports["convergence"] = conv.to_json()
         routes["convergence"] = conv.routes
     payload = {"config": cfg.to_json(), "reports": reports}
@@ -264,7 +309,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
 def cmd_witness_build(cfg: RunConfig) -> int:
     handle = cfg.ideal_handle()
-    w = build_witness(handle, Fraction(cfg.q), cfg.horizon)
+    w = build_witness(handle, cfg.number("q"), cfg.horizon)
     payload = {"config": cfg.to_json(), "witness": w.to_json()}
     _emit(cfg.out, payload)
     return EXIT_OK
@@ -277,9 +322,9 @@ def cmd_witness_verify(cfg: RunConfig) -> int:
             json.loads(Path(cfg.witness_file).read_text())["witness"])
         certify_witness(handle, w, cfg.horizon)
     else:
-        w = build_witness(handle, Fraction(cfg.q), cfg.horizon)
+        w = build_witness(handle, cfg.number("q"), cfg.horizon)
     report = verify_witness(handle, w, cfg.trials, cfg.horizon, cfg.seed,
-                            DecisionParams(cfg.horizon, Fraction(cfg.theta)))
+                            DecisionParams(cfg.horizon, cfg.number("theta")))
     payload = {"config": cfg.to_json(), "report": report.to_json()}
     _emit(cfg.out, payload)
     return EXIT_OK
@@ -289,12 +334,12 @@ def cmd_preserve(cfg: RunConfig) -> int:
     x = zoo.get_sequence(cfg.seq, cfg.horizon)
     handle = cfg.ideal_handle()
     params = cfg.analysis_params()
-    w = build_witness(handle, Fraction(cfg.q), cfg.horizon)
+    w = build_witness(handle, cfg.number("q"), cfg.horizon)
     mode = cfg.mode or "preserve"
     if mode == "add":
         if cfg.ell is None:
             raise ValueError("add mode needs --ell")
-        ell = as_point(Fraction(cfg.ell), x.dim)
+        ell = as_point(cfg.number("ell"), x.dim)
         if cfg.kind == "pi":
             result = tr.cluster_adding_pi(x, ell, handle, w, params,
                                           horizon=cfg.horizon)
@@ -318,8 +363,8 @@ def cmd_game(cfg: RunConfig) -> int:
         raise ValueError("game run needs --ell")
     x = zoo.get_sequence(cfg.seq, cfg.horizon)
     handle = cfg.ideal_handle()
-    target = gm.GameTarget(ell=as_point(Fraction(cfg.ell), x.dim),
-                           q=Fraction(cfg.q),
+    target = gm.GameTarget(ell=as_point(cfg.number("ell"), x.dim),
+                           q=cfg.number("q"),
                            schedule=RadiusSchedule.dyadic(cfg.radii))
     transcript = gm.run_game(x, handle, target, cfg.rounds, cfg.horizon,
                              cfg.seed, kind=cfg.kind or "sigma")

@@ -19,6 +19,7 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -69,7 +70,7 @@ class RadiusSchedule:
     radii: tuple[Fraction, ...]
 
     def __init__(self, radii):
-        radii = tuple(Fraction(r) for r in radii)
+        radii = tuple(r if type(r) is Fraction else Fraction(r) for r in radii)
         if not radii or radii[-1] <= 0:
             raise ValueError("radii must be positive")
         if any(b >= a for a, b in zip(radii, radii[1:])):
@@ -356,6 +357,18 @@ class ClusterReport:
         bad = sum(1 for c in self.candidates if c.classification == UNDECIDED)
         return Fraction(bad, len(self.candidates))
 
+    @cached_property
+    def _texts(self) -> list[tuple[str, list[tuple]]]:
+        """Each candidate's point and each of its radius records as text,
+        formatted once for both ``to_json`` and ``csv_rows``: (eps,
+        verdict, exact, numeric), None for a missing value."""
+        return [(format_point(c.point),
+                 [(str(r.eps), r.verdict,
+                   None if r.exact is None else str(r.exact),
+                   None if r.numeric is None else str(r.numeric))
+                  for r in c.radii])
+                for c in self.candidates]
+
     def to_json(self) -> dict:
         return {
             "mode": self.mode,
@@ -366,22 +379,19 @@ class ClusterReport:
             "pitch": str(self.params.pitch),
             "radii": [str(r) for r in self.params.schedule],
             "candidates": [{
-                "point": format_point(c.point),
+                "point": point,
                 "classification": c.classification,
-                "radii": [{"eps": str(r.eps), "verdict": r.verdict,
-                           "exact": None if r.exact is None else str(r.exact),
-                           "numeric": None if r.numeric is None else str(r.numeric)}
-                          for r in c.radii],
-            } for c in self.candidates],
+                "radii": [{"eps": eps, "verdict": verdict, "exact": exact,
+                           "numeric": numeric}
+                          for eps, verdict, exact, numeric in radii],
+            } for c, (point, radii) in zip(self.candidates, self._texts)],
         }
 
     def csv_rows(self) -> list[list[str]]:
         rows = [["candidate", "eps", "exact", "numeric", "class"]]
-        for c in self.candidates:
-            for r in c.radii:
-                rows.append([format_point(c.point), str(r.eps),
-                             "" if r.exact is None else str(r.exact),
-                             "" if r.numeric is None else str(r.numeric),
+        for c, (point, radii) in zip(self.candidates, self._texts):
+            for eps, _, exact, numeric in radii:
+                rows.append([point, eps, exact or "", numeric or "",
                              c.classification])
         return rows
 

@@ -20,7 +20,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import gcd
+from operator import lt
 from typing import Iterator, Optional, Sequence, Union as TUnion
 
 from ._lazy import lazy_numpy
@@ -87,11 +89,9 @@ class SubsequenceMap:
         self.tail = tail
         self.horizon = horizon
         m = len(self.table)
-        last = 0
-        for v in self.table:
-            if v <= last:
-                raise ValueError("table must be strictly increasing and >= 1")
-            last = v
+        if m and (self.table[0] < 1 or not all(
+                map(lt, self.table, islice(self.table, 1, None)))):
+            raise ValueError("table must be strictly increasing and >= 1")
         if m and tail.kind == "identity-shift":
             if m + 1 + tail.param <= int(self.table[-1]):
                 raise ValueError("identity-shift tail clashes with the table")
@@ -154,7 +154,7 @@ class SubsequenceMap:
 
     def to_json(self) -> dict:
         return {"type": "sigma",
-                "table": [int(v) for v in self.table],
+                "table": list(map(int, self.table)),
                 "tail": self.tail.to_json(),
                 "horizon": self.horizon}
 
@@ -224,7 +224,7 @@ class PermutationMap:
     def to_json(self) -> dict:
         return {"type": "pi",
                 "rule": self.rule,
-                "table": [int(v) for v in self.table],
+                "table": list(map(int, self.table)),
                 "horizon": self.horizon}
 
     def __repr__(self) -> str:
@@ -389,10 +389,6 @@ class MemberSupply:
         except ns.HorizonExceeded:
             pass
         raise ExhaustedA(f"supply exhausted after {self._last}")
-
-    def next_after(self, floor: int) -> int:
-        """Least member strictly greater than floor (monotone floors only)."""
-        return next(self.walk(floor))
 
     def run(self, length: int, floor: int,
             stop: Optional[int] = None) -> list[int]:
@@ -740,7 +736,8 @@ def _fill_pi_table(w: WitnessIntervals, horizon: int, draw) -> tuple[
     nxt = next(blocks, None)
     p = 1
     while p <= horizon:
-        while nxt is not None and nxt[2] <= p:
+        # the first block whose start the cursor has not passed
+        while nxt is not None and nxt[1] < p:
             nxt = next(blocks, None)
         if nxt is not None and nxt[1] == p:
             k, lo, hi = nxt
@@ -751,25 +748,32 @@ def _fill_pi_table(w: WitnessIntervals, horizon: int, draw) -> tuple[
                 # drawn[-1] can be astronomically large for sparse sources
                 flush_len = (drawn[-1] - frontier) - (hi - lo)
                 if hi + flush_len - 1 <= horizon:
-                    used = set(drawn)
                     table.extend(drawn)
-                    table.extend(v for v in range(frontier + 1, drawn[-1])
-                                 if v not in used)
+                    # the displaced values are the gaps between drawn ones
+                    for a, b in zip((frontier, *drawn), drawn):
+                        if b > a + 1:
+                            table.extend(range(a + 1, b))
                     frontier = drawn[-1]
                     fills.append(BlockFill(k, lo, hi, spec[1], spec[2], False))
                     p = hi + flush_len
                     continue
-        table.append(frontier + 1)
-        frontier += 1
-        p += 1
+            # the cursor enters this block: identity up to the next one
+            nxt = next(blocks, None)
+        end = horizon + 1 if nxt is None else min(nxt[1], horizon + 1)
+        table.extend(range(frontier + 1, frontier + 1 + end - p))
+        frontier += end - p
+        p = end
     return table, fills
 
 
 def _pi_result(table: list[int], horizon: int) -> PermutationMap:
-    if len(table) != horizon or sorted(table) != list(range(1, horizon + 1)):
-        raise BijectivityOverflow(
-            "flush did not complete inside the horizon")
-    return PermutationMap(table, horizon=horizon)
+    """The map of a filled table, which must permute [1, horizon]."""
+    if len(table) == horizon:
+        try:
+            return PermutationMap(table, horizon=horizon)
+        except ValueError:
+            pass
+    raise BijectivityOverflow("flush did not complete inside the horizon")
 
 
 def generic_permutation(a: ns.NatSet, w: WitnessIntervals,

@@ -3,7 +3,7 @@
 ``BlockUnion.prefix`` reads a partition's boundaries as one int64 array; the
 game escape move fixes its length with the submeasure's inverse of its
 interval mass (``Lscsm.mass_length``) and takes its values in one batched
-take (``MemberSupply.run``); ``MemberSupply.next_after`` walks the ball's
+take (``MemberSupply.run``); ``MemberSupply.walk`` walks the ball's
 index set with ``natset.iter_members``.  The references below are plain loops, one Python
 step per block or value; a supply's reference tests each index n with the
 exact ``distance(x.point(n), c) < eps`` up to 2^16.  Block unions and
@@ -66,7 +66,7 @@ def ref_draw_until_mass(state, supply, q, m, horizon):
     vals = []
     while True:
         try:
-            floor = supply.next_after(floor)
+            floor = next(supply.walk(floor))
         except ExhaustedA:
             raise SupplyExhausted(f"no fresh member above {state.floor()}")
         if floor > horizon:
@@ -82,17 +82,23 @@ REF_LIMIT = 1 << 16
 
 
 class RefSupply:
-    """The per-point reference supply: the least n > floor, up to REF_LIMIT,
-    with d(x_n, c) < eps, each index tested exactly on its own."""
+    """The per-point reference supply: the n > floor, up to REF_LIMIT, with
+    d(x_n, c) < eps, each index tested exactly on its own."""
 
     def __init__(self, x, center, eps):
         self.x, self.center, self.eps = x, as_point(center, x.dim), F(eps)
 
-    def next_after(self, floor):
+    def walk(self, floor):
         for n in range(floor + 1, REF_LIMIT + 1):
             if distance(self.x.point(n), self.center) < self.eps:
-                return n
+                yield n
         raise ExhaustedA(f"no member in ({floor}, {REF_LIMIT}]")
+
+
+def first_member(supply, floor, batched=False):
+    """The supply's least member above floor: a one-value batched take, or
+    the first step of its walk."""
+    return supply.run(1, floor)[0] if batched else next(supply.walk(floor))
 
 
 def outcome(call):
@@ -348,20 +354,22 @@ def test_escape_edges_match_linear_scan(seq, kind):
 @given(st.sampled_from(["harmonic", "rationals"]),
        st.sampled_from([F(0), F(1, 2), F(1, 3)]),
        st.integers(1, 8),
-       st.lists(st.integers(0, 3000), min_size=1, max_size=40))
-def test_next_after_matches_per_point_reference(seq, center, level, steps):
-    # where the reference finds a member the supply returns it; where it
-    # finds none up to 2^16, a finite ball has ended and the supply raises,
-    # or the supply's member lies past 2^16 and is one
+       st.lists(st.tuples(st.integers(0, 3000), st.booleans()), min_size=1,
+                max_size=40))
+def test_supply_matches_per_point_reference(seq, center, level, steps):
+    # where the reference finds a member the supply returns it, from a
+    # batched take or a walk step; where it finds none up to 2^16, a finite
+    # ball has ended and the supply raises, or the supply's member lies past
+    # 2^16 and is one
     x = zoo.get_sequence(seq)
     eps = RadiusSchedule.dyadic(8).radii[level - 1]
     supply, ref = MemberSupply(x, (center,), eps), RefSupply(x, (center,), eps)
     finite = indicator_set(x, (center,), eps).is_infinite() is False
     floor = 0
-    for step in steps:
+    for step, batched in steps:
         floor += step
-        got = outcome(lambda: supply.next_after(floor))
-        want = outcome(lambda: ref.next_after(floor))
+        got = outcome(lambda: first_member(supply, floor, batched))
+        want = outcome(lambda: first_member(ref, floor))
         if want[0] == "ok":
             assert got == want
         elif finite:
@@ -378,15 +386,16 @@ def test_finite_closed_form_ball_ends_without_a_scan(monkeypatch):
     # |1/n - 1/2| < 1/8 holds for n = 2 only: its periodic form ends there,
     # and no prefix is read on the way to ExhaustedA
     x = zoo.get_sequence("harmonic")
-    supply = MemberSupply(x, (F(1, 2),), F(1, 8))
 
     def no_prefix(self, horizon):
         raise AssertionError(f"prefix({horizon}) read")
     for cls in (ns.Intersection, ns.Progression, ns.Complement):
         monkeypatch.setattr(cls, "prefix", no_prefix)
-    assert supply.next_after(0) == 2
-    with pytest.raises(ExhaustedA):
-        supply.next_after(2)
+    for batched in (False, True):
+        supply = MemberSupply(x, (F(1, 2),), F(1, 8))
+        assert first_member(supply, 0, batched) == 2
+        with pytest.raises(ExhaustedA):
+            first_member(supply, 2, batched)
 
 
 # a harmonic subsequence whose map's table ends at position 500
@@ -397,11 +406,12 @@ def test_supply_past_a_map_table_steps_to_its_end():
     # x_n = 1/(2n): the radius-1/4 ball around 0 is {3, 4, ...}; the first
     # prefix window (4096) passes the table, so member() walks up to it
     x = apply(SHORT_SIGMA, zoo.get_sequence("harmonic"))
-    supply = MemberSupply(x, (F(0),), F(1, 4))
-    assert supply.next_after(0) == 3
-    assert supply.next_after(499) == 500
-    with pytest.raises(ExhaustedA):
-        supply.next_after(500)
+    for batched in (False, True):
+        supply = MemberSupply(x, (F(0),), F(1, 4))
+        assert first_member(supply, 0, batched) == 3
+        assert first_member(supply, 499, batched) == 500
+        with pytest.raises(ExhaustedA):
+            first_member(supply, 500, batched)
 
 
 def test_extraction_through_a_finite_map():

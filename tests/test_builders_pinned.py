@@ -17,7 +17,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from idealconv import natset as ns
 from idealconv import transforms as tr
@@ -86,6 +86,41 @@ def ref_fill_pi_table_selected(w, horizon, selector, draw_many):
                     p = hi
                     continue
                 # unaffordable: fall through to identity filling
+        table.append(frontier + 1)
+        frontier += 1
+        p += 1
+    return table, fills
+
+
+def ref_fill_pi_table(w, horizon, draw):
+    """The permutation filler's per-position body: one identity value per
+    position, and each payload's displaced values listed by a membership
+    test against the drawn ones."""
+    table = []
+    fills = []
+    frontier = 0
+    blocks = iter(w.blocks_within(horizon))
+    nxt = next(blocks, None)
+    p = 1
+    while p <= horizon:
+        while nxt is not None and nxt[2] <= p:
+            nxt = next(blocks, None)
+        if nxt is not None and nxt[1] == p:
+            k, lo, hi = nxt
+            spec = draw(k, len(fills) + 1, hi - lo, frontier)
+            if spec is not None:
+                drawn = spec[0]
+                flush_len = (drawn[-1] - frontier) - (hi - lo)
+                if hi + flush_len - 1 <= horizon:
+                    used = set(drawn)
+                    table.extend(drawn)
+                    table.extend(v for v in range(frontier + 1, drawn[-1])
+                                 if v not in used)
+                    frontier = drawn[-1]
+                    fills.append(tr.BlockFill(k, lo, hi, spec[1], spec[2],
+                                              False))
+                    p = hi + flush_len
+                    continue
         table.append(frontier + 1)
         frontier += 1
         p += 1
@@ -187,6 +222,83 @@ def test_generic_permutation_matches_the_former_selected_filler(
     assert spans(res.blocks) == spans(ref_fills)
     assert all(f.verified and f.candidate is None and f.radius_index is None
                for f in res.blocks)
+
+
+class Blocks:
+    """Consecutive blocks [bounds[i], bounds[i + 1]), numbered from 1, as
+    ``WitnessIntervals.blocks_within`` yields them."""
+
+    def __init__(self, bounds):
+        self.bounds = bounds
+
+    def blocks_within(self, horizon):
+        for k, (lo, hi) in enumerate(zip(self.bounds, self.bounds[1:]), 1):
+            if hi - 1 > horizon:
+                return
+            yield k, lo, hi
+
+
+def logged_draw(plans, log):
+    """Block k's payload steps up from the frontier by the gaps of plan
+    k mod len(plans), cycled; a plan of None skips the block.  Every call
+    is logged."""
+    def draw(k, j, length, frontier):
+        log.append((k, j, length, frontier))
+        gaps = plans[k % len(plans)]
+        if gaps is None:
+            return None
+        values, v = [], frontier
+        for i in range(length):
+            v += gaps[i % len(gaps)]
+            values.append(v)
+        return values, (F(k),), j
+    return draw
+
+
+def fill_events(bounds, horizon, plans):
+    """What a fill met: a skipped block, an unaffordable payload, a cursor
+    left inside a block by a flush."""
+    log, events = [], set()
+    table, fills = ref_fill_pi_table(Blocks(bounds), horizon,
+                                     logged_draw(plans, log))
+    covered = {f.block for f in fills}
+    for k, _, length, _ in log:
+        if k not in covered:
+            events.add("skipped" if plans[k % len(plans)] is None
+                       else "unaffordable")
+    # a flush ends where the positions reach the payload's last value
+    for f in fills:
+        cursor = max(table[:f.hi - 1]) + 1
+        if cursor <= horizon and cursor not in bounds:
+            events.add("inside")
+    return events
+
+
+block_bounds = st.lists(st.integers(1, 6), min_size=1, max_size=30).map(
+    lambda lengths: [1 + sum(lengths[:i]) for i in range(len(lengths) + 1)])
+payload_plans = st.lists(
+    st.none() | st.lists(st.integers(1, 4) | st.sampled_from([9, 60]),
+                         min_size=1, max_size=4),
+    min_size=1, max_size=6)
+
+
+@example(bounds=[1, 3, 6, 8, 12, 15], horizon=14, plans=[None, [2], [9]])
+@given(bounds=block_bounds, horizon=st.integers(1, 120), plans=payload_plans)
+def test_pi_filler_equals_the_per_position_loop(bounds, horizon, plans):
+    got_log, want_log = [], []
+    got = tr._fill_pi_table(Blocks(bounds), horizon,
+                            logged_draw(plans, got_log))
+    want = ref_fill_pi_table(Blocks(bounds), horizon,
+                             logged_draw(plans, want_log))
+    assert got == want and got_log == want_log
+    assert sorted(got[0]) == list(range(1, horizon + 1))
+
+
+def test_pi_filler_example_meets_every_case():
+    # the explicit example above skips a block, finds a payload it cannot
+    # afford, and leaves the cursor inside a block after a flush
+    assert fill_events([1, 3, 6, 8, 12, 15], 14, [None, [2], [9]]) == {
+        "skipped", "unaffordable", "inside"}
 
 
 @pytest.mark.parametrize("horizon", [24, 100, 300, 1000, 4000])

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import stat
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -557,3 +560,96 @@ def test_partition_check_names_the_first_bad_index(capsys, sets, detail):
                     "--horizon", "1024"]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config" and detail in err["detail"]
+
+
+# --- the output files ---------------------------------------------------------
+
+# sha256 of PREFIX.json and PREFIX.csv, and the routes of PREFIX.meta.json,
+# as the files were written through pathlib before each became one
+# os.open/os.write/os.close
+OUTPUT_PINS = [
+    (["analyze", "--seq", "char:evens", "--ideal", "Z", "--mode", "gamma"], 0,
+     "ca4644951a846a775a41813858bd08c5c49805541c974ef980c543d8a9bb29ff",
+     "bf16c7db0c81fcb26b03617b2a253a6e77689531004192bd8c95c9a7368f93f9",
+     {"gamma": {"exact-norm": 20}}),
+    (["analyze", "--seq", "harmonic", "--ideal", "gdi", "--horizon", "4096",
+      "--radii", "4", "--pitch", "1/16"], 0,
+     "de45d7dc4576b9c75302bc86b6470af528f82cadf299607ad23be3eea255acfc",
+     "6c810fcf5649b10b694ede31239ba94edad763c47525684b27c193102dac5dd2",
+     {"gamma": {"exact-norm": 68}, "lambda": {"exact-norm": 68}}),
+    (["analyze", "--seq", "charblocks:2", "--ideal", "gdi", "--mode", "gamma",
+      "--horizon", "4096", "--radii", "4", "--pitch", "1/16"], 2,
+     "6fed9afe95ad82ccdcbaa4ff1a1b501c2c0fd91bd9c4ebb43f00e09c316d64c8",
+     "d9a20cf1de6a4378335da67601d8d05abf2329413b068fa237da700640cbcd32",
+     {"gamma": {"tail-trend": 8}}),
+]
+
+
+def sha256_of(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("args, code, json_sha, csv_sha, routes", OUTPUT_PINS)
+def test_output_files_keep_their_bytes(tmp_path, args, code, json_sha,
+                                       csv_sha, routes):
+    out = tmp_path / "rep"
+    assert run([*args, "--out", str(out)]) == code
+    assert sha256_of(f"{out}.json") == json_sha
+    assert sha256_of(f"{out}.csv") == csv_sha
+    meta = read(f"{out}.meta.json")
+    assert sorted(meta) == ["routes", "written_at_unix"]
+    assert meta["routes"] == routes
+    # rewriting over the files truncates them to the same bytes
+    assert run([*args, "--out", str(out)]) == code
+    assert sha256_of(f"{out}.json") == json_sha
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_output_files_get_the_open_mode(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        assert run(["analyze", "--seq", "char:evens", "--ideal", "Z",
+                    "--mode", "gamma", "--out", str(tmp_path / "x")]) == 0
+    finally:
+        os.umask(old)
+    for suffix in (".json", ".csv", ".meta.json"):
+        assert stat.S_IMODE(os.stat(tmp_path / f"x{suffix}").st_mode) == mode
+
+
+@pytest.mark.parametrize("out, written", [
+    ("dir/", "dir"),            # pathlib drops a trailing slash
+    ("a//b", "a/b"),
+    ("a/./b", "a/b"),
+    ("a/b/c/d/rep", "a/b/c/d/rep"),     # missing parents are made
+])
+def test_output_file_names_follow_pathlib(tmp_path, monkeypatch, out,
+                                          written):
+    monkeypatch.chdir(tmp_path)
+    assert run(["ideals", "list", "--out", out]) == 0
+    made = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")
+                  if p.is_file())
+    assert made == [f"{written}.json", f"{written}.meta.json"]
+
+
+def test_output_under_a_regular_file_exits_one(tmp_path, capsys):
+    (tmp_path / "f").write_text("")
+    for out in ("f/rep", "f/a/rep"):
+        assert run(["ideals", "list", "--out", str(tmp_path / out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f"]
+
+
+def test_each_numeric_setting_is_parsed_once(tmp_path, monkeypatch):
+    parsed = Counter()
+
+    def counting(*args):
+        if len(args) == 1 and isinstance(args[0], str):
+            parsed[args[0]] += 1
+        return Fraction(*args)
+
+    monkeypatch.setattr(cli, "Fraction", counting)
+    assert run(["analyze", "--seq", "char:evens", "--ideal", "Z",
+                "--mode", "lambda-q", "--pitch", "1/2048", "--theta", "1/99",
+                "--q", "3/5", "--out", str(tmp_path / "x")]) == 0
+    assert parsed == {text: 1 for text in
+                      ("1/2048", "1/99", "3/5", "1/8", "1/4", "1/2")}

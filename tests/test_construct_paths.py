@@ -2,7 +2,7 @@
 they replaced.
 
 - ``cli.json_text`` against ``json.dumps(..., sort_keys=True, indent=2)``.
-- ``MemberSupply.run`` against one ``next_after`` per member.
+- ``MemberSupply.run`` against one walk step per member.
 - the block-local ``DensityFamily.interval_mass`` against the walk from
   block 1.
 - ``natset.prefix_gather`` (the audit's gather) against one ``member()``
@@ -92,10 +92,10 @@ def test_writer_on_a_preserve_report():
 # --- member runs --------------------------------------------------------------------
 
 def ref_run(supply, length, floor):
-    """The replaced loop: one next_after per member."""
+    """The replaced loop: one walk step per member."""
     out = []
     for _ in range(length):
-        floor = supply.next_after(floor)
+        floor = next(supply.walk(floor))
         out.append(floor)
     return out
 
@@ -122,9 +122,9 @@ RUN_SEQUENCES = {
        st.integers(1, 6),
        st.lists(st.tuples(st.integers(0, 40), st.integers(-30, 400)),
                 min_size=1, max_size=12))
-def test_run_equals_repeated_next_after(seq, center, level, calls):
+def test_run_equals_one_walk_step_per_member(seq, center, level, calls):
     # floors may fall below the last member drawn: both forms then start
-    # from that member again, as next_after does
+    # from that member again, as a walk does
     x = RUN_SEQUENCES[seq]()
     eps = RadiusSchedule.dyadic(6).radii[level - 1]
     got_supply = tr.MemberSupply(x, (center,), eps)
