@@ -21,7 +21,7 @@ print("\n== limit norms with trend diagnostics ==")
 for s, label in ((Progression(2, 2), "evens"), (PowersOf(2), "powers"),
                  (Cofinite([5]), "cofinite")):
     est = norm_estimate(rd, s, 1 << 20)
-    print(f"{label:9s} exact={est.exact}  numeric={float(est.numeric):.6f}  "
+    print(f"{label:9s} exact={rd.exact_norm(s)}  numeric={float(est.numeric):.6f}  "
           f"trend={est.trend}")
 
 print("\n== membership in the built-in ideals ==")

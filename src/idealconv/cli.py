@@ -19,7 +19,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -140,10 +140,6 @@ class RunConfig:
                 if f.name != "out"}
         body["q_grid"] = list(self.q_grid)
         return body
-
-    @staticmethod
-    def from_json(body: dict) -> "RunConfig":
-        return RunConfig(**body)
 
     def analysis_params(self) -> AnalysisParams:
         return AnalysisParams(
@@ -341,18 +337,14 @@ def cmd_preserve(cfg: RunConfig) -> int:
             raise ValueError("add mode needs --ell")
         ell = as_point(cfg.number("ell"), x.dim)
         if cfg.kind == "pi":
-            result = tr.cluster_adding_pi(x, ell, handle, w, params,
-                                          horizon=cfg.horizon)
+            result = tr.cluster_adding_pi(x, ell, handle, w, params)
         else:
-            result = tr.cluster_adding_sigma(x, ell, handle, w, params,
-                                             horizon=cfg.horizon)
+            result = tr.cluster_adding_sigma(x, ell, handle, w, params)
     else:
         if cfg.kind == "pi":
-            result = tr.cluster_preserving_pi(x, handle, w, params,
-                                              horizon=cfg.horizon)
+            result = tr.cluster_preserving_pi(x, handle, w, params)
         else:
-            result = tr.cluster_preserving_sigma(x, handle, w, params,
-                                                 horizon=cfg.horizon)
+            result = tr.cluster_preserving_sigma(x, handle, w, params)
     payload = {"config": cfg.to_json(), "result": result.to_json()}
     _emit(cfg.out, payload)
     return EXIT_OK
@@ -386,15 +378,12 @@ def cmd_sample(cfg: RunConfig) -> int:
     for i in range(cfg.maps):
         seed_i = cfg.seed * 100003 + i
         if cfg.kind == "pi":
-            t = tr.random_pi(seed_i, window=16, length=cfg.length)
+            t = tr.random_pi(seed_i, length=cfg.length)
         else:
             t = tr.random_sigma(seed_i, length=cfg.length)
         y = tr.apply(t, x)
-        sub_params = AnalysisParams(
-            horizon=min(cfg.length, params.horizon),
-            schedule=params.schedule, pitch=params.pitch,
-            hit_min=max(2, params.hit_min // 4), theta=params.theta,
-            q_grid=params.q_grid)
+        # a map's table ends at its length, so its analysis stops there
+        sub_params = replace(params, horizon=min(cfg.length, params.horizon))
         g = gamma_estimate(y, handle, sub_params, candidates=grid,
                            records=False)
         same = set(g.points()) == base_set

@@ -11,7 +11,6 @@ passes cutoff k when it contains no block of index >= k.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -77,9 +76,6 @@ class WitnessIntervals(ns.BlockPartition):
     def from_json(body: dict) -> "WitnessIntervals":
         return WitnessIntervals(body["rule"], Fraction(body["q0"]),
                                 ns.BlockPartition.from_json(body))
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 def _phi_search_partition(handle: IdealHandle, q: Fraction) -> ns.BlockPartition:
@@ -404,7 +400,7 @@ def _sample_estimate(handle: IdealHandle, sample: ns.NatSet,
         # row is the whole prefix's
         if all(m.tail_correction(t, h) == 1 for t in sm.default_cuts(h)):
             return sm.phi(m, sample, h)
-        return sm.norm_estimate(m, sample, h, head=True, exact=None).best
+        return sm.norm_estimate(m, sample, h, head=True).best
     # product ideal: fraction of valuation rows r <= 10 hit inside the horizon
     hit = valuation_rows(sample, min(params.horizon, 1 << 17))
     return Fraction(len([r for r in range(11) if r in hit]), 11)

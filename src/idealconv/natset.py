@@ -11,10 +11,12 @@ exact and vectorized.  A tree whose leaves are all finite, cofinite or
 progressions has an eventually periodic normal form (:class:`Periodic`:
 segments sharing one period, each with a residue bitmask), built on first
 use unless its masks would pass ``PERIODIC_BITS``; it answers density,
-infiniteness, cofiniteness, member walks and the Fin x Fin row rule.
-Mixed trees keep their structural rules.  A tested set may carry a
-certified natural density (the ``rationals`` balls do); ``natural_density``
-reads it, a periodic form's, or one minus either's under a complement.
+infiniteness, cofiniteness, member walks and the Fin x Fin row rule.  Two
+forms, with PowersOf leaves of one base emptied and filled, decide such a
+tree's infiniteness; other mixed trees keep their structural rules.  A
+tested set may carry a certified natural density (the ``rationals`` balls
+do); ``natural_density`` reads it, a periodic form's, or one minus
+either's under a complement.
 """
 
 from __future__ import annotations
@@ -205,6 +207,7 @@ class BlockGuarantees:
     two integers once b >= pairs_from.  singletons: every block is one
     integer.  mass: every block has phi mass >= mass under the ideal
     ``mass_ideal`` = (name, construction params) whose search built it.
+    Every certificate reads this record and nothing else of the tag.
     """
     ratio: Optional[Fraction] = None
     proportional: bool = False
@@ -316,7 +319,7 @@ class NatSet:
 
     def is_infinite(self) -> Optional[bool]:
         form = periodic_form(self)      # None unless every leaf is periodic
-        return None if form is None else form.masks[-1] != 0
+        return self._powers_infinite if form is None else form.masks[-1] != 0
 
     def is_cofinite(self) -> Optional[bool]:
         form = periodic_form(self)
@@ -325,6 +328,36 @@ class NatSet:
     @cached_property
     def _periodic(self) -> Optional["Periodic"]:
         return _build_periodic(self)
+
+    @cached_property
+    def _powers_infinite(self) -> Optional[bool]:
+        """Infiniteness of a tree of periodic and PowersOf(b) leaves, one b
+        (else None).  Off the powers of b the set agrees with the tree whose
+        powers leaves are EMPTY, on them with the one whose are FULL.  The
+        first, if infinite, has positive density, which the powers lack;
+        else the set is infinite iff the second holds b^j for infinitely
+        many j, which the cycle of b^j mod its period decides."""
+        bases: set[int] = set()
+        empty = _with_powers_as(self, EMPTY, bases)
+        if empty is None or len(bases) != 1:
+            return None
+        form = periodic_form(empty)
+        if form is None:
+            return None
+        if form.masks[-1]:
+            return True
+        form = periodic_form(_with_powers_as(self, FULL, bases))
+        if form is None:
+            return None
+        (b,), period = bases, form.period
+        seen: dict[int, int] = {}      # residue of b^j -> its step
+        r = b % period
+        while r not in seen:
+            seen[r] = len(seen)
+            r = r * b % period
+        # r recurs first: the residues from its step on recur for ever
+        return any(form.masks[-1] >> ((c - form.offset) % period) & 1
+                   for c in list(seen)[seen[r]:])
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -933,6 +966,22 @@ def periodic_form(s: NatSet) -> Optional[Periodic]:
     """The normal form of a tree of Finite, Cofinite and Progression leaves
     (else None, as past PERIODIC_BITS), built once per set, on first use."""
     return s._periodic
+
+
+def _with_powers_as(s: NatSet, leaf: NatSet, bases: set) -> Optional[NatSet]:
+    """s with each PowersOf leaf as ``leaf`` and its base in ``bases``."""
+    if isinstance(s, PowersOf):
+        bases.add(s.base)
+        return leaf
+    if isinstance(s, (Finite, Cofinite, Progression)):
+        return s
+    if isinstance(s, Complement):
+        part = _with_powers_as(s.part, leaf, bases)
+        return None if part is None else Complement(part)
+    if isinstance(s, (Union, Intersection)):
+        parts = [_with_powers_as(p, leaf, bases) for p in s.parts]
+        return None if None in parts else type(s)(parts)
+    return None
 
 
 # ---------------------------------------------------------------------------

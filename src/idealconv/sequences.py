@@ -480,31 +480,31 @@ def _radius_records(x: SequenceSpec, cands: Sequence[Point], read, record,
 # Limit points and ideal cluster points
 # ---------------------------------------------------------------------------
 
-def limit_points_estimate(x: SequenceSpec, params: AnalysisParams,
-                          extra: Sequence[Point] = (),
-                          candidates: Optional[Sequence[Point]] = None) -> ClusterReport:
+def limit_points_estimate(x: SequenceSpec,
+                          params: AnalysisParams) -> ClusterReport:
     """Ordinary limit points: every neighborhood hit cofinally.
 
-    Alphabet route is exact (a letter is a limit point iff its ball's index
-    set is infinite); otherwise a candidate needs at least ``hit_min`` hits
-    in the tail (horizon/2, horizon] at every radius.
+    A radius is exact where the ball's index set knows whether it is
+    infinite (route ``infiniteness``); otherwise it needs at least
+    ``hit_min`` hits in the tail (horizon/2, horizon] (``hit-count``), or
+    is undecided where that tail cannot be read (``horizon-exceeded``).
     """
-    cands = (list(candidates) if candidates is not None
-             else candidate_grid(x, params, extra))
     half = params.horizon // 2
 
-    def hit_verdict(ind: ns.NatSet) -> str:
+    def hit_verdict(ind: ns.NatSet) -> tuple[str, str]:
         inf = ind.is_infinite()
         if inf is not None:
-            return CLUSTER if inf else NOT_CLUSTER
+            return (CLUSTER if inf else NOT_CLUSTER), "infiniteness"
         try:
             hits = int(ind.prefix(params.horizon)[half:].sum())
         except ns.HorizonExceeded:
-            return UNDECIDED
-        return CLUSTER if hits >= params.hit_min else NOT_CLUSTER
+            return UNDECIDED, "horizon-exceeded"
+        return (CLUSTER if hits >= params.hit_min else NOT_CLUSTER), "hit-count"
 
-    records = _radius_records(x, cands, hit_verdict, RadiusRecord, params,
-                              CLUSTER, NOT_CLUSTER)
+    records = _radius_records(
+        x, candidate_grid(x, params), hit_verdict,
+        lambda eps, r: RadiusRecord(eps, r[0], reason=r[1]),
+        params, CLUSTER, NOT_CLUSTER)
     return ClusterReport("limit-points", x.name, None, None, records, params)
 
 
@@ -565,7 +565,7 @@ def _norm_reader(m: sm.Lscsm, horizon: int):
         exact = m.exact_norm(ind)
         if exact is not None:
             return sm.NormEstimate(exact, None, [], None)
-        return sm.norm_estimate(m, ind, horizon, exact=None)
+        return sm.norm_estimate(m, ind, horizon)
     return estimate
 
 
@@ -618,22 +618,20 @@ def _classify_u(u: UFrakResult, q: Fraction) -> str:
 
 
 def lambda_q_estimate(x: SequenceSpec, handle: IdealHandle, q: Fraction,
-                      params: AnalysisParams,
-                      extra: Sequence[Point] = ()) -> ClusterReport:
+                      params: AnalysisParams) -> ClusterReport:
     """The q-level set of the limiting norm: points where it reaches q."""
-    return _level_set_report("lambda-q", x, handle, q, params, extra)
+    return _level_set_report("lambda-q", x, handle, q, params)
 
 
 def lambda_estimate(x: SequenceSpec, handle: IdealHandle,
-                    params: AnalysisParams,
-                    extra: Sequence[Point] = ()) -> ClusterReport:
+                    params: AnalysisParams) -> ClusterReport:
     """Union of the q-level sets over the configured q grid."""
-    return _level_set_report("lambda", x, handle, None, params, extra)
+    return _level_set_report("lambda", x, handle, None, params)
 
 
 def _level_set_report(mode: str, x: SequenceSpec, handle: IdealHandle,
-                      q: Optional[Fraction], params: AnalysisParams,
-                      extra: Sequence[Point]) -> ClusterReport:
+                      q: Optional[Fraction],
+                      params: AnalysisParams) -> ClusterReport:
     """The candidates whose limiting norm reaches q, each norm read once.
 
     With q None the report is the union of the level sets over
@@ -649,7 +647,7 @@ def _level_set_report(mode: str, x: SequenceSpec, handle: IdealHandle,
             raise ValueError("q must lie in (0, 1]")
     level = min(params.q_grid) if q is None else q
     records = []
-    for c, balls, readings in _walk(x, candidate_grid(x, params, extra),
+    for c, balls, readings in _walk(x, candidate_grid(x, params),
                                     _norm_reader(handle.lscsm, params.horizon),
                                     params.schedule):
         try:

@@ -592,7 +592,7 @@ def classify_trend(values: Sequence[Fraction], slack: Fraction) -> str:
 
 def norm_estimate(m: Lscsm, s: ns.NatSet, horizon: int, *,
                   bits: Optional[np.ndarray] = None,
-                  head: bool = False, exact=...) -> NormEstimate:
+                  head: bool = False) -> NormEstimate:
     """Evaluate phi on the nested tails past ``default_cuts(horizon)`` and
     classify the trend.
 
@@ -601,14 +601,12 @@ def norm_estimate(m: Lscsm, s: ns.NatSet, horizon: int, *,
     a flat trend instead of the mechanical (N - t)/N decay.  ``bits`` is the
     prefix of s on [1, horizon] when the caller already holds it; ``head``
     adds the whole-prefix row (0, phi, phi) in front, which only ``best``
-    reads; ``exact`` is ``m.exact_norm(s)`` when the caller already has it
-    (None included).
+    reads.  The estimate's ``exact`` is None: a caller that wants the exact
+    norm asks ``m.exact_norm(s)`` itself.
     """
     if horizon < 2:
         raise ValueError("a tail estimate needs horizon >= 2")
     cuts = sorted(set(default_cuts(horizon)))
-    if exact is ...:
-        exact = m.exact_norm(s)
     if bits is None:
         bits = s.prefix(horizon)
     elif bits.shape[0] != horizon:
@@ -622,7 +620,7 @@ def norm_estimate(m: Lscsm, s: ns.NatSet, horizon: int, *,
                      else raw / c for t, raw in zip(cuts, raws)]
     rows.extend(zip(cuts, raws, cut_corrected))
     trend = classify_trend(cut_corrected, TREND_SLACK)
-    return NormEstimate(exact=exact, numeric=cut_corrected[-1], rows=rows,
+    return NormEstimate(exact=None, numeric=cut_corrected[-1], rows=rows,
                         trend=trend)
 
 
@@ -637,7 +635,7 @@ def tail_verdict(m: Lscsm, s: ns.NatSet, horizon: int, theta: Fraction
     bits = s.prefix(horizon)
 
     def read(h: int) -> tuple[Optional[bool], NormEstimate]:
-        est = norm_estimate(m, s, h, bits=bits[:h], exact=None)
+        est = norm_estimate(m, s, h, bits=bits[:h])
         if est.trend in ("zero", "decreasing") and est.numeric < theta:
             return True, est
         if est.trend == "non-decreasing" and est.numeric >= theta:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import islice
 from math import gcd
 from operator import lt
-from typing import Iterator, Optional, Sequence, Union as TUnion
+from typing import Optional, Sequence, Union as TUnion
 
 from ._lazy import lazy_numpy
 from . import natset as ns
@@ -70,10 +70,6 @@ class TailRule:
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "param": self.param}
-
-    @staticmethod
-    def from_json(body: dict) -> "TailRule":
-        return TailRule(body["kind"], body.get("param", 0))
 
 
 IDENTITY_TAIL = TailRule("identity-shift", 0)
@@ -186,9 +182,6 @@ class PermutationMap:
             inverse[arr] = np.arange(1, arr.size + 1)
             if np.any(inverse[1:] == 0):
                 raise ValueError("table is not a bijection")
-            self._inverse = inverse
-        else:
-            self._inverse = None
 
     def __len__(self) -> int:
         return len(self.table)
@@ -203,13 +196,6 @@ class PermutationMap:
         return n
 
     __call__ = value
-
-    def inverse_value(self, v: int) -> int:
-        if self.rule == "odd-even-swap":
-            return self.value(v)
-        if v <= len(self.table):
-            return int(self._inverse[v])
-        return v
 
     def values_up_to(self, count: int) -> np.ndarray:
         n = np.arange(1, count + 1, dtype=np.int64)
@@ -233,13 +219,6 @@ class PermutationMap:
 
 
 AnyMap = TUnion[SubsequenceMap, PermutationMap]
-
-
-def map_from_json(body: dict) -> AnyMap:
-    if body["type"] == "sigma":
-        return SubsequenceMap(body["table"], TailRule.from_json(body["tail"]),
-                              body.get("horizon"))
-    return PermutationMap(body["table"], body.get("rule"), body.get("horizon"))
 
 
 def odd_even_swap() -> PermutationMap:
@@ -378,17 +357,6 @@ class MemberSupply:
     def __init__(self, x: SequenceSpec, center: Point, eps: Fraction):
         self._ball = indicator_set(x, center, eps)
         self._last = 0
-
-    def walk(self, floor: int) -> Iterator[int]:
-        """The members strictly greater than floor, increasing, one by one
-        (monotone floors only); running out raises ExhaustedA."""
-        try:
-            for v in ns.iter_members(self._ball, max(floor + 1, self._last)):
-                self._last = v
-                yield v
-        except ns.HorizonExceeded:
-            pass
-        raise ExhaustedA(f"supply exhausted after {self._last}")
 
     def run(self, length: int, floor: int,
             stop: Optional[int] = None) -> list[int]:
@@ -543,19 +511,16 @@ def _ball(x: SequenceSpec, schedule: list[Fraction]):
 
 
 def _preserving_candidates(x: SequenceSpec, handle: IdealHandle,
-                           params: AnalysisParams,
-                           candidates: Optional[Sequence]):
+                           params: AnalysisParams):
     """The preserving builders' hypothesis (cluster set equal to the limit
-    points at this resolution) and their candidate list."""
+    points at this resolution) and their candidates, the cluster points."""
     gamma = gamma_estimate(x, handle, params)
     limits = limit_points_estimate(x, params)
     gset, lset = set(gamma.points()), set(limits.points())
     if gset != lset:
         raise HypothesisFailed(
             f"cluster set {sorted(gset)} != limit points {sorted(lset)}")
-    cands = ([as_point(c, x.dim) for c in candidates]
-             if candidates is not None else sorted(gset))
-    return gamma, gset, cands
+    return gamma, gset, sorted(gset)
 
 
 def _no_new_cluster(x_new: SequenceSpec, handle: IdealHandle,
@@ -643,8 +608,8 @@ def _certified_targets(handle: IdealHandle, w: WitnessIntervals,
 
 
 def cluster_adding_sigma(x: SequenceSpec, ell, handle: IdealHandle,
-                         w: WitnessIntervals, params: AnalysisParams,
-                         horizon: Optional[int] = None) -> BuildResult:
+                         w: WitnessIntervals,
+                         params: AnalysisParams) -> BuildResult:
     """Drive ``ell`` into the cluster set of the reindexed sequence.
 
     Witness block k is filled from the neighborhood of radius index
@@ -653,7 +618,7 @@ def cluster_adding_sigma(x: SequenceSpec, ell, handle: IdealHandle,
     sequence provably contains a block union outside the ideal.
     """
     ell = as_point(ell, x.dim)
-    horizon = horizon or params.horizon
+    horizon = params.horizon
     schedule = list(params.schedule)
     table, fills = _fill_sigma_table(w, horizon, _toward_ell(x, ell, schedule))
     sigma = SubsequenceMap(table, NO_TAIL, horizon=horizon)
@@ -670,9 +635,8 @@ def cluster_adding_sigma(x: SequenceSpec, ell, handle: IdealHandle,
 
 
 def cluster_preserving_sigma(x: SequenceSpec, handle: IdealHandle,
-                             w: WitnessIntervals, params: AnalysisParams,
-                             candidates: Optional[Sequence] = None,
-                             horizon: Optional[int] = None) -> BuildResult:
+                             w: WitnessIntervals,
+                             params: AnalysisParams) -> BuildResult:
     """Round-robin diagonalization keeping the cluster set intact.
 
     Requires the cluster set to equal the limit-point set at this resolution;
@@ -681,8 +645,8 @@ def cluster_preserving_sigma(x: SequenceSpec, handle: IdealHandle,
     subset of every neighborhood indicator, and the reindexed sequence grows
     no new cluster candidates at the grid resolution.
     """
-    horizon = horizon or params.horizon
-    gamma, gset, cands = _preserving_candidates(x, handle, params, candidates)
+    horizon = params.horizon
+    gamma, gset, cands = _preserving_candidates(x, handle, params)
     if not cands:
         return BuildResult(identity_sigma(), [], meta={"kind": "trivial"})
     L = len(cands)
@@ -796,9 +760,8 @@ def generic_permutation(a: ns.NatSet, w: WitnessIntervals,
 
 
 def cluster_preserving_pi(x: SequenceSpec, handle: IdealHandle,
-                          w: WitnessIntervals, params: AnalysisParams,
-                          candidates: Optional[Sequence] = None,
-                          horizon: Optional[int] = None) -> BuildResult:
+                          w: WitnessIntervals,
+                          params: AnalysisParams) -> BuildResult:
     """Permutation analogue of the preserving builder.
 
     Payload blocks (in the order they become affordable) round-robin over the
@@ -806,8 +769,8 @@ def cluster_preserving_pi(x: SequenceSpec, handle: IdealHandle,
     each payload.  The audit checks the payload containments exactly and that
     the rearranged sequence keeps the same cluster set at this resolution.
     """
-    horizon = horizon or params.horizon
-    gamma, gset, cands = _preserving_candidates(x, handle, params, candidates)
+    horizon = params.horizon
+    gamma, gset, cands = _preserving_candidates(x, handle, params)
     if not cands:
         return BuildResult(PermutationMap(), [], meta={"kind": "trivial"})
     schedule = list(params.schedule)
@@ -835,11 +798,10 @@ def cluster_preserving_pi(x: SequenceSpec, handle: IdealHandle,
 
 
 def cluster_adding_pi(x: SequenceSpec, ell, handle: IdealHandle,
-                      w: WitnessIntervals, params: AnalysisParams,
-                      horizon: Optional[int] = None) -> BuildResult:
+                      w: WitnessIntervals, params: AnalysisParams) -> BuildResult:
     """Permutation that makes ``ell`` a cluster point of the rearrangement."""
     ell = as_point(ell, x.dim)
-    horizon = horizon or params.horizon
+    horizon = params.horizon
     schedule = list(params.schedule)
     route = _toward_ell(x, ell, schedule)
     table, fills = _fill_pi_table(
@@ -895,8 +857,7 @@ class ExtractionCertificate:
 
 def limit_witness_extraction(x: SequenceSpec, sigma: Optional[SubsequenceMap],
                              ell, q: Fraction, m: sm.Lscsm,
-                             params: AnalysisParams,
-                             horizon: Optional[int] = None) -> ExtractionCertificate:
+                             params: AnalysisParams) -> ExtractionCertificate:
     """Greedy finite blocks of phi mass q inside shrinking neighborhoods.
 
     Block k is drawn from the indices hitting the radius-k neighborhood of
@@ -906,19 +867,20 @@ def limit_witness_extraction(x: SequenceSpec, sigma: Optional[SubsequenceMap],
     """
     ell = as_point(ell, x.dim)
     q = Fraction(q)
-    horizon = horizon or params.horizon
     x_eff = apply(sigma, x) if sigma is not None else x
     blocks: list[tuple[int, list[int], Fraction, Fraction]] = []
     floor = 0
     for k, eps in enumerate(params.schedule, start=1):
         greedy = _GreedyMass(m, q)
         try:
-            for v in MemberSupply(x_eff, ell, eps).walk(floor):
-                if v > horizon:
+            for v in ns.iter_members(indicator_set(x_eff, ell, eps), floor + 1):
+                if v > params.horizon:
                     raise MassUnavailable(k)
                 if greedy.add(v):
                     break
-        except ExhaustedA:
+            else:
+                raise MassUnavailable(k)
+        except ns.HorizonExceeded:
             raise MassUnavailable(k)
         phi_val = m.phi_points(greedy.members)
         blocks.append((k, greedy.members, phi_val, eps))
@@ -943,40 +905,29 @@ def limit_witness_extraction(x: SequenceSpec, sigma: Optional[SubsequenceMap],
 # Seeded random maps (diagnostics only; outputs are labeled heuristic)
 # ---------------------------------------------------------------------------
 
-def random_sigma(seed: int, gap_law: str = "geometric:1/2",
-                 length: int = 256) -> SubsequenceMap:
-    """Reproducible random strictly increasing map (table of given length)."""
-    rng = random.Random(("sigma", seed, gap_law, length).__repr__())
-    kind, _, param = gap_law.partition(":")
-    if kind == "geometric":
-        p = float(Fraction(param or "1/2"))
-    elif kind == "uniform":
-        top = int(param or 4)
-    else:
-        raise ValueError(f"unknown gap law {gap_law!r}")
+def random_sigma(seed: int, *, length: int = 256) -> SubsequenceMap:
+    """Reproducible random strictly increasing map (table of given length)
+    whose gaps are geometric with parameter 1/2."""
+    rng = random.Random(("sigma", seed, "geometric:1/2", length).__repr__())
     table = []
     v = 0
     for _ in range(length):
-        if kind == "geometric":
-            gap = 1
-            while rng.random() > p:
-                gap += 1
-        else:
-            gap = rng.randint(1, top)
+        gap = 1
+        while rng.random() > 0.5:
+            gap += 1
         v += gap
         table.append(v)
     return SubsequenceMap(table, NO_TAIL, horizon=length)
 
 
-def random_pi(seed: int, window: int = 16, length: int = 256) -> PermutationMap:
-    """Reproducible windowed random bijection on [1, length]."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    rng = random.Random(("pi", seed, window, length).__repr__())
+def random_pi(seed: int, *, length: int = 256) -> PermutationMap:
+    """Reproducible random bijection on [1, length] that shuffles each
+    window of 16 positions."""
+    rng = random.Random(("pi", seed, 16, length).__repr__())
     table: list[int] = []
     base = 0
     while base < length:
-        w = min(window, length - base)
+        w = min(16, length - base)
         chunk = list(range(base + 1, base + w + 1))
         rng.shuffle(chunk)
         table.extend(chunk)

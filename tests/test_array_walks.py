@@ -3,9 +3,8 @@
 ``BlockUnion.prefix`` reads a partition's boundaries as one int64 array; the
 game escape move fixes its length with the submeasure's inverse of its
 interval mass (``Lscsm.mass_length``) and takes its values in one batched
-take (``MemberSupply.run``); ``MemberSupply.walk`` walks the ball's
-index set with ``natset.iter_members``.  The references below are plain loops, one Python
-step per block or value; a supply's reference tests each index n with the
+take (``MemberSupply.run``).  The references below are plain loops, one
+Python step per block or value; a supply's reference tests each index n with the
 exact ``distance(x.point(n), c) < eps`` up to 2^16.  Block unions and
 boundaries are compared by result, or by the type of the exception raised
 (the array form reads the whole partition before the selector, so it may
@@ -66,7 +65,7 @@ def ref_draw_until_mass(state, supply, q, m, horizon):
     vals = []
     while True:
         try:
-            floor = next(supply.walk(floor))
+            floor = supply.run(1, floor)[0]
         except ExhaustedA:
             raise SupplyExhausted(f"no fresh member above {state.floor()}")
         if floor > horizon:
@@ -88,17 +87,19 @@ class RefSupply:
     def __init__(self, x, center, eps):
         self.x, self.center, self.eps = x, as_point(center, x.dim), F(eps)
 
-    def walk(self, floor):
+    def run(self, length, floor):
+        out = []
         for n in range(floor + 1, REF_LIMIT + 1):
             if distance(self.x.point(n), self.center) < self.eps:
-                yield n
-        raise ExhaustedA(f"no member in ({floor}, {REF_LIMIT}]")
+                out.append(n)
+                if len(out) == length:
+                    return out
+        raise ExhaustedA(f"too few members in ({floor}, {REF_LIMIT}]")
 
 
-def first_member(supply, floor, batched=False):
-    """The supply's least member above floor: a one-value batched take, or
-    the first step of its walk."""
-    return supply.run(1, floor)[0] if batched else next(supply.walk(floor))
+def first_member(supply, floor):
+    """The supply's least member above floor, from a one-value take."""
+    return supply.run(1, floor)[0]
 
 
 def outcome(call):
@@ -243,7 +244,7 @@ def test_build_witness_matches_per_block_certification(case, horizon):
     again = WitnessIntervals(w.rule, w.q0, ns.partition_from_tag(w.tag))
     ref_certify(again, handle.lscsm, horizon)
     assert list(w.blocks_within(horizon)) == list(again.blocks_within(horizon))
-    assert w.dumps() == again.dumps()
+    assert w.to_json() == again.to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +355,10 @@ def test_escape_edges_match_linear_scan(seq, kind):
 @given(st.sampled_from(["harmonic", "rationals"]),
        st.sampled_from([F(0), F(1, 2), F(1, 3)]),
        st.integers(1, 8),
-       st.lists(st.tuples(st.integers(0, 3000), st.booleans()), min_size=1,
-                max_size=40))
+       st.lists(st.integers(0, 3000), min_size=1, max_size=40))
 def test_supply_matches_per_point_reference(seq, center, level, steps):
-    # where the reference finds a member the supply returns it, from a
-    # batched take or a walk step; where it finds none up to 2^16, a finite
+    # where the reference finds a member the supply returns it; where it
+    # finds none up to 2^16, a finite
     # ball has ended and the supply raises, or the supply's member lies past
     # 2^16 and is one
     x = zoo.get_sequence(seq)
@@ -366,9 +366,9 @@ def test_supply_matches_per_point_reference(seq, center, level, steps):
     supply, ref = MemberSupply(x, (center,), eps), RefSupply(x, (center,), eps)
     finite = indicator_set(x, (center,), eps).is_infinite() is False
     floor = 0
-    for step, batched in steps:
+    for step in steps:
         floor += step
-        got = outcome(lambda: first_member(supply, floor, batched))
+        got = outcome(lambda: first_member(supply, floor))
         want = outcome(lambda: first_member(ref, floor))
         if want[0] == "ok":
             assert got == want
@@ -391,11 +391,10 @@ def test_finite_closed_form_ball_ends_without_a_scan(monkeypatch):
         raise AssertionError(f"prefix({horizon}) read")
     for cls in (ns.Intersection, ns.Progression, ns.Complement):
         monkeypatch.setattr(cls, "prefix", no_prefix)
-    for batched in (False, True):
-        supply = MemberSupply(x, (F(1, 2),), F(1, 8))
-        assert first_member(supply, 0, batched) == 2
-        with pytest.raises(ExhaustedA):
-            first_member(supply, 2, batched)
+    supply = MemberSupply(x, (F(1, 2),), F(1, 8))
+    assert first_member(supply, 0) == 2
+    with pytest.raises(ExhaustedA):
+        first_member(supply, 2)
 
 
 # a harmonic subsequence whose map's table ends at position 500
@@ -406,12 +405,11 @@ def test_supply_past_a_map_table_steps_to_its_end():
     # x_n = 1/(2n): the radius-1/4 ball around 0 is {3, 4, ...}; the first
     # prefix window (4096) passes the table, so member() walks up to it
     x = apply(SHORT_SIGMA, zoo.get_sequence("harmonic"))
-    for batched in (False, True):
-        supply = MemberSupply(x, (F(0),), F(1, 4))
-        assert first_member(supply, 0, batched) == 3
-        assert first_member(supply, 499, batched) == 500
-        with pytest.raises(ExhaustedA):
-            first_member(supply, 500, batched)
+    supply = MemberSupply(x, (F(0),), F(1, 4))
+    assert first_member(supply, 0) == 3
+    assert first_member(supply, 499) == 500
+    with pytest.raises(ExhaustedA):
+        first_member(supply, 500)
 
 
 def test_extraction_through_a_finite_map():

@@ -1,8 +1,11 @@
 """Command surface: exit codes, schemas, overrides, reproducibility."""
 
+import argparse
 import hashlib
+import inspect
 import json
 import os
+import re
 import stat
 from collections import Counter
 from fractions import Fraction
@@ -27,7 +30,7 @@ def test_run_config_round_trip():
     cfg = RunConfig(command="analyze", seq="char:evens", ideal="density-zero",
                     horizon=4096, q="1/4", seed=9)
     body = cfg.to_json()
-    again = RunConfig.from_json({**body, "out": None})
+    again = RunConfig(**{**body, "out": None})
     assert again.to_json() == body
     with pytest.raises(ValueError):
         RunConfig(command="analyze", horizon=0).validate()
@@ -101,9 +104,11 @@ def test_meta_counts_the_deciding_routes(tmp_path):
     args = ["analyze", "--seq", "harmonic", "--ideal", "summable",
             "--horizon", "4096", "--radii", "4", "--pitch", "1/16"]
     assert run(args + ["--out", str(tmp_path / "a")]) == 0
-    # 17 candidates x 4 radii, every ball decided by its exact norm
+    # 17 candidates x 4 radii, every ball decided by its exact norm, and
+    # every limit-point radius by the ball's infiniteness
     assert read(tmp_path / "a.meta.json")["routes"] == {
-        "gamma": {"exact-norm": 68}, "lambda": {"exact-norm": 68}}
+        "gamma": {"exact-norm": 68}, "lambda": {"exact-norm": 68},
+        "limit_points": {"infiniteness": 68}}
     # the counts stay out of the primary outputs, which rerun byte for byte
     assert run(args + ["--out", str(tmp_path / "b")]) == 0
     for suffix in (".json", ".csv"):
@@ -576,7 +581,8 @@ OUTPUT_PINS = [
       "--radii", "4", "--pitch", "1/16"], 0,
      "de45d7dc4576b9c75302bc86b6470af528f82cadf299607ad23be3eea255acfc",
      "6c810fcf5649b10b694ede31239ba94edad763c47525684b27c193102dac5dd2",
-     {"gamma": {"exact-norm": 68}, "lambda": {"exact-norm": 68}}),
+     {"gamma": {"exact-norm": 68}, "lambda": {"exact-norm": 68},
+      "limit_points": {"infiniteness": 68}}),
     (["analyze", "--seq", "charblocks:2", "--ideal", "gdi", "--mode", "gamma",
       "--horizon", "4096", "--radii", "4", "--pitch", "1/16"], 2,
      "6fed9afe95ad82ccdcbaa4ff1a1b501c2c0fd91bd9c4ebb43f00e09c316d64c8",
@@ -653,3 +659,50 @@ def test_each_numeric_setting_is_parsed_once(tmp_path, monkeypatch):
                 "--q", "3/5", "--out", str(tmp_path / "x")]) == 0
     assert parsed == {text: 1 for text in
                       ("1/2048", "1/99", "3/5", "1/8", "1/4", "1/2")}
+
+
+# --- the README names the command-line contract -------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _commands_and_flags(parser, path=()):
+    """Every command path of the parser tree, and every long flag."""
+    paths, flags = set(), set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                paths.add(path + (name,))
+                more_paths, more_flags = _commands_and_flags(sub, path + (name,))
+                paths |= more_paths
+                flags |= more_flags
+        else:
+            flags.update(o for o in action.option_strings if o.startswith("--"))
+    return paths, flags
+
+
+def _usage_lines(text):
+    """The words of each README line that starts with ``idealconv``, each
+    word the set of its ``|`` alternatives."""
+    return [[set(word.split("|")) for word in line.split()[1:]]
+            for line in text.splitlines() if line.startswith("idealconv ")]
+
+
+def test_readme_names_every_command_flag_exit_code_and_error_kind():
+    text = README.read_text()
+    paths, flags = _commands_and_flags(cli._build_parser())
+    usage = _usage_lines(text)
+    missing = [" ".join(p) for p in sorted(paths)
+               if not any(len(words) >= len(p) and
+                          all(name in words[i] for i, name in enumerate(p))
+                          for words in usage)]
+    missing += [f for f in sorted(flags)
+                if not re.search(re.escape(f) + r"(?![\w-])", text)]
+    codes = text[text.index("Exit codes:"):].split("\n\n")[0]
+    missing += [name for name, value in vars(cli).items()
+                if name.startswith("EXIT_") and f"`{value}`" not in codes]
+    kinds = re.findall(r'"error": "([\w-]+)"', inspect.getsource(cli.main))
+    assert len(kinds) == 3
+    flat = " ".join(text.split())
+    missing += [k for k in kinds if f'"error": "{k}"' not in flat]
+    assert not missing

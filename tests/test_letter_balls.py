@@ -162,7 +162,8 @@ SHAPE = ["--horizon", "8192", "--radii", "6", "--pitch", "1/64"]
     (["--seq", "charblocks:2", "--ideal", "gdi", "--mode", "all"], 2,
      "a00965db4bccc9413df2676c834c5de6bb670d421e29092411c06cf3de38e05f",
      "61e7a34e7552433995430a78b05fcb782e9e2ebb061367e5dd530048871ef95f",
-     {"gamma": {"tail-trend": 12}, "lambda": {"tail-trend": 12}}),
+     {"gamma": {"tail-trend": 12}, "lambda": {"tail-trend": 12},
+      "limit_points": {"infiniteness": 12}}),
     (["--seq", "charblocks:2", "--ideal", "fin-x-fin", "--mode", "gamma"], 0,
      "26aa4414aa6ce3af624a4f60e91e6225b68521ae3eda01290afd0b80c60e454c",
      "51b47e97e612c670486c3eb20bc99c1fe31e5034dad4f01a5a58b29a23810fc1",
@@ -176,7 +177,7 @@ SHAPE = ["--horizon", "8192", "--radii", "6", "--pitch", "1/64"]
     (["--seq", CYC, "--ideal", "fin", "--mode", "limits"], 0,
      "d3f1acbd9c5dcf144e38be4bea3458367fc90354b2222d50e6f8ff4741325c73",
      "ea81075e9a767af02f950bb8e5cbef45c1f43c06fdcd0c48493c8ac34529a1c4",
-     None),
+     {"limit_points": {"infiniteness": 18}}),
     (["--seq", CYC, "--ideal", "Z", "--mode", "convergence", "--ell", "0"], 0,
      "82eec5c3836f484cc81ce25ca3e632998b25ec67e653c1c4c084c653968880a2",
      None,
@@ -185,7 +186,8 @@ SHAPE = ["--horizon", "8192", "--radii", "6", "--pitch", "1/64"]
     (["--seq", CYC, "--ideal", "summable", "--mode", "all"], 0,
      "afe81208c1dc809b0a13025314d976ce3e8f6667afa2c5555cde4a8c87a0b669",
      "22ceac793abea609c8a6c4e4e9fc788b88fc256be2d80ac071398be467c83eb2",
-     {"gamma": {"exact-norm": 18}, "lambda": {"exact-norm": 18}}),
+     {"gamma": {"exact-norm": 18}, "lambda": {"exact-norm": 18},
+      "limit_points": {"infiniteness": 18}}),
     (["--seq", RES, "--ideal", "summable", "--mode", "lambda-q",
       "--q", "1/4"], 0,
      "ba6e39333517ff52e9521776cf7ad8405380c028424ee8e847646b14f9f8e4f5",
@@ -194,7 +196,8 @@ SHAPE = ["--horizon", "8192", "--radii", "6", "--pitch", "1/64"]
     (["--seq", RES, "--ideal", "fin", "--mode", "all"], 0,
      "5e1db94f97341a4e51a9a3cd1987ec3b427e887156fcf97985c341c53dbe36ac",
      "38e99c5ed56d3ccbf17b09e3a5ef1806c54578245eae0ce8bc03a4b3dd9e9e91",
-     {"gamma": {"exact-norm": 18}, "lambda": {"exact-norm": 18}}),
+     {"gamma": {"exact-norm": 18}, "lambda": {"exact-norm": 18},
+      "limit_points": {"infiniteness": 18}}),
     (["--seq", RES, "--ideal", "gdi", "--mode", "convergence",
       "--ell", "1/4"], 0,
      "a8474af7c917a0ee072100ee202cf4121b0db3336e39d31f745364afb2004ee2",
@@ -210,10 +213,11 @@ SHAPE = ["--horizon", "8192", "--radii", "6", "--pitch", "1/64"]
      "4b47af4d39d5667af2a59f0c8443854489935f7b439a4e4ecbe8a368399d1569",
      {"lambda": {"exact-norm": 12, "tail-trend": 6}}),
     (["--seq", NEST, "--ideal", "gdi", "--mode", "all"], 0,
-     "68101117a83c6a6e229834615f4318a0f8811b1a8ab12486faec9a8d89352548",
+     "a9a4ddff78b5e58cb7acf434bad8fa02283472cd6a1bda3cef38e7a5e74df08d",
      "63cf58c03d4bd552eb4f82fdc8d22003394991ab6d45553a9ba4e345a1e88440",
      {"gamma": {"exact-norm": 12, "tail-trend": 6},
-      "lambda": {"exact-norm": 12, "tail-trend": 6}}),
+      "lambda": {"exact-norm": 12, "tail-trend": 6},
+      "limit_points": {"infiniteness": 18}}),
     (["--seq", PLANE, "--ideal", "Z", "--mode", "gamma"], 0,
      "a35bcbc3f24bf1cb9e5805587adb8c5abf1003c692943cac60a756ae22c78991",
      "3b7b9c1c7cf7332922073bb2313ee8406058dcaa39c8e6fe3f9384ef998e7d78",

@@ -534,6 +534,61 @@ def test_periodic_form_size_cap():
     assert both.is_infinite() is True
 
 
+# --- infiniteness of trees with powers leaves ---------------------------------
+
+@pytest.mark.parametrize("b", [2, 3, 5])
+@pytest.mark.parametrize("k", range(1, 13))
+def test_powers_in_a_progression_are_infinite_iff_a_power_recurs(k, b):
+    # b^j mod k repeats with a cycle of at most k steps, entered long
+    # before j = 64, so the window [64, 64 + k] holds every recurring residue
+    for r in range(1, k + 1):
+        s = ns.Intersection((ns.Progression(r, k), ns.PowersOf(b)))
+        want = any(pow(b, j, k) == r % k for j in range(64, 65 + k))
+        assert s.is_infinite() is want, (r, k, b)
+
+
+STEPS = [1, 2, 3, 4, 5, 6, 8, 12]     # any lcm of them divides 120
+
+
+def _powers_tree(draw, b, depth):
+    if depth == 0 or draw(st.booleans()):
+        kind = draw(st.sampled_from(["progression", "powers", "finite",
+                                     "cofinite"]))
+        if kind == "progression":
+            k = draw(st.sampled_from(STEPS))
+            return ns.Progression(draw(st.integers(1, k)), k)
+        if kind == "powers":
+            return ns.PowersOf(b)
+        values = draw(st.lists(st.integers(1, 40), max_size=4))
+        return ns.Finite(values) if kind == "finite" else ns.Cofinite(values)
+    kind = draw(st.sampled_from(["union", "intersection", "complement"]))
+    if kind == "complement":
+        return ns.Complement(_powers_tree(draw, b, depth - 1))
+    parts = [_powers_tree(draw, b, depth - 1) for _ in range(2)]
+    return (ns.Union if kind == "union" else ns.Intersection)(parts)
+
+
+@st.composite
+def powers_trees(draw):
+    b = draw(st.sampled_from([2, 3, 5]))
+    return b, _powers_tree(draw, b, 3)
+
+
+@settings(max_examples=200)
+@given(powers_trees())
+def test_trees_with_powers_of_one_base_know_their_infiniteness(case):
+    # past 2^30 every finite leaf and segment start is behind, so a window
+    # of 240 = 2 x 120 integers there holds every residue a tail of
+    # positive density needs, and b^j with j in [64, 64 + 120] passes every
+    # residue mod 120 that b^j recurs on
+    b, s = case
+    powers = ns.PowersOf(b)
+    dense = any(s.member(n) for n in range(1 << 30, (1 << 30) + 240)
+                if not powers.member(n))
+    want = dense or any(s.member(b ** j) for j in range(64, 65 + 120))
+    assert s.is_infinite() is want
+
+
 # --- batched takes against the member walk -----------------------------------
 
 def ref_take(s, start, want, stop):

@@ -4,7 +4,11 @@ Every analysis mode reads each candidate's balls radius by radius and folds
 the readings into a classification.  The .json and .csv digests and the
 meta route counts below were written when each mode walked its candidates
 in a loop of its own; a rewrite of the walks must leave them as they are.
-Horizons stay at 2^12, so the file runs in seconds.
+Since then the limit-point radii count their route in the meta file, and
+the nested-1-2-3 reports were re-pinned when trees with powers leaves of
+one base learned their infiniteness: 1/2, whose index set is {3, 9, 27,
+...}, is now a limit point.  Horizons stay at 2^12, so the file runs in
+seconds.
 
 Level-set reports also read each letter subset's norm once per report,
 however many candidates and radii give that subset.
@@ -45,7 +49,8 @@ SHAPE = ["--horizon", "4096", "--radii", "4", "--pitch", "1/16"]
     ("charblocks:2", "Z", ["--mode", "all"], 0,
      "656eb426c01a01fe24cb23630dc539669d01861bce202efe3fc39d9d2e27786b",
      "33bfcd4c5b7722d911817992a3d4b64ad340e959f27f7f13cd515832c86e8d42",
-     {"gamma": {"witness-blocks": 8}, "lambda": {"tail-trend": 8}}),
+     {"gamma": {"witness-blocks": 8}, "lambda": {"tail-trend": 8},
+      "limit_points": {"infiniteness": 8}}),
     ("charblocks:2", "Z", ["--mode", "lambda-q", "--q", "1/4"], 0,
      "89d5cbe4c01f2379e4a1e61a7939f06ab615c2d5eca6230b92a47e1c72433b44",
      "aa2395795f1b7238a8de50bc306997c24e5e420f4d0def99a4acd9fca85c4c39",
@@ -57,7 +62,8 @@ SHAPE = ["--horizon", "4096", "--radii", "4", "--pitch", "1/16"]
     ("charblocks:2", "summable", ["--mode", "all"], 0,
      "344feb06d7dd3c30ca7d0567bc2c9b85c1aae92f3fd1d75db37e8ab0caba8f89",
      "33bfcd4c5b7722d911817992a3d4b64ad340e959f27f7f13cd515832c86e8d42",
-     {"gamma": {"witness-blocks": 8}, "lambda": {"tail-trend": 8}}),
+     {"gamma": {"witness-blocks": 8}, "lambda": {"tail-trend": 8},
+      "limit_points": {"infiniteness": 8}}),
     ("charblocks:2", "summable", ["--mode", "lambda-q", "--q", "1/4"], 0,
      "bcf481d07e2681c1e67f0ca4a8722304a73e2870766d70a624a61edaf53d52a3",
      "7195df938030f1907d7265bf7a7b3cbb765f63c710dfaaafbe75c34e344c66f0",
@@ -69,7 +75,8 @@ SHAPE = ["--horizon", "4096", "--radii", "4", "--pitch", "1/16"]
     ("charblocks:2", "gdi", ["--mode", "all"], 2,
      "7cca61fb95498a8255db8566860794281a51d6a1b22a17f07eaf4699a7c34ed6",
      "d9a20cf1de6a4378335da67601d8d05abf2329413b068fa237da700640cbcd32",
-     {"gamma": {"tail-trend": 8}, "lambda": {"tail-trend": 8}}),
+     {"gamma": {"tail-trend": 8}, "lambda": {"tail-trend": 8},
+      "limit_points": {"infiniteness": 8}}),
     ("charblocks:2", "gdi", ["--mode", "lambda-q", "--q", "1/4"], 0,
      "8c979d86291a97bdce20908893ec40b35c7c25433ed5ce70f36b2438a3802c4e",
      "75cf09f4a7e50924cc84134b2650e7c48fb64e64da4a30f9ab36dc1aee346608",
@@ -81,7 +88,7 @@ SHAPE = ["--horizon", "4096", "--radii", "4", "--pitch", "1/16"]
     ("charblocks:2", "fin-x-fin", ["--mode", "all"], 0,
      "63a97066dcb02e43655c71420411866acc488313060d4737527382183629bd54",
      "6a035cb847b4d6a2a95450cd6ea35e8949d11cc159e47fd8c415c6288271b8d5",
-     {"gamma": {"row-rule": 8}}),
+     {"gamma": {"row-rule": 8}, "limit_points": {"infiniteness": 8}}),
     ("charblocks:2", "fin-x-fin", ["--mode", "convergence", "--ell", "1"], 0,
      "5b474cc3317382eb1217686fa66ad64bab9d4dec89b36f30a2bf1909ae0e917a",
      None,
@@ -89,11 +96,13 @@ SHAPE = ["--horizon", "4096", "--radii", "4", "--pitch", "1/16"]
     ("charblocks:2", "Z", ["--mode", "limits"], 0,
      "61ae6d0059e17ccd5cf8fbc157e0dcaf6ee7bd4ba4c14c9dbc07001fc7902591",
      "6ed6d44546e894cd392f7bc42212ebd6fe38cd33b61b0ed44b8088b189c899f7",
-     None),
+     {"limit_points": {"infiniteness": 8}}),
     (NEST, "Z", ["--mode", "all"], 0,
-     "7b2f5cfaace4fc7fa3032abd4543f5b51e52c5c689bf0fc1e40ba9401df2f66e",
+     "90bccfef5844e9724c8312105d16a03bd4fc6d44702595d6077621ee294e7ce0",
      "9a0ef30739943fee8a3a17617a1f7380173dd479322b4ea757593148c6e5daf3",
-     {"gamma": {"exact-norm": 8, "tail-trend": 4}, "lambda": {"exact-norm": 8, "tail-trend": 4}}),
+     {"gamma": {"exact-norm": 8, "tail-trend": 4},
+      "lambda": {"exact-norm": 8, "tail-trend": 4},
+      "limit_points": {"infiniteness": 12}}),
     (NEST, "Z", ["--mode", "lambda-q", "--q", "1/4"], 0,
      "bc252d78b862a9a3071ecd14c4d61655cabe1f6198c40cb096ac14ae71f78982",
      "9a0ef30739943fee8a3a17617a1f7380173dd479322b4ea757593148c6e5daf3",
@@ -103,9 +112,11 @@ SHAPE = ["--horizon", "4096", "--radii", "4", "--pitch", "1/16"]
      None,
      {"convergence": {"cross": {"exact-norm": 8, "tail-trend": 4}, "primary": {"superset-of-nonmember": 4}}}),
     (NEST, "summable", ["--mode", "all"], 0,
-     "6923fc58b2b2dcaf7c06a20ce8fa1377df5de4a2eefea0f27edb5795285b367d",
+     "d934108d7559a7d0b01cef09c73a66cb4475debce8373ef50e9dbc55994bb14e",
      "e51a6467a17ac5e56ca62b08e64f025d8279b8f727e33066a1149a8cf2f2df1e",
-     {"gamma": {"exact-norm": 8, "tail-trend": 4}, "lambda": {"exact-norm": 8, "tail-trend": 4}}),
+     {"gamma": {"exact-norm": 8, "tail-trend": 4},
+      "lambda": {"exact-norm": 8, "tail-trend": 4},
+      "limit_points": {"infiniteness": 12}}),
     (NEST, "summable", ["--mode", "lambda-q", "--q", "1/4"], 0,
      "3acd12a462f0d1f8a32daf8339582a9aefc9569342cc539495f96d07fda64a1e",
      "8752d4f9394102db6c7bc010606c1a16146b5d076962c31133b9eeb7cf745f86",
@@ -115,9 +126,11 @@ SHAPE = ["--horizon", "4096", "--radii", "4", "--pitch", "1/16"]
      None,
      {"convergence": {"cross": {"exact-norm": 8, "tail-trend": 4}, "primary": {"superset-of-nonmember": 4}}}),
     (NEST, "gdi", ["--mode", "all"], 0,
-     "ebcfb5bc0c7c06fbb154c6d89f356397148a138b383022d90966fcfb92a0213c",
+     "8ed06eb5f5e737fb00d79bcbd8be548662cafa478b745b1c6544d9a047708b8e",
      "5ad397c2273146c4942a38bc670d3470ec62d255c58c08aab968b4ea7f31a4f5",
-     {"gamma": {"exact-norm": 8, "tail-trend": 4}, "lambda": {"exact-norm": 8, "tail-trend": 4}}),
+     {"gamma": {"exact-norm": 8, "tail-trend": 4},
+      "lambda": {"exact-norm": 8, "tail-trend": 4},
+      "limit_points": {"infiniteness": 12}}),
     (NEST, "gdi", ["--mode", "lambda-q", "--q", "1/4"], 0,
      "c8dc0874562fbd159deccf935e32605d0833bf628fcfa7719a92a52c723e2ff0",
      "fc634f88902888721af592167429b8970078f6ecccfb5d02c1e8b9aeddf86df7",
@@ -127,21 +140,22 @@ SHAPE = ["--horizon", "4096", "--radii", "4", "--pitch", "1/16"]
      None,
      {"convergence": {"cross": {"exact-norm": 8, "tail-trend": 4}, "primary": {"superset-of-nonmember": 4}}}),
     (NEST, "fin-x-fin", ["--mode", "all"], 0,
-     "0c21d8b23efa7e6d9f61c4afaec84bdaea1abd8c001686e6b784c9b99711b9ca",
+     "df2e22421663624f7ca4dd37d62e325a6882a51d904d952f0176cdcd4b2f6413",
      "0fdcc33807623642c1708a7173b1979ec7a124dc765f7c7b49e81376547039b4",
-     {"gamma": {"row-rule": 12}}),
+     {"gamma": {"row-rule": 12}, "limit_points": {"infiniteness": 12}}),
     (NEST, "fin-x-fin", ["--mode", "convergence", "--ell", "1/2"], 0,
      "236bd45b54b8c3e957c89da7bee65cfd39b88a6cb5ce486f08ba1bfa68f7a18b",
      None,
      {"convergence": {"cross": {"row-rule": 12}, "primary": {"row-rule": 4}}}),
     (NEST, "Z", ["--mode", "limits"], 0,
-     "0352a1a3f958b778afc016eaa82aae58c68def3ef8deaf24e9058fdd12e52e56",
-     "991e55f57a7c203600535c474811c68b64013d9b74e00b27633cc62440ac5f20",
-     None),
+     "b1ae7cab2f50bb941fa45d63999a4d5670d7bff28d7c6beb546cb0a4ae34a584",
+     "c5c639f9da0383153bb176c81fb7f636132bbcd5dd0462fc3993d194f3117496",
+     {"limit_points": {"infiniteness": 12}}),
     ("harmonic", "Z", ["--mode", "all"], 0,
      "d026d7dd58b4a501e7b0a0450343be6587a0ff57388adb58e2860e89fccf7536",
      "6c810fcf5649b10b694ede31239ba94edad763c47525684b27c193102dac5dd2",
-     {"gamma": {"exact-norm": 68}, "lambda": {"exact-norm": 68}}),
+     {"gamma": {"exact-norm": 68}, "lambda": {"exact-norm": 68},
+      "limit_points": {"infiniteness": 68}}),
     ("harmonic", "Z", ["--mode", "lambda-q", "--q", "1/4"], 0,
      "6fd5cfbf6c57130e15e8e18ebe5aee864e3a02046d993ecd44f0adca7b3cdda3",
      "6c810fcf5649b10b694ede31239ba94edad763c47525684b27c193102dac5dd2",
@@ -153,7 +167,8 @@ SHAPE = ["--horizon", "4096", "--radii", "4", "--pitch", "1/16"]
     ("harmonic", "summable", ["--mode", "all"], 0,
      "117e602a2a2e7630cb96f3527f69232df27b6c81db2dbcb79fe2ad4076b6cbbd",
      "6c810fcf5649b10b694ede31239ba94edad763c47525684b27c193102dac5dd2",
-     {"gamma": {"exact-norm": 68}, "lambda": {"exact-norm": 68}}),
+     {"gamma": {"exact-norm": 68}, "lambda": {"exact-norm": 68},
+      "limit_points": {"infiniteness": 68}}),
     ("harmonic", "summable", ["--mode", "lambda-q", "--q", "1/4"], 0,
      "28323f8c2a4f0f7952924584338bc0ad789809ee5cc311ed64549edebffaf39c",
      "6c810fcf5649b10b694ede31239ba94edad763c47525684b27c193102dac5dd2",
@@ -165,7 +180,8 @@ SHAPE = ["--horizon", "4096", "--radii", "4", "--pitch", "1/16"]
     ("harmonic", "gdi", ["--mode", "all"], 0,
      "9c752247e2a90810d2ba2be8979426eb9e22f8d77f523d301e9330f47de20e2b",
      "6c810fcf5649b10b694ede31239ba94edad763c47525684b27c193102dac5dd2",
-     {"gamma": {"exact-norm": 68}, "lambda": {"exact-norm": 68}}),
+     {"gamma": {"exact-norm": 68}, "lambda": {"exact-norm": 68},
+      "limit_points": {"infiniteness": 68}}),
     ("harmonic", "gdi", ["--mode", "lambda-q", "--q", "1/4"], 0,
      "a5f6ff3cba3fe8070bbc80cfc5ecfdb7d27ae92d4aca883803ba7d42b6f58049",
      "6c810fcf5649b10b694ede31239ba94edad763c47525684b27c193102dac5dd2",
@@ -177,7 +193,7 @@ SHAPE = ["--horizon", "4096", "--radii", "4", "--pitch", "1/16"]
     ("harmonic", "fin-x-fin", ["--mode", "all"], 0,
      "a19a2bda0218d365acd6bbc4c145e2c909fec371a50d13ff515c69100e687350",
      "6c810fcf5649b10b694ede31239ba94edad763c47525684b27c193102dac5dd2",
-     {"gamma": {"row-rule": 68}}),
+     {"gamma": {"row-rule": 68}, "limit_points": {"infiniteness": 68}}),
     ("harmonic", "fin-x-fin", ["--mode", "convergence", "--ell", "0"], 0,
      "8d8373bbd4788e13b17bc2e1a7c3cdfcd8f475fa639687f121588cc313689d74",
      None,
@@ -185,11 +201,12 @@ SHAPE = ["--horizon", "4096", "--radii", "4", "--pitch", "1/16"]
     ("harmonic", "Z", ["--mode", "limits"], 0,
      "16484d16df9a41dfed615375853460019adc9a1cff68aa8b26db05e66ea1f504",
      "bce9bb9c5b9c3de80fe72fdd4b689e7686d1d2af51d6add1b2216c7ba600e3cc",
-     None),
+     {"limit_points": {"infiniteness": 68}}),
     ("rationals", "Z", ["--mode", "all"], 2,
      "a5ab5174e53b827f17171b0e21adc9fe95db952d47f420c4d43c5f1af4780158",
      "2db92fbc560338c7132009f5f1cc158edcc5fd84e44dc8c93bc089c00be5c5bf",
-     {"gamma": {"exact-norm": 68}, "lambda": {"exact-norm": 68}}),
+     {"gamma": {"exact-norm": 68}, "lambda": {"exact-norm": 68},
+      "limit_points": {"infiniteness": 68}}),
     ("rationals", "Z", ["--mode", "lambda-q", "--q", "1/4"], 0,
      "cae11f67ba6b4f9ced806a428990876f7b0cb73d94ccb57ecb3f5d061d8716ec",
      "bc2ef851855a50af88fbf72cadd243b6d5c268881ccb09e80891e7546009cf0c",
@@ -201,7 +218,8 @@ SHAPE = ["--horizon", "4096", "--radii", "4", "--pitch", "1/16"]
     ("rationals", "summable", ["--mode", "all"], 0,
      "9231051345a4dea1201cf522d10a83686ff40993dc1e03189fb8b442e4f221b8",
      "5866e3db7e7b62542f2d083bbbcacdb757b71649db3e1981836342f385e67ee8",
-     {"gamma": {"exact-norm": 68}, "lambda": {"exact-norm": 68}}),
+     {"gamma": {"exact-norm": 68}, "lambda": {"exact-norm": 68},
+      "limit_points": {"infiniteness": 68}}),
     ("rationals", "summable", ["--mode", "lambda-q", "--q", "1/4"], 0,
      "b4e05be7ff81de36100e1d6f49c6724ac5d952115bbcbf91bd23d2ccf857629b",
      "5866e3db7e7b62542f2d083bbbcacdb757b71649db3e1981836342f385e67ee8",
@@ -213,7 +231,8 @@ SHAPE = ["--horizon", "4096", "--radii", "4", "--pitch", "1/16"]
     ("rationals", "gdi", ["--mode", "all"], 2,
      "1a3bcb07683d90fc334ed185ab8c771f833adba8777902dec7f7b806cfcc1833",
      "2db92fbc560338c7132009f5f1cc158edcc5fd84e44dc8c93bc089c00be5c5bf",
-     {"gamma": {"exact-norm": 68}, "lambda": {"exact-norm": 68}}),
+     {"gamma": {"exact-norm": 68}, "lambda": {"exact-norm": 68},
+      "limit_points": {"infiniteness": 68}}),
     ("rationals", "gdi", ["--mode", "lambda-q", "--q", "1/4"], 0,
      "c470baaa3f8db06dd9a8f86ee496082e0825db29a7e6b3d7a1a90f85b7a51eef",
      "bc2ef851855a50af88fbf72cadd243b6d5c268881ccb09e80891e7546009cf0c",
@@ -225,7 +244,8 @@ SHAPE = ["--horizon", "4096", "--radii", "4", "--pitch", "1/16"]
     ("rationals", "fin-x-fin", ["--mode", "all"], 2,
      "66ef168c384e1fefa488cc961a48257817676bc6113628a116d84634acb128fb",
      "0f90c6499861727916578547d49253828c78577dc0411fe24f502ceb6b9b3748",
-     {"gamma": {"row-profile": 67, "row-rule": 1}}),
+     {"gamma": {"row-profile": 67, "row-rule": 1},
+      "limit_points": {"infiniteness": 68}}),
     ("rationals", "fin-x-fin", ["--mode", "convergence", "--ell", "1/2"], 0,
      "3e435cf3a3197f31c577e08905043a424137b43af86f3997a68f2bdcb14f865b",
      None,
@@ -233,11 +253,12 @@ SHAPE = ["--horizon", "4096", "--radii", "4", "--pitch", "1/16"]
     ("rationals", "Z", ["--mode", "limits"], 0,
      "836a50a3b76405e1c44dbb8874b5883d5a246a79c451f9a559fab9aedca109aa",
      "b01b4c01eea05ff0585686d0dc8176a7004cb33ed6c3deea731aca7e0dbf419c",
-     None),
+     {"limit_points": {"infiniteness": 68}}),
     ("cycle:0,1/2,1", "Z", ["--mode", "all"], 0,
      "173c42451b0c7994c706e8244c7ba4edab2938c88f870a0c7ee0367b09e85096",
      "b64a0f477383503503be69df4fd3c1dde71c32e780bcbceec7ffd1b3d61592f7",
-     {"gamma": {"exact-norm": 12}, "lambda": {"exact-norm": 12}}),
+     {"gamma": {"exact-norm": 12}, "lambda": {"exact-norm": 12},
+      "limit_points": {"infiniteness": 12}}),
     ("cycle:0,1/2,1", "Z", ["--mode", "lambda-q", "--q", "1/4"], 0,
      "a5d0aae574ed1c59e53012d5bd64c3d53ecd037ff0e61d1f56d0a5e4a0f92926",
      "b64a0f477383503503be69df4fd3c1dde71c32e780bcbceec7ffd1b3d61592f7",
@@ -249,7 +270,8 @@ SHAPE = ["--horizon", "4096", "--radii", "4", "--pitch", "1/16"]
     ("cycle:0,1/2,1", "summable", ["--mode", "all"], 0,
      "83720588d960687d426afc7ae9fa01bfcf464ed7c611f689565820ca75088842",
      "c895eaef7d4acb7048b4ecf3ba2adadc4e471250343dbc0c80da0c4bb8732545",
-     {"gamma": {"exact-norm": 12}, "lambda": {"exact-norm": 12}}),
+     {"gamma": {"exact-norm": 12}, "lambda": {"exact-norm": 12},
+      "limit_points": {"infiniteness": 12}}),
     ("cycle:0,1/2,1", "summable", ["--mode", "lambda-q", "--q", "1/4"], 0,
      "74826b7a5f8c946fb4007ac1d80c6e2828eee788cb482f89222aeddc58a95639",
      "c895eaef7d4acb7048b4ecf3ba2adadc4e471250343dbc0c80da0c4bb8732545",
@@ -261,7 +283,8 @@ SHAPE = ["--horizon", "4096", "--radii", "4", "--pitch", "1/16"]
     ("cycle:0,1/2,1", "gdi", ["--mode", "all"], 0,
      "9a56cdf3eb129b7d8178c8d665d72057bf83ab4cc1ac64f9d08559e97de996bb",
      "b64a0f477383503503be69df4fd3c1dde71c32e780bcbceec7ffd1b3d61592f7",
-     {"gamma": {"exact-norm": 12}, "lambda": {"exact-norm": 12}}),
+     {"gamma": {"exact-norm": 12}, "lambda": {"exact-norm": 12},
+      "limit_points": {"infiniteness": 12}}),
     ("cycle:0,1/2,1", "gdi", ["--mode", "lambda-q", "--q", "1/4"], 0,
      "72c44115bfd5dc455ce9f8850c53339f02c8bdfc2ee2fee6b3d4fcd7601190b4",
      "b64a0f477383503503be69df4fd3c1dde71c32e780bcbceec7ffd1b3d61592f7",
@@ -273,7 +296,7 @@ SHAPE = ["--horizon", "4096", "--radii", "4", "--pitch", "1/16"]
     ("cycle:0,1/2,1", "fin-x-fin", ["--mode", "all"], 0,
      "03ecd42e44b047484b05e6fd7de243bf8d4d139bf53d1b9b0bb0a73847f9eb27",
      "c895eaef7d4acb7048b4ecf3ba2adadc4e471250343dbc0c80da0c4bb8732545",
-     {"gamma": {"row-rule": 12}}),
+     {"gamma": {"row-rule": 12}, "limit_points": {"infiniteness": 12}}),
     ("cycle:0,1/2,1", "fin-x-fin", ["--mode", "convergence", "--ell", "1"], 0,
      "56a8de27f87185dd05577e9fbcc8e5638aa257929d45ddb3b423d0268ca2c0dc",
      None,
@@ -281,7 +304,7 @@ SHAPE = ["--horizon", "4096", "--radii", "4", "--pitch", "1/16"]
     ("cycle:0,1/2,1", "Z", ["--mode", "limits"], 0,
      "5e6d91c16ba32d517dc43cab4952de288500d8ea31e84d3e811804cabae1a145",
      "c5c639f9da0383153bb176c81fb7f636132bbcd5dd0462fc3993d194f3117496",
-     None),
+     {"limit_points": {"infiniteness": 12}}),
     # harmonic centres past 2^20 and 2^52, where the ball's cross-products
     # are largest
     ("harmonic", "Z", ["--mode", "convergence", "--ell", "1/1048833"], 0,

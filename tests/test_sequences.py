@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from idealconv import natset as ns
+from idealconv import sequences
 from idealconv import submeasure as sm
 from idealconv import transforms as tr
 from idealconv import zoo
@@ -21,6 +22,7 @@ from idealconv.sequences import (AnalysisParams, RadiusSchedule, NotAnalyticP,
 
 F = Fraction
 P14 = AnalysisParams(horizon=1 << 14)
+P12 = AnalysisParams(horizon=1 << 12)
 P_RAT = AnalysisParams(horizon=1 << 14, schedule=RadiusSchedule.dyadic(6),
                        pitch=F(1, 64))
 
@@ -141,6 +143,26 @@ def test_limit_points_block_alphabet():
     assert pts(limit_points_estimate(x, P14)) == [0, 1]
 
 
+def _nested(r, k, b):
+    """Letters 0, 1/2, 1 on r mod k less the powers of b, r mod k among
+    them, and the other residues."""
+    prog = ns.Progression(r, k)
+    return zoo.alphabet_from_json({
+        "letters": ["0", "1/2", "1"],
+        "sets": [ns.Intersection((prog, ns.Complement(ns.PowersOf(b)))).to_json(),
+                 ns.Intersection((prog, ns.PowersOf(b))).to_json(),
+                 ns.Complement(prog).to_json()]}, 1 << 12)
+
+
+@pytest.mark.parametrize("r, k, b", [(1, 2, 3), (2, 2, 2)])
+def test_nested_letters_on_infinitely_many_powers_are_limit_points(r, k, b):
+    # 1/2 sits on {3, 9, 27, ...} and on {2, 4, 8, ...}: sparse but
+    # infinite, which the tail count at 2^12 (a single hit) would miss
+    report = limit_points_estimate(_nested(r, k, b), P12)
+    assert pts(report) == [0, F(1, 2), 1]
+    assert report.route_counts() == {"infiniteness": 3 * len(P12.schedule)}
+
+
 # --- cluster points modulo an ideal -------------------------------------------
 
 def test_gamma_examples():
@@ -199,7 +221,7 @@ def test_gamma_without_records_finds_the_same_cluster_points(i, seq, ideal):
     grid = [c.point for c in full.candidates]
     sub = _map_params(params, 256)
     for t in (tr.random_sigma(i, length=256),
-              tr.random_pi(i, window=16, length=256)):
+              tr.random_pi(i, length=256)):
         y = tr.apply(t, x)
         assert (gamma_estimate(y, handle, sub, candidates=grid,
                                records=False).points()
@@ -208,7 +230,6 @@ def test_gamma_without_records_finds_the_same_cluster_points(i, seq, ideal):
 
 def test_gamma_without_records_stops_at_the_first_radius_not_notin(
         monkeypatch):
-    from idealconv import sequences
     calls = []
     decide = sequences.decide_membership
 
@@ -262,10 +283,12 @@ def test_a_lambda_cluster_needs_a_settled_exact_norm():
     u = u_frak(x, (F(1, 4),), Z.lscsm, params)
     assert [est.exact for _, est in u.per_radius][-2:] == [1, F(1, 2)]
     assert u.settled
-    report = lambda_q_estimate(x, Z, F(1, 2), params, extra=[(F(7, 32),)])
+    report = lambda_q_estimate(x, Z, F(1, 2), params)
     got = sorted((c.point[0], c.classification) for c in report.candidates)
-    assert got == [(F(3, 16), "cluster"), (F(7, 32), "undecided"),
-                   (F(1, 4), "cluster")]
+    assert got == [(F(3, 16), "cluster"), (F(1, 4), "cluster")]
+    between = u_frak(x, (F(7, 32),), Z.lscsm, params)
+    assert between.exact == 1 and not between.settled
+    assert sequences._classify_u(between, F(1, 2)) == "undecided"
 
 
 # --- q-level sets ------------------------------------------------------------

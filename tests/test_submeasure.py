@@ -127,22 +127,25 @@ def test_normalization_sets_full_norm_to_one():
 # --- norm estimates ---------------------------------------------------------
 
 def test_norm_estimate_evens_exact_half():
-    est = sm.norm_estimate(sm.RunningDensity(), ns.Progression(2, 2), 1 << 20)
-    assert est.exact == F(1, 2)
+    rd, evens = sm.RunningDensity(), ns.Progression(2, 2)
+    est = sm.norm_estimate(rd, evens, 1 << 20)
+    assert rd.exact_norm(evens) == F(1, 2) and est.exact is None
     # finite-horizon numeric agrees once tail attenuation is corrected
     assert abs(est.numeric - F(1, 2)) < F(1, 100)
     assert est.trend == "non-decreasing"
 
 
 def test_norm_estimate_finite_head_is_zero():
-    est = sm.norm_estimate(sm.RunningDensity(), ns.Finite(range(1, 1001)), 10 ** 6)
-    assert est.exact == 0
+    rd, head = sm.RunningDensity(), ns.Finite(range(1, 1001))
+    est = sm.norm_estimate(rd, head, 10 ** 6)
+    assert rd.exact_norm(head) == 0 and est.numeric == 0
 
 
 def test_norm_estimate_powers_vanishes():
     # oracle: the count of powers of two below n is logarithmic
-    est = sm.norm_estimate(sm.RunningDensity(), ns.PowersOf(2), 10 ** 6)
-    assert est.exact == 0
+    rd, powers = sm.RunningDensity(), ns.PowersOf(2)
+    est = sm.norm_estimate(rd, powers, 10 ** 6)
+    assert rd.exact_norm(powers) == 0
     assert est.numeric <= F(20, 10 ** 6)
 
 

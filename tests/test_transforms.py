@@ -45,7 +45,6 @@ def test_map_values_and_tails():
         u.value(2)
     p = tr.odd_even_swap()
     assert [p.value(n) for n in (1, 2, 3, 4)] == [2, 1, 4, 3]
-    assert p.inverse_value(2) == 1
 
 
 def test_apply_examples():
@@ -83,7 +82,7 @@ def test_preimage_matches_pointwise():
     maps = [sigma_2n(), tr.SubsequenceMap([3, 4, 10, 11], tr.TailRule("arith", 5)),
             tr.SubsequenceMap((), tr.TailRule("identity-shift", 2)),
             tr.odd_even_swap(), tr.random_sigma(3, length=200),
-            tr.random_pi(3, window=8, length=200)]
+            tr.random_pi(3, length=200)]
     sets = [ns.Progression(2, 3), ns.Finite([4, 10, 44]), ns.PowersOf(2),
             ns.Cofinite([6, 8]),
             ns.Union((ns.Progression(1, 4), ns.Finite([2]))),
@@ -118,10 +117,10 @@ def test_a_map_that_ends_before_the_horizon_leaves_radii_undecided():
     cands = [(F(0),), (F(1, 2),), (F(1),)]
     gamma = gamma_estimate(y, builtin("density-zero"), params,
                            candidates=cands)
-    limits = limit_points_estimate(y, params, candidates=cands)
+    limits = limit_points_estimate(y, params)
+    assert len(gamma.candidates) == 3 and limits.candidates
     for report in (gamma, limits):
-        assert [c.classification for c in report.candidates] == [
-            "undecided"] * 3
+        assert all(c.classification == "undecided" for c in report.candidates)
         assert all(r.verdict == "undecided"
                    for c in report.candidates for r in c.radii)
     assert gamma.route_counts() == {"horizon-exceeded": 12}
@@ -372,29 +371,13 @@ def test_no_assert_statements_in_the_library():
 
 def test_random_maps_reproducible_and_distinct():
     assert list(tr.random_sigma(7).table) == list(tr.random_sigma(7).table)
-    assert list(tr.random_pi(7, 16).table) == list(tr.random_pi(7, 16).table)
+    assert list(tr.random_pi(7).table) == list(tr.random_pi(7).table)
     distinct = {tuple(tr.random_sigma(s, length=64).table) for s in range(100)}
     assert len(distinct) == 100
-    tbl = tr.random_pi(5, window=16, length=64).table
+    tbl = tr.random_pi(5, length=64).table
     for base in range(0, 64, 16):
         window = sorted(tbl[base:base + 16])
         assert window == list(range(base + 1, base + 17))
-
-
-def test_random_sigma_gap_laws():
-    u = tr.random_sigma(1, gap_law="uniform:5", length=128)
-    gaps = np.diff([0] + list(u.table))
-    assert gaps.min() >= 1 and gaps.max() <= 5
-    with pytest.raises(ValueError):
-        tr.random_sigma(1, gap_law="cauchy:1")
-
-
-def test_map_json_round_trip():
-    for m in (tr.SubsequenceMap([2, 5, 9], tr.TailRule("arith", 3), horizon=64),
-              tr.random_pi(3, 8, 32), tr.odd_even_swap()):
-        back = tr.map_from_json(m.to_json())
-        assert [back.value(n) for n in range(1, 20)] \
-            == [m.value(n) for n in range(1, 20)]
 
 
 def test_generic_subsequence_over_powers_of_three_passes_its_audit():
