@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Commands: analyze, witness build/verify, preserve sigma/pi, game run,
-sample, ideals list.  A JSON config file may supply any value; explicit
-flags override it.  Outputs are deterministic for a fixed config and seed —
+sample, ideals list.  ``_COMMANDS`` names the settings each command takes:
+its flags, and the keys of a JSON config file, which explicit flags
+override.  Outputs are deterministic for a fixed config and seed —
 timestamps live only in the sidecar ``<out>.meta.json``.
 
 Exit codes: 0 ok, 1 usage or config error, 2 undecided-dominated report,
@@ -30,9 +31,9 @@ from .ideals import DecisionParams, UnknownIdeal, builtin, builtin_names
 
 # the names the commands take from modules that only some of them run: this
 # module's global -> (defining module, attribute; None for the module).
-# ``main`` binds those of the modules a command runs before dispatching it;
-# ``__getattr__`` binds one on its first read, so ``cli.<name>`` may be
-# replaced before a command runs
+# ``main`` binds those of the modules a command's ``_COMMANDS`` entry names
+# before dispatching it; ``__getattr__`` binds one on its first read, so
+# ``cli.<name>`` may be replaced before a command runs
 _LAZY = {
     "gm": ("games", None),
     "tr": ("transforms", None),
@@ -66,6 +67,11 @@ EXIT_AUDIT = 4
 
 # the largest horizon a run may ask for: the farthest a member walk scans
 MAX_HORIZON = ns.SCAN_LIMIT
+
+# the least value of each count a command may take; a seed may be any
+# integer, and a sampled map's table has at least two entries
+_LEAST = {"horizon": 1, "radii": 1, "hit_min": 0, "rounds": 0, "trials": 0,
+          "maps": 0, "length": 2}
 
 HEURISTIC_BANNER = ("HEURISTIC: sampled maps estimate frequencies only; "
                     "topological largeness is not a sampling property")
@@ -106,22 +112,19 @@ class RunConfig:
     witness_file: Optional[str] = None
     out: Optional[str] = None
 
-    def validate(self) -> None:
-        for name in ("horizon", "radii", "hit_min", "rounds", "trials",
-                     "maps", "length"):
-            if getattr(self, name) < 0 or (name in ("horizon", "radii")
-                                           and getattr(self, name) < 1):
+    def validate(self, settings: tuple[str, ...]) -> None:
+        """Check the values of ``settings``, the ones the command takes."""
+        for name in settings:
+            value = getattr(self, name)
+            if name in ("pitch", "theta", "q") and self.number(name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.horizon > MAX_HORIZON:
-            raise ValueError(f"horizon {self.horizon} exceeds the limit of "
-                             f"{MAX_HORIZON}")
-        # each sampled map is a table of length entries, its horizon >= 2
-        if self.command == "sample" and not 2 <= self.length <= MAX_HORIZON:
-            raise ValueError(f"length {self.length} must lie in "
-                             f"[2, {MAX_HORIZON}]")
-        for name in ("pitch", "theta", "q"):
-            if self.number(name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if name in _LEAST and value < _LEAST[name]:
+                raise ValueError(f"{name} {value} must be at least "
+                                 f"{_LEAST[name]}")
+            # a walk's horizon, and a sampled map's table
+            if name in ("horizon", "length") and value > MAX_HORIZON:
+                raise ValueError(f"{name} {value} exceeds the limit of "
+                                 f"{MAX_HORIZON}")
 
     def number(self, name: str):
         """The numeric setting ``name`` as exact rationals: a Fraction, or a
@@ -418,80 +421,72 @@ def cmd_ideals_list(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+# each command's parser path -> its handler, the modules it runs, and the
+# settings it takes, each both a flag and a config-file key (q_grid is a key
+# only); preserve takes its kind from its subcommand
+_PRESERVE = (cmd_preserve, ("meager", "transforms", "sequences", "zoo"),
+             ("seq", "ideal", "gdi_file", "horizon", "radii", "pitch", "theta",
+              "hit_min", "q", "ell", "mode", "out"))
+_COMMANDS = {
+    ("analyze",): (cmd_analyze, ("sequences", "zoo"), (
+        "seq", "ideal", "gdi_file", "horizon", "radii", "pitch", "theta",
+        "hit_min", "q", "q_grid", "ell", "mode", "out")),
+    ("witness", "build"): (cmd_witness_build, ("meager",), (
+        "ideal", "gdi_file", "horizon", "q", "out")),
+    ("witness", "verify"): (cmd_witness_verify, ("meager",), (
+        "ideal", "gdi_file", "horizon", "q", "theta", "trials", "seed",
+        "witness_file", "out")),
+    ("preserve", "sigma"): _PRESERVE,
+    ("preserve", "pi"): _PRESERVE,
+    ("game", "run"): (cmd_game, ("games", "sequences", "zoo"), (
+        "seq", "ideal", "gdi_file", "horizon", "radii", "q", "ell", "rounds",
+        "seed", "kind", "out")),
+    ("sample",): (cmd_sample, ("transforms", "sequences", "zoo"), (
+        "seq", "ideal", "gdi_file", "horizon", "radii", "pitch", "theta",
+        "maps", "length", "seed", "kind", "out")),
+    ("ideals", "list"): (cmd_ideals_list, (), ("out",)),
+}
+
+# the values a flag may take, by command and setting
+_CHOICES = {
+    ("analyze", "mode"): ("all", "gamma", "lambda", "lambda-q", "limits",
+                          "convergence"),
+    ("preserve", "mode"): ("add", "preserve"),
+    ("game", "kind"): ("sigma", "pi"),
+    ("sample", "kind"): ("sigma", "pi"),
+}
+
+# each RunConfig field's annotation
+_TYPES = {f.name: f.type for f in fields(RunConfig)}
+
+
 @functools.cache
 def _build_parser() -> _Parser:
-    """The argparse tree, built on the first call and shared by later ones
-    (parse_args returns a fresh namespace each time)."""
+    """The argparse tree of ``_COMMANDS``, built on the first call and
+    shared by later ones (parse_args returns a fresh namespace each time).
+    Each parser sets ``command`` to its path."""
     p = _Parser(prog="idealconv",
                 description="ideal convergence analysis at desk scale")
     p.add_argument("--config", help="JSON config file; flags override it")
-    sub = p.add_subparsers(dest="command")
-
-    def add_common(sp, *names):
-        if "seq" in names:
-            sp.add_argument("--seq")
-        if "ideal" in names:
-            sp.add_argument("--ideal")
-            sp.add_argument("--gdi-file", dest="gdi_file")
-        sp.add_argument("--horizon", type=int)
-        sp.add_argument("--radii", type=int)
-        sp.add_argument("--pitch")
-        sp.add_argument("--theta")
-        sp.add_argument("--hit-min", dest="hit_min", type=int)
-        sp.add_argument("--q")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--out")
-
-    sp = sub.add_parser("analyze")
-    add_common(sp, "seq", "ideal")
-    sp.add_argument("--mode", choices=["all", "gamma", "lambda", "lambda-q",
-                                       "limits", "convergence"])
-    sp.add_argument("--ell")
-
-    wit = sub.add_parser("witness")
-    wsub = wit.add_subparsers(dest="witness_command")
-    sp = wsub.add_parser("build")
-    add_common(sp, "ideal")
-    sp = wsub.add_parser("verify")
-    add_common(sp, "ideal")
-    sp.add_argument("--witness", dest="witness_file")
-    sp.add_argument("--trials", type=int)
-
-    pres = sub.add_parser("preserve")
-    psub = pres.add_subparsers(dest="preserve_kind")
-    for kind in ("sigma", "pi"):
-        sp = psub.add_parser(kind)
-        add_common(sp, "seq", "ideal")
-        sp.add_argument("--mode", choices=["add", "preserve"])
-        sp.add_argument("--ell")
-
-    game = sub.add_parser("game")
-    gsub = game.add_subparsers(dest="game_command")
-    sp = gsub.add_parser("run")
-    add_common(sp, "seq", "ideal")
-    sp.add_argument("--ell")
-    sp.add_argument("--rounds", type=int)
-    sp.add_argument("--kind", choices=["sigma", "pi"])
-
-    sp = sub.add_parser("sample")
-    add_common(sp, "seq", "ideal")
-    sp.add_argument("--maps", type=int)
-    sp.add_argument("--length", type=int)
-    sp.add_argument("--kind", choices=["sigma", "pi"])
-
-    sp = sub.add_parser("ideals")
-    isub = sp.add_subparsers(dest="ideals_command")
-    lp = isub.add_parser("list")
-    lp.add_argument("--out")
-
+    p.set_defaults(command=())
+    parsers, subparsers = {(): p}, {}
+    for path, (_, _, settings) in _COMMANDS.items():
+        for i in range(1, len(path) + 1):
+            head, parent = path[:i], path[:i - 1]
+            if head not in parsers:
+                if parent not in subparsers:
+                    subparsers[parent] = parsers[parent].add_subparsers()
+                parsers[head] = subparsers[parent].add_parser(head[-1])
+                parsers[head].set_defaults(command=head)
+        for name in settings:
+            if name != "q_grid":
+                parsers[path].add_argument(
+                    "--witness" if name == "witness_file"
+                    else "--" + name.replace("_", "-"), dest=name,
+                    type=int if _TYPES[name] == "int" else None,
+                    choices=_CHOICES.get((path[0], name)))
     return p
 
-
-# the commands that take a subcommand: its argparse dest, and its choices
-_SUBCOMMANDS = {"witness": ("witness_command", "build or verify"),
-                "game": ("game_command", "run"),
-                "preserve": ("preserve_kind", "sigma or pi"),
-                "ideals": ("ideals_command", "list")}
 
 # the values a config file may give a RunConfig field, by its annotation;
 # type() rather than isinstance, so a JSON true is no int
@@ -503,42 +498,30 @@ _FILE_TYPES = {
 }
 
 
-def _merge_config(args: argparse.Namespace) -> RunConfig:
+def _merge_config(args: argparse.Namespace,
+                  settings: tuple[str, ...]) -> RunConfig:
     file_values = {}
-    if getattr(args, "config", None):
+    if args.config:
         file_values = json.loads(Path(args.config).read_text())
         if type(file_values) is not dict:
             raise ValueError("a config file must hold a JSON object")
-    command = args.command
-    if command == "preserve":
-        file_values["kind"] = args.preserve_kind
-    elif command in _SUBCOMMANDS:
-        command += "-" + getattr(args, _SUBCOMMANDS[command][0])
-    cfg = RunConfig(command=command)
-    types = {f.name: f.type for f in fields(RunConfig) if f.name != "command"}
+    path = args.command
+    cfg = RunConfig(command="-".join(path))
+    if path[0] == "preserve":
+        cfg.command, cfg.kind = path
     for key, value in file_values.items():
-        if key not in types:
-            raise ValueError(f"config key {key!r} names no setting")
-        if not _FILE_TYPES[types[key]](value):
+        if key not in settings:
+            raise ValueError(f"config key {key!r} is not a setting of "
+                             f"{' '.join(path)}")
+        if not _FILE_TYPES[_TYPES[key]](value):
             raise ValueError(f"config value {key} = {value!r} is not "
-                             f"of type {types[key]}")
+                             f"of type {_TYPES[key]}")
         setattr(cfg, key, value)
-    for key, value in vars(args).items():
-        if value is not None and key in types:
+    for key in settings:
+        value = getattr(args, key, None)
+        if value is not None:
             setattr(cfg, key, value)
     return cfg
-
-
-# each command's handler, and the modules it runs
-_HANDLERS = {
-    "analyze": (cmd_analyze, ("sequences", "zoo")),
-    "witness-build": (cmd_witness_build, ("meager",)),
-    "witness-verify": (cmd_witness_verify, ("meager",)),
-    "preserve": (cmd_preserve, ("meager", "transforms", "sequences", "zoo")),
-    "game-run": (cmd_game, ("games", "sequences", "zoo")),
-    "sample": (cmd_sample, ("transforms", "sequences", "zoo")),
-    "ideals-list": (cmd_ideals_list, ()),
-}
 
 
 def _loaded(*names: str) -> tuple[type, ...]:
@@ -557,21 +540,22 @@ def _loaded(*names: str) -> tuple[type, ...]:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_help()
+    path = args.command
+    if path not in _COMMANDS:
+        if not path:
+            parser.print_help()
+            return EXIT_USAGE
+        subs = " or ".join(p[len(path)] for p in _COMMANDS
+                           if p[:len(path)] == path)
+        sys.stderr.write(f"{' '.join(path)} needs a subcommand: {subs}\n")
         return EXIT_USAGE
-    sub = _SUBCOMMANDS.get(args.command)
-    if sub and not getattr(args, sub[0], None):
-        sys.stderr.write(f"{args.command} needs a subcommand: {sub[1]}\n")
-        return EXIT_USAGE
+    handler, modules, settings = _COMMANDS[path]
     try:
-        cfg = _merge_config(args)
-        cfg.validate()
-        handler, modules = _HANDLERS[cfg.command]
-        this = sys.modules[__name__]
+        cfg = _merge_config(args, settings)
+        cfg.validate(settings)
         for name, (module, _) in _LAZY.items():
-            if module in modules:
-                getattr(this, name)     # binds the name unless it is bound
+            if module in modules and name not in globals():
+                __getattr__(name)
         return handler(cfg)
     except _loaded("transforms.HypothesisFailed",
                    "transforms.NotALimitPoint") as exc:

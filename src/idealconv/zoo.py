@@ -247,8 +247,3 @@ def get_sequence(spec: str, horizon: int = 1 << 16) -> SequenceSpec:
     if spec.startswith("alphabet:"):
         return alphabet_from_json(json.loads(spec.split(":", 1)[1]), horizon)
     raise ValueError(f"unknown sequence spec {spec!r}")
-
-
-ZOO_NAMES = ["char:evens", "char:odds", "char:powers2", "charblocks:K",
-             "cycle:a,b,...", "const:v", "harmonic", "rationals",
-             "alphabet:<json>"]

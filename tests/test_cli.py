@@ -1,6 +1,7 @@
 """Command surface: exit codes, schemas, overrides, reproducibility."""
 
 import argparse
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -33,7 +34,7 @@ def test_run_config_round_trip():
     again = RunConfig(**{**body, "out": None})
     assert again.to_json() == body
     with pytest.raises(ValueError):
-        RunConfig(command="analyze", horizon=0).validate()
+        RunConfig(command="analyze", horizon=0).validate(("horizon",))
 
 
 def test_analyze_writes_reports(tmp_path):
@@ -139,7 +140,7 @@ def test_parser_is_built_once_and_reused(tmp_path):
     # a first call, which builds the parser; the witness build sets options
     # that ideals list leaves at their defaults
     commands = [["witness", "build", "--ideal", "Z", "--q", "1/3",
-                 "--horizon", "4096", "--seed", "5"],
+                 "--horizon", "4096"],
                 ["ideals", "list"]]
 
     def output(i, name):
@@ -357,17 +358,150 @@ def test_config_file_value_of_wrong_type_exits_one(tmp_path, capsys, field,
     assert not Path(f"{out}.json").exists()
 
 
-@pytest.mark.parametrize("key", ["horizn", "command"])
-def test_config_file_unknown_key_exits_one(tmp_path, capsys, key):
-    # a misspelt key used to be dropped, so the run went on at the default
+def _path(argv):
+    """The command path that starts ``argv``, such as ``witness build``."""
+    return " ".join(w for w in argv[:2] if not w.startswith("--"))
+
+
+LIMITS = ["analyze", "--seq", "char:evens", "--ideal", "Z", "--mode", "limits"]
+
+
+@pytest.mark.parametrize("command, key", [
+    pytest.param(LIMITS, "horizn", id="horizn"),
+    pytest.param(LIMITS, "command", id="command"),
+    # a setting of another command
+    pytest.param(LIMITS, "seed", id="analyze-seed"),
+    pytest.param(["witness", "build", "--ideal", "Z"], "radii",
+                 id="witness-build-radii"),
+    pytest.param(["sample", "--seq", "char:evens", "--ideal", "Z"], "q_grid",
+                 id="sample-q_grid"),
+    # preserve takes its kind from its subcommand alone
+    pytest.param(["preserve", "sigma", "--seq", "char:evens", "--ideal", "Z"],
+                 "kind", id="preserve-sigma-kind"),
+])
+def test_config_file_unknown_key_exits_one(tmp_path, capsys, command, key):
+    # a misspelt key used to be dropped, so the run went on at the default,
+    # and another command's setting was accepted and ignored
     cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({key: 64, "radii": 2}))
+    cfg_file.write_text(json.dumps({key: 64}))
     out = tmp_path / "o"
-    assert run(["--config", str(cfg_file), "analyze", "--seq", "char:evens",
-                "--ideal", "Z", "--mode", "limits", "--out", str(out)]) == 1
+    assert run(["--config", str(cfg_file), *command, "--out", str(out)]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config" and repr(key) in err["detail"]
+    assert err["detail"].endswith(f"is not a setting of {_path(command)}")
     assert not Path(f"{out}.json").exists()
+
+
+# the flags each command used to accept and ignore
+DROPPED = [
+    (["analyze", "--seq", "char:evens", "--ideal", "Z"], "--seed", "1"),
+    *[(["witness", "build", "--ideal", "Z"], flag, value) for flag, value in
+      [("--radii", "3"), ("--pitch", "1/8"), ("--theta", "1/7"),
+       ("--hit-min", "2"), ("--seed", "5")]],
+    *[(["witness", "verify", "--ideal", "Z"], flag, value) for flag, value in
+      [("--radii", "3"), ("--pitch", "1/8"), ("--hit-min", "2")]],
+    *[(["preserve", kind, "--seq", "char:evens", "--ideal", "Z"], "--seed",
+       "1") for kind in ("sigma", "pi")],
+    *[(["game", "run", "--seq", "char:evens", "--ideal", "Z", "--ell", "1"],
+       flag, value) for flag, value in
+      [("--pitch", "1/8"), ("--theta", "1/7"), ("--hit-min", "2")]],
+    *[(["sample", "--seq", "char:evens", "--ideal", "Z"], flag, value)
+      for flag, value in [("--hit-min", "2"), ("--q", "1/4")]],
+]
+
+
+@pytest.mark.parametrize("command, flag, value", DROPPED,
+                         ids=[f"{_path(c)} {f}" for c, f, _ in DROPPED])
+def test_flag_a_command_does_not_read_exits_one(tmp_path, capsys, command,
+                                                flag, value):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        run([*command, flag, value, "--out", str(out)])
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not Path(f"{out}.json").exists()
+
+
+# every mode of every command
+EVERY_MODE = [
+    *[["analyze", "--seq", "char:evens", "--ideal", "Z", "--mode", mode,
+       "--horizon", "4096", "--radii", "4", "--pitch", "1/16", *more]
+      for mode, *more in [("all",), ("gamma",), ("lambda",),
+                          ("lambda-q", "--q", "1/4"), ("limits",),
+                          ("convergence", "--ell", "0")]],
+    ["witness", "build", "--ideal", "Z", "--horizon", "4096"],
+    ["witness", "verify", "--ideal", "Z", "--horizon", "4096", "--trials",
+     "3"],
+    ["witness", "verify", "--ideal", "Z", "--horizon", "4096", "--trials",
+     "3", "--witness", "{w}"],
+    *[["preserve", kind, "--seq", seq, "--ideal", "density-zero", "--mode",
+       mode, "--horizon", horizon, "--radii", "3", "--pitch", "1/16", *more]
+      for kind in ("sigma", "pi")
+      for seq, mode, horizon, *more in [
+          ("char:evens", "preserve", "16384"),
+          ("char:powers2", "add", "4096", "--ell", "1")]],
+    *[["game", "run", "--seq", "char:evens", "--ideal", "density-zero",
+       "--ell", "1", "--q", "1/4", "--rounds", "4", "--kind", kind]
+      for kind in ("sigma", "pi")],
+    *[["sample", "--seq", "char:evens", "--ideal", "Z", "--maps", "2",
+       "--length", "64", "--horizon", "1024", "--radii", "3", "--kind", kind]
+      for kind in ("sigma", "pi")],
+    ["ideals", "list"],
+]
+
+
+def test_every_setting_a_command_takes_is_read(tmp_path, monkeypatch):
+    # a setting the handler never reads would be accepted and ignored
+    names = {f.name for f in dataclasses.fields(RunConfig)}
+    reads, recording = set(), {"on": False}
+    get, number = RunConfig.__getattribute__, RunConfig.number
+    to_json = RunConfig.to_json
+
+    def spy(self, name):
+        if recording["on"] and name in names:
+            reads.add(name)
+        return get(self, name)
+
+    def number_spy(self, name):
+        # validate has parsed it already, so number() reads no field
+        if recording["on"]:
+            reads.add(name)
+        return number(self, name)
+
+    def unread(self):
+        # the report's config block shows every field
+        on, recording["on"] = recording["on"], False
+        try:
+            return to_json(self)
+        finally:
+            recording["on"] = on
+
+    def recorded(handler):
+        def run_handler(cfg):
+            recording["on"] = True
+            try:
+                return handler(cfg)
+            finally:
+                recording["on"] = False
+        return run_handler
+
+    monkeypatch.setattr(RunConfig, "__getattribute__", spy)
+    monkeypatch.setattr(RunConfig, "number", number_spy)
+    monkeypatch.setattr(RunConfig, "to_json", unread)
+    for path, (handler, modules, settings) in cli._COMMANDS.items():
+        monkeypatch.setitem(cli._COMMANDS, path,
+                            (recorded(handler), modules, settings))
+    assert run(["witness", "build", "--ideal", "Z", "--horizon", "4096",
+                "--out", str(tmp_path / "w")]) == 0
+    read_by = {path: set() for path in cli._COMMANDS}
+    for i, argv in enumerate(EVERY_MODE):
+        argv = [a.format(w=tmp_path / "w.json") for a in argv]
+        reads.clear()
+        assert run([*argv, "--out", str(tmp_path / str(i))]) == 0
+        read_by[tuple(_path(argv).split())] |= reads
+    unread_settings = {" ".join(path): sorted(set(settings) - read_by[path])
+                       for path, (_, _, settings) in cli._COMMANDS.items()}
+    assert unread_settings == {" ".join(path): [] for path in cli._COMMANDS}
 
 
 def test_config_file_not_an_object_exits_one(tmp_path, capsys):
