@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from ._lazy import lazy_numpy
 from . import natset as ns
@@ -207,16 +207,61 @@ def decide_membership(handle: IdealHandle, s: ns.NatSet,
                       _depth: int = 0) -> Decision:
     """Three-valued membership of s in the ideal, from the first route that
     answers: the exact norm, witness blocks, the structure of a union or
-    intersection, then ``sm.tail_verdict`` (a vanishing or persistent tail);
-    a set no route decides stays Undecided.
+    intersection, then the tail verdict (``sm.tail_verdicts``: a vanishing
+    or persistent tail); a set no route decides stays Undecided.  The
+    one-set case of ``decide_each``.
+    """
+    return decide_each(handle, (s,), params, _depth)[0]
+
+
+def decide_each(handle: IdealHandle, sets: Sequence[ns.NatSet],
+                params: DecisionParams = DEFAULT_PARAMS,
+                _depth: int = 0) -> list[Decision]:
+    """``decide_membership`` of each set, in order.
+
+    The symbolic routes run set by set; the prefixes of the sets they leave
+    open are stacked, at most ``sm.TAIL_CELLS`` bits to a matrix, and read
+    by ``sm.tail_verdicts`` together.  A set whose prefix raises
+    HorizonExceeded gets its own ``horizon-exceeded`` decision.
     """
     if handle.special_rule == "fin-x-fin":
-        return _finxfin_decide(s, params)
+        return [_finxfin_decide(s, params) for s in sets]
     if handle.lscsm is None:
         raise NotRepresentable(f"{handle.name} has no decision capability")
 
-    m = handle.lscsm
-    exact = m.exact_norm(s)
+    out: list = []
+    open_ = []          # the sets no symbolic route decides, by position
+    for s in sets:
+        d = _symbolic_decision(handle, s, params, _depth)
+        if d is None:
+            open_.append(len(out))
+        out.append(d)
+    if not open_:
+        return out
+    step = max(1, sm.TAIL_CELLS // params.horizon)
+    for lo in range(0, len(open_), step):
+        read, rows = [], []
+        for i in open_[lo:lo + step]:
+            try:
+                rows.append(sets[i].prefix(params.horizon))
+            except ns.HorizonExceeded:
+                out[i] = Decision(Verdict.UNDECIDED, reason="horizon-exceeded")
+                continue
+            read.append(i)
+        if not read:
+            continue
+        verdicts = sm.tail_verdicts(handle.lscsm, np.stack(rows), params.theta)
+        for i, (vanishes, numeric, trend) in zip(read, verdicts):
+            out[i] = Decision(Verdict.UNDECIDED if vanishes is None
+                              else Verdict.IN if vanishes else Verdict.NOT_IN,
+                              estimate=numeric, reason="tail-trend", trend=trend)
+    return out
+
+
+def _symbolic_decision(handle: IdealHandle, s: ns.NatSet,
+                       params: DecisionParams, depth: int) -> Optional[Decision]:
+    """The exact norm, witness blocks or structure of s, or None."""
+    exact = handle.lscsm.exact_norm(s)
     if exact is not None:
         if exact == 0:
             return Decision(Verdict.IN, exact=exact, reason="exact-norm")
@@ -226,24 +271,17 @@ def decide_membership(handle: IdealHandle, s: ns.NatSet,
     if wb is not None:
         return Decision(Verdict.NOT_IN, estimate=wb, reason="witness-blocks")
 
-    if _depth < 4:
-        structural = _structural_decision(handle, s, params, _depth)
-        if structural is not None:
-            return structural
-
-    try:
-        vanishes, est = sm.tail_verdict(m, s, params.horizon, params.theta)
-    except ns.HorizonExceeded:
-        return Decision(Verdict.UNDECIDED, reason="horizon-exceeded")
-    return Decision(Verdict.UNDECIDED if vanishes is None
-                    else Verdict.IN if vanishes else Verdict.NOT_IN,
-                    estimate=est.numeric, reason="tail-trend", trend=est.trend)
+    if depth < 4:
+        return _structural_decision(handle, s, params, depth)
+    return None
 
 
 def _structural_decision(handle: IdealHandle, s: ns.NatSet,
                          params: DecisionParams, depth: int) -> Optional[Decision]:
+    # a union's or intersection's parts are decided together, so their tail
+    # reads share kernel passes
     if isinstance(s, ns.Union):
-        sub = [decide_membership(handle, p, params, depth + 1) for p in s.parts]
+        sub = decide_each(handle, s.parts, params, depth + 1)
         if any(d.verdict is Verdict.NOT_IN for d in sub):
             bad = next(d for d in sub if d.verdict is Verdict.NOT_IN)
             return Decision(Verdict.NOT_IN, estimate=bad.estimate,
@@ -251,7 +289,7 @@ def _structural_decision(handle: IdealHandle, s: ns.NatSet,
         if all(d.verdict is Verdict.IN for d in sub):
             return Decision(Verdict.IN, reason="finite-union-of-members")
     if isinstance(s, ns.Intersection):
-        sub = [decide_membership(handle, p, params, depth + 1) for p in s.parts]
+        sub = decide_each(handle, s.parts, params, depth + 1)
         if any(d.verdict is Verdict.IN for d in sub):
             return Decision(Verdict.IN, reason="subset-of-member")
     return None

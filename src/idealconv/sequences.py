@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 from ._lazy import lazy_numpy
 from . import natset as ns
 from . import submeasure as sm
-from .ideals import (DecisionParams, IdealHandle, Verdict,
+from .ideals import (DecisionParams, IdealHandle, Verdict, decide_each,
                      decide_membership)
 
 np = lazy_numpy()
@@ -514,32 +514,52 @@ def gamma_estimate(x: SequenceSpec, handle: IdealHandle, params: AnalysisParams,
                    records: bool = True) -> ClusterReport:
     """Cluster points modulo the ideal: every neighborhood's index set NotIn.
 
-    With ``records=False`` only the cluster points are found: each
-    candidate's radii are decided from the smallest up, the walk stops at
-    the first verdict other than NotIn, and the report holds the cluster
-    candidates alone, without radius records.  Its ``points()`` equal the
-    full report's, and no candidate carries a label that was not decided.
+    With ``records=False`` only the cluster points are found, radius by
+    radius from the smallest up: each radius is decided for all candidates
+    still NotIn at every smaller one, in one ``decide_each`` call, and a
+    candidate drops out at its first verdict other than NotIn.  The report
+    holds the cluster candidates alone, without radius records.  Its
+    ``points()`` equal the full report's, and no candidate carries a label
+    that was not decided.
     """
     cands = (list(candidates) if candidates is not None
              else candidate_grid(x, params, extra))
     dparams = params.decision()
-
-    def decide(ind: ns.NatSet):
-        return decide_membership(handle, ind, dparams)
-
     if records:
         out = _radius_records(
-            x, cands, decide,
+            x, cands, lambda ind: decide_membership(handle, ind, dparams),
             lambda eps, d: RadiusRecord(eps, d.verdict.value, d.exact,
                                         d.estimate, d.reason),
             params, Verdict.NOT_IN.value, Verdict.IN.value)
     else:
-        # the smallest ball is the likeliest to be In or undecided
         out = [CandidateRecord(c, CLUSTER, [])
-               for c, _, readings in _walk(x, cands, decide,
-                                           params.schedule.radii[::-1])
-               if all(d.verdict is Verdict.NOT_IN for _, d in readings)]
+               for c in _notin_at_every_radius(x, cands, handle, dparams,
+                                               params.schedule)]
     return ClusterReport("gamma", x.name, handle.name, None, out, params)
+
+
+def _notin_at_every_radius(x: SequenceSpec, cands: Sequence[Point],
+                           handle: IdealHandle, dparams: DecisionParams,
+                           schedule: RadiusSchedule) -> list[Point]:
+    """The candidates whose balls are NotIn at every radius, in order.
+
+    The radii go from the smallest up (the smallest ball is the likeliest to
+    be In or undecided), and each is decided for the remaining candidates
+    at once.  A ball of letters is decided once per letter subset.
+    """
+    alive = [(c, Balls(x, c)) for c in cands]
+    memo: dict[int, object] = {}
+    for eps in schedule.radii[::-1]:
+        if x.alphabet is None:
+            decs = decide_each(handle, [b.set(eps) for _, b in alive], dparams)
+        else:
+            keys = [b.key(eps) for _, b in alive]
+            fresh = [k for k in dict.fromkeys(keys) if k not in memo]
+            memo.update(zip(fresh, decide_each(
+                handle, [x.alphabet.union(k) for k in fresh], dparams)))
+            decs = [memo[k] for k in keys]
+        alive = [cb for cb, d in zip(alive, decs) if d.verdict is Verdict.NOT_IN]
+    return [c for c, _ in alive]
 
 
 # ---------------------------------------------------------------------------

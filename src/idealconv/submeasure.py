@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, gcd
 from typing import Optional, Sequence
 
 from ._lazy import lazy_numpy
@@ -52,6 +52,46 @@ def max_count_ratio(counts: np.ndarray, t: int) -> Fraction:
             return Fraction(bn, bd)
         j = int(better[np.argmax(num[better] / den[better])])
         bn, bd = int(num[j]), int(den[j])
+
+
+def max_count_ratios(counts: np.ndarray, t: int) -> list[tuple[int, int]]:
+    """``max_count_ratio`` of every row of a (K, N) matrix of cumulative
+    counts (counts[:, n - 1] counts [1, n]), as pairs (numerator,
+    denominator).
+
+    A float argmax proposes one position per row, and one int64 cross-
+    product check over the matrix certifies every row at once; a row that
+    the check improves on goes through ``max_count_ratio``, and so does a
+    single row, for which the batch's broadcasting costs more than it
+    saves.  The products stay below 2^62 for N up to 2^31.
+    """
+    n_total = counts.shape[1]
+    if n_total > (1 << 31):
+        raise ValueError(f"counts of length {n_total} exceed 2^31")
+    if t >= n_total:
+        raise ValueError("cut must lie below the horizon")
+    if counts.shape[0] == 1:
+        v = max_count_ratio(counts[0], t)
+        return [(v.numerator, v.denominator)]
+    num = counts[:, t:] - counts[:, t - 1:t] if t > 0 else counts
+    den = np.arange(t + 1, n_total + 1, dtype=np.int64)
+    best = (num / den).argmax(axis=1)
+    bn = num[np.arange(num.shape[0]), best]
+    bd = den[best]
+    out = list(zip(bn.tolist(), bd.tolist()))
+    better = (num * bd[:, None] > bn[:, None] * den).any(axis=1)
+    for r in better.nonzero()[0].tolist():
+        v = max_count_ratio(counts[r], t)
+        out[r] = (v.numerator, v.denominator)
+    return out
+
+
+def _rows_out(columns: list, bits: np.ndarray) -> list:
+    """The K rows of pairs of a (K, N) matrix from a kernel's columns, one
+    per cut, of K pairs each; for a 1-D prefix, its one row as Fractions."""
+    if bits.ndim == 1:
+        return [Fraction(*column[0]) for column in columns]
+    return list(zip(*columns)) if columns else [()] * bits.shape[0]
 
 
 def sum_unit_fractions_raw(values: Sequence[int]) -> tuple[int, int]:
@@ -113,10 +153,17 @@ class Lscsm:
         """phi of an explicit finite set."""
         raise NotImplementedError
 
-    def tail_value(self, bits: np.ndarray,
-                   cuts: Sequence[int]) -> list[Fraction]:
+    def tail_value(self, bits: np.ndarray, cuts: Sequence[int]) -> list:
         """phi(s ∩ (t, N]) for each cut t, in the order given, from the full
-        prefix bits of s on [1, N]; one pass over the prefix serves all cuts."""
+        prefix bits of s on [1, N]; one pass over the prefix serves all cuts.
+
+        ``bits`` may be a (K, N) matrix of K prefixes, one row per set: the
+        kernel reads all rows at once and returns K rows of exact values as
+        pairs (numerator, denominator), the denominator positive and the
+        pair not reduced, which compare by cross-products without a
+        Fraction.  A 1-D prefix is the K = 1 case; its one row comes back
+        as Fractions.
+        """
         raise NotImplementedError
 
     def interval_mass(self, lo: int, hi: int) -> Fraction:
@@ -214,10 +261,12 @@ class RunningDensity(Lscsm):
                 best = r
         return best
 
-    def tail_value(self, bits: np.ndarray,
-                   cuts: Sequence[int]) -> list[Fraction]:
-        counts = np.cumsum(bits, dtype=np.int64)
-        return [max_count_ratio(counts, t) for t in cuts]
+    def tail_value(self, bits: np.ndarray, cuts: Sequence[int]) -> list:
+        # widened first, then summed in place: a cumsum that casts the bits
+        # as it goes runs about 3 times slower on a matrix
+        counts = np.atleast_2d(bits).astype(np.int64)
+        np.cumsum(counts, axis=1, out=counts)
+        return _rows_out([max_count_ratios(counts, t) for t in cuts], bits)
 
     def interval_mass(self, lo: int, hi: int) -> Fraction:
         # sup of count/n over the interval peaks at its right end
@@ -256,13 +305,13 @@ class CountingCap(Lscsm):
     def phi_points(self, members: Sequence[int]) -> Fraction:
         return ONE if len(members) >= 1 else ZERO
 
-    def tail_value(self, bits: np.ndarray,
-                   cuts: Sequence[int]) -> list[Fraction]:
+    def tail_value(self, bits: np.ndarray, cuts: Sequence[int]) -> list:
         # a tail is nonempty exactly when the last member lies beyond its cut
-        rev = bits[::-1]
-        j = int(np.argmax(rev))
-        last = bits.shape[0] - j if rev[j] else 0
-        return [ONE if last > t else ZERO for t in cuts]
+        rows = np.atleast_2d(bits)
+        last = ((rows.shape[1] - rows[:, ::-1].argmax(axis=1))
+                * rows.any(axis=1)).tolist()
+        return _rows_out([[(1, 1) if end > t else (0, 1) for end in last]
+                          for t in cuts], bits)
 
     def interval_mass(self, lo: int, hi: int) -> Fraction:
         return ONE if hi > lo else ZERO
@@ -299,9 +348,14 @@ class WeightedSum(Lscsm):
             return ZERO
         return min(self.cap, self.scale * sum_unit_fractions(members))
 
-    def tail_value(self, bits: np.ndarray,
-                   cuts: Sequence[int]) -> list[Fraction]:
-        idx = np.flatnonzero(bits) + 1
+    def tail_value(self, bits: np.ndarray, cuts: Sequence[int]) -> list:
+        rows = [self._nested_sums(np.flatnonzero(row) + 1, cuts)
+                for row in np.atleast_2d(bits)]
+        return _rows_out(list(zip(*rows)), bits)
+
+    def _nested_sums(self, idx: np.ndarray,
+                     cuts: Sequence[int]) -> list[tuple[int, int]]:
+        """One row's tail values as pairs, from its members ``idx``."""
         cn, cd = self.cap.numerator, self.cap.denominator
         sn, sd = self.scale.numerator, self.scale.denominator
         # nested tails, deepest cut first: each segment between two cuts is
@@ -314,7 +368,7 @@ class WeightedSum(Lscsm):
         low, cap_low = 0, cn * sd << FIXED_BITS
         capped = False
         end = idx.size
-        value: dict[int, Fraction] = {}
+        value: dict[int, tuple[int, int]] = {}
         for t in sorted(set(cuts), reverse=True):
             start = int(np.searchsorted(idx, t, side="right"))
             if not capped:
@@ -328,11 +382,11 @@ class WeightedSum(Lscsm):
                 lo += 4096
             end = start
             if capped:
-                value[t] = self.cap
+                value[t] = (cn, cd)
             else:
-                total = Fraction(tp, tq)
-                tp, tq = total.numerator, total.denominator
-                value[t] = self.scale * total
+                g = gcd(tp, tq)
+                tp, tq = tp // g, tq // g
+                value[t] = (sn * tp, sd * tq)
         return [value[t] for t in cuts]
 
     def interval_mass(self, lo: int, hi: int) -> Fraction:
@@ -442,10 +496,9 @@ class DensityFamily(Lscsm):
                     best = r
         return best
 
-    def tail_value(self, bits: np.ndarray,
-                   cuts: Sequence[int]) -> list[Fraction]:
-        horizon = bits.shape[0]
-        counts = np.cumsum(bits, dtype=np.int64)
+    def tail_value(self, bits: np.ndarray, cuts: Sequence[int]) -> list:
+        rows = np.atleast_2d(bits)
+        horizon = rows.shape[1]
         # (first, last position inside the prefix, w_n numerator,
         # w_n denominator * |D_n|); the last block may be partial
         blocks = []
@@ -453,18 +506,51 @@ class DensityFamily(Lscsm):
             w = self.weight(n)
             blocks.append((lo, min(hi - 1, horizon), w.numerator,
                            w.denominator * (hi - lo)))
-        out = []
-        for t in cuts:
+        # a window [max(lo, t + 1), last] starts at a block start or a cut
+        # and ends before the next block: the member counts below those
+        # marks, from one segment sum per row, give every window's count
+        marks = np.array(sorted({1, horizon + 1}.union(
+            b[0] for b in blocks).union(t + 1 for t in cuts if t < horizon)))
+        below = np.zeros((rows.shape[0], marks.size), dtype=np.int64)
+        np.cumsum(np.add.reduceat(rows, marks[:-1] - 1, axis=1, dtype=np.int64),
+                  axis=1, out=below[:, 1:])
+
+        at = {p: i for i, p in enumerate(marks.tolist())}
+        counted = below.tolist()
+
+        def exact(r: int, t: int) -> tuple[int, int]:
+            row = counted[r]
             bn, bd = 0, 1
             for lo, last, wn, wd in blocks:
                 lo = max(lo, t + 1)
-                if last < lo:
-                    continue
-                cnt = int(counts[last - 1]) - (int(counts[lo - 2]) if lo >= 2 else 0)
-                if wn * cnt * bd > bn * wd:
-                    bn, bd = wn * cnt, wd
-            out.append(Fraction(bn, bd))
-        return out
+                if last >= lo:
+                    cnt = row[at[last + 1]] - row[at[lo]]
+                    if wn * cnt * bd > bn * wd:
+                        bn, bd = wn * cnt, wd
+            return bn, bd
+
+        # below 4 rows numpy's per-call cost exceeds the exact loop's; both
+        # sides of a cross-product wn * count * wd' must stay below 2^63
+        if (rows.shape[0] < 4 or not cuts or not blocks
+                or max(b[2] for b in blocks) * max(b[3] for b in blocks)
+                * horizon >= 1 << 63):
+            return _rows_out([[exact(r, t) for r in range(rows.shape[0])]
+                              for t in cuts], bits)
+        lo, last, wn, wd = (np.array(c, dtype=np.int64) for c in zip(*blocks))
+        # (K, cuts, blocks): each block's count past each cut, 0 for the
+        # blocks that end at or before it
+        start = np.minimum(np.maximum(lo, np.array(cuts)[:, None] + 1), last + 1)
+        num = wn * (below[:, np.searchsorted(marks, last + 1)][:, None, :]
+                    - below[:, np.searchsorted(marks, start)])
+        best = np.argmax(num / wd, axis=2)[..., None]
+        bn = np.take_along_axis(num, best, axis=2)
+        bd = wd[best]
+        better = (num * bd > bn * wd).any(axis=2)
+        columns = [list(zip(n, d)) for n, d in zip(bn[..., 0].T.tolist(),
+                                                   bd[..., 0].T.tolist())]
+        for r, c in zip(*np.nonzero(better)):
+            columns[c][r] = exact(r, cuts[c])
+        return _rows_out(columns, bits)
 
     def interval_mass(self, lo: int, hi: int) -> Fraction:
         # only the blocks that meet [lo, hi) count: from lo's block onward
@@ -559,7 +645,8 @@ class NormEstimate:
 
     exact: Optional[Fraction]
     # corrected value at the deepest cut; None, like the trend, with no rows
-    # when the exact norm was known and no tail was read
+    # when the exact norm was known and no tail was read (a tail verdict
+    # keeps the value and the trend, but no rows)
     numeric: Optional[Fraction]
     rows: list[tuple[int, Fraction, Fraction]]   # (cut, raw, corrected)
     trend: Optional[str]                  # zero | decreasing | non-decreasing | mixed
@@ -573,10 +660,15 @@ class NormEstimate:
 
 
 def classify_trend(values: Sequence[Fraction], slack: Fraction) -> str:
-    if all(v == 0 for v in values):
+    return _ratio_trend([(v.numerator, v.denominator) for v in values], slack)
+
+
+def _ratio_trend(ratios: Sequence[tuple[int, int]], slack: Fraction) -> str:
+    """``classify_trend`` of values given as pairs (numerator, denominator),
+    denominators positive: every comparison is a cross-product, which no
+    common factor of a pair changes."""
+    if all(n == 0 for n, _ in ratios):
         return "zero"
-    # every comparison is a cross-product of numerators and denominators
-    ratios = [(v.numerator, v.denominator) for v in values]
     (fn, fd), (ln, ld) = ratios[0], ratios[-1]
     if 2 * ln * fd <= fn * ld:
         return "decreasing"
@@ -591,27 +683,21 @@ def classify_trend(values: Sequence[Fraction], slack: Fraction) -> str:
 
 
 def norm_estimate(m: Lscsm, s: ns.NatSet, horizon: int, *,
-                  bits: Optional[np.ndarray] = None,
                   head: bool = False) -> NormEstimate:
     """Evaluate phi on the nested tails past ``default_cuts(horizon)`` and
     classify the trend.
 
     Row values are phi(s ∩ (t, horizon]) divided by the variant's finite-
     horizon attenuation at that cut, so a set with a genuine limit norm shows
-    a flat trend instead of the mechanical (N - t)/N decay.  ``bits`` is the
-    prefix of s on [1, horizon] when the caller already holds it; ``head``
-    adds the whole-prefix row (0, phi, phi) in front, which only ``best``
-    reads.  The estimate's ``exact`` is None: a caller that wants the exact
-    norm asks ``m.exact_norm(s)`` itself.
+    a flat trend instead of the mechanical (N - t)/N decay.  ``head`` adds
+    the whole-prefix row (0, phi, phi) in front, which only ``best`` reads.
+    The estimate's ``exact`` is None: a caller that wants the exact norm
+    asks ``m.exact_norm(s)`` itself.
     """
     if horizon < 2:
         raise ValueError("a tail estimate needs horizon >= 2")
     cuts = sorted(set(default_cuts(horizon)))
-    if bits is None:
-        bits = s.prefix(horizon)
-    elif bits.shape[0] != horizon:
-        raise ValueError("bits must be the prefix on [1, horizon]")
-    raws = m.tail_value(bits, ([0] if head else []) + cuts)
+    raws = m.tail_value(s.prefix(horizon), ([0] if head else []) + cuts)
     rows: list[tuple[int, Fraction, Fraction]] = []
     if head:
         raw0 = raws.pop(0)
@@ -624,25 +710,69 @@ def norm_estimate(m: Lscsm, s: ns.NatSet, horizon: int, *,
                         trend=trend)
 
 
+# the most bits, rows times horizon, that one batched tail_value call reads
+TAIL_CELLS = 1 << 20
+
+
+def _trend_reads(m: Lscsm, bits: np.ndarray, theta: Fraction
+                 ) -> list[tuple[Optional[bool], tuple[int, int], str]]:
+    """Per row of a (K, N) prefix matrix: the tail's verdict at horizon N
+    (True vanishing, False persisting, None neither), its corrected value
+    at the deepest cut as a pair, and its trend, from one kernel call."""
+    horizon = bits.shape[1]
+    if horizon < 2:
+        raise ValueError("a tail estimate needs horizon >= 2")
+    cuts = sorted(set(default_cuts(horizon)))
+    scales = [(c.numerator, c.denominator)
+              for c in (m.tail_correction(t, horizon) for t in cuts)]
+    tn, td = theta.numerator, theta.denominator
+    out = []
+    for raws in m.tail_value(bits, cuts):
+        # the raw value divided by the cut's correction
+        ratios = [(n * cd, d * cn) for (n, d), (cn, cd) in zip(raws, scales)]
+        trend = _ratio_trend(ratios, TREND_SLACK)
+        vn, vd = ratios[-1]
+        below = vn * td < tn * vd
+        if below and trend in ("zero", "decreasing"):
+            verdict = True
+        elif not below and trend == "non-decreasing":
+            verdict = False
+        else:
+            verdict = None
+        out.append((verdict, ratios[-1], trend))
+    return out
+
+
+def tail_verdicts(m: Lscsm, bits: np.ndarray, theta: Fraction
+                  ) -> list[tuple[Optional[bool], Fraction, str]]:
+    """``tail_verdict`` of each row of a (K, N) matrix of prefixes on
+    [1, N], as (vanishes, corrected value at the deepest cut, trend).
+
+    All rows are read by one kernel call at N, and the rows that get a
+    verdict (when N >= 64) by one more at N / 2, which must agree.  The
+    matrix should hold at most ``TAIL_CELLS`` bits unless it has one row.
+    """
+    reads = _trend_reads(m, bits, theta)
+    horizon = bits.shape[1]
+    decided = [i for i, r in enumerate(reads) if r[0] is not None]
+    if horizon >= 64 and decided:
+        half = _trend_reads(m, bits[decided, :horizon // 2], theta)
+        for i, (verdict, _, _) in zip(decided, half):
+            if verdict != reads[i][0]:
+                reads[i] = (None,) + reads[i][1:]
+    return [(verdict, Fraction(*value), trend)
+            for verdict, value, trend in reads]
+
+
 def tail_verdict(m: Lscsm, s: ns.NatSet, horizon: int, theta: Fraction
                  ) -> tuple[Optional[bool], NormEstimate]:
     """True when the tail of s vanishes under m (a zero or decreasing trend
     below ``theta``), False when it persists (non-decreasing at ``theta`` or
-    above), else None, with the estimate at ``horizon`` (``exact`` None).
-    A verdict stands only if the half horizon (the prefix's first half)
-    agrees, which catches sparse lumps that miss one horizon's tail windows.
+    above), else None, with the estimate at ``horizon`` (``exact`` None, no
+    rows).  A verdict stands only if the half horizon (the prefix's first
+    half) agrees, which catches sparse lumps that miss one horizon's tail
+    windows.  The one-row form of ``tail_verdicts``.
     """
-    bits = s.prefix(horizon)
-
-    def read(h: int) -> tuple[Optional[bool], NormEstimate]:
-        est = norm_estimate(m, s, h, bits=bits[:h])
-        if est.trend in ("zero", "decreasing") and est.numeric < theta:
-            return True, est
-        if est.trend == "non-decreasing" and est.numeric >= theta:
-            return False, est
-        return None, est
-
-    verdict, est = read(horizon)
-    if verdict is not None and horizon >= 64:
-        verdict = verdict if read(horizon // 2)[0] == verdict else None
-    return verdict, est
+    [(vanishes, numeric, trend)] = tail_verdicts(m, s.prefix(horizon)[None],
+                                                 theta)
+    return vanishes, NormEstimate(None, numeric, [], trend)

@@ -18,8 +18,10 @@ an initial segment.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 from math import gcd
 from operator import lt
@@ -114,15 +116,23 @@ class SubsequenceMap:
 
     __call__ = value
 
+    @cached_property
+    def _array(self) -> np.ndarray:
+        """The table's values below 2^62 (a prefix: the table increases) as
+        one read-only int64 array, built on the first read."""
+        arr = np.asarray(self.table[:bisect_left(self.table, 1 << 62)],
+                         dtype=np.int64)
+        arr.flags.writeable = False
+        return arr
+
     def values_up_to(self, count: int):
         """Values at positions 1..count: an int64 array while they stay
         below 2^62, else a list of Python ints."""
         m = len(self.table)
         if m >= count:
-            head = self.table[:count]
-            if head and head[-1] < (1 << 62):
-                return np.asarray(head, dtype=np.int64)
-            return list(head)
+            if 0 < count <= self._array.size:
+                return self._array[:count]
+            return self.table[:count]
         if self.horizon is not None and count > self.horizon:
             raise ns.HorizonExceeded(f"map valid up to {self.horizon}")
         if self.tail.kind == "none":
@@ -130,7 +140,7 @@ class SubsequenceMap:
         # the values increase, so the last one bounds them all
         if self.value(count) >= (1 << 62):
             return [self.value(n) for n in range(1, count + 1)]
-        head = np.asarray(self.table, dtype=np.int64)
+        head = self._array
         tail_n = np.arange(m + 1, count + 1, dtype=np.int64)
         if self.tail.kind == "identity-shift":
             rest = tail_n + self.tail.param

@@ -7,6 +7,7 @@ never trusted to check itself.
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -181,16 +182,75 @@ def test_complement_involution(spec):
                           s.prefix(N_REF))
 
 
+def ref_member(spec, n):
+    """Membership of any n >= 1 in the recipe's set, read pointwise."""
+    kind = spec[0]
+    if kind == "finite":
+        return n in spec[1]
+    if kind == "cofinite":
+        return n not in spec[1]
+    if kind == "progression":
+        return n >= spec[1] and (n - spec[1]) % spec[2] == 0
+    if kind == "powers":
+        v = spec[1]
+        while v < n:
+            v *= spec[1]
+        return v == n
+    if kind == "union":
+        return any(ref_member(p, n) for p in spec[1])
+    if kind == "intersection":
+        return all(ref_member(p, n) for p in spec[1])
+    return not ref_member(spec[1], n)
+
+
+def ref_leaves(spec):
+    if spec[0] in ("union", "intersection"):
+        for p in spec[1]:
+            yield from ref_leaves(p)
+    elif spec[0] == "complement":
+        yield from ref_leaves(spec[1])
+    else:
+        yield spec
+
+
+FAR = 1 << 40       # no power of 2, ..., 7 lies in (FAR, FAR + 55440]
+
+
+def ref_has_far_members(spec):
+    """Whether the recipe's set is infinite, from members far out.
+
+    Past N_REF every finite leaf is behind, so a non-power's membership
+    repeats with the lcm L of the progression steps (at most 27720), and
+    the window (FAR, FAR + 2L] holds every residue mod L, twice, with no
+    power in it.  A power b^j's membership repeats in j with a period
+    dividing 60: every cycle of b^j modulo a step of at most 12 divides 60
+    and is entered before j = 64, and 4^j is 2^(2j).  So the set is
+    infinite exactly when a member lies in that window or is some b^j with
+    j in [64, 124).
+    """
+    leaves = list(ref_leaves(spec))
+    period = math.lcm(*(leaf[2] for leaf in leaves if leaf[0] == "progression"))
+    bases = {leaf[1] for leaf in leaves if leaf[0] == "powers"}
+    return (any(ref_member(spec, n) for n in range(FAR + 1, FAR + 2 * period + 1))
+            or any(ref_member(spec, b ** j) for b in bases
+                   for j in range(64, 124)))
+
+
 @given(set_specs)
+@example(("intersection", [("progression", 1, 11), ("powers", 6)]))
+@example(("intersection", [("progression", 2, 4), ("powers", 2)]))
 def test_infinite_certificates_are_sound(spec):
+    # a certificate is checked against members far out, where an infinite
+    # set always has some: the first member of Progression(1, 11) ∩
+    # PowersOf(6) is 6^10, past any window read from 1, and the one member
+    # of Progression(2, 4) ∩ PowersOf(2), 2, comes before 2^j mod 4 cycles
     s = build(spec)
     ref_small = ref_set(spec, 4096)
     inf = s.is_infinite()
     if inf is False:
         assert ref_small == ref_set(spec, 2048), "finite set kept growing"
-    if inf is True:
-        assert len(ref_set(spec, 4096)) > len(ref_set(spec, 64)) or \
-            len(ref_small) >= 1
+    if inf is not None:
+        assert ref_has_far_members(spec) is inf
     cof = s.is_cofinite()
     if cof is True:
         missing = 4096 - len(ref_small)

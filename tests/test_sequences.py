@@ -230,14 +230,14 @@ def test_gamma_without_records_finds_the_same_cluster_points(i, seq, ideal):
 
 def test_gamma_without_records_stops_at_the_first_radius_not_notin(
         monkeypatch):
-    calls = []
-    decide = sequences.decide_membership
+    calls = []                    # every ball handed to a decision
+    decide = sequences.decide_each
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return decide(*args, **kwargs)
+    def counted(handle, sets, *args, **kwargs):
+        calls.extend(sets)
+        return decide(handle, sets, *args, **kwargs)
 
-    monkeypatch.setattr(sequences, "decide_membership", counted)
+    monkeypatch.setattr(sequences, "decide_each", counted)
     params = AnalysisParams(horizon=1 << 12,
                             schedule=RadiusSchedule.dyadic(4), pitch=F(1, 16))
     x = zoo.rationals()
@@ -246,6 +246,27 @@ def test_gamma_without_records_stops_at_the_first_radius_not_notin(
     gamma_estimate(y, builtin("gdi"), _map_params(params, 512),
                    candidates=grid, records=False)
     assert 0 < len(calls) < len(grid) * len(params.schedule)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["harmonic", "rationals"]),
+       st.sampled_from(["fin", "Z", "summable", "gdi"]),
+       st.sampled_from([tr.random_sigma, tr.random_pi]),
+       st.integers(0, 10 ** 6), st.sampled_from([256, 512]))
+def test_sample_finds_the_cluster_points_of_the_full_report(seq, ideal, draw,
+                                                            seed, length):
+    # the README's sample promise on random maps: the radius-major walk
+    # that decides each radius for all remaining candidates at once keeps
+    # exactly the cluster points of the report with every radius recorded
+    params = AnalysisParams(horizon=length, schedule=RadiusSchedule.dyadic(4),
+                            pitch=F(1, 16))
+    x = zoo.get_sequence(seq)
+    grid = candidate_grid(x, params)
+    y = tr.apply(draw(seed, length=length), x)
+    handle = builtin(ideal)
+    fast = gamma_estimate(y, handle, params, candidates=grid, records=False)
+    full = gamma_estimate(y, handle, params, candidates=grid)
+    assert fast.points() == full.points()
 
 
 # --- the limiting norm -------------------------------------------------------

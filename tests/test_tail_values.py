@@ -9,13 +9,15 @@ both are exact, so they must agree to the last bit.
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from idealconv import natset as ns
 from idealconv import submeasure as sm
+from idealconv import transforms as tr
 from idealconv import zoo
-from idealconv.ideals import (DecisionParams, Verdict, builtin,
-                              decide_membership)
+from idealconv.ideals import (DecisionParams, IdealHandle, Verdict, builtin,
+                              decide_each, decide_membership)
+from idealconv.sequences import indicator_set
 
 F = Fraction
 
@@ -97,6 +99,21 @@ def prefixes(draw, max_horizon=12_000):
     with repeats allowed."""
     horizon = draw(st.integers(1, max_horizon))
     cuts = draw(st.lists(st.integers(0, horizon - 1), min_size=1, max_size=6))
+    return draw_prefix(draw, horizon, cuts), cuts
+
+
+@st.composite
+def matrices(draw, max_horizon=3000):
+    """(bits, cuts): a (K, N) matrix of K prefixes on [1, N], each row of
+    its own shape, and cuts as in ``prefixes``."""
+    horizon = draw(st.integers(1, max_horizon))
+    cuts = draw(st.lists(st.integers(0, horizon - 1), min_size=1, max_size=6))
+    rows = [draw_prefix(draw, horizon, cuts)
+            for _ in range(draw(st.integers(1, 6)))]
+    return np.stack(rows), cuts
+
+
+def draw_prefix(draw, horizon, cuts):
     shape = draw(st.sampled_from(SHAPES))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     bits = np.zeros(horizon, dtype=bool)
@@ -111,7 +128,7 @@ def prefixes(draw, max_horizon=12_000):
         bits[:first] = rng.random(first) < 0.5
     elif shape == "sparse":
         bits[rng.integers(0, horizon, size=draw(st.integers(1, 8)))] = True
-    return bits, cuts
+    return bits
 
 
 GDI = builtin("gdi").lscsm
@@ -121,6 +138,13 @@ HEADED = sm.DensityFamily(
 SUMMABLE = builtin("summable").lscsm
 SCALED = sm.normalize(sm.WeightedSum(cap=F(3), scale=F(7, 5), harmonic=False))
 WIDE = sm.WeightedSum(cap=F(3, 2), scale=F(2, 7), harmonic=False)
+# weights whose cross-products pass int64: every row takes the exact loop
+HUGE = sm.DensityFamily(
+    partition=ns.partition_from_tag({"kind": "geometric", "ratio": "2"}),
+    head_weights=(F(2 ** 70 + 1, 2 ** 71), F(0), F(1, 3)),
+    tail_weight=F(3 ** 45, 3 ** 45 + 2))
+KERNELS = (sm.RunningDensity(), sm.CountingCap(), SUMMABLE, SCALED, WIDE,
+           GDI, HEADED, HUGE)
 
 
 # --- batched equals per-cut -------------------------------------------------------
@@ -190,6 +214,43 @@ def test_density_family_batched_equals_reference(case):
     bits, cuts = case
     for m in (GDI, HEADED):
         assert m.tail_value(bits, cuts) == reference(m, bits, cuts)
+
+
+@given(matrices())
+def test_row_batched_tail_values_equal_reference_row_by_row(case):
+    # K rows in, K rows of exact pairs out, each equal to its row's
+    # per-cut reference; a 1-D prefix is the K = 1 case, as Fractions
+    bits, cuts = case
+    for m in KERNELS:
+        rows = m.tail_value(bits, cuts)
+        assert len(rows) == bits.shape[0]
+        for row, got in zip(bits, rows):
+            assert all(d > 0 for _, d in got)
+            want = reference(m, row, cuts)
+            assert [F(n, d) for n, d in got] == want
+            assert m.tail_value(row, cuts) == want
+
+
+def test_row_batched_tail_values_on_fixed_rows():
+    # all-zero and all-one rows, a row that only the whole prefix caps,
+    # one row alone
+    horizon = 2048
+    cuts = [0, 1024, 1536, 1792]
+    bits = np.zeros((4, horizon), dtype=bool)
+    bits[1] = True
+    bits[2, :64] = True
+    bits[3, 1500:1600] = True
+    for m in KERNELS:
+        rows = [[F(*v) for v in got] for got in m.tail_value(bits, cuts)]
+        for row, got in zip(bits, rows):
+            assert got == reference(m, row, cuts)
+        assert [[F(*v) for v in got]
+                for got in m.tail_value(bits[3:], cuts)] == rows[3:]
+    zero, full, head, _ = ([F(*v) for v in row]
+                           for row in SUMMABLE.tail_value(bits, cuts))
+    assert zero == [0] * 4
+    assert full[0] == head[0] == SUMMABLE.cap and head[1:] == [0] * 3
+    assert 0 < full[-1] < full[1] < 1
 
 
 def test_density_family_partial_last_block():
@@ -268,6 +329,74 @@ def test_shared_prefix_decision_equals_separate_prefixes(log_n, shape, p, seed):
         assert (VERDICTS[vanishes], est.numeric, est.trend) == expected
 
 
+def _mixed_sets():
+    """Symbolic sets, bitmaps, map balls (tested through a map's values),
+    block-union letters and a ball whose map ends before the horizon."""
+    rng = np.random.default_rng(7)
+    harmonic, rationals = zoo.harmonic(), zoo.rationals()
+    balls = []
+    for seed in range(3):
+        for x, centre in ((harmonic, F(1, 3)), (rationals, F(1, 2))):
+            y = tr.apply(tr.random_sigma(seed, length=1024), x)
+            balls += [indicator_set(y, (centre,), F(1, 2 ** k)) for k in (1, 3)]
+        y = tr.apply(tr.random_pi(seed, length=1024), rationals)
+        balls.append(indicator_set(y, (F(1, 4),), F(1, 8)))
+    short = tr.apply(tr.random_sigma(9, length=256), harmonic)
+    return ([ns.Progression(3, 7), ns.PowersOf(3), ns.Finite([2, 99, 1000]),
+             ns.Cofinite([1, 5]), ns.Union((ns.Progression(1, 5), ns.PowersOf(2))),
+             ns.PrefixBitmap(rng.random(2048) < 0.3),
+             ns.PrefixBitmap(np.arange(1, 2049) % 97 < 3),
+             ns.PrefixBitmap([True] * 5000 + [False] * 3192),
+             ns.PrefixBitmap([True, False, True]),
+             indicator_set(short, (F(1, 2),), F(1, 4))]
+            + list(zoo.get_sequence("charblocks:2", 1024).alphabet.index_sets)
+            + balls
+            # structural routes over parts that are read by tail
+            + [ns.Union((balls[0], ns.PowersOf(2))),
+               ns.Union((balls[1], ns.Finite([3, 8]), balls[4])),
+               ns.Intersection((balls[2], ns.PowersOf(3))),
+               ns.Intersection((balls[3], balls[5]))])
+
+
+MIXED = _mixed_sets()
+DECIDERS = HANDLES + [builtin("fin-x-fin"),
+                      IdealHandle("gdi", lscsm=sm.normalize(HEADED))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, len(MIXED) - 1), min_size=1, max_size=10),
+       st.sampled_from(range(len(DECIDERS))), st.sampled_from([512, 1024]))
+def test_decide_each_equals_decide_membership_set_by_set(picks, h, horizon):
+    # the batch's tail reads share kernel passes, possibly split by a small
+    # cell budget; every decision must equal the one-set decision
+    handle, sets = DECIDERS[h], [MIXED[i] for i in picks]
+    params = DecisionParams(horizon=horizon)
+    want = [decide_membership(handle, s, params) for s in sets]
+    assert decide_each(handle, sets, params) == want
+
+
+def test_decide_each_splits_a_batch_at_the_cell_budget(monkeypatch):
+    params = DecisionParams(horizon=1024)
+    handle = builtin("density-zero")
+    want = [decide_membership(handle, s, params) for s in MIXED]
+    widths = []
+    kernel = sm.RunningDensity.tail_value
+
+    def counted(self, bits, cuts):
+        widths.append(bits.shape)
+        return kernel(self, bits, cuts)
+
+    monkeypatch.setattr(sm.RunningDensity, "tail_value", counted)
+    monkeypatch.setattr(sm, "TAIL_CELLS", 3 * 1024)
+    assert decide_each(handle, MIXED, params) == want
+    assert widths and all(k * n <= 3 * 1024 for k, n in widths)
+    assert any(k == 3 for k, _ in widths)
+    # union and intersection parts are read in batches of their own
+    assert sum(k for k, n in widths if n == 1024) >= sum(
+        d.reason == "tail-trend" for d in want)
+    assert "horizon-exceeded" in {d.reason for d in want}
+
+
 def test_half_prefix_is_a_slice_for_structured_sets():
     sets = [ns.Progression(3, 7), ns.PowersOf(3), ns.Cofinite([1, 5]),
             ns.Finite([2, 99, 1000]),
@@ -284,14 +413,13 @@ def test_half_prefix_is_a_slice_for_structured_sets():
 # --- the half horizon only corroborates a verdict -----------------------------
 
 def test_half_horizon_is_read_only_under_a_verdict(monkeypatch):
-    horizons: list[int] = []      # the horizon of each tail estimate read
-    estimate = sm.norm_estimate
+    horizons: list[int] = []      # the horizon of each tail kernel read
+    for cls in (sm.RunningDensity, sm.DensityFamily):
+        def counted(self, bits, cuts, kernel=cls.tail_value):
+            horizons.append(bits.shape[-1])
+            return kernel(self, bits, cuts)
 
-    def counted(m, s, horizon, **kwargs):
-        horizons.append(horizon)
-        return estimate(m, s, horizon, **kwargs)
-
-    monkeypatch.setattr(sm, "norm_estimate", counted)
+        monkeypatch.setattr(cls, "tail_value", counted)
     # neither letter set of charblocks:2 gets a tail verdict under gdi at
     # 2^16; letter 0, a union, reads its block-union part's tail and its own
     letters = zoo.get_sequence("charblocks:2", 1 << 16).alphabet.index_sets
