@@ -12,17 +12,21 @@ from idealconv import (Cofinite, PowersOf, Progression, RunningDensity,
                        builtin, builtin_names, decide_membership,
                        norm_estimate, phi)
 from idealconv.ideals import DecisionParams
+from idealconv.submeasure import TREND_SLACK, classify_trend, default_cuts
 
 rd = RunningDensity()
 print("phi(evens, prefix 100) =", phi(rd, Progression(2, 2), 100))
 print("phi(powers of 2, prefix 10^6) =", phi(rd, PowersOf(2), 10 ** 6))
 
 print("\n== limit norms with trend diagnostics ==")
+horizon = 1 << 20
 for s, label in ((Progression(2, 2), "evens"), (PowersOf(2), "powers"),
                  (Cofinite([5]), "cofinite")):
-    est = norm_estimate(rd, s, 1 << 20)
-    print(f"{label:9s} exact={rd.exact_norm(s)}  numeric={float(est.numeric):.6f}  "
-          f"trend={est.trend}")
+    # corrected tail values past N/2, 3N/4 and 7N/8, as exact pairs
+    [values] = norm_estimate(rd, s.prefix(horizon)[None], default_cuts(horizon))
+    numeric = Fraction(*values[-1])
+    print(f"{label:9s} exact={rd.exact_norm(s)}  numeric={float(numeric):.6f}  "
+          f"trend={classify_trend(values, TREND_SLACK)}")
 
 print("\n== membership in the built-in ideals ==")
 Z = builtin("density-zero")

@@ -27,8 +27,8 @@ _EXPORTS = {
                "Finite", "HorizonExceeded", "Intersection", "NatSet",
                "PowersOf", "PrefixBitmap", "Progression", "Tested", "Union",
                "partition_from_tag"),
-    "submeasure": ("CountingCap", "DensityFamily", "Lscsm", "NormEstimate",
-                   "RunningDensity", "WeightedSum", "norm_estimate", "phi"),
+    "submeasure": ("CountingCap", "DensityFamily", "Lscsm", "RunningDensity",
+                   "WeightedSum", "norm_estimate", "phi"),
     "ideals": ("Decision", "DecisionParams", "IdealHandle", "Verdict",
                "builtin", "builtin_names", "decide_membership", "nu2"),
     "meager": ("WitnessIntervals", "WitnessRefuted", "build_witness",

@@ -396,11 +396,13 @@ def _sample_estimate(handle: IdealHandle, sample: ns.NatSet,
     m = handle.lscsm
     if m is not None:
         h = params.horizon
-        # phi is monotone: with every tail correction 1, the estimate's best
-        # row is the whole prefix's
-        if all(m.tail_correction(t, h) == 1 for t in sm.default_cuts(h)):
+        cuts = [0] + sm.default_cuts(h)
+        # phi is monotone: with every tail correction 1, the best corrected
+        # tail is the whole prefix's
+        if all(m.tail_correction(t, h) == 1 for t in cuts):
             return sm.phi(m, sample, h)
-        return sm.norm_estimate(m, sample, h, head=True).best
+        [row] = sm.norm_estimate(m, sample.prefix(h)[None], cuts)
+        return max(Fraction(*v) for v in row)
     # product ideal: fraction of valuation rows r <= 10 hit inside the horizon
     hit = valuation_rows(sample, min(params.horizon, 1 << 17))
     return Fraction(len([r for r in range(11) if r in hit]), 11)

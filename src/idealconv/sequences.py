@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from ._lazy import lazy_numpy
 from . import natset as ns
@@ -568,7 +568,7 @@ def _notin_at_every_radius(x: SequenceSpec, cands: Sequence[Point],
 
 @dataclass
 class UFrakResult:
-    per_radius: list[tuple[Fraction, sm.NormEstimate]]
+    per_radius: list[tuple[Fraction, Optional[Fraction], Optional[Fraction]]]
     exact: Optional[Fraction]
     numeric: Optional[Fraction]          # None where exact is set
     # exact is taken for the limiting norm, not only an upper bound on it
@@ -579,19 +579,24 @@ class UFrakResult:
 
 
 def _norm_reader(m: sm.Lscsm, horizon: int):
-    """A ball's norm: exact where known (no prefix, no tail value, so no
-    numeric value, rows or trend), else estimated from its tail."""
-    def estimate(ind: ns.NatSet) -> sm.NormEstimate:
+    """A ball's norm as (exact, numeric): the exact norm where known (no
+    prefix, no tail value, so numeric None), else the corrected tail value
+    at the deepest default cut."""
+    deepest = sm.default_cuts(horizon)[-1]
+
+    def read(ind: ns.NatSet) -> tuple[Optional[Fraction], Optional[Fraction]]:
         exact = m.exact_norm(ind)
         if exact is not None:
-            return sm.NormEstimate(exact, None, [], None)
-        return sm.norm_estimate(m, ind, horizon)
-    return estimate
+            return exact, None
+        [[value]] = sm.norm_estimate(m, ind.prefix(horizon)[None], [deepest])
+        return None, Fraction(*value)
+    return read
 
 
-def _limiting_norm(balls: Balls,
-                   per: list[tuple[Fraction, sm.NormEstimate]]) -> UFrakResult:
-    """The limiting norm read off one candidate's per-radius norms.
+def _limiting_norm(balls: Balls, per: Iterable[tuple[Fraction, tuple]]
+                   ) -> UFrakResult:
+    """The limiting norm read off one candidate's per-radius norms, the
+    pairs (eps, ``_norm_reader``'s reading).
 
     The value is the estimate at the smallest radius.  An exact norm there
     bounds the limit from above, since norms do not increase as the radius
@@ -601,14 +606,15 @@ def _limiting_norm(balls: Balls,
     give the same exact norm; a norm that keeps shrinking (a rationals ball
     under Z, the length of its interval) is not settled.
     """
-    eps, last = per[-1]
-    if last.exact is None:
+    per = [(eps, exact, numeric) for eps, (exact, numeric) in per]
+    eps, exact, numeric = per[-1]
+    if exact is None:
         settled = False
     elif balls.dists is not None:
         settled = all(d == 0 for d in balls.dists if d < eps)
     else:
-        settled = len(per) >= 2 and per[-2][1].exact == last.exact
-    return UFrakResult(per, last.exact, last.numeric, settled)
+        settled = len(per) >= 2 and per[-2][1] == exact
+    return UFrakResult(per, exact, numeric, settled)
 
 
 def u_frak(x: SequenceSpec, ell, m: sm.Lscsm,
@@ -621,7 +627,7 @@ def u_frak(x: SequenceSpec, ell, m: sm.Lscsm,
     """
     [(_, balls, readings)] = _walk(x, [ell], _norm_reader(m, params.horizon),
                                    params.schedule)
-    return _limiting_norm(balls, list(readings))
+    return _limiting_norm(balls, readings)
 
 
 def _classify_u(u: UFrakResult, q: Fraction) -> str:
@@ -671,15 +677,15 @@ def _level_set_report(mode: str, x: SequenceSpec, handle: IdealHandle,
                                     _norm_reader(handle.lscsm, params.horizon),
                                     params.schedule):
         try:
-            u = _limiting_norm(balls, list(readings))
+            u = _limiting_norm(balls, readings)
         except ns.HorizonExceeded:
             records.append(CandidateRecord(c, UNDECIDED, []))
             continue
         cls = _classify_u(u, level)
-        radii = [RadiusRecord(eps, cls, est.exact, est.numeric,
-                              "exact-norm" if est.exact is not None
+        radii = [RadiusRecord(eps, cls, exact, numeric,
+                              "exact-norm" if exact is not None
                               else "tail-trend")
-                 for eps, est in u.per_radius]
+                 for eps, exact, numeric in u.per_radius]
         records.append(CandidateRecord(c, cls, radii))
     return ClusterReport(mode, x.name, handle.name, q, records, params)
 

@@ -1,11 +1,12 @@
 """Lower semicontinuous submeasures and finite-horizon norm estimation.
 
-All values are exact :class:`fractions.Fraction`; certification never goes
-through floating point (floats appear only inside an argmax heuristic whose
-answer is re-verified with integer arithmetic).  Each variant knows how to
-evaluate itself on a prefix, on a tail window, and on an explicit finite set,
-and carries a table of closed-form limit norms for the structured set
-variants it can recognize.
+All values are exact: a :class:`fractions.Fraction`, or a pair (numerator,
+denominator) where a tail is read, which compares by integer cross-products.
+Certification never goes through floating point (floats appear only inside
+an argmax heuristic whose answer is re-verified with integer arithmetic).
+Each variant knows how to evaluate itself on a prefix, on a tail window, and
+on an explicit finite set, and carries a table of closed-form limit norms for
+the structured set variants it can recognize.
 """
 
 from __future__ import annotations
@@ -86,14 +87,6 @@ def max_count_ratios(counts: np.ndarray, t: int) -> list[tuple[int, int]]:
     return out
 
 
-def _rows_out(columns: list, bits: np.ndarray) -> list:
-    """The K rows of pairs of a (K, N) matrix from a kernel's columns, one
-    per cut, of K pairs each; for a 1-D prefix, its one row as Fractions."""
-    if bits.ndim == 1:
-        return [Fraction(*column[0]) for column in columns]
-    return list(zip(*columns)) if columns else [()] * bits.shape[0]
-
-
 def sum_unit_fractions_raw(values: Sequence[int]) -> tuple[int, int]:
     """Exact sum of 1/v as an unreduced pair, pairwise-reduced so the
     denominators stay balanced; skipping the gcd keeps comparisons cheap."""
@@ -157,12 +150,11 @@ class Lscsm:
         """phi(s ∩ (t, N]) for each cut t, in the order given, from the full
         prefix bits of s on [1, N]; one pass over the prefix serves all cuts.
 
-        ``bits`` may be a (K, N) matrix of K prefixes, one row per set: the
+        ``bits`` is a (K, N) matrix of K prefixes, one row per set: the
         kernel reads all rows at once and returns K rows of exact values as
         pairs (numerator, denominator), the denominator positive and the
         pair not reduced, which compare by cross-products without a
-        Fraction.  A 1-D prefix is the K = 1 case; its one row comes back
-        as Fractions.
+        Fraction.  A 1-D prefix is read as the one-row matrix.
         """
         raise NotImplementedError
 
@@ -266,7 +258,7 @@ class RunningDensity(Lscsm):
         # as it goes runs about 3 times slower on a matrix
         counts = np.atleast_2d(bits).astype(np.int64)
         np.cumsum(counts, axis=1, out=counts)
-        return _rows_out([max_count_ratios(counts, t) for t in cuts], bits)
+        return list(zip(*[max_count_ratios(counts, t) for t in cuts]))
 
     def interval_mass(self, lo: int, hi: int) -> Fraction:
         # sup of count/n over the interval peaks at its right end
@@ -310,8 +302,8 @@ class CountingCap(Lscsm):
         rows = np.atleast_2d(bits)
         last = ((rows.shape[1] - rows[:, ::-1].argmax(axis=1))
                 * rows.any(axis=1)).tolist()
-        return _rows_out([[(1, 1) if end > t else (0, 1) for end in last]
-                          for t in cuts], bits)
+        return list(zip(*[[(1, 1) if end > t else (0, 1) for end in last]
+                          for t in cuts]))
 
     def interval_mass(self, lo: int, hi: int) -> Fraction:
         return ONE if hi > lo else ZERO
@@ -349,9 +341,8 @@ class WeightedSum(Lscsm):
         return min(self.cap, self.scale * sum_unit_fractions(members))
 
     def tail_value(self, bits: np.ndarray, cuts: Sequence[int]) -> list:
-        rows = [self._nested_sums(np.flatnonzero(row) + 1, cuts)
+        return [self._nested_sums(np.flatnonzero(row) + 1, cuts)
                 for row in np.atleast_2d(bits)]
-        return _rows_out(list(zip(*rows)), bits)
 
     def _nested_sums(self, idx: np.ndarray,
                      cuts: Sequence[int]) -> list[tuple[int, int]]:
@@ -534,8 +525,7 @@ class DensityFamily(Lscsm):
         if (rows.shape[0] < 4 or not cuts or not blocks
                 or max(b[2] for b in blocks) * max(b[3] for b in blocks)
                 * horizon >= 1 << 63):
-            return _rows_out([[exact(r, t) for r in range(rows.shape[0])]
-                              for t in cuts], bits)
+            return [[exact(r, t) for t in cuts] for r in range(rows.shape[0])]
         lo, last, wn, wd = (np.array(c, dtype=np.int64) for c in zip(*blocks))
         # (K, cuts, blocks): each block's count past each cut, 0 for the
         # blocks that end at or before it
@@ -546,11 +536,11 @@ class DensityFamily(Lscsm):
         bn = np.take_along_axis(num, best, axis=2)
         bd = wd[best]
         better = (num * bd > bn * wd).any(axis=2)
-        columns = [list(zip(n, d)) for n, d in zip(bn[..., 0].T.tolist(),
-                                                   bd[..., 0].T.tolist())]
+        out = [list(zip(n, d)) for n, d in zip(bn[..., 0].tolist(),
+                                               bd[..., 0].tolist())]
         for r, c in zip(*np.nonzero(better)):
-            columns[c][r] = exact(r, cuts[c])
-        return _rows_out(columns, bits)
+            out[r][c] = exact(r, cuts[c])
+        return out
 
     def interval_mass(self, lo: int, hi: int) -> Fraction:
         # only the blocks that meet [lo, hi) count: from lo's block onward
@@ -628,7 +618,8 @@ def phi(m: Lscsm, s: ns.NatSet, horizon: int) -> Fraction:
     """Exact phi(s ∩ [1, horizon])."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    return m.tail_value(s.prefix(horizon), [0])[0]
+    [[value]] = m.tail_value(s.prefix(horizon), [0])
+    return Fraction(*value)
 
 
 def default_cuts(horizon: int) -> list[int]:
@@ -639,37 +630,14 @@ def default_cuts(horizon: int) -> list[int]:
 TREND_SLACK = Fraction(1, 200)
 
 
-@dataclass
-class NormEstimate:
-    """Finite-horizon reading of the limit norm of a set under one lscsm."""
-
-    exact: Optional[Fraction]
-    # corrected value at the deepest cut; None, like the trend, with no rows
-    # when the exact norm was known and no tail was read (a tail verdict
-    # keeps the value and the trend, but no rows)
-    numeric: Optional[Fraction]
-    rows: list[tuple[int, Fraction, Fraction]]   # (cut, raw, corrected)
-    trend: Optional[str]                  # zero | decreasing | non-decreasing | mixed
-
-    @property
-    def best(self) -> Fraction:
-        return max(c for _, _, c in self.rows)
-
-    def value(self) -> Fraction:
-        return self.exact if self.exact is not None else self.numeric
-
-
-def classify_trend(values: Sequence[Fraction], slack: Fraction) -> str:
-    return _ratio_trend([(v.numerator, v.denominator) for v in values], slack)
-
-
-def _ratio_trend(ratios: Sequence[tuple[int, int]], slack: Fraction) -> str:
-    """``classify_trend`` of values given as pairs (numerator, denominator),
-    denominators positive: every comparison is a cross-product, which no
-    common factor of a pair changes."""
-    if all(n == 0 for n, _ in ratios):
+def classify_trend(values: Sequence[tuple[int, int]], slack: Fraction) -> str:
+    """zero, decreasing, non-decreasing or mixed: the trend of tail values
+    given as pairs (numerator, denominator), denominators positive.  Every
+    comparison is a cross-product, which no common factor of a pair
+    changes."""
+    if all(n == 0 for n, _ in values):
         return "zero"
-    (fn, fd), (ln, ld) = ratios[0], ratios[-1]
+    (fn, fd), (ln, ld) = values[0], values[-1]
     if 2 * ln * fd <= fn * ld:
         return "decreasing"
     # sampling noise in a tail window scales with the value itself:
@@ -677,37 +645,29 @@ def _ratio_trend(ratios: Sequence[tuple[int, int]], slack: Fraction) -> str:
     sn, sd = slack.numerator, slack.denominator
     if all(8 * bn * ad >= 7 * an * bd
            or (bn * sd + sn * bd) * ad >= an * bd * sd
-           for (an, ad), (bn, bd) in zip(ratios, ratios[1:])):
+           for (an, ad), (bn, bd) in zip(values, values[1:])):
         return "non-decreasing"
     return "mixed"
 
 
-def norm_estimate(m: Lscsm, s: ns.NatSet, horizon: int, *,
-                  head: bool = False) -> NormEstimate:
-    """Evaluate phi on the nested tails past ``default_cuts(horizon)`` and
-    classify the trend.
+# perfbench/tracer.py patches norm_estimate by this name to time tail reads
+def norm_estimate(m: Lscsm, bits: np.ndarray, cuts: Sequence[int]
+                  ) -> list[list[tuple[int, int]]]:
+    """The one tail reading, which tail verdicts, level sets and witness
+    samples share: per row of a (K, N) prefix matrix, phi of the row's tail
+    past each cut divided by the variant's finite-horizon attenuation
+    ``tail_correction`` at that cut, as pairs (numerator, denominator).
 
-    Row values are phi(s ∩ (t, horizon]) divided by the variant's finite-
-    horizon attenuation at that cut, so a set with a genuine limit norm shows
-    a flat trend instead of the mechanical (N - t)/N decay.  ``head`` adds
-    the whole-prefix row (0, phi, phi) in front, which only ``best`` reads.
-    The estimate's ``exact`` is None: a caller that wants the exact norm
-    asks ``m.exact_norm(s)`` itself.
+    The division lets a set with a genuine limit norm show a flat trend
+    instead of the mechanical (N - t)/N decay.
     """
+    horizon = bits.shape[1]
     if horizon < 2:
         raise ValueError("a tail estimate needs horizon >= 2")
-    cuts = sorted(set(default_cuts(horizon)))
-    raws = m.tail_value(s.prefix(horizon), ([0] if head else []) + cuts)
-    rows: list[tuple[int, Fraction, Fraction]] = []
-    if head:
-        raw0 = raws.pop(0)
-        rows.append((0, raw0, raw0))
-    cut_corrected = [raw if (c := m.tail_correction(t, horizon)) == 1
-                     else raw / c for t, raw in zip(cuts, raws)]
-    rows.extend(zip(cuts, raws, cut_corrected))
-    trend = classify_trend(cut_corrected, TREND_SLACK)
-    return NormEstimate(exact=None, numeric=cut_corrected[-1], rows=rows,
-                        trend=trend)
+    scales = [(c.numerator, c.denominator)
+              for c in (m.tail_correction(t, horizon) for t in cuts)]
+    return [[(n * cd, d * cn) for (n, d), (cn, cd) in zip(raws, scales)]
+            for raws in m.tail_value(bits, cuts)]
 
 
 # the most bits, rows times horizon, that one batched tail_value call reads
@@ -719,19 +679,12 @@ def _trend_reads(m: Lscsm, bits: np.ndarray, theta: Fraction
     """Per row of a (K, N) prefix matrix: the tail's verdict at horizon N
     (True vanishing, False persisting, None neither), its corrected value
     at the deepest cut as a pair, and its trend, from one kernel call."""
-    horizon = bits.shape[1]
-    if horizon < 2:
-        raise ValueError("a tail estimate needs horizon >= 2")
-    cuts = sorted(set(default_cuts(horizon)))
-    scales = [(c.numerator, c.denominator)
-              for c in (m.tail_correction(t, horizon) for t in cuts)]
+    cuts = sorted(set(default_cuts(bits.shape[1])))
     tn, td = theta.numerator, theta.denominator
     out = []
-    for raws in m.tail_value(bits, cuts):
-        # the raw value divided by the cut's correction
-        ratios = [(n * cd, d * cn) for (n, d), (cn, cd) in zip(raws, scales)]
-        trend = _ratio_trend(ratios, TREND_SLACK)
-        vn, vd = ratios[-1]
+    for values in norm_estimate(m, bits, cuts):
+        trend = classify_trend(values, TREND_SLACK)
+        vn, vd = values[-1]
         below = vn * td < tn * vd
         if below and trend in ("zero", "decreasing"):
             verdict = True
@@ -739,18 +692,21 @@ def _trend_reads(m: Lscsm, bits: np.ndarray, theta: Fraction
             verdict = False
         else:
             verdict = None
-        out.append((verdict, ratios[-1], trend))
+        out.append((verdict, values[-1], trend))
     return out
 
 
 def tail_verdicts(m: Lscsm, bits: np.ndarray, theta: Fraction
                   ) -> list[tuple[Optional[bool], Fraction, str]]:
-    """``tail_verdict`` of each row of a (K, N) matrix of prefixes on
-    [1, N], as (vanishes, corrected value at the deepest cut, trend).
+    """Per row of a (K, N) matrix of prefixes on [1, N]: True when the
+    row's tail vanishes (a zero or decreasing trend below ``theta``), False
+    when it persists (non-decreasing at ``theta`` or above), else None, with
+    the corrected value at the deepest cut and the trend.
 
     All rows are read by one kernel call at N, and the rows that get a
-    verdict (when N >= 64) by one more at N / 2, which must agree.  The
-    matrix should hold at most ``TAIL_CELLS`` bits unless it has one row.
+    verdict (when N >= 64) by one more at N / 2, which must agree: that
+    catches sparse lumps that miss one horizon's tail windows.  The matrix
+    should hold at most ``TAIL_CELLS`` bits unless it has one row.
     """
     reads = _trend_reads(m, bits, theta)
     horizon = bits.shape[1]
@@ -762,17 +718,3 @@ def tail_verdicts(m: Lscsm, bits: np.ndarray, theta: Fraction
                 reads[i] = (None,) + reads[i][1:]
     return [(verdict, Fraction(*value), trend)
             for verdict, value, trend in reads]
-
-
-def tail_verdict(m: Lscsm, s: ns.NatSet, horizon: int, theta: Fraction
-                 ) -> tuple[Optional[bool], NormEstimate]:
-    """True when the tail of s vanishes under m (a zero or decreasing trend
-    below ``theta``), False when it persists (non-decreasing at ``theta`` or
-    above), else None, with the estimate at ``horizon`` (``exact`` None, no
-    rows).  A verdict stands only if the half horizon (the prefix's first
-    half) agrees, which catches sparse lumps that miss one horizon's tail
-    windows.  The one-row form of ``tail_verdicts``.
-    """
-    [(vanishes, numeric, trend)] = tail_verdicts(m, s.prefix(horizon)[None],
-                                                 theta)
-    return vanishes, NormEstimate(None, numeric, [], trend)

@@ -12,6 +12,7 @@ from idealconv import submeasure as sm
 from idealconv.ideals import DecisionParams, Verdict, builtin, nu2
 from idealconv.meager import (WitnessIntervals, build_witness, fk_holds,
                               verify_witness)
+from test_tail_values import corrected
 
 F = Fraction
 
@@ -261,8 +262,11 @@ def test_sample_estimate_is_the_best_estimate_row(name):
     head_only = gen.random(horizon) < 0.3
     head_only[horizon // 2:] = False
     samples.append(ns.PrefixBitmap(head_only))
+    # the best corrected tail past cut 0 (the whole prefix) and the default
+    # cuts, each from the per-cut reference
+    cuts = [0] + sm.default_cuts(horizon)
     for s in samples:
-        want = sm.norm_estimate(handle.lscsm, s, horizon, head=True).best
+        want = max(corrected(handle.lscsm, s.prefix(horizon), cuts))
         assert meager._sample_estimate(handle, s, params) == want
 
 

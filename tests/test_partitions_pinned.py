@@ -192,8 +192,9 @@ def density_family_observations(m):
         for density in (0.05, 0.5):
             bits = rng.random(horizon) < density
             cuts = [0, 1, 5, 30, horizon // 2, horizon - 1]
+            [row] = m.tail_value(bits, cuts)
             out.append(["tail_value", horizon, density,
-                        m.tail_value(bits, cuts)])
+                        [F(*v) for v in row]])
     for lo, hi in ((1, 1), (1, 2), (1, 10), (3, 17), (100, 357), (513, 514),
                    (2, 5000)):
         out.append(["interval", lo, hi, m.interval_mass(lo, hi)])

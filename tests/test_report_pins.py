@@ -368,7 +368,8 @@ def test_sample_of_rationals_sigma_maps_pinned(tmp_path):
      "0b4a92dac57d11dcd8fc87f6067560a7d8fa7d516ddf5bc0fec45233941cfda1"),
 ])
 def test_witness_verify_report_pinned(tmp_path, ideal, json_digest):
-    # each sample's estimate is the best tail row of norm_estimate(head=True)
+    # each sample's estimate is its best corrected tail past cut 0 and the
+    # default cuts
     out = tmp_path / "verify"
     assert main(["witness", "verify", "--ideal", ideal, "--q", "1/2",
                  "--horizon", "4096", "--trials", "12", "--seed", "3",
@@ -380,16 +381,18 @@ def test_witness_verify_report_pinned(tmp_path, ideal, json_digest):
 # --- one norm read per letter subset ------------------------------------------
 
 def _count_norm_reads(monkeypatch):
-    """The sets whose norm a report reads: each exact_norm call not made
-    from inside another norm read, and each tail estimate."""
-    seen: list[tuple[str, str]] = []
+    """The norm reads of a report: each exact_norm call not made from
+    inside another norm read, by its set, and each tail reading, by the
+    prefix it reads."""
+    seen: list[tuple[str, object]] = []
     depth = [0]
 
     def counted(kind, fn):
         def read(*args, **kwargs):
             s = args[1]
             if depth[0] == 0:
-                seen.append((kind, s.dumps()))
+                seen.append((kind, s.dumps() if kind == "exact"
+                             else s.tobytes()))
             depth[0] += 1
             try:
                 return fn(*args, **kwargs)

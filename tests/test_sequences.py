@@ -288,7 +288,8 @@ def test_u_frak_nonincreasing_along_radii():
     for x, ell in ((zoo.char_evens(), F(1)), (zoo.char_powers2(), F(0)),
                    (zoo.char_blocks(2), F(1))):
         u = u_frak(x, (ell,), rd, P14)
-        vals = [est.value() for _, est in u.per_radius]
+        vals = [numeric if exact is None else exact
+                for _, exact, numeric in u.per_radius]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
@@ -302,7 +303,7 @@ def test_a_lambda_cluster_needs_a_settled_exact_norm():
                             pitch=F(1, 32))
     Z = builtin("density-zero")
     u = u_frak(x, (F(1, 4),), Z.lscsm, params)
-    assert [est.exact for _, est in u.per_radius][-2:] == [1, F(1, 2)]
+    assert [exact for _, exact, _ in u.per_radius][-2:] == [1, F(1, 2)]
     assert u.settled
     report = lambda_q_estimate(x, Z, F(1, 2), params)
     got = sorted((c.point[0], c.classification) for c in report.candidates)
@@ -444,3 +445,31 @@ def test_analysis_params_validation():
                        schedule=RadiusSchedule.dyadic(4))  # pitch > min radius
     with pytest.raises(ValueError):
         RadiusSchedule([F(1, 2), F(1, 2)])
+
+
+# --- one tail reading for both halves ------------------------------------------
+
+@pytest.mark.parametrize("ideal", ["fin", "Z", "summable", "gdi"])
+def test_gamma_records_and_level_sets_read_the_same_tail(ideal):
+    # the balls of a random map's values have no closed form, so only the
+    # tail route decides them; wherever it does, the gamma record carries
+    # the same corrected value at the deepest cut as the level set
+    handle = builtin(ideal)
+    params = AnalysisParams(horizon=1 << 11, schedule=RadiusSchedule.dyadic(4),
+                            pitch=F(1, 16))
+    shared = 0
+    for x in (zoo.harmonic(), zoo.rationals()):
+        for m in (tr.random_sigma(5, length=4096), tr.random_pi(5, length=4096)):
+            y = tr.apply(m, x)
+            level = {(c.point, r.eps): r
+                     for c in lambda_estimate(y, handle, params).candidates
+                     for r in c.radii}
+            for c in gamma_estimate(y, handle, params).candidates:
+                for r in c.radii:
+                    if r.reason == "tail-trend":
+                        lam = level[(c.point, r.eps)]
+                        assert (lam.reason, lam.numeric) == ("tail-trend",
+                                                             r.numeric)
+                        shared += 1
+    # 4 maps, 17 candidates, 4 radii: every ball is read by its tail
+    assert shared == 4 * 17 * 4

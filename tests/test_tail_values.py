@@ -9,6 +9,7 @@ both are exact, so they must agree to the last bit.
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from idealconv import natset as ns
@@ -88,6 +89,13 @@ def reference(m, bits, cuts):
     return [ref(m, bits, t) for t in cuts]
 
 
+def values(m, bits, cuts):
+    """The tail values of one 1-D prefix as Fractions, from the one row of
+    pairs that ``tail_value`` returns for it."""
+    [row] = m.tail_value(bits, cuts)
+    return [F(*v) for v in row]
+
+
 # --- bitmaps and cuts -----------------------------------------------------------
 
 SHAPES = ("random", "empty", "full", "single", "below-first-cut", "sparse")
@@ -153,14 +161,14 @@ KERNELS = (sm.RunningDensity(), sm.CountingCap(), SUMMABLE, SCALED, WIDE,
 def test_running_density_batched_equals_reference(case):
     bits, cuts = case
     m = sm.RunningDensity()
-    assert m.tail_value(bits, cuts) == reference(m, bits, cuts)
+    assert values(m, bits, cuts) == reference(m, bits, cuts)
 
 
 @given(prefixes())
 def test_counting_cap_batched_equals_reference(case):
     bits, cuts = case
     m = sm.CountingCap()
-    assert m.tail_value(bits, cuts) == reference(m, bits, cuts)
+    assert values(m, bits, cuts) == reference(m, bits, cuts)
 
 
 @given(prefixes())
@@ -169,7 +177,7 @@ def test_weighted_sum_batched_equals_reference(case):
     # sum; every row still equals min(cap, scale * its exact sum)
     bits, cuts = case
     for m in (SUMMABLE, SCALED, WIDE):
-        got = m.tail_value(bits, cuts)
+        got = values(m, bits, cuts)
         assert got == reference(m, bits, cuts)
         assert got == [ref_capped_sum(m, bits, t) for t in cuts]
 
@@ -185,7 +193,7 @@ def test_weighted_sum_cap_reached_exactly_at_a_cut(case, data):
     if total == 0:
         return
     m = sm.WeightedSum(cap=total, scale=scale, harmonic=False)
-    got = m.tail_value(bits, cuts)
+    got = values(m, bits, cuts)
     assert got == reference(m, bits, cuts)
     assert got[cuts.index(t)] == total
 
@@ -199,27 +207,27 @@ def test_weighted_sum_reaches_the_cap_past_its_fixed_point_bound():
     assert sum(one // k for k in (2, 3, 6)) == one - 1
     cuts = [0, 1, 2, 5]
     for m in (sm.WeightedSum(), sm.WeightedSum(cap=F(3, 2), scale=F(3, 2))):
-        got = m.tail_value(bits, cuts)
+        got = values(m, bits, cuts)
         assert got == [ref_capped_sum(m, bits, t) for t in cuts]
         assert got[:2] == [m.cap, m.cap]
     # the ceilings sum to 2^56 + 1: a cap that far above the sum is not
     # reached, so the bound must round down
     assert sum(-(-one // k) for k in (2, 3, 6)) == one + 1
     m = sm.WeightedSum(cap=F(one + 1, one))
-    assert m.tail_value(bits, cuts) == [1, 1, F(1, 2), F(1, 6)]
+    assert values(m, bits, cuts) == [1, 1, F(1, 2), F(1, 6)]
 
 
 @given(prefixes())
 def test_density_family_batched_equals_reference(case):
     bits, cuts = case
     for m in (GDI, HEADED):
-        assert m.tail_value(bits, cuts) == reference(m, bits, cuts)
+        assert values(m, bits, cuts) == reference(m, bits, cuts)
 
 
 @given(matrices())
 def test_row_batched_tail_values_equal_reference_row_by_row(case):
     # K rows in, K rows of exact pairs out, each equal to its row's
-    # per-cut reference; a 1-D prefix is the K = 1 case, as Fractions
+    # per-cut reference; a 1-D prefix is the K = 1 case
     bits, cuts = case
     for m in KERNELS:
         rows = m.tail_value(bits, cuts)
@@ -228,7 +236,7 @@ def test_row_batched_tail_values_equal_reference_row_by_row(case):
             assert all(d > 0 for _, d in got)
             want = reference(m, row, cuts)
             assert [F(n, d) for n, d in got] == want
-            assert m.tail_value(row, cuts) == want
+            assert values(m, row, cuts) == want
 
 
 def test_row_batched_tail_values_on_fixed_rows():
@@ -258,8 +266,8 @@ def test_density_family_partial_last_block():
     bits = np.zeros(100, dtype=bool)
     bits[63:100] = True
     cuts = [0, 50, 70, 99]
-    assert GDI.tail_value(bits, cuts) == reference(GDI, bits, cuts)
-    assert GDI.tail_value(bits, [0]) == [F(37, 64)]
+    assert values(GDI, bits, cuts) == reference(GDI, bits, cuts)
+    assert values(GDI, bits, [0]) == [F(37, 64)]
 
 
 def test_phi_reads_the_single_cut_zero():
@@ -268,34 +276,54 @@ def test_phi_reads_the_single_cut_zero():
         assert sm.phi(m, ns.Progression(3, 4), 500) == reference(m, bits, [0])[0]
 
 
-def test_norm_estimate_head_row_only_when_asked():
-    s = ns.Progression(2, 2)
-    plain = sm.norm_estimate(sm.RunningDensity(), s, 4096)
-    headed = sm.norm_estimate(sm.RunningDensity(), s, 4096, head=True)
-    assert [t for t, _, _ in plain.rows] == [2048, 3072, 3584]
-    assert headed.rows == [(0, F(1, 2), F(1, 2))] + plain.rows
-    assert (headed.numeric, headed.trend) == (plain.numeric, plain.trend)
-    assert headed.best == max(F(1, 2), plain.best)
+def corrected(m, bits, cuts):
+    """Each cut's per-cut reference divided by the variant's correction."""
+    horizon = bits.shape[0]
+    return [v / m.tail_correction(t, horizon)
+            for v, t in zip(reference(m, bits, cuts), cuts)]
+
+
+@given(matrices())
+def test_norm_estimate_divides_each_cut_by_its_correction(case):
+    # one row of exact pairs per prefix, in the order of the cuts; the
+    # running density's correction (N - t) / N is the one that is not 1
+    bits, cuts = case
+    if bits.shape[1] < 2:
+        for m in KERNELS:
+            with pytest.raises(ValueError, match="horizon >= 2"):
+                sm.norm_estimate(m, bits, cuts)
+        return
+    for m in KERNELS:
+        rows = sm.norm_estimate(m, bits, cuts)
+        assert len(rows) == bits.shape[0]
+        for row, got in zip(bits, rows):
+            assert all(d > 0 for _, d in got)
+            assert [F(n, d) for n, d in got] == corrected(m, row, cuts)
 
 
 # --- one prefix per decision ----------------------------------------------------
 
 def separate_prefix_decision(handle, s, params):
-    """The tail-trend route with a freshly built prefix at each horizon."""
+    """The tail-trend route with a freshly built prefix at each horizon,
+    read cut by cut through the per-cut reference."""
     def trend_verdict(horizon):
-        est = sm.norm_estimate(handle.lscsm, s, horizon)
-        if est.trend in ("zero", "decreasing") and est.numeric < params.theta:
-            return Verdict.IN, est
-        if est.trend == "non-decreasing" and est.numeric >= params.theta:
-            return Verdict.NOT_IN, est
-        return None, est
+        cuts = sorted(set(sm.default_cuts(horizon)))
+        vals = corrected(handle.lscsm, s.prefix(horizon), cuts)
+        trend = sm.classify_trend([(v.numerator, v.denominator) for v in vals],
+                                  sm.TREND_SLACK)
+        numeric = vals[-1]
+        if trend in ("zero", "decreasing") and numeric < params.theta:
+            return Verdict.IN, numeric, trend
+        if trend == "non-decreasing" and numeric >= params.theta:
+            return Verdict.NOT_IN, numeric, trend
+        return None, numeric, trend
 
-    v1, est = trend_verdict(params.horizon)
+    v1, numeric, trend = trend_verdict(params.horizon)
     v2 = v1
     if params.horizon >= 64:
-        v2, _ = trend_verdict(params.horizon // 2)
+        v2, _, _ = trend_verdict(params.horizon // 2)
     verdict = v1 if v1 is not None and v1 == v2 else Verdict.UNDECIDED
-    return verdict, est.numeric, est.trend
+    return verdict, numeric, trend
 
 
 HANDLES = [builtin(n) for n in ("fin", "density-zero", "summable", "gdi")]
@@ -325,8 +353,9 @@ def test_shared_prefix_decision_equals_separate_prefixes(log_n, shape, p, seed):
         got = decide_membership(handle, s, params)
         assert got.reason == "tail-trend"
         assert (got.verdict, got.estimate, got.trend) == expected
-        vanishes, est = sm.tail_verdict(handle.lscsm, s, horizon, params.theta)
-        assert (VERDICTS[vanishes], est.numeric, est.trend) == expected
+        [(vanishes, numeric, trend)] = sm.tail_verdicts(
+            handle.lscsm, s.prefix(horizon)[None], params.theta)
+        assert (VERDICTS[vanishes], numeric, trend) == expected
 
 
 def _mixed_sets():
