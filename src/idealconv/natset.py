@@ -265,11 +265,12 @@ def partition_from_tag(tag: dict) -> BlockPartition:
         return BlockPartition(fn=lambda n: 2 ** (n + 1) - 3, tag=tag)
     if kind == "geometric":
         ratio = Fraction(tag["ratio"])
-        def fn(n: int, r=ratio) -> int:
-            v = 1
-            for _ in range(n - 1):
-                v = max(v + 1, int(v * r))
-            return v
+        cache = [1]
+        def fn(n: int) -> int:
+            while len(cache) < n:
+                v = cache[-1]
+                cache.append(max(v + 1, int(v * ratio)))
+            return cache[n - 1]
         return BlockPartition(fn=fn, tag=tag)
     if kind == "ratio-search":
         # least next boundary with (iota' - iota) / iota' >= q
@@ -582,10 +583,14 @@ class Tested(NatSet):
     Either raises HorizonExceeded where the test runs out (a map past its
     table), and ``member`` then answers None.  ``density``, when given, is
     a certified natural density 0 < d < 1, so the set is infinite and not
-    cofinite; nothing else about the set is known."""
+    cofinite; nothing else about the set is known.  ``take(start, want,
+    stop)``, when given, lists members as ``take_members`` does, without
+    prefix windows; a list short of ``want`` with no member past ``stop``
+    ends where the window walk would raise (``SCAN_LIMIT``)."""
     bits: Callable[[int], np.ndarray]
     test: Callable[[int], Optional[bool]]
     density: Optional[Fraction] = None
+    take: Optional[Callable[[int, int, Optional[int]], list[int]]] = None
 
     def __post_init__(self):
         if self.density is not None and not 0 < self.density < 1:
@@ -1029,7 +1034,9 @@ def iter_members(s: NatSet, start: int = 1) -> Iterator[int]:
     """Members of s in increasing order, from ``start`` upward.
 
     Periodic forms, powers and block unions are walked directly, so they
-    reach members past any scan.  Any other set is read in prefix windows,
+    reach members past any scan.  A tested set with its own ``take`` is read
+    in batches of it, and raises HorizonExceeded after a short one.  Any
+    other set is read in prefix windows,
     the first ending at max(start, 4096) and each later one twice as far,
     and the walk raises HorizonExceeded past ``SCAN_LIMIT``, since what lies
     beyond is unknown rather than empty.  Where a window's prefix is
@@ -1038,15 +1045,19 @@ def iter_members(s: NatSet, start: int = 1) -> Iterator[int]:
     """
     start = max(1, start)
     form = periodic_form(s)
-    if form is not None:
-        # batches of Periodic.take, 16 members and twice as many each time
-        # up to 4096; a short batch ends the set
+    take = (form.take if form is not None
+            else s.take if isinstance(s, Tested) else None)
+    if take is not None:
+        # batches of 16 members and twice as many each time up to 4096; a
+        # short batch ends a periodic form, and a tested set's walk
         want = 16
         while True:
-            batch = form.take(start, want, None)
+            batch = take(start, want, None)
             yield from batch
             if len(batch) < want:
-                return
+                if form is not None:
+                    return
+                raise HorizonExceeded(f"no member scan reads past {SCAN_LIMIT}")
             start, want = batch[-1] + 1, min(2 * want, 1 << 12)
     if isinstance(s, PowersOf):
         v = s.base
@@ -1086,12 +1097,15 @@ def take_members(s: NatSet, start: int, want: int,
     that ends early after the first member past ``stop`` (if given).
 
     A periodic form's members are built by range arithmetic per segment
-    (``Periodic.take``), every other set's taken from ``iter_members``; the
-    list is short only where that walk ends or raises HorizonExceeded.
+    (``Periodic.take``), a tested set's by its own ``take`` where it has
+    one, every other set's taken from ``iter_members``; the list is short
+    only where that walk ends or raises HorizonExceeded.
     """
     form = periodic_form(s)
     if form is not None:
         return form.take(max(1, start), want, stop)
+    if isinstance(s, Tested) and s.take is not None:
+        return s.take(max(1, start), want, stop)
     return _take_walk(iter_members(s, start), want, stop, [])
 
 

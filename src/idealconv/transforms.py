@@ -34,7 +34,7 @@ from .ideals import DecisionParams, IdealHandle, Verdict, decide_membership
 from .meager import WitnessIntervals, WitnessRefuted
 from .sequences import (AnalysisParams, Alphabet, Point, SequenceSpec,
                         as_point, distance, format_point, gamma_estimate,
-                        indicator_set, limit_points_estimate, CLUSTER)
+                        indicator_set, limit_points_estimate)
 
 np = lazy_numpy()
 
@@ -185,7 +185,7 @@ class PermutationMap:
         self.table = list(table)
         self.horizon = horizon
         if rule is None and len(self.table):
-            arr = np.asarray(self.table, dtype=np.int64)
+            arr = self._array
             inverse = np.zeros(arr.size + 1, dtype=np.int64)
             if arr.min() < 1 or arr.max() != arr.size:
                 raise ValueError("table must permute an initial segment")
@@ -207,15 +207,24 @@ class PermutationMap:
 
     __call__ = value
 
+    @cached_property
+    def _array(self) -> np.ndarray:
+        """The table as one read-only int64 array, built on the first read."""
+        arr = np.asarray(self.table, dtype=np.int64)
+        arr.flags.writeable = False
+        return arr
+
     def values_up_to(self, count: int) -> np.ndarray:
-        n = np.arange(1, count + 1, dtype=np.int64)
         if self.rule == "odd-even-swap":
+            n = np.arange(1, count + 1, dtype=np.int64)
             out = n + 1
             out[1::2] = n[1::2] - 1
             return out
         m = len(self.table)
-        head = np.asarray(self.table[:min(m, count)], dtype=np.int64)
-        return np.concatenate([head, n[m:]]) if count > m else head
+        if count <= m:
+            return self._array[:count]
+        return np.concatenate([self._array,
+                               np.arange(m + 1, count + 1, dtype=np.int64)])
 
     def to_json(self) -> dict:
         return {"type": "pi",
@@ -533,15 +542,21 @@ def _preserving_candidates(x: SequenceSpec, handle: IdealHandle,
     return gamma, gset, sorted(gset)
 
 
+def _top_radius(fills: list[BlockFill]) -> dict:
+    """Each routed candidate's highest radius index over the fills."""
+    top: dict = {}
+    for f in fills:
+        top[f.candidate] = max(top.get(f.candidate, 0), f.radius_index)
+    return top
+
+
 def _no_new_cluster(x_new: SequenceSpec, handle: IdealHandle,
                     params: AnalysisParams, gamma, gset: set) -> bool:
     """Reverse inclusion: no candidate outside the original cluster set is a
     cluster point of the reindexed sequence."""
     outside = [c.point for c in gamma.candidates if c.point not in gset]
-    if not outside:
-        return True
-    gamma_out = gamma_estimate(x_new, handle, params, candidates=outside)
-    return all(c.classification != CLUSTER for c in gamma_out.candidates)
+    return not outside or not gamma_estimate(
+        x_new, handle, params, candidates=outside, records=False).candidates
 
 
 # ---------------------------------------------------------------------------
@@ -667,16 +682,16 @@ def cluster_preserving_sigma(x: SequenceSpec, handle: IdealHandle,
     x_new = apply(sigma, x)
     _audit(sigma, fills, _ball(x, schedule))
 
+    reached = _top_radius(fills)
     assignment = []
     for ci, cand in enumerate(cands):
-        for m in range(1, len(schedule) + 1):
+        for m in range(1, reached.get(cand, 0) + 1):
             # candidate ci's blocks are k = ci + 1, ci + 1 + L, ...;
             # radii reach index m from block L (m - 1) + 1 onward
             first = ci + 1
             while (first + L - 1) // L < m:
                 first += L
-            if any(f.candidate == cand and f.radius_index >= m for f in fills):
-                assignment.append((cand, m, schedule[m - 1], first, L))
+            assignment.append((cand, m, schedule[m - 1], first, L))
     targets = _certified_targets(handle, w, x_new, horizon, params, assignment)
     # forward inclusion is certified by the targets above
     return BuildResult(sigma, fills, targets,
@@ -790,13 +805,13 @@ def cluster_preserving_pi(x: SequenceSpec, handle: IdealHandle,
     pi = _pi_result(table, horizon)
     _audit(pi, fills, _ball(x, schedule))
     # every candidate needs a payload at every radius level
+    reached = _top_radius(fills)
     for cand in cands:
-        reached = max([f.radius_index for f in fills if f.candidate == cand],
-                      default=0)
-        if reached < len(schedule):
+        top = reached.get(cand, 0)
+        if top < len(schedule):
             raise ExhaustedA(
                 f"candidate {format_point(cand)} only reached radius index "
-                f"{reached} of {len(schedule)} inside the horizon")
+                f"{top} of {len(schedule)} inside the horizon")
     # payload coverage at every radius (enforced above) certifies the
     # forward inclusion
     return BuildResult(pi, fills,

@@ -16,8 +16,11 @@ Spec strings:
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from typing import Optional
 
 from ._lazy import lazy_numpy
 from . import natset as ns
@@ -142,7 +145,50 @@ def _rationals_through(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _rational_enum(1 << max(12, (n - 1).bit_length()))
 
 
+class _FareyBlocks:
+    """The enumeration's blocks, one per denominator q >= 2: ``starts[q]``,
+    the index of block q's first fraction, is 3 + the sum of phi(j) for 2 <=
+    j < q (indices 1 and 2 are 0/1 and 1/1), and ``coprimes`` ranks a
+    numerator inside its block.  Nothing is built before the first walk,
+    and the table doubles as walks reach further."""
+
+    def __init__(self):
+        self.starts: list[int] = []
+        self._signed: dict[int, list[int]] = {}
+
+    def through(self, q: int, n: int = 0) -> list[int]:
+        """The table, holding starts[q + 1] and some start past index n."""
+        while len(self.starts) < q + 2 or self.starts[-1] <= n:
+            qmax = max(64, 2 * len(self.starts))
+            phi = list(range(qmax + 1))
+            for p in range(2, qmax + 1):
+                if phi[p] == p:                     # p is prime
+                    for m in range(p, qmax + 1, p):
+                        phi[m] -= phi[m] // p
+            self.starts = [3, 3, *accumulate(phi[2:], initial=3)]
+        return self.starts
+
+    def coprimes(self, q: int, n: int) -> int:
+        """How many p in [1, n] are coprime to q: the sum of mu(d) (n // d)
+        over the squarefree divisors d of q, each kept as mu(d) d."""
+        signed = self._signed.get(q)
+        if signed is None:
+            signed, m, f = [1], q, 2
+            while f * f <= m:
+                if m % f == 0:
+                    signed += [-d * f for d in signed]
+                    while m % f == 0:
+                        m //= f
+                f += 1
+            if m > 1:
+                signed += [-d * m for d in signed]
+            self._signed[q] = signed
+        return sum(n // d if d > 0 else -(n // -d) for d in signed)
+
+
 def rationals() -> SequenceSpec:
+    farey = _FareyBlocks()
+
     def point(n: int) -> Point:
         num, den = _rationals_through(n)
         return (Fraction(int(num[n - 1]), int(den[n - 1])),)
@@ -187,8 +233,46 @@ def rationals() -> SequenceSpec:
                 p, q = p.astype(object), q.astype(object)
             return inside(p, q).astype(bool, copy=False)
 
+        def take(start: int, want: int, stop: Optional[int]) -> list[int]:
+            """The members from ``start`` on, up to ``SCAN_LIMIT``, read Farey
+            block by block: block q holds the reduced p/q with lo q < p den <
+            hi q at consecutive indices, from its start plus the number of
+            p' < p coprime to q for the least such p."""
+            out: list[int] = []
+            limit = ns.SCAN_LIMIT
+
+            def done() -> bool:
+                return len(out) >= want or (stop is not None and bool(out)
+                                            and out[-1] > stop)
+
+            for n, (p, q) in ((1, (0, 1)), (2, (1, 1))):
+                if start <= n <= limit and not done() and inside(p, q):
+                    out.append(n)
+            if start > limit or done():
+                return out
+            starts = farey.through(2, start)
+            q = max(2, bisect_right(starts, start) - 1)
+            while True:
+                if len(starts) < q + 2:
+                    starts = farey.through(q)
+                if starts[q] > limit:
+                    return out
+                pmin = max(1, lo * q // den + 1)
+                pmax = min(q - 1, (hi * q - 1) // den)
+                if pmin <= pmax and starts[q + 1] > start:
+                    first = starts[q]
+                    run = range(max(start, first + farey.coprimes(q, pmin - 1)),
+                                min(limit + 1, first + farey.coprimes(q, pmax)))
+                    need = want - len(out)
+                    if stop is not None:
+                        need = min(need, max(0, stop - run.start + 1) + 1)
+                    out += run[:need]
+                    if done():
+                        return out
+                q += 1
+
         return ns.Tested(bits, lambda n: inside(*point(n)[0].as_integer_ratio()),
-                         density=Fraction(hi - lo, den))
+                         density=Fraction(hi - lo, den), take=take)
 
     def batch(horizon: int) -> np.ndarray:
         num, den = _rationals_through(horizon)

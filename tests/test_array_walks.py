@@ -9,11 +9,15 @@ exact ``distance(x.point(n), c) < eps`` up to 2^16.  Block unions and
 boundaries are compared by result, or by the type of the exception raised
 (the array form reads the whole partition before the selector, so it may
 name another cause than the walk); escape moves and member supplies by
-result or exception text.
+result or exception text.  A rationals ball's own take, Farey block by
+block, is compared with the members listed from its exact prefix up to
+2^18, and with the prefix-window walk where ``SCAN_LIMIT`` cuts both.
 """
 
 import hashlib
+from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -420,6 +424,123 @@ def test_extraction_through_a_finite_map():
     assert [(k, members) for k, members, _, _ in cert.blocks] == \
         [(1, [2]), (2, [3]), (3, [5, 6])]
     assert cert.norm_lower_bound() == F(1, 3)
+
+
+# ---------------------------------------------------------------------------
+# Farey-block takes of rationals balls against their exact prefixes
+# ---------------------------------------------------------------------------
+
+RATIONALS = zoo.get_sequence("rationals")
+TAKE_REF = 1 << 18          # the reference lists the members up to here
+
+
+def rationals_ball(p: int, k: int):
+    """The rationals ball of radius 2^-k around p/64."""
+    return indicator_set(RATIONALS, (F(p, 64),), F(1, 1 << k))
+
+
+def walked(ball: ns.Tested) -> ns.Tested:
+    """The same set without its own take: read in prefix windows."""
+    return ns.Tested(ball.bits, ball.test, density=ball.density)
+
+
+def cut(members, start, want, stop):
+    """``want`` of the members from ``start`` on, ending after the first
+    past ``stop``."""
+    out = []
+    for v in members:
+        if v < start:
+            continue
+        if len(out) >= want or (stop is not None and out and out[-1] > stop):
+            break
+        out.append(v)
+    return out
+
+
+def check_against_reference(ball, got, start, want, stop):
+    """``got`` equals the reference cut where the reference holds enough
+    members, else agrees with it on their overlap, and past the reference
+    holds only members of the ball."""
+    ref = (np.flatnonzero(ball.prefix(TAKE_REF)) + 1).tolist()
+    want_list = cut(ref, start, want, stop)
+    complete = (len(want_list) == want
+                or (stop is not None and want_list and want_list[-1] > stop))
+    if complete:
+        assert got == want_list
+    else:
+        assert got[:len(want_list)] == want_list
+        assert all(v > TAKE_REF and ball.member(v) for v in got[len(want_list):])
+
+
+@given(st.integers(-8, 72), st.integers(0, 9),
+       st.integers(1, 64) | st.integers(1, 1 << 17), st.integers(0, 3000),
+       st.none() | st.integers(0, 1 << 15))
+def test_rationals_take_matches_the_prefix_reference(p, k, start, want, gap):
+    ball = rationals_ball(p, k)
+    if not isinstance(ball, ns.Tested):
+        return
+    stop = None if gap is None else start + gap
+    check_against_reference(ball, ns.take_members(ball, start, want, stop),
+                            start, want, stop)
+    check_against_reference(
+        ball, list(islice(ns.iter_members(ball, start), want)),
+        start, want, None)
+
+
+# (p, k): balls reaching past 0 or 1, or with an end at 0 or 1
+EDGE_BALLS = [(0, 3), (0, 6), (64, 2), (64, 9), (-8, 2), (72, 2), (8, 3),
+              (56, 3), (1, 6), (63, 6), (32, 2)]
+
+
+@pytest.mark.parametrize("p,k", EDGE_BALLS)
+@pytest.mark.parametrize("start,want,stop", [
+    (1, 40, None), (1, 3000, None), (2, 5, 3), (3, 1, None),
+    (5000, 200, 6000), ((1 << 17) - 7, 50, None)])
+def test_rationals_take_at_the_ends_of_the_interval(p, k, start, want, stop):
+    ball = rationals_ball(p, k)
+    assert isinstance(ball, ns.Tested)
+    check_against_reference(ball, ns.take_members(ball, start, want, stop),
+                            start, want, stop)
+
+
+@pytest.mark.parametrize("p,k", [(0, 3), (21, 9), (32, 2), (64, 5), (43, 6)])
+def test_rationals_take_ends_where_the_window_walk_does(monkeypatch, p, k):
+    # with the walks cut at a member past 3000, the take returns the window
+    # walk's short list, and a supply raises the same ExhaustedA text
+    ball = rationals_ball(p, k)
+    limit = next(ns.iter_members(ball, 3000))
+    monkeypatch.setattr(ns, "SCAN_LIMIT", limit)
+    for start, want, stop in [(1, 5000, None), (2900, 400, None),
+                              (limit - 1, 3, limit - 1), (limit, 2, None),
+                              (limit + 1, 4, None), (1, 10 ** 6, 2500)]:
+        assert ns.take_members(ball, start, want, stop) == \
+            ns.take_members(walked(ball), start, want, stop)
+    assert ns.take_members(ball, 2000, 10 ** 6)[-1] == limit
+    with pytest.raises(ns.HorizonExceeded, match=str(limit)):
+        list(ns.iter_members(ball, 2000))
+    x_walked = replace(RATIONALS, ball_fn=lambda c, eps: walked(
+        RATIONALS.ball_fn(c, eps)))
+    texts = []
+    for x in (RATIONALS, x_walked):
+        supply = MemberSupply(x, (F(p, 64),), F(1, 1 << k))
+        texts.append([outcome(lambda: supply.run(length, floor))
+                      for length, floor in [(30, 0), (200, 2000),
+                                            (10 ** 4, limit - 500)]])
+    assert texts[0] == texts[1]
+    assert texts[0][-1][0] == "ExhaustedA"
+
+
+def test_rationals_balls_build_no_farey_table_before_a_take(monkeypatch):
+    built = []
+    through = zoo._FareyBlocks.through
+    monkeypatch.setattr(zoo._FareyBlocks, "through",
+                        lambda self, *args: built.append(args)
+                        or through(self, *args))
+    ball = indicator_set(zoo.get_sequence("rationals"), (F(1, 3),), F(1, 64))
+    first = (np.flatnonzero(ball.prefix(4096)) + 1)[:3].tolist()
+    assert ball.member(first[0]) and built == []
+    assert ns.take_members(ball, 1, 3) == first
+    assert built
 
 
 # ---------------------------------------------------------------------------

@@ -424,6 +424,19 @@ def test_unknown_block_union_selector_is_refused():
         ns.from_json(body)
 
 
+@pytest.mark.parametrize("ratio", ["1", "5/4", "3/2", "2", "7/3"])
+def test_geometric_boundaries_follow_their_recurrence(ratio):
+    # iota(1) = 1, iota(n + 1) = max(iota(n) + 1, floor(iota(n) r)), each
+    # boundary from the last one rather than from 1
+    part = ns.partition_from_tag({"kind": "geometric", "ratio": ratio})
+    r, v, want = Fraction(ratio), 1, []
+    for _ in range(400):
+        want.append(v)
+        v = max(v + 1, int(v * r))
+    assert [part.iota(n) for n in range(1, 401)] == want
+    assert part.iota(3000) > part.iota(2999)
+
+
 # --- members of a block union over finitely many blocks ----------------------
 
 def test_iter_members_ends_after_a_finite_selector():
@@ -732,7 +745,8 @@ def test_take_members_of_powers_passes_2_62():
 @given(st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(2, 5)]),
        st.integers(1, 6), st.integers(1, 5000), st.integers(0, 60), stops)
 def test_take_members_of_rationals_balls(center, level, start, want, stop):
-    # the rationals' balls are Tested sets, read in prefix windows
+    # the rationals' balls are Tested sets with their own take, which the
+    # batched walk reads too
     ball = indicator_set(zoo.get_sequence("rationals"), (center,),
                          Fraction(1, 1 << level))
     assert isinstance(ball, ns.Tested)

@@ -378,6 +378,34 @@ def test_witness_verify_report_pinned(tmp_path, ideal, json_digest):
         json_digest
 
 
+# --- builder and game reports that draw members of point-sequence balls -------
+
+@pytest.mark.parametrize("args, json_digest", [
+    # every fin block draws one member of a rationals ball
+    (["preserve", "sigma", "--seq", "rationals", "--ideal", "fin",
+      "--mode", "preserve", "--horizon", "256"],
+     "0ae73826fe6f011aca0e6d96f258c8225649dcc63578c2361de25e99a23032fa"),
+    (["preserve", "pi", "--seq", "harmonic", "--ideal", "fin",
+      "--mode", "preserve", "--horizon", "2048"],
+     "1d90b0a77eb61b1056de5b2a2a10ac73940c14deaee9d7da51b75237b77077ae"),
+    (["preserve", "sigma", "--seq", "harmonic", "--ideal", "summable",
+      "--mode", "preserve", "--horizon", "2048"],
+     "3d6d5c3fbc58c996441cff114a4504f8069d4c693ab6ea5e4c189fd3589ed801"),
+    # each escape takes fresh members of a rationals ball
+    (["game", "run", "--seq", "rationals", "--ideal", "Z", "--ell", "1/3",
+      "--q", "1/4", "--kind", "sigma"],
+     "79dcebda2fdfc5fb78b1674a4f15f14a0372b7749608599a77315776f6f66422"),
+    (["game", "run", "--seq", "rationals", "--ideal", "Z", "--ell", "1/3",
+      "--q", "1/4", "--kind", "pi"],
+     "93c64bcb40ec84b564466bb5c8a6d274bccd18a6d53c14ec1d16fd75bee093bb"),
+])
+def test_member_drawing_report_pinned(tmp_path, args, json_digest):
+    out = tmp_path / "r"
+    assert main([*args, "--out", str(out)]) == 0
+    assert hashlib.sha256(Path(f"{out}.json").read_bytes()).hexdigest() == \
+        json_digest
+
+
 # --- one norm read per letter subset ------------------------------------------
 
 def _count_norm_reads(monkeypatch):

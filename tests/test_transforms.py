@@ -12,7 +12,7 @@ from idealconv import submeasure as sm
 from idealconv import zoo
 from idealconv.ideals import builtin
 from idealconv.meager import WitnessRefuted, build_witness
-from idealconv.sequences import (AnalysisParams, RadiusSchedule,
+from idealconv.sequences import (CLUSTER, AnalysisParams, RadiusSchedule,
                                  candidate_grid, gamma_estimate,
                                  indicator_set, limit_points_estimate)
 from idealconv import transforms as tr
@@ -410,3 +410,49 @@ def test_arith_tail_past_int64_matches_the_per_point_map():
     assert [int(v) for v in t.values_up_to(n)] == want
     s = ns.Progression(1, 3)
     assert tr.preimage(t, s).prefix(n).tolist() == [s.member(v) for v in want]
+
+
+@pytest.mark.parametrize("t", [tr.random_pi(4, length=300),
+                               tr.PermutationMap(),
+                               tr.odd_even_swap()],
+                         ids=["table", "empty", "odd-even-swap"])
+def test_permutation_values_up_to_equal_the_per_point_map(t):
+    # below, at and past the table's length
+    for n in {0, 1, 17, max(0, len(t) - 1), len(t), len(t) + 1, 777}:
+        got = t.values_up_to(n)
+        assert got.dtype == np.int64
+        assert got.tolist() == [t.value(k) for k in range(1, n + 1)]
+
+
+def test_permutation_table_array_is_read_only():
+    t = tr.random_pi(2, length=64)
+    with pytest.raises(ValueError):
+        t.values_up_to(64)[0] = 5
+    with pytest.raises(ValueError):
+        t.values_up_to(10)[3] = 5
+    assert t.values_up_to(64).tolist() == t.table
+
+
+_SMALL = AnalysisParams(horizon=1 << 10, schedule=RadiusSchedule.dyadic(4),
+                        pitch=F(1, 16))
+
+
+@pytest.mark.parametrize("ideal", ["fin", "Z", "summable", "gdi"])
+@pytest.mark.parametrize("seq", ["harmonic", "rationals", "char:evens"])
+@pytest.mark.parametrize("kind", ["sigma", "pi"])
+def test_reverse_inclusion_equals_the_records_fold(seq, ideal, kind):
+    # the radius-major reading finds a new cluster point exactly where the
+    # per-candidate records classify one CLUSTER; with the cluster set taken
+    # empty every candidate is outside it
+    x, handle = zoo.get_sequence(seq), builtin(ideal)
+    make = tr.random_sigma if kind == "sigma" else tr.random_pi
+    x_new = tr.apply(make(7, length=_SMALL.horizon), x)
+    gamma = gamma_estimate(x, handle, _SMALL)
+    answers = []
+    for gset in (set(gamma.points()), set()):
+        outside = [c.point for c in gamma.candidates if c.point not in gset]
+        records = gamma_estimate(x_new, handle, _SMALL, candidates=outside)
+        want = all(c.classification != CLUSTER for c in records.candidates)
+        assert tr._no_new_cluster(x_new, handle, _SMALL, gamma, gset) == want
+        answers.append(want)
+    assert answers[0] or not answers[1]
