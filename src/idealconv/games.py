@@ -74,12 +74,12 @@ class GameState:
                 if v <= last:
                     raise ValueError("sigma prefix must stay increasing")
                 last = v
-        else:
-            for v in vals:
-                if v in self.used:
-                    raise ValueError("pi prefix must stay injective")
-                self.used.add(v)
-                self.frontier = max(self.frontier, v)
+        elif vals:
+            fresh = set(vals)
+            if len(fresh) < len(vals) or not self.used.isdisjoint(fresh):
+                raise ValueError("pi prefix must stay injective")
+            self.used |= fresh
+            self.frontier = max(self.frontier, max(vals))
         self.values.extend(vals)
 
 

@@ -220,9 +220,9 @@ def decide_each(handle: IdealHandle, sets: Sequence[ns.NatSet],
     """``decide_membership`` of each set, in order.
 
     The symbolic routes run set by set; the prefixes of the sets they leave
-    open are stacked, at most ``sm.TAIL_CELLS`` bits to a matrix, and read
-    by ``sm.tail_verdicts`` together.  A set whose prefix raises
-    HorizonExceeded gets its own ``horizon-exceeded`` decision.
+    open go to ``tail_decisions``, ``sm.tail_rows`` of them at a time.  A
+    set whose prefix raises HorizonExceeded gets its own
+    ``horizon-exceeded`` decision.
     """
     if handle.special_rule == "fin-x-fin":
         return [_finxfin_decide(s, params) for s in sets]
@@ -236,9 +236,7 @@ def decide_each(handle: IdealHandle, sets: Sequence[ns.NatSet],
         if d is None:
             open_.append(len(out))
         out.append(d)
-    if not open_:
-        return out
-    step = max(1, sm.TAIL_CELLS // params.horizon)
+    step = sm.tail_rows(params.horizon)
     for lo in range(0, len(open_), step):
         read, rows = [], []
         for i in open_[lo:lo + step]:
@@ -248,14 +246,24 @@ def decide_each(handle: IdealHandle, sets: Sequence[ns.NatSet],
                 out[i] = Decision(Verdict.UNDECIDED, reason="horizon-exceeded")
                 continue
             read.append(i)
-        if not read:
-            continue
-        verdicts = sm.tail_verdicts(handle.lscsm, np.stack(rows), params.theta)
-        for i, (vanishes, numeric, trend) in zip(read, verdicts):
-            out[i] = Decision(Verdict.UNDECIDED if vanishes is None
-                              else Verdict.IN if vanishes else Verdict.NOT_IN,
-                              estimate=numeric, reason="tail-trend", trend=trend)
+        if read:
+            for i, d in zip(read, tail_decisions(handle, rows, params)):
+                out[i] = d
     return out
+
+
+def tail_decisions(handle: IdealHandle, rows, params: DecisionParams
+                   ) -> list[Decision]:
+    """The ``tail-trend`` decision of each prefix on [1, params.horizon] in
+    ``rows``, a (K, N) bit matrix or a list of 1-D prefixes, from one
+    ``sm.tail_verdicts`` call; K should be at most ``sm.tail_rows(N)``.
+    The sets the rows come from must be ones no symbolic route decides."""
+    bits = rows if isinstance(rows, np.ndarray) else np.stack(rows)
+    return [Decision(Verdict.UNDECIDED if vanishes is None
+                     else Verdict.IN if vanishes else Verdict.NOT_IN,
+                     estimate=numeric, reason="tail-trend", trend=trend)
+            for vanishes, numeric, trend
+            in sm.tail_verdicts(handle.lscsm, bits, params.theta)]
 
 
 def _symbolic_decision(handle: IdealHandle, s: ns.NatSet,

@@ -593,7 +593,9 @@ class Tested(NatSet):
     take: Optional[Callable[[int, int, Optional[int]], list[int]]] = None
 
     def __post_init__(self):
-        if self.density is not None and not 0 < self.density < 1:
+        # 0 < n/d < 1 with d > 0, in integers
+        if self.density is not None and not (
+                0 < self.density.numerator < self.density.denominator):
             raise ValueError("a tested set's density must lie in (0, 1)")
 
     def member(self, n: int) -> Optional[bool]:

@@ -16,7 +16,6 @@ q-level sets, and two-route convergence checking.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -27,7 +26,7 @@ from ._lazy import lazy_numpy
 from . import natset as ns
 from . import submeasure as sm
 from .ideals import (DecisionParams, IdealHandle, Verdict, decide_each,
-                     decide_membership)
+                     decide_membership, tail_decisions)
 
 np = lazy_numpy()
 
@@ -47,7 +46,9 @@ class NotAnalyticP(Exception):
 
 def as_point(value, dim: int = 1) -> Point:
     if isinstance(value, tuple):
-        pt = tuple(Fraction(v) for v in value)
+        # a tuple of Fractions is a point already
+        pt = (value if all(type(v) is Fraction for v in value)
+              else tuple(Fraction(v) for v in value))
     else:
         pt = (Fraction(value),)
     if len(pt) != dim:
@@ -71,15 +72,17 @@ class RadiusSchedule:
 
     def __init__(self, radii):
         radii = tuple(r if type(r) is Fraction else Fraction(r) for r in radii)
-        if not radii or radii[-1] <= 0:
+        if not radii or radii[-1].numerator <= 0:
             raise ValueError("radii must be positive")
-        if any(b >= a for a, b in zip(radii, radii[1:])):
+        # b >= a by cross-products (denominators are positive)
+        if any(b.numerator * a.denominator >= a.numerator * b.denominator
+               for a, b in zip(radii, radii[1:])):
             raise ValueError("radii must be strictly decreasing")
         object.__setattr__(self, "radii", radii)
 
     @staticmethod
     def dyadic(depth: int = 10) -> "RadiusSchedule":
-        return RadiusSchedule([Fraction(1, 2 ** k) for k in range(1, depth + 1)])
+        return RadiusSchedule([Fraction(1, 1 << k) for k in range(1, depth + 1)])
 
     @property
     def smallest(self) -> Fraction:
@@ -180,6 +183,13 @@ class SequenceSpec:
     An alphabet sequence's balls are unions of its letters' index sets;
     any other sequence needs ``ball_fn(center, eps)``, which returns the
     exact index set {n : d(x_n, center) < eps} as a NatSet.
+
+    ``rows_fn(centers, eps, idx)``, where given, is the same exact test over
+    many centres at once: the (K, len(idx)) bits of the K balls at the
+    positive indices of the int64 array ``idx``, or None where a map image
+    reads its balls one member at a time (``transforms.apply``).
+    ``tested_balls`` says that every ball is a ``Tested`` set without
+    density, which only its bits decide.
     """
 
     dim: int
@@ -189,6 +199,9 @@ class SequenceSpec:
     batch_fn: Optional[Callable[[int], np.ndarray]] = None
     name: str = "sequence"
     ball_fn: Optional[Callable[[Point, Fraction], ns.NatSet]] = None
+    rows_fn: Optional[Callable[[Sequence[Point], Fraction, np.ndarray],
+                               Optional[np.ndarray]]] = None
+    tested_balls: bool = False
     # not a field, so the constructor refuses it: nothing here calls it, but
     # the benchmark's tracer still reads and wraps the name on zoo specs
     indicator_fn = None
@@ -252,9 +265,11 @@ class Balls:
 
     For an alphabet sequence the letter distances are taken once: a radius
     only picks the letters nearer than it, and ``key`` names them (or the
-    letters outside) as a mask for ``Alphabet.union``.  A sequence without
-    an alphabet has no key, and its balls come from ``ball_fn`` at the
-    center converted here.
+    letters outside) as a mask for ``Alphabet.union``.  The distances are
+    kept in order as integer pairs (numerator, denominator), which ``key``
+    compares with the radius by cross-products.  A sequence without an
+    alphabet has no key, and its balls come from ``ball_fn`` at the center
+    converted here.
     """
 
     def __init__(self, x: SequenceSpec, center: Point):
@@ -266,7 +281,7 @@ class Balls:
             order = sorted(range(len(self.dists)), key=self.dists.__getitem__)
             # the k nearest letters are masks[k]: the ball of radius eps
             # holds the letters of the distances below eps, a prefix of order
-            self._near = [self.dists[i] for i in order]
+            self._near = [self.dists[i].as_integer_ratio() for i in order]
             self._masks = [0]
             for i in order:
                 self._masks.append(self._masks[-1] | 1 << i)
@@ -274,7 +289,13 @@ class Balls:
     def key(self, eps: Fraction, inside: bool = True) -> Optional[int]:
         if self.dists is None:
             return None
-        near = self._masks[bisect_left(self._near, eps)]
+        e, f = eps.numerator, eps.denominator
+        k = 0
+        for n, d in self._near:
+            if n * f >= e * d:
+                break
+            k += 1
+        near = self._masks[k]
         return near if inside else self._masks[-1] ^ near
 
     def set(self, eps: Fraction, inside: bool = True) -> ns.NatSet:
@@ -545,13 +566,19 @@ def _notin_at_every_radius(x: SequenceSpec, cands: Sequence[Point],
 
     The radii go from the smallest up (the smallest ball is the likeliest to
     be In or undecided), and each is decided for the remaining candidates
-    at once.  A ball of letters is decided once per letter subset.
+    at once.  A ball of letters is decided once per letter subset; balls
+    that are tested sets are read from their rows where ``_row_decisions``
+    can, else one by one.
     """
     alive = [(c, Balls(x, c)) for c in cands]
     memo: dict[int, object] = {}
     for eps in schedule.radii[::-1]:
         if x.alphabet is None:
-            decs = decide_each(handle, [b.set(eps) for _, b in alive], dparams)
+            decs = _row_decisions(x, [b.center for _, b in alive], eps,
+                                  handle, dparams)
+            if decs is None:
+                decs = decide_each(handle, [b.set(eps) for _, b in alive],
+                                   dparams)
         else:
             keys = [b.key(eps) for _, b in alive]
             fresh = [k for k in dict.fromkeys(keys) if k not in memo]
@@ -560,6 +587,31 @@ def _notin_at_every_radius(x: SequenceSpec, cands: Sequence[Point],
             decs = [memo[k] for k in keys]
         alive = [cb for cb, d in zip(alive, decs) if d.verdict is Verdict.NOT_IN]
     return [c for c, _ in alive]
+
+
+def _row_decisions(x: SequenceSpec, centers: list[Point], eps: Fraction,
+                   handle: IdealHandle, dparams: DecisionParams):
+    """The decisions of the radius-eps balls around ``centers``, read from
+    x's rows when its balls are tested sets without density: no exact
+    norm, witness block or structural rule decides one, so each decision is
+    its tail trend, and ``sm.tail_rows`` balls share one kernel call and one
+    tail pass.  None, for the balls to be decided one by one, under an ideal
+    without lscsm (the fin-x-fin row profile) or where the rows raise
+    HorizonExceeded or are not known."""
+    if not x.tested_balls or x.rows_fn is None or handle.lscsm is None:
+        return None
+    idx = np.arange(1, dparams.horizon + 1, dtype=np.int64)
+    step = sm.tail_rows(dparams.horizon)
+    out = []
+    for lo in range(0, len(centers), step):
+        try:
+            rows = x.rows_fn(centers[lo:lo + step], eps, idx)
+        except ns.HorizonExceeded:
+            return None
+        if rows is None:
+            return None
+        out += tail_decisions(handle, rows, dparams)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -674,6 +674,12 @@ def norm_estimate(m: Lscsm, bits: np.ndarray, cuts: Sequence[int]
 TAIL_CELLS = 1 << 20
 
 
+def tail_rows(horizon: int) -> int:
+    """How many prefixes on [1, horizon] one batched tail read takes: as
+    many as fit ``TAIL_CELLS`` bits, and at least one."""
+    return max(1, TAIL_CELLS // horizon)
+
+
 def _trend_reads(m: Lscsm, bits: np.ndarray, theta: Fraction
                  ) -> list[tuple[Optional[bool], tuple[int, int], str]]:
     """Per row of a (K, N) prefix matrix: the tail's verdict at horizon N

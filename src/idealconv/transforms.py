@@ -334,7 +334,13 @@ def _swap_preimage(s: ns.NatSet) -> Optional[ns.NatSet]:
 
 def apply(t: AnyMap, x: SequenceSpec) -> SequenceSpec:
     """The reindexed sequence; alphabet structure survives a symbolic
-    preimage of every letter, else each ball is the preimage of x's ball."""
+    preimage of every letter, else each ball is the preimage of x's ball.
+
+    Under a map read through its table (neither affine nor the odd-even
+    swap) every such preimage is a ``Tested`` set, and the image's rows are
+    x's rows at the map's values, where ``ns.prefix_gather`` would read one
+    prefix of x's ball: int64 values up to max(SCAN_LIMIT, 4 * count).
+    """
     alphabet = None
     if x.alphabet is not None:
         sets = [preimage(t, s) for s in x.alphabet.index_sets]
@@ -344,11 +350,25 @@ def apply(t: AnyMap, x: SequenceSpec) -> SequenceSpec:
     def point(n: int) -> Point:
         return x.point(t.value(n))
 
-    ball = None
-    batch = None
+    ball = rows = batch = None
+    tested = False
     if alphabet is None:
+        x_ball = x.ball_fn or (lambda center, eps:
+                               indicator_set(x, center, eps))
+
         def ball(center: Point, eps: Fraction) -> ns.NatSet:
-            return preimage(t, indicator_set(x, center, eps))
+            return preimage(t, x_ball(center, eps))
+
+        tested = (t.affine() is None if isinstance(t, SubsequenceMap)
+                  else t.rule is None and len(t.table) > 0)
+        if tested and x.rows_fn is not None:
+            def rows(centers: Sequence[Point], eps: Fraction,
+                     idx: np.ndarray) -> Optional[np.ndarray]:
+                values = t.values_up_to(int(idx.max()))
+                if (isinstance(values, list)
+                        or values.max() > max(ns.SCAN_LIMIT, 4 * values.size)):
+                    return None
+                return x.rows_fn(centers, eps, values[idx - 1])
         if x.batch_fn is not None:
             def batch(N: int) -> np.ndarray:
                 values = t.values_up_to(N)
@@ -360,7 +380,8 @@ def apply(t: AnyMap, x: SequenceSpec) -> SequenceSpec:
 
     kind = "sigma" if isinstance(t, SubsequenceMap) else "pi"
     return SequenceSpec(dim=x.dim, bound=x.bound, point_fn=point,
-                        alphabet=alphabet, ball_fn=ball, batch_fn=batch,
+                        alphabet=alphabet, ball_fn=ball, rows_fn=rows,
+                        tested_balls=tested, batch_fn=batch,
                         name=f"{kind}({x.name})")
 
 

@@ -20,7 +20,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import Optional
+from typing import Optional, Sequence
 
 from ._lazy import lazy_numpy
 from . import natset as ns
@@ -93,32 +93,60 @@ def const(value) -> SequenceSpec:
     return cycle([value])
 
 
+def _harmonic_bounds(center: Point,
+                     eps: Fraction) -> Optional[tuple[int, Optional[int]]]:
+    """The ball {n : |1/n - c| < eps} as first <= n < stop (stop None: no
+    upper end), or None when it is empty.
+
+    |1/n - c| < eps  <=>  1/(c + eps) < n < 1/(c - eps), where the upper
+    end applies only when c > eps: a tail or a finite interval.  With c =
+    p/q and eps = e/d, c -+ eps = (p d -+ e q)/(q d)."""
+    p, q = center[0].numerator, center[0].denominator
+    e, d = eps.numerator, eps.denominator
+    up, low, den = p * d + e * q, p * d - e * q, q * d
+    if up <= 0:
+        return None
+    first = den // up + 1
+    if low <= 0:
+        return first, None
+    stop = -(-den // low)                      # the least n past the interval
+    return None if stop <= first else (first, stop)
+
+
 def harmonic() -> SequenceSpec:
     def point(n: int) -> Point:
         return (Fraction(1, n),)
 
     def ball(center: Point, eps: Fraction) -> ns.NatSet:
-        # |1/n - c| < eps  <=>  1/(c + eps) < n < 1/(c - eps), where the
-        # upper end applies only when c > eps: a tail or a finite interval.
-        # With c = p/q and eps = e/d, c -+ eps = (p d -+ e q)/(q d)
-        p, q = center[0].numerator, center[0].denominator
-        e, d = eps.numerator, eps.denominator
-        up, low, den = p * d + e * q, p * d - e * q, q * d
-        if up <= 0:
+        bounds = _harmonic_bounds(center, eps)
+        if bounds is None:
             return ns.EMPTY
-        tail = ns.Progression(den // up + 1, 1)
-        if low <= 0:
+        first, stop = bounds
+        tail = ns.Progression(first, 1)
+        if stop is None:
             return tail
-        stop = -(-den // low)                  # the least n past the interval
-        if stop <= tail.first:
-            return ns.EMPTY
         return ns.Intersection((tail, ns.Complement(ns.Progression(stop, 1))))
+
+    def rows(centers: Sequence[Point], eps: Fraction,
+             idx: np.ndarray) -> np.ndarray:
+        # each ball's bounds, clipped to the largest index read, so they
+        # compare in int64; an empty ball is the empty range [1, 1)
+        cap = int(idx.max()) + 1
+        ends = np.ones((len(centers), 2), dtype=np.int64)
+        for k, c in enumerate(centers):
+            bounds = _harmonic_bounds(c, eps)
+            if bounds is not None:
+                first, stop = bounds
+                ends[k] = (min(first, cap),
+                           cap if stop is None else min(stop, cap))
+        return (idx >= ends[:, :1]) & (idx < ends[:, 1:])
 
     def batch(horizon: int) -> np.ndarray:
         return 1.0 / np.arange(1, horizon + 1, dtype=np.float64)
 
     return SequenceSpec(dim=1, bound=Fraction(1), point_fn=point,
-                        ball_fn=ball, batch_fn=batch, name="harmonic")
+                        ball_fn=ball, rows_fn=rows, batch_fn=batch,
+                        name="harmonic")
 
 
 @lru_cache(maxsize=4)
@@ -186,6 +214,36 @@ class _FareyBlocks:
         return sum(n // d if d > 0 else -(n // -d) for d in signed)
 
 
+def _inside(p, q, p0, q0, e1, e2):
+    """|p/q - p0/q0| < e1/e2 in integers, for Python ints or broadcast
+    arrays of them: the one exact test of a rationals ball."""
+    return abs(p * q0 - p0 * q) * e2 < e1 * q * q0
+
+
+def _rational_rows(centers: Sequence[Point], eps: Fraction,
+                   idx: np.ndarray) -> np.ndarray:
+    """Row k, column j: whether the idx[j]-th rational lies in the radius-eps
+    ball around centers[k].  A centre whose products stay below 2^63 is
+    tested in int64, with the others; past that, in Python ints."""
+    nums, dens = _rationals_through(int(idx.max()))
+    p, q = nums[idx - 1], dens[idx - 1]
+    e1, e2 = eps.numerator, eps.denominator
+    # 0 <= p <= q <= qmax bounds every product of the test
+    qmax = int(q.max())
+    ratios = [c[0].as_integer_ratio() for c in centers]
+    small = [max(qmax * (abs(p0) + q0) * e2, e1 * qmax * q0) < 1 << 63
+             for p0, q0 in ratios]
+    out = np.empty((len(centers), idx.size), dtype=bool)
+    for fits, dtype in ((True, np.int64), (False, object)):
+        ks = [k for k, s in enumerate(small) if s is fits]
+        if ks:
+            p0, q0 = np.array([ratios[k] for k in ks],
+                              dtype=dtype).T[:, :, None]
+            out[ks] = _inside(p.astype(dtype, copy=False),
+                              q.astype(dtype, copy=False), p0, q0, e1, e2)
+    return out
+
+
 def rationals() -> SequenceSpec:
     farey = _FareyBlocks()
 
@@ -220,18 +278,12 @@ def rationals() -> SequenceSpec:
             return ns.Cofinite(([1] if a == 0 else [])
                                + ([2] if b == den else []))
 
-        def inside(p, q):       # |p/q - p0/q0| < e1/e2, in integers
-            return abs(p * q0 - p0 * q) * e2 < e1 * q * q0
+        def inside(p, q):
+            return _inside(p, q, p0, q0, e1, e2)
 
         def bits(horizon: int) -> np.ndarray:
-            nums, dens = _rationals_through(horizon)
-            p, q = nums[:horizon], dens[:horizon]
-            # 0 <= p <= q <= q[-1] (denominators never decrease), which
-            # bounds every product; past int64 compare in Python ints
-            qmax = int(q[-1])
-            if max(qmax * (abs(p0) + q0) * e2, e1 * qmax * q0) >= 1 << 63:
-                p, q = p.astype(object), q.astype(object)
-            return inside(p, q).astype(bool, copy=False)
+            return _rational_rows((center,), eps,
+                                  np.arange(1, horizon + 1, dtype=np.int64))[0]
 
         def take(start: int, want: int, stop: Optional[int]) -> list[int]:
             """The members from ``start`` on, up to ``SCAN_LIMIT``, read Farey
@@ -279,7 +331,8 @@ def rationals() -> SequenceSpec:
         return num[:horizon] / den[:horizon]
 
     return SequenceSpec(dim=1, bound=Fraction(1), point_fn=point,
-                        ball_fn=ball, batch_fn=batch, name="rationals")
+                        ball_fn=ball, rows_fn=_rational_rows, batch_fn=batch,
+                        name="rationals")
 
 
 def alphabet_from_json(body: dict, horizon: int = 1 << 16) -> SequenceSpec:

@@ -12,6 +12,10 @@ name another cause than the walk); escape moves and member supplies by
 result or exception text.  A rationals ball's own take, Farey block by
 block, is compared with the members listed from its exact prefix up to
 2^18, and with the prefix-window walk where ``SCAN_LIMIT`` cuts both.
+``harmonic`` and ``rationals`` give their balls over many centres as rows
+(``rows_fn``), compared with the exact distance test point by point; a map
+image's rows with each ball's gathered prefix, and the decisions read from
+them with ``decide_each`` ball by ball.
 """
 
 import hashlib
@@ -23,12 +27,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idealconv import games, zoo
+from idealconv import games, ideals, sequences, zoo
 from idealconv import natset as ns
 from idealconv import submeasure as sm
+from idealconv import transforms as tr
 from idealconv.cli import main
 from idealconv.games import GameState, GameTarget, SupplyExhausted, run_game
-from idealconv.ideals import builtin
+from idealconv.ideals import DecisionParams, builtin
 from idealconv.meager import WitnessIntervals, WitnessRefuted, build_witness
 from idealconv.sequences import (AnalysisParams, RadiusSchedule, as_point,
                                  distance, indicator_set)
@@ -574,3 +579,124 @@ def test_game_run_transcript_pinned(tmp_path, spec, sha):
                  "--seed", seed, "--out", str(out)]) == 0
     text = (tmp_path / "game.json").read_bytes()
     assert hashlib.sha256(text).hexdigest() == sha
+
+
+# ---------------------------------------------------------------------------
+# Ball rows over many centres, and the map images read from them
+# ---------------------------------------------------------------------------
+
+def centre_values(bits_lo: int = 20, bits_hi: int = 60):
+    """Centres in [-1/4, 5/4]: multiples of 1/64, and reduced p/q with q of
+    bits_lo + 1 .. bits_hi + 1 bits (the benchmark's large-ell shapes), whose
+    ball tests pass int64."""
+    big = st.builds(lambda b, r, t: F(t * ((1 << b) + 2 * r + 1) // 4,
+                                      (1 << b) + 2 * r + 1),
+                    st.integers(bits_lo, bits_hi), st.integers(0, 1 << 12),
+                    st.integers(-1, 5))
+    return st.integers(-16, 80).map(lambda p: F(p, 64)) | big
+
+
+centres = st.lists(centre_values().map(as_point), min_size=1, max_size=6)
+radii = st.integers(0, 12).map(lambda k: F(1, 1 << k))
+
+
+def point_rows(x, cs, eps, idx) -> np.ndarray:
+    return np.array([[distance(x.point(int(n)), c) < eps for n in idx]
+                     for c in cs], dtype=bool).reshape(len(cs), len(idx))
+
+
+@given(st.sampled_from(["harmonic", "rationals"]), centres, radii,
+       st.integers(1, 600),
+       st.lists(st.integers(1, 1 << 16), min_size=1, max_size=120))
+def test_ball_rows_match_the_per_point_reference(seq, cs, eps, n, scattered):
+    # the rows of K balls at once, on [1, n] and at scattered indices, equal
+    # the exact distance test point by point, and the one-centre rows equal
+    # each ball's own prefix
+    x = zoo.get_sequence(seq)
+    for idx in (np.arange(1, n + 1, dtype=np.int64),
+                np.array(scattered, dtype=np.int64)):
+        got = x.rows_fn(cs, eps, idx)
+        assert got.dtype == bool and got.shape == (len(cs), idx.size)
+        assert np.array_equal(got, point_rows(x, cs, eps, idx))
+    for c, row in zip(cs, x.rows_fn(cs, eps, np.arange(1, n + 1))):
+        assert np.array_equal(row, x.ball_fn(c, eps).prefix(n))
+
+
+maps = st.builds(lambda draw, seed, length: draw(seed, length=length),
+                 st.sampled_from([tr.random_sigma, tr.random_pi]),
+                 st.integers(0, 10 ** 6), st.sampled_from([64, 256, 512]))
+
+
+@given(st.sampled_from(["harmonic", "rationals"]), maps, centres, radii,
+       st.integers(1, 512))
+def test_image_rows_match_the_per_ball_gather(seq, t, cs, eps, n):
+    # an image's rows are x's rows at the map's values: the stacked
+    # prefix_gather rows of x's balls, and the image balls' own prefixes
+    x = zoo.get_sequence(seq)
+    y = tr.apply(t, x)
+    n = min(n, len(t))
+    got = y.rows_fn(cs, eps, np.arange(1, n + 1, dtype=np.int64))
+    values = t.values_up_to(n)
+    want = np.stack([ns.prefix_gather(x.ball_fn(c, eps), values) for c in cs])
+    assert np.array_equal(got, want)
+    assert np.array_equal(got, np.stack([y.ball_fn(c, eps).prefix(n)
+                                         for c in cs]))
+
+
+IMAGE_IDEALS = ["fin", "Z", "summable", "gdi"]
+
+
+@given(st.sampled_from(["harmonic", "rationals"]),
+       st.sampled_from(IMAGE_IDEALS), maps, centres, radii,
+       st.sampled_from([None, 3 * 64, 1 << 20]))
+def test_matrix_path_decides_as_the_per_ball_path(seq, ideal, t, cs, eps,
+                                                  cells):
+    # no symbolic route decides an image ball, so reading a radius from the
+    # rows (in one or several tail passes) gives each ball the decision of
+    # decide_each, and of decide_membership alone: verdict, estimate, reason
+    # and trend
+    x = zoo.get_sequence(seq)
+    y = tr.apply(t, x)
+    handle = builtin(ideal)
+    dparams = DecisionParams(horizon=len(t))
+    balls = [y.ball_fn(c, eps) for c in cs]
+    assert all(isinstance(b, ns.Tested) and b.density is None for b in balls)
+    assert all(ideals._symbolic_decision(handle, b, dparams, 0) is None
+               for b in balls)
+    with pytest.MonkeyPatch.context() as mp:
+        if cells is not None:
+            mp.setattr(sm, "TAIL_CELLS", cells)
+        got = sequences._row_decisions(y, cs, eps, handle, dparams)
+    assert got == ideals.decide_each(handle, balls, dparams)
+    assert got == [ideals.decide_membership(handle, b, dparams) for b in balls]
+    assert all(d.reason == "tail-trend" for d in got)
+
+
+def test_fin_x_fin_and_horizon_exceeded_radii_go_ball_by_ball():
+    # fin-x-fin has no lscsm (its row profile reads each ball), and a
+    # horizon past the map's table raises in the rows: both leave the
+    # radius to decide_each
+    x = zoo.rationals()
+    t = tr.random_sigma(5, length=256)
+    y = tr.apply(t, x)
+    cs = [as_point(F(k, 16)) for k in range(17)]
+    assert sequences._row_decisions(y, cs, F(1, 16), builtin("fin-x-fin"),
+                                    DecisionParams(horizon=256)) is None
+    past = DecisionParams(horizon=512)
+    assert sequences._row_decisions(y, cs, F(1, 16), builtin("Z"),
+                                    past) is None
+    decs = ideals.decide_each(builtin("Z"),
+                              [y.ball_fn(c, F(1, 16)) for c in cs], past)
+    assert {d.reason for d in decs} == {"horizon-exceeded"}
+
+
+def test_images_without_a_table_have_no_rows():
+    # affine maps, the odd-even swap and alphabet sequences keep their
+    # per-ball preimages
+    x = zoo.harmonic()
+    for t in (tr.SubsequenceMap((), tr.TailRule("arith", 3)),
+              tr.odd_even_swap()):
+        y = tr.apply(t, x)
+        assert y.rows_fn is None and not y.tested_balls
+    y = tr.apply(tr.random_sigma(1, length=64), zoo.char_evens())
+    assert y.rows_fn is None and y.tested_balls

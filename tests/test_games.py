@@ -101,6 +101,20 @@ def test_run_game_pi_kind():
     assert len(moves_values) == len(set(moves_values))
 
 
+@pytest.mark.parametrize("first, more", [
+    ([3, 1], [2, 2]),          # a value twice in one extension
+    ([3, 1], [4, 1]),          # a value used by an earlier one
+])
+def test_pi_extension_refuses_a_repeated_value(first, more):
+    state = GameState("pi")
+    state.extend(first)
+    assert state.frontier == 3 and state.used == {1, 3}
+    with pytest.raises(ValueError, match="pi prefix must stay injective"):
+        state.extend(more)
+    state.extend([2, 5])
+    assert state.values == [3, 1, 2, 5] and state.frontier == 5
+
+
 def test_run_game_needs_submeasure():
     fxf = builtin("fin-x-fin")
     with pytest.raises(NotAnalyticP):

@@ -268,6 +268,15 @@ def test_bitmap_unknown_above_horizon():
         bm.prefix(10)
 
 
+@pytest.mark.parametrize("density", [Fraction(0), Fraction(1), Fraction(3, 2),
+                                     Fraction(-1, 2), Fraction(7, 7)])
+def test_tested_set_refuses_a_density_outside_the_open_unit_interval(density):
+    with pytest.raises(ValueError, match="must lie in"):
+        ns.Tested(lambda n: np.zeros(n, bool), lambda n: False, density=density)
+    assert ns.Tested(lambda n: np.zeros(n, bool), lambda n: False,
+                     density=Fraction(1, 3)).is_infinite() is True
+
+
 def test_union_with_short_bitmap_raises_on_prefix():
     s = ns.Union((ns.PrefixBitmap([1, 0]), ns.Progression(1, 2)))
     assert s.member(5) is True        # odd, decided by the progression

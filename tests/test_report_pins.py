@@ -356,6 +356,39 @@ def test_sample_of_rationals_sigma_maps_pinned(tmp_path):
         "03ded7433b79c6028fa8d762ce3704197192a2391b185266e8e59bb42b32128e"
 
 
+@pytest.mark.parametrize("seq, kind, ideal, json_digest", [
+    ("harmonic", "sigma", "gdi",
+     "abb0cad3dac7a53e3513e1f423509c87be342c1e79ee32b12a90ff668bc8cd38"),
+    ("harmonic", "sigma", "fin",
+     "b8fb96ad9bc560f1dd51c2ff28ce70bd62764917f9b971b8859526f1eefea17b"),
+    ("harmonic", "pi", "gdi",
+     "f38eff965868d947b602dd20594bec279347d68373dda2116db4021004b24556"),
+    ("harmonic", "pi", "fin",
+     "f900e5146815b0df6e7c74463d136dff9a243fad660f7bfca3461ca957f394ba"),
+    ("rationals", "sigma", "gdi",
+     "2a7ac0df094b6f254a067798ce2afd5e013bd0b01828fa5ee97c25906fba63e1"),
+    ("rationals", "sigma", "fin",
+     "c30a5bf759acc01009c735b4ca7723b118271435365c1447306500406944098a"),
+    ("rationals", "pi", "gdi",
+     "b0d68416ac1b369bad4c7cfed8bc9830717a0a8c73c4df7325fb02b05957bcb4"),
+    ("rationals", "pi", "fin",
+     "ff51441dce17de2578c42688388b2ddb8193b35682024f1fa000d1e34b919caf"),
+    # fin-x-fin has no lscsm: its map balls are decided one by one
+    ("rationals", "sigma", "fin-x-fin",
+     "c20a3f957128584eb36f8ab6ae8b994315e9b5d97997a13539f915b63ae286a4"),
+])
+def test_sample_of_point_sequence_maps_pinned(tmp_path, seq, kind, ideal,
+                                              json_digest):
+    # a map image's radius is read from one membership matrix of its
+    # centres, gathered at the map's values
+    out = tmp_path / "s"
+    assert main(["sample", "--seq", seq, "--ideal", ideal, "--kind", kind,
+                 "--maps", "3", "--length", "512", *SHAPE,
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(Path(f"{out}.json").read_bytes()).hexdigest() == \
+        json_digest
+
+
 # --- witness verify reports ----------------------------------------------------
 
 @pytest.mark.parametrize("ideal, json_digest", [
@@ -391,6 +424,11 @@ def test_witness_verify_report_pinned(tmp_path, ideal, json_digest):
     (["preserve", "sigma", "--seq", "harmonic", "--ideal", "summable",
       "--mode", "preserve", "--horizon", "2048"],
      "3d6d5c3fbc58c996441cff114a4504f8069d4c693ab6ea5e4c189fd3589ed801"),
+    # the reverse-inclusion check walks the image's balls at every
+    # candidate outside the cluster set
+    (["preserve", "sigma", "--seq", "harmonic", "--ideal", "Z",
+      "--mode", "preserve", "--horizon", "16384"],
+     "5de7d7491bd74e65be7d7dbf0cba564ea4267da1e94342cdd5d4e225b7183ad0"),
     # each escape takes fresh members of a rationals ball
     (["game", "run", "--seq", "rationals", "--ideal", "Z", "--ell", "1/3",
       "--q", "1/4", "--kind", "sigma"],

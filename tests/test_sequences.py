@@ -230,14 +230,16 @@ def test_gamma_without_records_finds_the_same_cluster_points(i, seq, ideal):
 
 def test_gamma_without_records_stops_at_the_first_radius_not_notin(
         monkeypatch):
-    calls = []                    # every ball handed to a decision
-    decide = sequences.decide_each
+    # a map image's balls are read as rows of one matrix per radius, so the
+    # count is of the rows handed to the tail decision
+    calls = []                    # every ball's row read
+    decide = sequences.tail_decisions
 
-    def counted(handle, sets, *args, **kwargs):
-        calls.extend(sets)
-        return decide(handle, sets, *args, **kwargs)
+    def counted(handle, rows, *args, **kwargs):
+        calls.extend(rows)
+        return decide(handle, rows, *args, **kwargs)
 
-    monkeypatch.setattr(sequences, "decide_each", counted)
+    monkeypatch.setattr(sequences, "tail_decisions", counted)
     params = AnalysisParams(horizon=1 << 12,
                             schedule=RadiusSchedule.dyadic(4), pitch=F(1, 16))
     x = zoo.rationals()
@@ -445,6 +447,15 @@ def test_analysis_params_validation():
                        schedule=RadiusSchedule.dyadic(4))  # pitch > min radius
     with pytest.raises(ValueError):
         RadiusSchedule([F(1, 2), F(1, 2)])
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        RadiusSchedule([F(1, 3), F(2, 5)])
+    for bad in ([F(1, 2), F(0)], [F(-1, 4)]):
+        with pytest.raises(ValueError, match="positive"):
+            RadiusSchedule(bad)
+    assert RadiusSchedule(["1/2", F(1, 3), 0.25]).radii == (F(1, 2), F(1, 3),
+                                                           F(1, 4))
+    assert RadiusSchedule.dyadic(12).radii == tuple(F(1, 2 ** k)
+                                                   for k in range(1, 13))
 
 
 # --- one tail reading for both halves ------------------------------------------
