@@ -88,18 +88,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _fraction(text) -> Fraction:
-    """Fraction(text), a plain "p/q" or "-p/q" of ASCII digits read with two
-    int() calls (the same value, and the same error for q = 0)."""
-    if type(text) is str:
-        num, slash, den = text.partition("/")
-        digits = num.removeprefix("-")
-        if (slash and (digits + den).isascii() and digits.isdigit()
-                and den.isdigit()):
-            return Fraction(int(num), int(den))
-    return Fraction(text)
-
-
 @dataclass
 class RunConfig:
     command: str
@@ -145,8 +133,8 @@ class RunConfig:
         parsed = self.__dict__.setdefault("_parsed", {})
         if name not in parsed:
             text = getattr(self, name)
-            parsed[name] = (tuple(map(_fraction, text)) if type(text) is list
-                            else _fraction(text))
+            parsed[name] = (tuple(map(Fraction, text)) if type(text) is list
+                            else Fraction(text))
         return parsed[name]
 
     def to_json(self) -> dict:

@@ -72,17 +72,15 @@ class RadiusSchedule:
 
     def __init__(self, radii):
         radii = tuple(r if type(r) is Fraction else Fraction(r) for r in radii)
-        if not radii or radii[-1].numerator <= 0:
+        if not radii or radii[-1] <= 0:
             raise ValueError("radii must be positive")
-        # b >= a by cross-products (denominators are positive)
-        if any(b.numerator * a.denominator >= a.numerator * b.denominator
-               for a, b in zip(radii, radii[1:])):
+        if any(b >= a for a, b in zip(radii, radii[1:])):
             raise ValueError("radii must be strictly decreasing")
         object.__setattr__(self, "radii", radii)
 
     @staticmethod
     def dyadic(depth: int = 10) -> "RadiusSchedule":
-        return RadiusSchedule([Fraction(1, 1 << k) for k in range(1, depth + 1)])
+        return RadiusSchedule([Fraction(1, 2 ** k) for k in range(1, depth + 1)])
 
     @property
     def smallest(self) -> Fraction:
@@ -188,8 +186,8 @@ class SequenceSpec:
     many centres at once: the (K, len(idx)) bits of the K balls at the
     positive indices of the int64 array ``idx``, or None where a map image
     reads its balls one member at a time (``transforms.apply``).
-    ``tested_balls`` says that every ball is a ``Tested`` set without
-    density, which only its bits decide.
+    ``tested_balls`` says that ``rows_fn`` reads balls that are ``Tested``
+    sets without density, which only their bits decide.
     """
 
     dim: int
@@ -598,7 +596,7 @@ def _row_decisions(x: SequenceSpec, centers: list[Point], eps: Fraction,
     tail pass.  None, for the balls to be decided one by one, under an ideal
     without lscsm (the fin-x-fin row profile) or where the rows raise
     HorizonExceeded or are not known."""
-    if not x.tested_balls or x.rows_fn is None or handle.lscsm is None:
+    if not x.tested_balls or handle.lscsm is None:
         return None
     idx = np.arange(1, dparams.horizon + 1, dtype=np.int64)
     step = sm.tail_rows(dparams.horizon)

@@ -351,7 +351,6 @@ def apply(t: AnyMap, x: SequenceSpec) -> SequenceSpec:
         return x.point(t.value(n))
 
     ball = rows = batch = None
-    tested = False
     if alphabet is None:
         x_ball = x.ball_fn or (lambda center, eps:
                                indicator_set(x, center, eps))
@@ -381,7 +380,7 @@ def apply(t: AnyMap, x: SequenceSpec) -> SequenceSpec:
     kind = "sigma" if isinstance(t, SubsequenceMap) else "pi"
     return SequenceSpec(dim=x.dim, bound=x.bound, point_fn=point,
                         alphabet=alphabet, ball_fn=ball, rows_fn=rows,
-                        tested_balls=tested, batch_fn=batch,
+                        tested_balls=rows is not None, batch_fn=batch,
                         name=f"{kind}({x.name})")
 
 

@@ -699,4 +699,4 @@ def test_images_without_a_table_have_no_rows():
         y = tr.apply(t, x)
         assert y.rows_fn is None and not y.tested_balls
     y = tr.apply(tr.random_sigma(1, length=64), zoo.char_evens())
-    assert y.rows_fn is None and y.tested_balls
+    assert y.rows_fn is None and not y.tested_balls
