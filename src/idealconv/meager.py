@@ -83,20 +83,15 @@ def _phi_search_partition(handle: IdealHandle, q: Fraction) -> ns.BlockPartition
     tag = {"kind": "phi-search", "ideal": handle.name, "q": str(q)}
     if handle.params_json is not None:
         tag["params"] = handle.params_json
-    cache = [1]
 
-    def fn(n: int) -> int:
-        while len(cache) < n:
-            lo = cache[-1]
-            # the least right end giving the block mass at least q
-            length = m.mass_length(lo, q, 1 << 40)
-            if length is None:
-                raise BlockSearchExceeded(
-                    f"no block of mass {q} starting at {lo}")
-            cache.append(lo + length)
-        return cache[n - 1]
+    def fn(lo: int) -> int:
+        # the least right end giving the block mass at least q
+        length = m.mass_length(lo, q, 1 << 40)
+        if length is None:
+            raise BlockSearchExceeded(f"no block of mass {q} starting at {lo}")
+        return lo + length
 
-    return ns.BlockPartition(fn=fn, tag=tag)
+    return ns.BlockPartition(fn=fn, prefix=[1], tag=tag)
 
 
 def build_witness(handle: IdealHandle, q: Fraction,

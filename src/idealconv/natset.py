@@ -55,12 +55,13 @@ def _as_sorted_tuple(values) -> tuple[int, ...]:
 
 class BlockPartition:
     """Strictly increasing boundaries iota(1) < iota(2) < ...; block n is
-    ``[iota(n), iota(n+1))``.  Boundaries come from a generator function,
-    which the tag names so that JSON can rebuild it, or from an explicit
-    prefix only — queries past an explicit prefix raise
-    :class:`HorizonExceeded`.  ``guarantees`` is the generator kind's row of
-    :func:`block_guarantees`; an explicit partition declares only
-    ``lengths_unbounded``.
+    ``[iota(n), iota(n+1))``.  Boundaries come from a generator, a step
+    iota(n) -> iota(n+1) taken from the prefix's last boundary on, which the
+    tag names so that JSON can rebuild it, or from an explicit prefix only —
+    queries past an explicit prefix raise :class:`HorizonExceeded`.  The
+    partition keeps every boundary it has made.  ``guarantees`` is the
+    generator kind's row of :func:`block_guarantees`; an explicit partition
+    declares only ``lengths_unbounded``.
     """
 
     def __init__(self, fn: Optional[Callable[[int], int]] = None,
@@ -78,6 +79,8 @@ class BlockPartition:
             raise ValueError("partition needs a generator or >= 2 boundaries")
         if fn is not None and tag is None:
             raise ValueError("a generator partition needs a tag")
+        if fn is not None and not self._iota:
+            raise ValueError("a generator partition needs a first boundary")
         for a, b in zip(self._iota, self._iota[1:]):
             if b <= a:
                 raise ValueError("boundaries must be strictly increasing")
@@ -92,17 +95,14 @@ class BlockPartition:
         """Materialize boundaries until there are at least ``count`` and the
         last one exceeds ``above``, one at a time and no further."""
         iota, fn = self._iota, self._fn
-        n = len(iota)
-        last = iota[-1] if iota else 0
-        while n < count or last <= above:
+        while len(iota) < count or iota[-1] <= above:
             if fn is None:
-                raise HorizonExceeded(f"partition prefix ends at block {n}")
-            n += 1
-            nxt = int(fn(n))
-            if iota and nxt <= last:
+                raise HorizonExceeded(
+                    f"partition prefix ends at block {len(iota)}")
+            nxt = int(fn(iota[-1]))
+            if nxt <= iota[-1]:
                 raise ValueError("generator produced non-increasing boundary")
             iota.append(nxt)
-            last = nxt
 
     def iota(self, n: int) -> int:
         if n < 1:
@@ -257,35 +257,25 @@ def partition_from_tag(tag: dict) -> BlockPartition:
     """Rebuild a partition from its generator tag (lossless round trip)."""
     kind = tag.get("kind")
     if kind == "pow2":
-        return BlockPartition(fn=lambda n: 2 ** n, tag=tag)
+        return BlockPartition(fn=lambda v: 2 * v, prefix=[2], tag=tag)
     if kind == "singletons":
-        return BlockPartition(fn=lambda n: n, tag=tag)
+        return BlockPartition(fn=lambda v: v + 1, prefix=[1], tag=tag)
     if kind == "valuation-cover":
         # iota(n) = 2^(n+1) - 3: block n has length 2^(n+1)
-        return BlockPartition(fn=lambda n: 2 ** (n + 1) - 3, tag=tag)
+        return BlockPartition(fn=lambda v: 2 * v + 3, prefix=[1], tag=tag)
     if kind == "geometric":
         ratio = Fraction(tag["ratio"])
-        cache = [1]
-        def fn(n: int) -> int:
-            while len(cache) < n:
-                v = cache[-1]
-                cache.append(max(v + 1, int(v * ratio)))
-            return cache[n - 1]
-        return BlockPartition(fn=fn, tag=tag)
+        return BlockPartition(fn=lambda v: max(v + 1, int(v * ratio)),
+                              prefix=[1], tag=tag)
     if kind == "ratio-search":
         # least next boundary with (iota' - iota) / iota' >= q
         q = Fraction(tag["q"])
         if not 0 < q < 1:
             raise ValueError("ratio-search needs q in (0, 1)")
         grow = 1 / (1 - q)
-        cache = [1]
-        def fn(n: int) -> int:
-            while len(cache) < n:
-                v = cache[-1]
-                nxt = max(v + 1, -((-v * grow.numerator) // grow.denominator))
-                cache.append(int(nxt))
-            return cache[n - 1]
-        return BlockPartition(fn=fn, tag=tag)
+        return BlockPartition(
+            fn=lambda v: max(v + 1, -(-v * grow.numerator // grow.denominator)),
+            prefix=[1], tag=tag)
     if kind == "phi-search":
         from . import ideals, meager     # both build on this module
         handle = ideals.builtin(tag["ideal"], gdi_spec=tag.get("params"))

@@ -273,19 +273,19 @@ class Balls:
     def __init__(self, x: SequenceSpec, center: Point):
         self.x = x
         self.center = center = as_point(center, x.dim)
-        self.dists: Optional[list[Fraction]] = None
+        self._near: Optional[list[tuple[int, int]]] = None
         if x.alphabet is not None:
-            self.dists = [distance(L, center) for L in x.alphabet.letters]
-            order = sorted(range(len(self.dists)), key=self.dists.__getitem__)
+            dists = [distance(L, center) for L in x.alphabet.letters]
+            order = sorted(range(len(dists)), key=dists.__getitem__)
             # the k nearest letters are masks[k]: the ball of radius eps
             # holds the letters of the distances below eps, a prefix of order
-            self._near = [self.dists[i].as_integer_ratio() for i in order]
+            self._near = [dists[i].as_integer_ratio() for i in order]
             self._masks = [0]
             for i in order:
                 self._masks.append(self._masks[-1] | 1 << i)
 
     def key(self, eps: Fraction, inside: bool = True) -> Optional[int]:
-        if self.dists is None:
+        if self._near is None:
             return None
         e, f = eps.numerator, eps.denominator
         k = 0
@@ -660,8 +660,9 @@ def _limiting_norm(balls: Balls, per: Iterable[tuple[Fraction, tuple]]
     eps, exact, numeric = per[-1]
     if exact is None:
         settled = False
-    elif balls.dists is not None:
-        settled = all(d == 0 for d in balls.dists if d < eps)
+    elif balls._near is not None:
+        e, f = eps.numerator, eps.denominator
+        settled = all(n == 0 for n, d in balls._near if n * f < e * d)
     else:
         settled = len(per) >= 2 and per[-2][1] == exact
     return UFrakResult(per, exact, numeric, settled)

@@ -394,7 +394,7 @@ class MemberSupply:
     member drawn when the floor falls below it."""
 
     def __init__(self, x: SequenceSpec, center: Point, eps: Fraction):
-        self._ball = indicator_set(x, center, eps)
+        self.ball = indicator_set(x, center, eps)
         self._last = 0
 
     def run(self, length: int, floor: int,
@@ -402,7 +402,7 @@ class MemberSupply:
         """The next ``length`` members above floor in one batched take,
         ending early after the first member past ``stop``; a walk that ends
         first raises ExhaustedA."""
-        vals = ns.take_members(self._ball, max(floor + 1, self._last),
+        vals = ns.take_members(self.ball, max(floor + 1, self._last),
                                length, stop)
         if vals:
             self._last = vals[-1]
@@ -424,6 +424,7 @@ class BlockFill:
     candidate: Optional[Point]
     radius_index: Optional[int]
     verified: bool
+    source: Optional[ns.NatSet] = None    # the set the block was drawn from
 
 
 @dataclass
@@ -466,35 +467,41 @@ class BuildResult:
 # Shared by the builders: routing, audit, the preserving hypothesis
 # ---------------------------------------------------------------------------
 
-def _round_robin(x: SequenceSpec, cands: list[Point], schedule: list[Fraction]):
-    """Routing of the preserving builders: slot j draws from the ball around
-    candidate (j - 1) mod L at radius index min(ceil(j / L), K)."""
-    L, K = len(cands), len(schedule)
-    supplies: dict[tuple[int, int], MemberSupply] = {}
+class _Route:
+    """Routing of the cluster builders: slot j draws from the ball around
+    centre (j - 1) mod L at radius index min(ceil(j / per_level), K).
 
-    def draw(j: int, length: int, floor: int):
-        key = ((j - 1) % L, min((j + L - 1) // L, K))
-        if key not in supplies:
-            supplies[key] = MemberSupply(x, cands[key[0]], schedule[key[1] - 1])
-        return supplies[key].run(length, floor), cands[key[0]], key[1]
-    return draw
+    The preserving builders route over their L candidates with per_level L,
+    the adding builders around ell alone with per_level 2.  Each (centre,
+    radius index) ball is built once, and a draw hands it back with its
+    members, so each fill keeps the set it was drawn from.
+    """
 
+    def __init__(self, x: SequenceSpec, centres: list[Point],
+                 schedule: list[Fraction], per_level: int):
+        self.x, self.centres, self.schedule = x, centres, schedule
+        self.per_level = per_level
+        self._supplies: dict[tuple[int, int], MemberSupply] = {}
 
-def _toward_ell(x: SequenceSpec, ell: Point, schedule: list[Fraction]):
-    """Routing of the adding builders: slot j draws from the ball around ell
-    at radius index min(ceil(j / 2), K)."""
-    K = len(schedule)
-    supplies: dict[int, MemberSupply] = {}
+    def __call__(self, j: int, length: int, floor: int):
+        i = (j - 1) % len(self.centres)
+        m = min(-(-j // self.per_level), len(self.schedule))
+        supply = self._supplies.get((i, m))
+        if supply is None:
+            supply = self._supplies[i, m] = MemberSupply(
+                self.x, self.centres[i], self.schedule[m - 1])
+        return supply.run(length, floor), self.centres[i], m, supply.ball
 
-    def draw(j: int, length: int, floor: int):
-        m_index = min((j + 1) // 2, K)
-        if m_index not in supplies:
-            supplies[m_index] = MemberSupply(x, ell, schedule[m_index - 1])
-        try:
-            return supplies[m_index].run(length, floor), ell, m_index
-        except ExhaustedA:
-            raise NotALimitPoint(f"{format_point(ell)} has too few close hits")
-    return draw
+    def families(self, fills: list[BlockFill]):
+        """(centre, eps_m, first, L) for each centre and each radius index m
+        up to the highest it reached over ``fills``: the slots first,
+        first + L, ... are routed to that centre at radius index m or finer."""
+        L, top = len(self.centres), _top_radius(fills)
+        for i, centre in enumerate(self.centres):
+            for m in range(1, top.get(centre, 0) + 1):
+                # the least slot j = i + 1 (mod L) with ceil(j / per_level) >= m
+                first = i + 1 + L * -((i - self.per_level * (m - 1)) // L)
+                yield centre, self.schedule[m - 1], first, L
 
 
 class _SetSupply:
@@ -525,28 +532,22 @@ def _selected(a: ns.NatSet, selector: ns.NatSet):
         sel = selector.member(k)
         if sel is None:
             raise ns.HorizonExceeded(f"selector undecided at block {k}")
-        return (supply.draw_many(length, floor), None, None) if sel else None
+        return (supply.draw_many(length, floor), None, None, a) if sel else None
     return draw
 
 
-def _audit(t: AnyMap, fills: list[BlockFill], target) -> None:
-    """Exact containment check: each fill's table segment lies in
-    ``target(fill)``.  Selector tables are gathered as Python ints (their
-    values can pass int64, e.g. powers of 2); permutation tables as int64.
+def _audit(t: AnyMap, fills: list[BlockFill]) -> None:
+    """Exact containment check: each fill's table segment lies in the set it
+    was drawn from, membership recomputed value by value.  Selector tables
+    are gathered as Python ints (their values can pass int64, e.g. powers of
+    2); permutation tables as int64.
     """
     dtype = object if isinstance(t, SubsequenceMap) else np.int64
     for f in fills:
         seg = np.asarray(t.table[f.lo - 1: f.hi - 1], dtype=dtype)
-        f.verified = bool(np.all(ns.prefix_gather(target(f), seg)))
+        f.verified = bool(np.all(ns.prefix_gather(f.source, seg)))
         if not f.verified:
             raise AssertionError(f"audit failed on block {f.block}")
-
-
-def _ball(x: SequenceSpec, schedule: list[Fraction]):
-    """Audit target of the cluster builders: the neighbourhood a fill was
-    routed to."""
-    return lambda f: indicator_set(x, f.candidate,
-                                   schedule[f.radius_index - 1])
 
 
 def _preserving_candidates(x: SequenceSpec, handle: IdealHandle,
@@ -587,10 +588,10 @@ def _fill_sigma_table(w: WitnessIntervals, horizon: int, draw) -> tuple[
         list[int], list[BlockFill]]:
     """Fill positions 1..horizon, routing witness blocks through ``draw``.
 
-    ``draw(k, block_len, floor)`` returns (values, candidate, radius_index)
-    for block k, values increasing and above ``floor``, or None to leave the
-    block to the filler.  Every other position takes the smallest value
-    keeping strict monotonicity.
+    ``draw(k, block_len, floor)`` returns (values, candidate, radius_index,
+    source) for block k, values increasing, above ``floor`` and drawn from
+    ``source``, or None to leave the block to the filler.  Every other
+    position takes the smallest value keeping strict monotonicity.
     """
     table: list[int] = []
     fills: list[BlockFill] = []
@@ -603,8 +604,10 @@ def _fill_sigma_table(w: WitnessIntervals, horizon: int, draw) -> tuple[
         fill_to(lo - 1)
         spec = draw(k, hi - lo, table[-1] if table else 0)
         if spec is not None:
-            table.extend(spec[0])
-            fills.append(BlockFill(k, lo, hi, spec[1], spec[2], False))
+            values, candidate, radius_index, source = spec
+            table.extend(values)
+            fills.append(BlockFill(k, lo, hi, candidate, radius_index, False,
+                                   source))
     fill_to(horizon)
     return table, fills
 
@@ -620,24 +623,24 @@ def generic_subsequence(a: ns.NatSet, w: WitnessIntervals,
     """
     table, fills = _fill_sigma_table(w, horizon, _selected(a, selector))
     sigma = SubsequenceMap(table, NO_TAIL, horizon=horizon)
-    _audit(sigma, fills, lambda f: a)
+    _audit(sigma, fills)
     return BuildResult(sigma, fills,
                        meta={"kind": "generic-subsequence", "horizon": horizon})
 
 
 def _certified_targets(handle: IdealHandle, w: WitnessIntervals,
                        x_new: SequenceSpec, horizon: int,
-                       params: AnalysisParams, assignment) -> list[TargetCert]:
+                       params: AnalysisParams, families) -> list[TargetCert]:
     """Per (candidate, radius) certificates for a block-filled map.
 
-    ``assignment(candidate, radius_index)`` names the arithmetic family of
-    blocks routed to that candidate at radii at least as fine; the certified
-    subset is the corresponding block union, which the ideal's witness rule
-    decides NotIn, and which the audit has verified to sit inside the actual
-    neighborhood indicator.
+    Each of ``families`` (``_Route.families``) names the arithmetic family of
+    blocks routed to a candidate at radii at least as fine as eps; the
+    certified subset is the corresponding block union, which the ideal's
+    witness rule decides NotIn, and which the audit has verified to sit
+    inside the actual neighborhood indicator.
     """
     certs: list[TargetCert] = []
-    for cand, m_index, eps, first_k, step_k in assignment:
+    for cand, eps, first_k, step_k in families:
         subset = ns.BlockUnion(w, ns.Progression(first_k, step_k))
         ind_bits = indicator_set(x_new, cand, eps)
         combined = ns.Union((subset, ind_bits)) if not isinstance(
@@ -664,16 +667,15 @@ def cluster_adding_sigma(x: SequenceSpec, ell, handle: IdealHandle,
     """
     ell = as_point(ell, x.dim)
     horizon = params.horizon
-    schedule = list(params.schedule)
-    table, fills = _fill_sigma_table(w, horizon, _toward_ell(x, ell, schedule))
+    route = _Route(x, [ell], list(params.schedule), 2)
+    try:
+        table, fills = _fill_sigma_table(w, horizon, route)
+    except ExhaustedA:
+        raise NotALimitPoint(f"{format_point(ell)} has too few close hits")
     sigma = SubsequenceMap(table, NO_TAIL, horizon=horizon)
-    _audit(sigma, fills, _ball(x, schedule))
-    # for radius index m the blocks k >= 2m - 1 all use radii <= eps_m
-    assignment = [(ell, m, schedule[m - 1], 2 * m - 1, 1)
-                  for m in range(1, len(schedule) + 1)
-                  if any(f.radius_index >= m for f in fills)]
+    _audit(sigma, fills)
     targets = _certified_targets(handle, w, apply(sigma, x), horizon,
-                                 params, assignment)
+                                 params, route.families(fills))
     return BuildResult(sigma, fills, targets,
                        meta={"kind": "cluster-adding-sigma",
                              "ell": format_point(ell), "horizon": horizon})
@@ -694,25 +696,13 @@ def cluster_preserving_sigma(x: SequenceSpec, handle: IdealHandle,
     gamma, gset, cands = _preserving_candidates(x, handle, params)
     if not cands:
         return BuildResult(identity_sigma(), [], meta={"kind": "trivial"})
-    L = len(cands)
-    schedule = list(params.schedule)
-    table, fills = _fill_sigma_table(w, horizon,
-                                     _round_robin(x, cands, schedule))
+    route = _Route(x, cands, list(params.schedule), len(cands))
+    table, fills = _fill_sigma_table(w, horizon, route)
     sigma = SubsequenceMap(table, NO_TAIL, horizon=horizon)
     x_new = apply(sigma, x)
-    _audit(sigma, fills, _ball(x, schedule))
-
-    reached = _top_radius(fills)
-    assignment = []
-    for ci, cand in enumerate(cands):
-        for m in range(1, reached.get(cand, 0) + 1):
-            # candidate ci's blocks are k = ci + 1, ci + 1 + L, ...;
-            # radii reach index m from block L (m - 1) + 1 onward
-            first = ci + 1
-            while (first + L - 1) // L < m:
-                first += L
-            assignment.append((cand, m, schedule[m - 1], first, L))
-    targets = _certified_targets(handle, w, x_new, horizon, params, assignment)
+    _audit(sigma, fills)
+    targets = _certified_targets(handle, w, x_new, horizon, params,
+                                 route.families(fills))
     # forward inclusion is certified by the targets above
     return BuildResult(sigma, fills, targets,
                        gamma_preserved=_no_new_cluster(x_new, handle, params,
@@ -732,8 +722,9 @@ def _fill_pi_table(w: WitnessIntervals, horizon: int, draw) -> tuple[
 
     A block is a payload candidate only when the cursor reaches its first
     position with no flush backlog.  ``draw(k, payload_index, block_len,
-    frontier)`` returns (values, candidate, radius_index) for block k, the
-    values strictly increasing and all above ``frontier``, or None to skip.
+    frontier)`` returns (values, candidate, radius_index, source) for block
+    k, the values strictly increasing, all above ``frontier`` and drawn from
+    ``source``, or None to skip.
     After a payload the displaced integers below the new frontier are flushed
     in ascending order; a payload is accepted only if that flush ends inside
     the horizon, keeping the final table a permutation of [1, horizon].
@@ -752,7 +743,7 @@ def _fill_pi_table(w: WitnessIntervals, horizon: int, draw) -> tuple[
             k, lo, hi = nxt
             spec = draw(k, len(fills) + 1, hi - lo, frontier)
             if spec is not None:
-                drawn = spec[0]
+                drawn, candidate, radius_index, source = spec
                 # test affordability before listing the displaced range:
                 # drawn[-1] can be astronomically large for sparse sources
                 flush_len = (drawn[-1] - frontier) - (hi - lo)
@@ -763,7 +754,8 @@ def _fill_pi_table(w: WitnessIntervals, horizon: int, draw) -> tuple[
                         if b > a + 1:
                             table.extend(range(a + 1, b))
                     frontier = drawn[-1]
-                    fills.append(BlockFill(k, lo, hi, spec[1], spec[2], False))
+                    fills.append(BlockFill(k, lo, hi, candidate,
+                                           radius_index, False, source))
                     p = hi + flush_len
                     continue
             # the cursor enters this block: identity up to the next one
@@ -797,7 +789,7 @@ def generic_permutation(a: ns.NatSet, w: WitnessIntervals,
     table, fills = _fill_pi_table(
         w, horizon, lambda k, j, length, frontier: draw(k, length, frontier))
     pi = _pi_result(table, horizon)
-    _audit(pi, fills, lambda f: a)
+    _audit(pi, fills)
     if not fills:
         raise BijectivityOverflow("no selected block could be covered")
     return BuildResult(pi, fills,
@@ -819,11 +811,11 @@ def cluster_preserving_pi(x: SequenceSpec, handle: IdealHandle,
     if not cands:
         return BuildResult(PermutationMap(), [], meta={"kind": "trivial"})
     schedule = list(params.schedule)
-    route = _round_robin(x, cands, schedule)
+    route = _Route(x, cands, schedule, len(cands))
     table, fills = _fill_pi_table(
         w, horizon, lambda k, j, length, frontier: route(j, length, frontier))
     pi = _pi_result(table, horizon)
-    _audit(pi, fills, _ball(x, schedule))
+    _audit(pi, fills)
     # every candidate needs a payload at every radius level
     reached = _top_radius(fills)
     for cand in cands:
@@ -847,12 +839,15 @@ def cluster_adding_pi(x: SequenceSpec, ell, handle: IdealHandle,
     """Permutation that makes ``ell`` a cluster point of the rearrangement."""
     ell = as_point(ell, x.dim)
     horizon = params.horizon
-    schedule = list(params.schedule)
-    route = _toward_ell(x, ell, schedule)
-    table, fills = _fill_pi_table(
-        w, horizon, lambda k, j, length, frontier: route(j, length, frontier))
+    route = _Route(x, [ell], list(params.schedule), 2)
+    try:
+        table, fills = _fill_pi_table(
+            w, horizon,
+            lambda k, j, length, frontier: route(j, length, frontier))
+    except ExhaustedA:
+        raise NotALimitPoint(f"{format_point(ell)} has too few close hits")
     pi = _pi_result(table, horizon)
-    _audit(pi, fills, _ball(x, schedule))
+    _audit(pi, fills)
     if not fills:
         raise NotALimitPoint(f"no affordable payload for {format_point(ell)}")
     return BuildResult(pi, fills,

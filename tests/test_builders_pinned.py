@@ -251,7 +251,7 @@ def logged_draw(plans, log):
         for i in range(length):
             v += gaps[i % len(gaps)]
             values.append(v)
-        return values, (F(k),), j
+        return values, (F(k),), j, None
     return draw
 
 

@@ -630,6 +630,18 @@ def test_add_mode_without_close_hits_exits_3(tmp_path, capsys):
         assert err["error"] == "hypothesis-failed"
         assert "1/3" in err["detail"]
         assert not Path(f"{out}.json").exists()
+    # harmonic's terms 1/n lie within 1/4 of 1/2 only at n = 2 and 3: its
+    # finer balls around 1/2 run out of members, which the adding builders
+    # report as too few close hits
+    for kind, ideal in (("sigma", "Z"), ("pi", "summable")):
+        out = tmp_path / f"harmonic-{kind}"
+        assert run(["preserve", kind, "--seq", "harmonic", "--ideal", ideal,
+                    "--mode", "add", "--ell", "1/2", "--horizon", "4096",
+                    "--out", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "hypothesis-failed"
+        assert err["detail"] == "1/2 has too few close hits"
+        assert not Path(f"{out}.json").exists()
 
 
 def test_oversized_candidate_grid_exits_one(tmp_path, capsys):

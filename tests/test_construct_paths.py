@@ -247,7 +247,7 @@ def test_audit_gather_of_a_subsequence_table_equals_member():
         for values in (seg, [v + (3 << 40) for v in seg]):
             assert ns.prefix_gather(ball, np.asarray(values, dtype=object)) \
                 .tolist() == ref_gather(ball, values)
-    tr._audit(result.map, result.blocks, tr._ball(x, schedule))
+    tr._audit(result.map, result.blocks)
     assert all(f.verified for f in result.blocks)
 
 

@@ -107,8 +107,9 @@ def test_alphabet_balls_match_pointwise_distance(case):
     balls = Balls(x, center)
     for eps in radii:
         want = [distance(p, center) < eps for p in points]
-        assert balls.key(eps) == sum(1 << i for i, d in enumerate(balls.dists)
-                                     if d < eps)
+        assert balls.key(eps) == sum(
+            1 << i for i, letter in enumerate(x.alphabet.letters)
+            if distance(letter, center) < eps)
         for inside, public in ((True, indicator_set),
                                (False, complement_indicator_set)):
             expect = want if inside else [not w for w in want]

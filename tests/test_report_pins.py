@@ -436,6 +436,17 @@ def test_witness_verify_report_pinned(tmp_path, ideal, json_digest):
     (["preserve", "sigma", "--seq", "harmonic", "--ideal", "Z",
       "--mode", "preserve", "--horizon", "16384"],
      "5de7d7491bd74e65be7d7dbf0cba564ea4267da1e94342cdd5d4e225b7183ad0"),
+    # the adding builders route every block to balls around ell, on
+    # point sequences as on alphabets
+    (["preserve", "sigma", "--seq", "rationals", "--ideal", "Z",
+      "--mode", "add", "--ell", "1/3", "--horizon", "4096"],
+     "eee7b2804b4b0075c3582bcf8cdc7b46491a69faee5602caf04ef74e44dd7f9f"),
+    (["preserve", "pi", "--seq", "harmonic", "--ideal", "Z",
+      "--mode", "add", "--ell", "0", "--horizon", "4096"],
+     "ddaee441f6ec04c96ff7da71552f7dc02a895ce2244aac4f57c0449c2d6c0dc4"),
+    (["preserve", "pi", "--seq", "rationals", "--ideal", "gdi",
+      "--mode", "add", "--ell", "1/2", "--horizon", "4096"],
+     "4f79afad343da2f4e5063789e74171d01c832175497f04d1c735a5b8e4c75bdf"),
 ])
 def test_member_drawing_report_pinned(tmp_path, args, json_digest):
     out = tmp_path / "r"

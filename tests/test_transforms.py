@@ -272,6 +272,36 @@ def test_sigma_targets_are_decided_at_the_given_theta(monkeypatch):
     assert thetas and set(thetas) == {F(1, 7)}
 
 
+@pytest.mark.parametrize("seq", ["cycle:0,1/2,1", "rationals"])
+@pytest.mark.parametrize("build", ["adding", "preserving"])
+def test_each_certificate_names_the_blocks_routed_to_it(seq, build):
+    # a target (c, eps_m) certifies the blocks of one progression; inside
+    # the horizon they must be exactly the fills routed to c at radius index
+    # m or finer, and every (c, m) some fill reached has its target
+    Z = builtin("density-zero")
+    params = AnalysisParams(horizon=1 << 12, schedule=RadiusSchedule.dyadic(3),
+                            pitch=F(1, 8))
+    x, w = zoo.get_sequence(seq), build_witness(Z, F(1, 4), 1 << 12)
+    res = (tr.cluster_adding_sigma(x, (F(1, 2),), Z, w, params)
+           if build == "adding" else tr.cluster_preserving_sigma(x, Z, w, params))
+    radii = list(params.schedule)
+    blocks = [k for k, _, _ in w.blocks_within(params.horizon)]
+    assert [f.block for f in res.blocks] == blocks
+    named = set()
+    for t in res.targets:
+        sel = t.certified_subset["selector"]["set"]
+        assert sel["kind"] == "progression"
+        m = radii.index(t.eps) + 1
+        certified = [k for k in blocks if k >= sel["first"]
+                     and (k - sel["first"]) % sel["step"] == 0]
+        assert certified == [f.block for f in res.blocks
+                             if f.candidate == t.candidate
+                             and f.radius_index >= m]
+        named.add((t.candidate, m))
+    assert named == {(f.candidate, m) for f in res.blocks
+                     for m in range(1, f.radius_index + 1)}
+
+
 def test_cluster_preserving_sigma_hypothesis_failed():
     Z = builtin("density-zero")
     w = build_witness(Z, F(1, 4), 1 << 20)
