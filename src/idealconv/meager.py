@@ -20,7 +20,7 @@ from ._lazy import lazy_numpy
 from . import natset as ns
 from . import submeasure as sm
 from .ideals import (DecisionParams, IdealHandle, NotRepresentable, Verdict,
-                     decide_membership, valuation_rows)
+                     decide_each, valuation_rows)
 
 np = lazy_numpy()
 
@@ -350,18 +350,27 @@ def verify_witness(handle: IdealHandle, w: WitnessIntervals, trials: int,
         params = DecisionParams(horizon=horizon)
     rng = random.Random(seed)
 
-    samples: list[WitnessSample] = []
-    for i in range(trials):
+    # the samples are drawn first, the members after them from the same
+    # stream; all samples are decided together and estimated
+    # sm.tail_rows(horizon) at a time, then checked in draw order, so the
+    # first failing sample is the one named
+    sels, sets = [], []
+    for _ in range(trials):
         sel = _random_infinite_selector(rng)
         noise = ns.Finite(sorted(rng.sample(range(1, horizon),
                                             rng.randrange(1, 16))))
-        sample = ns.Union((ns.BlockUnion(w, sel), noise))
-        dec = decide_membership(handle, sample, params)
-        est = _sample_estimate(handle, sample, params)
+        sels.append(sel)
+        sets.append(ns.Union((ns.BlockUnion(w, sel), noise)))
+    decisions = decide_each(handle, sets, params)
+    estimates = _sample_estimates(handle, sets, params)
+
+    samples: list[WitnessSample] = []
+    for i, (sel, sample, dec, est) in enumerate(zip(sels, sets, decisions,
+                                                    estimates)):
         if dec.verdict is Verdict.IN:
             raise WitnessRefuted(f"sample {i} decided In: {sample.dumps()}")
         if dec.verdict is Verdict.UNDECIDED:
-            if est is None or est < w.q0 - Fraction(1, 20):
+            if est < w.q0 - Fraction(1, 20):
                 raise WitnessRefuted(f"sample {i} undecided with estimate {est}")
         samples.append(WitnessSample(sel.to_json().__repr__(), dec.verdict, est))
 
@@ -386,18 +395,27 @@ def verify_witness(handle: IdealHandle, w: WitnessIntervals, trials: int,
                          cofinite_all_fail=cof_fail)
 
 
-def _sample_estimate(handle: IdealHandle, sample: ns.NatSet,
-                     params: DecisionParams) -> Optional[Fraction]:
-    m = handle.lscsm
-    if m is not None:
-        h = params.horizon
-        cuts = [0] + sm.default_cuts(h)
-        # phi is monotone: with every tail correction 1, the best corrected
-        # tail is the whole prefix's
-        if all(m.tail_correction(t, h) == 1 for t in cuts):
-            return sm.phi(m, sample, h)
-        [row] = sm.norm_estimate(m, sample.prefix(h)[None], cuts)
-        return max(Fraction(*v) for v in row)
-    # product ideal: fraction of valuation rows r <= 10 hit inside the horizon
-    hit = valuation_rows(sample, min(params.horizon, 1 << 17))
-    return Fraction(len([r for r in range(11) if r in hit]), 11)
+def _sample_estimates(handle: IdealHandle, sets: list[ns.NatSet],
+                      params: DecisionParams) -> list[Fraction]:
+    """Each set's best corrected tail on [1, params.horizon], past cut 0 and
+    the default cuts, read from bit matrices of at most ``sm.tail_rows``
+    prefixes; under fin-x-fin, the share of valuation rows r <= 10 it hits."""
+    m, h = handle.lscsm, params.horizon
+    if m is None:
+        # product ideal: fraction of valuation rows r <= 10 hit inside the horizon
+        return [Fraction(len([r for r in range(11) if r in hit]), 11)
+                for hit in (valuation_rows(s, min(h, 1 << 17)) for s in sets)]
+    cuts = [0] + sm.default_cuts(h)
+    # phi is monotone: with every tail correction 1, the best corrected
+    # tail is the whole prefix's
+    whole = all(m.tail_correction(t, h) == 1 for t in cuts)
+    step = sm.tail_rows(h)
+    out: list[Fraction] = []
+    for lo in range(0, len(sets), step):
+        bits = np.stack([s.prefix(h) for s in sets[lo:lo + step]])
+        if whole:
+            out += [Fraction(*value) for [value] in m.tail_value(bits, [0])]
+        else:
+            out += [max(Fraction(*v) for v in row)
+                    for row in sm.norm_estimate(m, bits, cuts)]
+    return out

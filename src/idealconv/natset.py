@@ -635,8 +635,11 @@ class BlockUnion(NatSet):
 
     def prefix(self, horizon: int) -> np.ndarray:
         horizon = _check_horizon(horizon)
-        bits = np.zeros(horizon, dtype=bool)
         first = self.partition.iota(1)
+        if first == 1 and self.partition.guarantees.singletons:
+            # block n is {n}: the union is its selector, with no boundaries
+            return self.selector.prefix(horizon)
+        bits = np.zeros(horizon, dtype=bool)
         if first > horizon:
             return bits
         b = self.partition.boundaries(horizon)

@@ -177,13 +177,13 @@ def test_witness_build_and_verify(tmp_path):
 
 def test_witness_verify_decides_at_the_given_theta(tmp_path, monkeypatch):
     thetas = []
-    decide = meager.decide_membership
+    decide = meager.decide_each
 
-    def spy(handle, s, params, *args):
+    def spy(handle, sets, params, *args):
         thetas.append(params.theta)
-        return decide(handle, s, params, *args)
+        return decide(handle, sets, params, *args)
 
-    monkeypatch.setattr(meager, "decide_membership", spy)
+    monkeypatch.setattr(meager, "decide_each", spy)
     assert run(["witness", "verify", "--ideal", "Z", "--q", "1/2",
                 "--horizon", "4096", "--trials", "3", "--seed", "1",
                 "--theta", "1/7", "--out", str(tmp_path / "v")]) == 0
@@ -220,6 +220,21 @@ def test_witness_verify_refuses_a_boundary_list_short_of_the_horizon(
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config"
     assert "stops before the block past horizon 65536" in err["detail"]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 8")
+@pytest.mark.parametrize("seed", [1, 2, 3, 7])
+def test_sound_explicit_witness_is_not_refuted(tmp_path, seed):
+    # pow2's blocks listed up to 2^19, each of density ratio 1/2: a sound
+    # witness, refuted today by a tail-trend In sample or by a member that
+    # no cutoff separates, since an explicit list has no pairs_from
+    wfile = tmp_path / "pow2.json"
+    wfile.write_text(json.dumps({"witness": {
+        "iota": [2 ** k for k in range(1, 20)], "lengths_unbounded": True,
+        "rule": "density-ratio", "q0": "1/2"}}))
+    assert run(["witness", "verify", "--ideal", "Z", "--witness", str(wfile),
+                "--horizon", "65536", "--seed", str(seed),
+                "--out", str(tmp_path / "v")]) in (0, 2)
 
 
 def test_preserve_sigma_and_exit_codes(tmp_path):

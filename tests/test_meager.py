@@ -230,6 +230,39 @@ def test_verify_witness_builtin(name, q, horizon):
     assert all(m.first_k <= 20 for m in report.members)
 
 
+def test_verify_witness_reads_its_samples_together(monkeypatch):
+    # one decision call for all samples, and tail reads of at most
+    # sm.tail_rows(horizon) rows: three rows per read here
+    monkeypatch.setattr(sm, "TAIL_CELLS", 3 * 4096)
+    Z = builtin("density-zero")
+    w = build_witness(Z, F(1, 2), 4096)
+    decided, rows = [], []
+    decide, estimate = meager.decide_each, sm.norm_estimate
+
+    def decide_spy(handle, sets, *args):
+        decided.append(len(sets))
+        return decide(handle, sets, *args)
+
+    def estimate_spy(m, bits, cuts):
+        rows.append(bits.shape[0])
+        return estimate(m, bits, cuts)
+
+    monkeypatch.setattr(meager, "decide_each", decide_spy)
+    monkeypatch.setattr(sm, "norm_estimate", estimate_spy)
+    report = verify_witness(Z, w, trials=10, horizon=4096, seed=2)
+    assert decided == [10] and len(report.samples) == 10
+    assert rows and max(rows) <= 3 and sum(rows) >= 10
+
+
+def test_fin_verify_builds_no_boundary_array():
+    # fin's blocks are singletons, so each sampled union is read as its
+    # selector; only the cutoffs k <= 20 materialize boundaries
+    fin = builtin("fin")
+    w = build_witness(fin, F(1, 2), 1 << 16)
+    verify_witness(fin, w, trials=16, horizon=1 << 16, seed=3)
+    assert len(w._iota) <= 24 and w._mirror is None
+
+
 def test_verify_witness_estimates_track_mass():
     Z = builtin("density-zero")
     w = build_witness(Z, F(1, 2), 1 << 16)
@@ -246,8 +279,7 @@ ESTIMATE_IDEALS = {name: builtin(name) for name in ("fin", "Z", "summable",
 ESTIMATE_IDEALS["head-heavy-gdi"] = builtin("gdi", HEAD_HEAVY_GDI)
 
 
-@pytest.mark.parametrize("name", sorted(ESTIMATE_IDEALS))
-def test_sample_estimate_is_the_best_estimate_row(name):
+def _check_sample_estimates(name, monkeypatch):
     handle, horizon = ESTIMATE_IDEALS[name], 4096
     params = DecisionParams(horizon=horizon)
     w = build_witness(builtin("Z"), F(1, 2), horizon)
@@ -262,12 +294,35 @@ def test_sample_estimate_is_the_best_estimate_row(name):
     head_only = gen.random(horizon) < 0.3
     head_only[horizon // 2:] = False
     samples.append(ns.PrefixBitmap(head_only))
+    # one kernel call per sm.tail_rows(horizon) samples
+    m, reads = handle.lscsm, []
+    kernel = type(m).tail_value
+
+    def spy(self, bits, cuts):
+        reads.append(bits.shape[0])
+        return kernel(self, bits, cuts)
+
+    monkeypatch.setattr(type(m), "tail_value", spy)
+    got = meager._sample_estimates(handle, samples, params)
+    step = sm.tail_rows(horizon)
+    assert reads == [min(step, len(samples) - lo)
+                     for lo in range(0, len(samples), step)]
     # the best corrected tail past cut 0 (the whole prefix) and the default
     # cuts, each from the per-cut reference
     cuts = [0] + sm.default_cuts(horizon)
-    for s in samples:
-        want = max(corrected(handle.lscsm, s.prefix(horizon), cuts))
-        assert meager._sample_estimate(handle, s, params) == want
+    assert got == [max(corrected(m, s.prefix(horizon), cuts)) for s in samples]
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATE_IDEALS))
+def test_sample_estimate_is_the_best_estimate_row(name, monkeypatch):
+    _check_sample_estimates(name, monkeypatch)
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATE_IDEALS))
+def test_sample_estimates_across_tail_reads(name, monkeypatch):
+    # three rows per read: the 18 samples take six kernel calls
+    monkeypatch.setattr(sm, "TAIL_CELLS", 3 * 4096)
+    _check_sample_estimates(name, monkeypatch)
 
 
 def test_block_certification_exact():

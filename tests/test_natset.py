@@ -336,6 +336,37 @@ def test_block_union_infinite_selector_flags():
     assert ns.BlockUnion(part, fin_sel).is_infinite() is False
 
 
+def _selectors():
+    """The three styles of witness-verify selectors (meager's
+    _random_infinite_selector), finite selectors and their complements."""
+    step = st.sampled_from([1, 2, 3, 5])
+    picks = st.lists(st.integers(1, 256), max_size=4).map(sorted)
+    return st.one_of(
+        step.map(lambda k: ns.Progression(k, k)),
+        st.builds(lambda k, adds: ns.Union((ns.Progression(k, k),
+                                            ns.Finite(adds))),
+                  step, picks),
+        st.builds(lambda k, out: ns.Intersection(
+            (ns.Progression(k, k), ns.Complement(ns.Finite(out)))),
+            step, picks),
+        picks.map(ns.Finite),
+        picks.map(lambda out: ns.Complement(ns.Finite(out))))
+
+
+@given(_selectors(), st.integers(1, 1 << 12))
+def test_singleton_block_union_is_its_selector(sel, horizon):
+    # block n of the singleton partition is {n}: the prefix is the
+    # selector's, built without boundaries, and agrees with the boundary
+    # walk over the same blocks listed explicitly
+    part = ns.partition_from_tag({"kind": "singletons"})
+    bits = ns.BlockUnion(part, sel).prefix(horizon)
+    assert np.array_equal(bits, sel.prefix(horizon))
+    assert bits.tolist() == [sel.member(n) for n in range(1, horizon + 1)]
+    assert len(part._iota) == 1
+    listed = ns.BlockPartition(prefix=range(1, horizon + 3))
+    assert np.array_equal(bits, ns.BlockUnion(listed, sel).prefix(horizon))
+
+
 def test_counting_closed_forms_at_large_horizon():
     H = 1 << 32
     assert ns.Progression(2, 2).count_up_to(H) == H // 2

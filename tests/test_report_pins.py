@@ -411,6 +411,24 @@ def test_witness_verify_report_pinned(tmp_path, ideal, json_digest):
         json_digest
 
 
+@pytest.mark.parametrize("ideal, json_digest", [
+    ("Z", "b10b91d5da820c087f560ea087f7fd8d03f426b39ab271d18b8602540b21238f"),
+    ("summable",
+     "6de6f69a17597f85445360e9c7154705a67040d14dd29603e315a4759d5e1c91"),
+    ("gdi", "21dd45715134b06e783b50c62596d3449efd787e49903ba8dd382fe0677d3b1b"),
+])
+def test_witness_verify_report_pinned_across_chunks(tmp_path, ideal,
+                                                    json_digest):
+    # 40 samples at 2^16 span three tail reads of sm.tail_rows(2^16) = 16
+    # rows each; the pins above all fit one read
+    out = tmp_path / "verify"
+    assert main(["witness", "verify", "--ideal", ideal, "--q", "1/2",
+                 "--horizon", "65536", "--trials", "40", "--seed", "5",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(Path(f"{out}.json").read_bytes()).hexdigest() == \
+        json_digest
+
+
 # --- builder and game reports that draw members of point-sequence balls -------
 
 @pytest.mark.parametrize("args, json_digest", [
