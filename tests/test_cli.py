@@ -339,7 +339,10 @@ def test_analyze_product_ideal_skips_level_sets(tmp_path):
 
 def test_ideals_list(capsys):
     assert run(["ideals", "list"]) == 0
-    body = json.loads(capsys.readouterr().out)
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "3818f9b2fd64fc6c04f98a401a7283760adc2bc3c45a4240f8af828a621aea3f")
+    body = json.loads(text)
     names = [e["name"] for e in body["ideals"]]
     assert names == ["fin", "density-zero", "summable", "gdi", "fin-x-fin"]
     fxf = body["ideals"][-1]

@@ -131,6 +131,40 @@ def test_witness_build_loads_only_meager():
     assert got == {"code": 0, "loaded": ["meager"]}
 
 
+def test_witness_verify_loads_only_meager():
+    got = run_fresh("""
+        code = cli(["witness", "verify", "--ideal", "Z", "--horizon", "4096",
+                    "--trials", "3"])
+        print(json.dumps({"code": code, "loaded": loaded()}))
+    """)
+    assert got == {"code": 0, "loaded": ["meager"]}
+
+
+def test_preserve_and_sample_load_no_game_module():
+    # sample loads meager through transforms
+    for argv in (["preserve", "sigma", "--seq", "char:evens", "--ideal", "Z",
+                  "--horizon", "4096", "--radii", "3", "--pitch", "1/16"],
+                 ["sample", "--seq", "char:evens", "--ideal", "Z", "--maps",
+                  "2", "--length", "64", "--horizon", "1024", "--radii",
+                  "3"]):
+        got = run_fresh(f"""
+            code = cli({argv!r})
+            print(json.dumps({{"code": code, "loaded": loaded()}}))
+        """)
+        assert got == {"code": 0, "loaded": ["sequences", "zoo", "meager",
+                                             "transforms"]}, argv
+
+
+def test_game_run_loads_every_command_module():
+    got = run_fresh("""
+        code = cli(["game", "run", "--seq", "char:evens", "--ideal", "Z",
+                    "--ell", "1", "--q", "1/4", "--rounds", "2"])
+        print(json.dumps({"code": code, "loaded": loaded()}))
+    """)
+    assert got == {"code": 0, "loaded": ["sequences", "zoo", "meager",
+                                         "transforms", "games"]}
+
+
 def test_every_export_is_its_defining_modules_object():
     got = run_fresh("""
         import importlib
