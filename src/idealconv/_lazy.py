@@ -3,8 +3,9 @@
 A certified answer (an exact norm, a periodic form) reads no bitmap, so a
 command that only certifies need not pay numpy's import.  The modules that
 use numpy bind ``np = lazy_numpy()``: numpy then loads on the first
-attribute read, such as the first ``np.empty`` of a prefix.  The package and
-the CLI import the other modules on first use through ``load``.
+attribute read, such as the first ``np.empty`` of a prefix.  The package
+imports the other modules on first use through ``load``; each CLI handler
+imports the modules it runs.
 """
 
 from __future__ import annotations

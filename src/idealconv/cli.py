@@ -26,38 +26,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import natset as ns
-from ._lazy import load
 from .ideals import DecisionParams, UnknownIdeal, builtin, builtin_names
-
-# the names the commands take from modules that only some of them run: this
-# module's global -> (defining module, attribute; None for the module).
-# ``main`` binds those of the modules a command's ``_COMMANDS`` entry names
-# before dispatching it; ``__getattr__`` binds one on its first read, so
-# ``cli.<name>`` may be replaced before a command runs
-_LAZY = {
-    "gm": ("games", None),
-    "tr": ("transforms", None),
-    "zoo": ("zoo", None),
-    **{name: ("meager", name) for name in (
-        "WitnessIntervals", "build_witness", "certify_witness",
-        "verify_witness")},
-    **{name: ("sequences", name) for name in (
-        "AnalysisParams", "RadiusSchedule", "as_point", "candidate_grid",
-        "format_point", "gamma_estimate", "ideal_convergence_check",
-        "lambda_estimate", "lambda_q_estimate", "limit_points_estimate")},
-}
-
-
-def __getattr__(name: str):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module, attr = _LAZY[name]
-    value = load(f"{__package__}.{module}")
-    if attr is not None:
-        value = getattr(value, attr)
-    globals()[name] = value
-    return value
-
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -145,6 +114,7 @@ class RunConfig:
         return body
 
     def analysis_params(self) -> AnalysisParams:
+        from .sequences import AnalysisParams, RadiusSchedule
         return AnalysisParams(
             horizon=self.horizon,
             schedule=RadiusSchedule.dyadic(self.radii),
@@ -271,6 +241,10 @@ def _emit(out: Optional[str], payload: dict, csv_rows=None,
 
 
 def cmd_analyze(cfg: RunConfig) -> int:
+    from . import zoo
+    from .sequences import (gamma_estimate, ideal_convergence_check,
+                            lambda_estimate, lambda_q_estimate,
+                            limit_points_estimate)
     x = zoo.get_sequence(cfg.seq, cfg.horizon)
     handle = cfg.ideal_handle()
     params = cfg.analysis_params()
@@ -307,6 +281,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
 
 def cmd_witness_build(cfg: RunConfig) -> int:
+    from .meager import build_witness
     handle = cfg.ideal_handle()
     w = build_witness(handle, cfg.number("q"), cfg.horizon)
     payload = {"config": cfg.to_json(), "witness": w.to_json()}
@@ -315,6 +290,8 @@ def cmd_witness_build(cfg: RunConfig) -> int:
 
 
 def cmd_witness_verify(cfg: RunConfig) -> int:
+    from .meager import (WitnessIntervals, build_witness, certify_witness,
+                         verify_witness)
     handle = cfg.ideal_handle()
     if cfg.witness_file:
         w = WitnessIntervals.from_json(
@@ -330,6 +307,9 @@ def cmd_witness_verify(cfg: RunConfig) -> int:
 
 
 def cmd_preserve(cfg: RunConfig) -> int:
+    from . import transforms as tr, zoo
+    from .meager import build_witness
+    from .sequences import as_point
     x = zoo.get_sequence(cfg.seq, cfg.horizon)
     handle = cfg.ideal_handle()
     params = cfg.analysis_params()
@@ -354,6 +334,8 @@ def cmd_preserve(cfg: RunConfig) -> int:
 
 
 def cmd_game(cfg: RunConfig) -> int:
+    from . import games as gm, zoo
+    from .sequences import RadiusSchedule, as_point
     if cfg.ell is None:
         raise ValueError("game run needs --ell")
     x = zoo.get_sequence(cfg.seq, cfg.horizon)
@@ -369,6 +351,8 @@ def cmd_game(cfg: RunConfig) -> int:
 
 
 def cmd_sample(cfg: RunConfig) -> int:
+    from . import transforms as tr, zoo
+    from .sequences import candidate_grid, format_point, gamma_estimate
     x = zoo.get_sequence(cfg.seq, cfg.horizon)
     handle = cfg.ideal_handle()
     params = cfg.analysis_params()
@@ -421,30 +405,30 @@ def cmd_ideals_list(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-# each command's parser path -> its handler, the modules it runs, and the
-# settings it takes, each both a flag and a config-file key (q_grid is a key
-# only); preserve takes its kind from its subcommand
-_PRESERVE = (cmd_preserve, ("meager", "transforms", "sequences", "zoo"),
-             ("seq", "ideal", "gdi_file", "horizon", "radii", "pitch", "theta",
-              "hit_min", "q", "ell", "mode", "out"))
+# each command's parser path -> its handler and the settings it takes, each
+# both a flag and a config-file key (q_grid is a key only); preserve takes
+# its kind from its subcommand
+_PRESERVE = (cmd_preserve, (
+    "seq", "ideal", "gdi_file", "horizon", "radii", "pitch", "theta",
+    "hit_min", "q", "ell", "mode", "out"))
 _COMMANDS = {
-    ("analyze",): (cmd_analyze, ("sequences", "zoo"), (
+    ("analyze",): (cmd_analyze, (
         "seq", "ideal", "gdi_file", "horizon", "radii", "pitch", "theta",
         "hit_min", "q", "q_grid", "ell", "mode", "out")),
-    ("witness", "build"): (cmd_witness_build, ("meager",), (
+    ("witness", "build"): (cmd_witness_build, (
         "ideal", "gdi_file", "horizon", "q", "out")),
-    ("witness", "verify"): (cmd_witness_verify, ("meager",), (
+    ("witness", "verify"): (cmd_witness_verify, (
         "ideal", "gdi_file", "horizon", "q", "theta", "trials", "seed",
         "witness_file", "out")),
     ("preserve", "sigma"): _PRESERVE,
     ("preserve", "pi"): _PRESERVE,
-    ("game", "run"): (cmd_game, ("games", "sequences", "zoo"), (
+    ("game", "run"): (cmd_game, (
         "seq", "ideal", "gdi_file", "horizon", "radii", "q", "ell", "rounds",
         "seed", "kind", "out")),
-    ("sample",): (cmd_sample, ("transforms", "sequences", "zoo"), (
+    ("sample",): (cmd_sample, (
         "seq", "ideal", "gdi_file", "horizon", "radii", "pitch", "theta",
         "maps", "length", "seed", "kind", "out")),
-    ("ideals", "list"): (cmd_ideals_list, (), ("out",)),
+    ("ideals", "list"): (cmd_ideals_list, ("out",)),
 }
 
 # the values a flag may take, by command and setting
@@ -470,7 +454,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", help="JSON config file; flags override it")
     p.set_defaults(command=())
     parsers, subparsers = {(): p}, {}
-    for path, (_, _, settings) in _COMMANDS.items():
+    for path, (_, settings) in _COMMANDS.items():
         for i in range(1, len(path) + 1):
             head, parent = path[:i], path[:i - 1]
             if head not in parsers:
@@ -549,13 +533,10 @@ def main(argv: Optional[list[str]] = None) -> int:
                            if p[:len(path)] == path)
         sys.stderr.write(f"{' '.join(path)} needs a subcommand: {subs}\n")
         return EXIT_USAGE
-    handler, modules, settings = _COMMANDS[path]
+    handler, settings = _COMMANDS[path]
     try:
         cfg = _merge_config(args, settings)
         cfg.validate(settings)
-        for name, (module, _) in _LAZY.items():
-            if module in modules and name not in globals():
-                __getattr__(name)
         return handler(cfg)
     except _loaded("transforms.HypothesisFailed",
                    "transforms.NotALimitPoint") as exc:

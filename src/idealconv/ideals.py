@@ -53,10 +53,6 @@ class UnknownIdeal(Exception):
     pass
 
 
-class NotRepresentable(Exception):
-    """The handle has no capability supporting the requested construction."""
-
-
 def nu2(n: int) -> int:
     """2-adic valuation of a positive integer."""
     if n < 1:
@@ -80,14 +76,26 @@ def valuation_rows(s: ns.NatSet, horizon: int) -> dict[int, int]:
 @dataclass
 class IdealHandle:
     name: str
-    lscsm: Optional[sm.Lscsm] = None
-    special_rule: Optional[str] = None          # "fin-x-fin"
-    witness_rule: str = "phi-block"             # density-ratio | phi-block | row-coverage
+    lscsm: Optional[sm.Lscsm] = None            # None: fin-x-fin's row rules
     params_json: Optional[dict] = None          # construction body, for round trips
 
     @property
     def analytic_p(self) -> bool:
         return self.lscsm is not None
+
+    @property
+    def special_rule(self) -> Optional[str]:
+        return "fin-x-fin" if self.lscsm is None else None
+
+    @property
+    def witness_rule(self) -> str:
+        """How a witness's blocks are certified: density-ratio, phi-block or
+        row-coverage."""
+        if self.lscsm is None:
+            return "row-coverage"
+        if isinstance(self.lscsm, sm.RunningDensity):
+            return "density-ratio"
+        return "phi-block"
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +158,7 @@ def _finxfin_decide(s: ns.NatSet, params: DecisionParams) -> Decision:
         rows = {}
     busy = sum(1 for c in rows.values() if c >= 8)
     return Decision(Verdict.UNDECIDED, estimate=Fraction(busy, max(len(rows), 1)),
-                    reason=f"rows-at-horizon={len(rows)} busy={busy}")
+                    reason="row-profile")
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +232,8 @@ def decide_each(handle: IdealHandle, sets: Sequence[ns.NatSet],
     set whose prefix raises HorizonExceeded gets its own
     ``horizon-exceeded`` decision.
     """
-    if handle.special_rule == "fin-x-fin":
-        return [_finxfin_decide(s, params) for s in sets]
     if handle.lscsm is None:
-        raise NotRepresentable(f"{handle.name} has no decision capability")
+        return [_finxfin_decide(s, params) for s in sets]
 
     out: list = []
     open_ = []          # the sets no symbolic route decides, by position
@@ -328,16 +334,13 @@ def builtin(name: str, gdi_spec: Optional[dict] = None) -> IdealHandle:
     if key is None:
         raise UnknownIdeal(f"unknown ideal {name!r}")
     if key == "fin":
-        return IdealHandle("fin", lscsm=sm.CountingCap(),
-                           witness_rule="phi-block")
+        return IdealHandle("fin", lscsm=sm.CountingCap())
     if key == "density-zero":
-        return IdealHandle("density-zero", lscsm=sm.RunningDensity(),
-                           witness_rule="density-ratio")
+        return IdealHandle("density-zero", lscsm=sm.RunningDensity())
     if key == "summable":
         return IdealHandle("summable",
                            lscsm=sm.normalize(sm.WeightedSum(cap=Fraction(1),
-                                                             harmonic=True)),
-                           witness_rule="phi-block")
+                                                             harmonic=True)))
     if key == "gdi":
         if gdi_spec is None:
             part = ns.partition_from_tag({"kind": "geometric", "ratio": "2"})
@@ -348,11 +351,9 @@ def builtin(name: str, gdi_spec: Optional[dict] = None) -> IdealHandle:
                 partition=part,
                 head_weights=tuple(Fraction(w) for w in gdi_spec.get("head_weights", [])),
                 tail_weight=Fraction(gdi_spec.get("tail_weight", "1")))
-        return IdealHandle("gdi", lscsm=sm.normalize(fam),
-                           witness_rule="phi-block", params_json=gdi_spec)
+        return IdealHandle("gdi", lscsm=sm.normalize(fam), params_json=gdi_spec)
     if key == "fin-x-fin":
-        return IdealHandle("fin-x-fin", lscsm=None, special_rule="fin-x-fin",
-                           witness_rule="row-coverage")
+        return IdealHandle("fin-x-fin")
     raise UnknownIdeal(name)
 
 

@@ -19,8 +19,8 @@ from typing import Optional
 from ._lazy import lazy_numpy
 from . import natset as ns
 from . import submeasure as sm
-from .ideals import (DecisionParams, IdealHandle, NotRepresentable, Verdict,
-                     decide_each, valuation_rows)
+from .ideals import (DecisionParams, IdealHandle, Verdict, decide_each,
+                     valuation_rows)
 
 np = lazy_numpy()
 
@@ -103,20 +103,16 @@ def build_witness(handle: IdealHandle, q: Fraction,
     mass at least q.  row-coverage: blocks of length 2^(n+1), so block n
     meets every valuation row up to n.
     """
-    q = Fraction(q)
-    if handle.witness_rule == "row-coverage":
-        rule, q = "row-coverage", Fraction(1)
+    q, rule = Fraction(q), handle.witness_rule
+    if handle.lscsm is None:
+        q = Fraction(1)
         part = ns.partition_from_tag({"kind": "valuation-cover"})
-    elif handle.lscsm is None:
-        raise NotRepresentable(f"{handle.name} has no witness capability")
     elif not 0 < q < 1:
         raise ValueError("q must lie in (0, 1)")
-    elif handle.witness_rule == "density-ratio":
-        rule = "density-ratio"
+    elif rule == "density-ratio":
         part = ns.partition_from_tag({"kind": "pow2"} if q == Fraction(1, 2)
                                      else {"kind": "ratio-search", "q": str(q)})
     else:
-        rule = "phi-block"
         part = (ns.partition_from_tag({"kind": "singletons"})
                 if isinstance(handle.lscsm, sm.CountingCap)
                 else _phi_search_partition(handle, q))
@@ -328,7 +324,7 @@ def _member_samples(handle: IdealHandle, rng: random.Random,
     out.append(("powers3", ns.PowersOf(3)))
     out.append(("powers2+finite",
                 ns.Union((ns.PowersOf(2), ns.Finite([7, 11, 13])))))
-    if handle.special_rule == "fin-x-fin":
+    if handle.lscsm is None:
         out.append(("odds", ns.Progression(1, 2)))
         out.append(("row1", ns.Progression(2, 4)))
     return out

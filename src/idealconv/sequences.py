@@ -340,10 +340,8 @@ class RadiusRecord:
 
 
 def count_routes(reasons) -> dict[str, int]:
-    """How many decisions each route took; the fin-x-fin row profile's
-    reasons carry their counts, so they are pooled as ``row-profile``."""
-    return dict(Counter("row-profile" if r.startswith("rows-at-horizon")
-                        else r for r in reasons if r))
+    """How many decisions each route took."""
+    return dict(Counter(r for r in reasons if r))
 
 
 @dataclass

@@ -468,8 +468,9 @@ class BuildResult:
 # ---------------------------------------------------------------------------
 
 class _Route:
-    """Routing of the cluster builders: slot j draws from the ball around
-    centre (j - 1) mod L at radius index min(ceil(j / per_level), K).
+    """Routing of the cluster builders: the j-th filled block draws from the
+    ball around centre (j - 1) mod L at radius index min(ceil(j /
+    per_level), K), whatever its block index k.
 
     The preserving builders route over their L candidates with per_level L,
     the adding builders around ell alone with per_level 2.  Each (centre,
@@ -483,7 +484,7 @@ class _Route:
         self.per_level = per_level
         self._supplies: dict[tuple[int, int], MemberSupply] = {}
 
-    def __call__(self, j: int, length: int, floor: int):
+    def __call__(self, k: int, j: int, length: int, floor: int):
         i = (j - 1) % len(self.centres)
         m = min(-(-j // self.per_level), len(self.schedule))
         supply = self._supplies.get((i, m))
@@ -495,7 +496,8 @@ class _Route:
     def families(self, fills: list[BlockFill]):
         """(centre, eps_m, first, L) for each centre and each radius index m
         up to the highest it reached over ``fills``: the slots first,
-        first + L, ... are routed to that centre at radius index m or finer."""
+        first + L, ... are routed to that centre at radius index m or finer.
+        The sigma builders fill every block, so slot j is block j."""
         L, top = len(self.centres), _top_radius(fills)
         for i, centre in enumerate(self.centres):
             for m in range(1, top.get(centre, 0) + 1):
@@ -528,7 +530,7 @@ def _selected(a: ns.NatSet, selector: ns.NatSet):
         raise ExhaustedA("source set is finite")
     supply = _SetSupply(a)
 
-    def draw(k: int, length: int, floor: int):
+    def draw(k: int, j: int, length: int, floor: int):
         sel = selector.member(k)
         if sel is None:
             raise ns.HorizonExceeded(f"selector undecided at block {k}")
@@ -588,10 +590,11 @@ def _fill_sigma_table(w: WitnessIntervals, horizon: int, draw) -> tuple[
         list[int], list[BlockFill]]:
     """Fill positions 1..horizon, routing witness blocks through ``draw``.
 
-    ``draw(k, block_len, floor)`` returns (values, candidate, radius_index,
-    source) for block k, values increasing, above ``floor`` and drawn from
-    ``source``, or None to leave the block to the filler.  Every other
-    position takes the smallest value keeping strict monotonicity.
+    ``draw(k, j, block_len, floor)`` returns (values, candidate,
+    radius_index, source) for block k, the j-th block filled, values
+    increasing, above ``floor`` and drawn from ``source``, or None to leave
+    the block to the filler.  Every other position takes the smallest value
+    keeping strict monotonicity.
     """
     table: list[int] = []
     fills: list[BlockFill] = []
@@ -602,7 +605,7 @@ def _fill_sigma_table(w: WitnessIntervals, horizon: int, draw) -> tuple[
 
     for k, lo, hi in w.blocks_within(horizon):
         fill_to(lo - 1)
-        spec = draw(k, hi - lo, table[-1] if table else 0)
+        spec = draw(k, len(fills) + 1, hi - lo, table[-1] if table else 0)
         if spec is not None:
             values, candidate, radius_index, source = spec
             table.extend(values)
@@ -785,9 +788,7 @@ def generic_permutation(a: ns.NatSet, w: WitnessIntervals,
     an affordable flush; with a singleton witness and a co-infinite source
     this degenerates to the familiar neighbour-swap pattern.
     """
-    draw = _selected(a, selector)
-    table, fills = _fill_pi_table(
-        w, horizon, lambda k, j, length, frontier: draw(k, length, frontier))
+    table, fills = _fill_pi_table(w, horizon, _selected(a, selector))
     pi = _pi_result(table, horizon)
     _audit(pi, fills)
     if not fills:
@@ -812,8 +813,7 @@ def cluster_preserving_pi(x: SequenceSpec, handle: IdealHandle,
         return BuildResult(PermutationMap(), [], meta={"kind": "trivial"})
     schedule = list(params.schedule)
     route = _Route(x, cands, schedule, len(cands))
-    table, fills = _fill_pi_table(
-        w, horizon, lambda k, j, length, frontier: route(j, length, frontier))
+    table, fills = _fill_pi_table(w, horizon, route)
     pi = _pi_result(table, horizon)
     _audit(pi, fills)
     # every candidate needs a payload at every radius level
@@ -841,9 +841,7 @@ def cluster_adding_pi(x: SequenceSpec, ell, handle: IdealHandle,
     horizon = params.horizon
     route = _Route(x, [ell], list(params.schedule), 2)
     try:
-        table, fills = _fill_pi_table(
-            w, horizon,
-            lambda k, j, length, frontier: route(j, length, frontier))
+        table, fills = _fill_pi_table(w, horizon, route)
     except ExhaustedA:
         raise NotALimitPoint(f"{format_point(ell)} has too few close hits")
     pi = _pi_result(table, horizon)

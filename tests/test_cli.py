@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from idealconv import cli, meager
+from idealconv import cli, games, meager, sequences, transforms, zoo
 from idealconv.cli import RunConfig, main
 from idealconv.meager import WitnessIntervals
 
@@ -312,8 +312,8 @@ def test_sample_length_out_of_range_exits_one(tmp_path, capsys, monkeypatch,
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the length was checked")
 
-    monkeypatch.setattr(cli.zoo, "get_sequence", refuse)
-    monkeypatch.setattr(cli.tr, "random_sigma", refuse)
+    monkeypatch.setattr(zoo, "get_sequence", refuse)
+    monkeypatch.setattr(transforms, "random_sigma", refuse)
     out = tmp_path / "len"
     assert run(["sample", "--seq", "harmonic", "--ideal", "Z",
                 "--length", str(length), "--out", str(out)]) == 1
@@ -506,9 +506,8 @@ def test_every_setting_a_command_takes_is_read(tmp_path, monkeypatch):
     monkeypatch.setattr(RunConfig, "__getattribute__", spy)
     monkeypatch.setattr(RunConfig, "number", number_spy)
     monkeypatch.setattr(RunConfig, "to_json", unread)
-    for path, (handler, modules, settings) in cli._COMMANDS.items():
-        monkeypatch.setitem(cli._COMMANDS, path,
-                            (recorded(handler), modules, settings))
+    for path, (handler, settings) in cli._COMMANDS.items():
+        monkeypatch.setitem(cli._COMMANDS, path, (recorded(handler), settings))
     assert run(["witness", "build", "--ideal", "Z", "--horizon", "4096",
                 "--out", str(tmp_path / "w")]) == 0
     read_by = {path: set() for path in cli._COMMANDS}
@@ -518,7 +517,7 @@ def test_every_setting_a_command_takes_is_read(tmp_path, monkeypatch):
         assert run([*argv, "--out", str(tmp_path / str(i))]) == 0
         read_by[tuple(_path(argv).split())] |= reads
     unread_settings = {" ".join(path): sorted(set(settings) - read_by[path])
-                       for path, (_, _, settings) in cli._COMMANDS.items()}
+                       for path, (_, settings) in cli._COMMANDS.items()}
     assert unread_settings == {" ".join(path): [] for path in cli._COMMANDS}
 
 
@@ -627,7 +626,7 @@ def test_game_run_refuses_q_no_escape_exceeds(tmp_path, capsys, monkeypatch, q):
     def refuse(*args, **kwargs):
         raise AssertionError("a move was played before q was checked")
 
-    monkeypatch.setattr(cli.gm, "_adversary_move", refuse)
+    monkeypatch.setattr(games, "_adversary_move", refuse)
     out = tmp_path / "g"
     assert run(["game", "run", "--seq", "char:evens", "--ideal", "Z",
                 "--ell", "1", "--q", q, "--rounds", "1",
@@ -695,7 +694,7 @@ def test_alphabet_that_does_not_partition_is_refused(tmp_path, capsys,
     def refuse(*args, **kwargs):
         raise AssertionError("analysis started before the partition check")
 
-    monkeypatch.setattr(cli, "ideal_convergence_check", refuse)
+    monkeypatch.setattr(sequences, "ideal_convergence_check", refuse)
     out = tmp_path / "bad"
     assert run(["analyze", "--seq", OVERLAPPING, "--ideal", "Z",
                 "--mode", "convergence", "--ell", "1/2", "--radii", "2",

@@ -77,10 +77,6 @@ def test_witness_rejects_unsupported():
     fxf = builtin("fin-x-fin")
     w = build_witness(fxf, F(1, 2), 10 ** 4)   # q is ignored for row coverage
     assert w.rule == "row-coverage"
-    from idealconv.ideals import IdealHandle, NotRepresentable
-    bare = IdealHandle("bare")
-    with pytest.raises(NotRepresentable):
-        build_witness(bare, F(1, 2), 100)
 
 
 def test_witness_json_round_trip():
