@@ -145,20 +145,16 @@ def _finxfin_structural(s: ns.NatSet, depth: int = 0) -> Optional[Verdict]:
     return None
 
 
-def _finxfin_decide(s: ns.NatSet, params: DecisionParams) -> Decision:
+def _finxfin_decide(s: ns.NatSet) -> Decision:
+    """The row rule's certified verdict; a set no row rule decides stays
+    Undecided with no estimate (fin x Fin is no Exh(phi), so no prefix can
+    certify anything about it)."""
     v = _finxfin_structural(s)
     if v is Verdict.IN:
         return Decision(Verdict.IN, exact=Fraction(0), reason="row-rule")
     if v is Verdict.NOT_IN:
         return Decision(Verdict.NOT_IN, exact=Fraction(1), reason="row-rule")
-    try:
-        horizon = min(params.horizon, 1 << 17)
-        rows = valuation_rows(s, horizon)
-    except ns.HorizonExceeded:
-        rows = {}
-    busy = sum(1 for c in rows.values() if c >= 8)
-    return Decision(Verdict.UNDECIDED, estimate=Fraction(busy, max(len(rows), 1)),
-                    reason="row-profile")
+    return Decision(Verdict.UNDECIDED, reason="row-profile")
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +229,7 @@ def decide_each(handle: IdealHandle, sets: Sequence[ns.NatSet],
     ``horizon-exceeded`` decision.
     """
     if handle.lscsm is None:
-        return [_finxfin_decide(s, params) for s in sets]
+        return [_finxfin_decide(s) for s in sets]
 
     out: list = []
     open_ = []          # the sets no symbolic route decides, by position

@@ -356,15 +356,6 @@ class NatSet:
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
 
-    def __or__(self, other: "NatSet") -> "NatSet":
-        return Union((self, other))
-
-    def __and__(self, other: "NatSet") -> "NatSet":
-        return Intersection((self, other))
-
-    def __invert__(self) -> "NatSet":
-        return Complement(self)
-
 
 def _check_horizon(horizon: int) -> int:
     horizon = int(horizon)

@@ -592,8 +592,8 @@ def _row_decisions(x: SequenceSpec, centers: list[Point], eps: Fraction,
     norm, witness block or structural rule decides one, so each decision is
     its tail trend, and ``sm.tail_rows`` balls share one kernel call and one
     tail pass.  None, for the balls to be decided one by one, under an ideal
-    without lscsm (the fin-x-fin row profile) or where the rows raise
-    HorizonExceeded or are not known."""
+    without lscsm (fin-x-fin, whose row rules read no prefix) or where the
+    rows raise HorizonExceeded or are not known."""
     if not x.tested_balls or handle.lscsm is None:
         return None
     idx = np.arange(1, dparams.horizon + 1, dtype=np.int64)

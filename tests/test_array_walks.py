@@ -673,7 +673,7 @@ def test_matrix_path_decides_as_the_per_ball_path(seq, ideal, t, cs, eps,
 
 
 def test_fin_x_fin_and_horizon_exceeded_radii_go_ball_by_ball():
-    # fin-x-fin has no lscsm (its row profile reads each ball), and a
+    # fin-x-fin has no lscsm (its row rules read no ball's prefix), and a
     # horizon past the map's table raises in the rows: both leave the
     # radius to decide_each
     x = zoo.rationals()

@@ -7,10 +7,12 @@ import pytest
 
 from idealconv import natset as ns
 from idealconv import submeasure as sm
+from idealconv import zoo
 from idealconv.ideals import (DecisionParams, Verdict, builtin,
                               decide_membership, nu2, witness_lower_bound,
                               UnknownIdeal)
 from idealconv.meager import build_witness
+from idealconv.sequences import AnalysisParams, RadiusSchedule, gamma_estimate
 
 F = Fraction
 PARAMS = DecisionParams(horizon=1 << 17)
@@ -78,6 +80,39 @@ def test_finxfin_examples():
     assert (d.verdict, d.reason) == (Verdict.NOT_IN, "row-rule")
     bits = ns.PrefixBitmap([1, 0, 1])
     assert decide_membership(fxf, bits, PARAMS).verdict is Verdict.UNDECIDED
+
+
+def _no_prefix(*_):
+    raise AssertionError("a prefix was read")
+
+
+def test_finxfin_undecided_reads_no_prefix():
+    # fin x Fin is no Exh(phi): a set no row rule decides is left undecided
+    # without reading its prefix, and carries no estimate
+    s = ns.Tested(bits=_no_prefix, test=lambda n: n % 2 == 0,
+                  density=F(1, 2))
+    d = decide_membership(builtin("fin-x-fin"), s, PARAMS)
+    assert (d.verdict, d.reason) == (Verdict.UNDECIDED, "row-profile")
+    assert d.estimate is None and d.exact is None
+
+
+def test_finxfin_rationals_gamma_reads_no_ball(monkeypatch):
+    # every rationals ball's prefix comes from zoo._rational_rows; under
+    # fin-x-fin only the row rule decides (the ball (0, 1) around 1/2 is
+    # cofinite), and every other radius is undecided with a null numeric
+    monkeypatch.setattr(zoo, "_rational_rows", _no_prefix)
+    params = AnalysisParams(horizon=4096, schedule=RadiusSchedule.dyadic(4),
+                            pitch=F(1, 16))
+    rep = gamma_estimate(zoo.rationals(), builtin("fin-x-fin"), params)
+    assert rep.route_counts() == {"row-profile": 67, "row-rule": 1}
+    assert [c.point for c in rep.candidates] == [(F(k, 16),)
+                                                 for k in range(17)]
+    assert {c.classification for c in rep.candidates} == {"undecided"}
+    decided = [(c.point, r.eps, r.verdict, r.exact)
+               for c in rep.candidates for r in c.radii
+               if r.verdict != "undecided"]
+    assert decided == [((F(1, 2),), F(1, 2), "not-in", F(1))]
+    assert all(r.numeric is None for c in rep.candidates for r in c.radii)
 
 
 # --- built-in decisions -----------------------------------------------------

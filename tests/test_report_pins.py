@@ -242,8 +242,8 @@ SHAPE = ["--horizon", "4096", "--radii", "4", "--pitch", "1/16"]
      None,
      {"convergence": {"cross": {"exact-norm": 68}, "primary": {"exact-norm": 4}}}),
     ("rationals", "fin-x-fin", ["--mode", "all"], 2,
-     "66ef168c384e1fefa488cc961a48257817676bc6113628a116d84634acb128fb",
-     "0f90c6499861727916578547d49253828c78577dc0411fe24f502ceb6b9b3748",
+     "e6292fdc8f9c481bc91dfecb7d2de6a849306d0ddf5c6708ad9fd69a1ce19be2",
+     "bbc814cdb0becf695a0f47642cc84e4c6fc876eb56da5fbd194e618d48f15b43",
      {"gamma": {"row-profile": 67, "row-rule": 1},
       "limit_points": {"infiniteness": 68}}),
     ("rationals", "fin-x-fin", ["--mode", "convergence", "--ell", "1/2"], 0,
