@@ -157,8 +157,9 @@ def json_text(obj, pad: str = "\n") -> str:
     (its C encoder takes no indent); here each value is dispatched on its
     exact type, a scalar item is written without a call back into this
     function, and a list of one scalar type, such as a map's table, is
-    joined in one ``str.join``.  ``pad`` is the newline and indent that
-    close the value.
+    written by one call to the C encoder, its items separated by a comma
+    and the indent.  ``pad`` is the newline and indent that close the
+    value.
     """
     kind = type(obj)
     if kind not in _EXACT:
@@ -184,12 +185,22 @@ def json_text(obj, pad: str = "\n") -> str:
                                    else scalar(value)))
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     kinds = set(map(type, obj))
-    scalar = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
-    if scalar is not None:
-        items = map(scalar, obj)
-    else:
-        items = [json_text(v, inner) for v in obj]
+    if len(kinds) == 1 and kinds.pop() in _SCALARS:
+        # "[a,<inner>b]" from C, reframed as "[<inner>a,<inner>b<pad>]"
+        text = "".join(_scalar_list_encoder(inner)(obj, 0))
+        return "[" + inner + text[1:-1] + pad + "]"
+    items = [json_text(v, inner) for v in obj]
     return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+
+@functools.lru_cache(maxsize=None)
+def _scalar_list_encoder(inner: str):
+    """The stdlib's C encoder writing a list of JSON scalars with items
+    separated by a comma and ``inner``; it writes each scalar as
+    ``json.dumps`` does (NaN and the infinities by name, strings as ASCII,
+    an int past the digit limit raising its ValueError)."""
+    return json.encoder.c_make_encoder(
+        None, None, _quote, None, ": ", "," + inner, True, False, True)
 
 
 def _json_key(key) -> str:

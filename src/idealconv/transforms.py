@@ -78,12 +78,19 @@ IDENTITY_TAIL = TailRule("identity-shift", 0)
 NO_TAIL = TailRule("none")
 
 
+def _int_list(table: Sequence[int]) -> list:
+    """A map's table as a list; an array's entries become Python ints once
+    here, so ``to_json`` copies the list as it is.  Arrays are known by
+    their ``tolist``, which reads no attribute of the lazy numpy module."""
+    return table.tolist() if hasattr(table, "tolist") else list(table)
+
+
 class SubsequenceMap:
     """Strictly increasing reindexing: explicit prefix plus a tail rule."""
 
     def __init__(self, table: Sequence[int] = (), tail: TailRule = IDENTITY_TAIL,
                  horizon: Optional[int] = None):
-        self.table = list(table)
+        self.table = _int_list(table)
         self.tail = tail
         self.horizon = horizon
         m = len(self.table)
@@ -160,7 +167,7 @@ class SubsequenceMap:
 
     def to_json(self) -> dict:
         return {"type": "sigma",
-                "table": list(map(int, self.table)),
+                "table": list(self.table),
                 "tail": self.tail.to_json(),
                 "horizon": self.horizon}
 
@@ -182,7 +189,7 @@ class PermutationMap:
         if rule is not None and rule != "odd-even-swap":
             raise ValueError(f"unknown permutation rule {rule!r}")
         self.rule = rule
-        self.table = list(table)
+        self.table = _int_list(table)
         self.horizon = horizon
         if rule is None and len(self.table):
             arr = self._array
@@ -229,7 +236,7 @@ class PermutationMap:
     def to_json(self) -> dict:
         return {"type": "pi",
                 "rule": self.rule,
-                "table": list(map(int, self.table)),
+                "table": list(self.table),
                 "horizon": self.horizon}
 
     def __repr__(self) -> str:
@@ -561,8 +568,18 @@ def _preserving_candidates(x: SequenceSpec, handle: IdealHandle,
     gset, lset = set(gamma.points()), set(limits.points())
     if gset != lset:
         raise HypothesisFailed(
-            f"cluster set {sorted(gset)} != limit points {sorted(lset)}")
+            f"cluster set != limit points; limit points outside the cluster "
+            f"set: {_named(lset - gset)}; cluster points outside the limit "
+            f"points: {_named(gset - lset)}")
     return gamma, gset, sorted(gset)
+
+
+def _named(points: set) -> str:
+    """The first 16 of ``points`` in order, as ``format_point`` writes them,
+    then their count."""
+    shown = ", ".join(map(format_point, sorted(points)[:16])) or "none"
+    more = ", ..." if len(points) > 16 else ""
+    return f"{shown}{more} ({len(points)} in all)"
 
 
 def _top_radius(fills: list[BlockFill]) -> dict:

@@ -383,5 +383,8 @@ PINNED = {
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_builder_output_is_pinned(name):
     build, expected = PINNED[name]
-    body = json.dumps(build().to_json(), sort_keys=True)
+    result = build()
+    # the writer copies tables as they are: every entry is a Python int
+    assert all(type(v) is int for v in result.map.table)
+    body = json.dumps(result.to_json(), sort_keys=True)
     assert hashlib.sha256(body.encode()).hexdigest() == expected

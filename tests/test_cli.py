@@ -661,6 +661,21 @@ def test_add_mode_without_close_hits_exits_3(tmp_path, capsys):
         assert not Path(f"{out}.json").exists()
 
 
+def test_failed_preserve_hypothesis_names_its_points(tmp_path, capsys):
+    # under Z, char:powers2 has cluster set {0} and limit points {0, 1}
+    out = tmp_path / "p2"
+    assert run(["preserve", "sigma", "--seq", "char:powers2", "--ideal", "Z",
+                "--mode", "preserve", "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "hypothesis-failed"
+    assert "limit points outside the cluster set: 1 (1 in all)" \
+        in err["detail"]
+    assert "cluster points outside the limit points: none (0 in all)" \
+        in err["detail"]
+    assert "Fraction(" not in err["detail"]
+    assert not Path(f"{out}.json").exists()
+
+
 def test_oversized_candidate_grid_exits_one(tmp_path, capsys):
     # rationals fill [0, 1]: pitch 2^-21 asks for 2^21 + 1 candidates
     out = tmp_path / "grid"

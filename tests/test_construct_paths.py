@@ -52,8 +52,17 @@ json_scalars = (st.none() | st.booleans() | st.integers()
                 | st.floats() | st.text()
                 | st.text(st.characters(max_codepoint=0x1f) | st.sampled_from(
                     "\"\\/é€ \U0001f600")))
+# lists of one exact scalar type, which the writer hands to the C encoder
+one_type_lists = (
+    st.lists(st.floats() | st.sampled_from([float("nan"), float("inf"),
+                                            float("-inf")]))
+    | st.lists(st.booleans()) | st.lists(st.none())
+    | st.lists(st.text(st.characters(max_codepoint=0x1f) | st.sampled_from(
+        "\"\\/é€ \U0001f600")))
+    | st.lists(st.integers(1 << 64, 1 << 200)
+               | st.integers(-(1 << 200), -(1 << 64))))
 json_values = st.recursive(
-    json_scalars,
+    json_scalars | one_type_lists,
     lambda kids: (st.lists(kids) | st.lists(st.integers())
                   | st.lists(kids).map(tuple)
                   | st.dictionaries(st.text(), kids)
@@ -78,16 +87,25 @@ def test_writer_keys_and_errors_follow_the_stdlib():
             json.dumps(bad, sort_keys=True, indent=2)
         with pytest.raises(TypeError):
             json_text(bad)
+    # an int past the int-to-str digit limit, in a list of ints
+    past_limit = {"table": [1, 10 ** 4400, 3]}
+    with pytest.raises(ValueError) as want:
+        json.dumps(past_limit, sort_keys=True, indent=2)
+    with pytest.raises(ValueError) as got:
+        json_text(past_limit)
+    assert str(got.value) == str(want.value)
 
 
 def test_writer_on_a_preserve_report():
-    # a preserve report's 4096-entry table, its fills and its targets
+    # preserve reports' 4096-entry sigma and pi tables, their fills and
+    # their targets
     x, handle = zoo.get_sequence("cycle:0,1/2,1"), builtin("gdi")
     params = AnalysisParams(horizon=4096, schedule=RadiusSchedule.dyadic(4))
     w = build_witness(handle, F(1, 2), 4096)
-    body = tr.cluster_adding_sigma(x, (F(1, 2),), handle, w, params).to_json()
-    assert len(body["map"]["table"]) == 4096
-    assert json_text(body) == json.dumps(body, sort_keys=True, indent=2)
+    for build in (tr.cluster_adding_sigma, tr.cluster_adding_pi):
+        body = build(x, (F(1, 2),), handle, w, params).to_json()
+        assert len(body["map"]["table"]) == 4096
+        assert json_text(body) == json.dumps(body, sort_keys=True, indent=2)
 
 
 # --- member runs --------------------------------------------------------------------

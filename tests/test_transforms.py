@@ -36,6 +36,18 @@ def test_map_validation():
     tr.SubsequenceMap([5], tr.TailRule("identity-shift", 4))  # 6 + 4 > 5
 
 
+def test_maps_from_int64_arrays_write_as_from_lists():
+    # an array's entries become Python ints once, in __init__, so the JSON
+    # form is the one the equal list gives
+    for make, table in (
+            (lambda t: tr.SubsequenceMap(t, tr.NO_TAIL, horizon=4),
+             [2, 5, 9, (1 << 62) + 1]),
+            (lambda t: tr.PermutationMap(t, horizon=5), [3, 1, 2, 5, 4])):
+        from_array = make(np.array(table, dtype=np.int64))
+        assert from_array.to_json() == make(table).to_json()
+        assert all(type(v) is int for v in from_array.to_json()["table"])
+
+
 def test_map_values_and_tails():
     s = tr.SubsequenceMap([2, 5, 9], tr.TailRule("arith", 3))
     assert [s.value(n) for n in (1, 2, 3, 4, 5)] == [2, 5, 9, 12, 15]
