@@ -959,20 +959,27 @@ def periodic_form(s: NatSet) -> Optional[Periodic]:
     return s._periodic
 
 
-def _with_powers_as(s: NatSet, leaf: NatSet, bases: set) -> Optional[NatSet]:
-    """s with each PowersOf leaf as ``leaf`` and its base in ``bases``."""
-    if isinstance(s, PowersOf):
-        bases.add(s.base)
-        return leaf
-    if isinstance(s, (Finite, Cofinite, Progression)):
-        return s
+def map_leaves(s: NatSet, leaf: Callable[[NatSet], Optional[NatSet]]
+               ) -> Optional[NatSet]:
+    """s with its Union, Intersection and Complement nodes rebuilt over
+    ``leaf`` of each other part; None when ``leaf`` gives None for any."""
     if isinstance(s, Complement):
-        part = _with_powers_as(s.part, leaf, bases)
+        part = map_leaves(s.part, leaf)
         return None if part is None else Complement(part)
     if isinstance(s, (Union, Intersection)):
-        parts = [_with_powers_as(p, leaf, bases) for p in s.parts]
-        return None if None in parts else type(s)(parts)
-    return None
+        parts = [map_leaves(p, leaf) for p in s.parts]
+        return None if any(p is None for p in parts) else type(s)(parts)
+    return leaf(s)
+
+
+def _with_powers_as(s: NatSet, leaf: NatSet, bases: set) -> Optional[NatSet]:
+    """s with each PowersOf leaf as ``leaf`` and its base in ``bases``."""
+    def swap(p: NatSet) -> Optional[NatSet]:
+        if isinstance(p, PowersOf):
+            bases.add(p.base)
+            return leaf
+        return p if isinstance(p, (Finite, Cofinite, Progression)) else None
+    return map_leaves(s, swap)
 
 
 # ---------------------------------------------------------------------------

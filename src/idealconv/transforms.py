@@ -21,7 +21,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import islice
 from math import gcd
 from operator import lt
@@ -258,27 +258,27 @@ def odd_even_swap() -> PermutationMap:
 def preimage(t: AnyMap, s: ns.NatSet) -> ns.NatSet:
     """The index set {n : t(n) in s}: symbolic where the map's form allows,
     else tested lazily through the map's values (None past its table)."""
+    sym = None
     if isinstance(t, SubsequenceMap):
         aff = t.affine()
         if aff == (0, 1):
             return s
         if aff is not None:
-            sym = _affine_preimage(aff, s)
-            if sym is not None:
-                return sym
-    if isinstance(t, PermutationMap):
-        if t.rule is None and len(t.table) == 0:
-            return s
-        if t.rule == "odd-even-swap":
-            sym = _swap_preimage(s)
-            if sym is not None:
-                return sym
+            sym = ns.map_leaves(s, partial(_affine_preimage, *aff))
+    elif t.rule is None and len(t.table) == 0:
+        return s
+    elif t.rule == "odd-even-swap":
+        sym = ns.map_leaves(s, _swap_preimage)
+    if sym is not None:
+        return sym
     return ns.Tested(lambda N: ns.prefix_gather(s, t.values_up_to(N)),
                      lambda n: s.member(t(n)))
 
 
-def _affine_preimage(aff: tuple[int, int], s: ns.NatSet) -> Optional[ns.NatSet]:
-    base, step = aff
+def _affine_preimage(base: int, step: int,
+                     s: ns.NatSet) -> Optional[ns.NatSet]:
+    """{n >= 1 : base + step * n in s} for a finite, cofinite or
+    progression leaf s."""
     if isinstance(s, ns.Finite):
         pre = [(v - base) // step for v in s.members
                if v > base and (v - base) % step == 0]
@@ -291,36 +291,16 @@ def _affine_preimage(aff: tuple[int, int], s: ns.NatSet) -> Optional[ns.NatSet]:
         g = gcd(step, s.step)
         if (s.first - base) % g != 0:
             return ns.EMPTY
+        # base + step * n hits s exactly for n = n0 (mod mod), n >= n_min
         mod = s.step // g
-        inv = pow(step // g, -1, mod) if mod > 1 else 0
-        n0 = (((s.first - base) // g) * inv) % mod if mod > 1 else 1
-        if n0 == 0:
-            n0 = mod
+        n0 = (s.first - base) // g * pow(step // g, -1, mod) % mod
         n_min = max(1, -((base - s.first) // step))
-        while n_min * step + base < s.first:
-            n_min += 1
-        first = n0 if mod > 1 else n_min
-        if mod > 1:
-            while first < n_min:
-                first += mod
-        return ns.Progression(first, mod if mod > 1 else 1)
-    if isinstance(s, ns.Union):
-        parts = [_affine_preimage(aff, p) for p in s.parts]
-        if any(p is None for p in parts):
-            return None
-        return ns.Union(tuple(parts))
-    if isinstance(s, ns.Intersection):
-        parts = [_affine_preimage(aff, p) for p in s.parts]
-        if any(p is None for p in parts):
-            return None
-        return ns.Intersection(tuple(parts))
-    if isinstance(s, ns.Complement):
-        inner = _affine_preimage(aff, s.part)
-        return None if inner is None else ns.Complement(inner)
+        return ns.Progression(n_min + (n0 - n_min) % mod, mod)
     return None
 
 
 def _swap_preimage(s: ns.NatSet) -> Optional[ns.NatSet]:
+    """The odd-even swap's preimage of a finite, cofinite or parity leaf."""
     if isinstance(s, ns.Progression) and s.step == 2:
         if s.first == 1:
             return ns.Progression(2, 2)
@@ -330,12 +310,6 @@ def _swap_preimage(s: ns.NatSet) -> Optional[ns.NatSet]:
         return ns.Finite([v + 1 if v % 2 else v - 1 for v in s.members])
     if isinstance(s, ns.Cofinite):
         return ns.Cofinite([v + 1 if v % 2 else v - 1 for v in s.excluded])
-    if isinstance(s, ns.Union):
-        parts = [_swap_preimage(p) for p in s.parts]
-        return None if any(p is None for p in parts) else ns.Union(tuple(parts))
-    if isinstance(s, ns.Complement):
-        inner = _swap_preimage(s.part)
-        return None if inner is None else ns.Complement(inner)
     return None
 
 
@@ -600,37 +574,89 @@ def _no_new_cluster(x_new: SequenceSpec, handle: IdealHandle,
 
 
 # ---------------------------------------------------------------------------
-# Block-filling subsequence builders
+# The block filler: one table for subsequences and rearrangements
 # ---------------------------------------------------------------------------
 
-def _fill_sigma_table(w: WitnessIntervals, horizon: int, draw) -> tuple[
-        list[int], list[BlockFill]]:
+def _fill_table(w: WitnessIntervals, horizon: int, draw,
+                bijective: bool) -> tuple[list[int], list[BlockFill]]:
     """Fill positions 1..horizon, routing witness blocks through ``draw``.
 
-    ``draw(k, j, block_len, floor)`` returns (values, candidate,
-    radius_index, source) for block k, the j-th block filled, values
-    increasing, above ``floor`` and drawn from ``source``, or None to leave
-    the block to the filler.  Every other position takes the smallest value
-    keeping strict monotonicity.
+    A block is a payload candidate only when the cursor reaches its first
+    position.  ``draw(k, j, block_len, frontier)`` returns (values,
+    candidate, radius_index, source) for block k, the j-th block filled, the
+    values strictly increasing, all above ``frontier`` (the largest value
+    used so far) and drawn from ``source``, or None to leave the block to
+    the filler.  Every other position takes the next value above the
+    frontier.
+
+    A subsequence skips the values a payload passes over, so every complete
+    block is drawn at its start and every payload is accepted.  A
+    permutation flushes them: the displaced integers below the new frontier
+    follow the payload in ascending order, and a payload is accepted only
+    if that flush ends inside the horizon, keeping the table a permutation
+    of [1, horizon].
     """
     table: list[int] = []
     fills: list[BlockFill] = []
-
-    def fill_to(n: int) -> None:
-        prev = table[-1] if table else 0
-        table.extend(range(prev + 1, prev + 1 + n - len(table)))
-
-    for k, lo, hi in w.blocks_within(horizon):
-        fill_to(lo - 1)
-        spec = draw(k, len(fills) + 1, hi - lo, table[-1] if table else 0)
-        if spec is not None:
-            values, candidate, radius_index, source = spec
-            table.extend(values)
-            fills.append(BlockFill(k, lo, hi, candidate, radius_index, False,
-                                   source))
-    fill_to(horizon)
+    frontier = 0            # the largest value used so far
+    blocks = iter(w.blocks_within(horizon))
+    nxt = next(blocks, None)
+    p = 1
+    while p <= horizon:
+        # the first block whose start the cursor has not passed
+        while nxt is not None and nxt[1] < p:
+            nxt = next(blocks, None)
+        if nxt is not None and nxt[1] == p:
+            k, lo, hi = nxt
+            spec = draw(k, len(fills) + 1, hi - lo, frontier)
+            if spec is not None:
+                drawn, candidate, radius_index, source = spec
+                # test affordability before listing the displaced range:
+                # drawn[-1] can be astronomically large for sparse sources
+                flush_len = ((drawn[-1] - frontier) - (hi - lo)
+                             if bijective else 0)
+                if hi + flush_len - 1 <= horizon:
+                    table.extend(drawn)
+                    # the displaced values are the gaps between drawn ones
+                    gaps = zip((frontier, *drawn), drawn) if bijective else ()
+                    for a, b in gaps:
+                        if b > a + 1:
+                            table.extend(range(a + 1, b))
+                    frontier = drawn[-1]
+                    fills.append(BlockFill(k, lo, hi, candidate,
+                                           radius_index, False, source))
+                    p = hi + flush_len
+                    continue
+            # the cursor enters this block: frontier values up to the next one
+            nxt = next(blocks, None)
+        end = horizon + 1 if nxt is None else min(nxt[1], horizon + 1)
+        table.extend(range(frontier + 1, frontier + 1 + end - p))
+        frontier += end - p
+        p = end
     return table, fills
 
+
+def _filled_map(w: WitnessIntervals, horizon: int, draw,
+                bijective: bool) -> tuple[AnyMap, list[BlockFill]]:
+    """The audited map of ``_fill_table``'s table and its fills: a
+    subsequence, or a permutation when the table permutes [1, horizon]."""
+    table, fills = _fill_table(w, horizon, draw, bijective)
+    if not bijective:
+        t = SubsequenceMap(table, NO_TAIL, horizon=horizon)
+    else:
+        try:
+            t = PermutationMap(table, horizon=horizon)
+        except ValueError:
+            t = None
+        if t is None or len(table) != horizon:
+            raise BijectivityOverflow("flush did not complete inside the horizon")
+    _audit(t, fills)
+    return t, fills
+
+
+# ---------------------------------------------------------------------------
+# Subsequence builders
+# ---------------------------------------------------------------------------
 
 def generic_subsequence(a: ns.NatSet, w: WitnessIntervals,
                         selector: ns.NatSet, horizon: int) -> BuildResult:
@@ -641,9 +667,7 @@ def generic_subsequence(a: ns.NatSet, w: WitnessIntervals,
     between blocks take the smallest integers keeping strict monotonicity,
     so the output is canonical and the audit is a pure recomputation.
     """
-    table, fills = _fill_sigma_table(w, horizon, _selected(a, selector))
-    sigma = SubsequenceMap(table, NO_TAIL, horizon=horizon)
-    _audit(sigma, fills)
+    sigma, fills = _filled_map(w, horizon, _selected(a, selector), False)
     return BuildResult(sigma, fills,
                        meta={"kind": "generic-subsequence", "horizon": horizon})
 
@@ -689,11 +713,9 @@ def cluster_adding_sigma(x: SequenceSpec, ell, handle: IdealHandle,
     horizon = params.horizon
     route = _Route(x, [ell], list(params.schedule), 2)
     try:
-        table, fills = _fill_sigma_table(w, horizon, route)
+        sigma, fills = _filled_map(w, horizon, route, False)
     except ExhaustedA:
         raise NotALimitPoint(f"{format_point(ell)} has too few close hits")
-    sigma = SubsequenceMap(table, NO_TAIL, horizon=horizon)
-    _audit(sigma, fills)
     targets = _certified_targets(handle, w, apply(sigma, x), horizon,
                                  params, route.families(fills))
     return BuildResult(sigma, fills, targets,
@@ -707,20 +729,20 @@ def cluster_preserving_sigma(x: SequenceSpec, handle: IdealHandle,
     """Round-robin diagonalization keeping the cluster set intact.
 
     Requires the cluster set to equal the limit-point set at this resolution;
-    block k goes to candidate k mod |L| at radius index ceil(k / |L|).  The
-    audit certifies both inclusions: each candidate's blocks give a NotIn
-    subset of every neighborhood indicator, and the reindexed sequence grows
-    no new cluster candidates at the grid resolution.
+    the blocks round-robin over the candidates with shrinking radii as
+    ``_Route`` routes them (a subsequence fills every block, so block k is
+    the k-th filled).  The audit certifies both inclusions: each candidate's
+    blocks give a NotIn subset of every neighborhood indicator, and the
+    reindexed sequence grows no new cluster candidates at the grid
+    resolution.
     """
     horizon = params.horizon
     gamma, gset, cands = _preserving_candidates(x, handle, params)
     if not cands:
         return BuildResult(identity_sigma(), [], meta={"kind": "trivial"})
     route = _Route(x, cands, list(params.schedule), len(cands))
-    table, fills = _fill_sigma_table(w, horizon, route)
-    sigma = SubsequenceMap(table, NO_TAIL, horizon=horizon)
+    sigma, fills = _filled_map(w, horizon, route, False)
     x_new = apply(sigma, x)
-    _audit(sigma, fills)
     targets = _certified_targets(handle, w, x_new, horizon, params,
                                  route.families(fills))
     # forward inclusion is certified by the targets above
@@ -736,67 +758,6 @@ def cluster_preserving_sigma(x: SequenceSpec, handle: IdealHandle,
 # Permutation builders: payload blocks plus displaced-value flushes
 # ---------------------------------------------------------------------------
 
-def _fill_pi_table(w: WitnessIntervals, horizon: int, draw) -> tuple[
-        list[int], list[BlockFill]]:
-    """Bijective analogue of the block filler.
-
-    A block is a payload candidate only when the cursor reaches its first
-    position with no flush backlog.  ``draw(k, payload_index, block_len,
-    frontier)`` returns (values, candidate, radius_index, source) for block
-    k, the values strictly increasing, all above ``frontier`` and drawn from
-    ``source``, or None to skip.
-    After a payload the displaced integers below the new frontier are flushed
-    in ascending order; a payload is accepted only if that flush ends inside
-    the horizon, keeping the final table a permutation of [1, horizon].
-    """
-    table: list[int] = []
-    fills: list[BlockFill] = []
-    frontier = 0            # values used so far are exactly [1, frontier]
-    blocks = iter(w.blocks_within(horizon))
-    nxt = next(blocks, None)
-    p = 1
-    while p <= horizon:
-        # the first block whose start the cursor has not passed
-        while nxt is not None and nxt[1] < p:
-            nxt = next(blocks, None)
-        if nxt is not None and nxt[1] == p:
-            k, lo, hi = nxt
-            spec = draw(k, len(fills) + 1, hi - lo, frontier)
-            if spec is not None:
-                drawn, candidate, radius_index, source = spec
-                # test affordability before listing the displaced range:
-                # drawn[-1] can be astronomically large for sparse sources
-                flush_len = (drawn[-1] - frontier) - (hi - lo)
-                if hi + flush_len - 1 <= horizon:
-                    table.extend(drawn)
-                    # the displaced values are the gaps between drawn ones
-                    for a, b in zip((frontier, *drawn), drawn):
-                        if b > a + 1:
-                            table.extend(range(a + 1, b))
-                    frontier = drawn[-1]
-                    fills.append(BlockFill(k, lo, hi, candidate,
-                                           radius_index, False, source))
-                    p = hi + flush_len
-                    continue
-            # the cursor enters this block: identity up to the next one
-            nxt = next(blocks, None)
-        end = horizon + 1 if nxt is None else min(nxt[1], horizon + 1)
-        table.extend(range(frontier + 1, frontier + 1 + end - p))
-        frontier += end - p
-        p = end
-    return table, fills
-
-
-def _pi_result(table: list[int], horizon: int) -> PermutationMap:
-    """The map of a filled table, which must permute [1, horizon]."""
-    if len(table) == horizon:
-        try:
-            return PermutationMap(table, horizon=horizon)
-        except ValueError:
-            pass
-    raise BijectivityOverflow("flush did not complete inside the horizon")
-
-
 def generic_permutation(a: ns.NatSet, w: WitnessIntervals,
                         selector: ns.NatSet, horizon: int) -> BuildResult:
     """A permutation whose preimage of ``a`` contains the covered blocks.
@@ -805,9 +766,7 @@ def generic_permutation(a: ns.NatSet, w: WitnessIntervals,
     an affordable flush; with a singleton witness and a co-infinite source
     this degenerates to the familiar neighbour-swap pattern.
     """
-    table, fills = _fill_pi_table(w, horizon, _selected(a, selector))
-    pi = _pi_result(table, horizon)
-    _audit(pi, fills)
+    pi, fills = _filled_map(w, horizon, _selected(a, selector), True)
     if not fills:
         raise BijectivityOverflow("no selected block could be covered")
     return BuildResult(pi, fills,
@@ -830,9 +789,7 @@ def cluster_preserving_pi(x: SequenceSpec, handle: IdealHandle,
         return BuildResult(PermutationMap(), [], meta={"kind": "trivial"})
     schedule = list(params.schedule)
     route = _Route(x, cands, schedule, len(cands))
-    table, fills = _fill_pi_table(w, horizon, route)
-    pi = _pi_result(table, horizon)
-    _audit(pi, fills)
+    pi, fills = _filled_map(w, horizon, route, True)
     # every candidate needs a payload at every radius level
     reached = _top_radius(fills)
     for cand in cands:
@@ -858,11 +815,9 @@ def cluster_adding_pi(x: SequenceSpec, ell, handle: IdealHandle,
     horizon = params.horizon
     route = _Route(x, [ell], list(params.schedule), 2)
     try:
-        table, fills = _fill_pi_table(w, horizon, route)
+        pi, fills = _filled_map(w, horizon, route, True)
     except ExhaustedA:
         raise NotALimitPoint(f"{format_point(ell)} has too few close hits")
-    pi = _pi_result(table, horizon)
-    _audit(pi, fills)
     if not fills:
         raise NotALimitPoint(f"no affordable payload for {format_point(ell)}")
     return BuildResult(pi, fills,

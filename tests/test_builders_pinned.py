@@ -1,10 +1,11 @@
-"""The shared block fillers against their former bodies, and pinned outputs
+"""The shared block filler against its former bodies, and pinned outputs
 of the six builders.
 
 The permutation filler once had a second copy for selector-driven builds,
-and the selector filler walked positions one at a time.  Those bodies are
-kept below as references: the single filler of each kind, driven by the
-generic builders' routing, must produce the same tables and fills.  The
+the selector filler walked positions one at a time, and subsequences and
+permutations had a filler each.  Those bodies are kept below as
+references: the one filler, driven by the generic builders' routing or by
+arbitrary payload plans, must produce the same tables and fills.  The
 sha256 pins are of ``BuildResult.to_json()`` as the builders returned it
 before the fillers, audits and routing tables were merged; the two sigma
 pins were re-taken when a partition's JSON became its generator tag alone
@@ -286,8 +287,8 @@ payload_plans = st.lists(
 @given(bounds=block_bounds, horizon=st.integers(1, 120), plans=payload_plans)
 def test_pi_filler_equals_the_per_position_loop(bounds, horizon, plans):
     got_log, want_log = [], []
-    got = tr._fill_pi_table(Blocks(bounds), horizon,
-                            logged_draw(plans, got_log))
+    got = tr._fill_table(Blocks(bounds), horizon,
+                         logged_draw(plans, got_log), True)
     want = ref_fill_pi_table(Blocks(bounds), horizon,
                              logged_draw(plans, want_log))
     assert got == want and got_log == want_log
@@ -336,9 +337,42 @@ def test_sigma_filler_matches_the_former_positionwise_walk(
     w = build_witness(builtin(wit[0]), wit[1], horizon)
     ref_table, ref_fills = ref_fill_sigma_table(
         w, horizon, ref_generic_sigma_plan(a, selector))
-    table, fills = tr._fill_sigma_table(w, horizon, tr._selected(a, selector))
+    table, fills = tr._fill_table(w, horizon, tr._selected(a, selector),
+                                  False)
     assert table == ref_table
     assert spans(fills) == spans(ref_fills)
+
+
+def ref_fill_sigma_by_position(w, horizon, draw):
+    """The subsequence filler position by position: a block's first
+    position asks ``draw`` for its payload, whose values then take the
+    block's positions one each; every other position takes the previous
+    value plus one."""
+    table, fills, payload = [], [], []
+    starts = {lo: (k, hi) for k, lo, hi in w.blocks_within(horizon)}
+    for p in range(1, horizon + 1):
+        prev = table[-1] if table else 0
+        if p in starts:
+            k, hi = starts[p]
+            spec = draw(k, len(fills) + 1, hi - p, prev)
+            if spec is not None:
+                payload = list(spec[0])
+                fills.append(tr.BlockFill(k, p, hi, spec[1], spec[2], False))
+        table.append(payload.pop(0) if payload else prev + 1)
+    return table, fills
+
+
+@example(bounds=[1, 3, 6, 8, 12, 15], horizon=14, plans=[None, [2], [9]])
+@given(bounds=block_bounds, horizon=st.integers(1, 120), plans=payload_plans)
+def test_sigma_filler_equals_the_per_position_loop(bounds, horizon, plans):
+    got_log, want_log = [], []
+    got = tr._fill_table(Blocks(bounds), horizon,
+                         logged_draw(plans, got_log), False)
+    want = ref_fill_sigma_by_position(Blocks(bounds), horizon,
+                                      logged_draw(plans, want_log))
+    assert got == want and got_log == want_log
+    assert len(got[0]) == horizon
+    assert all(a < b for a, b in zip(got[0], got[0][1:]))
 
 
 # --- pinned builder outputs -------------------------------------------------------

@@ -1,11 +1,13 @@
 """Maps, preimages, and the constructive builders with their audits."""
 
 import ast
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from idealconv import natset as ns
 from idealconv import submeasure as sm
@@ -106,6 +108,46 @@ def test_preimage_matches_pointwise():
             want = [s.member(t.value(n)) for n in range(1, 150)]
             assert [pre.member(n) for n in range(1, 150)] == want, (t, s)
             assert pre.prefix(149).tolist() == want, (t, s)
+
+
+set_leaves = st.one_of(
+    st.builds(ns.Finite, st.lists(st.integers(1, 1200), max_size=8)),
+    st.builds(ns.Cofinite, st.lists(st.integers(1, 1200), max_size=8)),
+    st.builds(ns.Progression, st.integers(1, 40), st.integers(1, 12)))
+set_trees = st.recursive(set_leaves, lambda parts: st.one_of(
+    st.builds(ns.Union, st.lists(parts, min_size=1, max_size=3)),
+    st.builds(ns.Intersection, st.lists(parts, min_size=1, max_size=3)),
+    st.builds(ns.Complement, parts)), max_leaves=8)
+symbolic_maps = st.one_of(
+    st.builds(lambda step: tr.SubsequenceMap((), tr.TailRule("arith", step)),
+              st.integers(1, 7)),
+    st.builds(lambda shift: tr.SubsequenceMap(
+        (), tr.TailRule("identity-shift", shift)), st.integers(0, 9)),
+    st.just(tr.odd_even_swap()))
+
+
+@given(t=symbolic_maps, s=set_trees)
+def test_preimage_of_a_set_tree_matches_pointwise(t, s):
+    pre = tr.preimage(t, s)
+    assert [pre.member(n) for n in range(1, 512)] == [
+        s.member(t(n)) for n in range(1, 512)]
+
+
+def test_swap_preimage_of_an_intersection_is_symbolic():
+    s = ns.Intersection((ns.Progression(2, 2), ns.Cofinite([4, 7])))
+    pre = tr.preimage(tr.odd_even_swap(), s)
+    assert pre == ns.Intersection((ns.Progression(1, 2), ns.Cofinite([3, 8])))
+
+
+def test_affine_preimage_of_a_far_progression_is_closed_form():
+    # the first preimage is computed, not stepped to one period at a time
+    s = ns.Progression(10**12, 3)
+    t0 = time.perf_counter()
+    pre = tr.preimage(sigma_2n(), s)
+    assert time.perf_counter() - t0 < 1
+    assert pre == ns.Progression(500000000000, 3)
+    near = range(5 * 10**11 - 40, 5 * 10**11 + 40)
+    assert [pre.member(n) for n in near] == [s.member(2 * n) for n in near]
 
 
 def test_lazy_preimage_ends_with_its_table():
