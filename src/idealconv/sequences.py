@@ -20,13 +20,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ._lazy import lazy_numpy
 from . import natset as ns
 from . import submeasure as sm
 from .ideals import (DecisionParams, IdealHandle, Verdict, decide_each,
-                     decide_membership, tail_decisions)
+                     tail_decisions)
 
 np = lazy_numpy()
 
@@ -443,32 +443,42 @@ def candidate_grid(x: SequenceSpec, params: AnalysisParams,
 # ---------------------------------------------------------------------------
 
 def _walk(x: SequenceSpec, cands: Sequence[Point],
-          read: Callable[[ns.NatSet], object], radii: Sequence[Fraction],
-          inside: bool = True):
-    """Each candidate with its ``Balls`` and its readings, lazily.
+          read: Callable[[Fraction, list[Balls]], list],
+          radii: RadiusSchedule, inside: bool = True,
+          keep: Optional[Callable[[object], bool]] = None):
+    """Each candidate with its ``Balls`` and its readings, the pairs (eps,
+    reading) in the order of ``radii``, or None once ``keep`` rejects one.
 
-    A candidate's readings are the pairs (eps, ``read(ball)``) over the
-    radii, where ``ball`` is the index set of the radius-eps ball (of its
-    complement with ``inside`` false).  A ball of letters is read once per
-    letter subset for the whole walk, which is one analysis leg: the call
-    that fixes the sequence, the handle and the parameters.  Balls without
-    a key (no alphabet) are read every time.
+    The radii go from the smallest up, and at each the balls of the
+    candidates still walking (their complements with ``inside`` false) are
+    read by one ``read(eps, balls)`` call, a reading per ``Balls``.  A ball
+    of letters is read once per letter subset for the whole walk, which is
+    one analysis leg: the call that fixes the sequence, the handle and the
+    parameters.  Balls without a key (no alphabet) are read every time.
     """
+    balls = [Balls(x, c) for c in cands]
+    readings: list = [[] for _ in balls]
+    walking = range(len(balls))
     memo: dict[int, object] = {}
-
-    def readings(balls: Balls):
-        for eps in radii:
-            key = balls.key(eps, inside)
-            if key is None:
-                yield eps, read(balls.set(eps, inside))
-                continue
-            if key not in memo:
-                memo[key] = read(x.alphabet.union(key))
-            yield eps, memo[key]
-
-    for c in cands:
-        balls = Balls(x, c)
-        yield c, balls, readings(balls)
+    for eps in radii.radii[::-1]:
+        if not walking:
+            break
+        if x.alphabet is None:
+            got = read(eps, [balls[i] for i in walking])
+        else:
+            keys = [balls[i].key(eps, inside) for i in walking]
+            fresh = {k: balls[i] for i, k in zip(walking, keys)
+                     if k not in memo}
+            if fresh:
+                memo.update(zip(fresh, read(eps, list(fresh.values()))))
+            got = [memo[k] for k in keys]
+        for i, r in zip(walking, got):
+            readings[i].append((eps, r))
+            if keep is not None and not keep(r):
+                readings[i] = None
+        walking = [i for i in walking if readings[i] is not None]
+    return [(c, b, None if r is None else r[::-1])
+            for c, b, r in zip(cands, balls, readings)]
 
 
 def _fold(verdicts, keep, drop) -> str:
@@ -519,7 +529,8 @@ def limit_points_estimate(x: SequenceSpec,
         return (CLUSTER if hits >= params.hit_min else NOT_CLUSTER), "hit-count"
 
     records = _radius_records(
-        x, candidate_grid(x, params), hit_verdict,
+        x, candidate_grid(x, params),
+        lambda eps, balls: [hit_verdict(b.set(eps)) for b in balls],
         lambda eps, r: RadiusRecord(eps, r[0], reason=r[1]),
         params, CLUSTER, NOT_CLUSTER)
     return ClusterReport("limit-points", x.name, None, None, records, params)
@@ -531,58 +542,36 @@ def gamma_estimate(x: SequenceSpec, handle: IdealHandle, params: AnalysisParams,
                    records: bool = True) -> ClusterReport:
     """Cluster points modulo the ideal: every neighborhood's index set NotIn.
 
-    With ``records=False`` only the cluster points are found, radius by
-    radius from the smallest up: each radius is decided for all candidates
-    still NotIn at every smaller one, in one ``decide_each`` call, and a
-    candidate drops out at its first verdict other than NotIn.  The report
-    holds the cluster candidates alone, without radius records.  Its
-    ``points()`` equal the full report's, and no candidate carries a label
-    that was not decided.
+    A radius's balls are decided at once, from their rows where
+    ``_row_decisions`` can, else by one ``decide_each`` call.  With
+    ``records=False`` only the cluster points are found: a candidate drops
+    out at its first verdict other than NotIn (the smallest ball, read
+    first, is the likeliest to be In or undecided), and the report holds
+    the cluster candidates alone, without radius records.  Its ``points()``
+    equal the full report's, and each of its labels was decided.
     """
     cands = (list(candidates) if candidates is not None
              else candidate_grid(x, params, extra))
     dparams = params.decision()
+
+    def decide(eps: Fraction, balls: list[Balls]) -> list:
+        return (_row_decisions(x, [b.center for b in balls], eps, handle,
+                               dparams)
+                or decide_each(handle, [b.set(eps) for b in balls], dparams))
+
     if records:
         out = _radius_records(
-            x, cands, lambda ind: decide_membership(handle, ind, dparams),
+            x, cands, decide,
             lambda eps, d: RadiusRecord(eps, d.verdict.value, d.exact,
                                         d.estimate, d.reason),
             params, Verdict.NOT_IN.value, Verdict.IN.value)
     else:
         out = [CandidateRecord(c, CLUSTER, [])
-               for c in _notin_at_every_radius(x, cands, handle, dparams,
-                                               params.schedule)]
+               for c, _, decs in _walk(
+                   x, cands, decide, params.schedule,
+                   keep=lambda d: d.verdict is Verdict.NOT_IN)
+               if decs is not None]
     return ClusterReport("gamma", x.name, handle.name, None, out, params)
-
-
-def _notin_at_every_radius(x: SequenceSpec, cands: Sequence[Point],
-                           handle: IdealHandle, dparams: DecisionParams,
-                           schedule: RadiusSchedule) -> list[Point]:
-    """The candidates whose balls are NotIn at every radius, in order.
-
-    The radii go from the smallest up (the smallest ball is the likeliest to
-    be In or undecided), and each is decided for the remaining candidates
-    at once.  A ball of letters is decided once per letter subset; balls
-    that are tested sets are read from their rows where ``_row_decisions``
-    can, else one by one.
-    """
-    alive = [(c, Balls(x, c)) for c in cands]
-    memo: dict[int, object] = {}
-    for eps in schedule.radii[::-1]:
-        if x.alphabet is None:
-            decs = _row_decisions(x, [b.center for _, b in alive], eps,
-                                  handle, dparams)
-            if decs is None:
-                decs = decide_each(handle, [b.set(eps) for _, b in alive],
-                                   dparams)
-        else:
-            keys = [b.key(eps) for _, b in alive]
-            fresh = [k for k in dict.fromkeys(keys) if k not in memo]
-            memo.update(zip(fresh, decide_each(
-                handle, [x.alphabet.union(k) for k in fresh], dparams)))
-            decs = [memo[k] for k in keys]
-        alive = [cb for cb, d in zip(alive, decs) if d.verdict is Verdict.NOT_IN]
-    return [c for c, _ in alive]
 
 
 def _row_decisions(x: SequenceSpec, centers: list[Point], eps: Fraction,
@@ -591,7 +580,7 @@ def _row_decisions(x: SequenceSpec, centers: list[Point], eps: Fraction,
     x's rows when its balls are tested sets without density: no exact
     norm, witness block or structural rule decides one, so each decision is
     its tail trend, and ``sm.tail_rows`` balls share one kernel call and one
-    tail pass.  None, for the balls to be decided one by one, under an ideal
+    tail pass.  None, for ``decide_each`` to decide the balls, under an ideal
     without lscsm (fin-x-fin, whose row rules read no prefix) or where the
     rows raise HorizonExceeded or are not known."""
     if not x.tested_balls or handle.lscsm is None:
@@ -629,19 +618,25 @@ class UFrakResult:
 def _norm_reader(m: sm.Lscsm, horizon: int):
     """A ball's norm as (exact, numeric): the exact norm where known (no
     prefix, no tail value, so numeric None), else the corrected tail value
-    at the deepest default cut."""
+    at the deepest default cut; None past the horizon."""
     deepest = sm.default_cuts(horizon)[-1]
 
-    def read(ind: ns.NatSet) -> tuple[Optional[Fraction], Optional[Fraction]]:
-        exact = m.exact_norm(ind)
-        if exact is not None:
-            return exact, None
-        [[value]] = sm.norm_estimate(m, ind.prefix(horizon)[None], [deepest])
+    def norm(balls: Balls, eps: Fraction):
+        try:
+            ind = balls.set(eps)
+            exact = m.exact_norm(ind)
+            if exact is not None:
+                return exact, None
+            bits = ind.prefix(horizon)
+        except ns.HorizonExceeded:
+            return None
+        [[value]] = sm.norm_estimate(m, bits[None], [deepest])
         return None, Fraction(*value)
-    return read
+
+    return lambda eps, balls: [norm(b, eps) for b in balls]
 
 
-def _limiting_norm(balls: Balls, per: Iterable[tuple[Fraction, tuple]]
+def _limiting_norm(balls: Balls, per: list[tuple[Fraction, tuple]]
                    ) -> UFrakResult:
     """The limiting norm read off one candidate's per-radius norms, the
     pairs (eps, ``_norm_reader``'s reading).
@@ -674,9 +669,12 @@ def u_frak(x: SequenceSpec, ell, m: sm.Lscsm,
     when everything is exact).  A reindexed sequence is analysed through
     ``transforms.apply`` first.
     """
-    [(_, balls, readings)] = _walk(x, [ell], _norm_reader(m, params.horizon),
-                                   params.schedule)
-    return _limiting_norm(balls, readings)
+    [(_, balls, norms)] = _walk(x, [ell], _norm_reader(m, params.horizon),
+                                params.schedule, keep=lambda n: n is not None)
+    if norms is None:
+        raise ns.HorizonExceeded(
+            f"a ball around {format_point(balls.center)} passes the horizon")
+    return _limiting_norm(balls, norms)
 
 
 def _classify_u(u: UFrakResult, q: Fraction) -> str:
@@ -722,20 +720,19 @@ def _level_set_report(mode: str, x: SequenceSpec, handle: IdealHandle,
             raise ValueError("q must lie in (0, 1]")
     level = min(params.q_grid) if q is None else q
     records = []
-    for c, balls, readings in _walk(x, candidate_grid(x, params),
-                                    _norm_reader(handle.lscsm, params.horizon),
-                                    params.schedule):
-        try:
-            u = _limiting_norm(balls, readings)
-        except ns.HorizonExceeded:
+    for c, balls, norms in _walk(x, candidate_grid(x, params),
+                                 _norm_reader(handle.lscsm, params.horizon),
+                                 params.schedule,
+                                 keep=lambda n: n is not None):
+        if norms is None:
             records.append(CandidateRecord(c, UNDECIDED, []))
             continue
+        u = _limiting_norm(balls, norms)
         cls = _classify_u(u, level)
-        radii = [RadiusRecord(eps, cls, exact, numeric,
-                              "exact-norm" if exact is not None
-                              else "tail-trend")
-                 for eps, exact, numeric in u.per_radius]
-        records.append(CandidateRecord(c, cls, radii))
+        records.append(CandidateRecord(c, cls, [
+            RadiusRecord(eps, cls, exact, numeric,
+                         "exact-norm" if exact is not None else "tail-trend")
+            for eps, exact, numeric in u.per_radius]))
     return ClusterReport(mode, x.name, handle.name, q, records, params)
 
 
@@ -774,7 +771,9 @@ def ideal_convergence_check(x: SequenceSpec, handle: IdealHandle, ell,
     # the cross leg's gamma_estimate walks with its own memo: the legs share
     # no decision
     [(_, _, readings)] = _walk(
-        x, [ell], lambda s: decide_membership(handle, s, dparams),
+        x, [ell],
+        lambda eps, balls: decide_each(
+            handle, [b.set(eps, inside=False) for b in balls], dparams),
         params.schedule, inside=False)
     decs = [d for _, d in readings]
     primary = {CLUSTER: "converges", NOT_CLUSTER: "diverges"}.get(

@@ -245,17 +245,17 @@ def test_alphabet_reports_are_pinned(tmp_path, args, code, json_digest,
 # --- one decision per subset ---------------------------------------------------
 
 def _count_top_level_decisions(monkeypatch):
-    """Every decide_membership call made from the sequences module, by the
-    value of the set decided (the calls a Union decision makes on its parts
-    go through the ideals module and are not counted)."""
+    """Every set the sequences module hands to decide_each, by its value
+    (the decisions a Union makes on its parts go through the ideals module
+    and are not counted)."""
     seen: list[str] = []
-    decide = sq.decide_membership
+    decide = sq.decide_each
 
-    def counted(handle, s, params):
-        seen.append(s.dumps())
-        return decide(handle, s, params)
+    def counted(handle, sets, params):
+        seen.extend(s.dumps() for s in sets)
+        return decide(handle, sets, params)
 
-    monkeypatch.setattr(sq, "decide_membership", counted)
+    monkeypatch.setattr(sq, "decide_each", counted)
     return seen
 
 

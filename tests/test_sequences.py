@@ -12,7 +12,7 @@ from idealconv import sequences
 from idealconv import submeasure as sm
 from idealconv import transforms as tr
 from idealconv import zoo
-from idealconv.ideals import builtin
+from idealconv.ideals import builtin, decide_membership
 from idealconv.sequences import (AnalysisParams, RadiusSchedule, NotAnalyticP,
                                  candidate_grid, complement_indicator_set,
                                  gamma_estimate,
@@ -271,6 +271,35 @@ def test_sample_finds_the_cluster_points_of_the_full_report(seq, ideal, draw,
     assert fast.points() == full.points()
 
 
+@pytest.mark.parametrize("ideal", GAMMA_IDEALS)
+@pytest.mark.parametrize("seq", ["char:evens", "charblocks:2", "harmonic",
+                                 "rationals", "sigma", "pi"])
+def test_gamma_records_equal_one_decision_per_public_ball(seq, ideal):
+    # a reference that shares no code with the walk: every radius record
+    # against decide_membership of the public index set of that one ball
+    params = AnalysisParams(horizon=1 << 10, schedule=RadiusSchedule.dyadic(4),
+                            pitch=F(1, 16))
+    grid = None
+    if seq in ("sigma", "pi"):
+        draw = tr.random_sigma if seq == "sigma" else tr.random_pi
+        grid = candidate_grid(zoo.rationals(), params)
+        x = tr.apply(draw(5, length=256), zoo.rationals())
+        params = _map_params(params, 256)
+    else:
+        x = zoo.get_sequence(seq)
+    handle = builtin(ideal)
+    dparams = params.decision()
+    report = gamma_estimate(x, handle, params, candidates=grid)
+    assert report.candidates
+    for c in report.candidates:
+        assert [r.eps for r in c.radii] == list(params.schedule)
+        for r in c.radii:
+            d = decide_membership(handle, indicator_set(x, c.point, r.eps),
+                                  dparams)
+            assert ((r.verdict, r.exact, r.numeric, r.reason)
+                    == (d.verdict.value, d.exact, d.estimate, d.reason))
+
+
 # --- the limiting norm -------------------------------------------------------
 
 def test_u_frak_examples():
@@ -313,6 +342,22 @@ def test_a_lambda_cluster_needs_a_settled_exact_norm():
     between = u_frak(x, (F(7, 32),), Z.lscsm, params)
     assert between.exact == 1 and not between.settled
     assert sequences._classify_u(between, F(1, 2)) == "undecided"
+
+
+def test_a_ball_past_the_horizon_leaves_its_candidate_undecided():
+    # the map's table ends at 256, so no ball of the image without an exact
+    # norm is read to 4096: the level set leaves every candidate undecided
+    # without radius records, and u_frak raises
+    params = AnalysisParams(horizon=4096, schedule=RadiusSchedule.dyadic(4),
+                            pitch=F(1, 16))
+    y = tr.apply(tr.random_sigma(1, length=256), zoo.rationals())
+    Z = builtin("Z")
+    report = lambda_estimate(y, Z, params)
+    assert len(report.candidates) == 17
+    assert all(c.classification == "undecided" and not c.radii
+               for c in report.candidates)
+    with pytest.raises(ns.HorizonExceeded):
+        u_frak(y, (F(1, 2),), Z.lscsm, params)
 
 
 # --- q-level sets ------------------------------------------------------------
