@@ -457,28 +457,26 @@ def _walk(x: SequenceSpec, cands: Sequence[Point],
     parameters.  Balls without a key (no alphabet) are read every time.
     """
     balls = [Balls(x, c) for c in cands]
-    readings: list = [[] for _ in balls]
-    walking = range(len(balls))
-    memo: dict[int, object] = {}
-    for eps in radii.radii[::-1]:
-        if not walking:
-            break
-        if x.alphabet is None:
-            got = read(eps, [balls[i] for i in walking])
-        else:
-            keys = [balls[i].key(eps, inside) for i in walking]
-            fresh = {k: balls[i] for i, k in zip(walking, keys)
-                     if k not in memo}
-            if fresh:
-                memo.update(zip(fresh, read(eps, list(fresh.values()))))
-            got = [memo[k] for k in keys]
-        for i, r in zip(walking, got):
-            readings[i].append((eps, r))
-            if keep is not None and not keep(r):
-                readings[i] = None
-        walking = [i for i in walking if readings[i] is not None]
-    return [(c, b, None if r is None else r[::-1])
-            for c, b, r in zip(cands, balls, readings)]
+    keys: list = [[] for _ in balls]    # each one's memo keys, radius up
+    walking = list(zip(balls, keys))
+    memo: dict = {}
+    for j, eps in enumerate(reversed(radii.radii)):
+        fresh = {}
+        for b, ks in walking:
+            k = b.key(eps, inside)
+            ks.append((j, b) if k is None else k)
+            if ks[-1] not in memo:
+                fresh[ks[-1]] = b
+        if fresh:
+            memo.update(zip(fresh, read(eps, [*fresh.values()])))
+        if keep is not None:
+            walking = [w for w in walking if keep(memo[w[1][-1]])]
+            if not walking:
+                break
+    # a dropped candidate's last reading is the one keep rejected
+    return [(c, b, None if keep is not None and not keep(memo[ks[-1]])
+             else [(eps, memo[k]) for eps, k in zip(radii, reversed(ks))])
+            for c, b, ks in zip(cands, balls, keys)]
 
 
 def _fold(verdicts, keep, drop) -> str:
@@ -729,10 +727,11 @@ def _level_set_report(mode: str, x: SequenceSpec, handle: IdealHandle,
             continue
         u = _limiting_norm(balls, norms)
         cls = _classify_u(u, level)
-        records.append(CandidateRecord(c, cls, [
-            RadiusRecord(eps, cls, exact, numeric,
-                         "exact-norm" if exact is not None else "tail-trend")
-            for eps, exact, numeric in u.per_radius]))
+        radii = [RadiusRecord(eps, cls, exact, numeric,
+                              "exact-norm" if exact is not None
+                              else "tail-trend")
+                 for eps, exact, numeric in u.per_radius]
+        records.append(CandidateRecord(c, cls, radii))
     return ClusterReport(mode, x.name, handle.name, q, records, params)
 
 
