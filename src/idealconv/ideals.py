@@ -167,17 +167,17 @@ def _witness_rule_bound(handle: IdealHandle,
     read off the partition's block guarantees.
 
     A per-block density ratio bounds the upper density outright, and for the
-    harmonic weight family it also bounds the tail sums (an interval's unit-
-    fraction sum is at least its length over its right end).  Mass blocks of
-    a phi search bound the norm of the ideal that searched them: the same
-    name with the same construction parameters.
+    weighted sum it also bounds the tail sums (an interval's unit-fraction
+    sum is at least its length over its right end).  Mass blocks of a phi
+    search bound the norm of the ideal that searched them: the same name
+    with the same construction parameters.
     """
     g = part.guarantees
     m = handle.lscsm
     if g.ratio is not None:
         if isinstance(m, sm.RunningDensity):
             return g.ratio
-        if isinstance(m, sm.WeightedSum) and m.harmonic:
+        if isinstance(m, sm.WeightedSum):
             return min(m.cap, m.scale * g.ratio)
     if g.mass is not None and g.mass_ideal == (handle.name, handle.params_json):
         return g.mass
@@ -335,8 +335,7 @@ def builtin(name: str, gdi_spec: Optional[dict] = None) -> IdealHandle:
         return IdealHandle("density-zero", lscsm=sm.RunningDensity())
     if key == "summable":
         return IdealHandle("summable",
-                           lscsm=sm.normalize(sm.WeightedSum(cap=Fraction(1),
-                                                             harmonic=True)))
+                           lscsm=sm.normalize(sm.WeightedSum(cap=Fraction(1))))
     if key == "gdi":
         if gdi_spec is None:
             part = ns.partition_from_tag({"kind": "geometric", "ratio": "2"})

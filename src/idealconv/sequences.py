@@ -1,7 +1,7 @@
 """Point sequences in rational boxes and their cluster structure.
 
-A sequence is a total generator n -> point with rational coordinates inside
-[-B, B]^d under the sup metric.  Every neighborhood indicator, the index set
+A sequence is a total generator n -> point with rational coordinates under
+the sup metric.  Every neighborhood indicator, the index set
 {n : d(x_n, c) < eps}, comes from one of two sources: a sequence over a
 finite alphabet unions the symbolic index sets of the letters inside the
 ball, and any other sequence gives the set from its ``ball_fn`` (a closed
@@ -178,9 +178,12 @@ class Alphabet:
 class SequenceSpec:
     """Generator-backed sequence with the index sets of its balls.
 
-    An alphabet sequence's balls are unions of its letters' index sets;
-    any other sequence needs ``ball_fn(center, eps)``, which returns the
-    exact index set {n : d(x_n, center) < eps} as a NatSet.
+    An alphabet sequence's balls are unions of its letters' index sets,
+    and its letters are its candidates.  Any other sequence needs
+    ``ball_fn(center, eps)``, which returns the exact index set
+    {n : d(x_n, center) < eps} as a NatSet, and a ``box``: per coordinate a
+    closed range (lo, hi) holding every value, hence every limit point,
+    whose pitch lattice is its candidate grid.
 
     ``rows_fn(centers, eps, idx)``, where given, is the same exact test over
     many centres at once: the (K, len(idx)) bits of the K balls at the
@@ -191,10 +194,9 @@ class SequenceSpec:
     """
 
     dim: int
-    bound: Fraction
     point_fn: Callable[[int], Point]
     alphabet: Optional[Alphabet] = None
-    batch_fn: Optional[Callable[[int], np.ndarray]] = None
+    box: Optional[Sequence[tuple[Fraction, Fraction]]] = None
     name: str = "sequence"
     ball_fn: Optional[Callable[[Point, Fraction], ns.NatSet]] = None
     rows_fn: Optional[Callable[[Sequence[Point], Fraction, np.ndarray],
@@ -205,8 +207,9 @@ class SequenceSpec:
     indicator_fn = None
 
     def __post_init__(self):
-        if self.alphabet is None and self.ball_fn is None:
-            raise ValueError(f"{self.name} needs an alphabet or a ball_fn")
+        if self.alphabet is None and (self.ball_fn is None or self.box is None):
+            raise ValueError(f"{self.name} needs an alphabet, or a ball_fn "
+                             "and a box")
 
     def point(self, n: int) -> Point:
         if n < 1:
@@ -216,30 +219,6 @@ class SequenceSpec:
 
     def hit_bits(self, center: Point, eps: Fraction, horizon: int) -> np.ndarray:
         return indicator_set(self, center, eps).prefix(horizon)
-
-    def sample_box(self, horizon: int) -> list[tuple[Fraction, Fraction]]:
-        """Per-coordinate value range, for candidate grids: over the terms
-        up to the horizon, or (without a batch, or where a reindexing map's
-        table ends first) over the first 2048 terms the map has."""
-        if self.alphabet is not None:
-            cols = list(zip(*self.alphabet.letters))
-            return [(min(c), max(c)) for c in cols]
-        if self.batch_fn is not None:
-            try:
-                vals = np.asarray(self.batch_fn(horizon)).reshape(-1, self.dim)
-            except ns.HorizonExceeded:
-                vals = None
-            if vals is not None:
-                return [(Fraction(float(c.min())).limit_denominator(1 << 30),
-                         Fraction(float(c.max())).limit_denominator(1 << 30))
-                        for c in vals.T]
-        pts = []
-        for n in range(1, min(horizon, 2048) + 1):
-            try:
-                pts.append(self.point(n))
-            except ns.HorizonExceeded:
-                break
-        return [(min(c), max(c)) for c in zip(*pts)]
 
 
 def indicator_set(x: SequenceSpec, center: Point, eps: Fraction) -> ns.NatSet:
@@ -415,13 +394,12 @@ class ClusterReport:
 
 def candidate_grid(x: SequenceSpec, params: AnalysisParams,
                    extra: Sequence[Point] = ()) -> list[Point]:
-    """Alphabet letters, or a pitch grid over the observed value box."""
+    """Alphabet letters, or the pitch lattice over the declared box."""
     if x.alphabet is not None:
         out = list(x.alphabet.letters)
     else:
-        spans = [((max(lo, -x.bound) / params.pitch).__floor__(),
-                  (min(hi, x.bound) / params.pitch).__ceil__())
-                 for lo, hi in x.sample_box(params.horizon)]
+        spans = [((lo / params.pitch).__floor__(), (hi / params.pitch).__ceil__())
+                 for lo, hi in x.box]
         size = math.prod(stop - start + 1 for start, stop in spans)
         if size > MAX_GRID_POINTS:
             raise ValueError(f"candidate grid of {size} points exceeds the "

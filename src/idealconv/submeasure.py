@@ -320,16 +320,14 @@ class CountingCap(Lscsm):
 
 @dataclass(frozen=True)
 class WeightedSum(Lscsm):
-    """phi(A) = min(cap, sum of w_a over A).
+    """phi(A) = min(cap, sum of w_a over A) with the weights w_a = scale / a.
 
-    ``harmonic`` marks the built-in weight family w_a = scale / a, whose
-    total diverges; that flag unlocks the closed-form norms (sets of
-    positive density saturate the cap, geometric sets vanish).
+    Their total diverges, which gives the closed-form norms: sets of
+    positive density saturate the cap, geometric sets vanish.
     """
 
     cap: Fraction = ONE
     scale: Fraction = ONE
-    harmonic: bool = True
     name: str = "weighted-sum"
 
     def weight(self, a: int) -> Fraction:
@@ -443,8 +441,6 @@ class WeightedSum(Lscsm):
         return last
 
     def _exact_norm_infinite(self, s: ns.NatSet) -> Optional[Fraction]:
-        if not self.harmonic:
-            return super()._exact_norm_infinite(s)
         if isinstance(s, ns.PowersOf):
             return ZERO
         d = ns.natural_density(s)
@@ -602,7 +598,7 @@ def normalize(m: Lscsm) -> Lscsm:
     if full == ONE:
         return m
     if isinstance(m, WeightedSum):
-        return WeightedSum(cap=ONE, scale=m.scale / full, harmonic=m.harmonic)
+        return WeightedSum(cap=ONE, scale=m.scale / full)
     if isinstance(m, DensityFamily):
         return DensityFamily(partition=m.partition,
                              head_weights=tuple(w / full for w in m.head_weights),

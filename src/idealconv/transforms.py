@@ -316,6 +316,8 @@ def _swap_preimage(s: ns.NatSet) -> Optional[ns.NatSet]:
 def apply(t: AnyMap, x: SequenceSpec) -> SequenceSpec:
     """The reindexed sequence; alphabet structure survives a symbolic
     preimage of every letter, else each ball is the preimage of x's ball.
+    The image takes no value x does not take, so it keeps x's box; one that
+    loses its alphabet takes the range of x's letters.
 
     Under a map read through its table (neither affine nor the odd-even
     swap) every such preimage is a ``Tested`` set, and the image's rows are
@@ -331,8 +333,11 @@ def apply(t: AnyMap, x: SequenceSpec) -> SequenceSpec:
     def point(n: int) -> Point:
         return x.point(t.value(n))
 
-    ball = rows = batch = None
+    ball = rows = None
+    box = x.box
     if alphabet is None:
+        if box is None:
+            box = [(min(c), max(c)) for c in zip(*x.alphabet.letters)]
         x_ball = x.ball_fn or (lambda center, eps:
                                indicator_set(x, center, eps))
 
@@ -349,20 +354,11 @@ def apply(t: AnyMap, x: SequenceSpec) -> SequenceSpec:
                         or values.max() > max(ns.SCAN_LIMIT, 4 * values.size)):
                     return None
                 return x.rows_fn(centers, eps, values[idx - 1])
-        if x.batch_fn is not None:
-            def batch(N: int) -> np.ndarray:
-                values = t.values_up_to(N)
-                # a list holds a value past 2^62, and any value past
-                # SCAN_LIMIT would ask x's batch for that many terms
-                if isinstance(values, list) or values.max() > ns.SCAN_LIMIT:
-                    raise ns.HorizonExceeded(f"map values pass {ns.SCAN_LIMIT}")
-                return np.asarray(x.batch_fn(int(values.max())))[values - 1]
 
     kind = "sigma" if isinstance(t, SubsequenceMap) else "pi"
-    return SequenceSpec(dim=x.dim, bound=x.bound, point_fn=point,
-                        alphabet=alphabet, ball_fn=ball, rows_fn=rows,
-                        tested_balls=rows is not None, batch_fn=batch,
-                        name=f"{kind}({x.name})")
+    return SequenceSpec(dim=x.dim, point_fn=point, alphabet=alphabet, box=box,
+                        ball_fn=ball, rows_fn=rows,
+                        tested_balls=rows is not None, name=f"{kind}({x.name})")
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,9 @@ from .sequences import Alphabet, Point, SequenceSpec, as_point
 
 np = lazy_numpy()
 
+# the values of harmonic and rationals, and so their limit points, lie in [0, 1]
+UNIT_BOX = ((Fraction(0), Fraction(1)),)
+
 
 def _char_sequence(name: str, one_on: ns.NatSet, zero_on: ns.NatSet) -> SequenceSpec:
     alpha = Alphabet(letters=[(Fraction(0),), (Fraction(1),)],
@@ -37,8 +40,7 @@ def _char_sequence(name: str, one_on: ns.NatSet, zero_on: ns.NatSet) -> Sequence
         if m is None:
             raise ns.HorizonExceeded(f"{name} undecided at {n}")
         return (Fraction(1),) if m else (Fraction(0),)
-    return SequenceSpec(dim=1, bound=Fraction(1), point_fn=point,
-                        alphabet=alpha, name=name)
+    return SequenceSpec(dim=1, point_fn=point, alphabet=alpha, name=name)
 
 
 def char_evens() -> SequenceSpec:
@@ -82,10 +84,9 @@ def cycle(values: list) -> SequenceSpec:
     for residues in sets:
         progs = [ns.Progression(r, k) for r in residues]
         index_sets.append(progs[0] if len(progs) == 1 else ns.Union(progs))
-    bound = max(abs(c) for p in distinct for c in p)
     alpha = Alphabet(letters=distinct, index_sets=index_sets)
-    return SequenceSpec(dim=1, bound=max(bound, Fraction(1)),
-                        point_fn=lambda n: pts[(n - 1) % k], alphabet=alpha,
+    return SequenceSpec(dim=1, point_fn=lambda n: pts[(n - 1) % k],
+                        alphabet=alpha,
                         name="cycle:" + ",".join(str(p[0]) for p in pts))
 
 
@@ -141,12 +142,8 @@ def harmonic() -> SequenceSpec:
                            cap if stop is None else min(stop, cap))
         return (idx >= ends[:, :1]) & (idx < ends[:, 1:])
 
-    def batch(horizon: int) -> np.ndarray:
-        return 1.0 / np.arange(1, horizon + 1, dtype=np.float64)
-
-    return SequenceSpec(dim=1, bound=Fraction(1), point_fn=point,
-                        ball_fn=ball, rows_fn=rows, batch_fn=batch,
-                        name="harmonic")
+    return SequenceSpec(dim=1, point_fn=point, box=UNIT_BOX, ball_fn=ball,
+                        rows_fn=rows, name="harmonic")
 
 
 @lru_cache(maxsize=4)
@@ -326,13 +323,8 @@ def rationals() -> SequenceSpec:
         return ns.Tested(bits, lambda n: inside(*point(n)[0].as_integer_ratio()),
                          density=Fraction(hi - lo, den), take=take)
 
-    def batch(horizon: int) -> np.ndarray:
-        num, den = _rationals_through(horizon)
-        return num[:horizon] / den[:horizon]
-
-    return SequenceSpec(dim=1, bound=Fraction(1), point_fn=point,
-                        ball_fn=ball, rows_fn=_rational_rows, batch_fn=batch,
-                        name="rationals")
+    return SequenceSpec(dim=1, point_fn=point, box=UNIT_BOX, ball_fn=ball,
+                        rows_fn=_rational_rows, name="rationals")
 
 
 def alphabet_from_json(body: dict, horizon: int = 1 << 16) -> SequenceSpec:
@@ -351,13 +343,12 @@ def alphabet_from_json(body: dict, horizon: int = 1 << 16) -> SequenceSpec:
     sets = [ns.from_json(s) for s in body["sets"]]
     alpha = Alphabet(letters=letters, index_sets=sets)
     alpha.validate_partition(horizon)
-    bound = Fraction(body.get("bound", "1"))
 
     def point(n: int) -> Point:
         return letters[alpha.letter_index(n)]
 
-    return SequenceSpec(dim=dims.pop(), bound=bound, point_fn=point,
-                        alphabet=alpha, name=body.get("name", "alphabet"))
+    return SequenceSpec(dim=dims.pop(), point_fn=point, alphabet=alpha,
+                        name=body.get("name", "alphabet"))
 
 
 def get_sequence(spec: str, horizon: int = 1 << 16) -> SequenceSpec:

@@ -52,7 +52,7 @@ def test_criterion_1_submeasure_axioms():
     variants = {
         "running-density": sm.RunningDensity(),
         "counting-cap": sm.CountingCap(),
-        "weighted-sum": sm.WeightedSum(cap=F(1), harmonic=True),
+        "weighted-sum": sm.WeightedSum(cap=F(1)),
         "density-family": sm.DensityFamily(
             partition=ns.partition_from_tag({"kind": "geometric", "ratio": "2"}),
             tail_weight=F(1)),

@@ -68,6 +68,20 @@ def test_analyze_harmonic_under_fin(tmp_path):
     assert gamma == limits and "0" in gamma
 
 
+def test_harmonic_at_a_short_horizon_keeps_its_limit_point(tmp_path):
+    # the grid is the pitch lattice of harmonic's box [0, 1], not of the
+    # values up to the horizon: 0, the limit of 1/n, is a candidate though
+    # 1/512 lies above the default pitch 1/1024
+    out = tmp_path / "h512"
+    assert run(["analyze", "--seq", "harmonic", "--ideal", "Z",
+                "--horizon", "512", "--out", str(out)]) == 0
+    body = read(f"{out}.json")["reports"]
+    for mode in ("limit_points", "gamma", "lambda"):
+        cands = body[mode]["candidates"]
+        assert len(cands) == 1025 and cands[0]["point"] == "0"
+        assert cands[0]["classification"] == "cluster"
+
+
 def test_analyze_lambda_mode(tmp_path):
     out = tmp_path / "lam"
     code = run(["analyze", "--seq", "char:evens", "--ideal", "density-zero",

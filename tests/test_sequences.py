@@ -110,10 +110,14 @@ def test_indicator_complement_partition():
 def test_a_sequence_needs_an_alphabet_or_a_ball():
     from idealconv.sequences import SequenceSpec
     with pytest.raises(ValueError):
-        SequenceSpec(dim=1, bound=F(1), point_fn=lambda n: (F(1, n),))
+        SequenceSpec(dim=1, box=[(F(0), F(1))], point_fn=lambda n: (F(1, n),))
+    # a ball_fn alone gives no candidate grid: the box is declared, not read
+    with pytest.raises(ValueError):
+        SequenceSpec(dim=1, point_fn=lambda n: (F(1, n),),
+                     ball_fn=lambda c, eps: ns.EMPTY)
     # indicator_fn is no constructor field
     with pytest.raises(TypeError):
-        SequenceSpec(dim=1, bound=F(1), point_fn=lambda n: (F(1, n),),
+        SequenceSpec(dim=1, box=[(F(0), F(1))], point_fn=lambda n: (F(1, n),),
                      indicator_fn=lambda c, eps, horizon: None)
 
 
@@ -455,8 +459,7 @@ def test_two_dimensional_alphabet():
         letters=[(F(0), F(0)), (F(1), F(1, 2))],
         index_sets=[ns.Progression(1, 2), ns.Progression(2, 2)])
     from idealconv.sequences import SequenceSpec
-    x = SequenceSpec(dim=2, bound=F(1),
-                     point_fn=lambda n: alpha.letters[(n + 1) % 2],
+    x = SequenceSpec(dim=2, point_fn=lambda n: alpha.letters[(n + 1) % 2],
                      alphabet=alpha, name="pair")
     Z = builtin("density-zero")
     g = gamma_estimate(x, Z, P14)

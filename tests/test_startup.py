@@ -60,9 +60,12 @@ def test_certified_commands_never_load_numpy():
                        "--mode", "gamma"])
                   for seq in ("char:evens", "char:odds", "const:1/2",
                               "cycle:0,1/2,1")]
+        # their grids are the pitch lattice of the declared box [0, 1]
+        codes += [cli(["analyze", "--seq", "harmonic", "--ideal", "gdi"]),
+                  cli(["analyze", "--seq", "rationals", "--ideal", "Z"])]
         print(json.dumps({"codes": codes, "numpy": numpy_loaded()}))
     """)
-    assert got == {"codes": [0] * 6, "numpy": []}
+    assert got == {"codes": [0] * 8, "numpy": []}
 
 
 def test_a_bitmap_command_loads_numpy_in_the_same_process():
@@ -70,9 +73,9 @@ def test_a_bitmap_command_loads_numpy_in_the_same_process():
         first = cli(["analyze", "--seq", "char:evens", "--ideal", "Z",
                      "--mode", "gamma"])
         before = numpy_loaded()
-        second = cli(["analyze", "--seq", "harmonic", "--ideal", "gdi",
-                      "--mode", "gamma", "--horizon", "4096", "--radii", "4",
-                      "--pitch", "1/16"])
+        second = cli(["sample", "--seq", "harmonic", "--ideal", "gdi",
+                      "--maps", "1", "--length", "256", "--horizon", "4096",
+                      "--radii", "4", "--pitch", "1/16"])
         print(json.dumps({"codes": [first, second], "before": before,
                           "after": bool(numpy_loaded())}))
     """)

@@ -36,7 +36,7 @@ def brute_weighted(members, cap):
 VARIANTS = {
     "running-density": sm.RunningDensity(),
     "counting-cap": sm.CountingCap(),
-    "weighted-sum": sm.WeightedSum(cap=F(1), harmonic=True),
+    "weighted-sum": sm.WeightedSum(cap=F(1)),
     "density-family": sm.DensityFamily(
         partition=ns.partition_from_tag({"kind": "geometric", "ratio": "2"}),
         tail_weight=F(1)),
@@ -71,7 +71,7 @@ def test_phi_examples():
     assert brute_running_density(range(2, 101, 2), 100) == F(1, 2)
     assert sm.phi(sm.RunningDensity(), ns.Progression(2, 2), 100) == F(1, 2)
     assert sm.phi(sm.CountingCap(), ns.Finite({3, 7}), 10) == 1
-    assert sm.phi(sm.WeightedSum(cap=F(10), harmonic=True),
+    assert sm.phi(sm.WeightedSum(cap=F(10)),
                   ns.Finite({1, 2, 4}), 10) == F(7, 4)
 
 
@@ -114,7 +114,7 @@ def test_lower_semicontinuity_truncations(members, horizon):
 # --- normalization ----------------------------------------------------------
 
 def test_normalization_sets_full_norm_to_one():
-    w = sm.WeightedSum(cap=F(3), harmonic=True)
+    w = sm.WeightedSum(cap=F(3))
     assert w.full_norm() == 3
     nw = sm.normalize(w)
     assert nw.full_norm() == 1
@@ -179,7 +179,7 @@ def test_exact_norm_closed_forms():
     assert rd.exact_norm(ns.Union((ns.Progression(1, 2), ns.Progression(2, 2)))) == 1
     assert rd.exact_norm(ns.Intersection((ns.Progression(1, 2),
                                           ns.Cofinite([3])))) == F(1, 2)
-    ws = sm.WeightedSum(cap=F(1), harmonic=True)
+    ws = sm.WeightedSum(cap=F(1))
     assert ws.exact_norm(ns.Progression(7, 5)) == 1
     assert ws.exact_norm(ns.PowersOf(3)) == 0
     cc = sm.CountingCap()

@@ -284,7 +284,7 @@ def test_u_frak_reads_no_prefix_behind_an_exact_norm():
     def unread(horizon):
         raise AssertionError(f"prefix of length {horizon} read")
 
-    x = SequenceSpec(dim=1, bound=F(1), point_fn=lambda n: (F(0),),
+    x = SequenceSpec(dim=1, box=[(F(0), F(0))], point_fn=lambda n: (F(0),),
                      ball_fn=lambda c, eps: ns.Tested(unread, lambda n: True,
                                                       density=F(1, 3)),
                      name="probe")

@@ -144,8 +144,8 @@ HEADED = sm.DensityFamily(
     partition=ns.partition_from_tag({"kind": "geometric", "ratio": "3/2"}),
     head_weights=(F(1, 2), F(3), F(1, 3)), tail_weight=F(2))
 SUMMABLE = builtin("summable").lscsm
-SCALED = sm.normalize(sm.WeightedSum(cap=F(3), scale=F(7, 5), harmonic=False))
-WIDE = sm.WeightedSum(cap=F(3, 2), scale=F(2, 7), harmonic=False)
+SCALED = sm.normalize(sm.WeightedSum(cap=F(3), scale=F(7, 5)))
+WIDE = sm.WeightedSum(cap=F(3, 2), scale=F(2, 7))
 # weights whose cross-products pass int64: every row takes the exact loop
 HUGE = sm.DensityFamily(
     partition=ns.partition_from_tag({"kind": "geometric", "ratio": "2"}),
@@ -192,7 +192,7 @@ def test_weighted_sum_cap_reached_exactly_at_a_cut(case, data):
     total = scale * sm.sum_unit_fractions((np.flatnonzero(bits[t:]) + t + 1).tolist())
     if total == 0:
         return
-    m = sm.WeightedSum(cap=total, scale=scale, harmonic=False)
+    m = sm.WeightedSum(cap=total, scale=scale)
     got = values(m, bits, cuts)
     assert got == reference(m, bits, cuts)
     assert got[cuts.index(t)] == total

@@ -181,17 +181,16 @@ def test_a_map_that_ends_before_the_horizon_leaves_radii_undecided():
 
 
 @pytest.mark.parametrize("x", [zoo.rationals(), zoo.char_powers2()],
-                         ids=["batch", "points"])
-def test_a_map_that_ends_before_the_horizon_gives_a_grid_of_its_values(x):
-    # rationals reindexed reads its values in one batch; char:powers2 loses
-    # its alphabet (powers of two have no symbolic preimage) and is probed
-    # point by point
+                         ids=["rationals", "char-powers2"])
+def test_a_map_that_ends_before_the_horizon_gives_the_grid_of_its_base_box(x):
+    # an image takes no value its base does not take, so its grid is the
+    # pitch lattice of the base's box: rationals declares [0, 1], and
+    # char:powers2, which loses its alphabet (powers of two have no symbolic
+    # preimage), gives the range of its letters 0 and 1
     y = tr.apply(tr.random_sigma(3, length=100), x)
     params = AnalysisParams(horizon=256, schedule=RadiusSchedule.dyadic(4),
                             pitch=F(1, 16))
-    values = [y.point(n)[0] for n in range(1, 101)]
-    want = [(F(k, 16),) for k in range((16 * min(values)).__floor__(),
-                                       (16 * max(values)).__ceil__() + 1)]
+    want = [(F(k, 16),) for k in range(17)]
     assert candidate_grid(y, params) == want
     gamma = gamma_estimate(y, builtin("density-zero"), params)
     limits = limit_points_estimate(y, params)
@@ -200,21 +199,26 @@ def test_a_map_that_ends_before_the_horizon_gives_a_grid_of_its_values(x):
         assert all(c.classification == "undecided" for c in report.candidates)
 
 
-def test_a_map_with_values_past_the_scan_limit_gives_a_grid_of_its_points():
-    # powers of 2 routed into the witness blocks pass 2^62 within 256 terms;
-    # a batch would read harmonic that far, so the box comes from the points
+def _map_past_the_scan_limit():
+    # powers of 2 routed into the witness blocks pass 2^62 within 256 terms
     w = build_witness(builtin("density-zero"), F(1, 2), 1 << 20)
     sigma = tr.generic_subsequence(ns.PowersOf(2), w, ns.FULL, 256).map
     assert sigma.table[-1] > 1 << 62
-    y = tr.apply(sigma, zoo.harmonic())
-    with pytest.raises(ns.HorizonExceeded):
-        y.batch_fn(256)
+    return tr.apply(sigma, zoo.harmonic())
+
+
+@pytest.mark.parametrize("make", [zoo.harmonic, zoo.rationals,
+                                  _map_past_the_scan_limit],
+                         ids=["harmonic", "rationals", "map-past-scan-limit"])
+def test_a_candidate_grid_reads_no_value(make):
+    def unread(n):
+        raise AssertionError(f"value {n} read")
+
+    x = make()
+    x.point_fn = unread
     params = AnalysisParams(horizon=256, schedule=RadiusSchedule.dyadic(4),
                             pitch=F(1, 16))
-    values = [y.point(n)[0] for n in range(1, 257)]
-    want = [(F(k, 16),) for k in range((16 * min(values)).__floor__(),
-                                       (16 * max(values)).__ceil__() + 1)]
-    assert candidate_grid(y, params) == want
+    assert candidate_grid(x, params) == [(F(k, 16),) for k in range(17)]
 
 
 def test_harmonic_under_an_affine_map_keeps_symbolic_balls():
@@ -222,8 +226,9 @@ def test_harmonic_under_an_affine_map_keeps_symbolic_balls():
     params = AnalysisParams(horizon=1 << 12, schedule=RadiusSchedule.dyadic(4),
                             pitch=F(1, 16))
     gamma = gamma_estimate(y, builtin("summable"), params)
-    # the values 1/(2n) span [0, 1/2]: 9 candidates of 4 radii each
-    assert gamma.route_counts() == {"exact-norm": 36}
+    # the image keeps harmonic's box [0, 1] (its values 1/(2n) span only
+    # [0, 1/2]): 17 candidates of 4 radii each
+    assert gamma.route_counts() == {"exact-norm": 68}
     assert (F(0),) in gamma.points()
 
 
