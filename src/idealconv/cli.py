@@ -341,6 +341,9 @@ def cmd_preserve(cfg: RunConfig) -> int:
             result = tr.cluster_preserving_sigma(x, handle, w, params)
     payload = {"config": cfg.to_json(), "result": result.to_json()}
     _emit(cfg.out, payload)
+    # a preserving build whose reverse inclusion is unproven is undecided
+    if mode != "add" and result.gamma_preserved is None:
+        return EXIT_UNDECIDED
     return EXIT_OK
 
 

@@ -32,9 +32,9 @@ from . import natset as ns
 from . import submeasure as sm
 from .ideals import DecisionParams, IdealHandle, Verdict, decide_membership
 from .meager import WitnessIntervals, WitnessRefuted
-from .sequences import (AnalysisParams, Alphabet, Point, SequenceSpec,
-                        as_point, distance, format_point, gamma_estimate,
-                        indicator_set, limit_points_estimate)
+from .sequences import (NOT_CLUSTER, AnalysisParams, Alphabet, Point,
+                        SequenceSpec, as_point, distance, format_point,
+                        gamma_estimate, indicator_set, limit_points_estimate)
 
 np = lazy_numpy()
 
@@ -532,16 +532,22 @@ def _audit(t: AnyMap, fills: list[BlockFill]) -> None:
 def _preserving_candidates(x: SequenceSpec, handle: IdealHandle,
                            params: AnalysisParams):
     """The preserving builders' hypothesis (cluster set equal to the limit
-    points at this resolution) and their candidates, the cluster points."""
-    gamma = gamma_estimate(x, handle, params)
+    points at this resolution), their candidates (the cluster points), and
+    ``gamma_preserved``: True when every grid candidate outside the cluster
+    set has a ball certified finite (route ``infiniteness``), else None."""
+    gset = set(gamma_estimate(x, handle, params, records=False).points())
     limits = limit_points_estimate(x, params)
-    gset, lset = set(gamma.points()), set(limits.points())
+    lset = set(limits.points())
     if gset != lset:
         raise HypothesisFailed(
             f"cluster set != limit points; limit points outside the cluster "
             f"set: {_named(lset - gset)}; cluster points outside the limit "
             f"points: {_named(gset - lset)}")
-    return gamma, gset, sorted(gset)
+    preserved = all(
+        any(r.verdict == NOT_CLUSTER and r.reason == "infiniteness"
+            for r in c.radii)
+        for c in limits.candidates if c.point not in lset) or None
+    return sorted(gset), preserved
 
 
 def _named(points: set) -> str:
@@ -558,15 +564,6 @@ def _top_radius(fills: list[BlockFill]) -> dict:
     for f in fills:
         top[f.candidate] = max(top.get(f.candidate, 0), f.radius_index)
     return top
-
-
-def _no_new_cluster(x_new: SequenceSpec, handle: IdealHandle,
-                    params: AnalysisParams, gamma, gset: set) -> bool:
-    """Reverse inclusion: no candidate outside the original cluster set is a
-    cluster point of the reindexed sequence."""
-    outside = [c.point for c in gamma.candidates if c.point not in gset]
-    return not outside or not gamma_estimate(
-        x_new, handle, params, candidates=outside, records=False).candidates
 
 
 # ---------------------------------------------------------------------------
@@ -727,24 +724,21 @@ def cluster_preserving_sigma(x: SequenceSpec, handle: IdealHandle,
     Requires the cluster set to equal the limit-point set at this resolution;
     the blocks round-robin over the candidates with shrinking radii as
     ``_Route`` routes them (a subsequence fills every block, so block k is
-    the k-th filled).  The audit certifies both inclusions: each candidate's
-    blocks give a NotIn subset of every neighborhood indicator, and the
-    reindexed sequence grows no new cluster candidates at the grid
-    resolution.
+    the k-th filled).  The targets certify the forward inclusion: each
+    candidate's blocks give a NotIn subset of every neighborhood indicator.
+    The reverse inclusion is the theorem's, with no reading of the image: a
+    subsequence adds no limit point and every ideal holds fin, so a ball
+    certified finite stays out of every image's cluster set.
     """
     horizon = params.horizon
-    gamma, gset, cands = _preserving_candidates(x, handle, params)
+    cands, preserved = _preserving_candidates(x, handle, params)
     if not cands:
         return BuildResult(identity_sigma(), [], meta={"kind": "trivial"})
     route = _Route(x, cands, list(params.schedule), len(cands))
     sigma, fills = _filled_map(w, horizon, route, False)
-    x_new = apply(sigma, x)
-    targets = _certified_targets(handle, w, x_new, horizon, params,
+    targets = _certified_targets(handle, w, apply(sigma, x), horizon, params,
                                  route.families(fills))
-    # forward inclusion is certified by the targets above
-    return BuildResult(sigma, fills, targets,
-                       gamma_preserved=_no_new_cluster(x_new, handle, params,
-                                                       gamma, gset),
+    return BuildResult(sigma, fills, targets, gamma_preserved=preserved,
                        meta={"kind": "cluster-preserving-sigma",
                              "candidates": [format_point(c) for c in cands],
                              "horizon": horizon})
@@ -776,11 +770,13 @@ def cluster_preserving_pi(x: SequenceSpec, handle: IdealHandle,
 
     Payload blocks (in the order they become affordable) round-robin over the
     candidates with shrinking radii; displaced integers flush right after
-    each payload.  The audit checks the payload containments exactly and that
-    the rearranged sequence keeps the same cluster set at this resolution.
+    each payload.  The audit checks the payload containments exactly, and a
+    payload for every candidate at every radius certifies the forward
+    inclusion.  The reverse inclusion is the theorem's, as for subsequences:
+    a permutation keeps the limit points, so the rearrangement is not read.
     """
     horizon = params.horizon
-    gamma, gset, cands = _preserving_candidates(x, handle, params)
+    cands, preserved = _preserving_candidates(x, handle, params)
     if not cands:
         return BuildResult(PermutationMap(), [], meta={"kind": "trivial"})
     schedule = list(params.schedule)
@@ -794,11 +790,7 @@ def cluster_preserving_pi(x: SequenceSpec, handle: IdealHandle,
             raise ExhaustedA(
                 f"candidate {format_point(cand)} only reached radius index "
                 f"{top} of {len(schedule)} inside the horizon")
-    # payload coverage at every radius (enforced above) certifies the
-    # forward inclusion
-    return BuildResult(pi, fills,
-                       gamma_preserved=_no_new_cluster(apply(pi, x), handle,
-                                                       params, gamma, gset),
+    return BuildResult(pi, fills, gamma_preserved=preserved,
                        meta={"kind": "cluster-preserving-pi",
                              "candidates": [format_point(c) for c in cands],
                              "horizon": horizon})

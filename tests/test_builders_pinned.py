@@ -378,6 +378,7 @@ def test_sigma_filler_equals_the_per_position_loop(bounds, horizon, plans):
 # --- pinned builder outputs -------------------------------------------------------
 
 Z = builtin("density-zero")
+GDI = builtin("gdi")
 SMALL = AnalysisParams(horizon=1 << 10, schedule=RadiusSchedule.dyadic(4),
                        pitch=F(1, 64))
 
@@ -411,6 +412,16 @@ PINNED = {
         lambda: tr.cluster_preserving_pi(
             zoo.char_evens(), Z, build_witness(Z, F(1, 4), 1 << 14), SMALL),
         "84de3504bfb7d9201936eaceeb7772b2191ce3cf941d26802d0922504be0d8ec"),
+    # a point sequence, whose grid has candidates outside the limit points;
+    # pinned while gamma_preserved was still read from the built image
+    "cluster_preserving_sigma-harmonic": (
+        lambda: tr.cluster_preserving_sigma(
+            zoo.harmonic(), Z, build_witness(Z, F(1, 4), 1 << 14), SMALL),
+        "d53928303687ab964e56dca2b2643ca4cfaea48c8727231d2a84f7683b8b5fe7"),
+    "cluster_preserving_pi-harmonic": (
+        lambda: tr.cluster_preserving_pi(
+            zoo.harmonic(), GDI, build_witness(GDI, F(1, 4), 1 << 14), SMALL),
+        "07c92843af8e8ddbb4b8e455c587c33e938c7ddd9695f6618c77d60dfca6f467"),
 }
 
 

@@ -16,6 +16,7 @@ import pytest
 
 from idealconv import cli, games, meager, sequences, transforms, zoo
 from idealconv.cli import RunConfig, main
+from idealconv.ideals import builtin
 from idealconv.meager import WitnessIntervals
 
 
@@ -688,6 +689,43 @@ def test_failed_preserve_hypothesis_names_its_points(tmp_path, capsys):
         in err["detail"]
     assert "Fraction(" not in err["detail"]
     assert not Path(f"{out}.json").exists()
+
+
+# letters 0, 1/2 and 1 on the evens, the odds but 1, and {1}; the last two
+# sets read a bitmap, so no ball of 1 is certified finite, only short of hits
+_ONE_ONLY = {"kind": "prefix-bitmap", "bits": "1" + "0" * 4095}
+UNPROVEN = {"letters": ["0", "1/2", "1"], "sets": [
+    {"kind": "progression", "first": 2, "step": 2},
+    {"kind": "intersection", "parts": [
+        {"kind": "progression", "first": 1, "step": 2},
+        {"kind": "complement", "part": _ONE_ONLY}]},
+    _ONE_ONLY]}
+UNPROVEN_ARGS = ["--ideal", "Z", "--mode", "preserve", "--horizon", "4096",
+                 "--radii", "4", "--pitch", "1/16"]
+
+
+def test_a_candidate_not_certified_finite_leaves_the_cluster_set_unproven():
+    x = zoo.alphabet_from_json(UNPROVEN, 4096)
+    params = sequences.AnalysisParams(
+        horizon=4096, schedule=sequences.RadiusSchedule.dyadic(4),
+        pitch=Fraction(1, 16))
+    one = sequences.limit_points_estimate(x, params).candidates[2]
+    assert one.point == (Fraction(1),) and one.classification == "not-cluster"
+    assert {r.reason for r in one.radii} == {"hit-count"}
+    handle = builtin("Z")
+    res = transforms.cluster_preserving_sigma(
+        x, handle, meager.build_witness(handle, Fraction(1, 2), 4096), params)
+    assert res.blocks and res.gamma_preserved is None
+
+
+def test_preserve_with_an_unproven_reverse_inclusion_exits_two(tmp_path):
+    out = tmp_path / "unproven"
+    assert run(["preserve", "sigma", "--seq",
+                f"alphabet:{json.dumps(UNPROVEN)}", *UNPROVEN_ARGS,
+                "--out", str(out)]) == 2
+    res = read(f"{out}.json")["result"]
+    assert res["gamma_preserved"] is None
+    assert res["meta"]["candidates"] == ["0", "1/2"]
 
 
 def test_oversized_candidate_grid_exits_one(tmp_path, capsys):

@@ -14,9 +14,10 @@ from idealconv import submeasure as sm
 from idealconv import zoo
 from idealconv.ideals import builtin
 from idealconv.meager import WitnessRefuted, build_witness
-from idealconv.sequences import (CLUSTER, AnalysisParams, RadiusSchedule,
-                                 candidate_grid, gamma_estimate,
-                                 indicator_set, limit_points_estimate)
+from idealconv.sequences import (CLUSTER, NOT_CLUSTER, AnalysisParams,
+                                 RadiusSchedule, candidate_grid,
+                                 gamma_estimate, indicator_set,
+                                 limit_points_estimate)
 from idealconv import transforms as tr
 
 F = Fraction
@@ -530,18 +531,48 @@ _SMALL = AnalysisParams(horizon=1 << 10, schedule=RadiusSchedule.dyadic(4),
 @pytest.mark.parametrize("seq", ["harmonic", "rationals", "char:evens"])
 @pytest.mark.parametrize("kind", ["sigma", "pi"])
 def test_reverse_inclusion_equals_the_records_fold(seq, ideal, kind):
-    # the radius-major reading finds a new cluster point exactly where the
-    # per-candidate records classify one CLUSTER; with the cluster set taken
-    # empty every candidate is outside it
+    # the builders take the reverse inclusion from the theorem: a candidate
+    # with a ball certified finite is no image's cluster point.  The
+    # per-candidate records of a random image agree: none of those
+    # candidates is CLUSTER there (harmonic has 15, the others none)
     x, handle = zoo.get_sequence(seq), builtin(ideal)
     make = tr.random_sigma if kind == "sigma" else tr.random_pi
     x_new = tr.apply(make(7, length=_SMALL.horizon), x)
-    gamma = gamma_estimate(x, handle, _SMALL)
-    answers = []
-    for gset in (set(gamma.points()), set()):
-        outside = [c.point for c in gamma.candidates if c.point not in gset]
-        records = gamma_estimate(x_new, handle, _SMALL, candidates=outside)
-        want = all(c.classification != CLUSTER for c in records.candidates)
-        assert tr._no_new_cluster(x_new, handle, _SMALL, gamma, gset) == want
-        answers.append(want)
-    assert answers[0] or not answers[1]
+    finite = [c.point for c in limit_points_estimate(x, _SMALL).candidates
+              if any(r.verdict == NOT_CLUSTER and r.reason == "infiniteness"
+                     for r in c.radii)]
+    assert len(finite) == (15 if seq == "harmonic" else 0)
+    records = gamma_estimate(x_new, handle, _SMALL, candidates=finite)
+    assert [c.point for c in records.candidates] == finite
+    assert all(c.classification != CLUSTER for c in records.candidates)
+
+
+@pytest.mark.parametrize("kind", ["sigma", "pi"])
+def test_preserving_builders_analyse_only_x(monkeypatch, kind):
+    # the reverse inclusion is the theorem's: no image is analysed, and the
+    # permutation builder builds none
+    x, handle = zoo.harmonic(), builtin("gdi")
+    params = AnalysisParams(horizon=1 << 10, schedule=RadiusSchedule.dyadic(4),
+                            pitch=F(1, 64))
+    w = build_witness(handle, F(1, 4), 1 << 14)
+    analysed, applied = [], []
+    gamma, apply = tr.gamma_estimate, tr.apply
+
+    def gamma_of(y, *args, **kw):
+        analysed.append(y)
+        return gamma(y, *args, **kw)
+
+    def apply_to(t, y):
+        applied.append(y)
+        return apply(t, y)
+
+    monkeypatch.setattr(tr, "gamma_estimate", gamma_of)
+    monkeypatch.setattr(tr, "apply", apply_to)
+    build = (tr.cluster_preserving_sigma if kind == "sigma"
+             else tr.cluster_preserving_pi)
+    res = build(x, handle, w, params)
+    assert res.gamma_preserved is True
+    assert analysed and all(y is x for y in analysed)
+    assert all(y is x for y in applied)
+    if kind == "pi":
+        assert not applied
