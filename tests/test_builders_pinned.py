@@ -413,7 +413,8 @@ PINNED = {
             zoo.char_evens(), Z, build_witness(Z, F(1, 4), 1 << 14), SMALL),
         "84de3504bfb7d9201936eaceeb7772b2191ce3cf941d26802d0922504be0d8ec"),
     # a point sequence, whose grid has candidates outside the limit points;
-    # pinned while gamma_preserved was still read from the built image
+    # the values were taken when gamma_preserved came from reading the built
+    # image, so they hold the theorem's answer equal to that reading
     "cluster_preserving_sigma-harmonic": (
         lambda: tr.cluster_preserving_sigma(
             zoo.harmonic(), Z, build_witness(Z, F(1, 4), 1 << 14), SMALL),
