@@ -22,6 +22,7 @@ import sys
 import time
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -148,49 +149,102 @@ _SCALARS = {str: _quote, int: int.__repr__, float: _float_text,
 _EXACT = frozenset((*_SCALARS, list, tuple, dict))
 # a subclass is written as the first of these it is an instance of
 _BASES = (str, int, float, list, tuple, dict)
+# the items of a scalar list per C encoder call, the other items per piece
+# of report text, and the characters held before each write to a file
+_SLICE = 4096
+_RUN = 1024
+_BUFFER = 1 << 16
+_DONE = object()
 
 
-def json_text(obj, pad: str = "\n") -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
+def json_text(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte: the
+    join of ``_pieces``."""
+    return "".join(_pieces(obj))
+
+
+def _pieces(obj):
+    """The text of ``json_text(obj)`` in pieces of at most ``_RUN`` items,
+    or of one ``_SLICE`` of a scalar list, so no piece grows with the
+    document.
 
     The stdlib writes an indented document in Python one item at a time
-    (its C encoder takes no indent); here each value is dispatched on its
-    exact type, a scalar item is written without a call back into this
-    function, and a list of one scalar type, such as a map's table, is
-    written by one call to the C encoder, its items separated by a comma
-    and the indent.  ``pad`` is the newline and indent that close the
-    value.
+    (its C encoder takes no indent).  Here one loop walks the document with
+    a stack of its open containers, each value is dispatched on its exact
+    type, and a list of one scalar type, such as a map's table, is written
+    by the C encoder ``_SLICE`` items at a time, its items separated by a
+    comma and the indent.
     """
-    kind = type(obj)
-    if kind not in _EXACT:
-        kind = next((b for b in _BASES if isinstance(obj, b)), None)
-        if kind is None:
-            raise TypeError(f"Object of type {type(obj).__name__} "
-                            f"is not JSON serializable")
-    scalar = _SCALARS.get(kind)
-    if scalar is not None:
-        return scalar(obj)
-    if not obj:
-        return "{}" if kind is dict else "[]"
-    inner = pad + "  "
-    if kind is dict:
-        # the keys of a dict are distinct, so sorting them alone gives the
-        # order of the stdlib's sorted items
-        items = []
-        for key in sorted(obj):
-            value = obj[key]
-            scalar = _SCALARS.get(type(value))
-            items.append(_quote(key if type(key) is str else _json_key(key))
-                         + ": " + (json_text(value, inner) if scalar is None
-                                   else scalar(value)))
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    kinds = set(map(type, obj))
-    if len(kinds) == 1 and kinds.pop() in _SCALARS:
-        # "[a,<inner>b]" from C, reframed as "[<inner>a,<inner>b<pad>]"
-        text = "".join(_scalar_list_encoder(inner)(obj, 0))
-        return "[" + inner + text[1:-1] + pad + "]"
-    items = [json_text(v, inner) for v in obj]
-    return "[" + inner + ("," + inner).join(items) + pad + "]"
+    run = []            # the text written since the last piece
+    stack = []          # each open container: items, indent, close, keyed
+    # the value to write next, the text before it, and the newline and
+    # indent that close it
+    value, text, pad = obj, "", "\n"
+    while True:
+        if len(run) >= _RUN:
+            yield "".join(run)
+            run = []
+        kind = type(value)
+        if kind not in _EXACT:
+            kind = next((b for b in _BASES if isinstance(value, b)), None)
+            if kind is None:
+                raise TypeError(f"Object of type {type(value).__name__} "
+                                f"is not JSON serializable")
+        scalar = _SCALARS.get(kind)
+        if scalar is not None:
+            run.append(text + scalar(value))
+            lead = ","
+        elif not value:
+            run.append(text + ("{}" if kind is dict else "[]"))
+            lead = ","
+        elif (kind is not dict and len(kinds := set(map(type, value))) == 1
+              and kinds.pop() in _SCALARS):
+            # each slice "[a,<inner>b]" from C, reframed as "<lead>a,<inner>b"
+            inner = pad + "  "
+            encode = _scalar_list_encoder(inner)
+            text += "[" + inner
+            for start in range(0, len(value), _SLICE):
+                run.append(text + "".join(
+                    encode(value[start:start + _SLICE], 0))[1:-1])
+                yield "".join(run)
+                run, text = [], "," + inner
+            run.append(pad + "]")
+            lead = ","
+        elif kind is dict:
+            # the keys of a dict are distinct, so sorting its items compares
+            # keys alone, in the order of the stdlib's sorted items
+            stack.append((iter(sorted(value.items())), pad + "  ",
+                          pad + "}", True))
+            lead = text + "{"
+        else:
+            stack.append((iter(value), pad + "  ", pad + "]", False))
+            lead = text + "["
+        # the scalar items that follow, up to the next container value
+        while stack:
+            items, pad, close, keyed = stack[-1]
+            text, comma = lead + pad, "," + pad
+            for value in items:
+                if keyed:
+                    key, value = value
+                    text += (_quote(key if type(key) is str else _json_key(key))
+                             + ": ")
+                scalar = _SCALARS.get(type(value))
+                if scalar is None:
+                    break
+                run.append(text + scalar(value))
+                text = comma
+                if len(run) >= _RUN:
+                    yield "".join(run)
+                    run = []
+            else:
+                run.append(close)
+                stack.pop()
+                lead = ","
+                continue
+            break
+        else:
+            yield "".join(run)
+            return
 
 
 @functools.lru_cache(maxsize=None)
@@ -214,17 +268,44 @@ def _json_key(key) -> str:
                     f"not {type(key).__name__}")
 
 
-def _write(path: str, text: str) -> None:
-    """Create or truncate the file ``path`` and write ``text`` as ASCII
-    bytes: one open, the writes, one close.  A new file gets the mode
-    ``open()`` gives it, 0o666 less the umask."""
-    data = memoryview(text.encode("ascii"))
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+def _write(path: str, pieces) -> None:
+    """Write the text ``pieces`` to the file ``path`` as ASCII bytes, in
+    ``_chunks``.  The file is created or truncated at the first chunk, with
+    the parent directories it lacks, and closed after the last: one open,
+    the writes, one close.  A new file gets the mode ``open()`` gives it,
+    0o666 less the umask.  If a piece raises, the file is removed, so a
+    failed report leaves no partial file."""
+    fd = None
     try:
-        while data:
-            data = data[os.write(fd, data):]
-    finally:
-        os.close(fd)
+        for text in _chunks(pieces):
+            if fd is None:
+                parent = os.path.dirname(path)
+                if parent and not os.path.isdir(parent):
+                    os.makedirs(parent, exist_ok=True)
+                fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC,
+                             0o666)
+            data = memoryview(text.encode("ascii"))
+            while data:
+                data = data[os.write(fd, data):]
+    except BaseException:
+        if fd is not None:
+            os.close(fd)
+            os.unlink(path)
+        raise
+    os.close(fd)
+
+
+def _chunks(pieces):
+    """The pieces joined into texts of at least ``_BUFFER`` characters, then
+    the rest, perhaps empty."""
+    held, size = [], 0
+    for piece in pieces:
+        held.append(piece)
+        size += len(piece)
+        if size >= _BUFFER:
+            yield "".join(held)
+            held, size = [], 0
+    yield "".join(held)
 
 
 def _emit(out: Optional[str], payload: dict, csv_rows=None,
@@ -233,22 +314,17 @@ def _emit(out: Optional[str], payload: dict, csv_rows=None,
     The sidecar PREFIX.meta.json holds the run statistics that stay out of
     the primary outputs: the time, and ``routes``, the count of each
     report's decisions per deciding route."""
-    text = json_text(payload) + "\n"
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.write(json_text(payload) + "\n")
         return
     base = str(Path(out))
-    parent = os.path.dirname(base)
-    if parent and not os.path.isdir(parent):
-        os.makedirs(parent, exist_ok=True)
-    _write(base + ".json", text)
+    _write(base + ".json", chain(_pieces(payload), ("\n",)))
     if csv_rows is not None:
-        _write(base + ".csv", "\n".join([",".join(row) for row in csv_rows])
-               + "\n")
+        _write(base + ".csv", (",".join(row) + "\n" for row in csv_rows))
     meta = {"written_at_unix": time.time()}
     if routes:
         meta["routes"] = routes
-    _write(base + ".meta.json", json.dumps(meta, sort_keys=True) + "\n")
+    _write(base + ".meta.json", (json.dumps(meta, sort_keys=True), "\n"))
 
 
 def cmd_analyze(cfg: RunConfig) -> int:

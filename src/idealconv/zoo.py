@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from typing import Optional, Sequence
 
@@ -146,7 +145,6 @@ def harmonic() -> SequenceSpec:
                         rows_fn=rows, name="harmonic")
 
 
-@lru_cache(maxsize=4)
 def _rational_enum(count: int) -> tuple[np.ndarray, np.ndarray]:
     """First ``count`` rationals of [0, 1]: 0, 1, then by denominator."""
     nums = [np.array([0, 1], dtype=np.int64)]
@@ -163,11 +161,22 @@ def _rational_enum(count: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(nums)[:count], np.concatenate(dens)[:count]
 
 
-def _rationals_through(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The cached enumeration holding the first n rationals: the least
-    power of 2 (at least 4096) not below n, so a power-of-2 horizon builds
-    no more than it reads."""
-    return _rational_enum(1 << max(12, (n - 1).bit_length()))
+class _RationalEnum:
+    """The enumeration as one ``rationals()`` sequence reads it: nothing is
+    built before the first read, and a read past the end rebuilds it to the
+    least power of 2 (at least 4096) not below the index, so a power-of-2
+    horizon builds no more than it reads.  It lives as long as its
+    sequence, so one command's enumeration serves no other."""
+
+    def __init__(self):
+        self.nums = self.dens = ()
+
+    def through(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The enumeration holding the first n rationals."""
+        if len(self.nums) < n:
+            self.nums, self.dens = _rational_enum(
+                1 << max(12, (n - 1).bit_length()))
+        return self.nums, self.dens
 
 
 class _FareyBlocks:
@@ -217,12 +226,13 @@ def _inside(p, q, p0, q0, e1, e2):
     return abs(p * q0 - p0 * q) * e2 < e1 * q * q0
 
 
-def _rational_rows(centers: Sequence[Point], eps: Fraction,
-                   idx: np.ndarray) -> np.ndarray:
-    """Row k, column j: whether the idx[j]-th rational lies in the radius-eps
-    ball around centers[k].  A centre whose products stay below 2^63 is
-    tested in int64, with the others; past that, in Python ints."""
-    nums, dens = _rationals_through(int(idx.max()))
+def _rational_rows(enum: _RationalEnum, centers: Sequence[Point],
+                   eps: Fraction, idx: np.ndarray) -> np.ndarray:
+    """Row k, column j: whether the idx[j]-th rational of ``enum`` lies in
+    the radius-eps ball around centers[k].  A centre whose products stay
+    below 2^63 is tested in int64, with the others; past that, in Python
+    ints."""
+    nums, dens = enum.through(int(idx.max()))
     p, q = nums[idx - 1], dens[idx - 1]
     e1, e2 = eps.numerator, eps.denominator
     # 0 <= p <= q <= qmax bounds every product of the test
@@ -242,11 +252,15 @@ def _rational_rows(centers: Sequence[Point], eps: Fraction,
 
 
 def rationals() -> SequenceSpec:
-    farey = _FareyBlocks()
+    enum, farey = _RationalEnum(), _FareyBlocks()
 
     def point(n: int) -> Point:
-        num, den = _rationals_through(n)
+        num, den = enum.through(n)
         return (Fraction(int(num[n - 1]), int(den[n - 1])),)
+
+    def rows(centers: Sequence[Point], eps: Fraction,
+             idx: np.ndarray) -> np.ndarray:
+        return _rational_rows(enum, centers, eps, idx)
 
     def ball(center: Point, eps: Fraction) -> ns.NatSet:
         """The indices of the points in (a, b) = (c - eps, c + eps).
@@ -279,8 +293,8 @@ def rationals() -> SequenceSpec:
             return _inside(p, q, p0, q0, e1, e2)
 
         def bits(horizon: int) -> np.ndarray:
-            return _rational_rows((center,), eps,
-                                  np.arange(1, horizon + 1, dtype=np.int64))[0]
+            return rows((center,), eps,
+                        np.arange(1, horizon + 1, dtype=np.int64))[0]
 
         def take(start: int, want: int, stop: Optional[int]) -> list[int]:
             """The members from ``start`` on, up to ``SCAN_LIMIT``, read Farey
@@ -324,7 +338,7 @@ def rationals() -> SequenceSpec:
                          density=Fraction(hi - lo, den), take=take)
 
     return SequenceSpec(dim=1, point_fn=point, box=UNIT_BOX, ball_fn=ball,
-                        rows_fn=_rational_rows, name="rationals")
+                        rows_fn=rows, name="rationals")
 
 
 def alphabet_from_json(body: dict, horizon: int = 1 << 16) -> SequenceSpec:

@@ -875,6 +875,26 @@ def test_output_under_a_regular_file_exits_one(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f"]
 
 
+def test_a_report_that_fails_to_encode_leaves_no_file(tmp_path, capsys,
+                                                      monkeypatch):
+    # the sigma table holds the indices 2^k; one past the int-to-str digit
+    # limit raises after the report's first writes to r.json, so the run
+    # exits 1 as a config error and removes the partial file
+    removed = []
+    unlink = os.unlink
+    monkeypatch.setattr(os, "unlink",
+                        lambda path: removed.append(path) or unlink(path))
+    out = tmp_path / "r"
+    assert run(["preserve", "sigma", "--seq", "char:powers2", "--ideal",
+                "density-zero", "--mode", "add", "--ell", "1", "--horizon",
+                "16384", "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert "integer string conversion" in err["detail"]
+    assert removed == [f"{out}.json"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_each_numeric_setting_is_parsed_once(tmp_path, monkeypatch):
     parsed = Counter()
 

@@ -1,7 +1,8 @@
 """The constructive paths' array, slice and join forms against the loops
 they replaced.
 
-- ``cli.json_text`` against ``json.dumps(..., sort_keys=True, indent=2)``.
+- ``cli.json_text``, and the file ``cli._emit`` streams, against
+  ``json.dumps(..., sort_keys=True, indent=2)``; ``_emit``'s memory.
 - ``MemberSupply.run`` against one step per member.
 - the block-local ``DensityFamily.interval_mass`` against the walk from
   block 1.
@@ -9,15 +10,18 @@ they replaced.
   per value, for object-dtype tables and for values past the prefix bound.
 - ``iter_members`` (batches of ``Periodic.take``) over a dense mask with a
   large period, in small memory.
-- the ``rationals`` enumeration, sized to the horizon it serves.
+- the ``rationals`` enumeration, sized to the horizon it serves and held
+  by one sequence.
 - ``random_sigma`` tables, pinned by sha256 before the gap law was parsed
   once per map instead of once per draw; the law is the one its RNG key
   names.
 """
 
+import gc
 import hashlib
 import json
 import tracemalloc
+import weakref
 from fractions import Fraction
 from itertools import islice
 
@@ -28,6 +32,7 @@ from hypothesis import given, settings, strategies as st
 from idealconv import natset as ns
 from idealconv import transforms as tr
 from idealconv import zoo
+from idealconv import cli
 from idealconv.cli import json_text
 from idealconv.ideals import builtin
 from idealconv.meager import build_witness
@@ -71,10 +76,39 @@ json_values = st.recursive(
     max_leaves=40)
 
 
+@pytest.fixture(scope="module")
+def report_prefix(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("writer") / "r")
+
+
+def assert_written_as_stdlib(value, prefix):
+    """json_text, and the PREFIX.json that _emit streams, against the
+    stdlib pretty form."""
+    want = json.dumps(value, sort_keys=True, indent=2)
+    assert json_text(value) == want
+    cli._emit(prefix, value)
+    with open(prefix + ".json", encoding="ascii", newline="") as f:
+        assert f.read() == want + "\n"
+
+
 @settings(max_examples=400)
-@given(json_values)
-def test_writer_equals_stdlib_pretty_form(value):
-    assert json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+@given(value=json_values)
+def test_writer_equals_stdlib_pretty_form(report_prefix, value):
+    assert_written_as_stdlib(value, report_prefix)
+
+
+@pytest.mark.parametrize("value", [
+    list(range(cli._SLICE)),                    # one slice of the C encoder
+    [-n for n in range(cli._SLICE + 1)],        # and one item more
+    # a two-slice table nested three deep, longer than one write
+    {"result": {"map": {"table": [n * n for n in range(2 * cli._SLICE)],
+                        "tail": "none"}, "z": [[], {}]}},
+    [],
+    {},
+], ids=["one-slice", "one-slice-and-one", "two-slice-table", "empty-list",
+        "empty-dict"])
+def test_writer_at_slice_bounds(report_prefix, value):
+    assert_written_as_stdlib(value, report_prefix)
 
 
 def test_writer_keys_and_errors_follow_the_stdlib():
@@ -94,6 +128,31 @@ def test_writer_keys_and_errors_follow_the_stdlib():
     with pytest.raises(ValueError) as got:
         json_text(past_limit)
     assert str(got.value) == str(want.value)
+
+
+def test_emit_holds_a_small_share_of_a_long_report(tmp_path, monkeypatch):
+    # a 2^18 permutation report streams into its file: the table goes to
+    # the C encoder a slice at a time and the text a buffer at a time, so
+    # _emit's own allocations stay below a quarter of the report (about 3x
+    # its size when the text was built whole before the write)
+    payloads = []
+    monkeypatch.setattr(cli, "_emit",
+                        lambda out, payload, *rest: payloads.append(payload))
+    assert cli.main(["preserve", "pi", "--seq", "cycle:0,0,5/8", "--ideal",
+                     "gdi", "--mode", "add", "--ell", "5/8", "--q", "1/2",
+                     "--horizon", str(1 << 18)]) == 0
+    monkeypatch.undo()
+    out = str(tmp_path / "r")
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        cli._emit(out, payloads[0])
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "r.json").stat().st_size
+    assert size > 1 << 21
+    assert peak < size / 4
 
 
 def test_writer_on_a_preserve_report():
@@ -318,14 +377,43 @@ def test_dense_walk_equals_member(first, step, extra, start):
 
 # --- the rationals enumeration -----------------------------------------------------
 
-def test_rationals_enumeration_sized_to_the_horizon():
-    # a ball's prefix at 4096 builds the 4096-entry enumeration, no more
-    zoo._rational_enum.cache_clear()
-    zoo.get_sequence("rationals").ball_fn((F(1, 3),), F(1, 16)).prefix(4096)
-    assert zoo._rational_enum.cache_info().misses == 1
-    num, den = zoo._rational_enum(4096)
-    assert zoo._rational_enum.cache_info().misses == 1
+def counted_enumerations(monkeypatch) -> list:
+    """Each enumeration zoo builds from now on, as it was returned."""
+    built = []
+    build = zoo._rational_enum
+    monkeypatch.setattr(zoo, "_rational_enum",
+                        lambda count: built.append(build(count)) or built[-1])
+    return built
+
+
+def test_rationals_enumeration_sized_to_the_horizon(monkeypatch):
+    # a ball's prefix at 4096 builds the sequence's 4096-entry enumeration,
+    # no more, and later reads up to 4096 reuse it
+    built = counted_enumerations(monkeypatch)
+    x = zoo.get_sequence("rationals")
+    x.ball_fn((F(1, 3),), F(1, 16)).prefix(4096)
+    assert len(built) == 1
+    assert x.point(4096) == (F(47, 116),)
+    x.ball_fn((F(1, 2),), F(1, 8)).prefix(4096)
+    assert len(built) == 1
+    num, den = built[0]
     assert len(num) == len(den) == 4096
+
+
+def test_cli_calls_share_no_rationals_enumeration(tmp_path, monkeypatch):
+    # each command builds its own enumeration, once, and keeps none of it
+    # after it returns
+    built = counted_enumerations(monkeypatch)
+    argv = ["sample", "--seq", "rationals", "--ideal", "Z", "--maps", "2",
+            "--length", "512", "--horizon", "4096", "--radii", "2",
+            "--pitch", "1/4"]
+    for k in range(2):
+        assert cli.main([*argv, "--out", str(tmp_path / f"s{k}")]) == 0
+        assert len(built) == k + 1
+        kept = weakref.ref(built.pop()[0])
+        built.append(None)
+        gc.collect()
+        assert kept() is None
 
 
 # --- seeded random maps -------------------------------------------------------------
