@@ -154,7 +154,6 @@ _BASES = (str, int, float, list, tuple, dict)
 _SLICE = 4096
 _RUN = 1024
 _BUFFER = 1 << 16
-_DONE = object()
 
 
 def json_text(obj) -> str:
@@ -199,7 +198,7 @@ def _pieces(obj):
             lead = ","
         elif (kind is not dict and len(kinds := set(map(type, value))) == 1
               and kinds.pop() in _SCALARS):
-            # each slice "[a,<inner>b]" from C, reframed as "<lead>a,<inner>b"
+            # each slice "[a,<inner>b]" from C, reframed as "<text>a,<inner>b"
             inner = pad + "  "
             encode = _scalar_list_encoder(inner)
             text += "[" + inner

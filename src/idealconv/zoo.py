@@ -168,8 +168,7 @@ class _RationalEnum:
     horizon builds no more than it reads.  It lives as long as its
     sequence, so one command's enumeration serves no other."""
 
-    def __init__(self):
-        self.nums = self.dens = ()
+    nums = dens = ()
 
     def through(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """The enumeration holding the first n rationals."""
