@@ -154,6 +154,7 @@ _BASES = (str, int, float, list, tuple, dict)
 _SLICE = 4096
 _RUN = 1024
 _BUFFER = 1 << 16
+_CREATE = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
 
 
 def json_text(obj) -> str:
@@ -198,15 +199,17 @@ def _pieces(obj):
             lead = ","
         elif (kind is not dict and len(kinds := set(map(type, value))) == 1
               and kinds.pop() in _SCALARS):
-            # each slice "[a,<inner>b]" from C, reframed as "<text>a,<inner>b"
+            # each slice "[a,<inner>b]" from C, reframed as "<text>a,<inner>b";
+            # a slice ends the piece before the next one
             inner = pad + "  "
             encode = _scalar_list_encoder(inner)
             text += "[" + inner
             for start in range(0, len(value), _SLICE):
+                if start:
+                    yield "".join(run)
+                    run, text = [], "," + inner
                 run.append(text + "".join(
                     encode(value[start:start + _SLICE], 0))[1:-1])
-                yield "".join(run)
-                run, text = [], "," + inner
             run.append(pad + "]")
             lead = ","
         elif kind is dict:
@@ -278,11 +281,11 @@ def _write(path: str, pieces) -> None:
     try:
         for text in _chunks(pieces):
             if fd is None:
-                parent = os.path.dirname(path)
-                if parent and not os.path.isdir(parent):
-                    os.makedirs(parent, exist_ok=True)
-                fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC,
-                             0o666)
+                try:
+                    fd = os.open(path, _CREATE, 0o666)
+                except FileNotFoundError:
+                    os.makedirs(os.path.dirname(path), exist_ok=True)
+                    fd = os.open(path, _CREATE, 0o666)
             data = memoryview(text.encode("ascii"))
             while data:
                 data = data[os.write(fd, data):]
