@@ -164,8 +164,8 @@ def json_text(obj) -> str:
 
 
 def _pieces(obj):
-    """The text of ``json_text(obj)`` in pieces of at most ``_RUN`` items,
-    or of one ``_SLICE`` of a scalar list, so no piece grows with the
+    """The text of ``json_text(obj)`` in pieces of about ``_RUN`` items and
+    at most one ``_SLICE`` of a scalar list, so no piece grows with the
     document.
 
     The stdlib writes an indented document in Python one item at a time
@@ -181,9 +181,6 @@ def _pieces(obj):
     # indent that close it
     value, text, pad = obj, "", "\n"
     while True:
-        if len(run) >= _RUN:
-            yield "".join(run)
-            run = []
         kind = type(value)
         if kind not in _EXACT:
             kind = next((b for b in _BASES if isinstance(value, b)), None)
@@ -226,6 +223,9 @@ def _pieces(obj):
             items, pad, close, keyed = stack[-1]
             text, comma = lead + pad, "," + pad
             for value in items:
+                if len(run) >= _RUN:
+                    yield "".join(run)
+                    run = []
                 if keyed:
                     key, value = value
                     text += (_quote(key if type(key) is str else _json_key(key))
@@ -235,9 +235,6 @@ def _pieces(obj):
                     break
                 run.append(text + scalar(value))
                 text = comma
-                if len(run) >= _RUN:
-                    yield "".join(run)
-                    run = []
             else:
                 run.append(close)
                 stack.pop()

@@ -29,10 +29,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from idealconv import cli
 from idealconv import natset as ns
 from idealconv import transforms as tr
 from idealconv import zoo
-from idealconv import cli
 from idealconv.cli import json_text
 from idealconv.ideals import builtin
 from idealconv.meager import build_witness
@@ -378,26 +378,31 @@ def test_dense_walk_equals_member(first, step, extra, start):
 # --- the rationals enumeration -----------------------------------------------------
 
 def counted_enumerations(monkeypatch) -> list:
-    """Each enumeration zoo builds from now on, as it was returned."""
+    """The size of each enumeration zoo builds from now on, and a weak
+    reference to its numerators."""
     built = []
     build = zoo._rational_enum
-    monkeypatch.setattr(zoo, "_rational_enum",
-                        lambda count: built.append(build(count)) or built[-1])
+
+    def counted(count):
+        nums, dens = build(count)
+        built.append((len(nums), weakref.ref(nums)))
+        return nums, dens
+
+    monkeypatch.setattr(zoo, "_rational_enum", counted)
     return built
 
 
 def test_rationals_enumeration_sized_to_the_horizon(monkeypatch):
     # a ball's prefix at 4096 builds the sequence's 4096-entry enumeration,
-    # no more, and later reads up to 4096 reuse it
+    # no more, and the sequence keeps it for its later reads up to 4096
     built = counted_enumerations(monkeypatch)
     x = zoo.get_sequence("rationals")
     x.ball_fn((F(1, 3),), F(1, 16)).prefix(4096)
-    assert len(built) == 1
+    assert [size for size, _ in built] == [4096]
     assert x.point(4096) == (F(47, 116),)
     x.ball_fn((F(1, 2),), F(1, 8)).prefix(4096)
-    assert len(built) == 1
-    num, den = built[0]
-    assert len(num) == len(den) == 4096
+    assert [size for size, _ in built] == [4096]
+    assert built[0][1]() is not None
 
 
 def test_cli_calls_share_no_rationals_enumeration(tmp_path, monkeypatch):
@@ -409,11 +414,8 @@ def test_cli_calls_share_no_rationals_enumeration(tmp_path, monkeypatch):
             "--pitch", "1/4"]
     for k in range(2):
         assert cli.main([*argv, "--out", str(tmp_path / f"s{k}")]) == 0
-        assert len(built) == k + 1
-        kept = weakref.ref(built.pop()[0])
-        built.append(None)
         gc.collect()
-        assert kept() is None
+        assert len(built) == k + 1 and built[k][1]() is None
 
 
 # --- seeded random maps -------------------------------------------------------------
